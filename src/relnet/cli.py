@@ -27,7 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -524,12 +524,7 @@ def cmd_train(args) -> int:
     try:
         cfg = parse_experiment_config(doc, config_path.parent)
         if args.seed is not None:
-            cfg.train_cfg = TrainConfig(
-                **{
-                    **{f.name: getattr(cfg.train_cfg, f.name) for f in fields(TrainConfig)},
-                    "seed": args.seed,
-                }
-            )
+            cfg.train_cfg = replace(cfg.train_cfg, seed=args.seed)
         output_dir = Path(args.out) if args.out else cfg.output_dir
         if output_dir is None:
             raise ConfigError("no output directory: set config.output_dir or --out")

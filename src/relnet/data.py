@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .network import softmax
 from .serialize import dump_json, format_float, load_json
 from .tensor_normal import KronCovariance, TensorNormal, sample
 
@@ -116,7 +117,7 @@ class MultiTaskDataset:
 
 
 def _parse_csv_file(path, num_classes: int):
-    rows, labels = [], []
+    rows, labels, linenos = [], [], []
     width = None
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -151,9 +152,16 @@ def _parse_csv_file(path, num_classes: int):
                     f"{path}:{lineno}: label {label} out of [0, {num_classes})"
                 )
             labels.append(label)
+            linenos.append(lineno)
     if not rows:
         raise DatasetError(f"{path}: no data rows")
-    return np.array(rows, dtype=float), np.array(labels, dtype=int)
+    x = np.array(rows, dtype=float)
+    bad = ~np.isfinite(x).all(axis=1)
+    if bad.any():
+        raise DatasetError(
+            f"{path}:{linenos[int(bad.argmax())]}: non-finite feature value"
+        )
+    return x, np.array(labels, dtype=int)
 
 
 def load_csv(paths, num_classes: int, task_names=None) -> MultiTaskDataset:
@@ -365,12 +373,6 @@ class SyntheticSpec:
             raise ValueError("task_names must have one entry per task")
 
 
-def _softmax_rows(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def sample_task_data(
     weights: np.ndarray,
     samples_per_task,
@@ -405,7 +407,7 @@ def sample_task_data(
     for t in range(num_tasks):
         n = counts[t]
         x = rng.standard_normal((n, dim))
-        probs = _softmax_rows(x @ weights[:, :, t] / noise_scale)
+        probs = softmax(x @ weights[:, :, t] / noise_scale)
         cum = np.cumsum(probs, axis=1)
         cum[:, -1] = 1.0
         u = rng.random((n, 1))

@@ -40,6 +40,7 @@ __all__ = [
     "prior_penalty",
     "prior_gradient",
     "prior_gradient_full",
+    "resolve_layer",
     "save_checkpoint",
     "load_checkpoint",
 ]
@@ -76,6 +77,21 @@ class DenseLayer:
     @property
     def out_dim(self) -> int:
         return self.weight.shape[1]
+
+
+def resolve_layer(layer_ids, layer) -> int:
+    """Position of a stack layer given by id (``str``) or by position."""
+    if isinstance(layer, str):
+        try:
+            return layer_ids.index(layer)
+        except ValueError:
+            raise ValueError(
+                f"unknown stack layer {layer!r}; have {layer_ids}"
+            ) from None
+    idx = int(layer)
+    if not 0 <= idx < len(layer_ids):
+        raise ValueError(f"stack layer index {idx} out of range")
+    return idx
 
 
 @dataclass
@@ -136,17 +152,7 @@ class TaskLayerStack:
 
     def layer_index(self, layer) -> int:
         """Resolve a layer given by id or position."""
-        if isinstance(layer, str):
-            try:
-                return self.layer_ids.index(layer)
-            except ValueError:
-                raise ValueError(
-                    f"unknown stack layer {layer!r}; have {self.layer_ids}"
-                ) from None
-        idx = int(layer)
-        if not 0 <= idx < self.num_layers:
-            raise ValueError(f"stack layer index {idx} out of range")
-        return idx
+        return resolve_layer(self.layer_ids, layer)
 
     def layer_dims(self, layer) -> tuple:
         """(D_in, D_out, T) of one stack layer."""

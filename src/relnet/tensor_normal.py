@@ -11,6 +11,13 @@ Density and sampling accept any order ``K >= 1`` (one factor per mode).
 The maximum-likelihood machinery (:func:`flip_flop_mle`) is order-3
 only, matching the rest of the package.
 
+Modes are always the trailing ``K`` axes of an array; any leading axes
+index samples.  Every per-mode operation (whitening by ``L_k^{-1}``,
+applying ``Sigma_k^{-1}``, coloring by ``L_k``) goes through one private
+kernel that unfolds the array along a mode, and :func:`mode_gram` forms
+the Gram matrix of one mode after whitening the others.  The flip-flop
+estimator and the trainer's covariance refit share that function.
+
 Vectorization follows :mod:`relnet.tensor`: row-major flattening, under
 which the factors appear in mode order in the Kronecker product.
 """
@@ -18,6 +25,7 @@ which the factors appear in mode order in the Kronecker product.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -33,6 +41,7 @@ __all__ = [
     "log_pdf",
     "sample",
     "mle_mean",
+    "mode_gram",
     "flip_flop_mle",
     "normalize_identifiable",
 ]
@@ -150,7 +159,7 @@ class KronCovariance:
         arr = np.asarray(arr, dtype=float)
         if arr.shape != self.dims:
             raise ValueError(f"shape {arr.shape} does not match dims {self.dims}")
-        return _whiten(arr, self.factors, batched=False)
+        return _whiten(arr, self.factors)
 
     def apply_inverse(self, arr) -> np.ndarray:
         """Apply the full inverse mode by mode.
@@ -161,13 +170,9 @@ class KronCovariance:
         arr = np.asarray(arr, dtype=float)
         if arr.shape != self.dims:
             raise ValueError(f"shape {arr.shape} does not match dims {self.dims}")
-        out = arr
         for k, f in enumerate(self.factors):
-            moved = np.moveaxis(out, k, 0)
-            flat = moved.reshape(moved.shape[0], -1)
-            sol = cho_solve((f.chol, True), flat)
-            out = np.moveaxis(sol.reshape(moved.shape), 0, k)
-        return out
+            arr = _along_mode(f.solve, arr, k)
+        return arr
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"KronCovariance(dims={self.dims})"
@@ -203,33 +208,53 @@ class TensorNormal:
         return self.cov.total_dim
 
 
-def _apply_along_axis(mat: np.ndarray, arr: np.ndarray, axis: int) -> np.ndarray:
-    """Contract ``mat`` with ``arr`` along ``axis`` (dense matrix)."""
-    out = np.tensordot(mat, arr, axes=(1, axis))
-    return np.moveaxis(out, 0, axis)
+def _along_mode(op, arr: np.ndarray, axis: int) -> np.ndarray:
+    """Apply the matrix map ``op`` to the mode-``axis`` unfolding of ``arr``.
 
-
-def _solve_along_axis(
-    chol: np.ndarray, arr: np.ndarray, axis: int, transposed: bool = False
-) -> np.ndarray:
-    """Apply ``L^{-1}`` (or ``L^{-T}``) along one axis of ``arr``."""
-    moved = np.moveaxis(arr, axis, 0)
-    flat = moved.reshape(moved.shape[0], -1)
-    sol = solve_triangular(chol, flat, lower=True, trans="T" if transposed else "N")
-    return np.moveaxis(sol.reshape(moved.shape), 0, axis)
-
-
-def _whiten(centered: np.ndarray, factors, batched: bool) -> np.ndarray:
-    """Solve every mode's Cholesky factor against ``centered``.
-
-    With ``batched`` the leading axis indexes samples and modes start at
-    axis 1.  The result has identity covariance under the model.
+    The axis is moved to the front and the rest flattened into columns,
+    so ``op`` sees a ``(d, rest)`` matrix and must return one of the same
+    shape; the result is folded back into the shape of ``arr``.
     """
-    offset = 1 if batched else 0
+    moved = np.moveaxis(arr, axis, 0)
+    out = op(moved.reshape(moved.shape[0], -1))
+    return np.moveaxis(out.reshape(moved.shape), 0, axis)
+
+
+def _whiten(centered: np.ndarray, factors) -> np.ndarray:
+    """Apply ``L_k^{-1}`` along every mode (the trailing axes) of ``centered``.
+
+    The result has identity covariance under the model.
+    """
     z = centered
     for k, f in enumerate(factors):
-        z = _solve_along_axis(f.chol, z, k + offset)
+        solve = partial(solve_triangular, f.chol, lower=True)
+        z = _along_mode(solve, z, k - len(factors))
     return z
+
+
+def mode_gram(x, factors, k: int) -> np.ndarray:
+    """Gram matrix of mode ``k`` after whitening every other mode.
+
+    ``x`` holds one tensor with dims ``(d_1, ..., d_K)`` matching
+    ``factors`` (one :class:`SpdFactor` per mode), or a batch of them
+    along leading axes.  Each other mode is whitened by its ``L_j^{-1}``,
+    mode ``k`` is unfolded to ``(d_k, rest)`` (the columns running over
+    samples too) and the result is ``rows @ rows.T``, i.e.
+
+        sum_i  X_i(k) (kron of the other factors)^{-1} X_i(k)^T.
+
+    It is symmetric PSD by construction.  Dividing by ``n * d / d_k``
+    gives the flip-flop update of ``Sigma_k``.
+    """
+    z = np.asarray(x, dtype=float)
+    order = len(factors)
+    for j, f in enumerate(factors):
+        if j != k:
+            solve = partial(solve_triangular, f.chol, lower=True)
+            z = _along_mode(solve, z, j - order)
+    moved = np.moveaxis(z, k - order, 0)
+    rows = moved.reshape(moved.shape[0], -1)
+    return rows @ rows.T
 
 
 def _check_point(dist: TensorNormal, x) -> np.ndarray:
@@ -246,7 +271,7 @@ def mahalanobis(dist: TensorNormal, x) -> float:
     triangular solve per mode; no Kronecker product is formed.
     """
     arr = _check_point(dist, x)
-    z = _whiten(arr - dist.mean, dist.cov.factors, batched=False)
+    z = _whiten(arr - dist.mean, dist.cov.factors)
     return float(np.sum(z * z))
 
 
@@ -266,12 +291,10 @@ def sample(dist: TensorNormal, rng: np.random.Generator, size: int | None = None
     ``(size, *dist.dims)`` whose leading axis indexes draws.
     """
     dims = dist.dims
-    batched = size is not None
-    shape = (int(size),) + dims if batched else dims
+    shape = dims if size is None else (int(size),) + dims
     z = rng.standard_normal(shape)
-    offset = 1 if batched else 0
     for k, f in enumerate(dist.cov.factors):
-        z = _apply_along_axis(f.chol, z, k + offset)
+        z = _along_mode(f.chol.dot, z, k - len(dims))
     return dist.mean + z
 
 
@@ -303,7 +326,7 @@ def _total_log_likelihood(centered: np.ndarray, factors) -> float:
     """Sum of log densities for pre-centered stacked samples."""
     n = centered.shape[0]
     d = int(np.prod(centered.shape[1:]))
-    z = _whiten(centered, factors, batched=True)
+    z = _whiten(centered, factors)
     maha = float(np.sum(z * z))
     logdet = sum((d / f.dim) * f.logdet for f in factors)
     return -0.5 * (n * d * _LOG_2PI + n * logdet + maha)
@@ -340,9 +363,10 @@ def flip_flop_mle(
         Sigma_k  <-  (1/(n * d/d_k)) * sum_i  Z_(k) Z_(k)^T
 
     where ``Z`` is the centered sample whitened along the other two
-    modes, so the update is symmetric PSD by construction.  Each such
-    step cannot decrease the likelihood, hence the per-sweep
-    log-likelihood history is non-decreasing up to rounding.
+    modes (:func:`mode_gram`), so the update is symmetric PSD by
+    construction.  Each such step cannot decrease the likelihood, hence
+    the per-sweep log-likelihood history is non-decreasing up to
+    rounding.
 
     Only the Kronecker product of the factors is identifiable; the
     returned factors carry an arbitrary scale split (pass the result to
@@ -409,12 +433,7 @@ def flip_flop_mle(
     sweeps = 0
     for sweep in range(1, max_iter + 1):
         for k in range(3):
-            z = centered
-            for j in range(3):
-                if j != k:
-                    z = _solve_along_axis(factors[j].chol, z, j + 1)
-            rows = np.moveaxis(z, k + 1, 1).reshape(n, dims[k], -1)
-            gram = np.einsum("nap,nbp->ab", rows, rows)
+            gram = mode_gram(centered, factors, k)
             try:
                 factors[k] = SpdFactor(gram / (n * (d / dims[k])))
             except ValueError:

@@ -9,10 +9,12 @@ Each epoch alternates two blocks:
    per task no matter how examples landed in batches.
 2. One covariance sweep per stack layer: with the weights fixed, each
    mode factor in turn is replaced by the maximizer of the prior term
-   given the other two (the same cyclic scheme as the distribution
-   fitter), then ridged and trace-normalized.  Only the task-mode
-   factor carries the inter-task relationship; feature and output
-   factors absorb within-layer scale.
+   given the other two, then ridged and trace-normalized.  The Gram
+   matrix of each step comes from the same
+   :func:`~relnet.tensor_normal.mode_gram` that the distribution
+   fitter :func:`~relnet.tensor_normal.flip_flop_mle` calls.  Only the
+   task-mode factor carries the inter-task relationship; feature and
+   output factors absorb within-layer scale.
 
 Task-specific layers train with a learning-rate multiplier since they
 start from scratch while a trunk may be pre-initialized.  Everything is
@@ -24,10 +26,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .data import MultiTaskDataset
 from .network import (
@@ -36,10 +36,11 @@ from .network import (
     _batch_task_gradients,
     accuracy,
     prior_penalty,
+    resolve_layer,
     task_log_loss,
 )
 from .serialize import write_csv_rows
-from .tensor_normal import EstimationError, KronCovariance, SpdFactor
+from .tensor_normal import EstimationError, KronCovariance, SpdFactor, mode_gram
 
 __all__ = [
     "TrainingError",
@@ -153,21 +154,8 @@ class CovarianceState:
             shared_task=shared_task,
         )
 
-    def layer_index(self, layer) -> int:
-        if isinstance(layer, str):
-            try:
-                return self.layer_ids.index(layer)
-            except ValueError:
-                raise ValueError(
-                    f"unknown stack layer {layer!r}; have {self.layer_ids}"
-                ) from None
-        idx = int(layer)
-        if not 0 <= idx < len(self.layer_ids):
-            raise ValueError(f"layer index {idx} out of range")
-        return idx
-
-    def prior(self, layer) -> KronCovariance:
-        l = self.layer_index(layer)
+    def prior(self, l: int) -> KronCovariance:
+        """The Kronecker prior of the stack layer at position ``l``."""
         return KronCovariance([self.feature[l], self.output[l], self.task[l]])
 
     def priors(self) -> list:
@@ -216,33 +204,6 @@ class OpCounter:
         return sum(v for k, v in self.counts.items() if k.startswith(prefix))
 
 
-def _mode_gram(
-    w: np.ndarray, factors: Sequence[SpdFactor], k: int, counter: OpCounter | None
-) -> np.ndarray:
-    """Gram matrix of mode ``k`` after whitening the other modes.
-
-    Equals ``W_(k) (kron of other factors)^{-1} W_(k)^T`` and is
-    symmetric PSD by construction.
-    """
-    dims = w.shape
-    d = int(np.prod(dims))
-    z = w
-    for j in range(3):
-        if j == k:
-            continue
-        moved = np.moveaxis(z, j, 0)
-        flat = moved.reshape(dims[j], -1)
-        sol = solve_triangular(factors[j].chol, flat, lower=True)
-        z = np.moveaxis(sol.reshape(moved.shape), 0, j)
-        if counter is not None:
-            counter.add(f"mode{k + 1}_solve", dims[j] ** 2 * (d // dims[j]))
-    rows = np.moveaxis(z, k, 0).reshape(dims[k], -1)
-    gram = rows @ rows.T
-    if counter is not None:
-        counter.add(f"mode{k + 1}_gram", dims[k] ** 2 * (d // dims[k]))
-    return gram
-
-
 def _finish_factor(
     gram: np.ndarray,
     denom: float,
@@ -286,33 +247,23 @@ def update_covariances(
     new_feature = list(cov.feature)
     new_output = list(cov.output)
     new_task = list(cov.task)
+    modes = (("feature", new_feature), ("output", new_output), ("task", new_task))
     task_grams = []
     for l, w in enumerate(stack.weights):
-        din, dout, t = w.shape
         lid = stack.layer_ids[l]
-
-        factors = [new_feature[l], new_output[l], new_task[l]]
-        gram = _mode_gram(w, factors, 0, counter)
-        new_feature[l] = _finish_factor(
-            gram, dout * t, cfg.epsilon_ridge, din, counter, "mode1_factor",
-            f"layer {lid!r} feature mode",
-        )
-
-        factors = [new_feature[l], new_output[l], new_task[l]]
-        gram = _mode_gram(w, factors, 1, counter)
-        new_output[l] = _finish_factor(
-            gram, din * t, cfg.epsilon_ridge, dout, counter, "mode2_factor",
-            f"layer {lid!r} output mode",
-        )
-
-        factors = [new_feature[l], new_output[l], new_task[l]]
-        gram = _mode_gram(w, factors, 2, counter)
-        if cfg.shared_task_sigma:
-            task_grams.append((gram, din * dout))
-        else:
-            new_task[l] = _finish_factor(
-                gram, din * dout, cfg.epsilon_ridge, t, counter, "mode3_factor",
-                f"layer {lid!r} task mode",
+        d = w.size
+        for k, (name, new) in enumerate(modes):
+            dk = w.shape[k]
+            gram = mode_gram(w, [m[l] for _, m in modes], k)
+            if counter is not None:
+                counter.add(f"mode{k + 1}_solve", (sum(w.shape) - dk) * d)
+                counter.add(f"mode{k + 1}_gram", dk * d)
+            if k == 2 and cfg.shared_task_sigma:
+                task_grams.append((gram, d // dk))
+                continue
+            new[l] = _finish_factor(
+                gram, d // dk, cfg.epsilon_ridge, dk, counter,
+                f"mode{k + 1}_factor", f"layer {lid!r} {name} mode",
             )
 
     if cfg.shared_task_sigma:
@@ -622,7 +573,7 @@ def extract_relationship(cov: CovarianceState, layer) -> np.ndarray:
     exactly 1.  A non-positive diagonal entry raises
     :class:`EstimationError`.
     """
-    l = cov.layer_index(layer)
+    l = resolve_layer(cov.layer_ids, layer)
     m = cov.task[l].matrix
     diag = np.diag(m)
     if np.any(diag <= 0):

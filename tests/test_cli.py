@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import relnet
 from relnet.cli import main
 from relnet.data import (
     MultiTaskDataset,
@@ -229,6 +230,22 @@ class TestTrain:
         cfg = write_config(tmp_path, doc)
         assert main(["train", "--config", str(cfg)]) == 1
         assert "output" in capsys.readouterr().err
+
+    def test_non_finite_feature_exits_usage(self, tmp_path, capsys):
+        """A ``nan`` feature is rejected at load time, naming file and line."""
+        ds, _ = generate_synthetic(
+            SyntheticSpec(2, 4, 3, 12, np.eye(2), seed=5, task_names=("t0", "t1"))
+        )
+        write_manifest(ds, tmp_path / "data")
+        csv = tmp_path / "data" / "t1.csv"
+        lines = csv.read_text().split("\n")
+        lines[1] = "nan" + lines[1][lines[1].index(","):]
+        csv.write_text("\n".join(lines))
+        doc = experiment_config(epochs=1)
+        doc["data"] = {"manifest": "data/manifest.json"}
+        cfg = write_config(tmp_path, doc)
+        assert main(["train", "--config", str(cfg)]) == 1
+        assert "t1.csv:2: non-finite feature value" in capsys.readouterr().err
 
     def test_out_flag_overrides_config_dir(self, tmp_path):
         cfg = write_config(tmp_path, experiment_config(epochs=1))
@@ -465,6 +482,9 @@ class TestUsageErrors:
             ],
             capture_output=True,
             text=True,
+            # Run from the directory holding the package so the child
+            # finds it without relying on the caller's PYTHONPATH.
+            cwd=Path(relnet.__file__).resolve().parents[1],
         )
         assert proc.returncode == 0
         assert load_json(out)["converged"] is True

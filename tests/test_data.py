@@ -79,6 +79,11 @@ class TestCsv:
         path.write_text("1.0,2.0,0\n1.0,oops,1\n")
         with pytest.raises(DatasetError, match=r"bad\.csv:2"):
             load_csv([path], 2)
+        # The blank line keeps the row index apart from the line number.
+        for value in ("nan", "inf", "-inf"):
+            path.write_text(f"1.0,2.0,0\n\n1.0,{value},1\n3.0,4.0,1\n")
+            with pytest.raises(DatasetError, match=r"bad\.csv:3: non-finite"):
+                load_csv([path], 2)
 
     def test_ragged_row_rejected(self, tmp_path):
         path = tmp_path / "ragged.csv"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import multivariate_normal
 
-from relnet.tensor import kronecker, vectorize
+from relnet.tensor import kronecker, matricize, vectorize
 from relnet.tensor_normal import (
     EstimationError,
     FlipFlopResult,
@@ -15,6 +15,7 @@ from relnet.tensor_normal import (
     log_pdf,
     mahalanobis,
     mle_mean,
+    mode_gram,
     normalize_identifiable,
     sample,
 )
@@ -249,6 +250,31 @@ class TestFlipFlop:
         for k in range(3):
             np.testing.assert_allclose(
                 res.cov.factors[k].matrix, factors[k], rtol=1e-10
+            )
+
+
+class TestModeGram:
+    def test_matches_dense_oracle(self):
+        """Whitening the other modes equals the dense inverse Kronecker
+        product of their factors, summed over the batch."""
+        rng = np.random.default_rng(16)
+        xs = rng.standard_normal((3, 4, 3, 2))
+        factors = [SpdFactor(rand_spd(rng, d)) for d in (4, 3, 2)]
+        for k in range(3):
+            a, b = [factors[j].matrix for j in range(3) if j != k]
+            kinv = np.linalg.inv(kronecker(a, b))
+            want = sum(
+                matricize(x, k + 1) @ kinv @ matricize(x, k + 1).T for x in xs
+            )
+            np.testing.assert_allclose(mode_gram(xs, factors, k), want, rtol=1e-10)
+
+    def test_single_tensor_equals_batch_of_one(self):
+        rng = np.random.default_rng(17)
+        x = rng.standard_normal((4, 3, 2))
+        factors = [SpdFactor(rand_spd(rng, d)) for d in (4, 3, 2)]
+        for k in range(3):
+            np.testing.assert_array_equal(
+                mode_gram(x, factors, k), mode_gram(x[None], factors, k)
             )
 
 
