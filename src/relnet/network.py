@@ -36,6 +36,7 @@ __all__ = [
     "cross_entropy",
     "cross_entropy_from_logits",
     "task_log_loss",
+    "batch_gradients",
     "backward",
     "prior_penalty",
     "prior_gradient",
@@ -190,9 +191,9 @@ class MultiTaskNet:
 class Gradients:
     """Parameter gradients mirroring the network's storage layout.
 
-    Stack gradients are dense ``(D_in, D_out, T)`` tensors; for a
-    single-sample backward pass only the observed task's slice is
-    nonzero.
+    Stack gradients are dense ``(D_in, D_out, T)`` weight and ``(T,
+    D_out)`` bias tensors; the slices of tasks without an example in
+    the batch are zero.
     """
 
     trunk_weights: list = field(default_factory=list)
@@ -289,9 +290,25 @@ def _check_task(net: MultiTaskNet, task: int) -> int:
     return task
 
 
-def _forward_cached(net: MultiTaskNet, task: int, x: np.ndarray):
+def _stack_pre_act(h: np.ndarray, w: np.ndarray, b: np.ndarray, tasks):
+    """``h @ W_t + b_t`` per row, with ``t`` the row's task.
+
+    ``tasks`` is one task for all rows or a vector with one task per
+    row.  A vector makes the layer one dense map onto the ``(D_in,
+    D_out*T)`` unfolding of ``w``, of which each row keeps its own
+    task's slice.
+    """
+    if np.ndim(tasks) == 0:
+        return h @ w[:, :, tasks] + b[tasks]
+    din, dout, t = w.shape
+    full = (h @ w.reshape(din, dout * t)).reshape(-1, dout, t)
+    return full[np.arange(h.shape[0]), :, tasks] + b[tasks]
+
+
+def _forward_cached(net: MultiTaskNet, tasks, x: np.ndarray):
     """Run the batched forward pass, keeping per-layer caches.
 
+    ``tasks`` is one task for all rows of ``x`` or one task per row.
     Returns ``(inputs, pre_acts, logits)`` where ``inputs[l]`` is the
     activation fed into layer ``l`` and ``pre_acts[l]`` its
     pre-activation.  The final softmax is left to the caller.
@@ -306,10 +323,8 @@ def _forward_cached(net: MultiTaskNet, task: int, x: np.ndarray):
         h = _activate(z, act)
     stack = net.stack
     for l in range(stack.num_layers):
-        w = stack.weights[l][:, :, task]
-        b = stack.biases[l][task]
         inputs.append(h)
-        z = h @ w + b
+        z = _stack_pre_act(h, stack.weights[l], stack.biases[l], tasks)
         pre_acts.append(z)
         if l < stack.num_layers - 1:
             h = _activate(z, stack.activations[l])
@@ -388,77 +403,73 @@ def task_log_loss(net: MultiTaskNet, task: int, x, labels) -> float:
     return float(np.sum(lse - z[np.arange(z.shape[0]), labels]))
 
 
-def _batch_task_gradients(net: MultiTaskNet, task: int, x: np.ndarray, labels):
-    """Gradients of the summed cross-entropy of a batch for one task.
+def batch_gradients(net: MultiTaskNet, tasks, x, labels) -> Gradients:
+    """Gradients of the summed cross-entropy of a mixed-task batch.
 
-    Returns ``(trunk_grads, stack_grads)`` where trunk_grads is a list
-    of ``(dW, db)`` and stack_grads a list of per-layer ``(dW_t, db_t)``
-    slices for the given task.
+    Row ``i`` of ``x`` is an example of task ``tasks[i]`` with label
+    ``labels[i]``.  The trunk runs once on the whole batch.  Each stack
+    layer acts as one dense layer over the ``(D_in, D_out*T)`` unfolding
+    of its weights, its output gradient ``dz`` spread to the row's task
+    by the batch's task one-hot ``M``: the weight gradient is ``a^T (dz
+    kron M)``, the input gradient ``(dz kron M) W^T`` and the bias
+    gradient ``M^T dz``.  ReLU uses subgradient 0 at 0.
     """
+    arr, _ = _as_batch(net, x)
+    tasks = np.asarray(tasks, dtype=int).reshape(-1)
     labels = np.asarray(labels, dtype=int).reshape(-1)
-    inputs, pre_acts, out = _forward_cached(net, task, x)
-    probs = softmax(out)
-    dz = probs
+    if not tasks.shape == labels.shape == arr.shape[:1]:
+        raise ValueError("need one task and one label per example")
+    if np.any((tasks < 0) | (tasks >= net.num_tasks)):
+        raise ValueError(f"task out of range [0, {net.num_tasks})")
+    if np.any((labels < 0) | (labels >= net.num_classes)):
+        raise ValueError(f"label out of range [0, {net.num_classes})")
+
+    inputs, pre_acts, out = _forward_cached(net, tasks, arr)
+    dz = softmax(out)
     dz[np.arange(dz.shape[0]), labels] -= 1.0
+    onehot = (tasks[:, None] == np.arange(net.num_tasks)).astype(float)
 
     n_trunk = len(net.trunk)
     stack = net.stack
-    trunk_grads = [None] * n_trunk
-    stack_grads = [None] * stack.num_layers
-
+    grads = Gradients(
+        [None] * n_trunk, [None] * n_trunk,
+        [None] * stack.num_layers, [None] * stack.num_layers,
+    )
     for l in range(n_trunk + stack.num_layers - 1, -1, -1):
         a = inputs[l]
-        dw = a.T @ dz
-        db = dz.sum(axis=0)
         if l >= n_trunk:
-            stack_grads[l - n_trunk] = (dw, db)
-            w = stack.weights[l - n_trunk][:, :, task]
+            w = stack.weights[l - n_trunk]
+            w_flat = w.reshape(w.shape[0], -1)
+            spread = (dz[:, :, None] * onehot[:, None, :]).reshape(dz.shape[0], -1)
+            grads.stack_weights[l - n_trunk] = (a.T @ spread).reshape(w.shape)
+            grads.stack_biases[l - n_trunk] = onehot.T @ dz
         else:
-            trunk_grads[l] = (dw, db)
-            w = net.trunk[l].weight
+            spread, w_flat = dz, net.trunk[l].weight
+            grads.trunk_weights[l] = a.T @ dz
+            grads.trunk_biases[l] = dz.sum(axis=0)
         if l > 0:
-            da = dz @ w.T
+            da = spread @ w_flat.T
             act = (
                 net.trunk[l - 1].activation
                 if l - 1 < n_trunk
                 else stack.activations[l - 1 - n_trunk]
             )
-            if act == "relu":
-                dz = da * (pre_acts[l - 1] > 0)
-            else:
-                dz = da
-    return trunk_grads, stack_grads
+            dz = da * (pre_acts[l - 1] > 0) if act == "relu" else da
+    return grads
 
 
 def backward(net: MultiTaskNet, task: int, x, label: int) -> Gradients:
     """Cross-entropy gradient of one labeled example.
 
-    Stack gradients come back as dense tensors in which only the slice
-    of ``task`` is nonzero, matching the stacked parameter layout.
-    ReLU uses subgradient 0 at 0.
+    A batch of one for :func:`batch_gradients`: stack gradients come
+    back as dense tensors in which only the slice of ``task`` is
+    nonzero, matching the stacked parameter layout.  ReLU uses
+    subgradient 0 at 0.
     """
-    task = _check_task(net, task)
     arr, single = _as_batch(net, x)
     if not single:
         raise ValueError("backward takes a single example")
-    label = int(label)
-    if not 0 <= label < net.num_classes:
-        raise ValueError(f"label {label} out of range")
-    trunk_grads, stack_grads = _batch_task_gradients(net, task, arr, [label])
-
-    grads = Gradients()
-    for dw, db in trunk_grads:
-        grads.trunk_weights.append(dw)
-        grads.trunk_biases.append(db)
-    stack = net.stack
-    for l, (dw, db) in enumerate(stack_grads):
-        dense_w = np.zeros_like(stack.weights[l])
-        dense_w[:, :, task] = dw
-        dense_b = np.zeros_like(stack.biases[l])
-        dense_b[task] = db
-        grads.stack_weights.append(dense_w)
-        grads.stack_biases.append(dense_b)
-    return grads
+    return batch_gradients(net, [task], arr, [label])
 
 
 def _check_priors(stack: TaskLayerStack, priors: Sequence[KronCovariance]):

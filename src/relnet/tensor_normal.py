@@ -18,6 +18,13 @@ kernel that unfolds the array along a mode, and :func:`mode_gram` forms
 the Gram matrix of one mode after whitening the others.  The flip-flop
 estimator and the trainer's covariance refit share that function.
 
+Each :class:`SpdFactor` forms its precision ``Sigma_k^{-1}`` once, on
+first use, so applying the full inverse is one plain matrix product per
+mode, the Kronecker-factored inverse of K-FAC (Martens & Grosse, 2015).
+A factor is immutable, so the trainer, which builds new factors only in
+its covariance refit, forms each precision once per refit however many
+batches use it.
+
 Vectorization follows :mod:`relnet.tensor`: row-major flattening, under
 which the factors appear in mode order in the Kronecker product.
 """
@@ -74,9 +81,12 @@ class SpdFactor:
         Lower-triangular Cholesky factor ``L`` with ``L @ L.T == matrix``.
     logdet : float
         ``log det(matrix)``, computed from the Cholesky diagonal.
+    precision : numpy.ndarray
+        ``matrix^{-1}``, formed from ``chol`` on first access, exactly
+        symmetric and read-only.
     """
 
-    __slots__ = ("matrix", "chol", "logdet")
+    __slots__ = ("matrix", "chol", "logdet", "_precision")
 
     def __init__(self, matrix):
         m = np.asarray(matrix, dtype=float)
@@ -93,6 +103,7 @@ class SpdFactor:
         self.matrix = m
         self.chol = chol
         self.logdet = float(2.0 * np.sum(np.log(np.diag(chol))))
+        self._precision = None
 
     @classmethod
     def identity(cls, dim: int, scale: float = 1.0) -> "SpdFactor":
@@ -102,6 +113,16 @@ class SpdFactor:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+    @property
+    def precision(self) -> np.ndarray:
+        """``matrix^{-1}`` via the Cholesky factor, formed once and cached."""
+        if self._precision is None:
+            inv = cho_solve((self.chol, True), np.eye(self.dim))
+            inv = 0.5 * (inv + inv.T)
+            inv.setflags(write=False)
+            self._precision = inv
+        return self._precision
 
     def solve(self, b) -> np.ndarray:
         """Return ``matrix^{-1} b`` via the cached Cholesky factor."""
@@ -115,7 +136,8 @@ class KronCovariance:
     """Covariance ``Sigma_1 kron ... kron Sigma_K`` stored by its factors.
 
     The dense matrix is never formed; every operation that needs it
-    works mode by mode through the factors' Cholesky data.
+    works mode by mode through the factors' Cholesky data or cached
+    precisions.
 
     Parameters
     ----------
@@ -165,13 +187,16 @@ class KronCovariance:
         """Apply the full inverse mode by mode.
 
         Returns the tensor reshaping of ``(Sigma_1 kron ... kron
-        Sigma_K)^{-1} vec(arr)`` without materializing the product.
+        Sigma_K)^{-1} vec(arr)`` without materializing the product:
+        each mode is multiplied by its factor's cached
+        :attr:`SpdFactor.precision`, so repeated calls with the same
+        factors cost ``D * sum(d_k)`` multiplies and no solves.
         """
         arr = np.asarray(arr, dtype=float)
         if arr.shape != self.dims:
             raise ValueError(f"shape {arr.shape} does not match dims {self.dims}")
         for k, f in enumerate(self.factors):
-            arr = _along_mode(f.solve, arr, k)
+            arr = _along_mode(f.precision.dot, arr, k)
         return arr
 
     def __repr__(self) -> str:  # pragma: no cover
@@ -213,11 +238,16 @@ def _along_mode(op, arr: np.ndarray, axis: int) -> np.ndarray:
 
     The axis is moved to the front and the rest flattened into columns,
     so ``op`` sees a ``(d, rest)`` matrix and must return one of the same
-    shape; the result is folded back into the shape of ``arr``.
+    shape; the result is folded back into the shape of ``arr``.  The
+    axis moves by ``transpose`` (what ``np.moveaxis`` does, minus its
+    argument checks, which would cost more than the product on small
+    trainer tensors).
     """
-    moved = np.moveaxis(arr, axis, 0)
+    axis %= arr.ndim
+    moved = arr.transpose((axis, *range(axis), *range(axis + 1, arr.ndim)))
     out = op(moved.reshape(moved.shape[0], -1))
-    return np.moveaxis(out.reshape(moved.shape), 0, axis)
+    back = (*range(1, axis + 1), 0, *range(axis + 1, arr.ndim))
+    return out.reshape(moved.shape).transpose(back)
 
 
 def _whiten(centered: np.ndarray, factors) -> np.ndarray:

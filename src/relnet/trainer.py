@@ -3,10 +3,14 @@
 Each epoch alternates two blocks:
 
 1. SGD with momentum over the pooled examples of all tasks.  Batches
-   mix tasks; every example contributes its cross-entropy gradient, and
-   the prior adds its task's slice of ``Sigma^{-1} vec(W)`` per layer,
-   scaled so the epoch accumulates the full prior gradient exactly once
-   per task no matter how examples landed in batches.
+   mix tasks, and each batch is one vectorized pass: the trunk runs once
+   on the whole batch and every stack layer once over all tasks
+   (:func:`~relnet.network.batch_gradients`).  The prior adds
+   ``Sigma^{-1} vec(W)`` per layer, each task's slice scaled so the
+   epoch accumulates the full prior gradient exactly once per task no
+   matter how examples landed in batches.  ``Sigma^{-1}`` is applied as
+   one product per mode with precision matrices that each factor forms
+   once, so they are formed once per covariance refit, not per batch.
 2. One covariance sweep per stack layer: with the weights fixed, each
    mode factor in turn is replaced by the maximizer of the prior term
    given the other two, then ridged and trace-normalized.  The Gram
@@ -33,8 +37,8 @@ from .data import MultiTaskDataset
 from .network import (
     MultiTaskNet,
     TaskLayerStack,
-    _batch_task_gradients,
     accuracy,
+    batch_gradients,
     prior_penalty,
     resolve_layer,
     task_log_loss,
@@ -302,6 +306,26 @@ def _check_data(net: MultiTaskNet, data: MultiTaskDataset, what: str):
         )
 
 
+def _first_nonfinite(layer_ids, trunk_w, trunk_b, stack_w, stack_b):
+    """Name of the first array with a non-finite entry, or ``None``.
+
+    The arrays follow the network's layout (trunk layers, then stack
+    layers, weights before bias), so one function names bad parameters
+    and bad gradients alike.
+    """
+    layers = [
+        (f"trunk layer {i}", w, b) for i, (w, b) in enumerate(zip(trunk_w, trunk_b))
+    ] + [
+        (f"stack layer {lid!r}", w, b)
+        for lid, w, b in zip(layer_ids, stack_w, stack_b)
+    ]
+    for name, w, b in layers:
+        for quantity, arr in (("weights", w), ("bias", b)):
+            if not np.isfinite(arr).all():
+                return f"{name} {quantity}"
+    return None
+
+
 def sgd_epoch(
     net: MultiTaskNet,
     cov: CovarianceState,
@@ -311,103 +335,88 @@ def sgd_epoch(
 ) -> tuple:
     """One epoch of momentum SGD over the pooled examples.
 
-    Examples of all tasks are shuffled together (child generator of
-    ``cfg.seed`` and the epoch counter) and walked in batches.  Data
-    gradients are averaged within the batch; the prior gradient of task
-    ``t`` and layer ``l`` enters scaled by ``prior_weight * c_t /
-    N_t`` with ``c_t`` the task's example count in the batch, so over
-    the epoch each task accumulates its full prior gradient exactly
-    once.  The velocity update is ``v = momentum * v - lr * g`` with
-    task-specific layers at ``lr * new_layer_lr_multiplier``.
+    Examples of all tasks are pooled once per epoch, shuffled together
+    (child generator of ``cfg.seed`` and the epoch counter) and walked
+    in batches.  Each batch is one pass of
+    :func:`~relnet.network.batch_gradients` over its mixed tasks, with
+    data gradients averaged within the batch.  The prior gradient
+    ``Sigma^{-1} vec(W)`` of each layer (one
+    :meth:`~relnet.tensor_normal.KronCovariance.apply_inverse` per layer
+    per batch, through the factors' cached precisions) enters with task
+    ``t``'s slice scaled by ``prior_weight * c_t / N_t``, ``c_t`` being
+    the task's example count in the batch, so over the epoch each task
+    accumulates its full prior gradient exactly once.  The velocity
+    update is ``v = momentum * v - lr * g`` with task-specific layers at
+    ``lr * new_layer_lr_multiplier``.
 
-    Mutates ``net`` and ``state`` in place and returns them.
+    A non-finite gradient, or a parameter that turns non-finite in the
+    update, raises :class:`TrainingError` naming the epoch, the batch,
+    the layer and the quantity.  Mutates ``net`` and ``state`` in place
+    and returns them.
     """
     _check_data(net, data, "training data")
     stack = net.stack
-    sizes = data.task_sizes
-    task_of = np.concatenate(
-        [np.full(n, t, dtype=int) for t, n in enumerate(sizes)]
-    )
-    row_of = np.concatenate([np.arange(n, dtype=int) for n in sizes])
+    sizes = np.asarray(data.task_sizes)
+    task_of = np.repeat(np.arange(net.num_tasks), sizes)
+    features = np.concatenate(data.features)
+    labels = np.concatenate(data.labels)
     total = task_of.shape[0]
 
     rng = np.random.default_rng([cfg.seed, 0, state.epoch])
     perm = rng.permutation(total)
 
-    use_prior = cfg.prior_weight > 0.0
-    n_trunk = len(net.trunk)
+    priors = cov.priors() if cfg.prior_weight > 0.0 else None
+    mu = cfg.momentum
+    # Updates are in place, so these lists stay valid for the epoch.
+    params = (
+        [layer.weight for layer in net.trunk],
+        [layer.bias for layer in net.trunk],
+        stack.weights,
+        stack.biases,
+    )
+    velocities = (
+        state.velocity_trunk_w,
+        state.velocity_trunk_b,
+        state.velocity_stack_w,
+        state.velocity_stack_b,
+    )
 
     for start in range(0, total, cfg.batch_size):
+        where = f"epoch {state.epoch}, batch {start // cfg.batch_size}"
         batch = perm[start : start + cfg.batch_size]
-        bsz = batch.shape[0]
-        g_trunk_w = [np.zeros_like(l.weight) for l in net.trunk]
-        g_trunk_b = [np.zeros_like(l.bias) for l in net.trunk]
-        g_stack_w = [np.zeros_like(w) for w in stack.weights]
-        g_stack_b = [np.zeros_like(b) for b in stack.biases]
+        tasks = task_of[batch]
+        g = batch_gradients(net, tasks, features[batch], labels[batch])
+        grads = (g.trunk_weights, g.trunk_biases, g.stack_weights, g.stack_biases)
 
-        counts = np.bincount(task_of[batch], minlength=net.num_tasks)
-        for t in range(net.num_tasks):
-            if counts[t] == 0:
-                continue
-            sel = batch[task_of[batch] == t]
-            rows = row_of[sel]
-            tg, sg = _batch_task_gradients(
-                net, t, data.features[t][rows], data.labels[t][rows]
-            )
-            for i in range(n_trunk):
-                g_trunk_w[i] += tg[i][0]
-                g_trunk_b[i] += tg[i][1]
-            for l in range(stack.num_layers):
-                g_stack_w[l][:, :, t] += sg[l][0]
-                g_stack_b[l][t] += sg[l][1]
+        inv_b = 1.0 / batch.shape[0]
+        for gs in grads:
+            for arr in gs:
+                arr *= inv_b
 
-        inv_b = 1.0 / bsz
-        for i in range(n_trunk):
-            g_trunk_w[i] *= inv_b
-            g_trunk_b[i] *= inv_b
-        for l in range(stack.num_layers):
-            g_stack_w[l] *= inv_b
-            g_stack_b[l] *= inv_b
-
-        if use_prior:
-            for l in range(stack.num_layers):
+        if priors is not None:
+            counts = np.bincount(tasks, minlength=net.num_tasks)
+            scale = cfg.prior_weight * counts / sizes
+            for l, prior in enumerate(priors):
                 # One inverse application per layer per batch covers all tasks.
-                full = cov.prior(l).apply_inverse(stack.weights[l])
-                for t in range(net.num_tasks):
-                    if counts[t] == 0:
-                        continue
-                    scale = cfg.prior_weight * counts[t] / sizes[t]
-                    g_stack_w[l][:, :, t] += scale * full[:, :, t]
+                g.stack_weights[l] += prior.apply_inverse(stack.weights[l]) * scale
 
-        finite = all(
-            np.isfinite(g).all()
-            for gs in (g_trunk_w, g_trunk_b, g_stack_w, g_stack_b)
-            for g in gs
-        )
-        if not finite:
-            raise TrainingError(
-                f"non-finite gradient at epoch {state.epoch}, "
-                f"batch {start // cfg.batch_size}"
-            )
+        bad = _first_nonfinite(stack.layer_ids, *grads)
+        if bad is not None:
+            raise TrainingError(f"non-finite gradient of {bad} at {where}")
 
         lr = learning_rate_at(cfg, state.iteration)
         lr_stack = lr * cfg.new_layer_lr_multiplier
-        mu = cfg.momentum
-        for i, layer in enumerate(net.trunk):
-            state.velocity_trunk_w[i] = mu * state.velocity_trunk_w[i] - lr * g_trunk_w[i]
-            state.velocity_trunk_b[i] = mu * state.velocity_trunk_b[i] - lr * g_trunk_b[i]
-            layer.weight += state.velocity_trunk_w[i]
-            layer.bias += state.velocity_trunk_b[i]
-        for l in range(stack.num_layers):
-            state.velocity_stack_w[l] = (
-                mu * state.velocity_stack_w[l] - lr_stack * g_stack_w[l]
-            )
-            state.velocity_stack_b[l] = (
-                mu * state.velocity_stack_b[l] - lr_stack * g_stack_b[l]
-            )
-            stack.weights[l] += state.velocity_stack_w[l]
-            stack.biases[l] += state.velocity_stack_b[l]
+        rates = (lr, lr, lr_stack, lr_stack)
+        for rate, ps, vs, gs in zip(rates, params, velocities, grads):
+            for p, v, dp in zip(ps, vs, gs):
+                v *= mu
+                v -= rate * dp
+                p += v
         state.iteration += 1
+
+        bad = _first_nonfinite(stack.layer_ids, *params)
+        if bad is not None:
+            raise TrainingError(f"non-finite {bad} after the update at {where}")
 
     state.epoch += 1
     return net, state

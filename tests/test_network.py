@@ -9,6 +9,7 @@ from relnet.network import (
     TaskLayerStack,
     accuracy,
     backward,
+    batch_gradients,
     cross_entropy,
     cross_entropy_from_logits,
     forward,
@@ -194,6 +195,67 @@ class TestBackward:
         net = init_network(4, [3], [2], 1, rng)
         g = backward(net, 0, np.zeros(4), 0)
         assert np.all(g.trunk_weights[0] == 0)
+
+
+class TestBatchGradients:
+    @pytest.mark.parametrize(
+        "trunk, stack, tasks",
+        [
+            ([4], [3, 3], [2, 0, 2, 2, 0]),  # interleaved, task 1 absent
+            ([], [3, 3], [2, 0, 0, 2, 2]),  # no trunk
+            ([4], [3, 3], [1]),  # batch of one
+            ([4, 3], [3], [0, 2, 1, 0]),  # drn8: one task-specific layer
+        ],
+    )
+    def test_matches_finite_differences(self, trunk, stack, tasks):
+        """One pass over a mixed-task batch gives the gradient of the
+        summed per-task losses, with zero slices for absent tasks."""
+        rng = np.random.default_rng(len(tasks) + 10 * len(trunk))
+        net = init_network(5, trunk, stack, 3, rng)
+        for layer in net.trunk:
+            layer.bias[:] = 0.1 * rng.standard_normal(layer.bias.shape)
+        for b in net.stack.biases:
+            b[:] = 0.1 * rng.standard_normal(b.shape)
+        tasks = np.array(tasks)
+        x = rng.standard_normal((tasks.size, 5))
+        labels = rng.integers(0, stack[-1], size=tasks.size)
+        analytic = grads_by_name(net, batch_gradients(net, tasks, x, labels))
+
+        def loss():
+            return sum(
+                task_log_loss(net, t, x[tasks == t], labels[tasks == t])
+                for t in np.unique(tasks)
+            )
+
+        for name, arr in param_arrays(net):
+            np.testing.assert_allclose(
+                analytic[name], numeric_grad(loss, arr), rtol=1e-6, atol=1e-8,
+                err_msg=name,
+            )
+        absent = np.setdiff1d(np.arange(net.num_tasks), tasks)
+        for lid in net.stack.layer_ids:
+            assert np.all(analytic[f"{lid}.weight"][:, :, absent] == 0)
+            assert np.all(analytic[f"{lid}.bias"][absent] == 0)
+
+    def test_backward_is_a_batch_of_one(self):
+        rng = np.random.default_rng(21)
+        net = init_network(4, [3], [3, 2], 2, rng)
+        x = rng.standard_normal(4)
+        single = grads_by_name(net, backward(net, 1, x, 0))
+        batch = grads_by_name(net, batch_gradients(net, [1], x[None], [0]))
+        for name in single:
+            np.testing.assert_array_equal(single[name], batch[name])
+
+    def test_validation(self):
+        rng = np.random.default_rng(22)
+        net = init_network(4, [], [2], 2, rng)
+        x = rng.standard_normal((2, 4))
+        with pytest.raises(ValueError, match="one task and one label"):
+            batch_gradients(net, [0], x, [0, 1])
+        with pytest.raises(ValueError, match="task out of range"):
+            batch_gradients(net, [0, 2], x, [0, 1])
+        with pytest.raises(ValueError, match="label out of range"):
+            batch_gradients(net, [0, 1], x, [0, 2])
 
 
 class TestPrior:

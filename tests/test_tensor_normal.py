@@ -61,6 +61,15 @@ class TestSpdFactor:
         with pytest.raises(ValueError):
             SpdFactor(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
+    def test_precision_is_cached_symmetric_inverse(self):
+        rng = np.random.default_rng(3)
+        m = rand_spd(rng, 6)
+        f = SpdFactor(m)
+        p = f.precision
+        np.testing.assert_array_equal(p, p.T)
+        np.testing.assert_allclose(p, np.linalg.inv(m), rtol=1e-10)
+        assert f.precision is p
+
 
 class TestKronCovariance:
     def test_dims_and_logdet(self):
@@ -71,6 +80,19 @@ class TestKronCovariance:
         assert cov.logdet() == pytest.approx(
             np.linalg.slogdet(dense_cov(cov))[1], rel=1e-12
         )
+
+    @pytest.mark.parametrize("dims", [(5,), (4, 3), (4, 3, 2), (3, 2, 4, 2)])
+    def test_apply_inverse_matches_dense_solve(self, dims):
+        """Orders 1 to 4: the per-mode precision products equal a dense
+        solve against the full Kronecker product."""
+        rng = np.random.default_rng(len(dims))
+        cov = KronCovariance([rand_spd(rng, d) for d in dims])
+        arr = rng.standard_normal(dims)
+        # Row-major flattening: the factors appear in mode order.
+        want = np.linalg.solve(dense_cov(cov), arr.ravel())
+        got = cov.apply_inverse(arr)
+        assert got.shape == dims
+        np.testing.assert_allclose(got.ravel(), want, rtol=1e-10)
 
     def test_mean_shape_checked(self):
         cov = KronCovariance([np.eye(2), np.eye(3), np.eye(2)])

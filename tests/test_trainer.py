@@ -1,13 +1,15 @@
 """Training loop semantics: SGD equivalences, covariance updates, reports."""
 
+import inspect
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from relnet import tensor_normal, trainer
 from relnet.data import MultiTaskDataset, SyntheticSpec, generate_synthetic
 from relnet.network import backward, forward, init_network, prior_penalty
-from relnet.tensor_normal import EstimationError, SpdFactor
+from relnet.tensor_normal import EstimationError, KronCovariance, SpdFactor
 from relnet.trainer import (
     CovarianceState,
     OpCounter,
@@ -236,6 +238,77 @@ class TestSgdEpoch:
                 cfg,
                 OptimizerState.zeros_like(net),
             )
+
+    def test_nonfinite_gradient_names_the_array(self):
+        rng = np.random.default_rng(13)
+        data = toy_data(sizes=(4,), dim=3, num_classes=2, seed=14)
+        net = init_network(3, [], [2], 1, rng)
+        net.stack.biases[0][0, 1] = np.inf
+        cfg = TrainConfig(epochs=1, batch_size=4, prior_weight=0.0)
+        with pytest.raises(
+            TrainingError,
+            match=r"gradient of stack layer 'classifier' weights at epoch 0, batch 0",
+        ), np.errstate(all="ignore"):
+            sgd_epoch(
+                net,
+                CovarianceState.identity_for(net.stack),
+                data,
+                cfg,
+                OptimizerState.zeros_like(net),
+            )
+
+    def test_weight_blowup_named_at_the_update(self):
+        """An overflowing step is reported right after the update that
+        made it, with the layer and quantity, not as a later symptom."""
+        rng = np.random.default_rng(15)
+        data = toy_data(sizes=(6, 5), dim=3, num_classes=2, seed=16)
+        net = init_network(3, [], [4, 2], 2, rng)
+        # lr * new_layer_lr_multiplier overflows to inf.
+        cfg = TrainConfig(learning_rate=1e308, epochs=1, batch_size=4)
+        with pytest.raises(
+            TrainingError,
+            match=r"stack layer 'bottleneck' weights after the update at "
+            r"epoch 0, batch 0",
+        ), np.errstate(all="ignore"):
+            sgd_epoch(
+                net,
+                CovarianceState.identity_for(net.stack),
+                data,
+                cfg,
+                OptimizerState.zeros_like(net),
+            )
+
+
+class TestBenchmarkHooks:
+    """The benchmark times these entry points by wrapping them by name."""
+
+    def test_entry_points_exist(self):
+        params = list(inspect.signature(trainer.sgd_epoch).parameters)
+        assert params == ["net", "cov", "data", "cfg", "state"]
+        assert callable(tensor_normal.flip_flop_mle)
+
+    def test_apply_inverse_once_per_layer_per_batch(self, monkeypatch):
+        calls = []
+        original = KronCovariance.apply_inverse
+
+        def counted(self, arr):
+            calls.append(arr.shape)
+            return original(self, arr)
+
+        monkeypatch.setattr(KronCovariance, "apply_inverse", counted)
+        rng = np.random.default_rng(17)
+        data = toy_data(sizes=(7, 6), dim=3, seed=18)
+        net = init_network(3, [4], [3, 3], 2, rng)
+        cfg = TrainConfig(epochs=1, batch_size=5, prior_weight=0.5)
+        sgd_epoch(
+            net,
+            CovarianceState.identity_for(net.stack),
+            data,
+            cfg,
+            OptimizerState.zeros_like(net),
+        )
+        batches = -(-13 // 5)
+        assert len(calls) == batches * net.stack.num_layers
 
 
 def dense_update_oracle(stack, cov, cfg):
