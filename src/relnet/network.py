@@ -490,7 +490,8 @@ def prior_penalty(stack: TaskLayerStack, priors: Sequence[KronCovariance]) -> fl
 
     Per layer: ``0.5 * (vec(W)^T Sigma^{-1} vec(W) - D_in*D_out *
     logdet(Sigma_task))`` where ``Sigma_task`` is the task-mode factor.
-    The quadratic form runs through per-mode triangular solves.
+    The quadratic form whitens ``W`` by one product per mode with the
+    factor's cached ``L_k^{-1}``.
     """
     _check_priors(stack, priors)
     total = 0.0

@@ -3,8 +3,8 @@
 A tensor-variate normal over arrays of dims ``(d1, ..., dK)`` whose
 vectorization is Gaussian with covariance ``Sigma_1 kron ... kron
 Sigma_K``.  The factored form is never materialized: densities,
-Mahalanobis distances and sampling work through per-mode Cholesky
-factors, which keeps the cost at a handful of small matrix products
+Mahalanobis distances and sampling work through per-mode factor
+matrices, which keeps the cost at a handful of small matrix products
 instead of anything cubic in ``prod(dims)``.
 
 Density and sampling accept any order ``K >= 1`` (one factor per mode).
@@ -13,17 +13,19 @@ only, matching the rest of the package.
 
 Modes are always the trailing ``K`` axes of an array; any leading axes
 index samples.  Every per-mode operation (whitening by ``L_k^{-1}``,
-applying ``Sigma_k^{-1}``, coloring by ``L_k``) goes through one private
-kernel that unfolds the array along a mode, and :func:`mode_gram` forms
-the Gram matrix of one mode after whitening the others.  The flip-flop
-estimator and the trainer's covariance refit share that function.
+applying ``Sigma_k^{-1}``, coloring by ``L_k``) is one product of a
+factor matrix with the array's unfolding along that mode, made by one
+private kernel, and :func:`mode_gram` forms the Gram matrix of one mode
+after whitening the others.  The flip-flop estimator and the trainer's
+covariance refit share that function.
 
-Each :class:`SpdFactor` forms its precision ``Sigma_k^{-1}`` once, on
-first use, so applying the full inverse is one plain matrix product per
-mode, the Kronecker-factored inverse of K-FAC (Martens & Grosse, 2015).
-A factor is immutable, so the trainer, which builds new factors only in
-its covariance refit, forms each precision once per refit however many
-batches use it.
+Each :class:`SpdFactor` forms its inverse Cholesky factor ``L_k^{-1}``
+and its precision ``Sigma_k^{-1} = L_k^{-T} L_k^{-1}`` once, on first
+use, so no per-mode step solves a system: applying the full inverse is
+the Kronecker-factored inverse of K-FAC (Martens & Grosse, 2015).  A
+factor is immutable, so the trainer, which builds new factors only in
+its covariance refit, forms each of them once per refit however many
+batches use it.  Only numpy is needed.
 
 Vectorization follows :mod:`relnet.tensor`: row-major flattening, under
 which the factors appear in mode order in the Kronecker product.
@@ -32,11 +34,9 @@ which the factors appear in mode order in the Kronecker product.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
 
 __all__ = [
     "EstimationError",
@@ -64,7 +64,7 @@ class EstimationError(RuntimeError):
 
 
 class SpdFactor:
-    """A symmetric positive definite matrix with cached Cholesky data.
+    """A symmetric positive definite matrix with its cached factor matrices.
 
     Parameters
     ----------
@@ -81,12 +81,15 @@ class SpdFactor:
         Lower-triangular Cholesky factor ``L`` with ``L @ L.T == matrix``.
     logdet : float
         ``log det(matrix)``, computed from the Cholesky diagonal.
+    chol_inv : numpy.ndarray
+        ``L^{-1}``, the inverse of ``chol``, formed on first access;
+        exactly lower triangular and read-only.
     precision : numpy.ndarray
-        ``matrix^{-1}``, formed from ``chol`` on first access, exactly
-        symmetric and read-only.
+        ``matrix^{-1} = L^{-T} L^{-1}``, formed from ``chol_inv`` on
+        first access, exactly symmetric and read-only.
     """
 
-    __slots__ = ("matrix", "chol", "logdet", "_precision")
+    __slots__ = ("matrix", "chol", "logdet", "_chol_inv", "_precision")
 
     def __init__(self, matrix):
         m = np.asarray(matrix, dtype=float)
@@ -103,6 +106,7 @@ class SpdFactor:
         self.matrix = m
         self.chol = chol
         self.logdet = float(2.0 * np.sum(np.log(np.diag(chol))))
+        self._chol_inv = None
         self._precision = None
 
     @classmethod
@@ -115,18 +119,32 @@ class SpdFactor:
         return self.matrix.shape[0]
 
     @property
+    def chol_inv(self) -> np.ndarray:
+        """``L^{-1}``, formed once and cached.
+
+        The inverse of a lower-triangular matrix is lower triangular;
+        the upper triangle is zeroed so that rounding in the general
+        inverse leaves no entries there.
+        """
+        if self._chol_inv is None:
+            inv = np.tril(np.linalg.inv(self.chol))
+            inv.setflags(write=False)
+            self._chol_inv = inv
+        return self._chol_inv
+
+    @property
     def precision(self) -> np.ndarray:
-        """``matrix^{-1}`` via the Cholesky factor, formed once and cached."""
+        """``matrix^{-1} = L^{-T} L^{-1}``, formed once and cached."""
         if self._precision is None:
-            inv = cho_solve((self.chol, True), np.eye(self.dim))
+            inv = self.chol_inv.T @ self.chol_inv
             inv = 0.5 * (inv + inv.T)
             inv.setflags(write=False)
             self._precision = inv
         return self._precision
 
     def solve(self, b) -> np.ndarray:
-        """Return ``matrix^{-1} b`` via the cached Cholesky factor."""
-        return cho_solve((self.chol, True), np.asarray(b, dtype=float))
+        """Return ``matrix^{-1} b`` as a product with :attr:`precision`."""
+        return self.precision @ np.asarray(b, dtype=float)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"SpdFactor(dim={self.dim})"
@@ -136,8 +154,8 @@ class KronCovariance:
     """Covariance ``Sigma_1 kron ... kron Sigma_K`` stored by its factors.
 
     The dense matrix is never formed; every operation that needs it
-    works mode by mode through the factors' Cholesky data or cached
-    precisions.
+    works mode by mode, as one product per mode with a factor's cached
+    ``L_k^{-1}`` or precision.
 
     Parameters
     ----------
@@ -173,7 +191,7 @@ class KronCovariance:
         return float(sum((d / f.dim) * f.logdet for f in self.factors))
 
     def whiten(self, arr) -> np.ndarray:
-        """Apply ``L_k^{-1}`` along every mode of ``arr``.
+        """Multiply every mode of ``arr`` by its factor's ``L_k^{-1}``.
 
         The result ``z`` satisfies ``||z||^2 == vec(arr)^T Sigma^{-1}
         vec(arr)``.
@@ -196,7 +214,7 @@ class KronCovariance:
         if arr.shape != self.dims:
             raise ValueError(f"shape {arr.shape} does not match dims {self.dims}")
         for k, f in enumerate(self.factors):
-            arr = _along_mode(f.precision.dot, arr, k)
+            arr = _along_mode(f.precision, arr, k)
         return arr
 
     def __repr__(self) -> str:  # pragma: no cover
@@ -233,32 +251,31 @@ class TensorNormal:
         return self.cov.total_dim
 
 
-def _along_mode(op, arr: np.ndarray, axis: int) -> np.ndarray:
-    """Apply the matrix map ``op`` to the mode-``axis`` unfolding of ``arr``.
+def _along_mode(mat: np.ndarray, arr: np.ndarray, axis: int) -> np.ndarray:
+    """Multiply the mode-``axis`` unfolding of ``arr`` by the square ``mat``.
 
     The axis is moved to the front and the rest flattened into columns,
-    so ``op`` sees a ``(d, rest)`` matrix and must return one of the same
-    shape; the result is folded back into the shape of ``arr``.  The
-    axis moves by ``transpose`` (what ``np.moveaxis`` does, minus its
-    argument checks, which would cost more than the product on small
-    trainer tensors).
+    so ``mat`` multiplies a ``(d, rest)`` matrix; the result is folded
+    back into the shape of ``arr``.  The axis moves by ``transpose``
+    (what ``np.moveaxis`` does, minus its argument checks, which would
+    cost more than the product on small trainer tensors).
     """
     axis %= arr.ndim
     moved = arr.transpose((axis, *range(axis), *range(axis + 1, arr.ndim)))
-    out = op(moved.reshape(moved.shape[0], -1))
+    out = mat @ moved.reshape(moved.shape[0], -1)
     back = (*range(1, axis + 1), 0, *range(axis + 1, arr.ndim))
     return out.reshape(moved.shape).transpose(back)
 
 
 def _whiten(centered: np.ndarray, factors) -> np.ndarray:
-    """Apply ``L_k^{-1}`` along every mode (the trailing axes) of ``centered``.
+    """Multiply every mode (the trailing axes) of ``centered`` by its
+    factor's cached ``L_k^{-1}``.
 
     The result has identity covariance under the model.
     """
     z = centered
     for k, f in enumerate(factors):
-        solve = partial(solve_triangular, f.chol, lower=True)
-        z = _along_mode(solve, z, k - len(factors))
+        z = _along_mode(f.chol_inv, z, k - len(factors))
     return z
 
 
@@ -267,8 +284,8 @@ def mode_gram(x, factors, k: int) -> np.ndarray:
 
     ``x`` holds one tensor with dims ``(d_1, ..., d_K)`` matching
     ``factors`` (one :class:`SpdFactor` per mode), or a batch of them
-    along leading axes.  Each other mode is whitened by its ``L_j^{-1}``,
-    mode ``k`` is unfolded to ``(d_k, rest)`` (the columns running over
+    along leading axes.  Each other mode is whitened by one product with
+    its factor's cached ``L_j^{-1}``, mode ``k`` is unfolded to ``(d_k, rest)`` (the columns running over
     samples too) and the result is ``rows @ rows.T``, i.e.
 
         sum_i  X_i(k) (kron of the other factors)^{-1} X_i(k)^T.
@@ -280,8 +297,7 @@ def mode_gram(x, factors, k: int) -> np.ndarray:
     order = len(factors)
     for j, f in enumerate(factors):
         if j != k:
-            solve = partial(solve_triangular, f.chol, lower=True)
-            z = _along_mode(solve, z, j - order)
+            z = _along_mode(f.chol_inv, z, j - order)
     moved = np.moveaxis(z, k - order, 0)
     rows = moved.reshape(moved.shape[0], -1)
     return rows @ rows.T
@@ -298,7 +314,7 @@ def mahalanobis(dist: TensorNormal, x) -> float:
     """Squared Mahalanobis distance of ``x`` under ``dist``.
 
     Computed as ``||z||^2`` where ``z`` whitens ``x - mean`` by one
-    triangular solve per mode; no Kronecker product is formed.
+    product with ``L_k^{-1}`` per mode; no Kronecker product is formed.
     """
     arr = _check_point(dist, x)
     z = _whiten(arr - dist.mean, dist.cov.factors)
@@ -324,7 +340,7 @@ def sample(dist: TensorNormal, rng: np.random.Generator, size: int | None = None
     shape = dims if size is None else (int(size),) + dims
     z = rng.standard_normal(shape)
     for k, f in enumerate(dist.cov.factors):
-        z = _along_mode(f.chol.dot, z, k - len(dims))
+        z = _along_mode(f.chol, z, k - len(dims))
     return dist.mean + z
 
 

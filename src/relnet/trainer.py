@@ -190,9 +190,9 @@ class OptimizerState:
 class OpCounter:
     """Tallies floating-point multiply counts of covariance updates.
 
-    Keys are ``mode{k}_solve`` (whitening triangular solves),
-    ``mode{k}_gram`` (Gram products) and ``mode{k}_factor`` (Cholesky),
-    accumulated over layers.
+    Keys are ``mode{k}_solve`` (the whitening products with the other
+    modes' cached ``L_j^{-1}``), ``mode{k}_gram`` (Gram products) and
+    ``mode{k}_factor`` (Cholesky), accumulated over layers.
     """
 
     def __init__(self):

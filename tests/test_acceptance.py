@@ -359,32 +359,37 @@ def test_09_epoch_cost_scales_linearly_and_op_counts_match_model():
     <= 25% residual; task-mode refit op counts track T^2*Di*Do + T^3
     across a 2x size change within a factor of two."""
 
-    def epoch_time(total_rows: int, reps: int = 3) -> float:
-        spec = SyntheticSpec(4, 20, 3, total_rows // 4, np.eye(4), seed=0)
-        ds, _ = generate_synthetic(spec)
-        cfg = TrainConfig(
-            learning_rate=0.01,
-            momentum=0.5,
-            batch_size=16,
-            epochs=1,
-            prior_weight=0.003,
-            epsilon_ridge=1.0,
-            seed=0,
+    cfg = TrainConfig(
+        learning_rate=0.01,
+        momentum=0.5,
+        batch_size=16,
+        epochs=1,
+        prior_weight=0.003,
+        epsilon_ridge=1.0,
+        seed=0,
+    )
+
+    def epoch_time(ds) -> float:
+        net = init_network(
+            20, [], [8, 3], 4, np.random.default_rng([0, 2]), tied_tasks=True
         )
-        best = np.inf
-        for _ in range(reps):
-            net = init_network(
-                20, [], [8, 3], 4, np.random.default_rng([0, 2]), tied_tasks=True
-            )
-            cov = CovarianceState.identity_for(net.stack)
-            state = OptimizerState.zeros_like(net)
-            t0 = time.perf_counter()
-            sgd_epoch(net, cov, ds, cfg, state)
-            best = min(best, time.perf_counter() - t0)
-        return best
+        cov = CovarianceState.identity_for(net.stack)
+        state = OptimizerState.zeros_like(net)
+        t0 = time.perf_counter()
+        sgd_epoch(net, cov, ds, cfg, state)
+        return time.perf_counter() - t0
 
     rows = np.array([1000, 2000, 4000])
-    times = np.array([epoch_time(n) for n in rows])
+    datasets = [
+        generate_synthetic(SyntheticSpec(4, 20, 3, n // 4, np.eye(4), seed=0))[0]
+        for n in rows
+    ]
+    # Best of 5, the sizes interleaved within each rep: a slow spell of
+    # the host then slows one rep of every size, not every rep of one.
+    times = np.full(rows.size, np.inf)
+    for _ in range(5):
+        for i, ds in enumerate(datasets):
+            times[i] = min(times[i], epoch_time(ds))
     design = np.stack([np.ones(rows.size), rows], axis=1)
     coef, *_ = np.linalg.lstsq(design, times, rcond=None)
     pred = design @ coef

@@ -488,3 +488,27 @@ class TestUsageErrors:
         )
         assert proc.returncode == 0
         assert load_json(out)["converged"] is True
+
+
+def test_commands_import_no_scipy(tmp_path):
+    """``relnet train`` and ``relnet tnd-fit`` run on numpy alone: a fresh
+    interpreter that runs both never imports scipy."""
+    cfg = write_config(tmp_path, experiment_config(epochs=1))
+    inp = tmp_path / "samples.json"
+    write_tnd_samples(inp, n=20)
+    script = "\n".join([
+        "import sys",
+        "from relnet.cli import main",
+        f"assert main(['train', '--config', {str(cfg)!r}]) == 0",
+        f"assert main(['tnd-fit', '--input', {str(inp)!r},"
+        f" '--out', {str(tmp_path / 'fit.json')!r}]) == 0",
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+    ])
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        cwd=Path(relnet.__file__).resolve().parents[1],
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

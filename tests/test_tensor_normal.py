@@ -39,6 +39,35 @@ def dense_cov(cov):
     return out
 
 
+def ill_conditioned_spd(rng, n, kind, cond=1e10):
+    """SPD matrix of condition number about ``cond``.
+
+    ``graded``: a well-conditioned correlation matrix between scales
+    spread over ``sqrt(cond)``, so the ill-conditioning is in the scales
+    (features of very different magnitudes).  ``rotated``: eigenvalues
+    spread over ``cond`` in a random basis, so it is in the directions.
+    """
+    if kind == "graded":
+        c = np.corrcoef(rng.standard_normal((n, 4 * n)))
+        scales = np.logspace(0, -0.5 * np.log10(cond), n)
+        return scales[:, None] * c * scales[None, :]
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return (q * np.logspace(0, -np.log10(cond), n)) @ q.T
+
+
+def substitution_whiten(x, factors):
+    """Reference whitening: forward substitution against each ``L_k``,
+    carried in extended precision (``np.longdouble``)."""
+    z = np.asarray(x, dtype=np.longdouble)
+    for k, f in enumerate(factors):
+        chol = f.chol.astype(np.longdouble)
+        z = np.moveaxis(z, k, 0).copy()
+        for i in range(chol.shape[0]):
+            z[i] = (z[i] - np.tensordot(chol[i, :i], z[:i], axes=1)) / chol[i, i]
+        z = np.moveaxis(z, 0, k)
+    return z.astype(float)
+
+
 class TestSpdFactor:
     def test_cholesky_and_logdet(self):
         rng = np.random.default_rng(0)
@@ -62,13 +91,22 @@ class TestSpdFactor:
             SpdFactor(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
     def test_precision_is_cached_symmetric_inverse(self):
+        """The cached ``L^-1`` and ``Sigma^-1 = L^-T L^-1``: formed once,
+        read-only, exactly triangular and exactly symmetric."""
         rng = np.random.default_rng(3)
         m = rand_spd(rng, 6)
         f = SpdFactor(m)
+        li = f.chol_inv
+        assert f.chol_inv is li
+        assert not li.flags.writeable
+        np.testing.assert_array_equal(np.triu(li, 1), 0.0)
+        np.testing.assert_allclose(li @ f.chol, np.eye(6), atol=1e-14)
         p = f.precision
+        assert not p.flags.writeable
         np.testing.assert_array_equal(p, p.T)
         np.testing.assert_allclose(p, np.linalg.inv(m), rtol=1e-10)
         assert f.precision is p
+        assert f.chol_inv is li
 
 
 class TestKronCovariance:
@@ -93,6 +131,30 @@ class TestKronCovariance:
         got = cov.apply_inverse(arr)
         assert got.shape == dims
         np.testing.assert_allclose(got.ravel(), want, rtol=1e-10)
+
+    @pytest.mark.parametrize("kind", ["graded", "rotated"])
+    def test_whiten_on_ill_conditioned_factor(self, kind):
+        """Whitening by the cached ``L^-1`` against forward substitution,
+        with a 32x32 mode factor of condition number 1e10.  Ill-conditioning
+        in the scales costs no accuracy (rtol 1e-12 entrywise).  In the
+        directions no float64 method reaches that; the error then stays
+        within the normwise forward-error bound ``d * eps * cond(L)``."""
+        rng = np.random.default_rng(18)
+        factors = [
+            SpdFactor(ill_conditioned_spd(rng, 32, kind)),
+            SpdFactor(rand_spd(rng, 3)),
+            SpdFactor(rand_spd(rng, 2)),
+        ]
+        assert 5e9 <= np.linalg.cond(factors[0].matrix) <= 2e10
+        cov = KronCovariance(factors)
+        x = sample(TensorNormal(np.zeros(cov.dims), cov), rng)
+        got = cov.whiten(x)
+        want = substitution_whiten(x, factors)
+        if kind == "graded":
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        else:
+            bound = 32 * np.finfo(float).eps * np.linalg.cond(factors[0].chol)
+            assert np.linalg.norm(got - want) <= bound * np.linalg.norm(want)
 
     def test_mean_shape_checked(self):
         cov = KronCovariance([np.eye(2), np.eye(3), np.eye(2)])
