@@ -412,7 +412,7 @@ def run_experiment(cfg: ExperimentConfig, output_dir) -> dict:
                     "schema_version": RELATIONSHIP_SCHEMA_VERSION,
                     "layer": layer_id,
                     "task_names": list(train_ds.task_names),
-                    "correlation": [list(row) for row in corr],
+                    "correlation": corr,
                 },
                 rel_path,
             )
@@ -482,10 +482,8 @@ def cmd_tnd_fit(args) -> int:
     doc = {
         "schema_version": TND_FIT_SCHEMA_VERSION,
         "dims": list(mean.shape),
-        "mean": [float(v) for v in mean.ravel()],
-        "factors": [
-            [list(row) for row in f.matrix] for f in normalized.factors
-        ],
+        "mean": mean.ravel(),
+        "factors": [f.matrix for f in normalized.factors],
         "scale": scale,
         "iterations": result.iterations,
         "log_likelihood": result.log_likelihood,

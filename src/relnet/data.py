@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .network import softmax
-from .serialize import dump_json, format_float, load_json
+from .serialize import dump_json, format_floats, load_json
 from .tensor_normal import KronCovariance, TensorNormal, sample
 
 __all__ = [
@@ -190,11 +190,9 @@ def write_csv(ds: MultiTaskDataset, paths) -> None:
     if len(paths) != ds.num_tasks:
         raise ValueError("need one path per task")
     for path, x, y in zip(paths, ds.features, ds.labels):
-        lines = []
-        for row, label in zip(x, y):
-            lines.append(
-                ",".join(format_float(v) for v in row) + f",{int(label)}"
-            )
+        lines = [
+            f"{format_floats(row, ',')},{int(label)}" for row, label in zip(x, y)
+        ]
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")
 

@@ -528,8 +528,8 @@ def _layer_doc(w: np.ndarray, b: np.ndarray, activation: str) -> dict:
         "in_dim": int(w.shape[0]),
         "out_dim": int(w.shape[1]),
         "activation": activation,
-        "weight": [float(v) for v in w.ravel()],
-        "bias": [float(v) for v in b.ravel()],
+        "weight": w.ravel(),
+        "bias": b.ravel(),
     }
 
 

@@ -3,18 +3,32 @@
 Reports, checkpoints and relationship exports must reproduce identical
 bytes across runs with the same seed.  The stdlib ``json`` module does
 not let callers control float formatting, so a small recursive emitter
-is used instead: floats are rendered with ``%.17g`` (shortest form that
-round-trips a double), dict insertion order is preserved, and the
-output layout is fixed.
+is used instead: floats are rendered with ``%.17g``, which always gives
+17 significant digits (enough for every double to round-trip, though
+not the shortest such form, which ``repr`` gives), dict insertion order
+is preserved, and the output layout is fixed.
+
+Float arrays are emitted whole: a row is one finiteness check and one
+join over its values, with no Python list built by the caller and no
+per-element type dispatch, and the bytes are exactly those the array's
+``tolist()`` would give.
 """
 
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
-__all__ = ["format_float", "dumps_json", "dump_json", "load_json", "write_csv_rows"]
+__all__ = [
+    "format_float",
+    "format_floats",
+    "dumps_json",
+    "dump_json",
+    "load_json",
+    "write_csv_rows",
+]
 
 
 def format_float(x: float) -> str:
@@ -23,14 +37,34 @@ def format_float(x: float) -> str:
     ``-0.0`` is normalized to ``0`` so reload/re-emit cycles are stable.
     """
     x = float(x)
-    if not np.isfinite(x):
+    if not math.isfinite(x):
         raise ValueError(f"cannot serialize non-finite value {x!r}")
     if x == 0.0:
         return "0"
     return format(x, ".17g")
 
 
+def format_floats(row: np.ndarray, sep: str = ", ") -> str:
+    """Render a 1-D float array as :func:`format_float` renders each
+    entry, joined by ``sep``.
+
+    One ``np.isfinite`` pass checks the whole row; a non-finite entry
+    raises :func:`format_float`'s error for the first one.  Adding
+    ``0.0`` turns ``-0.0`` into ``0.0``, which ``%.17g`` writes as ``0``.
+    """
+    finite = np.isfinite(row)
+    if not finite.all():
+        format_float(row[~finite][0])
+    return sep.join(["%.17g" % v for v in (row + 0.0).tolist()])
+
+
 def _emit(obj, parts, indent, level):
+    if isinstance(obj, np.ndarray):
+        if obj.dtype.kind != "f" or obj.ndim == 0:
+            obj = obj.tolist()
+        elif obj.ndim == 1:
+            parts.append("[" + format_floats(obj) + "]")
+            return
     pad = indent * level
     child = indent * (level + 1)
     if isinstance(obj, dict):
@@ -47,13 +81,14 @@ def _emit(obj, parts, indent, level):
             _emit(value, parts, indent, level + 1)
             parts.append(",\n" if i < len(obj) - 1 else "\n")
         parts.append(pad + "}")
-    elif isinstance(obj, (list, tuple)):
+    elif isinstance(obj, (list, tuple, np.ndarray)):
+        # A float array of two or more dims is a list of its rows.
         items = list(obj)
         if not items:
             parts.append("[]")
             return
         # Flat numeric lists stay on one line; nested structures wrap.
-        if all(not isinstance(v, (dict, list, tuple)) for v in items):
+        if all(not isinstance(v, (dict, list, tuple, np.ndarray)) for v in items):
             parts.append("[")
             parts.append(", ".join(_scalar(v) for v in items))
             parts.append("]")

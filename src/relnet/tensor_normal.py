@@ -33,6 +33,7 @@ which the factors appear in mode order in the Kronecker product.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -162,9 +163,15 @@ class KronCovariance:
     factors : sequence
         One :class:`SpdFactor` (or raw SPD matrix) per mode, in mode
         order.
+
+    Attributes
+    ----------
+    factors : tuple of SpdFactor
+    dims : tuple of int
+        ``(d_1, ..., d_K)``, stored once: the factors never change.
     """
 
-    __slots__ = ("factors",)
+    __slots__ = ("factors", "dims")
 
     def __init__(self, factors: Sequence):
         if len(factors) == 0:
@@ -172,14 +179,11 @@ class KronCovariance:
         self.factors = tuple(
             f if isinstance(f, SpdFactor) else SpdFactor(f) for f in factors
         )
-
-    @property
-    def dims(self) -> tuple:
-        return tuple(f.dim for f in self.factors)
+        self.dims = tuple(f.dim for f in self.factors)
 
     @property
     def total_dim(self) -> int:
-        return int(np.prod(self.dims))
+        return math.prod(self.dims)
 
     @property
     def order(self) -> int:
@@ -254,17 +258,28 @@ class TensorNormal:
 def _along_mode(mat: np.ndarray, arr: np.ndarray, axis: int) -> np.ndarray:
     """Multiply the mode-``axis`` unfolding of ``arr`` by the square ``mat``.
 
-    The axis is moved to the front and the rest flattened into columns,
-    so ``mat`` multiplies a ``(d, rest)`` matrix; the result is folded
-    back into the shape of ``arr``.  The axis moves by ``transpose``
-    (what ``np.moveaxis`` does, minus its argument checks, which would
-    cost more than the product on small trainer tensors).
+    ``arr`` is viewed by a plain reshape as ``(before, d, after)``, the
+    products of the dims on either side of the axis, and ``mat``
+    multiplies the middle index: one matrix product when the axis is
+    first or last, one batched product over ``before`` otherwise.  No
+    axis is moved, so no copy of ``arr`` is made for a C-contiguous
+    input, and the result, folded back into the shape of ``arr``, is
+    C-contiguous, so the next mode's reshape is free.  The shape
+    products use ``math.prod``: on the trainer's small tensors a numpy
+    reduction over the shape would cost more than the product.
     """
+    shape = arr.shape
     axis %= arr.ndim
-    moved = arr.transpose((axis, *range(axis), *range(axis + 1, arr.ndim)))
-    out = mat @ moved.reshape(moved.shape[0], -1)
-    back = (*range(1, axis + 1), 0, *range(axis + 1, arr.ndim))
-    return out.reshape(moved.shape).transpose(back)
+    d = shape[axis]
+    before = math.prod(shape[:axis])
+    after = math.prod(shape[axis + 1 :])
+    if before == 1:
+        out = mat @ arr.reshape(d, after)
+    elif after == 1:
+        out = arr.reshape(before, d) @ mat.T
+    else:
+        out = mat @ arr.reshape(before, d, after)
+    return out.reshape(shape)
 
 
 def _whiten(centered: np.ndarray, factors) -> np.ndarray:
@@ -371,7 +386,7 @@ def _stack_samples(samples) -> np.ndarray:
 def _total_log_likelihood(centered: np.ndarray, factors) -> float:
     """Sum of log densities for pre-centered stacked samples."""
     n = centered.shape[0]
-    d = int(np.prod(centered.shape[1:]))
+    d = math.prod(centered.shape[1:])
     z = _whiten(centered, factors)
     maha = float(np.sum(z * z))
     logdet = sum((d / f.dim) * f.logdet for f in factors)
@@ -461,7 +476,7 @@ def flip_flop_mle(
 
     dims = stacked.shape[1:]
     n = stacked.shape[0]
-    d = int(np.prod(dims))
+    d = math.prod(dims)
     centered = stacked - mean_arr
 
     if init is None:

@@ -7,6 +7,7 @@ from scipy.stats import multivariate_normal
 from relnet.tensor import kronecker, matricize, vectorize
 from relnet.tensor_normal import (
     EstimationError,
+    _along_mode,
     FlipFlopResult,
     KronCovariance,
     SpdFactor,
@@ -334,6 +335,47 @@ class TestFlipFlop:
         for k in range(3):
             np.testing.assert_allclose(
                 res.cov.factors[k].matrix, factors[k], rtol=1e-10
+            )
+
+
+def moveaxis_along_mode(mat, arr, axis):
+    """Reference per-mode product: move the axis to the front, multiply
+    the ``(d, rest)`` unfolding, move it back."""
+    moved = np.moveaxis(arr, axis, 0)
+    out = mat @ moved.reshape(moved.shape[0], -1)
+    return np.moveaxis(out.reshape(moved.shape), 0, axis)
+
+
+class TestAlongMode:
+    @pytest.mark.parametrize("lead", [(), (2,)])
+    @pytest.mark.parametrize(
+        "dims", [(5,), (4, 3), (4, 3, 2), (3, 2, 4, 2), (1, 4, 1), (4, 1, 3)]
+    )
+    def test_matches_moveaxis_oracle(self, lead, dims):
+        """Every axis, negative ones too, of orders 1-4 with and without a
+        leading sample axis; size-1 dims put the axis first or last of
+        the ``(before, d, after)`` view."""
+        rng = np.random.default_rng(len(dims) + 10 * len(lead))
+        arr = rng.standard_normal(lead + dims)
+        for axis in range(-arr.ndim, arr.ndim):
+            mat = rng.standard_normal((arr.shape[axis],) * 2)
+            got = _along_mode(mat, arr, axis)
+            assert got.shape == arr.shape
+            assert got.flags.c_contiguous
+            np.testing.assert_allclose(
+                got, moveaxis_along_mode(mat, arr, axis), rtol=1e-13
+            )
+
+    def test_non_contiguous_view(self):
+        rng = np.random.default_rng(18)
+        arr = rng.standard_normal((5, 4, 6)).transpose(2, 0, 1)[:, ::2]
+        assert not arr.flags.c_contiguous
+        for axis in range(-arr.ndim, arr.ndim):
+            mat = rng.standard_normal((arr.shape[axis],) * 2)
+            got = _along_mode(mat, arr, axis)
+            assert got.flags.c_contiguous
+            np.testing.assert_allclose(
+                got, moveaxis_along_mode(mat, arr, axis), rtol=1e-13
             )
 
 
