@@ -25,16 +25,14 @@ config error, 2 non-convergence, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
-import json
+import math
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .data import (
-    DatasetError,
-    SplitError,
     SplitSpec,
     SyntheticSpec,
     generate_synthetic,
@@ -43,7 +41,14 @@ from .data import (
     split,
 )
 from .network import accuracy, init_network, load_checkpoint, save_checkpoint
-from .serialize import dump_json, dumps_json, format_float, load_json
+from .serialize import (
+    InputError,
+    dump_json,
+    dumps_json,
+    format_float,
+    format_floats,
+    load_json,
+)
 from .tensor_normal import (
     EstimationError,
     flip_flop_mle,
@@ -53,6 +58,7 @@ from .tensor_normal import (
 from .trainer import (
     TrainConfig,
     TrainingError,
+    check_data,
     extract_relationship,
     train,
 )
@@ -69,8 +75,9 @@ TND_FIT_SCHEMA_VERSION = 1
 VARIANTS = ("drn", "drn8", "stl")
 
 
-class ConfigError(ValueError):
-    """Raised for malformed experiment configs; maps to exit code 1."""
+class ConfigError(InputError):
+    """Raised for malformed experiment configs and command inputs; maps
+    to exit code 1."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -90,6 +97,25 @@ class _Parser(argparse.ArgumentParser):
 
 
 @dataclass
+class ModelSpec:
+    """The ``model`` section: shared trunk widths, the width of the
+    task-specific bottleneck, and whether all tasks start from the same
+    stack weights."""
+
+    trunk_widths: list[int] = field(default_factory=list)
+    bottleneck_width: int = 32
+    tied_init: bool = True
+
+    def __post_init__(self):
+        if any(w < 1 for w in self.trunk_widths):
+            raise ValueError(f"trunk_widths must be positive, got {self.trunk_widths}")
+        if self.bottleneck_width < 1:
+            raise ValueError(
+                f"bottleneck_width must be at least 1, got {self.bottleneck_width}"
+            )
+
+
+@dataclass
 class ExperimentConfig:
     """Parsed, validated experiment description.
 
@@ -104,17 +130,13 @@ class ExperimentConfig:
     variant: str
     manifest: Path | None
     synthetic: SyntheticSpec | None
-    test_samples_per_task: int
     split_spec: SplitSpec | None
-    trunk_widths: tuple
-    bottleneck_width: int
-    tied_init: bool
+    model: ModelSpec
     train_cfg: TrainConfig
     output_dir: Path | None
-    relationship_layers: tuple = field(default=())
 
 
-def _require(doc: dict, where: str, required: tuple, optional: tuple) -> None:
+def _require(doc: dict, where: str, required, optional) -> None:
     unknown = sorted(set(doc) - set(required) - set(optional))
     if unknown:
         raise ConfigError(f"{where}: unknown keys {unknown}")
@@ -123,114 +145,81 @@ def _require(doc: dict, where: str, required: tuple, optional: tuple) -> None:
         raise ConfigError(f"{where}: missing keys {missing}")
 
 
-def _as_int(doc, key, where, default=None, minimum=None):
-    if key not in doc:
-        return default
-    value = doc[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{where}.{key}: expected an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{where}.{key}: must be >= {minimum}, got {value}")
-    return value
+# The JSON type rule of each scalar annotation: its description and its
+# test.  ``type(v) is int`` keeps out bools, which subclass int; the
+# float bound keeps out NaN, the infinities and integers too large for a
+# double.
+_JSON_TYPES = {
+    "int": ("an integer", lambda v: type(v) is int),
+    "float": (
+        "a finite number",
+        lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max,
+    ),
+    "bool": ("true or false", lambda v: type(v) is bool),
+    "str": ("a string", lambda v: type(v) is str),
+}
 
 
-def _as_number(doc, key, where, default=None):
-    if key not in doc:
-        return default
-    value = doc[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where}.{key}: expected a number, got {value!r}")
-    return float(value)
+def _check_type(value, kind: str, where: str):
+    """Check a JSON value against the field annotation ``kind``.
+
+    ``int``, ``float``, ``bool`` and ``str`` follow ``_JSON_TYPES``;
+    ``X | None`` also accepts null, and ``list[X]`` a list whose items
+    pass ``X``.  Any other annotation is left to the dataclass's
+    ``__post_init__``.  Returns the value, with a ``float`` as a float.
+    """
+    if kind.endswith(" | None"):
+        if value is None:
+            return None
+        kind = kind[: -len(" | None")]
+    if kind.startswith("list["):
+        if type(value) is not list:
+            raise ConfigError(f"{where} must be a list, got {value!r}")
+        return [_check_type(v, kind[5:-1], f"{where}[{i}]") for i, v in enumerate(value)]
+    if kind not in _JSON_TYPES:
+        return value
+    what, ok = _JSON_TYPES[kind]
+    if not ok(value):
+        raise ConfigError(f"{where} must be {what}, got {value!r}")
+    return float(value) if kind == "float" else value
 
 
-def _as_bool(doc, key, where, default=None):
-    if key not in doc:
-        return default
-    value = doc[key]
-    if not isinstance(value, bool):
-        raise ConfigError(f"{where}.{key}: expected true/false, got {value!r}")
-    return value
+def _parse_section(cls, doc, where: str):
+    """Build the dataclass ``cls`` from the JSON object ``doc`` at
+    ``where`` (``config.<section>``).
 
-
-def _parse_synthetic(doc: dict, where: str) -> tuple:
-    _require(
-        doc,
-        where,
-        required=(
-            "num_tasks",
-            "feature_dim",
-            "num_classes",
-            "samples_per_task",
-            "task_covariance",
-        ),
-        optional=("noise_scale", "seed", "task_names", "test_samples_per_task"),
-    )
-    num_tasks = _as_int(doc, "num_tasks", where, minimum=1)
-    cov = doc["task_covariance"]
+    The field table is ``dataclasses.fields(cls)``: a field without a
+    default is required, a key that names no field is an error, and each
+    value must pass :func:`_check_type` for its field's annotation.
+    Bounds live only in ``cls.__post_init__``, whose ``ValueError``
+    message starts with the field's name, so every error reads
+    ``config.<section>.<field> ...``.
+    """
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where}: expected a JSON object")
+    table = {f.name: f for f in fields(cls)}
+    required = [
+        name
+        for name, f in table.items()
+        if f.default is MISSING and f.default_factory is MISSING
+    ]
+    _require(doc, where, required, table)
+    kwargs = {
+        key: _check_type(value, table[key].type, f"{where}.{key}")
+        for key, value in doc.items()
+    }
     try:
-        omega = np.asarray(cov, dtype=float)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where}.task_covariance: not a numeric matrix") from None
-    if omega.shape != (num_tasks, num_tasks):
-        raise ConfigError(
-            f"{where}.task_covariance: expected shape "
-            f"({num_tasks}, {num_tasks}), got {omega.shape}"
-        )
-    task_names = doc.get("task_names")
-    if task_names is not None and (
-        not isinstance(task_names, list)
-        or not all(isinstance(n, str) for n in task_names)
-    ):
-        raise ConfigError(f"{where}.task_names: expected a list of strings")
-    try:
-        spec = SyntheticSpec(
-            num_tasks=num_tasks,
-            feature_dim=_as_int(doc, "feature_dim", where, minimum=1),
-            num_classes=_as_int(doc, "num_classes", where, minimum=2),
-            samples_per_task=_as_int(doc, "samples_per_task", where, minimum=1),
-            task_covariance=omega,
-            noise_scale=_as_number(doc, "noise_scale", where, default=1.0),
-            seed=_as_int(doc, "seed", where, default=0, minimum=0),
-            task_names=tuple(task_names) if task_names is not None else None,
-        )
-    except (ValueError, DatasetError) as exc:
-        raise ConfigError(f"{where}: {exc}") from None
-    return spec, _as_int(doc, "test_samples_per_task", where, default=0, minimum=0)
-
-
-def _parse_split(doc: dict, where: str) -> SplitSpec:
-    _require(doc, where, required=("train_fraction",), optional=("stratified", "seed"))
-    try:
-        return SplitSpec(
-            train_fraction=_as_number(doc, "train_fraction", where),
-            stratified=_as_bool(doc, "stratified", where, default=False),
-            seed=_as_int(doc, "seed", where, default=0, minimum=0),
-        )
-    except (ValueError, SplitError) as exc:
-        raise ConfigError(f"{where}: {exc}") from None
-
-
-def _parse_train(doc: dict, where: str, variant: str) -> TrainConfig:
-    known = {f.name for f in fields(TrainConfig)}
-    unknown = sorted(set(doc) - known)
-    if unknown:
-        raise ConfigError(f"{where}: unknown keys {unknown}")
-    if variant == "stl" and doc.get("prior_weight", 0.0) != 0.0:
-        raise ConfigError(
-            f"{where}.prior_weight: variant 'stl' trains tasks independently; "
-            "leave prior_weight unset or 0"
-        )
-    kwargs = dict(doc)
-    if variant == "stl":
-        kwargs["prior_weight"] = 0.0
-    try:
-        return TrainConfig(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: {exc}") from None
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{where}.{exc}") from None
 
 
 def parse_experiment_config(doc, base_dir) -> ExperimentConfig:
-    """Validate a config document; unknown keys are errors."""
+    """Validate a config document; unknown keys are errors.
+
+    Every rejection is a :class:`ConfigError` naming
+    ``config.<section>.<field>``.
+    """
     base_dir = Path(base_dir)
     if not isinstance(doc, dict):
         raise ConfigError("config: expected a JSON object")
@@ -260,16 +249,11 @@ def parse_experiment_config(doc, base_dir) -> ExperimentConfig:
         )
     manifest = None
     synthetic = None
-    test_samples = 0
     if "manifest" in data:
-        if not isinstance(data["manifest"], str):
-            raise ConfigError("config.data.manifest: expected a path string")
-        manifest = base_dir / data["manifest"]
+        manifest = base_dir / _check_type(data["manifest"], "str", "config.data.manifest")
     else:
-        if not isinstance(data["synthetic"], dict):
-            raise ConfigError("config.data.synthetic: expected a JSON object")
-        synthetic, test_samples = _parse_synthetic(
-            data["synthetic"], "config.data.synthetic"
+        synthetic = _parse_section(
+            SyntheticSpec, data["synthetic"], "config.data.synthetic"
         )
 
     split_spec = None
@@ -279,50 +263,28 @@ def parse_experiment_config(doc, base_dir) -> ExperimentConfig:
                 "config.split: splits apply to manifest data only; synthetic "
                 "data uses test_samples_per_task"
             )
-        if not isinstance(doc["split"], dict):
-            raise ConfigError("config.split: expected a JSON object")
-        split_spec = _parse_split(doc["split"], "config.split")
+        split_spec = _parse_section(SplitSpec, doc["split"], "config.split")
 
-    model = doc.get("model", {})
-    if not isinstance(model, dict):
-        raise ConfigError("config.model: expected a JSON object")
-    _require(
-        model,
-        "config.model",
-        required=(),
-        optional=("trunk_widths", "bottleneck_width", "tied_init"),
-    )
-    trunk_widths = model.get("trunk_widths", [])
-    if not isinstance(trunk_widths, list) or not all(
-        isinstance(w, int) and not isinstance(w, bool) and w >= 1
-        for w in trunk_widths
-    ):
-        raise ConfigError(
-            "config.model.trunk_widths: expected a list of positive integers"
-        )
-    bottleneck = _as_int(model, "bottleneck_width", "config.model", default=32, minimum=1)
-    tied_init = _as_bool(model, "tied_init", "config.model", default=True)
-
-    train_doc = doc.get("train", {})
-    if not isinstance(train_doc, dict):
-        raise ConfigError("config.train: expected a JSON object")
-    train_cfg = _parse_train(train_doc, "config.train", variant)
+    model = _parse_section(ModelSpec, doc.get("model", {}), "config.model")
+    train_cfg = _parse_section(TrainConfig, doc.get("train", {}), "config.train")
+    if variant == "stl":
+        if doc.get("train", {}).get("prior_weight", 0.0) != 0.0:
+            raise ConfigError(
+                "config.train.prior_weight: variant 'stl' trains tasks "
+                "independently; leave prior_weight unset or 0"
+            )
+        train_cfg = replace(train_cfg, prior_weight=0.0)
 
     output_dir = None
     if "output_dir" in doc:
-        if not isinstance(doc["output_dir"], str):
-            raise ConfigError("config.output_dir: expected a path string")
-        output_dir = base_dir / doc["output_dir"]
+        output_dir = base_dir / _check_type(doc["output_dir"], "str", "config.output_dir")
 
     return ExperimentConfig(
         variant=variant,
         manifest=manifest,
         synthetic=synthetic,
-        test_samples_per_task=test_samples,
         split_spec=split_spec,
-        trunk_widths=tuple(int(w) for w in trunk_widths),
-        bottleneck_width=bottleneck,
-        tied_init=tied_init,
+        model=model,
         train_cfg=train_cfg,
         output_dir=output_dir,
     )
@@ -337,15 +299,16 @@ def load_experiment_data(cfg: ExperimentConfig) -> tuple:
     ground-truth weights with an independent child generator, so train
     and test share the task structure but no sampling noise.
     """
-    if cfg.synthetic is not None:
-        train_ds, weights = generate_synthetic(cfg.synthetic)
+    spec = cfg.synthetic
+    if spec is not None:
+        train_ds, weights = generate_synthetic(spec)
         eval_ds = None
-        if cfg.test_samples_per_task > 0:
+        if spec.test_samples_per_task > 0:
             eval_ds = sample_task_data(
                 weights,
-                cfg.test_samples_per_task,
-                cfg.synthetic.noise_scale,
-                np.random.default_rng([cfg.synthetic.seed, 1]),
+                spec.test_samples_per_task,
+                spec.noise_scale,
+                np.random.default_rng([spec.seed, 1]),
                 task_names=train_ds.task_names,
             )
         return train_ds, eval_ds
@@ -362,15 +325,16 @@ def build_network(cfg: ExperimentConfig, feature_dim: int, num_classes: int, num
     from the data and shuffle streams, so the same data can be trained
     under different seeds and vice versa.
     """
+    model = cfg.model
     if cfg.variant == "drn8":
-        trunk = list(cfg.trunk_widths) + [cfg.bottleneck_width]
+        trunk = model.trunk_widths + [model.bottleneck_width]
         stack = [num_classes]
     else:
-        trunk = list(cfg.trunk_widths)
-        stack = [cfg.bottleneck_width, num_classes]
+        trunk = model.trunk_widths
+        stack = [model.bottleneck_width, num_classes]
     rng = np.random.default_rng([cfg.train_cfg.seed, 2])
     return init_network(
-        feature_dim, trunk, stack, num_tasks, rng, tied_tasks=cfg.tied_init
+        feature_dim, trunk, stack, num_tasks, rng, tied_tasks=model.tied_init
     )
 
 
@@ -425,50 +389,62 @@ def run_experiment(cfg: ExperimentConfig, output_dir) -> dict:
 
 
 def _load_tnd_samples(path: Path) -> list:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ConfigError(f"{path}: {exc.strerror or exc}") from None
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(
-            f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: "
-            f"{exc.msg}"
-        ) from None
+    """Read ``{"dims": [d1, d2, d3], "samples": [[...], ...]}`` into one
+    ``(d1, d2, d3)`` array per sample.
+
+    Each sample is checked as its array is built: it must have
+    ``d = d1 * d2 * d3`` entries, all finite.  Then the sample count
+    ``n`` must pass ``(n - 1) * d / d_k >= d_k`` for every mode ``k``.
+    With the mean estimated, the centred samples span at most ``n - 1``
+    directions, so below this count the mode-``k`` Gram matrix cannot
+    be definite.  The condition is necessary, not sufficient, for the
+    maximum likelihood estimate to exist: Derksen, Makam & Walter,
+    "Maximum likelihood estimation for tensor normal models via
+    castling transforms" (Forum Math. Sigma, 2022) give the exact
+    thresholds, and Dutilleul (1999) the matrix case.  Every rejection
+    is a :class:`ConfigError` naming ``path``.
+    """
+    doc = load_json(path)
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: expected an object with 'dims' and 'samples'")
     _require(doc, str(path), required=("dims", "samples"), optional=())
-    dims = doc["dims"]
-    if (
-        not isinstance(dims, list)
-        or len(dims) != 3
-        or not all(isinstance(d, int) and d >= 1 for d in dims)
-    ):
+    dims = _check_type(doc["dims"], "list[int]", f"{path}: dims")
+    if len(dims) != 3 or min(dims) < 1:
         raise ConfigError(f"{path}: dims must be three positive integers")
     samples = doc["samples"]
     if not isinstance(samples, list) or not samples:
         raise ConfigError(f"{path}: samples must be a non-empty list")
-    total = dims[0] * dims[1] * dims[2]
+    total = math.prod(dims)
     out = []
     for i, flat in enumerate(samples):
-        arr = np.asarray(flat, dtype=float)
+        try:
+            arr = np.asarray(flat, dtype=float)
+        except (TypeError, ValueError):
+            raise ConfigError(f"{path}: sample {i} is not a list of numbers") from None
         if arr.shape != (total,):
             raise ConfigError(
                 f"{path}: sample {i} has {arr.size} entries, expected {total}"
             )
+        finite = np.isfinite(arr)
+        if not finite.all():
+            raise ConfigError(
+                f"{path}: sample {i} entry {int(finite.argmin())} is not finite"
+            )
         out.append(arr.reshape(dims))
+    for k, dk in enumerate(dims):
+        least = -(-dk * dk // total) + 1
+        if len(out) < least:
+            raise ConfigError(
+                f"{path}: {len(out)} samples are too few for dims {dims}: mode "
+                f"{k + 1} needs (n - 1) * {total // dk} >= {dk}, so at least "
+                f"{least} samples"
+            )
     return out
 
 
 def cmd_tnd_fit(args) -> int:
     """Fit a tensor normal to JSON samples; write the estimate as JSON."""
-    try:
-        samples = _load_tnd_samples(args.input)
-    except ConfigError as exc:
-        print(f"relnet tnd-fit: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
+    samples = _load_tnd_samples(args.input)
     mean = mle_mean(samples)
     try:
         result = flip_flop_mle(
@@ -506,35 +482,18 @@ def cmd_tnd_fit(args) -> int:
 def cmd_train(args) -> int:
     """Run one experiment from a JSON config file."""
     config_path = Path(args.config)
-    try:
-        doc = load_json(config_path)
-    except OSError as exc:
-        print(f"relnet train: {config_path}: {exc.strerror or exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except json.JSONDecodeError as exc:
-        print(
-            f"relnet train: {config_path}: invalid JSON at line {exc.lineno} "
-            f"column {exc.colno}: {exc.msg}",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
-
-    try:
-        cfg = parse_experiment_config(doc, config_path.parent)
-        if args.seed is not None:
+    cfg = parse_experiment_config(load_json(config_path), config_path.parent)
+    if args.seed is not None:
+        try:
             cfg.train_cfg = replace(cfg.train_cfg, seed=args.seed)
-        output_dir = Path(args.out) if args.out else cfg.output_dir
-        if output_dir is None:
-            raise ConfigError("no output directory: set config.output_dir or --out")
-    except ConfigError as exc:
-        print(f"relnet train: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        except ValueError as exc:
+            raise ConfigError(f"--{exc}") from None
+    output_dir = Path(args.out) if args.out else cfg.output_dir
+    if output_dir is None:
+        raise ConfigError("no output directory: set config.output_dir or --out")
 
     try:
         paths = run_experiment(cfg, output_dir)
-    except (DatasetError, SplitError, ConfigError) as exc:
-        print(f"relnet train: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (TrainingError, EstimationError) as exc:
         print(f"relnet train: numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
@@ -549,55 +508,15 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     """Score a checkpoint on a manifest dataset; print CSV to stdout."""
-    try:
-        net, task_names = load_checkpoint(args.model)
-    except (OSError, ValueError) as exc:
-        print(f"relnet eval: {args.model}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        ds = load_manifest(args.data)
-    except (OSError, DatasetError) as exc:
-        print(f"relnet eval: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
+    net, _ = load_checkpoint(args.model)
+    ds = load_manifest(args.data)
     if args.train_fraction is not None:
-        try:
-            spec = SplitSpec(
-                train_fraction=args.train_fraction,
-                stratified=args.stratified,
-                seed=args.split_seed,
-            )
-            train_ds, test_ds = split(ds, spec)
-        except SplitError as exc:
-            print(f"relnet eval: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+        spec = SplitSpec(args.train_fraction, args.stratified, args.split_seed)
+        train_ds, test_ds = split(ds, spec)
         ds = train_ds if args.fold == "train" else test_ds
     elif args.fold == "train":
-        print(
-            "relnet eval: --fold requires --train-fraction to define the split",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
-
-    if ds.feature_dim != net.input_dim:
-        print(
-            f"relnet eval: feature dim {ds.feature_dim} != model input "
-            f"{net.input_dim}",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
-    if ds.num_tasks != net.num_tasks:
-        print(
-            f"relnet eval: {ds.num_tasks} tasks != model {net.num_tasks}",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
-    if ds.num_classes != net.num_classes:
-        print(
-            f"relnet eval: {ds.num_classes} classes != model {net.num_classes}",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
+        raise ConfigError("--fold requires --train-fraction to define the split")
+    check_data(net, ds, str(args.data))
 
     lines = ["task,accuracy"]
     accs = []
@@ -618,34 +537,30 @@ def cmd_export_relationship(args) -> int:
     """Re-emit a stored relationship matrix as JSON or CSV."""
     rel_path = Path(args.model_dir) / f"relationship_{args.layer}.json"
     if not rel_path.exists():
-        print(f"relnet export-relationship: no such file: {rel_path}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        doc = load_json(rel_path)
-    except json.JSONDecodeError as exc:
-        print(
-            f"relnet export-relationship: {rel_path}: invalid JSON at line "
-            f"{exc.lineno} column {exc.colno}: {exc.msg}",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
+        raise ConfigError(f"no such file: {rel_path}")
+    doc = load_json(rel_path)
     try:
         names = doc["task_names"]
-        corr = doc["correlation"]
-    except (KeyError, TypeError):
-        print(
-            f"relnet export-relationship: {rel_path}: missing task_names or "
-            "correlation",
-            file=sys.stderr,
+        corr = np.asarray(doc["correlation"], dtype=float)
+    except (KeyError, TypeError, ValueError):
+        names, corr = None, None
+    if not (
+        type(names) is list
+        and all(type(n) is str for n in names)
+        and corr.shape == (len(names), len(names))
+        and np.isfinite(corr).all()
+    ):
+        raise ConfigError(
+            f"{rel_path}: expected task_names and a finite square correlation "
+            "matrix with one row per task"
         )
-        return EXIT_USAGE
 
     if args.format == "json":
         text = dumps_json(doc)
     else:
         lines = ["task," + ",".join(names)]
         for name, row in zip(names, corr):
-            lines.append(name + "," + ",".join(format_float(v) for v in row))
+            lines.append(name + "," + format_floats(row, ","))
         text = "\n".join(lines) + "\n"
 
     if args.out:
@@ -657,6 +572,20 @@ def cmd_export_relationship(args) -> int:
 
 # --------------------------------------------------------------------------
 # argument wiring
+
+
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
+    return value
+
+
+def _sweep_limit(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -675,8 +604,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fit.add_argument("--input", required=True, help="JSON samples file")
     fit.add_argument("--out", required=True, help="output JSON path")
-    fit.add_argument("--tol", type=float, default=1e-8, help="convergence tolerance")
-    fit.add_argument("--max-iter", type=int, default=200, help="sweep limit")
+    fit.add_argument(
+        "--tol", type=_tolerance, default=1e-8, help="convergence tolerance"
+    )
+    fit.add_argument("--max-iter", type=_sweep_limit, default=200, help="sweep limit")
     fit.set_defaults(func=cmd_tnd_fit)
 
     tr = sub.add_parser("train", help="run a training experiment from a config")
@@ -718,9 +649,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except InputError as exc:
+        print(f"relnet {args.command}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -20,8 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from .network import softmax
-from .serialize import dump_json, format_floats, load_json
-from .tensor_normal import KronCovariance, TensorNormal, sample
+from .serialize import InputError, dump_json, format_floats, load_json
+from .tensor_normal import KronCovariance, SpdFactor, TensorNormal, sample
 
 __all__ = [
     "DatasetError",
@@ -42,11 +42,11 @@ __all__ = [
 MANIFEST_SCHEMA_VERSION = 1
 
 
-class DatasetError(ValueError):
+class DatasetError(InputError):
     """Malformed dataset input (file, row or shape problems)."""
 
 
-class SplitError(ValueError):
+class SplitError(InputError):
     """A requested split is infeasible for the given data."""
 
 
@@ -217,10 +217,11 @@ def load_manifest(path) -> MultiTaskDataset:
         tasks = doc["tasks"]
         names = [entry["name"] for entry in tasks]
         files = [path.parent / entry["path"] for entry in tasks]
-    except (KeyError, TypeError) as exc:
+        feature_dim = int(doc.get("feature_dim", 0))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DatasetError(f"{path}: malformed manifest: {exc}") from None
     ds = load_csv(files, num_classes, task_names=names)
-    if "feature_dim" in doc and int(doc["feature_dim"]) != ds.feature_dim:
+    if "feature_dim" in doc and feature_dim != ds.feature_dim:
         raise DatasetError(
             f"{path}: manifest feature_dim {doc['feature_dim']} != data "
             f"{ds.feature_dim}"
@@ -250,7 +251,11 @@ def write_manifest(ds: MultiTaskDataset, directory, name="manifest.json") -> Pat
 
 @dataclass
 class SplitSpec:
-    """Per-task train/test split parameters."""
+    """Per-task train/test split parameters.
+
+    A bad value raises :class:`SplitError` whose message starts with the
+    field's name.
+    """
 
     train_fraction: float
     stratified: bool = False
@@ -261,6 +266,8 @@ class SplitSpec:
             raise SplitError(
                 f"train_fraction must lie in (0, 1), got {self.train_fraction}"
             )
+        if self.seed < 0:
+            raise SplitError(f"seed must be non-negative, got {self.seed}")
 
 
 def _round_count(fraction: float, n: int) -> int:
@@ -346,6 +353,9 @@ class SyntheticSpec:
     ``task_covariance`` is the task-mode factor of the tensor-normal
     prior the ground-truth weights are drawn from: high positive
     entries make tasks' classifiers similar, zeros make them unrelated.
+    ``test_samples_per_task`` sizes an optional held-out fold drawn from
+    the same weights (0 for none).  A bad value raises ``ValueError``
+    whose message starts with the field's name.
     """
 
     num_tasks: int
@@ -355,19 +365,39 @@ class SyntheticSpec:
     task_covariance: object
     noise_scale: float = 1.0
     seed: int = 0
-    task_names: list | None = None
+    task_names: list[str] | None = None
+    test_samples_per_task: int = 0
 
     def __post_init__(self):
-        if self.num_tasks < 1 or self.feature_dim < 1 or self.num_classes < 2:
-            raise ValueError("bad synthetic dims")
-        if self.samples_per_task < 1:
-            raise ValueError("samples_per_task must be positive")
-        if self.noise_scale <= 0:
-            raise ValueError("noise_scale must be positive")
-        self.task_covariance = np.asarray(self.task_covariance, dtype=float)
-        if self.task_covariance.shape != (self.num_tasks, self.num_tasks):
-            raise ValueError("task_covariance must be (num_tasks, num_tasks)")
-        if self.task_names is not None and len(self.task_names) != self.num_tasks:
+        for name, least in (
+            ("num_tasks", 1),
+            ("feature_dim", 1),
+            ("num_classes", 2),
+            ("samples_per_task", 1),
+            ("seed", 0),
+            ("test_samples_per_task", 0),
+        ):
+            if getattr(self, name) < least:
+                raise ValueError(
+                    f"{name} must be at least {least}, got {getattr(self, name)}"
+                )
+        if not 0.0 < self.noise_scale < np.inf:
+            raise ValueError(
+                f"noise_scale must be positive and finite, got {self.noise_scale}"
+            )
+        n = self.num_tasks
+        try:
+            cov = np.asarray(self.task_covariance, dtype=float)
+            if cov.shape != (n, n) or not np.isfinite(cov).all():
+                raise ValueError
+            SpdFactor(cov)
+        except (TypeError, ValueError):
+            raise ValueError(
+                "task_covariance must be a finite symmetric positive definite "
+                f"{n} x {n} matrix"
+            ) from None
+        self.task_covariance = cov
+        if self.task_names is not None and len(self.task_names) != n:
             raise ValueError("task_names must have one entry per task")
 
 

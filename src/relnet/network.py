@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .serialize import dump_json, load_json
+from .serialize import InputError, dump_json, load_json
 from .tensor_normal import KronCovariance
 
 __all__ = [
@@ -154,10 +154,6 @@ class TaskLayerStack:
     def layer_index(self, layer) -> int:
         """Resolve a layer given by id or position."""
         return resolve_layer(self.layer_ids, layer)
-
-    def layer_dims(self, layer) -> tuple:
-        """(D_in, D_out, T) of one stack layer."""
-        return self.weights[self.layer_index(layer)].shape
 
 
 @dataclass
@@ -573,13 +569,17 @@ def save_checkpoint(net: MultiTaskNet, path, task_names=None) -> None:
 
 
 def load_checkpoint(path) -> tuple:
-    """Read a checkpoint; returns ``(net, task_names)``."""
+    """Read a checkpoint; returns ``(net, task_names)``.
+
+    A file that cannot be read, parsed or built into a network raises
+    :class:`~relnet.serialize.InputError` naming ``path``.
+    """
     doc = load_json(path)
     if not isinstance(doc, dict) or doc.get("schema_version") != CHECKPOINT_SCHEMA_VERSION:
-        raise ValueError(
-            f"unsupported checkpoint schema: {doc.get('schema_version')!r}"
+        raise InputError(
+            f"{path}: unsupported checkpoint schema: {doc.get('schema_version')!r}"
             if isinstance(doc, dict)
-            else "checkpoint must be a JSON object"
+            else f"{path}: checkpoint must be a JSON object"
         )
     try:
         trunk = [
@@ -608,7 +608,7 @@ def load_checkpoint(path) -> tuple:
             )
             activations.append(entry["activation"])
         if ids != doc["stack"]["layer_ids"]:
-            raise ValueError("checkpoint stack ids are inconsistent")
+            raise ValueError("stack ids are inconsistent")
         net = MultiTaskNet(
             input_dim=int(doc["input_dim"]),
             num_classes=int(doc["num_classes"]),
@@ -616,6 +616,6 @@ def load_checkpoint(path) -> tuple:
             trunk=trunk,
             stack=TaskLayerStack(ids, weights, biases, activations),
         )
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed checkpoint: {exc}") from None
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"{path}: malformed checkpoint: {exc}") from None
     return net, doc.get("task_names")

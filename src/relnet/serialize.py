@@ -1,4 +1,4 @@
-"""Byte-stable JSON and CSV emission.
+"""Byte-stable JSON and CSV emission, and the one JSON reader.
 
 Reports, checkpoints and relationship exports must reproduce identical
 bytes across runs with the same seed.  The stdlib ``json`` module does
@@ -12,6 +12,10 @@ Float arrays are emitted whole: a row is one finiteness check and one
 join over its values, with no Python list built by the caller and no
 per-element type dispatch, and the bytes are exactly those the array's
 ``tolist()`` would give.
+
+Every JSON document the program reads from outside goes through
+:func:`load_json`, which turns a missing file or a syntax error into an
+:class:`InputError` that names the file.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import math
 import numpy as np
 
 __all__ = [
+    "InputError",
     "format_float",
     "format_floats",
     "dumps_json",
@@ -29,6 +34,14 @@ __all__ = [
     "load_json",
     "write_csv_rows",
 ]
+
+
+class InputError(ValueError):
+    """Malformed input from outside the program.
+
+    The message names the file, or the ``config.<section>.<field>``,
+    at fault; the command line maps it to exit code 1.
+    """
 
 
 def format_float(x: float) -> str:
@@ -131,8 +144,24 @@ def dump_json(obj, path) -> None:
 
 
 def load_json(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    """Parse the JSON file at ``path``.
+
+    Raises :class:`InputError` reading ``<path>: <strerror>`` when the
+    file cannot be read and ``<path>: invalid JSON at line L column C:
+    <msg>`` when it does not parse.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise InputError(f"{path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text at byte {exc.start}") from None
+    except json.JSONDecodeError as exc:
+        raise InputError(
+            f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: "
+            f"{exc.msg}"
+        ) from None
 
 
 def write_csv_rows(path, header, rows) -> None:

@@ -28,12 +28,13 @@ generators, so a fixed config yields a bit-identical trajectory.
 
 from __future__ import annotations
 
+import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .data import MultiTaskDataset
+from .data import DatasetError, MultiTaskDataset
 from .network import (
     MultiTaskNet,
     TaskLayerStack,
@@ -49,6 +50,7 @@ from .tensor_normal import EstimationError, KronCovariance, SpdFactor, mode_gram
 __all__ = [
     "TrainingError",
     "TrainConfig",
+    "check_data",
     "CovarianceState",
     "OptimizerState",
     "OpCounter",
@@ -76,7 +78,9 @@ class TrainConfig:
     ``lr_schedule`` is ``"constant"`` or ``"inv"``, the latter decaying
     the base rate by ``(1 + lr_gamma * iteration) ** -lr_power``.
     ``shared_task_sigma`` estimates one task-mode factor pooled over
-    all stack layers instead of one per layer.
+    all stack layers instead of one per layer.  Every float must be
+    finite; a bad value raises ``ValueError`` whose message starts with
+    the field's name.
     """
 
     learning_rate: float = 0.01
@@ -93,6 +97,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         if not 0.0 <= self.momentum < 1.0:
@@ -108,9 +115,13 @@ class TrainConfig:
         if self.new_layer_lr_multiplier <= 0:
             raise ValueError("new_layer_lr_multiplier must be positive")
         if self.lr_schedule not in ("constant", "inv"):
-            raise ValueError(f"unknown lr_schedule {self.lr_schedule!r}")
+            raise ValueError(
+                f"lr_schedule must be 'constant' or 'inv', got {self.lr_schedule!r}"
+            )
         if self.lr_gamma < 0 or self.lr_power < 0:
             raise ValueError("lr_gamma and lr_power must be non-negative")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 def learning_rate_at(cfg: TrainConfig, iteration: int) -> float:
@@ -289,18 +300,21 @@ def update_covariances(
     )
 
 
-def _check_data(net: MultiTaskNet, data: MultiTaskDataset, what: str):
+def check_data(net: MultiTaskNet, data: MultiTaskDataset, what: str) -> None:
+    """Raise :class:`~relnet.data.DatasetError` unless ``data`` (named
+    ``what`` in the message) has the network's task count, input feature
+    dim and class count."""
     if data.num_tasks != net.num_tasks:
-        raise ValueError(
+        raise DatasetError(
             f"{what} has {data.num_tasks} tasks, network expects {net.num_tasks}"
         )
     if data.feature_dim != net.input_dim:
-        raise ValueError(
+        raise DatasetError(
             f"{what} feature dim {data.feature_dim} != network input "
             f"{net.input_dim}"
         )
     if data.num_classes != net.num_classes:
-        raise ValueError(
+        raise DatasetError(
             f"{what} has {data.num_classes} classes, network expects "
             f"{net.num_classes}"
         )
@@ -354,7 +368,7 @@ def sgd_epoch(
     the layer and the quantity.  Mutates ``net`` and ``state`` in place
     and returns them.
     """
-    _check_data(net, data, "training data")
+    check_data(net, data, "training data")
     stack = net.stack
     sizes = np.asarray(data.task_sizes)
     task_of = np.repeat(np.arange(net.num_tasks), sizes)
@@ -429,7 +443,7 @@ def objective(
     cfg: TrainConfig,
 ) -> float:
     """Total loss: summed cross-entropy plus the weighted prior term."""
-    _check_data(net, data, "data")
+    check_data(net, data, "data")
     risk = sum(
         task_log_loss(net, t, data.features[t], data.labels[t])
         for t in range(data.num_tasks)
@@ -489,14 +503,6 @@ class TrainReport:
             [[r.epoch, r.sgd_seconds, r.cov_seconds] for r in self.records],
         )
 
-    @property
-    def final_train_accuracy(self) -> tuple | None:
-        return self.records[-1].train_accuracy if self.records else None
-
-    @property
-    def final_objective(self) -> float | None:
-        return self.records[-1].objective if self.records else None
-
 
 def _residual(old: CovarianceState, new: CovarianceState, l: int) -> float:
     return max(
@@ -526,9 +532,9 @@ def train(
     prior has no influence on the parameters, so tasks train
     independently and the factors stay at their identity initialization.
     """
-    _check_data(net, data, "training data")
+    check_data(net, data, "training data")
     if eval_data is not None:
-        _check_data(net, eval_data, "eval data")
+        check_data(net, eval_data, "eval data")
 
     cov = CovarianceState.identity_for(net.stack, cfg.shared_task_sigma)
     state = OptimizerState.zeros_like(net)

@@ -5,18 +5,24 @@ codes and outputs can be asserted directly; one smoke test goes through
 ``python -m relnet`` to cover the module entry point.
 """
 
+import copy
 import json
+import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import relnet
-from relnet.cli import main
+from relnet.cli import ConfigError, ModelSpec, main, parse_experiment_config
 from relnet.data import (
     MultiTaskDataset,
+    SplitSpec,
     SyntheticSpec,
     generate_synthetic,
     write_manifest,
@@ -30,6 +36,7 @@ from relnet.tensor_normal import (
     mle_mean,
     sample,
 )
+from relnet.trainer import TrainConfig
 
 
 def spd(rng, dim):
@@ -512,3 +519,278 @@ def test_commands_import_no_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+# --------------------------------------------------------------------------
+# rejected input: exit 1, the field or file named, no traceback
+
+
+def with_field(path, value):
+    """A ``train`` command whose config has ``value`` at the dotted
+    ``path``."""
+
+    def setup(tmp_path):
+        doc = experiment_config(epochs=1)
+        *sections, key = path.split(".")
+        target = doc
+        for section in sections:
+            target = target[section]
+        target[key] = value
+        return ["train", "--config", str(write_config(tmp_path, doc))]
+
+    return setup
+
+
+def with_manifest(command, text):
+    """A ``train`` or ``eval`` command reading a manifest with the given
+    text (``None``: no manifest file)."""
+
+    def setup(tmp_path):
+        manifest = tmp_path / "manifest.json"
+        if text is not None:
+            manifest.write_text(text)
+        if command == "train":
+            doc = experiment_config(epochs=1)
+            doc["data"] = {"manifest": "manifest.json"}
+            return ["train", "--config", str(write_config(tmp_path, doc))]
+        return ["eval", "--model", str(tiny_checkpoint(tmp_path)), "--data", str(manifest)]
+
+    return setup
+
+
+def tiny_checkpoint(tmp_path):
+    stack = TaskLayerStack(
+        ["classifier"], [np.zeros((5, 3, 2))], [np.zeros((2, 3))], ["softmax"]
+    )
+    path = tmp_path / "model.json"
+    save_checkpoint(MultiTaskNet(5, 3, 2, [], stack), path, task_names=["a", "b"])
+    return path
+
+
+def with_samples(dims, n=20, bad=None, flags=()):
+    """A ``tnd-fit`` command on ``n`` samples of ``dims`` (written as
+    given, so they may be invalid), with ``bad = (sample, entry)`` set
+    to NaN."""
+
+    def setup(tmp_path):
+        rng = np.random.default_rng(0)
+        samples = rng.standard_normal((n, int(np.prod(dims)))).tolist()
+        if bad is not None:
+            samples[bad[0]][bad[1]] = float("nan")
+        inp = tmp_path / "samples.json"
+        inp.write_text(json.dumps({"dims": dims, "samples": samples}))
+        out = tmp_path / "fit.json"
+        return ["tnd-fit", "--input", str(inp), "--out", str(out), *flags]
+
+    return setup
+
+
+def with_flags(command, *flags):
+    """A valid ``train`` or ``eval`` command with extra ``flags``."""
+
+    def setup(tmp_path):
+        if command == "train":
+            cfg = write_config(tmp_path, experiment_config(epochs=1))
+            return ["train", "--config", str(cfg), *flags]
+        manifest = TestEval().make_balanced_manifest(tmp_path)
+        return [
+            "eval", "--model", str(tiny_checkpoint(tmp_path)),
+            "--data", str(manifest), *flags,
+        ]
+
+    return setup
+
+
+def with_relationship(correlation):
+    """CSV export of a relationship file holding ``correlation``."""
+
+    def setup(tmp_path):
+        (tmp_path / "relationship_classifier.json").write_text(
+            json.dumps({"task_names": ["a", "b"], "correlation": correlation})
+        )
+        return [
+            "export-relationship", "--model-dir", str(tmp_path),
+            "--layer", "classifier", "--format", "csv",
+        ]
+
+    return setup
+
+
+REJECTED = {
+    "batch_size_float": (with_field("train.batch_size", 2.5), "config.train.batch_size"),
+    "epochs_float": (with_field("train.epochs", 1.5), "config.train.epochs"),
+    "seed_negative": (with_field("train.seed", -1), "config.train.seed"),
+    "shared_task_sigma_string": (
+        with_field("train.shared_task_sigma", "no"),
+        "config.train.shared_task_sigma",
+    ),
+    "learning_rate_bool": (
+        with_field("train.learning_rate", True),
+        "config.train.learning_rate",
+    ),
+    "lr_gamma_nan": (with_field("train.lr_gamma", float("nan")), "config.train.lr_gamma"),
+    "noise_scale_nan": (
+        with_field("data.synthetic.noise_scale", float("nan")),
+        "config.data.synthetic.noise_scale",
+    ),
+    "epsilon_ridge_inf": (
+        with_field("train.epsilon_ridge", float("inf")),
+        "config.train.epsilon_ridge",
+    ),
+    "task_covariance_not_spd": (
+        with_field("data.synthetic.task_covariance", [[1, 2, 0], [2, 1, 0], [0, 0, 1]]),
+        "config.data.synthetic.task_covariance",
+    ),
+    "task_covariance_nan": (
+        with_field("data.synthetic.task_covariance", np.where(
+            np.eye(3) > 0, 1.0, float("nan")).tolist()),
+        "config.data.synthetic.task_covariance",
+    ),
+    "train_manifest_missing": (with_manifest("train", None), "manifest.json"),
+    "train_manifest_invalid_json": (
+        with_manifest("train", "{ nope"),
+        "manifest.json: invalid JSON at line 1",
+    ),
+    "train_manifest_bad_value": (
+        with_manifest(
+            "train",
+            '{"schema_version": 1, "num_classes": "three", "tasks": []}',
+        ),
+        "manifest.json: malformed manifest",
+    ),
+    "eval_manifest_invalid_json": (
+        with_manifest("eval", "{ nope"),
+        "manifest.json: invalid JSON at line 1",
+    ),
+    "eval_manifest_bad_value": (
+        with_manifest(
+            "eval",
+            '{"schema_version": 1, "num_classes": "three", "tasks": []}',
+        ),
+        "manifest.json: malformed manifest",
+    ),
+    "tnd_dims_bool": (with_samples([True, 3, 4]), "dims[0]"),
+    "tnd_max_iter_zero": (with_samples([3, 2, 2], flags=("--max-iter", "0")), "--max-iter"),
+    "tnd_tol_negative": (with_samples([3, 2, 2], flags=("--tol", "-1")), "--tol"),
+    "tnd_tol_nan": (with_samples([3, 2, 2], flags=("--tol", "nan")), "--tol"),
+    "tnd_non_finite_entry": (with_samples([3, 2, 2], bad=(1, 5)), "sample 1 entry 5"),
+    "tnd_too_few_samples": (with_samples([16, 2, 2], n=2), "mode 1 needs"),
+    "train_seed_flag_negative": (with_flags("train", "--seed", "-1"), "--seed"),
+    "eval_split_seed_negative": (
+        with_flags("eval", "--train-fraction", "0.5", "--split-seed", "-1"),
+        "seed must be non-negative",
+    ),
+    "relationship_not_numeric": (
+        with_relationship([["x", 0], [0, 1]]),
+        "relationship_classifier.json",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REJECTED))
+def test_rejected_input_exits_usage_naming_the_field(case, tmp_path, capsys):
+    """Each bad value or file exits 1 with a message naming it; an
+    uncaught exception here would be a traceback."""
+    setup, named = REJECTED[case]
+    argv = setup(tmp_path)
+    capsys.readouterr()
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects a bad flag value
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert named in err
+    assert "Traceback" not in err
+
+
+def test_too_few_samples_names_the_smallest_count(tmp_path, capsys):
+    """dims (16, 2, 2) need ``(n - 1) * 4 >= 16``: 5 samples pass the
+    rank condition and 4 do not."""
+    argv = with_samples([16, 2, 2], n=4)(tmp_path)
+    assert main(argv) == 1
+    assert "mode 1 needs (n - 1) * 4 >= 16, so at least 5 samples" in (
+        capsys.readouterr().err
+    )
+    argv = with_samples([16, 2, 2], n=5)(tmp_path)
+    assert main(argv) != 1
+
+
+# --------------------------------------------------------------------------
+# the config parser on any JSON value
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def config_paths(doc, prefix=()):
+    """Every key path of a config document, sections included."""
+    for key, value in doc.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from config_paths(value, prefix + (key,))
+
+
+def manifest_config():
+    doc = experiment_config()
+    doc["data"] = {"manifest": "data/manifest.json"}
+    doc["split"] = {"train_fraction": 0.5, "stratified": True, "seed": 3}
+    return doc
+
+
+CONFIG_FIELDS = [("synthetic", p) for p in config_paths(experiment_config())] + [
+    ("manifest", p) for p in config_paths(manifest_config())
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(CONFIG_FIELDS), JSON_VALUES)
+def test_any_json_value_in_any_field_is_parsed_or_a_config_error(where, value):
+    kind, path = where
+    doc = experiment_config() if kind == "synthetic" else manifest_config()
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = copy.deepcopy(value)
+    try:
+        parse_experiment_config(doc, ".")
+    except ConfigError:
+        pass
+
+
+# --------------------------------------------------------------------------
+# README
+
+
+def readme_config_block():
+    """The ``jsonc`` config example of README.md, comments removed."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"```jsonc\n(.*?)```", readme, re.S).group(1)
+    return json.loads(re.sub(r"\s*//[^\n]*", "", block))
+
+
+def test_readme_config_keys_are_the_parsed_keys():
+    """Every section of README's config example lists exactly the keys
+    the parser accepts, and the example parses."""
+    doc = readme_config_block()
+    assert set(doc) == {
+        "schema_version", "variant", "data", "split", "model", "train", "output_dir"
+    }
+    assert set(doc["data"]) == {"manifest", "synthetic"}
+    for section, cls in (
+        (doc["data"]["synthetic"], SyntheticSpec),
+        (doc["split"], SplitSpec),
+        (doc["model"], ModelSpec),
+        (doc["train"], TrainConfig),
+    ):
+        assert set(section) == {f.name for f in fields(cls)}
+    del doc["data"]["manifest"], doc["split"]
+    parse_experiment_config(doc, ".")
