@@ -42,7 +42,9 @@ from .data import (
 )
 from .network import accuracy, init_network, load_checkpoint, save_checkpoint
 from .serialize import (
+    ConfigError,
     InputError,
+    check_type,
     dump_json,
     dumps_json,
     format_float,
@@ -73,11 +75,6 @@ RELATIONSHIP_SCHEMA_VERSION = 1
 TND_FIT_SCHEMA_VERSION = 1
 
 VARIANTS = ("drn", "drn8", "stl")
-
-
-class ConfigError(InputError):
-    """Raised for malformed experiment configs and command inputs; maps
-    to exit code 1."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -145,55 +142,16 @@ def _require(doc: dict, where: str, required, optional) -> None:
         raise ConfigError(f"{where}: missing keys {missing}")
 
 
-# The JSON type rule of each scalar annotation: its description and its
-# test.  ``type(v) is int`` keeps out bools, which subclass int; the
-# float bound keeps out NaN, the infinities and integers too large for a
-# double.
-_JSON_TYPES = {
-    "int": ("an integer", lambda v: type(v) is int),
-    "float": (
-        "a finite number",
-        lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max,
-    ),
-    "bool": ("true or false", lambda v: type(v) is bool),
-    "str": ("a string", lambda v: type(v) is str),
-}
-
-
-def _check_type(value, kind: str, where: str):
-    """Check a JSON value against the field annotation ``kind``.
-
-    ``int``, ``float``, ``bool`` and ``str`` follow ``_JSON_TYPES``;
-    ``X | None`` also accepts null, and ``list[X]`` a list whose items
-    pass ``X``.  Any other annotation is left to the dataclass's
-    ``__post_init__``.  Returns the value, with a ``float`` as a float.
-    """
-    if kind.endswith(" | None"):
-        if value is None:
-            return None
-        kind = kind[: -len(" | None")]
-    if kind.startswith("list["):
-        if type(value) is not list:
-            raise ConfigError(f"{where} must be a list, got {value!r}")
-        return [_check_type(v, kind[5:-1], f"{where}[{i}]") for i, v in enumerate(value)]
-    if kind not in _JSON_TYPES:
-        return value
-    what, ok = _JSON_TYPES[kind]
-    if not ok(value):
-        raise ConfigError(f"{where} must be {what}, got {value!r}")
-    return float(value) if kind == "float" else value
-
-
 def _parse_section(cls, doc, where: str):
     """Build the dataclass ``cls`` from the JSON object ``doc`` at
     ``where`` (``config.<section>``).
 
     The field table is ``dataclasses.fields(cls)``: a field without a
     default is required, a key that names no field is an error, and each
-    value must pass :func:`_check_type` for its field's annotation.
-    Bounds live only in ``cls.__post_init__``, whose ``ValueError``
-    message starts with the field's name, so every error reads
-    ``config.<section>.<field> ...``.
+    value must pass :func:`~relnet.serialize.check_type` for its field's
+    annotation.  Bounds live only in ``cls.__post_init__``, whose
+    ``ValueError`` message starts with the field's name, so every error
+    reads ``config.<section>.<field> ...``.
     """
     if not isinstance(doc, dict):
         raise ConfigError(f"{where}: expected a JSON object")
@@ -205,7 +163,7 @@ def _parse_section(cls, doc, where: str):
     ]
     _require(doc, where, required, table)
     kwargs = {
-        key: _check_type(value, table[key].type, f"{where}.{key}")
+        key: check_type(value, table[key].type, f"{where}.{key}")
         for key, value in doc.items()
     }
     try:
@@ -250,7 +208,7 @@ def parse_experiment_config(doc, base_dir) -> ExperimentConfig:
     manifest = None
     synthetic = None
     if "manifest" in data:
-        manifest = base_dir / _check_type(data["manifest"], "str", "config.data.manifest")
+        manifest = base_dir / check_type(data["manifest"], "str", "config.data.manifest")
     else:
         synthetic = _parse_section(
             SyntheticSpec, data["synthetic"], "config.data.synthetic"
@@ -277,7 +235,7 @@ def parse_experiment_config(doc, base_dir) -> ExperimentConfig:
 
     output_dir = None
     if "output_dir" in doc:
-        output_dir = base_dir / _check_type(doc["output_dir"], "str", "config.output_dir")
+        output_dir = base_dir / check_type(doc["output_dir"], "str", "config.output_dir")
 
     return ExperimentConfig(
         variant=variant,
@@ -408,7 +366,7 @@ def _load_tnd_samples(path: Path) -> list:
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: expected an object with 'dims' and 'samples'")
     _require(doc, str(path), required=("dims", "samples"), optional=())
-    dims = _check_type(doc["dims"], "list[int]", f"{path}: dims")
+    dims = check_type(doc["dims"], "list[int]", f"{path}: dims")
     if len(dims) != 3 or min(dims) < 1:
         raise ConfigError(f"{path}: dims must be three positive integers")
     samples = doc["samples"]

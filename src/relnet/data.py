@@ -20,7 +20,14 @@ from pathlib import Path
 import numpy as np
 
 from .network import softmax
-from .serialize import InputError, dump_json, format_floats, load_json
+from .serialize import (
+    InputError,
+    check_type,
+    dump_json,
+    format_floats,
+    load_json,
+    open_text,
+)
 from .tensor_normal import KronCovariance, SpdFactor, TensorNormal, sample
 
 __all__ = [
@@ -34,7 +41,6 @@ __all__ = [
     "load_manifest",
     "write_manifest",
     "split",
-    "kfold",
     "generate_synthetic",
     "sample_task_data",
 ]
@@ -119,7 +125,7 @@ class MultiTaskDataset:
 def _parse_csv_file(path, num_classes: int):
     rows, labels, linenos = [], [], []
     width = None
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -167,18 +173,19 @@ def _parse_csv_file(path, num_classes: int):
 def load_csv(paths, num_classes: int, task_names=None) -> MultiTaskDataset:
     """Load one CSV file per task.
 
-    Rows are ``x1,...,xD,label``.  Malformed content raises
-    :class:`DatasetError` naming the file and line.  Task names default
-    to the file stems.
+    Rows are ``x1,...,xD,label``.  An unreadable or non-UTF-8 file, or
+    malformed content, raises :class:`DatasetError` naming the file (and
+    line).  Task names default to the file stems.
     """
     paths = [Path(p) for p in paths]
     if task_names is None:
         task_names = [p.stem for p in paths]
     feats, labs = [], []
     for path in paths:
-        if not path.exists():
-            raise DatasetError(f"{path}: no such file")
-        x, y = _parse_csv_file(path, num_classes)
+        try:
+            x, y = _parse_csv_file(path, num_classes)
+        except InputError as exc:
+            raise DatasetError(str(exc)) from None
         feats.append(x)
         labs.append(y)
     return MultiTaskDataset(list(task_names), feats, labs, int(num_classes))
@@ -202,7 +209,8 @@ def load_manifest(path) -> MultiTaskDataset:
 
     The manifest lists task names and CSV paths (relative to its own
     directory) plus the class count; the feature dim, when present, is
-    validated against the loaded data.
+    validated against the loaded data.  Both counts must be JSON
+    integers (:func:`~relnet.serialize.check_type`).
     """
     path = Path(path)
     doc = load_json(path)
@@ -213,12 +221,12 @@ def load_manifest(path) -> MultiTaskDataset:
             f"{path}: unsupported manifest schema {doc.get('schema_version')!r}"
         )
     try:
-        num_classes = int(doc["num_classes"])
+        num_classes = check_type(doc["num_classes"], "int", "num_classes")
         tasks = doc["tasks"]
         names = [entry["name"] for entry in tasks]
         files = [path.parent / entry["path"] for entry in tasks]
-        feature_dim = int(doc.get("feature_dim", 0))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        feature_dim = check_type(doc.get("feature_dim", 0), "int", "feature_dim")
+    except (KeyError, TypeError, ValueError) as exc:
         raise DatasetError(f"{path}: malformed manifest: {exc}") from None
     ds = load_csv(files, num_classes, task_names=names)
     if "feature_dim" in doc and feature_dim != ds.feature_dim:
@@ -321,29 +329,6 @@ def split(ds: MultiTaskDataset, spec: SplitSpec) -> tuple:
         train_idx.append(tr)
         test_idx.append(te)
     return ds.subset(train_idx), ds.subset(test_idx)
-
-
-def kfold(ds: MultiTaskDataset, k: int, seed: int = 0) -> list:
-    """Cross-validation folds: ``k`` (train, validation) dataset pairs."""
-    if k < 2:
-        raise SplitError("need at least two folds")
-    for name, n in zip(ds.task_names, ds.task_sizes):
-        if n < k:
-            raise SplitError(f"task {name!r}: {n} samples cannot fill {k} folds")
-    assignments = []
-    for t, n in enumerate(ds.task_sizes):
-        rng = np.random.default_rng([seed, t])
-        perm = rng.permutation(n)
-        assignments.append(np.array_split(perm, k))
-    folds = []
-    for i in range(k):
-        val_idx = [np.sort(parts[i]) for parts in assignments]
-        train_idx = [
-            np.sort(np.concatenate([p for j, p in enumerate(parts) if j != i]))
-            for parts in assignments
-        ]
-        folds.append((ds.subset(train_idx), ds.subset(val_idx)))
-    return folds
 
 
 @dataclass

@@ -15,7 +15,8 @@ losses and gradients stay finite for logits of any magnitude.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import copy
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -70,14 +71,6 @@ class DenseLayer:
             )
         if self.activation not in _HIDDEN_ACTIVATIONS:
             raise ValueError(f"unsupported trunk activation {self.activation!r}")
-
-    @property
-    def in_dim(self) -> int:
-        return self.weight.shape[0]
-
-    @property
-    def out_dim(self) -> int:
-        return self.weight.shape[1]
 
 
 def resolve_layer(layer_ids, layer) -> int:
@@ -151,27 +144,34 @@ class TaskLayerStack:
     def num_layers(self) -> int:
         return len(self.layer_ids)
 
-    def layer_index(self, layer) -> int:
-        """Resolve a layer given by id or position."""
-        return resolve_layer(self.layer_ids, layer)
-
 
 @dataclass
 class MultiTaskNet:
-    """Shared trunk plus task-specific stack."""
+    """Shared trunk plus task-specific stack, all parameters in one buffer.
+
+    ``params`` is one contiguous float64 vector: the trunk layers, then
+    the stack layers, each layer's weights before its bias.  The net
+    makes every ``trunk[i].weight``/``.bias`` and ``stack.weights[l]``/
+    ``.biases[l]`` a view of it; ``stack_start`` is where the stack
+    segment begins.  Write into a layer array to change it: rebinding
+    it (``layer.weight = x``) detaches it from ``params``, and training
+    no longer moves it.
+    """
 
     input_dim: int
     num_classes: int
     num_tasks: int
     trunk: list
     stack: TaskLayerStack
+    params: np.ndarray = field(init=False, repr=False)
+    stack_start: int = field(init=False, repr=False)
 
     def __post_init__(self):
         dim = self.input_dim
         for layer in self.trunk:
-            if layer.in_dim != dim:
+            if layer.weight.shape[0] != dim:
                 raise ValueError("trunk layer dims do not chain from the input")
-            dim = layer.out_dim
+            dim = layer.weight.shape[1]
         if self.stack.weights[0].shape[0] != dim:
             raise ValueError(
                 f"stack expects input dim {self.stack.weights[0].shape[0]}, "
@@ -181,6 +181,48 @@ class MultiTaskNet:
             raise ValueError("final stack layer width must equal num_classes")
         if self.stack.num_tasks != self.num_tasks:
             raise ValueError("stack task count does not match num_tasks")
+        stack = self.stack
+        named = []
+        for i, layer in enumerate(self.trunk):
+            named.append((f"trunk layer {i}", layer.weight, layer.bias))
+        for lid, w, b in zip(stack.layer_ids, stack.weights, stack.biases):
+            named.append((f"stack layer {lid!r}", w, b))
+        self._layout, end = [], 0
+        for name, w, b in named:
+            for what, arr in (("weights", w), ("bias", b)):
+                self._layout.append((f"{name} {what}", arr.shape, end, end + arr.size))
+                end += arr.size
+        self.params = np.concatenate([a.ravel() for _, w, b in named for a in (w, b)])
+        trunk_w, trunk_b, stack.weights[:], stack.biases[:] = self._split(self.params)
+        for layer, w, b in zip(self.trunk, trunk_w, trunk_b):
+            layer.weight, layer.bias = w, b
+        self.stack_start = self._layout[2 * len(self.trunk)][2]
+
+    def __deepcopy__(self, memo):
+        # Copying the views one by one would leave the copy's layer
+        # arrays apart from its params; rebuilding binds them.
+        return replace(
+            self,
+            trunk=copy.deepcopy(self.trunk, memo),
+            stack=copy.deepcopy(self.stack, memo),
+        )
+
+    def segments(self, vec) -> list:
+        """``(name, view)`` per parameter array, in buffer order: views of
+        ``vec``, any vector laid out like :attr:`params` (a gradient, a
+        velocity), named like ``"stack layer 'classifier' weights"``."""
+        return [(name, vec[a:b].reshape(shape)) for name, shape, a, b in self._layout]
+
+    def first_nonfinite(self, vec) -> str | None:
+        """Name of the first segment of ``vec`` that is not all finite."""
+        bad = (name for name, v in self.segments(vec) if not np.isfinite(v).all())
+        return next(bad, None)
+
+    def _split(self, vec) -> tuple:
+        """Views of ``vec`` as the four lists of :class:`Gradients`."""
+        views = [view for _, view in self.segments(vec)]
+        n = 2 * len(self.trunk)
+        return views[0:n:2], views[1:n:2], views[n::2], views[n + 1 :: 2]
 
 
 @dataclass
@@ -189,13 +231,16 @@ class Gradients:
 
     Stack gradients are dense ``(D_in, D_out, T)`` weight and ``(T,
     D_out)`` bias tensors; the slices of tasks without an example in
-    the batch are zero.
+    the batch are zero.  From :func:`batch_gradients`, the four lists
+    are views of ``flat``, a vector with the layout of
+    :attr:`MultiTaskNet.params`.
     """
 
     trunk_weights: list = field(default_factory=list)
     trunk_biases: list = field(default_factory=list)
     stack_weights: list = field(default_factory=list)
     stack_biases: list = field(default_factory=list)
+    flat: np.ndarray | None = None
 
 
 def init_network(
@@ -408,7 +453,8 @@ def batch_gradients(net: MultiTaskNet, tasks, x, labels) -> Gradients:
     of its weights, its output gradient ``dz`` spread to the row's task
     by the batch's task one-hot ``M``: the weight gradient is ``a^T (dz
     kron M)``, the input gradient ``(dz kron M) W^T`` and the bias
-    gradient ``M^T dz``.  ReLU uses subgradient 0 at 0.
+    gradient ``M^T dz``.  ReLU uses subgradient 0 at 0.  Each gradient
+    is written into its view of the returned ``flat`` vector.
     """
     arr, _ = _as_batch(net, x)
     tasks = np.asarray(tasks, dtype=int).reshape(-1)
@@ -427,22 +473,21 @@ def batch_gradients(net: MultiTaskNet, tasks, x, labels) -> Gradients:
 
     n_trunk = len(net.trunk)
     stack = net.stack
-    grads = Gradients(
-        [None] * n_trunk, [None] * n_trunk,
-        [None] * stack.num_layers, [None] * stack.num_layers,
-    )
+    flat = np.empty_like(net.params)
+    grads = Gradients(*net._split(flat), flat=flat)
     for l in range(n_trunk + stack.num_layers - 1, -1, -1):
         a = inputs[l]
         if l >= n_trunk:
             w = stack.weights[l - n_trunk]
             w_flat = w.reshape(w.shape[0], -1)
             spread = (dz[:, :, None] * onehot[:, None, :]).reshape(dz.shape[0], -1)
-            grads.stack_weights[l - n_trunk] = (a.T @ spread).reshape(w.shape)
-            grads.stack_biases[l - n_trunk] = onehot.T @ dz
+            out = grads.stack_weights[l - n_trunk].reshape(w_flat.shape)
+            np.matmul(a.T, spread, out=out)
+            np.matmul(onehot.T, dz, out=grads.stack_biases[l - n_trunk])
         else:
             spread, w_flat = dz, net.trunk[l].weight
-            grads.trunk_weights[l] = a.T @ dz
-            grads.trunk_biases[l] = dz.sum(axis=0)
+            np.matmul(a.T, dz, out=grads.trunk_weights[l])
+            dz.sum(axis=0, out=grads.trunk_biases[l])
         if l > 0:
             da = spread @ w_flat.T
             act = (
@@ -504,7 +549,7 @@ def prior_gradient_full(
     """``Sigma^{-1} vec(W)`` of one stack layer, as a ``(D_in, D_out, T)``
     tensor covering every task."""
     _check_priors(stack, priors)
-    l = stack.layer_index(layer)
+    l = resolve_layer(stack.layer_ids, layer)
     return priors[l].apply_inverse(stack.weights[l])
 
 

@@ -13,25 +13,30 @@ join over its values, with no Python list built by the caller and no
 per-element type dispatch, and the bytes are exactly those the array's
 ``tolist()`` would give.
 
-Every JSON document the program reads from outside goes through
-:func:`load_json`, which turns a missing file or a syntax error into an
-:class:`InputError` that names the file.
+Every input file is opened by :func:`open_text`, and every JSON document
+read by :func:`load_json`, which raise an :class:`InputError` naming the
+file; :func:`check_type` is the one JSON type rule for fields.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import sys
 
 import numpy as np
 
 __all__ = [
     "InputError",
+    "ConfigError",
     "format_float",
     "format_floats",
     "dumps_json",
     "dump_json",
+    "open_text",
     "load_json",
+    "check_type",
     "write_csv_rows",
 ]
 
@@ -42,6 +47,10 @@ class InputError(ValueError):
     The message names the file, or the ``config.<section>.<field>``,
     at fault; the command line maps it to exit code 1.
     """
+
+
+class ConfigError(InputError):
+    """A malformed config, command input or JSON field (:func:`check_type`)."""
 
 
 def format_float(x: float) -> str:
@@ -143,25 +152,76 @@ def dump_json(obj, path) -> None:
         fh.write(dumps_json(obj))
 
 
-def load_json(path):
-    """Parse the JSON file at ``path``.
-
-    Raises :class:`InputError` reading ``<path>: <strerror>`` when the
-    file cannot be read and ``<path>: invalid JSON at line L column C:
-    <msg>`` when it does not parse.
-    """
+@contextlib.contextmanager
+def open_text(path):
+    """``path`` open as UTF-8 text; a file that cannot be read raises
+    :class:`InputError` reading ``<path>: <strerror>``, and one that does
+    not decode ``<path>: not UTF-8 text at byte B``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            try:
+                yield fh
+            except UnicodeDecodeError as exc:
+                # ``exc.start`` counts from the bytes last handed to the
+                # decoder, which end where the byte stream now stands.
+                at = fh.buffer.tell() - len(exc.object) + exc.start
+                raise InputError(f"{path}: not UTF-8 text at byte {at}") from None
     except OSError as exc:
         raise InputError(f"{path}: {exc.strerror or exc}") from None
-    except UnicodeDecodeError as exc:
-        raise InputError(f"{path}: not UTF-8 text at byte {exc.start}") from None
+
+
+def load_json(path):
+    """Parse the JSON file at ``path``; besides :func:`open_text`'s errors,
+    raises :class:`InputError` reading ``<path>: invalid JSON at line L
+    column C: <msg>`` when it does not parse."""
+    try:
+        with open_text(path) as fh:
+            return json.load(fh)
     except json.JSONDecodeError as exc:
         raise InputError(
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: "
             f"{exc.msg}"
         ) from None
+
+
+# The JSON type rule of each scalar annotation: its description and its
+# test.  ``type(v) is int`` keeps out bools, which subclass int; the
+# float bound keeps out NaN, the infinities and integers too large for a
+# double.
+_JSON_TYPES = {
+    "int": ("an integer", lambda v: type(v) is int),
+    "float": (
+        "a finite number",
+        lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max,
+    ),
+    "bool": ("true or false", lambda v: type(v) is bool),
+    "str": ("a string", lambda v: type(v) is str),
+}
+
+
+def check_type(value, kind: str, where: str):
+    """Check a JSON value against the field annotation ``kind``.
+
+    ``int``, ``float``, ``bool`` and ``str`` follow ``_JSON_TYPES``;
+    ``X | None`` also accepts null, and ``list[X]`` a list whose items
+    pass ``X``.  Any other annotation is left to the caller.  Returns the
+    value, with a ``float`` as a float; a mismatch raises
+    :class:`ConfigError` reading ``<where> must be <type>, got <value>``.
+    """
+    if kind.endswith(" | None"):
+        if value is None:
+            return None
+        kind = kind[: -len(" | None")]
+    if kind.startswith("list["):
+        if type(value) is not list:
+            raise ConfigError(f"{where} must be a list, got {value!r}")
+        return [check_type(v, kind[5:-1], f"{where}[{i}]") for i, v in enumerate(value)]
+    if kind not in _JSON_TYPES:
+        return value
+    what, ok = _JSON_TYPES[kind]
+    if not ok(value):
+        raise ConfigError(f"{where} must be {what}, got {value!r}")
+    return float(value) if kind == "float" else value
 
 
 def write_csv_rows(path, header, rows) -> None:

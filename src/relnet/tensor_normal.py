@@ -143,10 +143,6 @@ class SpdFactor:
             self._precision = inv
         return self._precision
 
-    def solve(self, b) -> np.ndarray:
-        """Return ``matrix^{-1} b`` as a product with :attr:`precision`."""
-        return self.precision @ np.asarray(b, dtype=float)
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"SpdFactor(dim={self.dim})"
 
@@ -184,10 +180,6 @@ class KronCovariance:
     @property
     def total_dim(self) -> int:
         return math.prod(self.dims)
-
-    @property
-    def order(self) -> int:
-        return len(self.factors)
 
     def logdet(self) -> float:
         """``log det`` of the full Kronecker product."""

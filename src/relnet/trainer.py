@@ -20,6 +20,9 @@ Each epoch alternates two blocks:
    task-mode factor carries the inter-task relationship; feature and
    output factors absorb within-layer scale.
 
+The gradient and the velocity share the layout of the network's one
+parameter vector, whose layer order only :mod:`relnet.network` knows:
+the SGD step updates its trunk segment and its stack segment whole.
 Task-specific layers train with a learning-rate multiplier since they
 start from scratch while a trunk may be pre-initialized.  Everything is
 driven by one integer seed: shuffles come from per-epoch child
@@ -179,23 +182,16 @@ class CovarianceState:
 
 @dataclass
 class OptimizerState:
-    """Momentum buffers plus iteration and epoch counters."""
+    """Momentum plus iteration and epoch counters; ``velocity`` has the
+    layout of the network's :attr:`~relnet.network.MultiTaskNet.params`."""
 
-    velocity_trunk_w: list
-    velocity_trunk_b: list
-    velocity_stack_w: list
-    velocity_stack_b: list
+    velocity: np.ndarray
     iteration: int = 0
     epoch: int = 0
 
     @classmethod
     def zeros_like(cls, net: MultiTaskNet):
-        return cls(
-            velocity_trunk_w=[np.zeros_like(l.weight) for l in net.trunk],
-            velocity_trunk_b=[np.zeros_like(l.bias) for l in net.trunk],
-            velocity_stack_w=[np.zeros_like(w) for w in net.stack.weights],
-            velocity_stack_b=[np.zeros_like(b) for b in net.stack.biases],
-        )
+        return cls(np.zeros_like(net.params))
 
 
 class OpCounter:
@@ -320,26 +316,6 @@ def check_data(net: MultiTaskNet, data: MultiTaskDataset, what: str) -> None:
         )
 
 
-def _first_nonfinite(layer_ids, trunk_w, trunk_b, stack_w, stack_b):
-    """Name of the first array with a non-finite entry, or ``None``.
-
-    The arrays follow the network's layout (trunk layers, then stack
-    layers, weights before bias), so one function names bad parameters
-    and bad gradients alike.
-    """
-    layers = [
-        (f"trunk layer {i}", w, b) for i, (w, b) in enumerate(zip(trunk_w, trunk_b))
-    ] + [
-        (f"stack layer {lid!r}", w, b)
-        for lid, w, b in zip(layer_ids, stack_w, stack_b)
-    ]
-    for name, w, b in layers:
-        for quantity, arr in (("weights", w), ("bias", b)):
-            if not np.isfinite(arr).all():
-                return f"{name} {quantity}"
-    return None
-
-
 def sgd_epoch(
     net: MultiTaskNet,
     cov: CovarianceState,
@@ -360,7 +336,8 @@ def sgd_epoch(
     ``t``'s slice scaled by ``prior_weight * c_t / N_t``, ``c_t`` being
     the task's example count in the batch, so over the epoch each task
     accumulates its full prior gradient exactly once.  The velocity
-    update is ``v = momentum * v - lr * g`` with task-specific layers at
+    update ``v = momentum * v - lr * g`` runs on the trunk segment of
+    the parameter vector and then on its stack segment, the latter at
     ``lr * new_layer_lr_multiplier``.
 
     A non-finite gradient, or a parameter that turns non-finite in the
@@ -381,31 +358,14 @@ def sgd_epoch(
 
     priors = cov.priors() if cfg.prior_weight > 0.0 else None
     mu = cfg.momentum
-    # Updates are in place, so these lists stay valid for the epoch.
-    params = (
-        [layer.weight for layer in net.trunk],
-        [layer.bias for layer in net.trunk],
-        stack.weights,
-        stack.biases,
-    )
-    velocities = (
-        state.velocity_trunk_w,
-        state.velocity_trunk_b,
-        state.velocity_stack_w,
-        state.velocity_stack_b,
-    )
+    segments = (slice(None, net.stack_start), slice(net.stack_start, None))
 
     for start in range(0, total, cfg.batch_size):
         where = f"epoch {state.epoch}, batch {start // cfg.batch_size}"
         batch = perm[start : start + cfg.batch_size]
         tasks = task_of[batch]
         g = batch_gradients(net, tasks, features[batch], labels[batch])
-        grads = (g.trunk_weights, g.trunk_biases, g.stack_weights, g.stack_biases)
-
-        inv_b = 1.0 / batch.shape[0]
-        for gs in grads:
-            for arr in gs:
-                arr *= inv_b
+        g.flat *= 1.0 / batch.shape[0]
 
         if priors is not None:
             counts = np.bincount(tasks, minlength=net.num_tasks)
@@ -414,22 +374,20 @@ def sgd_epoch(
                 # One inverse application per layer per batch covers all tasks.
                 g.stack_weights[l] += prior.apply_inverse(stack.weights[l]) * scale
 
-        bad = _first_nonfinite(stack.layer_ids, *grads)
-        if bad is not None:
+        if not np.isfinite(g.flat).all():
+            bad = net.first_nonfinite(g.flat)
             raise TrainingError(f"non-finite gradient of {bad} at {where}")
 
         lr = learning_rate_at(cfg, state.iteration)
-        lr_stack = lr * cfg.new_layer_lr_multiplier
-        rates = (lr, lr, lr_stack, lr_stack)
-        for rate, ps, vs, gs in zip(rates, params, velocities, grads):
-            for p, v, dp in zip(ps, vs, gs):
-                v *= mu
-                v -= rate * dp
-                p += v
+        for seg, rate in zip(segments, (lr, lr * cfg.new_layer_lr_multiplier)):
+            v, p = state.velocity[seg], net.params[seg]
+            v *= mu
+            v -= rate * g.flat[seg]
+            p += v
         state.iteration += 1
 
-        bad = _first_nonfinite(stack.layer_ids, *params)
-        if bad is not None:
+        if not np.isfinite(net.params).all():
+            bad = net.first_nonfinite(net.params)
             raise TrainingError(f"non-finite {bad} after the update at {where}")
 
     state.epoch += 1

@@ -558,6 +558,22 @@ def with_manifest(command, text):
     return setup
 
 
+def with_task_file(content):
+    """A ``train`` command on a manifest whose one task file ``a.csv``
+    holds the bytes ``content`` (``None``: it is a directory)."""
+    task = {"name": "a", "path": "a.csv"}
+    manifest = json.dumps({"schema_version": 1, "num_classes": 2, "tasks": [task]})
+
+    def setup(tmp_path):
+        if content is None:
+            (tmp_path / "a.csv").mkdir()
+        else:
+            (tmp_path / "a.csv").write_bytes(content)
+        return with_manifest("train", manifest)(tmp_path)
+
+    return setup
+
+
 def tiny_checkpoint(tmp_path):
     stack = TaskLayerStack(
         ["classifier"], [np.zeros((5, 3, 2))], [np.zeros((2, 3))], ["softmax"]
@@ -657,6 +673,36 @@ REJECTED = {
             '{"schema_version": 1, "num_classes": "three", "tasks": []}',
         ),
         "manifest.json: malformed manifest",
+    ),
+    "train_manifest_num_classes_float": (
+        with_manifest(
+            "train", '{"schema_version": 1, "num_classes": 2.7, "tasks": []}'
+        ),
+        "manifest.json: malformed manifest: num_classes must be an integer",
+    ),
+    "train_manifest_num_classes_bool": (
+        with_manifest(
+            "train", '{"schema_version": 1, "num_classes": true, "tasks": []}'
+        ),
+        "manifest.json: malformed manifest: num_classes must be an integer",
+    ),
+    "train_manifest_num_classes_string": (
+        with_manifest(
+            "train", '{"schema_version": 1, "num_classes": "3", "tasks": []}'
+        ),
+        "manifest.json: malformed manifest: num_classes must be an integer",
+    ),
+    "train_manifest_feature_dim_float": (
+        with_manifest(
+            "train",
+            '{"schema_version": 1, "num_classes": 3, "feature_dim": 2.9, "tasks": []}',
+        ),
+        "manifest.json: malformed manifest: feature_dim must be an integer",
+    ),
+    "train_task_file_directory": (with_task_file(None), "a.csv: Is a directory"),
+    "train_task_file_not_utf8": (
+        with_task_file(b"0.5,1\n\xff,0\n"),
+        "a.csv: not UTF-8 text at byte 6",
     ),
     "eval_manifest_invalid_json": (
         with_manifest("eval", "{ nope"),

@@ -10,7 +10,6 @@ from relnet.data import (
     SplitSpec,
     SyntheticSpec,
     generate_synthetic,
-    kfold,
     load_csv,
     load_manifest,
     sample_task_data,
@@ -96,6 +95,27 @@ class TestCsv:
         path.write_text("1.0,7\n")
         with pytest.raises(DatasetError, match=r"label\.csv:1"):
             load_csv([path], 3)
+
+    def test_unreadable_file_names_the_file(self, tmp_path):
+        """A directory or a non-UTF-8 file is a DatasetError naming the
+        path, not an OSError or UnicodeDecodeError."""
+        (tmp_path / "folder.csv").mkdir()
+        with pytest.raises(DatasetError, match=r"folder\.csv: "):
+            load_csv([tmp_path / "folder.csv"], 2)
+        # Bad bytes in the first read chunk, across its end (8192 bytes
+        # here) and far beyond it, behind a two-byte character that
+        # straddles the chunk boundary: the offset counts from the file's
+        # start, as decoding the whole file reports it.
+        path = tmp_path / "binary.csv"
+        rows = b"1.0,0\n" * 1365
+        for prefix in (b"1.0,0\n", rows + b"1\xc3\xa9", rows * 3):
+            raw = prefix + b"\xff,1\n"
+            path.write_bytes(raw)
+            with pytest.raises(UnicodeDecodeError) as want:
+                raw.decode("utf-8")
+            at = f"binary\\.csv: not UTF-8 text at byte {want.value.start}$"
+            with pytest.raises(DatasetError, match=at):
+                load_csv([path], 2)
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -193,23 +213,6 @@ class TestSplitEmptyFold:
         )
         with pytest.raises(SplitError, match="test fold is empty"):
             split(ds, SplitSpec(train_fraction=0.99, seed=0))
-
-
-class TestKfold:
-    def test_each_row_validated_once(self):
-        ds = toy_dataset(sizes=(11, 7), seed=8)
-        folds = kfold(ds, 3, seed=1)
-        assert len(folds) == 3
-        for t in range(ds.num_tasks):
-            seen = np.concatenate([val.labels[t] for _, val in folds])
-            assert seen.shape[0] == ds.task_sizes[t]
-            for train, val in folds:
-                assert train.task_sizes[t] + val.task_sizes[t] == ds.task_sizes[t]
-
-    def test_too_many_folds(self):
-        ds = toy_dataset(sizes=(3, 9), seed=9)
-        with pytest.raises(SplitError):
-            kfold(ds, 4)
 
 
 def block_cov(pairs, size):

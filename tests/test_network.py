@@ -1,5 +1,7 @@
 """Network forward/backward against finite differences and dense priors."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -354,6 +356,62 @@ class TestCheckpoint:
         path.write_text('{"schema_version": 99}')
         with pytest.raises(ValueError):
             load_checkpoint(path)
+
+
+class TestParameterBuffer:
+    """Every layer array is a view of ``net.params``; the SGD step moves
+    the layers only through that vector."""
+
+    def make_net(self):
+        return init_network(5, [4, 3], [3, 2], 2, np.random.default_rng(23))
+
+    def assert_bound(self, net):
+        arrays = [arr for _, arr in param_arrays(net)]
+        assert all(np.shares_memory(arr, net.params) for arr in arrays)
+        assert sum(arr.size for arr in arrays) == net.params.size
+        trunk_size = sum(l.weight.size + l.bias.size for l in net.trunk)
+        assert net.stack_start == trunk_size
+
+    def test_init_binds_every_array(self):
+        net = self.make_net()
+        self.assert_bound(net)
+        segments = net.segments(net.params)
+        assert [name for name, _ in segments] == [
+            "trunk layer 0 weights", "trunk layer 0 bias",
+            "trunk layer 1 weights", "trunk layer 1 bias",
+            "stack layer 'bottleneck' weights", "stack layer 'bottleneck' bias",
+            "stack layer 'classifier' weights", "stack layer 'classifier' bias",
+        ]
+        for (_, view), (_, arr) in zip(segments, param_arrays(net)):
+            assert view.shape == arr.shape and np.shares_memory(view, arr)
+
+    def test_load_checkpoint_binds_every_array(self, tmp_path):
+        save_checkpoint(self.make_net(), tmp_path / "model.json")
+        self.assert_bound(load_checkpoint(tmp_path / "model.json")[0])
+
+    def test_deepcopy_gets_its_own_buffer(self):
+        net = self.make_net()
+        dup = copy.deepcopy(net)
+        self.assert_bound(dup)
+        np.testing.assert_array_equal(dup.params, net.params)
+        for arr in [dup.params] + [arr for _, arr in param_arrays(dup)]:
+            assert not np.shares_memory(arr, net.params)
+
+    def test_batch_gradients_are_views_of_flat(self):
+        net = self.make_net()
+        x = np.random.default_rng(24).standard_normal((3, 5))
+        g = batch_gradients(net, [0, 1, 1], x, [0, 1, 0])
+        assert g.flat.shape == net.params.shape
+        arrays = g.trunk_weights + g.trunk_biases + g.stack_weights + g.stack_biases
+        assert all(np.shares_memory(arr, g.flat) for arr in arrays)
+        assert sum(arr.size for arr in arrays) == g.flat.size
+
+    def test_first_nonfinite_names_the_segment(self):
+        net = self.make_net()
+        vec = np.zeros_like(net.params)
+        assert net.first_nonfinite(vec) is None
+        vec[net.stack_start - 1] = np.nan
+        assert net.first_nonfinite(vec) == "trunk layer 1 bias"
 
 
 class TestInit:

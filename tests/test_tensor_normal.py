@@ -77,14 +77,6 @@ class TestSpdFactor:
         np.testing.assert_allclose(f.chol @ f.chol.T, m, rtol=1e-12, atol=1e-12)
         assert f.logdet == pytest.approx(np.linalg.slogdet(m)[1], rel=1e-12)
 
-    def test_solve(self):
-        rng = np.random.default_rng(1)
-        m = rand_spd(rng, 4)
-        b = rng.standard_normal((4, 3))
-        np.testing.assert_allclose(
-            SpdFactor(m).solve(b), np.linalg.solve(m, b), rtol=1e-10, atol=1e-12
-        )
-
     def test_rejects_asymmetric_and_indefinite(self):
         with pytest.raises(ValueError):
             SpdFactor(np.array([[1.0, 0.5], [0.1, 1.0]]))

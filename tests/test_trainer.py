@@ -1,6 +1,8 @@
 """Training loop semantics: SGD equivalences, covariance updates, reports."""
 
+import importlib.util
 import inspect
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -224,6 +226,22 @@ class TestSgdEpoch:
         diff = (net_b.stack.weights[0] - net_a.stack.weights[0]) / 1e-12
         np.testing.assert_allclose(diff, lam * w0, rtol=1e-3)
 
+    def test_epoch_on_a_copy_leaves_the_original(self):
+        rng = np.random.default_rng(19)
+        data = toy_data(sizes=(6, 5), dim=3, seed=20)
+        net = init_network(3, [4], [3, 3], 2, rng)
+        before = net.params.copy()
+        dup = clone_net(net)
+        sgd_epoch(
+            dup,
+            CovarianceState.identity_for(dup.stack),
+            data,
+            TrainConfig(epochs=1, batch_size=4),
+            OptimizerState.zeros_like(dup),
+        )
+        np.testing.assert_array_equal(net.params, before)
+        assert not np.array_equal(dup.params, before)
+
     def test_nonfinite_gradient_raises(self):
         rng = np.random.default_rng(13)
         data = toy_data(sizes=(4,), dim=3, num_classes=2, seed=14)
@@ -286,6 +304,26 @@ class TestBenchmarkHooks:
         params = list(inspect.signature(trainer.sgd_epoch).parameters)
         assert params == ["net", "cov", "data", "cfg", "state"]
         assert callable(tensor_normal.flip_flop_mle)
+
+    def test_span_targets_resolve(self):
+        """Every attribute the benchmark's span recorder wraps exists in
+        the program, except one known stale hook."""
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+        spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        hooks = [target[1:3] for target in spans.TARGETS]
+        hooks += [step[:2] for step in spans.FIRST_STEP]
+        missing = []
+        for module_name, attr_path in hooks:
+            owner = importlib.import_module(module_name)
+            for part in attr_path.split("."):
+                owner = getattr(owner, part, None)
+            if owner is None:
+                missing.append((module_name, attr_path))
+        # The one-pass SGD batch replaced this function with
+        # batch_gradients; the benchmark still wraps the old name.
+        assert missing == [("relnet.network", "_batch_task_gradients")]
 
     def test_apply_inverse_once_per_layer_per_batch(self, monkeypatch):
         calls = []
