@@ -25,7 +25,9 @@ config error, 2 non-convergence, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import errno
 import math
+import os
 import sys
 from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
@@ -50,6 +52,7 @@ from .serialize import (
     format_float,
     format_floats,
     load_json,
+    output_errors,
 )
 from .tensor_normal import (
     EstimationError,
@@ -377,7 +380,7 @@ def _load_tnd_samples(path: Path) -> list:
     for i, flat in enumerate(samples):
         try:
             arr = np.asarray(flat, dtype=float)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ConfigError(f"{path}: sample {i} is not a list of numbers") from None
         if arr.shape != (total,):
             raise ConfigError(
@@ -401,7 +404,14 @@ def _load_tnd_samples(path: Path) -> list:
 
 
 def cmd_tnd_fit(args) -> int:
-    """Fit a tensor normal to JSON samples; write the estimate as JSON."""
+    """Fit a tensor normal to JSON samples; write the estimate as JSON.
+
+    The output's directory is checked before the fit, so a bad ``--out``
+    costs no fit."""
+    out_dir = Path(args.out).parent
+    if not out_dir.is_dir():
+        code = errno.ENOTDIR if out_dir.exists() else errno.ENOENT
+        raise InputError(f"{args.out}: {os.strerror(code)}")
     samples = _load_tnd_samples(args.input)
     mean = mle_mean(samples)
     try:
@@ -423,7 +433,8 @@ def cmd_tnd_fit(args) -> int:
         "log_likelihood": result.log_likelihood,
         "converged": result.converged,
     }
-    dump_json(doc, args.out)
+    with output_errors(args.out):
+        dump_json(doc, args.out)
     if not result.converged:
         print(
             f"relnet tnd-fit: no convergence within {args.max_iter} sweeps",
@@ -451,7 +462,8 @@ def cmd_train(args) -> int:
         raise ConfigError("no output directory: set config.output_dir or --out")
 
     try:
-        paths = run_experiment(cfg, output_dir)
+        with output_errors(output_dir):
+            paths = run_experiment(cfg, output_dir)
     except (TrainingError, EstimationError) as exc:
         print(f"relnet train: numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
@@ -522,7 +534,8 @@ def cmd_export_relationship(args) -> int:
         text = "\n".join(lines) + "\n"
 
     if args.out:
-        Path(args.out).write_text(text)
+        with output_errors(args.out):
+            Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
     return EXIT_OK

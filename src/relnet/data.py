@@ -14,6 +14,7 @@ task relationships can be compared against a known one.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -72,11 +73,11 @@ class MultiTaskDataset:
     def __post_init__(self):
         if not self.task_names:
             raise DatasetError("need at least one task")
-        if len(set(self.task_names)) != len(self.task_names):
-            raise DatasetError("task names must be unique")
         for name in self.task_names:
             if not isinstance(name, str) or not name or "," in name:
                 raise DatasetError(f"bad task name {name!r}")
+        if len(set(self.task_names)) != len(self.task_names):
+            raise DatasetError("task names must be unique")
         if not (len(self.features) == len(self.labels) == len(self.task_names)):
             raise DatasetError("need features and labels for every task")
         if self.num_classes < 2:
@@ -122,7 +123,15 @@ class MultiTaskDataset:
         return MultiTaskDataset(list(self.task_names), feats, labs, self.num_classes)
 
 
-def _parse_csv_file(path, num_classes: int):
+def _parse_csv_lines(path, num_classes: int):
+    """Parse a task CSV one line at a time; the reference grammar.
+
+    Blank lines are skipped and each line is stripped before it is split
+    at commas.  Features go through ``float`` and the label through
+    ``int``, so the label is a base-10 integer and ``2.0`` is rejected.
+    The first rejected line raises :class:`DatasetError` naming
+    ``path:line``.
+    """
     rows, labels, linenos = [], [], []
     width = None
     with open_text(path) as fh:
@@ -170,12 +179,49 @@ def _parse_csv_file(path, num_classes: int):
     return x, np.array(labels, dtype=int)
 
 
+def _parse_csv_fast(path, num_classes: int):
+    """Parse a task CSV in one ``np.loadtxt`` pass, or return ``None``.
+
+    The row layout comes from the first non-blank line: ``D`` float64
+    feature columns and an int64 label column, so the label is parsed as
+    an integer in the same pass.  ``None`` means the file failed the
+    parse (a numpy error or warning, a decode error) or a whole-array
+    check (label range, finite features); the line parser then decides,
+    so this path accepts only what that parser accepts.
+    """
+    try:
+        with open_text(path) as fh:
+            first = next((line for line in fh if line.strip()), "")
+            width = first.count(",")
+            if width < 1:
+                return None
+            fh.seek(0)
+            row = np.dtype([("x", np.float64, (width,)), ("y", np.int64)])
+            # numpy before 2.0 parses a label such as 2.0 into an integer
+            # with a DeprecationWarning; as an error it rejects the file.
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rows = np.loadtxt(
+                    fh, dtype=row, delimiter=",", comments=None, ndmin=1
+                )
+    except (ValueError, Warning):
+        return None
+    y = rows["y"]
+    if y.min() < 0 or y.max() >= num_classes or not np.isfinite(rows["x"]).all():
+        return None
+    return np.ascontiguousarray(rows["x"]), np.ascontiguousarray(y)
+
+
 def load_csv(paths, num_classes: int, task_names=None) -> MultiTaskDataset:
     """Load one CSV file per task.
 
-    Rows are ``x1,...,xD,label``.  An unreadable or non-UTF-8 file, or
-    malformed content, raises :class:`DatasetError` naming the file (and
-    line).  Task names default to the file stems.
+    Rows are ``x1,...,xD,label``: blank lines are skipped, fields are
+    stripped, features are finite floats, the label is a base-10 integer
+    in ``[0, num_classes)`` and ``#`` starts no comment.  A file is read
+    in one vectorized pass; only a file that pass rejects is read again
+    line by line, to name the bad line.  An unreadable or non-UTF-8
+    file, or malformed content, raises :class:`DatasetError` naming the
+    file (and line).  Task names default to the file stems.
     """
     paths = [Path(p) for p in paths]
     if task_names is None:
@@ -183,7 +229,9 @@ def load_csv(paths, num_classes: int, task_names=None) -> MultiTaskDataset:
     feats, labs = [], []
     for path in paths:
         try:
-            x, y = _parse_csv_file(path, num_classes)
+            x, y = _parse_csv_fast(path, num_classes) or _parse_csv_lines(
+                path, num_classes
+            )
         except InputError as exc:
             raise DatasetError(str(exc)) from None
         feats.append(x)
@@ -210,7 +258,9 @@ def load_manifest(path) -> MultiTaskDataset:
     The manifest lists task names and CSV paths (relative to its own
     directory) plus the class count; the feature dim, when present, is
     validated against the loaded data.  Both counts must be JSON
-    integers (:func:`~relnet.serialize.check_type`).
+    integers (:func:`~relnet.serialize.check_type`).  Every error names
+    the manifest: one from a task file or from the tasks it lists reads
+    ``<manifest>: <message of load_csv>``.
     """
     path = Path(path)
     doc = load_json(path)
@@ -228,7 +278,10 @@ def load_manifest(path) -> MultiTaskDataset:
         feature_dim = check_type(doc.get("feature_dim", 0), "int", "feature_dim")
     except (KeyError, TypeError, ValueError) as exc:
         raise DatasetError(f"{path}: malformed manifest: {exc}") from None
-    ds = load_csv(files, num_classes, task_names=names)
+    try:
+        ds = load_csv(files, num_classes, task_names=names)
+    except DatasetError as exc:
+        raise DatasetError(f"{path}: {exc}") from None
     if "feature_dim" in doc and feature_dim != ds.feature_dim:
         raise DatasetError(
             f"{path}: manifest feature_dim {doc['feature_dim']} != data "

@@ -37,6 +37,7 @@ __all__ = [
     "cross_entropy",
     "cross_entropy_from_logits",
     "task_log_loss",
+    "task_scores",
     "batch_gradients",
     "backward",
     "prior_penalty",
@@ -433,15 +434,32 @@ def cross_entropy_from_logits(z, label: int) -> float:
     return float(m + np.log(np.sum(np.exp(z - m))) - z[label])
 
 
-def task_log_loss(net: MultiTaskNet, task: int, x, labels) -> float:
-    """Summed cross-entropy of a batch under one task."""
+def _batch_logits(net: MultiTaskNet, task: int, x, labels) -> tuple:
     z = logits(net, task, x)
     if z.ndim == 1:
         z = z[None, :]
-    labels = np.asarray(labels, dtype=int).reshape(-1)
+    return z, np.asarray(labels, dtype=int).reshape(-1)
+
+
+def _summed_log_loss(z: np.ndarray, labels: np.ndarray) -> float:
     m = z.max(axis=1)
     lse = m + np.log(np.exp(z - m[:, None]).sum(axis=1))
     return float(np.sum(lse - z[np.arange(z.shape[0]), labels]))
+
+
+def task_log_loss(net: MultiTaskNet, task: int, x, labels) -> float:
+    """Summed cross-entropy of a batch under one task."""
+    return _summed_log_loss(*_batch_logits(net, task, x, labels))
+
+
+def task_scores(net: MultiTaskNet, task: int, x, labels) -> tuple:
+    """``(task_log_loss, accuracy)`` of a non-empty batch under one task,
+    both from one forward pass and equal to what each function gives."""
+    z, labels = _batch_logits(net, task, x, labels)
+    if labels.size == 0:
+        raise ValueError("cannot score an empty set")
+    hits = np.argmax(z, axis=-1) == labels
+    return _summed_log_loss(z, labels), float(np.mean(hits))
 
 
 def batch_gradients(net: MultiTaskNet, tasks, x, labels) -> Gradients:

@@ -15,7 +15,8 @@ per-element type dispatch, and the bytes are exactly those the array's
 
 Every input file is opened by :func:`open_text`, and every JSON document
 read by :func:`load_json`, which raise an :class:`InputError` naming the
-file; :func:`check_type` is the one JSON type rule for fields.
+file; :func:`output_errors` does the same for the command line's
+outputs, and :func:`check_type` is the one JSON type rule for fields.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ __all__ = [
     "dumps_json",
     "dump_json",
     "open_text",
+    "output_errors",
     "load_json",
     "check_type",
     "write_csv_rows",
@@ -157,6 +159,8 @@ def open_text(path):
     """``path`` open as UTF-8 text; a file that cannot be read raises
     :class:`InputError` reading ``<path>: <strerror>``, and one that does
     not decode ``<path>: not UTF-8 text at byte B``."""
+    if "\0" in str(path):
+        raise InputError(f"{str(path)!r}: a path cannot hold a NUL character")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             try:
@@ -168,6 +172,17 @@ def open_text(path):
                 raise InputError(f"{path}: not UTF-8 text at byte {at}") from None
     except OSError as exc:
         raise InputError(f"{path}: {exc.strerror or exc}") from None
+
+
+@contextlib.contextmanager
+def output_errors(path):
+    """Raise an ``OSError`` of the enclosed writes to ``path`` as
+    :class:`InputError` reading ``<path>: <strerror>``, naming the file
+    or directory at fault where the error does."""
+    try:
+        yield
+    except OSError as exc:
+        raise InputError(f"{exc.filename or path}: {exc.strerror or exc}") from None
 
 
 def load_json(path):

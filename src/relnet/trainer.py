@@ -46,6 +46,7 @@ from .network import (
     prior_penalty,
     resolve_layer,
     task_log_loss,
+    task_scores,
 )
 from .serialize import write_csv_rows
 from .tensor_normal import EstimationError, KronCovariance, SpdFactor, mode_gram
@@ -402,10 +403,18 @@ def objective(
 ) -> float:
     """Total loss: summed cross-entropy plus the weighted prior term."""
     check_data(net, data, "data")
-    risk = sum(
+    losses = [
         task_log_loss(net, t, data.features[t], data.labels[t])
         for t in range(data.num_tasks)
-    )
+    ]
+    return _objective_of(losses, net, cov, cfg)
+
+
+def _objective_of(
+    losses, net: MultiTaskNet, cov: CovarianceState, cfg: TrainConfig
+) -> float:
+    """:func:`objective` given the per-task summed losses, in task order."""
+    risk = sum(losses)
     if cfg.prior_weight > 0.0:
         risk += cfg.prior_weight * prior_penalty(net.stack, cov.priors())
     return float(risk)
@@ -483,7 +492,8 @@ def train(
 
     Covariances start as unit-trace scaled identities.  Every epoch runs
     :func:`sgd_epoch`, one :func:`update_covariances` sweep, then scores
-    the objective and per-task accuracies.  With ``epochs == 0`` the
+    the objective and per-task accuracies, one forward pass per task and
+    fold (:func:`~relnet.network.task_scores`).  With ``epochs == 0`` the
     initialization is returned untouched and the report is empty.
 
     When ``cfg.prior_weight == 0`` the covariance refit is skipped: the
@@ -514,11 +524,13 @@ def train(
             _residual(cov, new_cov, l) for l in range(len(cov.layer_ids))
         )
         cov = new_cov
-        obj = objective(net, cov, data, cfg)
-        train_acc = tuple(
-            accuracy(net, t, data.features[t], data.labels[t])
-            for t in range(data.num_tasks)
+        losses, train_acc = zip(
+            *(
+                task_scores(net, t, data.features[t], data.labels[t])
+                for t in range(data.num_tasks)
+            )
         )
+        obj = _objective_of(losses, net, cov, cfg)
         test_acc = None
         if eval_data is not None:
             test_acc = tuple(

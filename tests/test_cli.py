@@ -5,21 +5,31 @@ codes and outputs can be asserted directly; one smoke test goes through
 ``python -m relnet`` to cover the module entry point.
 """
 
+import contextlib
 import copy
+import io
 import json
 import re
 import subprocess
 import sys
+import tempfile
 from dataclasses import fields
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import relnet
-from relnet.cli import ConfigError, ModelSpec, main, parse_experiment_config
+from relnet.cli import (
+    ConfigError,
+    ModelSpec,
+    _load_tnd_samples,
+    main,
+    parse_experiment_config,
+)
 from relnet.data import (
     MultiTaskDataset,
     SplitSpec,
@@ -632,6 +642,24 @@ def with_relationship(correlation):
     return setup
 
 
+def with_output(command, out):
+    """A valid ``command`` writing to ``out`` under ``tmp_path``, which
+    holds a file ``a_file`` and no ``missing`` directory."""
+
+    def setup(tmp_path):
+        (tmp_path / "a_file").write_text("")
+        target = str(tmp_path / out)
+        if command == "tnd-fit":
+            argv = with_samples([3, 2, 2])(tmp_path)
+            argv[argv.index("--out") + 1] = target
+            return argv
+        if command == "train":
+            return with_flags("train", "--out", target)(tmp_path)
+        return with_relationship(np.eye(2).tolist())(tmp_path) + ["--out", target]
+
+    return setup
+
+
 REJECTED = {
     "batch_size_float": (with_field("train.batch_size", 2.5), "config.train.batch_size"),
     "epochs_float": (with_field("train.epochs", 1.5), "config.train.epochs"),
@@ -726,6 +754,18 @@ REJECTED = {
         with_flags("eval", "--train-fraction", "0.5", "--split-seed", "-1"),
         "seed must be non-negative",
     ),
+    "tnd_out_missing_dir": (
+        with_output("tnd-fit", "missing/fit.json"),
+        "missing/fit.json: No such file or directory",
+    ),
+    "train_out_under_file": (
+        with_output("train", "a_file/out"),
+        "a_file/out: Not a directory",
+    ),
+    "export_out_missing_dir": (
+        with_output("export-relationship", "missing/x.csv"),
+        "missing/x.csv: No such file or directory",
+    ),
     "relationship_not_numeric": (
         with_relationship([["x", 0], [0, 1]]),
         "relationship_classifier.json",
@@ -748,6 +788,18 @@ def test_rejected_input_exits_usage_naming_the_field(case, tmp_path, capsys):
     assert code == 1, err
     assert named in err
     assert "Traceback" not in err
+
+
+def test_tnd_fit_checks_its_output_before_the_fit(tmp_path, capsys, monkeypatch):
+    """An output under a file is rejected without running the fit."""
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("the fit ran")
+
+    monkeypatch.setattr("relnet.cli.flip_flop_mle", no_fit)
+    argv = with_output("tnd-fit", "a_file/fit.json")(tmp_path)
+    assert main(argv) == 1
+    assert "a_file/fit.json: Not a directory" in capsys.readouterr().err
 
 
 def test_too_few_samples_names_the_smallest_count(tmp_path, capsys):
@@ -810,6 +862,92 @@ def test_any_json_value_in_any_field_is_parsed_or_a_config_error(where, value):
         parse_experiment_config(doc, ".")
     except ConfigError:
         pass
+
+
+# --------------------------------------------------------------------------
+# the manifest and the tnd-fit samples document on any JSON value
+
+MANIFEST = {
+    "schema_version": 1,
+    "num_classes": 2,
+    "feature_dim": 2,
+    "tasks": [{"name": "a", "path": "a.csv"}, {"name": "b", "path": "b.csv"}],
+}
+
+
+def json_paths(doc, prefix=()):
+    """Every key and list-index path of a JSON document."""
+    for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from json_paths(value, prefix + (key,))
+
+
+def with_value(doc, path, value):
+    """A copy of ``doc`` holding ``value`` at ``path``."""
+    doc = copy.deepcopy(doc)
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = copy.deepcopy(value)
+    return doc
+
+
+class Loaded(Exception):
+    """Raised in place of building the network, once the data loaded."""
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(list(json_paths(MANIFEST))), JSON_VALUES)
+@example(("tasks", 0, "path"), "a\0.csv")
+def test_any_json_value_in_any_manifest_field_loads_or_names_the_manifest(
+    where, value
+):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for name in ("a", "b"):
+            (tmp / f"{name}.csv").write_text("0.5,1.5,0\n2.5,3.5,1\n")
+        manifest = tmp / "manifest.json"
+        manifest.write_text(json.dumps(with_value(MANIFEST, where, value)))
+        doc = experiment_config(epochs=0)
+        doc["data"] = {"manifest": "manifest.json"}
+        argv = ["train", "--config", str(write_config(tmp, doc))]
+        err = io.StringIO()
+        with mock.patch("relnet.cli.build_network", side_effect=Loaded):
+            with contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except Loaded:
+                    return
+        assert code == 1
+        assert str(manifest) in err.getvalue()
+
+
+SAMPLES = {"dims": [3, 2, 2], "samples": np.eye(12)[:8].tolist()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(
+        [("dims",), ("dims", 0), ("dims", 2), ("samples",), ("samples", 0)]
+        + [("samples", 7), ("samples", 0, 0), ("samples", 5, 11)]
+    ),
+    JSON_VALUES,
+)
+@example(("samples", 0, 0), 10**400)
+def test_any_json_value_in_dims_or_a_sample_is_loaded_or_a_config_error(
+    where, value
+):
+    doc = with_value(SAMPLES, where, value)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "samples.json"
+        path.write_text(json.dumps(doc))
+        try:
+            samples = _load_tnd_samples(path)
+        except ConfigError as exc:
+            assert str(path) in str(exc)
+            return
+    assert [s.shape for s in samples] == [tuple(doc["dims"])] * len(doc["samples"])
 
 
 # --------------------------------------------------------------------------

@@ -1,7 +1,12 @@
 """Dataset ingestion, splitting and the synthetic generator."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from relnet.data import (
     DatasetError,
@@ -17,6 +22,8 @@ from relnet.data import (
     write_csv,
     write_manifest,
 )
+from relnet.data import _parse_csv_fast, _parse_csv_lines
+from relnet.serialize import InputError
 
 
 def toy_dataset(sizes=(10, 8), dim=3, num_classes=2, seed=0):
@@ -122,6 +129,118 @@ class TestCsv:
         path.write_text("")
         with pytest.raises(DatasetError):
             load_csv([path], 2)
+
+
+# --------------------------------------------------------------------------
+# the vectorized CSV pass against the line parser
+
+# Any double as repr writes it, or a float32 in np.savetxt's "%.8g".
+FEATURES = st.floats().map(repr) | st.floats(width=32).map(lambda v: "%.8g" % v)
+# Fields one step away from valid: float labels, comment and quote
+# characters, underscores, padding, overflow, non-ASCII digits, and
+# fields that add or hide a column.
+NEAR_MISS = st.sampled_from([
+    "2.0", "1.5", "-0", "+1", "007", "1e5", ".5", "5.", "0x10", "Infinity",
+    "nan", "-inf", "1e400", "-1e400", "#", "0#", "1#2", "0 # c", '"1"', "'1'", "1_0",
+    "", " ", " 1 ", "\t2\t", "\x0c0", "0\x85", "1\u00a0", "\u0661",
+    "1\u0662", "\x00", "\u2028", "99999999999999999999", "9223372036854775807",
+    "-9223372036854775809", "1,", ",1", "1,2",
+])
+BLANK_LINES = st.sampled_from(["", " ", "\t", "\x0c", "\x85", "\u2028", "#", "# c"])
+
+
+@st.composite
+def near_miss_csv(draw):
+    """A valid table of up to 4 features and labels in [0, 5), then up to
+    three edits: a cell replaced by a near miss, a cell dropped or added,
+    or a blank-looking or comment line inserted; joined by LF, CRLF or
+    CR."""
+    width = draw(st.integers(1, 4))
+    rows = [
+        [draw(FEATURES) for _ in range(width)] + [str(draw(st.integers(0, 4)))]
+        for _ in range(draw(st.integers(1, 5)))
+    ]
+    for _ in range(draw(st.integers(0, 3))):
+        r = draw(st.integers(0, len(rows) - 1))
+        c = draw(st.integers(0, width)) % len(rows[r])
+        edit = draw(st.sampled_from(["replace", "replace", "drop", "add", "line"]))
+        if edit == "replace":
+            # The label column, half of the time.
+            rows[r][draw(st.sampled_from([c, -1]))] = draw(NEAR_MISS)
+        elif edit == "drop" and len(rows[r]) > 1:
+            del rows[r][c]
+        elif edit == "add":
+            rows[r].insert(c, draw(FEATURES | NEAR_MISS))
+        elif edit == "line":
+            rows.insert(r, [draw(BLANK_LINES)])
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    lines = [",".join(row) for row in rows]
+    return (eol.join(lines) + draw(st.sampled_from(["", eol]))).encode("utf-8")
+
+
+# Near-miss tables half of the time, any text or bytes otherwise.
+CSV_BYTES = near_miss_csv() | (
+    st.text().map(lambda t: t.encode("utf-8"))
+    | st.text(alphabet="0123456789,.-+e_# \t\n\r").map(lambda t: t.encode("utf-8"))
+    | st.binary(max_size=40)
+)
+
+
+def bits(parsed):
+    """Features as their int64 bit patterns, and labels, for exact
+    comparison (NaN == NaN, -0.0 != 0.0)."""
+    x, y = parsed
+    assert x.dtype == np.float64 and y.dtype == np.int64
+    assert x.flags.c_contiguous and y.flags.c_contiguous
+    return x.view(np.int64).tolist(), y.tolist()
+
+
+@settings(max_examples=400, deadline=None)
+@given(CSV_BYTES, st.integers(2, 5))
+@example(b"0.5,1\r\n1.5,0\r\n", 2)
+@example(b"0.5,1\n1.5,2.0\n", 3)
+@example(b"0.5,1\n1.5,0 # c\n", 2)
+@example(b"0.5,1\n#\n1.5,0\n", 2)
+@example(b'0.5,1\n"1.5",0\n', 2)
+@example(b"0.5,1\n1_5,0\n", 2)
+@example(b"0.5,1\n \t\n1.5,0\n", 2)
+@example(b"0.5,1\n1e400,0\n", 2)
+@example(b"0.5,nan,1\n1.5,0\n", 2)
+@example(b"0.5,1\n1.5,99999999999999999999\n", 2)
+@example("0.5,1\n1.5,\u0661\n".encode("utf-8"), 2)
+def test_vectorized_pass_accepts_only_what_the_line_parser_accepts(raw, classes):
+    """Either both parsers return bit-identical arrays, or the fast pass
+    gives up and ``load_csv`` raises the line parser's message."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "task.csv"
+        path.write_bytes(raw)
+        fast = _parse_csv_fast(path, classes)
+        try:
+            want = _parse_csv_lines(path, classes)
+        except InputError as exc:
+            assert fast is None
+            with pytest.raises(DatasetError) as got:
+                load_csv([path], classes)
+            assert str(got.value) == str(exc)
+            return
+        if fast is not None:
+            assert bits(fast) == bits(want)
+        ds = load_csv([path], classes)
+        assert bits((ds.features[0], ds.labels[0])) == bits(want)
+
+
+def test_vectorized_pass_parses_written_rows(tmp_path):
+    """Rows as ``write_csv`` and ``np.savetxt`` write them take the
+    vectorized pass, and give the line parser's arrays."""
+    ds = toy_dataset(sizes=(7,), dim=4, num_classes=3, seed=8)
+    paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+    write_csv(ds, paths[:1])
+    table = np.column_stack([ds.features[0], ds.labels[0]])
+    np.savetxt(paths[1], table, fmt=["%.8g"] * 4 + ["%d"], delimiter=",")
+    for path in paths:
+        fast = _parse_csv_fast(path, 3)
+        assert fast is not None
+        assert bits(fast) == bits(_parse_csv_lines(path, 3))
 
 
 class TestManifest:

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from relnet import tensor_normal, trainer
+from relnet import network, tensor_normal, trainer
 from relnet.data import MultiTaskDataset, SyntheticSpec, generate_synthetic
 from relnet.network import backward, forward, init_network, prior_penalty
 from relnet.tensor_normal import EstimationError, KronCovariance, SpdFactor
@@ -579,6 +579,35 @@ class TestTrain:
         timings = tmp_path / "timings.csv"
         report.timings_to_csv(timings)
         assert timings.read_text().startswith("epoch,sgd_seconds,covariance_seconds")
+
+
+    def test_scores_are_objective_and_accuracy_from_one_pass(self, monkeypatch):
+        """Each epoch runs one forward pass per task and fold, and its
+        row equals what ``objective`` and ``accuracy`` give."""
+        data = toy_data(sizes=(9, 7, 5), dim=3, seed=37)
+        held_out = toy_data(sizes=(4, 6, 3), dim=3, seed=38)
+        cfg = TrainConfig(epochs=2, batch_size=4, prior_weight=0.5, seed=39)
+        net = init_network(3, [4], [3, 3], 3, np.random.default_rng(40))
+        calls = []
+        original = network.logits
+
+        def counted(*args):
+            calls.append(args[1])
+            return original(*args)
+
+        monkeypatch.setattr(network, "logits", counted)
+        net, cov, report = train(net, data, cfg, eval_data=held_out)
+        assert calls == [0, 1, 2, 0, 1, 2] * cfg.epochs
+        monkeypatch.setattr(network, "logits", original)
+        last = report.records[-1]
+        assert last.objective == objective(net, cov, data, cfg)
+        for t in range(3):
+            x, y = data.features[t], data.labels[t]
+            assert last.train_accuracy[t] == network.accuracy(net, t, x, y)
+            assert network.task_scores(net, t, x, y) == (
+                network.task_log_loss(net, t, x, y),
+                network.accuracy(net, t, x, y),
+            )
 
 
 class TestExtractRelationship:
