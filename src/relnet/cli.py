@@ -136,7 +136,11 @@ class ExperimentConfig:
     output_dir: Path | None
 
 
-def _require(doc: dict, where: str, required, optional) -> None:
+def _require(doc, where: str, required, optional) -> None:
+    """Check that ``doc`` is a JSON object holding every ``required`` key
+    and no key outside ``required`` and ``optional``."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where}: expected a JSON object")
     unknown = sorted(set(doc) - set(required) - set(optional))
     if unknown:
         raise ConfigError(f"{where}: unknown keys {unknown}")
@@ -156,8 +160,6 @@ def _parse_section(cls, doc, where: str):
     ``ValueError`` message starts with the field's name, so every error
     reads ``config.<section>.<field> ...``.
     """
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{where}: expected a JSON object")
     table = {f.name: f for f in fields(cls)}
     required = [
         name
@@ -182,8 +184,6 @@ def parse_experiment_config(doc, base_dir) -> ExperimentConfig:
     ``config.<section>.<field>``.
     """
     base_dir = Path(base_dir)
-    if not isinstance(doc, dict):
-        raise ConfigError("config: expected a JSON object")
     _require(
         doc,
         "config",
@@ -201,8 +201,6 @@ def parse_experiment_config(doc, base_dir) -> ExperimentConfig:
         )
 
     data = doc["data"]
-    if not isinstance(data, dict):
-        raise ConfigError("config.data: expected a JSON object")
     _require(data, "config.data", required=(), optional=("manifest", "synthetic"))
     if ("manifest" in data) == ("synthetic" in data):
         raise ConfigError(
@@ -353,8 +351,8 @@ def _load_tnd_samples(path: Path) -> list:
     """Read ``{"dims": [d1, d2, d3], "samples": [[...], ...]}`` into one
     ``(d1, d2, d3)`` array per sample.
 
-    Each sample is checked as its array is built: it must have
-    ``d = d1 * d2 * d3`` entries, all finite.  Then the sample count
+    Each sample must be a list of ``d = d1 * d2 * d3`` JSON numbers, all
+    finite (:func:`~relnet.serialize.check_type`).  Then the sample count
     ``n`` must pass ``(n - 1) * d / d_k >= d_k`` for every mode ``k``.
     With the mean estimated, the centred samples span at most ``n - 1``
     directions, so below this count the mode-``k`` Gram matrix cannot
@@ -366,8 +364,6 @@ def _load_tnd_samples(path: Path) -> list:
     is a :class:`ConfigError` naming ``path``.
     """
     doc = load_json(path)
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: expected an object with 'dims' and 'samples'")
     _require(doc, str(path), required=("dims", "samples"), optional=())
     dims = check_type(doc["dims"], "list[int]", f"{path}: dims")
     if len(dims) != 3 or min(dims) < 1:
@@ -378,18 +374,10 @@ def _load_tnd_samples(path: Path) -> list:
     total = math.prod(dims)
     out = []
     for i, flat in enumerate(samples):
-        try:
-            arr = np.asarray(flat, dtype=float)
-        except (TypeError, ValueError, OverflowError):
-            raise ConfigError(f"{path}: sample {i} is not a list of numbers") from None
-        if arr.shape != (total,):
+        arr = check_type(flat, "list[float]", f"{path}: sample {i}")
+        if arr.size != total:
             raise ConfigError(
                 f"{path}: sample {i} has {arr.size} entries, expected {total}"
-            )
-        finite = np.isfinite(arr)
-        if not finite.all():
-            raise ConfigError(
-                f"{path}: sample {i} entry {int(finite.argmin())} is not finite"
             )
         out.append(arr.reshape(dims))
     for k, dk in enumerate(dims):
@@ -505,28 +493,22 @@ def cmd_eval(args) -> int:
 
 def cmd_export_relationship(args) -> int:
     """Re-emit a stored relationship matrix as JSON or CSV."""
-    rel_path = Path(args.model_dir) / f"relationship_{args.layer}.json"
-    if not rel_path.exists():
-        raise ConfigError(f"no such file: {rel_path}")
-    doc = load_json(rel_path)
-    try:
-        names = doc["task_names"]
-        corr = np.asarray(doc["correlation"], dtype=float)
-    except (KeyError, TypeError, ValueError):
-        names, corr = None, None
-    if not (
-        type(names) is list
-        and all(type(n) is str for n in names)
-        and corr.shape == (len(names), len(names))
-        and np.isfinite(corr).all()
-    ):
-        raise ConfigError(
-            f"{rel_path}: expected task_names and a finite square correlation "
-            "matrix with one row per task"
-        )
+    path = Path(args.model_dir) / f"relationship_{args.layer}.json"
+    if not path.exists():
+        raise ConfigError(f"no such file: {path}")
+    doc = load_json(path)
+    # Any other key is allowed: JSON export re-emits the document as read.
+    _require(doc, str(path), ("task_names", "correlation"), optional=doc)
+    names = check_type(doc["task_names"], "list[str]", f"{path}: task_names")
+    corr = check_type(doc["correlation"], "list[list[float]]", f"{path}: correlation")
+    if len(corr) != len(names) or any(row.size != len(names) for row in corr):
+        raise ConfigError(f"{path}: correlation must have one row and column per task")
 
     if args.format == "json":
-        text = dumps_json(doc)
+        try:
+            text = dumps_json(doc)
+        except ValueError as exc:  # a non-finite value in another field
+            raise ConfigError(f"{path}: {exc}") from None
     else:
         lines = ["task," + ",".join(names)]
         for name, row in zip(names, corr):

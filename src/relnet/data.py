@@ -290,8 +290,8 @@ def load_manifest(path) -> MultiTaskDataset:
     return ds
 
 
-def write_manifest(ds: MultiTaskDataset, directory, name="manifest.json") -> Path:
-    """Write per-task CSVs and a manifest into ``directory``."""
+def write_manifest(ds: MultiTaskDataset, directory) -> Path:
+    """Write per-task CSVs and ``manifest.json`` into ``directory``."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     paths = [directory / f"{task}.csv" for task in ds.task_names]
@@ -305,7 +305,7 @@ def write_manifest(ds: MultiTaskDataset, directory, name="manifest.json") -> Pat
             for task, p in zip(ds.task_names, paths)
         ],
     }
-    manifest_path = directory / name
+    manifest_path = directory / "manifest.json"
     dump_json(doc, manifest_path)
     return manifest_path
 
@@ -391,6 +391,8 @@ class SyntheticSpec:
     ``task_covariance`` is the task-mode factor of the tensor-normal
     prior the ground-truth weights are drawn from: high positive
     entries make tasks' classifiers similar, zeros make them unrelated.
+    From a config it is rows of JSON numbers; any caller's matrix must
+    be symmetric positive definite, and is stored as a float array.
     ``test_samples_per_task`` sizes an optional held-out fold drawn from
     the same weights (0 for none).  A bad value raises ``ValueError``
     whose message starts with the field's name.
@@ -400,7 +402,7 @@ class SyntheticSpec:
     feature_dim: int
     num_classes: int
     samples_per_task: int
-    task_covariance: object
+    task_covariance: list[list[float]]
     noise_scale: float = 1.0
     seed: int = 0
     task_names: list[str] | None = None

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .serialize import InputError, dump_json, load_json
+from .serialize import InputError, check_type, dump_json, load_json
 from .tensor_normal import KronCovariance
 
 __all__ = [
@@ -250,7 +250,6 @@ def init_network(
     stack_widths: Sequence[int],
     num_tasks: int,
     rng: np.random.Generator,
-    stack_ids: Sequence[str] | None = None,
     tied_tasks: bool = False,
 ) -> MultiTaskNet:
     """Build a network with seeded Gaussian weights and zero biases.
@@ -258,7 +257,9 @@ def init_network(
     ``stack_widths`` lists the output widths of the task-specific
     layers; the last entry is the class count.  Weights are drawn with
     standard deviation ``1/sqrt(fan_in)`` in a fixed order (trunk first,
-    then stack), so a given generator state yields one network.
+    then stack), so a given generator state yields one network.  The
+    last stack layer is ``classifier``; one layer before it is
+    ``bottleneck``, several are ``bottleneck1``, ``bottleneck2``, ...
 
     With ``tied_tasks`` every task starts from the same stack weights
     (one draw broadcast across tasks), modelling tasks that branch off
@@ -271,16 +272,10 @@ def init_network(
         raise ValueError("need at least one task-specific layer")
     if num_tasks < 1:
         raise ValueError("need at least one task")
-    if stack_ids is None:
-        hidden = len(stack_widths) - 1
-        if hidden == 0:
-            stack_ids = ["classifier"]
-        elif hidden == 1:
-            stack_ids = ["bottleneck", "classifier"]
-        else:
-            stack_ids = [f"bottleneck{i + 1}" for i in range(hidden)] + ["classifier"]
-    if len(stack_ids) != len(stack_widths):
-        raise ValueError("stack_ids must match stack_widths")
+    hidden = len(stack_widths) - 1
+    stack_ids = [f"bottleneck{i + 1}" for i in range(hidden)] + ["classifier"]
+    if hidden == 1:
+        stack_ids[0] = "bottleneck"
 
     trunk = []
     dim = int(input_dim)
@@ -301,7 +296,7 @@ def init_network(
         activations.append("softmax" if i == len(stack_widths) - 1 else "relu")
         dim = int(width)
 
-    stack = TaskLayerStack(list(stack_ids), weights, biases, activations)
+    stack = TaskLayerStack(stack_ids, weights, biases, activations)
     return MultiTaskNet(
         input_dim=int(input_dim),
         num_classes=int(stack_widths[-1]),
@@ -631,10 +626,23 @@ def save_checkpoint(net: MultiTaskNet, path, task_names=None) -> None:
     dump_json(doc, path)
 
 
+def _layer_from_doc(entry, where: str, *tasks) -> tuple:
+    """``(weight, bias, activation)`` of a layer written by
+    :func:`_layer_doc`; ``tasks`` is ``(T,)`` for a stack layer, whose
+    weight is ``(in_dim, out_dim, T)`` and bias ``(T, out_dim)``."""
+    din = check_type(entry["in_dim"], "int", f"{where}.in_dim")
+    dout = check_type(entry["out_dim"], "int", f"{where}.out_dim")
+    w = check_type(entry["weight"], "list[float]", f"{where}.weight")
+    b = check_type(entry["bias"], "list[float]", f"{where}.bias")
+    return w.reshape(din, dout, *tasks), b.reshape(*tasks, dout), entry["activation"]
+
+
 def load_checkpoint(path) -> tuple:
     """Read a checkpoint; returns ``(net, task_names)``.
 
-    A file that cannot be read, parsed or built into a network raises
+    Counts and dims must be JSON integers, and weights and biases lists
+    of finite JSON numbers (:func:`~relnet.serialize.check_type`).  A
+    file that cannot be read, parsed or built into a network raises
     :class:`~relnet.serialize.InputError` naming ``path``.
     """
     doc = load_json(path)
@@ -646,39 +654,26 @@ def load_checkpoint(path) -> tuple:
         )
     try:
         trunk = [
-            DenseLayer(
-                np.array(entry["weight"], dtype=float).reshape(
-                    entry["in_dim"], entry["out_dim"]
-                ),
-                np.array(entry["bias"], dtype=float),
-                entry["activation"],
-            )
-            for entry in doc["trunk"]
+            DenseLayer(*_layer_from_doc(entry, f"trunk[{i}]"))
+            for i, entry in enumerate(doc["trunk"])
         ]
-        num_tasks = int(doc["num_tasks"])
-        ids, weights, biases, activations = [], [], [], []
-        for entry in doc["stack"]["layers"]:
-            ids.append(entry["id"])
-            weights.append(
-                np.array(entry["weight"], dtype=float).reshape(
-                    entry["in_dim"], entry["out_dim"], num_tasks
-                )
-            )
-            biases.append(
-                np.array(entry["bias"], dtype=float).reshape(
-                    num_tasks, entry["out_dim"]
-                )
-            )
-            activations.append(entry["activation"])
+        num_tasks = check_type(doc["num_tasks"], "int", "num_tasks")
+        layers = [
+            _layer_from_doc(entry, f"stack.layers[{i}]", num_tasks)
+            for i, entry in enumerate(doc["stack"]["layers"])
+        ]
+        ids = [entry["id"] for entry in doc["stack"]["layers"]]
         if ids != doc["stack"]["layer_ids"]:
             raise ValueError("stack ids are inconsistent")
+        columns = ([layer[c] for layer in layers] for c in range(3))
         net = MultiTaskNet(
-            input_dim=int(doc["input_dim"]),
-            num_classes=int(doc["num_classes"]),
+            input_dim=check_type(doc["input_dim"], "int", "input_dim"),
+            num_classes=check_type(doc["num_classes"], "int", "num_classes"),
             num_tasks=num_tasks,
             trunk=trunk,
-            stack=TaskLayerStack(ids, weights, biases, activations),
+            stack=TaskLayerStack(ids, *columns),
         )
+        names = check_type(doc.get("task_names"), "list[str] | None", "task_names")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"{path}: malformed checkpoint: {exc}") from None
-    return net, doc.get("task_names")
+    return net, names

@@ -8,15 +8,19 @@ is used instead: floats are rendered with ``%.17g``, which always gives
 not the shortest such form, which ``repr`` gives), dict insertion order
 is preserved, and the output layout is fixed.
 
-Float arrays are emitted whole: a row is one finiteness check and one
-join over its values, with no Python list built by the caller and no
-per-element type dispatch, and the bytes are exactly those the array's
-``tolist()`` would give.
+Float arrays are emitted a row at a time: a row is one finiteness
+check and a join over each chunk of at most 4096 values, with no Python
+list built by the caller and no per-element type dispatch, and the
+bytes are exactly those the array's ``tolist()`` would give.
+:func:`dump_json` streams the pieces to the file, so a large checkpoint
+is never held as one string.
 
 Every input file is opened by :func:`open_text`, and every JSON document
 read by :func:`load_json`, which raise an :class:`InputError` naming the
 file; :func:`output_errors` does the same for the command line's
-outputs, and :func:`check_type` is the one JSON type rule for fields.
+outputs.  :func:`check_type` is the one JSON type rule, for config
+fields and for every number read from a file: a ``list[float]`` comes
+back as one float64 array.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ from __future__ import annotations
 import contextlib
 import json
 import math
-import sys
 
 import numpy as np
 
@@ -68,6 +71,22 @@ def format_float(x: float) -> str:
     return format(x, ".17g")
 
 
+# Values per formatted piece of a float row: bounds the Python floats
+# and strings alive at once.
+_CHUNK = 4096
+
+
+def _float_pieces(row: np.ndarray, sep: str):
+    """Pieces of :func:`format_floats` ``(row, sep)``, at most ``_CHUNK``
+    values each."""
+    finite = np.isfinite(row)
+    if not finite.all():
+        format_float(row[~finite][0])
+    for start in range(0, row.size, _CHUNK):
+        chunk = (row[start : start + _CHUNK] + 0.0).tolist()
+        yield ("" if start == 0 else sep) + sep.join(["%.17g" % v for v in chunk])
+
+
 def format_floats(row: np.ndarray, sep: str = ", ") -> str:
     """Render a 1-D float array as :func:`format_float` renders each
     entry, joined by ``sep``.
@@ -76,55 +95,56 @@ def format_floats(row: np.ndarray, sep: str = ", ") -> str:
     raises :func:`format_float`'s error for the first one.  Adding
     ``0.0`` turns ``-0.0`` into ``0.0``, which ``%.17g`` writes as ``0``.
     """
-    finite = np.isfinite(row)
-    if not finite.all():
-        format_float(row[~finite][0])
-    return sep.join(["%.17g" % v for v in (row + 0.0).tolist()])
+    return "".join(_float_pieces(row, sep))
 
 
-def _emit(obj, parts, indent, level):
+def _emit(obj, write, indent, level):
+    """Write the pieces of ``obj``'s JSON text through ``write``."""
     if isinstance(obj, np.ndarray):
         if obj.dtype.kind != "f" or obj.ndim == 0:
             obj = obj.tolist()
         elif obj.ndim == 1:
-            parts.append("[" + format_floats(obj) + "]")
+            write("[")
+            for piece in _float_pieces(obj, ", "):
+                write(piece)
+            write("]")
             return
     pad = indent * level
     child = indent * (level + 1)
     if isinstance(obj, dict):
         if not obj:
-            parts.append("{}")
+            write("{}")
             return
-        parts.append("{\n")
+        write("{\n")
         for i, (key, value) in enumerate(obj.items()):
             if not isinstance(key, str):
                 raise TypeError(f"JSON object keys must be str, got {type(key)}")
-            parts.append(child)
-            parts.append(json.dumps(key))
-            parts.append(": ")
-            _emit(value, parts, indent, level + 1)
-            parts.append(",\n" if i < len(obj) - 1 else "\n")
-        parts.append(pad + "}")
+            write(child)
+            write(json.dumps(key))
+            write(": ")
+            _emit(value, write, indent, level + 1)
+            write(",\n" if i < len(obj) - 1 else "\n")
+        write(pad + "}")
     elif isinstance(obj, (list, tuple, np.ndarray)):
         # A float array of two or more dims is a list of its rows.
         items = list(obj)
         if not items:
-            parts.append("[]")
+            write("[]")
             return
         # Flat numeric lists stay on one line; nested structures wrap.
         if all(not isinstance(v, (dict, list, tuple, np.ndarray)) for v in items):
-            parts.append("[")
-            parts.append(", ".join(_scalar(v) for v in items))
-            parts.append("]")
+            write("[")
+            write(", ".join(_scalar(v) for v in items))
+            write("]")
         else:
-            parts.append("[\n")
+            write("[\n")
             for i, value in enumerate(items):
-                parts.append(child)
-                _emit(value, parts, indent, level + 1)
-                parts.append(",\n" if i < len(items) - 1 else "\n")
-            parts.append(pad + "]")
+                write(child)
+                _emit(value, write, indent, level + 1)
+                write(",\n" if i < len(items) - 1 else "\n")
+            write(pad + "]")
     else:
-        parts.append(_scalar(obj))
+        write(_scalar(obj))
 
 
 def _scalar(obj) -> str:
@@ -144,14 +164,16 @@ def _scalar(obj) -> str:
 def dumps_json(obj) -> str:
     """Serialize ``obj`` to a deterministic JSON string (trailing newline)."""
     parts = []
-    _emit(obj, parts, "  ", 0)
+    _emit(obj, parts.append, "  ", 0)
     parts.append("\n")
     return "".join(parts)
 
 
 def dump_json(obj, path) -> None:
+    """Write :func:`dumps_json` ``(obj)`` to ``path``, piece by piece."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(dumps_json(obj))
+        _emit(obj, fh.write, "  ", 0)
+        fh.write("\n")
 
 
 @contextlib.contextmanager
@@ -200,15 +222,12 @@ def load_json(path):
 
 
 # The JSON type rule of each scalar annotation: its description and its
-# test.  ``type(v) is int`` keeps out bools, which subclass int; the
-# float bound keeps out NaN, the infinities and integers too large for a
-# double.
+# test.  ``type(v)`` keeps out bools, which subclass int; ``isfinite``
+# keeps out NaN, the infinities and, by overflowing, integers too large
+# for a double.
 _JSON_TYPES = {
     "int": ("an integer", lambda v: type(v) is int),
-    "float": (
-        "a finite number",
-        lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max,
-    ),
+    "float": ("a finite number", lambda v: type(v) in (int, float) and math.isfinite(v)),
     "bool": ("true or false", lambda v: type(v) is bool),
     "str": ("a string", lambda v: type(v) is str),
 }
@@ -219,9 +238,11 @@ def check_type(value, kind: str, where: str):
 
     ``int``, ``float``, ``bool`` and ``str`` follow ``_JSON_TYPES``;
     ``X | None`` also accepts null, and ``list[X]`` a list whose items
-    pass ``X``.  Any other annotation is left to the caller.  Returns the
-    value, with a ``float`` as a float; a mismatch raises
-    :class:`ConfigError` reading ``<where> must be <type>, got <value>``.
+    pass ``X``, named ``<where>[i]``.  Any other annotation is left to
+    the caller.  Returns the value, with a ``float`` as a float and a
+    ``list[float]`` as a float64 array, whose items are named
+    ``<where> entry J``.  A mismatch raises :class:`ConfigError` reading
+    ``<where> must be <type>, got <value>``.
     """
     if kind.endswith(" | None"):
         if value is None:
@@ -230,13 +251,33 @@ def check_type(value, kind: str, where: str):
     if kind.startswith("list["):
         if type(value) is not list:
             raise ConfigError(f"{where} must be a list, got {value!r}")
+        if kind == "list[float]":
+            return _float_array(value, where)
         return [check_type(v, kind[5:-1], f"{where}[{i}]") for i, v in enumerate(value)]
     if kind not in _JSON_TYPES:
         return value
     what, ok = _JSON_TYPES[kind]
-    if not ok(value):
-        raise ConfigError(f"{where} must be {what}, got {value!r}")
-    return float(value) if kind == "float" else value
+    with contextlib.suppress(OverflowError):
+        if ok(value):
+            return float(value) if kind == "float" else value
+    raise ConfigError(f"{where} must be {what}, got {value!r}")
+
+
+def _float_array(items: list, where: str) -> np.ndarray:
+    """``items`` as a float64 array under the ``float`` rule.
+
+    When every item is an ``int`` or a ``float``, one conversion and one
+    finiteness check decide; otherwise, or when a value overflows or is
+    not finite, the per-item rule names the first bad entry.
+    """
+    if set(map(type, items)) <= {int, float}:
+        with contextlib.suppress(OverflowError):
+            arr = np.array(items, dtype=float)
+            if np.isfinite(arr).all():
+                return arr
+    return np.array(
+        [check_type(v, "float", f"{where} entry {j}") for j, v in enumerate(items)]
+    )
 
 
 def write_csv_rows(path, header, rows) -> None:

@@ -19,9 +19,18 @@ conventions, fixed here once:
 
 Modes are numbered 1 to 3 throughout, matching the subscripts in the
 linear-algebra notation rather than Python axis numbers.
+
+:func:`mode_product` is made by the private kernel ``_along_mode``,
+which multiplies a matrix into one axis of an array of any order
+without moving axes; :mod:`relnet.tensor_normal` makes every per-mode
+product (whitening, applying an inverse, sampling) with it too.
+:func:`matricize` and :func:`fold` spell out the unfolding, as the
+reference the kernel agrees with.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -147,9 +156,35 @@ def mode_product(t, m, mode: int) -> np.ndarray:
             f"matrix has {mat.shape[1]} columns but mode {mode} has dim "
             f"{arr.shape[mode - 1]}"
         )
-    new_dims = list(arr.shape)
-    new_dims[mode - 1] = mat.shape[0]
-    return fold(mat @ matricize(arr, mode), mode, tuple(new_dims))
+    return _along_mode(mat, arr, mode - 1)
+
+
+def _along_mode(mat: np.ndarray, arr: np.ndarray, axis: int) -> np.ndarray:
+    """Multiply the unfolding of ``arr`` along the Python axis ``axis``
+    by the matrix ``mat``, whose column count is that axis's dim.
+
+    ``arr`` is viewed by a plain reshape as ``(before, d, after)``, the
+    products of the dims on either side of the axis, and ``mat``
+    multiplies the middle index: one matrix product when the axis is
+    first or last, one batched product over ``before`` otherwise.  No
+    axis is moved, so no copy of ``arr`` is made for a C-contiguous
+    input, and the result, the shape of ``arr`` with ``mat.shape[0]``
+    along the axis, is C-contiguous, so the next mode's reshape is free.
+    The shape products use ``math.prod``: on the trainer's small tensors
+    a numpy reduction over the shape would cost more than the product.
+    """
+    shape = arr.shape
+    axis %= arr.ndim
+    d = shape[axis]
+    before = math.prod(shape[:axis])
+    after = math.prod(shape[axis + 1 :])
+    if before == 1:
+        out = mat @ arr.reshape(d, after)
+    elif after == 1:
+        out = arr.reshape(before, d) @ mat.T
+    else:
+        out = mat @ arr.reshape(before, d, after)
+    return out.reshape(shape[:axis] + (mat.shape[0],) + shape[axis + 1 :])
 
 
 def kronecker(a, b) -> np.ndarray:

@@ -14,10 +14,12 @@ only, matching the rest of the package.
 Modes are always the trailing ``K`` axes of an array; any leading axes
 index samples.  Every per-mode operation (whitening by ``L_k^{-1}``,
 applying ``Sigma_k^{-1}``, coloring by ``L_k``) is one product of a
-factor matrix with the array's unfolding along that mode, made by one
-private kernel, and :func:`mode_gram` forms the Gram matrix of one mode
-after whitening the others.  The flip-flop estimator and the trainer's
-covariance refit share that function.
+factor matrix with the array's unfolding along that mode, made by the
+private kernel ``_along_mode`` of :mod:`relnet.tensor`, which also
+makes :func:`relnet.tensor.mode_product`.  Whitening, all modes or all
+but one, is ``_whiten``; :func:`mode_gram` forms the Gram matrix of one
+mode after whitening the others.  The flip-flop estimator and the
+trainer's covariance refit share that function.
 
 Each :class:`SpdFactor` forms its inverse Cholesky factor ``L_k^{-1}``
 and its precision ``Sigma_k^{-1} = L_k^{-T} L_k^{-1}`` once, on first
@@ -38,6 +40,8 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
+
+from .tensor import _along_mode
 
 __all__ = [
     "EstimationError",
@@ -247,42 +251,17 @@ class TensorNormal:
         return self.cov.total_dim
 
 
-def _along_mode(mat: np.ndarray, arr: np.ndarray, axis: int) -> np.ndarray:
-    """Multiply the mode-``axis`` unfolding of ``arr`` by the square ``mat``.
+def _whiten(centered: np.ndarray, factors, skip: int | None = None) -> np.ndarray:
+    """Multiply every mode (the trailing axes) of ``centered`` but mode
+    ``skip`` by its factor's cached ``L_k^{-1}``.
 
-    ``arr`` is viewed by a plain reshape as ``(before, d, after)``, the
-    products of the dims on either side of the axis, and ``mat``
-    multiplies the middle index: one matrix product when the axis is
-    first or last, one batched product over ``before`` otherwise.  No
-    axis is moved, so no copy of ``arr`` is made for a C-contiguous
-    input, and the result, folded back into the shape of ``arr``, is
-    C-contiguous, so the next mode's reshape is free.  The shape
-    products use ``math.prod``: on the trainer's small tensors a numpy
-    reduction over the shape would cost more than the product.
-    """
-    shape = arr.shape
-    axis %= arr.ndim
-    d = shape[axis]
-    before = math.prod(shape[:axis])
-    after = math.prod(shape[axis + 1 :])
-    if before == 1:
-        out = mat @ arr.reshape(d, after)
-    elif after == 1:
-        out = arr.reshape(before, d) @ mat.T
-    else:
-        out = mat @ arr.reshape(before, d, after)
-    return out.reshape(shape)
-
-
-def _whiten(centered: np.ndarray, factors) -> np.ndarray:
-    """Multiply every mode (the trailing axes) of ``centered`` by its
-    factor's cached ``L_k^{-1}``.
-
-    The result has identity covariance under the model.
+    With no mode skipped, the result has identity covariance under the
+    model.
     """
     z = centered
     for k, f in enumerate(factors):
-        z = _along_mode(f.chol_inv, z, k - len(factors))
+        if k != skip:
+            z = _along_mode(f.chol_inv, z, k - len(factors))
     return z
 
 
@@ -292,7 +271,8 @@ def mode_gram(x, factors, k: int) -> np.ndarray:
     ``x`` holds one tensor with dims ``(d_1, ..., d_K)`` matching
     ``factors`` (one :class:`SpdFactor` per mode), or a batch of them
     along leading axes.  Each other mode is whitened by one product with
-    its factor's cached ``L_j^{-1}``, mode ``k`` is unfolded to ``(d_k, rest)`` (the columns running over
+    its factor's cached ``L_j^{-1}`` (``_whiten`` skipping mode ``k``),
+    mode ``k`` is unfolded to ``(d_k, rest)`` (the columns running over
     samples too) and the result is ``rows @ rows.T``, i.e.
 
         sum_i  X_i(k) (kron of the other factors)^{-1} X_i(k)^T.
@@ -300,12 +280,8 @@ def mode_gram(x, factors, k: int) -> np.ndarray:
     It is symmetric PSD by construction.  Dividing by ``n * d / d_k``
     gives the flip-flop update of ``Sigma_k``.
     """
-    z = np.asarray(x, dtype=float)
-    order = len(factors)
-    for j, f in enumerate(factors):
-        if j != k:
-            z = _along_mode(f.chol_inv, z, j - order)
-    moved = np.moveaxis(z, k - order, 0)
+    z = _whiten(np.asarray(x, dtype=float), factors, skip=k)
+    moved = np.moveaxis(z, k - len(factors), 0)
     rows = moved.reshape(moved.shape[0], -1)
     return rows @ rows.T
 
@@ -404,14 +380,14 @@ class FlipFlopResult(NamedTuple):
 def flip_flop_mle(
     samples,
     mean,
-    init: KronCovariance | None = None,
     tol: float = 1e-8,
     max_iter: int = 200,
 ) -> FlipFlopResult:
     """Estimate the three covariance factors by cyclic maximization.
 
-    With the mean held fixed, each factor in turn is replaced by the
-    exact maximizer of the likelihood given the other two:
+    Starting from identity factors, with the mean held fixed, each
+    factor in turn is replaced by the exact maximizer of the likelihood
+    given the other two:
 
         Sigma_k  <-  (1/(n * d/d_k)) * sum_i  Z_(k) Z_(k)^T
 
@@ -432,8 +408,6 @@ def flip_flop_mle(
         leading sample axis).
     mean : array_like
         Fixed mean tensor; typically :func:`mle_mean` of the samples.
-    init : KronCovariance, optional
-        Starting factors; identity per mode when omitted.
     tol : float
         Stop when the relative log-likelihood change over a sweep,
         ``|new - old| / max(1, |old|)``, drops to ``tol`` or below.
@@ -471,14 +445,7 @@ def flip_flop_mle(
     d = math.prod(dims)
     centered = stacked - mean_arr
 
-    if init is None:
-        factors = [SpdFactor.identity(dk) for dk in dims]
-    else:
-        if init.dims != dims:
-            raise ValueError(
-                f"init dims {init.dims} do not match samples {dims}"
-            )
-        factors = list(init.factors)
+    factors = [SpdFactor.identity(dk) for dk in dims]
 
     ll = _total_log_likelihood(centered, factors)
     history = [ll]

@@ -9,6 +9,7 @@ import contextlib
 import copy
 import io
 import json
+import math
 import re
 import subprocess
 import sys
@@ -37,8 +38,14 @@ from relnet.data import (
     generate_synthetic,
     write_manifest,
 )
-from relnet.network import MultiTaskNet, TaskLayerStack, save_checkpoint
-from relnet.serialize import format_float, load_json
+from relnet.network import (
+    MultiTaskNet,
+    TaskLayerStack,
+    init_network,
+    load_checkpoint,
+    save_checkpoint,
+)
+from relnet.serialize import InputError, format_float, load_json
 from relnet.tensor_normal import (
     KronCovariance,
     TensorNormal,
@@ -593,16 +600,16 @@ def tiny_checkpoint(tmp_path):
     return path
 
 
-def with_samples(dims, n=20, bad=None, flags=()):
+def with_samples(dims, n=20, bad=None, flags=(), value=float("nan")):
     """A ``tnd-fit`` command on ``n`` samples of ``dims`` (written as
     given, so they may be invalid), with ``bad = (sample, entry)`` set
-    to NaN."""
+    to ``value``."""
 
     def setup(tmp_path):
         rng = np.random.default_rng(0)
         samples = rng.standard_normal((n, int(np.prod(dims)))).tolist()
         if bad is not None:
-            samples[bad[0]][bad[1]] = float("nan")
+            samples[bad[0]][bad[1]] = value
         inp = tmp_path / "samples.json"
         inp.write_text(json.dumps({"dims": dims, "samples": samples}))
         out = tmp_path / "fit.json"
@@ -623,6 +630,19 @@ def with_flags(command, *flags):
             "eval", "--model", str(tiny_checkpoint(tmp_path)),
             "--data", str(manifest), *flags,
         ]
+
+    return setup
+
+
+def with_checkpoint(path, value):
+    """An ``eval`` command on a valid manifest and a tiny checkpoint
+    holding ``value`` at the key path ``path``."""
+
+    def setup(tmp_path):
+        argv = with_flags("eval")(tmp_path)
+        model = Path(argv[argv.index("--model") + 1])
+        model.write_text(json.dumps(with_value(load_json(model), path, value)))
+        return argv
 
     return setup
 
@@ -684,6 +704,12 @@ REJECTED = {
     "task_covariance_not_spd": (
         with_field("data.synthetic.task_covariance", [[1, 2, 0], [2, 1, 0], [0, 0, 1]]),
         "config.data.synthetic.task_covariance",
+    ),
+    "task_covariance_strings_and_bools": (
+        with_field(
+            "data.synthetic.task_covariance", [["1", False, 0], [0, True, 0], [0, 0, 1]]
+        ),
+        "config.data.synthetic.task_covariance[0] entry 0",
     ),
     "task_covariance_nan": (
         with_field("data.synthetic.task_covariance", np.where(
@@ -748,6 +774,22 @@ REJECTED = {
     "tnd_tol_negative": (with_samples([3, 2, 2], flags=("--tol", "-1")), "--tol"),
     "tnd_tol_nan": (with_samples([3, 2, 2], flags=("--tol", "nan")), "--tol"),
     "tnd_non_finite_entry": (with_samples([3, 2, 2], bad=(1, 5)), "sample 1 entry 5"),
+    "tnd_string_entry": (
+        with_samples([3, 2, 2], bad=(1, 5), value="2"),
+        "sample 1 entry 5 must be a finite number",
+    ),
+    "tnd_bool_entry": (
+        with_samples([3, 2, 2], bad=(1, 5), value=True),
+        "sample 1 entry 5 must be a finite number",
+    ),
+    "eval_checkpoint_num_tasks_float": (
+        with_checkpoint(("num_tasks",), 2.7),
+        "model.json: malformed checkpoint: num_tasks must be an integer",
+    ),
+    "eval_checkpoint_nan_weight": (
+        with_checkpoint(("stack", "layers", 0, "weight", 4), float("nan")),
+        "model.json: malformed checkpoint: stack.layers[0].weight entry 4",
+    ),
     "tnd_too_few_samples": (with_samples([16, 2, 2], n=2), "mode 1 needs"),
     "train_seed_flag_negative": (with_flags("train", "--seed", "-1"), "--seed"),
     "eval_split_seed_negative": (
@@ -769,6 +811,10 @@ REJECTED = {
     "relationship_not_numeric": (
         with_relationship([["x", 0], [0, 1]]),
         "relationship_classifier.json",
+    ),
+    "relationship_bools_and_strings": (
+        with_relationship([[True, "0.5"], ["0.5", True]]),
+        "relationship_classifier.json: correlation[0] entry 0",
     ),
 }
 
@@ -935,9 +981,12 @@ SAMPLES = {"dims": [3, 2, 2], "samples": np.eye(12)[:8].tolist()}
     JSON_VALUES,
 )
 @example(("samples", 0, 0), 10**400)
+@example(("samples", 0, 0), "2")
+@example(("samples", 0, 0), True)
 def test_any_json_value_in_dims_or_a_sample_is_loaded_or_a_config_error(
     where, value
 ):
+    """A document loads only if every sample entry is a JSON number."""
     doc = with_value(SAMPLES, where, value)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "samples.json"
@@ -948,6 +997,85 @@ def test_any_json_value_in_dims_or_a_sample_is_loaded_or_a_config_error(
             assert str(path) in str(exc)
             return
     assert [s.shape for s in samples] == [tuple(doc["dims"])] * len(doc["samples"])
+    assert all(type(v) in (int, float) for s in doc["samples"] for v in s)
+
+
+def tiny_checkpoint_doc():
+    """A checkpoint with one trunk layer and two stack layers, as JSON."""
+    net = init_network(2, [2], [2, 2], 2, np.random.default_rng(0))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.json"
+        save_checkpoint(net, path, task_names=["a", "b"])
+        return load_json(path)
+
+
+CHECKPOINT = tiny_checkpoint_doc()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(list(json_paths(CHECKPOINT))), JSON_VALUES)
+@example(("num_tasks",), 2.7)
+@example(("trunk", 0, "weight", 1), float("nan"))
+@example(("stack", "layers", 1, "bias", 0), "2")
+def test_any_json_value_in_any_checkpoint_field_loads_or_names_the_file(
+    where, value
+):
+    """A checkpoint loads into a finite net with the counts it states, or
+    raises an ``InputError`` naming the file."""
+    doc = with_value(CHECKPOINT, where, value)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.json"
+        path.write_text(json.dumps(doc))
+        try:
+            net, _ = load_checkpoint(path)
+        except InputError as exc:
+            assert str(path) in str(exc)
+            return
+    assert np.isfinite(net.params).all()
+    counts = (net.input_dim, net.num_classes, net.num_tasks)
+    assert counts == (doc["input_dim"], doc["num_classes"], doc["num_tasks"])
+
+
+RELATIONSHIP = {
+    "schema_version": 1,
+    "layer": "classifier",
+    "task_names": ["a", "b"],
+    "correlation": [[1.0, 0.5], [0.5, 1.0]],
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(list(json_paths(RELATIONSHIP))),
+    JSON_VALUES,
+    st.sampled_from(["json", "csv"]),
+)
+@example(("correlation", 0, 0), True, "csv")
+@example(("correlation", 1, 0), "0.5", "csv")
+@example(("layer",), float("nan"), "json")
+def test_any_json_value_in_any_relationship_field_exports_or_names_the_file(
+    where, value, fmt
+):
+    """``export-relationship`` exits 0 on a square matrix of JSON numbers
+    with one row per task, and otherwise exits 1 naming the file."""
+    doc = with_value(RELATIONSHIP, where, value)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "relationship_classifier.json"
+        path.write_text(json.dumps(doc))
+        argv = [
+            "export-relationship", "--model-dir", tmp,
+            "--layer", "classifier", "--format", fmt,
+        ]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()):
+            with contextlib.redirect_stderr(err):
+                code = main(argv)
+    if code == 1:
+        assert str(path) in err.getvalue()
+        return
+    assert code == 0
+    corr = doc["correlation"]
+    assert all(type(v) in (int, float) and math.isfinite(v) for r in corr for v in r)
 
 
 # --------------------------------------------------------------------------

@@ -1,16 +1,25 @@
-"""Whole-array JSON emission against the element-by-element list path."""
+"""Whole-array JSON emission against the element-by-element list path,
+and the whole-array ``list[float]`` rule against the per-item rule."""
 
+import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from relnet.network import init_network, load_checkpoint, save_checkpoint
-from relnet.serialize import dumps_json, format_float, format_floats
+from relnet.serialize import (
+    ConfigError,
+    check_type,
+    dump_json,
+    dumps_json,
+    format_float,
+    format_floats,
+)
 
 EDGE_VALUES = [
     -0.0,
@@ -93,6 +102,19 @@ class TestWholeArrayEmission:
     def test_property_matches_list_path(self, arr):
         assert_same_bytes(arr)
 
+    @pytest.mark.parametrize("size", [4095, 4096, 4097, 2 * 4096 + 3])
+    def test_rows_longer_than_a_chunk(self, size, tmp_path):
+        """Rows are formatted a chunk at a time and ``dump_json`` streams
+        them: the text is the value-by-value join, and the file holds the
+        bytes of ``dumps_json``."""
+        row = np.random.default_rng(size).standard_normal(size)
+        row[::7] = -0.0
+        assert format_floats(row, ",") == ",".join(format_float(v) for v in row)
+        doc = {"w": row, "rows": row.reshape(-1, 1)[:5], "n": size}
+        dump_json(doc, tmp_path / "doc.json")
+        assert (tmp_path / "doc.json").read_text() == dumps_json(doc)
+        assert_same_bytes(row)
+
 
 @settings(max_examples=50, deadline=None)
 @given(st.data())
@@ -109,3 +131,41 @@ def test_checkpoint_round_trip_is_byte_stable(data):
         loaded, names = load_checkpoint(first)
         save_checkpoint(loaded, second, task_names=names)
         assert first.read_bytes() == second.read_bytes()
+
+
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(max_size=3)
+)
+BEYOND_DOUBLE = int(sys.float_info.max) * 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(JSON_SCALARS, max_size=6))
+@example([1, 2.5, int(sys.float_info.max) + 1])
+@example([0.5, BEYOND_DOUBLE])
+@example([0.5, "2", True])
+def test_float_list_follows_the_per_item_float_rule(items):
+    """``list[float]`` accepts exactly the lists whose every item passes
+    the ``float`` rule, gives the same values, and names the first bad
+    item ``entry J``."""
+    bad = [j for j, v in enumerate(items) if _rejects(v)]
+    if bad:
+        with pytest.raises(ConfigError, match=f"^x entry {bad[0]} must be a finite"):
+            check_type(items, "list[float]", "x")
+        return
+    got = check_type(items, "list[float]", "x")
+    assert got.dtype == np.float64 and got.shape == (len(items),)
+    assert got.tolist() == [float(v) for v in items]
+
+
+def _rejects(v) -> bool:
+    """Whether the scalar ``float`` rule rejects ``v``."""
+    try:
+        check_type(v, "float", "x")
+    except ConfigError:
+        return True
+    return False

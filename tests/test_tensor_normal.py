@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 from scipy.stats import multivariate_normal
 
-from relnet.tensor import kronecker, matricize, vectorize
+from relnet.tensor import _along_mode, kronecker, matricize, vectorize
 from relnet.tensor_normal import (
     EstimationError,
-    _along_mode,
     FlipFlopResult,
     KronCovariance,
     SpdFactor,
