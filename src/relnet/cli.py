@@ -46,6 +46,7 @@ from .network import accuracy, init_network, load_checkpoint, save_checkpoint
 from .serialize import (
     ConfigError,
     InputError,
+    check_task_names,
     check_type,
     dump_json,
     dumps_json,
@@ -500,6 +501,7 @@ def cmd_export_relationship(args) -> int:
     # Any other key is allowed: JSON export re-emits the document as read.
     _require(doc, str(path), ("task_names", "correlation"), optional=doc)
     names = check_type(doc["task_names"], "list[str]", f"{path}: task_names")
+    check_task_names(names, lambda msg: ConfigError(f"{path}: task_names: {msg}"))
     corr = check_type(doc["correlation"], "list[list[float]]", f"{path}: correlation")
     if len(corr) != len(names) or any(row.size != len(names) for row in corr):
         raise ConfigError(f"{path}: correlation must have one row and column per task")

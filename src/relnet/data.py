@@ -23,6 +23,7 @@ import numpy as np
 from .network import softmax
 from .serialize import (
     InputError,
+    check_task_names,
     check_type,
     dump_json,
     format_floats,
@@ -71,13 +72,7 @@ class MultiTaskDataset:
     num_classes: int
 
     def __post_init__(self):
-        if not self.task_names:
-            raise DatasetError("need at least one task")
-        for name in self.task_names:
-            if not isinstance(name, str) or not name or "," in name:
-                raise DatasetError(f"bad task name {name!r}")
-        if len(set(self.task_names)) != len(self.task_names):
-            raise DatasetError("task names must be unique")
+        check_task_names(self.task_names, DatasetError)
         if not (len(self.features) == len(self.labels) == len(self.task_names)):
             raise DatasetError("need features and labels for every task")
         if self.num_classes < 2:

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .serialize import InputError, check_type, dump_json, load_json
+from .serialize import InputError, check_task_names, check_type, dump_json, load_json
 from .tensor_normal import KronCovariance
 
 __all__ = [
@@ -30,6 +30,7 @@ __all__ = [
     "MultiTaskNet",
     "Gradients",
     "init_network",
+    "logits",
     "forward",
     "predict",
     "accuracy",
@@ -48,7 +49,6 @@ __all__ = [
     "load_checkpoint",
 ]
 
-_HIDDEN_ACTIVATIONS = ("relu", "identity")
 CHECKPOINT_SCHEMA_VERSION = 1
 
 
@@ -70,7 +70,7 @@ class DenseLayer:
                 f"bias shape {self.bias.shape} does not match out dim "
                 f"{self.weight.shape[1]}"
             )
-        if self.activation not in _HIDDEN_ACTIVATIONS:
+        if self.activation != "relu":
             raise ValueError(f"unsupported trunk activation {self.activation!r}")
 
 
@@ -95,7 +95,7 @@ class TaskLayerStack:
 
     ``weights[l][:, :, t]`` is the weight matrix of layer ``layer_ids[l]``
     for task ``t``; ``biases[l][t]`` is the matching bias row.  The last
-    layer uses a softmax output, earlier ones ReLU (or identity).
+    layer uses a softmax output, earlier ones ReLU.
     """
 
     layer_ids: list
@@ -132,7 +132,7 @@ class TaskLayerStack:
             if nxt.shape[0] != prev.shape[1]:
                 raise ValueError("stack layer dims do not chain")
         for act in self.activations[:-1]:
-            if act not in _HIDDEN_ACTIVATIONS:
+            if act != "relu":
                 raise ValueError(f"unsupported hidden activation {act!r}")
         if self.activations[-1] != "softmax":
             raise ValueError("the final stack layer must use softmax")
@@ -314,12 +314,6 @@ def softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _activate(z: np.ndarray, activation: str) -> np.ndarray:
-    if activation == "relu":
-        return np.maximum(z, 0.0)
-    return z
-
-
 def _check_task(net: MultiTaskNet, task: int) -> int:
     task = int(task)
     if not 0 <= task < net.num_tasks:
@@ -352,19 +346,18 @@ def _forward_cached(net: MultiTaskNet, tasks, x: np.ndarray):
     """
     inputs, pre_acts = [], []
     h = x
-    specs = [(layer.weight, layer.bias, layer.activation) for layer in net.trunk]
-    for w, b, act in specs:
+    for layer in net.trunk:
         inputs.append(h)
-        z = h @ w + b
+        z = h @ layer.weight + layer.bias
         pre_acts.append(z)
-        h = _activate(z, act)
+        h = np.maximum(z, 0.0)
     stack = net.stack
     for l in range(stack.num_layers):
         inputs.append(h)
         z = _stack_pre_act(h, stack.weights[l], stack.biases[l], tasks)
         pre_acts.append(z)
         if l < stack.num_layers - 1:
-            h = _activate(z, stack.activations[l])
+            h = np.maximum(z, 0.0)
     return inputs, pre_acts, pre_acts[-1]
 
 
@@ -502,13 +495,7 @@ def batch_gradients(net: MultiTaskNet, tasks, x, labels) -> Gradients:
             np.matmul(a.T, dz, out=grads.trunk_weights[l])
             dz.sum(axis=0, out=grads.trunk_biases[l])
         if l > 0:
-            da = spread @ w_flat.T
-            act = (
-                net.trunk[l - 1].activation
-                if l - 1 < n_trunk
-                else stack.activations[l - 1 - n_trunk]
-            )
-            dz = da * (pre_acts[l - 1] > 0) if act == "relu" else da
+            dz = (spread @ w_flat.T) * (pre_acts[l - 1] > 0)
     return grads
 
 
@@ -626,12 +613,20 @@ def save_checkpoint(net: MultiTaskNet, path, task_names=None) -> None:
     dump_json(doc, path)
 
 
+def _dim(value, where: str) -> int:
+    """A dim or count read from a checkpoint: a JSON integer of at least 1."""
+    n = check_type(value, "int", where)
+    if n < 1:
+        raise ValueError(f"{where} must be at least 1, got {n}")
+    return n
+
+
 def _layer_from_doc(entry, where: str, *tasks) -> tuple:
     """``(weight, bias, activation)`` of a layer written by
     :func:`_layer_doc`; ``tasks`` is ``(T,)`` for a stack layer, whose
     weight is ``(in_dim, out_dim, T)`` and bias ``(T, out_dim)``."""
-    din = check_type(entry["in_dim"], "int", f"{where}.in_dim")
-    dout = check_type(entry["out_dim"], "int", f"{where}.out_dim")
+    din = _dim(entry["in_dim"], f"{where}.in_dim")
+    dout = _dim(entry["out_dim"], f"{where}.out_dim")
     w = check_type(entry["weight"], "list[float]", f"{where}.weight")
     b = check_type(entry["bias"], "list[float]", f"{where}.bias")
     return w.reshape(din, dout, *tasks), b.reshape(*tasks, dout), entry["activation"]
@@ -640,8 +635,10 @@ def _layer_from_doc(entry, where: str, *tasks) -> tuple:
 def load_checkpoint(path) -> tuple:
     """Read a checkpoint; returns ``(net, task_names)``.
 
-    Counts and dims must be JSON integers, and weights and biases lists
-    of finite JSON numbers (:func:`~relnet.serialize.check_type`).  A
+    Counts and dims must be JSON integers of at least 1, weights and
+    biases lists of finite JSON numbers
+    (:func:`~relnet.serialize.check_type`), and ``task_names`` null or
+    one name per task under :func:`~relnet.serialize.check_task_names`.  A
     file that cannot be read, parsed or built into a network raises
     :class:`~relnet.serialize.InputError` naming ``path``.
     """
@@ -657,7 +654,7 @@ def load_checkpoint(path) -> tuple:
             DenseLayer(*_layer_from_doc(entry, f"trunk[{i}]"))
             for i, entry in enumerate(doc["trunk"])
         ]
-        num_tasks = check_type(doc["num_tasks"], "int", "num_tasks")
+        num_tasks = _dim(doc["num_tasks"], "num_tasks")
         layers = [
             _layer_from_doc(entry, f"stack.layers[{i}]", num_tasks)
             for i, entry in enumerate(doc["stack"]["layers"])
@@ -674,6 +671,10 @@ def load_checkpoint(path) -> tuple:
             stack=TaskLayerStack(ids, *columns),
         )
         names = check_type(doc.get("task_names"), "list[str] | None", "task_names")
+        if names is not None:
+            if len(names) != num_tasks:
+                raise ValueError("task_names must have one entry per task")
+            check_task_names(names)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"{path}: malformed checkpoint: {exc}") from None
     return net, names

@@ -42,6 +42,7 @@ __all__ = [
     "output_errors",
     "load_json",
     "check_type",
+    "check_task_names",
     "write_csv_rows",
 ]
 
@@ -278,6 +279,19 @@ def _float_array(items: list, where: str) -> np.ndarray:
     return np.array(
         [check_type(v, "float", f"{where} entry {j}") for j, v in enumerate(items)]
     )
+
+
+def check_task_names(names, error=ValueError) -> None:
+    """Raise ``error(message)`` unless ``names`` is a non-empty list of
+    unique, non-empty strings without commas: task names become CSV
+    cells (:func:`write_csv_rows`)."""
+    if not names:
+        raise error("need at least one task")
+    for name in names:
+        if not isinstance(name, str) or not name or "," in name:
+            raise error(f"bad task name {name!r}")
+    if len(set(names)) != len(names):
+        raise error("task names must be unique")
 
 
 def write_csv_rows(path, header, rows) -> None:

@@ -137,48 +137,31 @@ def learning_rate_at(cfg: TrainConfig, iteration: int) -> float:
 
 @dataclass
 class CovarianceState:
-    """Per-layer Kronecker factors of the prior.
+    """The Kronecker prior of every stack layer.
 
-    ``feature[l]``, ``output[l]`` and ``task[l]`` are the mode factors
-    of stack layer ``layer_ids[l]``.  With ``shared_task`` every entry
-    of ``task`` is the same pooled factor.
+    ``priors[l]`` is the :class:`~relnet.tensor_normal.KronCovariance`
+    of stack layer ``layer_ids[l]``, its factors in mode order (feature,
+    output, task).  With ``shared_task`` every prior holds the same
+    pooled task factor object.
     """
 
     layer_ids: list
-    feature: list
-    output: list
-    task: list
+    priors: list[KronCovariance]
     shared_task: bool = False
 
     @classmethod
     def identity_for(cls, stack: TaskLayerStack, shared_task: bool = False):
         """Unit-trace scaled identities matching the stack's dims."""
-        feature, output, task = [], [], []
-        shared = None
-        for w in stack.weights:
-            din, dout, t = w.shape
-            feature.append(SpdFactor.identity(din, 1.0 / din))
-            output.append(SpdFactor.identity(dout, 1.0 / dout))
-            if shared_task:
-                if shared is None:
-                    shared = SpdFactor.identity(t, 1.0 / t)
-                task.append(shared)
-            else:
-                task.append(SpdFactor.identity(t, 1.0 / t))
-        return cls(
-            layer_ids=list(stack.layer_ids),
-            feature=feature,
-            output=output,
-            task=task,
-            shared_task=shared_task,
-        )
 
-    def prior(self, l: int) -> KronCovariance:
-        """The Kronecker prior of the stack layer at position ``l``."""
-        return KronCovariance([self.feature[l], self.output[l], self.task[l]])
+        def unit(dim):
+            return SpdFactor.identity(dim, 1.0 / dim)
 
-    def priors(self) -> list:
-        return [self.prior(l) for l in range(len(self.layer_ids))]
+        shared = unit(stack.num_tasks) if shared_task else None
+        priors = [
+            KronCovariance([unit(din), unit(dout), shared if shared_task else unit(t)])
+            for din, dout, t in (w.shape for w in stack.weights)
+        ]
+        return cls(list(stack.layer_ids), priors, shared_task)
 
 
 @dataclass
@@ -243,12 +226,14 @@ def update_covariances(
 ) -> CovarianceState:
     """One cyclic re-estimation sweep over all prior factors.
 
-    Per layer, the feature, output and task factors are updated in that
-    order, each from the weights whitened by the other modes' most
-    recent factors, then ridged with ``epsilon_ridge`` and scaled to
-    unit trace.  With ``shared_task_sigma`` the task-mode Gram matrices
-    are pooled across layers (weighted by ``D_in * D_out``) before the
-    ridge and normalization.
+    Per layer, the factors of ``cov.priors[l]`` are updated in mode
+    order (feature, output, task), each from the weights whitened by the
+    other modes' most recent factors, then ridged with ``epsilon_ridge``
+    and scaled to unit trace; the layer's new prior is a
+    :class:`~relnet.tensor_normal.KronCovariance` of the swept factors.
+    With ``shared_task_sigma`` the task-mode Gram matrices are pooled
+    across layers (weighted by ``D_in * D_out``) before the ridge and
+    normalization, and every new prior holds the one pooled factor.
 
     The mode-3 (task) step costs ``O(T^2 D_in D_out + T^3)`` arithmetic
     per layer: one Gram product against the pre-whitened weights plus
@@ -256,45 +241,37 @@ def update_covariances(
     """
     if list(stack.layer_ids) != list(cov.layer_ids):
         raise ValueError("covariance state does not match the stack")
-    new_feature = list(cov.feature)
-    new_output = list(cov.output)
-    new_task = list(cov.task)
-    modes = (("feature", new_feature), ("output", new_output), ("task", new_task))
-    task_grams = []
-    for l, w in enumerate(stack.weights):
-        lid = stack.layer_ids[l]
+    swept, task_grams = [], []
+    for lid, w, prior in zip(stack.layer_ids, stack.weights, cov.priors):
+        factors = list(prior.factors)
         d = w.size
-        for k, (name, new) in enumerate(modes):
+        for k, name in enumerate(("feature", "output", "task")):
             dk = w.shape[k]
-            gram = mode_gram(w, [m[l] for _, m in modes], k)
+            gram = mode_gram(w, factors, k)
             if counter is not None:
                 counter.add(f"mode{k + 1}_solve", (sum(w.shape) - dk) * d)
                 counter.add(f"mode{k + 1}_gram", dk * d)
             if k == 2 and cfg.shared_task_sigma:
                 task_grams.append((gram, d // dk))
                 continue
-            new[l] = _finish_factor(
+            factors[k] = _finish_factor(
                 gram, d // dk, cfg.epsilon_ridge, dk, counter,
                 f"mode{k + 1}_factor", f"layer {lid!r} {name} mode",
             )
+        swept.append(factors)
 
     if cfg.shared_task_sigma:
         pooled = sum(g for g, _ in task_grams)
         weight = sum(wt for _, wt in task_grams)
-        t = stack.num_tasks
         shared = _finish_factor(
-            pooled, weight, cfg.epsilon_ridge, t, counter, "mode3_factor",
-            "shared task mode",
+            pooled, weight, cfg.epsilon_ridge, stack.num_tasks, counter,
+            "mode3_factor", "shared task mode",
         )
-        new_task = [shared] * len(stack.weights)
+        for factors in swept:
+            factors[2] = shared
 
-    return CovarianceState(
-        layer_ids=list(cov.layer_ids),
-        feature=new_feature,
-        output=new_output,
-        task=new_task,
-        shared_task=cfg.shared_task_sigma,
-    )
+    priors = [KronCovariance(f) for f in swept]
+    return CovarianceState(list(cov.layer_ids), priors, cfg.shared_task_sigma)
 
 
 def check_data(net: MultiTaskNet, data: MultiTaskDataset, what: str) -> None:
@@ -357,7 +334,7 @@ def sgd_epoch(
     rng = np.random.default_rng([cfg.seed, 0, state.epoch])
     perm = rng.permutation(total)
 
-    priors = cov.priors() if cfg.prior_weight > 0.0 else None
+    priors = cov.priors if cfg.prior_weight > 0.0 else None
     mu = cfg.momentum
     segments = (slice(None, net.stack_start), slice(net.stack_start, None))
 
@@ -416,7 +393,7 @@ def _objective_of(
     """:func:`objective` given the per-task summed losses, in task order."""
     risk = sum(losses)
     if cfg.prior_weight > 0.0:
-        risk += cfg.prior_weight * prior_penalty(net.stack, cov.priors())
+        risk += cfg.prior_weight * prior_penalty(net.stack, cov.priors)
     return float(risk)
 
 
@@ -454,13 +431,8 @@ class TrainReport:
         header += [f"residual_{lid}" for lid in self.layer_ids]
         rows = []
         for r in self.records:
-            row = [r.epoch, r.objective, *r.train_accuracy]
-            if has_test:
-                row += list(r.test_accuracy) if r.test_accuracy is not None else [
-                    float("nan")
-                ] * len(self.task_names)
-            row += list(r.residuals)
-            rows.append(row)
+            test = r.test_accuracy or ()
+            rows.append([r.epoch, r.objective, *r.train_accuracy, *test, *r.residuals])
         write_csv_rows(path, header, rows)
 
     def timings_to_csv(self, path) -> None:
@@ -471,14 +443,10 @@ class TrainReport:
         )
 
 
-def _residual(old: CovarianceState, new: CovarianceState, l: int) -> float:
+def _residual(old: KronCovariance, new: KronCovariance) -> float:
     return max(
         float(np.linalg.norm(a.matrix - b.matrix))
-        for a, b in (
-            (old.feature[l], new.feature[l]),
-            (old.output[l], new.output[l]),
-            (old.task[l], new.task[l]),
-        )
+        for a, b in zip(old.factors, new.factors)
     )
 
 
@@ -520,9 +488,7 @@ def train(
             new_cov = cov
         t2 = time.perf_counter()
 
-        residuals = tuple(
-            _residual(cov, new_cov, l) for l in range(len(cov.layer_ids))
-        )
+        residuals = tuple(map(_residual, cov.priors, new_cov.priors))
         cov = new_cov
         losses, train_acc = zip(
             *(
@@ -559,7 +525,7 @@ def extract_relationship(cov: CovarianceState, layer) -> np.ndarray:
     :class:`EstimationError`.
     """
     l = resolve_layer(cov.layer_ids, layer)
-    m = cov.task[l].matrix
+    m = cov.priors[l].factors[2].matrix
     diag = np.diag(m)
     if np.any(diag <= 0):
         raise EstimationError(

@@ -30,7 +30,6 @@ from relnet.serialize import load_json
 from relnet.tensor import kronecker, matricize, mode_product, vectorize
 from relnet.tensor_normal import (
     KronCovariance,
-    SpdFactor,
     TensorNormal,
     flip_flop_mle,
     log_pdf,
@@ -223,21 +222,13 @@ def test_06_covariance_update_matches_dense_brute_force():
     stack = TaskLayerStack(
         ["classifier"], [w.copy()], [np.zeros((tasks, dout))], ["softmax"]
     )
-    cov = CovarianceState(
-        layer_ids=["classifier"],
-        feature=[SpdFactor(unit_trace_spd(rng, din))],
-        output=[SpdFactor(unit_trace_spd(rng, dout))],
-        task=[SpdFactor(unit_trace_spd(rng, tasks))],
-    )
+    prior = KronCovariance([unit_trace_spd(rng, d) for d in (din, dout, tasks)])
+    cov = CovarianceState(layer_ids=["classifier"], priors=[prior])
     eps = 0.05
     cfg = TrainConfig(epsilon_ridge=eps)
     got = update_covariances(stack, cov, cfg)
 
-    factors = [
-        cov.feature[0].matrix.copy(),
-        cov.output[0].matrix.copy(),
-        cov.task[0].matrix.copy(),
-    ]
+    factors = [f.matrix.copy() for f in cov.priors[0].factors]
     d = din * dout * tasks
     for k in range(3):
         others = [factors[j] for j in range(3) if j != k]
@@ -247,9 +238,7 @@ def test_06_covariance_update_matches_dense_brute_force():
         s = gram + eps * np.eye(w.shape[k])
         factors[k] = s / np.trace(s)
 
-    for want, have in zip(
-        factors, (got.feature[0], got.output[0], got.task[0])
-    ):
+    for want, have in zip(factors, got.priors[0].factors):
         np.testing.assert_allclose(have.matrix, want, rtol=1e-10, atol=1e-12)
 
 

@@ -5,8 +5,10 @@ codes and outputs can be asserted directly; one smoke test goes through
 ``python -m relnet`` to cover the module entry point.
 """
 
+import ast
 import contextlib
 import copy
+import importlib
 import io
 import json
 import math
@@ -538,6 +540,22 @@ def test_commands_import_no_scipy(tmp_path):
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
+def test_package_exports_are_exported_by_their_modules():
+    """Every name in ``relnet.__all__`` but ``__version__`` is imported
+    by the package from a module whose ``__all__`` lists it."""
+    tree = ast.parse(Path(relnet.__file__).read_text())
+    source = {
+        alias.name: node.module
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert set(relnet.__all__) - set(source) == {"__version__"}
+    for name in set(relnet.__all__) & set(source):
+        module = importlib.import_module(f"relnet.{source[name]}")
+        assert name in module.__all__, f"relnet.{source[name]} does not export {name}"
+
+
 # --------------------------------------------------------------------------
 # rejected input: exit 1, the field or file named, no traceback
 
@@ -647,12 +665,13 @@ def with_checkpoint(path, value):
     return setup
 
 
-def with_relationship(correlation):
-    """CSV export of a relationship file holding ``correlation``."""
+def with_relationship(correlation, names=("a", "b")):
+    """CSV export of a relationship file holding ``correlation`` and the
+    task ``names``."""
 
     def setup(tmp_path):
         (tmp_path / "relationship_classifier.json").write_text(
-            json.dumps({"task_names": ["a", "b"], "correlation": correlation})
+            json.dumps({"task_names": list(names), "correlation": correlation})
         )
         return [
             "export-relationship", "--model-dir", str(tmp_path),
@@ -815,6 +834,14 @@ REJECTED = {
     "relationship_bools_and_strings": (
         with_relationship([[True, "0.5"], ["0.5", True]]),
         "relationship_classifier.json: correlation[0] entry 0",
+    ),
+    "relationship_name_with_comma": (
+        with_relationship(np.eye(2).tolist(), ["a,b", "c"]),
+        "relationship_classifier.json: task_names: bad task name 'a,b'",
+    ),
+    "relationship_duplicate_names": (
+        with_relationship(np.eye(2).tolist(), ["a", "a"]),
+        "relationship_classifier.json: task_names: task names must be unique",
     ),
 }
 
@@ -1012,28 +1039,44 @@ def tiny_checkpoint_doc():
 CHECKPOINT = tiny_checkpoint_doc()
 
 
+def valid_task_names(names):
+    """Non-empty, unique, non-empty strings without commas."""
+    return (
+        bool(names)
+        and all(isinstance(n, str) and n and "," not in n for n in names)
+        and len(set(names)) == len(names)
+    )
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(list(json_paths(CHECKPOINT))), JSON_VALUES)
 @example(("num_tasks",), 2.7)
 @example(("trunk", 0, "weight", 1), float("nan"))
 @example(("stack", "layers", 1, "bias", 0), "2")
+@example(("task_names",), ["a"])
+@example(("trunk", 0, "in_dim"), -1)
 def test_any_json_value_in_any_checkpoint_field_loads_or_names_the_file(
     where, value
 ):
-    """A checkpoint loads into a finite net with the counts it states, or
-    raises an ``InputError`` naming the file."""
+    """A checkpoint loads into a finite net with the counts, dims and
+    task names it states, or raises an ``InputError`` naming the file."""
     doc = with_value(CHECKPOINT, where, value)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "model.json"
         path.write_text(json.dumps(doc))
         try:
-            net, _ = load_checkpoint(path)
+            net, names = load_checkpoint(path)
         except InputError as exc:
             assert str(path) in str(exc)
             return
     assert np.isfinite(net.params).all()
     counts = (net.input_dim, net.num_classes, net.num_tasks)
     assert counts == (doc["input_dim"], doc["num_classes"], doc["num_tasks"])
+    assert names is None or (len(names) == net.num_tasks and valid_task_names(names))
+    for layer, entry in zip(net.trunk, doc["trunk"]):
+        assert layer.weight.shape == (entry["in_dim"], entry["out_dim"])
+    for w, entry in zip(net.stack.weights, doc["stack"]["layers"]):
+        assert w.shape == (entry["in_dim"], entry["out_dim"], net.num_tasks)
 
 
 RELATIONSHIP = {
@@ -1053,11 +1096,14 @@ RELATIONSHIP = {
 @example(("correlation", 0, 0), True, "csv")
 @example(("correlation", 1, 0), "0.5", "csv")
 @example(("layer",), float("nan"), "json")
+@example(("task_names", 0), "a,b", "csv")
+@example(("task_names", 1), "a", "json")
 def test_any_json_value_in_any_relationship_field_exports_or_names_the_file(
     where, value, fmt
 ):
     """``export-relationship`` exits 0 on a square matrix of JSON numbers
-    with one row per task, and otherwise exits 1 naming the file."""
+    with one row per task named under the task-name rule, and otherwise
+    exits 1 naming the file."""
     doc = with_value(RELATIONSHIP, where, value)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "relationship_classifier.json"
@@ -1076,6 +1122,7 @@ def test_any_json_value_in_any_relationship_field_exports_or_names_the_file(
     assert code == 0
     corr = doc["correlation"]
     assert all(type(v) in (int, float) and math.isfinite(v) for r in corr for v in r)
+    assert valid_task_names(doc["task_names"])
 
 
 # --------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Network forward/backward against finite differences and dense priors."""
 
 import copy
+import json
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from relnet.network import (
     save_checkpoint,
     task_log_loss,
 )
+from relnet.serialize import InputError, load_json
 from relnet.tensor import kronecker
 from relnet.tensor_normal import KronCovariance
 
@@ -356,6 +358,21 @@ class TestCheckpoint:
         path.write_text('{"schema_version": 99}')
         with pytest.raises(ValueError):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("section", ["trunk", "stack"])
+    def test_hidden_activation_other_than_relu_rejected(self, tmp_path, section):
+        """Hidden layers are ReLU: a checkpoint naming ``identity`` for a
+        trunk or hidden stack layer raises an ``InputError`` naming it."""
+        net = init_network(3, [2], [2, 2], 2, np.random.default_rng(17))
+        path = tmp_path / "model.json"
+        save_checkpoint(net, path)
+        doc = load_json(path)
+        layers = doc["trunk"] if section == "trunk" else doc["stack"]["layers"]
+        layers[0]["activation"] = "identity"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InputError, match="activation 'identity'") as exc:
+            load_checkpoint(path)
+        assert str(path) in str(exc.value)
 
 
 class TestParameterBuffer:

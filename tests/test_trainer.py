@@ -40,9 +40,10 @@ def unit_identity_state(stack):
     """Unscaled identity factors, so the prior inverse is the identity."""
     return CovarianceState(
         layer_ids=list(stack.layer_ids),
-        feature=[SpdFactor.identity(w.shape[0]) for w in stack.weights],
-        output=[SpdFactor.identity(w.shape[1]) for w in stack.weights],
-        task=[SpdFactor.identity(w.shape[2]) for w in stack.weights],
+        priors=[
+            KronCovariance([SpdFactor.identity(d) for d in w.shape])
+            for w in stack.weights
+        ],
     )
 
 
@@ -177,7 +178,7 @@ class TestSgdEpoch:
         cov_a = CovarianceState.identity_for(net_a.stack)
         cov_b = unit_identity_state(net_b.stack)
         scaled = SpdFactor(np.diag([5.0, 0.1, 2.0][: net_b.num_tasks]))
-        cov_b.task = [scaled for _ in cov_b.task]
+        cov_b.priors = [KronCovariance([*p.factors[:2], scaled]) for p in cov_b.priors]
 
         sgd_epoch(net_a, cov_a, data, cfg, OptimizerState.zeros_like(net_a))
         sgd_epoch(net_b, cov_b, data, cfg, OptimizerState.zeros_like(net_b))
@@ -351,9 +352,9 @@ class TestBenchmarkHooks:
 
 def dense_update_oracle(stack, cov, cfg):
     """Brute-force Gauss-Seidel sweep with materialized Kronecker inverses."""
-    feats = [f.matrix.copy() for f in cov.feature]
-    outs = [f.matrix.copy() for f in cov.output]
-    tasks = [f.matrix.copy() for f in cov.task]
+    feats, outs, tasks = (
+        [p.factors[k].matrix.copy() for p in cov.priors] for k in range(3)
+    )
     eps = cfg.epsilon_ridge
     for l, w in enumerate(stack.weights):
         din, dout, t = w.shape
@@ -383,11 +384,8 @@ class TestUpdateCovariances:
             w[:] = 0.0
         cov = CovarianceState.identity_for(net.stack)
         new = update_covariances(net.stack, cov, TrainConfig())
-        for fs, dims in zip(
-            (new.feature, new.output, new.task),
-            zip(*(w.shape for w in net.stack.weights)),
-        ):
-            for f, d in zip(fs, dims):
+        for prior, w in zip(new.priors, net.stack.weights):
+            for f, d in zip(prior.factors, w.shape):
                 np.testing.assert_allclose(f.matrix, np.eye(d) / d, rtol=1e-12)
 
     def test_single_task_factor_is_one(self):
@@ -395,7 +393,9 @@ class TestUpdateCovariances:
         net = init_network(4, [], [3], 1, rng)
         cov = CovarianceState.identity_for(net.stack)
         new = update_covariances(net.stack, cov, TrainConfig())
-        np.testing.assert_allclose(new.task[0].matrix, [[1.0]], rtol=1e-15)
+        np.testing.assert_allclose(
+            new.priors[0].factors[2].matrix, [[1.0]], rtol=1e-15
+        )
 
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(17)
@@ -405,9 +405,10 @@ class TestUpdateCovariances:
         new = update_covariances(net.stack, cov, cfg)
         feats, outs, tasks = dense_update_oracle(net.stack, cov, cfg)
         for l in range(2):
-            np.testing.assert_allclose(new.feature[l].matrix, feats[l], rtol=1e-10)
-            np.testing.assert_allclose(new.output[l].matrix, outs[l], rtol=1e-10)
-            np.testing.assert_allclose(new.task[l].matrix, tasks[l], rtol=1e-10)
+            feature, output, task = new.priors[l].factors
+            np.testing.assert_allclose(feature.matrix, feats[l], rtol=1e-10)
+            np.testing.assert_allclose(output.matrix, outs[l], rtol=1e-10)
+            np.testing.assert_allclose(task.matrix, tasks[l], rtol=1e-10)
 
     def test_factors_spd_unit_trace(self):
         rng = np.random.default_rng(18)
@@ -416,8 +417,8 @@ class TestUpdateCovariances:
         cfg = TrainConfig()
         for _ in range(3):
             cov = update_covariances(net.stack, cov, cfg)
-            for group in (cov.feature, cov.output, cov.task):
-                for f in group:
+            for prior in cov.priors:
+                for f in prior.factors:
                     assert np.trace(f.matrix) == pytest.approx(1.0, rel=1e-12)
                     assert np.all(np.linalg.eigvalsh(f.matrix) > 0)
 
@@ -429,10 +430,10 @@ class TestUpdateCovariances:
         cfg = TrainConfig(shared_task_sigma=True)
         new = update_covariances(net.stack, cov, cfg)
         assert new.shared_task
-        assert new.task[0] is new.task[1]
+        assert new.priors[0].factors[2] is new.priors[1].factors[2]
 
-        feats = [f.matrix for f in new.feature]
-        outs = [f.matrix for f in new.output]
+        feats = [p.factors[0].matrix for p in new.priors]
+        outs = [p.factors[1].matrix for p in new.priors]
         pooled = np.zeros((3, 3))
         weight = 0
         for l, w in enumerate(net.stack.weights):
@@ -443,7 +444,7 @@ class TestUpdateCovariances:
             weight += din * dout
         s = pooled / weight + cfg.epsilon_ridge * np.eye(3)
         s = s / np.trace(s)
-        np.testing.assert_allclose(new.task[0].matrix, s, rtol=1e-10)
+        np.testing.assert_allclose(new.priors[0].factors[2].matrix, s, rtol=1e-10)
 
     def test_huge_ridge_approaches_weight_decay(self):
         """Ridge dominating the Gram pushes every factor toward I/dim, and
@@ -453,14 +454,10 @@ class TestUpdateCovariances:
         cov = CovarianceState.identity_for(net.stack)
         cfg = TrainConfig(epsilon_ridge=1e9)
         new = update_covariances(net.stack, cov, cfg)
-        for f, d in (
-            (new.feature[0], 4),
-            (new.output[0], 3),
-            (new.task[0], 2),
-        ):
+        for f, d in zip(new.priors[0].factors, (4, 3, 2)):
             np.testing.assert_allclose(f.matrix, np.eye(d) / d, atol=1e-6)
         w = net.stack.weights[0]
-        grad = new.prior(0).apply_inverse(w)
+        grad = new.priors[0].apply_inverse(w)
         np.testing.assert_allclose(grad, 24.0 * w, rtol=1e-5)
 
     def test_op_counter_populated(self):
@@ -501,7 +498,7 @@ class TestObjective:
         base = objective(net, cov, data, TrainConfig(prior_weight=0.0))
         lam = 0.37
         full = objective(net, cov, data, TrainConfig(prior_weight=lam))
-        pen = prior_penalty(net.stack, cov.priors())
+        pen = prior_penalty(net.stack, cov.priors)
         assert full == pytest.approx(base + lam * pen, rel=1e-12)
 
 
@@ -517,7 +514,7 @@ class TestTrain:
             np.testing.assert_array_equal(
                 out.stack.weights[l], before.stack.weights[l]
             )
-        np.testing.assert_allclose(cov.feature[0].matrix, np.eye(4) / 4)
+        np.testing.assert_allclose(cov.priors[0].factors[0].matrix, np.eye(4) / 4)
 
     def test_bit_identical_across_runs(self):
         """Same config and seed: parameter trajectories and report rows
@@ -538,7 +535,7 @@ class TestTrain:
                 net_a.stack.weights[l], net_b.stack.weights[l]
             )
             np.testing.assert_array_equal(
-                cov_a.task[l].matrix, cov_b.task[l].matrix
+                cov_a.priors[l].factors[2].matrix, cov_b.priors[l].factors[2].matrix
             )
         for ra, rb in zip(rep_a.records, rep_b.records):
             assert ra.objective == rb.objective
@@ -616,19 +613,20 @@ class TestExtractRelationship:
         net = init_network(4, [], [3], 3, rng)
         cov = CovarianceState.identity_for(net.stack)
         m = np.array([[2.0, 0.6, 0.0], [0.6, 1.0, -0.3], [0.0, -0.3, 0.5]])
-        cov.task[0] = SpdFactor(m)
+        feature, output, _ = cov.priors[0].factors
+        cov.priors[0] = KronCovariance([feature, output, SpdFactor(m)])
         corr = extract_relationship(cov, "classifier")
         np.testing.assert_array_equal(np.diag(corr), np.ones(3))
         assert corr[0, 1] == pytest.approx(0.6 / np.sqrt(2.0), rel=1e-12)
         np.testing.assert_allclose(corr, corr.T)
 
     def test_zero_variance_rejected(self):
-        cov = CovarianceState(
-            layer_ids=["classifier"],
-            feature=[SpdFactor.identity(2)],
-            output=[SpdFactor.identity(2)],
-            task=[SimpleNamespace(matrix=np.diag([1.0, 0.0]))],
+        # KronCovariance refuses a singular factor, so the prior is a fake.
+        task = SimpleNamespace(matrix=np.diag([1.0, 0.0]))
+        prior = SimpleNamespace(
+            factors=(SpdFactor.identity(2), SpdFactor.identity(2), task)
         )
+        cov = CovarianceState(layer_ids=["classifier"], priors=[prior])
         with pytest.raises(EstimationError):
             extract_relationship(cov, "classifier")
 
