@@ -22,6 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .serialize import InputError, check_task_names, check_type, dump_json, load_json
+from .tensor import mode_product
 from .tensor_normal import KronCovariance
 
 __all__ = [
@@ -219,6 +220,21 @@ class MultiTaskNet:
         bad = (name for name, v in self.segments(vec) if not np.isfinite(v).all())
         return next(bad, None)
 
+    def rotate_stack(self, vec, bases, back: bool = False) -> None:
+        """Rotate each stack layer's weight segment of ``vec`` in place.
+
+        ``vec`` is laid out like :attr:`params`; ``bases[l]`` is the
+        ``(Q_in, Q_out)`` pair of orthogonal matrices of stack layer
+        ``l``.  Each weight tensor ``W`` becomes ``W x1 Q_in^T x2
+        Q_out^T``, so task ``t``'s matrix becomes ``Q_in^T W_t Q_out``;
+        ``back`` applies the inverse rotation.  Biases and the task mode
+        are left as they are.
+        """
+        for w, (q_in, q_out) in zip(self._split(vec)[2], bases):
+            if not back:
+                q_in, q_out = q_in.T, q_out.T
+            w[...] = mode_product(mode_product(w, q_in, 1), q_out, 2)
+
     def _split(self, vec) -> tuple:
         """Views of ``vec`` as the four lists of :class:`Gradients`."""
         views = [view for _, view in self.segments(vec)]
@@ -234,7 +250,10 @@ class Gradients:
     D_out)`` bias tensors; the slices of tasks without an example in
     the batch are zero.  From :func:`batch_gradients`, the four lists
     are views of ``flat``, a vector with the layout of
-    :attr:`MultiTaskNet.params`.
+    :attr:`MultiTaskNet.params`.  Given rotation ``bases``, that
+    function returns the stack weight gradients in the rotated basis,
+    ``Q_in^T G_t Q_out`` per task, the basis the trainer's SGD steps
+    in; every other array is in the network's own basis.
     """
 
     trunk_weights: list = field(default_factory=list)
@@ -321,28 +340,37 @@ def _check_task(net: MultiTaskNet, task: int) -> int:
     return task
 
 
-def _stack_pre_act(h: np.ndarray, w: np.ndarray, b: np.ndarray, tasks):
+def _stack_pre_act(h: np.ndarray, w: np.ndarray, b: np.ndarray, tasks, q_out=None):
     """``h @ W_t + b_t`` per row, with ``t`` the row's task.
 
     ``tasks`` is one task for all rows or a vector with one task per
     row.  A vector makes the layer one dense map onto the ``(D_in,
     D_out*T)`` unfolding of ``w``, of which each row keeps its own
-    task's slice.
+    task's slice.  With ``q_out`` the product is taken back from the
+    rotated output basis before the bias: ``h @ W_t @ q_out^T + b_t``.
     """
     if np.ndim(tasks) == 0:
-        return h @ w[:, :, tasks] + b[tasks]
-    din, dout, t = w.shape
-    full = (h @ w.reshape(din, dout * t)).reshape(-1, dout, t)
-    return full[np.arange(h.shape[0]), :, tasks] + b[tasks]
+        z = h @ w[:, :, tasks]
+    else:
+        din, dout, t = w.shape
+        full = (h @ w.reshape(din, dout * t)).reshape(-1, dout, t)
+        z = full[np.arange(h.shape[0]), :, tasks]
+    if q_out is not None:
+        z = z @ q_out.T
+    return z + b[tasks]
 
 
-def _forward_cached(net: MultiTaskNet, tasks, x: np.ndarray):
+def _forward_cached(net: MultiTaskNet, tasks, x: np.ndarray, bases=None):
     """Run the batched forward pass, keeping per-layer caches.
 
     ``tasks`` is one task for all rows of ``x`` or one task per row.
     Returns ``(inputs, pre_acts, logits)`` where ``inputs[l]`` is the
     activation fed into layer ``l`` and ``pre_acts[l]`` its
-    pre-activation.  The final softmax is left to the caller.
+    pre-activation.  The final softmax is left to the caller.  With
+    ``bases`` (see :func:`batch_gradients`) the stack weights are the
+    rotated ones: a stack layer's input is multiplied by its ``Q_in``
+    (and cached so) and its product by ``Q_out^T``, so pre-activations
+    and logits are those of the unrotated network.
     """
     inputs, pre_acts = [], []
     h = x
@@ -353,8 +381,11 @@ def _forward_cached(net: MultiTaskNet, tasks, x: np.ndarray):
         h = np.maximum(z, 0.0)
     stack = net.stack
     for l in range(stack.num_layers):
+        q_in, q_out = (None, None) if bases is None else bases[l]
+        if q_in is not None:
+            h = h @ q_in
         inputs.append(h)
-        z = _stack_pre_act(h, stack.weights[l], stack.biases[l], tasks)
+        z = _stack_pre_act(h, stack.weights[l], stack.biases[l], tasks, q_out)
         pre_acts.append(z)
         if l < stack.num_layers - 1:
             h = np.maximum(z, 0.0)
@@ -450,7 +481,7 @@ def task_scores(net: MultiTaskNet, task: int, x, labels) -> tuple:
     return _summed_log_loss(z, labels), float(np.mean(hits))
 
 
-def batch_gradients(net: MultiTaskNet, tasks, x, labels) -> Gradients:
+def batch_gradients(net: MultiTaskNet, tasks, x, labels, bases=None) -> Gradients:
     """Gradients of the summed cross-entropy of a mixed-task batch.
 
     Row ``i`` of ``x`` is an example of task ``tasks[i]`` with label
@@ -461,6 +492,17 @@ def batch_gradients(net: MultiTaskNet, tasks, x, labels) -> Gradients:
     kron M)``, the input gradient ``(dz kron M) W^T`` and the bias
     gradient ``M^T dz``.  ReLU uses subgradient 0 at 0.  Each gradient
     is written into its view of the returned ``flat`` vector.
+
+    ``bases``, if given, holds one ``(Q_in, Q_out)`` pair of orthogonal
+    matrices per stack layer, and the stack weights are taken to be
+    rotated by :meth:`MultiTaskNet.rotate_stack`: ``W~_t = Q_in^T W_t
+    Q_out``.  The forward pass multiplies each stack layer's input by
+    ``Q_in`` and its product by ``Q_out^T``; the backward pass
+    multiplies ``dz`` by ``Q_out`` before the weight gradient and the
+    input gradient by ``Q_in^T``.  The stack weight gradients are then
+    those of the rotated weights, ``Q_in^T G_t Q_out``, at ``2B (D_in^2
+    + D_out^2)`` extra multiplies per layer for a batch of ``B`` rows;
+    the bias gradients, the task mode and the trunk are unchanged.
     """
     arr, _ = _as_batch(net, x)
     tasks = np.asarray(tasks, dtype=int).reshape(-1)
@@ -472,7 +514,7 @@ def batch_gradients(net: MultiTaskNet, tasks, x, labels) -> Gradients:
     if np.any((labels < 0) | (labels >= net.num_classes)):
         raise ValueError(f"label out of range [0, {net.num_classes})")
 
-    inputs, pre_acts, out = _forward_cached(net, tasks, arr)
+    inputs, pre_acts, out = _forward_cached(net, tasks, arr, bases)
     dz = softmax(out)
     dz[np.arange(dz.shape[0]), labels] -= 1.0
     onehot = (tasks[:, None] == np.arange(net.num_tasks)).astype(float)
@@ -483,19 +525,28 @@ def batch_gradients(net: MultiTaskNet, tasks, x, labels) -> Gradients:
     grads = Gradients(*net._split(flat), flat=flat)
     for l in range(n_trunk + stack.num_layers - 1, -1, -1):
         a = inputs[l]
+        q_in = q_out = None
         if l >= n_trunk:
-            w = stack.weights[l - n_trunk]
+            s = l - n_trunk
+            if bases is not None:
+                q_in, q_out = bases[s]
+            np.matmul(onehot.T, dz, out=grads.stack_biases[s])
+            if q_out is not None:
+                dz = dz @ q_out
+            w = stack.weights[s]
             w_flat = w.reshape(w.shape[0], -1)
             spread = (dz[:, :, None] * onehot[:, None, :]).reshape(dz.shape[0], -1)
-            out = grads.stack_weights[l - n_trunk].reshape(w_flat.shape)
+            out = grads.stack_weights[s].reshape(w_flat.shape)
             np.matmul(a.T, spread, out=out)
-            np.matmul(onehot.T, dz, out=grads.stack_biases[l - n_trunk])
         else:
             spread, w_flat = dz, net.trunk[l].weight
             np.matmul(a.T, dz, out=grads.trunk_weights[l])
             dz.sum(axis=0, out=grads.trunk_biases[l])
         if l > 0:
-            dz = (spread @ w_flat.T) * (pre_acts[l - 1] > 0)
+            dz = spread @ w_flat.T
+            if q_in is not None:
+                dz = dz @ q_in.T
+            dz *= pre_acts[l - 1] > 0
     return grads
 
 
@@ -624,7 +675,12 @@ def _dim(value, where: str) -> int:
 def _layer_from_doc(entry, where: str, *tasks) -> tuple:
     """``(weight, bias, activation)`` of a layer written by
     :func:`_layer_doc`; ``tasks`` is ``(T,)`` for a stack layer, whose
-    weight is ``(in_dim, out_dim, T)`` and bias ``(T, out_dim)``."""
+    weight is ``(in_dim, out_dim, T)`` and bias ``(T, out_dim)``, and
+    whose own ``num_tasks`` must be ``T``."""
+    for t in tasks:
+        n = _dim(entry["num_tasks"], f"{where}.num_tasks")
+        if n != t:
+            raise ValueError(f"{where}.num_tasks is {n}, but num_tasks is {t}")
     din = _dim(entry["in_dim"], f"{where}.in_dim")
     dout = _dim(entry["out_dim"], f"{where}.out_dim")
     w = check_type(entry["weight"], "list[float]", f"{where}.weight")
@@ -635,7 +691,8 @@ def _layer_from_doc(entry, where: str, *tasks) -> tuple:
 def load_checkpoint(path) -> tuple:
     """Read a checkpoint; returns ``(net, task_names)``.
 
-    Counts and dims must be JSON integers of at least 1, weights and
+    Counts and dims must be JSON integers of at least 1, each stack
+    layer's ``num_tasks`` equal to the top-level one, weights and
     biases lists of finite JSON numbers
     (:func:`~relnet.serialize.check_type`), and ``task_names`` null or
     one name per task under :func:`~relnet.serialize.check_task_names`.  A

@@ -28,6 +28,7 @@ from __future__ import annotations
 import contextlib
 import json
 import math
+import re
 
 import numpy as np
 
@@ -281,14 +282,20 @@ def _float_array(items: list, where: str) -> np.ndarray:
     )
 
 
+# A comma splits a CSV cell; a control character (below U+0020, or
+# U+007F), a newline among them, splits or garbles a CSV line.
+_BAD_NAME_CHARS = re.compile(r"[,\x00-\x1f\x7f]")
+
+
 def check_task_names(names, error=ValueError) -> None:
     """Raise ``error(message)`` unless ``names`` is a non-empty list of
-    unique, non-empty strings without commas: task names become CSV
-    cells (:func:`write_csv_rows`)."""
+    unique, non-empty strings without commas or control characters
+    (below U+0020, and U+007F): task names become CSV cells and header
+    fields (:func:`write_csv_rows`)."""
     if not names:
         raise error("need at least one task")
     for name in names:
-        if not isinstance(name, str) or not name or "," in name:
+        if not isinstance(name, str) or not name or _BAD_NAME_CHARS.search(name):
             raise error(f"bad task name {name!r}")
     if len(set(names)) != len(names):
         raise error("task names must be unique")

@@ -21,12 +21,14 @@ but one, is ``_whiten``; :func:`mode_gram` forms the Gram matrix of one
 mode after whitening the others.  The flip-flop estimator and the
 trainer's covariance refit share that function.
 
-Each :class:`SpdFactor` forms its inverse Cholesky factor ``L_k^{-1}``
-and its precision ``Sigma_k^{-1} = L_k^{-T} L_k^{-1}`` once, on first
-use, so no per-mode step solves a system: applying the full inverse is
-the Kronecker-factored inverse of K-FAC (Martens & Grosse, 2015).  A
-factor is immutable, so the trainer, which builds new factors only in
-its covariance refit, forms each of them once per refit however many
+Each :class:`SpdFactor` forms its inverse Cholesky factor ``L_k^{-1}``,
+its precision ``Sigma_k^{-1} = L_k^{-T} L_k^{-1}`` and its
+eigendecomposition once, on first use, so no per-mode step solves a
+system: applying the full inverse is the Kronecker-factored inverse of
+K-FAC (Martens & Grosse, 2015), and the trainer's SGD works in the
+factors' eigenbasis as EKFAC does (George et al., 2018).  A factor is
+immutable, so the trainer, which builds new factors only in its
+covariance refit, forms each of them once per refit however many
 batches use it.  Only numpy is needed.
 
 Vectorization follows :mod:`relnet.tensor`: row-major flattening, under
@@ -92,9 +94,15 @@ class SpdFactor:
     precision : numpy.ndarray
         ``matrix^{-1} = L^{-T} L^{-1}``, formed from ``chol_inv`` on
         first access, exactly symmetric and read-only.
+    eigh : tuple of numpy.ndarray
+        ``(sigma, Q)`` with ``matrix == Q diag(sigma) Q^T`` and ``Q``
+        orthogonal, formed on first access and read-only.  The trainer
+        runs SGD in the basis of these eigenvectors, so each factor pays
+        for the ``O(dim^3)`` decomposition once per covariance refit,
+        not per batch.
     """
 
-    __slots__ = ("matrix", "chol", "logdet", "_chol_inv", "_precision")
+    __slots__ = ("matrix", "chol", "logdet", "_chol_inv", "_precision", "_eigh")
 
     def __init__(self, matrix):
         m = np.asarray(matrix, dtype=float)
@@ -113,6 +121,7 @@ class SpdFactor:
         self.logdet = float(2.0 * np.sum(np.log(np.diag(chol))))
         self._chol_inv = None
         self._precision = None
+        self._eigh = None
 
     @classmethod
     def identity(cls, dim: int, scale: float = 1.0) -> "SpdFactor":
@@ -146,6 +155,18 @@ class SpdFactor:
             inv.setflags(write=False)
             self._precision = inv
         return self._precision
+
+    @property
+    def eigh(self) -> tuple:
+        """``(sigma, Q)``, the eigendecomposition of ``matrix``, formed
+        once and cached: eigenvalues ascending, eigenvectors in the
+        columns of ``Q``."""
+        if self._eigh is None:
+            sigma, q = np.linalg.eigh(self.matrix)
+            sigma.setflags(write=False)
+            q.setflags(write=False)
+            self._eigh = (sigma, q)
+        return self._eigh
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"SpdFactor(dim={self.dim})"

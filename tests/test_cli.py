@@ -593,10 +593,11 @@ def with_manifest(command, text):
     return setup
 
 
-def with_task_file(content):
-    """A ``train`` command on a manifest whose one task file ``a.csv``
-    holds the bytes ``content`` (``None``: it is a directory)."""
-    task = {"name": "a", "path": "a.csv"}
+def with_task_file(content, name="a"):
+    """A ``train`` command on a manifest whose one task, ``name``, has
+    the task file ``a.csv`` holding the bytes ``content`` (``None``: it
+    is a directory)."""
+    task = {"name": name, "path": "a.csv"}
     manifest = json.dumps({"schema_version": 1, "num_classes": 2, "tasks": [task]})
 
     def setup(tmp_path):
@@ -773,6 +774,10 @@ REJECTED = {
         "manifest.json: malformed manifest: feature_dim must be an integer",
     ),
     "train_task_file_directory": (with_task_file(None), "a.csv: Is a directory"),
+    "train_manifest_name_with_newline": (
+        with_task_file(b"0.5,1\n0.25,0\n", name="a\nb"),
+        "manifest.json: bad task name 'a\\nb'",
+    ),
     "train_task_file_not_utf8": (
         with_task_file(b"0.5,1\n\xff,0\n"),
         "a.csv: not UTF-8 text at byte 6",
@@ -804,6 +809,11 @@ REJECTED = {
     "eval_checkpoint_num_tasks_float": (
         with_checkpoint(("num_tasks",), 2.7),
         "model.json: malformed checkpoint: num_tasks must be an integer",
+    ),
+    "eval_checkpoint_layer_num_tasks": (
+        with_checkpoint(("stack", "layers", 0, "num_tasks"), 99),
+        "model.json: malformed checkpoint: stack.layers[0].num_tasks is 99, "
+        "but num_tasks is 2",
     ),
     "eval_checkpoint_nan_weight": (
         with_checkpoint(("stack", "layers", 0, "weight", 4), float("nan")),

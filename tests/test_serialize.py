@@ -14,6 +14,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from relnet.network import init_network, load_checkpoint, save_checkpoint
 from relnet.serialize import (
     ConfigError,
+    check_task_names,
     check_type,
     dump_json,
     dumps_json,
@@ -169,3 +170,25 @@ def _rejects(v) -> bool:
     except ConfigError:
         return True
     return False
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(max_size=4))
+@example("a\nb")
+@example("a\rb")
+@example("\x00")
+@example("\x1f")
+@example("\x7f")
+@example("a,b")
+@example(" ")
+@example("\x80")
+def test_task_name_rule_rejects_commas_and_control_characters(name):
+    """A task name passes exactly when it is non-empty and holds no
+    comma and no character below U+0020 or equal to U+007F: such a
+    character would split or garble a ``report.csv`` line."""
+    ok = bool(name) and all(c != "," and " " <= c != "\x7f" for c in name)
+    if ok:
+        check_task_names([name])
+    else:
+        with pytest.raises(ValueError, match="^bad task name"):
+            check_task_names([name])

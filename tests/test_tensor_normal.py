@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import multivariate_normal
 
 from relnet.tensor import _along_mode, kronecker, matricize, vectorize
@@ -99,6 +101,30 @@ class TestSpdFactor:
         np.testing.assert_allclose(p, np.linalg.inv(m), rtol=1e-10)
         assert f.precision is p
         assert f.chol_inv is li
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 12),
+        st.integers(0, 2**32 - 1),
+        st.integers(-6, 6),
+        st.floats(1e-6, 10.0),
+    )
+    def test_eigh_reconstructs_the_factor_with_orthogonal_vectors(
+        self, dim, seed, exponent, ridge
+    ):
+        """On random SPD factors, ``Q diag(sigma) Q^T`` equals the matrix
+        and ``Q^T Q`` equals I, both to 1e-12; the eigenvalues are
+        positive, and the pair is formed once and read-only."""
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((dim, dim))
+        f = SpdFactor((a @ a.T + ridge * np.eye(dim)) * 10.0**exponent)
+        sigma, q = f.eigh
+        assert f.eigh[0] is sigma and f.eigh[1] is q
+        assert not sigma.flags.writeable and not q.flags.writeable
+        assert np.all(sigma > 0)
+        scale = np.abs(f.matrix).max()
+        assert np.abs((q * sigma) @ q.T - f.matrix).max() <= 1e-12 * scale
+        assert np.abs(q.T @ q - np.eye(dim)).max() <= 1e-12
 
 
 class TestKronCovariance:

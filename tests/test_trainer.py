@@ -326,28 +326,104 @@ class TestBenchmarkHooks:
         # batch_gradients; the benchmark still wraps the old name.
         assert missing == [("relnet.network", "_batch_task_gradients")]
 
-    def test_apply_inverse_once_per_layer_per_batch(self, monkeypatch):
-        calls = []
-        original = KronCovariance.apply_inverse
+    def test_no_inverse_and_one_eigendecomposition_per_factor_per_epoch(
+        self, monkeypatch
+    ):
+        """SGD applies the prior in the factors' eigenbasis: no
+        ``apply_inverse`` call, and each epoch decomposes each stack
+        layer's feature and output factor once, however many batches."""
+        inverse_calls, eigh_shapes = [], []
+        original_eigh = np.linalg.eigh
 
-        def counted(self, arr):
-            calls.append(arr.shape)
-            return original(self, arr)
+        def counted_inverse(self, arr):
+            inverse_calls.append(arr.shape)
 
-        monkeypatch.setattr(KronCovariance, "apply_inverse", counted)
+        def counted_eigh(a):
+            eigh_shapes.append(a.shape)
+            return original_eigh(a)
+
+        monkeypatch.setattr(KronCovariance, "apply_inverse", counted_inverse)
+        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
         rng = np.random.default_rng(17)
         data = toy_data(sizes=(7, 6), dim=3, seed=18)
-        net = init_network(3, [4], [3, 3], 2, rng)
-        cfg = TrainConfig(epochs=1, batch_size=5, prior_weight=0.5)
-        sgd_epoch(
-            net,
-            CovarianceState.identity_for(net.stack),
-            data,
-            cfg,
-            OptimizerState.zeros_like(net),
+        net = init_network(3, [4], [5, 3], 2, rng)
+        epochs = 3
+        cfg = TrainConfig(
+            epochs=epochs, batch_size=5, prior_weight=0.01, epsilon_ridge=1.0
         )
-        batches = -(-13 // 5)
-        assert len(calls) == batches * net.stack.num_layers
+        train(net, data, cfg)
+        assert inverse_calls == []
+        per_epoch = [(d, d) for w in net.stack.weights for d in w.shape[:2]]
+        assert sorted(eigh_shapes) == sorted(per_epoch * epochs)
+
+
+def reference_sgd_epoch(net, cov, data, cfg, state):
+    """:func:`sgd_epoch` as written before it stepped in the prior's
+    eigenbasis: each batch adds ``apply_inverse(W) * scale`` to the data
+    gradient in the network's own basis."""
+    sizes = np.asarray(data.task_sizes)
+    task_of = np.repeat(np.arange(net.num_tasks), sizes)
+    features = np.concatenate(data.features)
+    labels = np.concatenate(data.labels)
+    perm = np.random.default_rng([cfg.seed, 0, state.epoch]).permutation(task_of.size)
+    for start in range(0, perm.size, cfg.batch_size):
+        batch = perm[start : start + cfg.batch_size]
+        tasks = task_of[batch]
+        g = network.batch_gradients(net, tasks, features[batch], labels[batch])
+        g.flat /= batch.size
+        scale = cfg.prior_weight * np.bincount(tasks, minlength=net.num_tasks) / sizes
+        for l, prior in enumerate(cov.priors):
+            g.stack_weights[l] += prior.apply_inverse(net.stack.weights[l]) * scale
+        rates = np.full(net.params.size, learning_rate_at(cfg, state.iteration))
+        rates[net.stack_start :] *= cfg.new_layer_lr_multiplier
+        state.velocity[:] = cfg.momentum * state.velocity - rates * g.flat
+        net.params += state.velocity
+        state.iteration += 1
+    state.epoch += 1
+
+
+@pytest.mark.parametrize(
+    "trunk, stack, shared, schedule",
+    [
+        ([6], [5, 3], False, "constant"),  # drn with a trunk
+        ([6, 5], [3], False, "constant"),  # drn8: the classifier only
+        ([6], [5, 3], True, "constant"),  # shared_task_sigma
+        ([6], [5, 3], False, "inv"),
+    ],
+)
+def test_eigenbasis_sgd_matches_the_inverse_reference(trunk, stack, shared, schedule):
+    """Over three epochs with covariance refits between them, the
+    eigenbasis SGD gives the parameters and velocity of the reference
+    loop to 1e-12 relative.  Batches of 5 do not divide the 17 rows."""
+    data = toy_data(sizes=(7, 6, 4), dim=4, seed=40)
+    net = init_network(4, trunk, stack, 3, np.random.default_rng(41))
+    ref_net = clone_net(net)
+    cfg = TrainConfig(
+        learning_rate=0.01,
+        momentum=0.9,
+        batch_size=5,
+        prior_weight=0.05,
+        epsilon_ridge=0.1,
+        lr_schedule=schedule,
+        lr_gamma=0.1,
+        shared_task_sigma=shared,
+        seed=42,
+    )
+    cov = ref_cov = CovarianceState.identity_for(net.stack, shared)
+    state, ref_state = OptimizerState.zeros_like(net), OptimizerState.zeros_like(net)
+    for _ in range(3):
+        sgd_epoch(net, cov, data, cfg, state)
+        reference_sgd_epoch(ref_net, ref_cov, data, cfg, ref_state)
+        pairs = ((net.params, ref_net.params), (state.velocity, ref_state.velocity))
+        for got, want in pairs:
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        assert state.iteration == ref_state.iteration
+        cov = update_covariances(net.stack, cov, cfg)
+        ref_cov = update_covariances(ref_net.stack, ref_cov, cfg)
+        # The refit factors are far from scaled identities, so the
+        # eigenbasis is a real rotation from the second epoch on.
+        q_in = cov.priors[0].factors[0].eigh[1]
+        assert np.abs(q_in - np.diag(np.diag(q_in))).max() > 0.1
 
 
 def dense_update_oracle(stack, cov, cfg):
