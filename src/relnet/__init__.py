@@ -6,139 +6,26 @@ stacked parameter tensor.  Alternating between SGD on the network and
 closed-form covariance refits learns how strongly tasks relate, and the
 task-mode covariance factor doubles as an interpretable relationship
 matrix.
+
+The package exports exactly the names in the ``__all__`` of
+:mod:`~relnet.data`, :mod:`~relnet.network`, :mod:`~relnet.tensor`,
+:mod:`~relnet.tensor_normal` and :mod:`~relnet.trainer`, in that order.
 """
 
-from .data import (
-    DatasetError,
-    MultiTaskDataset,
-    SplitError,
-    SplitSpec,
-    SyntheticSpec,
-    generate_synthetic,
-    load_csv,
-    load_manifest,
-    sample_task_data,
-    split,
-    write_csv,
-    write_manifest,
-)
-from .network import (
-    Gradients,
-    MultiTaskNet,
-    TaskLayerStack,
-    accuracy,
-    backward,
-    batch_gradients,
-    cross_entropy,
-    cross_entropy_from_logits,
-    forward,
-    init_network,
-    load_checkpoint,
-    logits,
-    predict,
-    prior_gradient,
-    prior_penalty,
-    save_checkpoint,
-    softmax,
-    task_log_loss,
-    task_scores,
-)
-from .tensor import (
-    fold,
-    kronecker,
-    matricize,
-    mode_product,
-    vectorize,
-)
-from .tensor_normal import (
-    EstimationError,
-    FlipFlopResult,
-    KronCovariance,
-    SpdFactor,
-    TensorNormal,
-    flip_flop_mle,
-    log_pdf,
-    mahalanobis,
-    mle_mean,
-    normalize_identifiable,
-    sample,
-)
-from .trainer import (
-    CovarianceState,
-    EpochRecord,
-    OpCounter,
-    OptimizerState,
-    TrainConfig,
-    TrainReport,
-    TrainingError,
-    extract_relationship,
-    objective,
-    sgd_epoch,
-    train,
-    update_covariances,
-)
+from . import data, network, tensor, tensor_normal, trainer
+from .data import *
+from .network import *
+from .tensor import *
+from .tensor_normal import *
+from .trainer import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CovarianceState",
-    "DatasetError",
-    "EpochRecord",
-    "EstimationError",
-    "FlipFlopResult",
-    "Gradients",
-    "KronCovariance",
-    "MultiTaskDataset",
-    "MultiTaskNet",
-    "OpCounter",
-    "OptimizerState",
-    "SpdFactor",
-    "SplitError",
-    "SplitSpec",
-    "SyntheticSpec",
-    "TaskLayerStack",
-    "TensorNormal",
-    "TrainConfig",
-    "TrainReport",
-    "TrainingError",
-    "accuracy",
-    "backward",
-    "batch_gradients",
-    "cross_entropy",
-    "cross_entropy_from_logits",
-    "extract_relationship",
-    "flip_flop_mle",
-    "fold",
-    "forward",
-    "generate_synthetic",
-    "init_network",
-    "kronecker",
-    "load_checkpoint",
-    "load_csv",
-    "load_manifest",
-    "log_pdf",
-    "logits",
-    "mahalanobis",
-    "matricize",
-    "mle_mean",
-    "mode_product",
-    "normalize_identifiable",
-    "objective",
-    "predict",
-    "prior_gradient",
-    "prior_penalty",
-    "sample",
-    "sample_task_data",
-    "save_checkpoint",
-    "sgd_epoch",
-    "softmax",
-    "split",
-    "task_log_loss",
-    "task_scores",
-    "train",
-    "update_covariances",
-    "vectorize",
-    "write_csv",
-    "write_manifest",
+    *data.__all__,
+    *network.__all__,
+    *tensor.__all__,
+    *tensor_normal.__all__,
+    *trainer.__all__,
     "__version__",
 ]

@@ -36,15 +36,10 @@ __all__ = [
     "predict",
     "accuracy",
     "softmax",
-    "cross_entropy",
-    "cross_entropy_from_logits",
     "task_log_loss",
     "task_scores",
     "batch_gradients",
-    "backward",
     "prior_penalty",
-    "prior_gradient",
-    "prior_gradient_full",
     "resolve_layer",
     "save_checkpoint",
     "load_checkpoint",
@@ -433,26 +428,6 @@ def accuracy(net: MultiTaskNet, task: int, x, labels) -> float:
     return float(np.mean(predict(net, task, x) == labels))
 
 
-def cross_entropy(probs, label: int) -> float:
-    """``-ln probs[label]`` for an explicit probability vector."""
-    probs = np.asarray(probs, dtype=float)
-    label = int(label)
-    if not 0 <= label < probs.shape[-1]:
-        raise ValueError(f"label {label} out of range")
-    with np.errstate(divide="ignore"):
-        return float(-np.log(probs[label]))
-
-
-def cross_entropy_from_logits(z, label: int) -> float:
-    """Fused log-sum-exp cross-entropy, finite for any logit magnitude."""
-    z = np.asarray(z, dtype=float)
-    label = int(label)
-    if not 0 <= label < z.shape[-1]:
-        raise ValueError(f"label {label} out of range")
-    m = z.max()
-    return float(m + np.log(np.sum(np.exp(z - m))) - z[label])
-
-
 def _batch_logits(net: MultiTaskNet, task: int, x, labels) -> tuple:
     z = logits(net, task, x)
     if z.ndim == 1:
@@ -550,20 +525,6 @@ def batch_gradients(net: MultiTaskNet, tasks, x, labels, bases=None) -> Gradient
     return grads
 
 
-def backward(net: MultiTaskNet, task: int, x, label: int) -> Gradients:
-    """Cross-entropy gradient of one labeled example.
-
-    A batch of one for :func:`batch_gradients`: stack gradients come
-    back as dense tensors in which only the slice of ``task`` is
-    nonzero, matching the stacked parameter layout.  ReLU uses
-    subgradient 0 at 0.
-    """
-    arr, single = _as_batch(net, x)
-    if not single:
-        raise ValueError("backward takes a single example")
-    return batch_gradients(net, [task], arr, [label])
-
-
 def _check_priors(stack: TaskLayerStack, priors: Sequence[KronCovariance]):
     if len(priors) != stack.num_layers:
         raise ValueError(
@@ -592,27 +553,6 @@ def prior_penalty(stack: TaskLayerStack, priors: Sequence[KronCovariance]) -> fl
         din, dout, _ = w.shape
         total += 0.5 * (float(np.sum(z * z)) - din * dout * cov.factors[2].logdet)
     return total
-
-
-def prior_gradient_full(
-    stack: TaskLayerStack, priors: Sequence[KronCovariance], layer
-) -> np.ndarray:
-    """``Sigma^{-1} vec(W)`` of one stack layer, as a ``(D_in, D_out, T)``
-    tensor covering every task."""
-    _check_priors(stack, priors)
-    l = resolve_layer(stack.layer_ids, layer)
-    return priors[l].apply_inverse(stack.weights[l])
-
-
-def prior_gradient(
-    stack: TaskLayerStack, priors: Sequence[KronCovariance], task: int, layer
-) -> np.ndarray:
-    """Task ``task``'s slice of the prior gradient for one stack layer."""
-    full = prior_gradient_full(stack, priors, layer)
-    task = int(task)
-    if not 0 <= task < stack.num_tasks:
-        raise ValueError(f"task {task} out of range")
-    return full[:, :, task]
 
 
 def _layer_doc(w: np.ndarray, b: np.ndarray, activation: str) -> dict:

@@ -14,20 +14,19 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from oracles import backward, kronecker, matricize, prior_gradient_full, vectorize
 from relnet.cli import main, parse_experiment_config, run_experiment
 from relnet.data import SyntheticSpec, generate_synthetic
 from relnet.network import (
     MultiTaskNet,
     TaskLayerStack,
-    backward,
     forward,
     init_network,
-    prior_gradient_full,
     prior_penalty,
     task_log_loss,
 )
 from relnet.serialize import load_json
-from relnet.tensor import kronecker, matricize, mode_product, vectorize
+from relnet.tensor import mode_product
 from relnet.tensor_normal import (
     KronCovariance,
     TensorNormal,

@@ -5,7 +5,6 @@ codes and outputs can be asserted directly; one smoke test goes through
 ``python -m relnet`` to cover the module entry point.
 """
 
-import ast
 import contextlib
 import copy
 import importlib
@@ -540,20 +539,20 @@ def test_commands_import_no_scipy(tmp_path):
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
-def test_package_exports_are_exported_by_their_modules():
-    """Every name in ``relnet.__all__`` but ``__version__`` is imported
-    by the package from a module whose ``__all__`` lists it."""
-    tree = ast.parse(Path(relnet.__file__).read_text())
-    source = {
-        alias.name: node.module
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    }
-    assert set(relnet.__all__) - set(source) == {"__version__"}
-    for name in set(relnet.__all__) & set(source):
-        module = importlib.import_module(f"relnet.{source[name]}")
-        assert name in module.__all__, f"relnet.{source[name]} does not export {name}"
+def test_package_exports_are_the_module_lists():
+    """``relnet.__all__`` is the ``__all__`` of ``data``, ``network``,
+    ``tensor``, ``tensor_normal`` and ``trainer``, in that order, then
+    ``__version__``; no name repeats, and each is the module's object."""
+    modules = [
+        importlib.import_module(f"relnet.{name}")
+        for name in ("data", "network", "tensor", "tensor_normal", "trainer")
+    ]
+    names = [name for module in modules for name in module.__all__]
+    assert relnet.__all__ == [*names, "__version__"]
+    assert len(set(names)) == len(names)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(relnet, name) is getattr(module, name), name
 
 
 # --------------------------------------------------------------------------
@@ -1139,10 +1138,12 @@ def test_any_json_value_in_any_relationship_field_exports_or_names_the_file(
 # README
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def readme_config_block():
     """The ``jsonc`` config example of README.md, comments removed."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    block = re.search(r"```jsonc\n(.*?)```", readme, re.S).group(1)
+    block = re.search(r"```jsonc\n(.*?)```", README.read_text(), re.S).group(1)
     return json.loads(re.sub(r"\s*//[^\n]*", "", block))
 
 
@@ -1163,3 +1164,22 @@ def test_readme_config_keys_are_the_parsed_keys():
         assert set(section) == {f.name for f in fields(cls)}
     del doc["data"]["manifest"], doc["split"]
     parse_experiment_config(doc, ".")
+
+
+def test_readme_library_example_runs():
+    """README's "Library in one example" block runs in a fresh
+    interpreter with warnings as errors and prints a 2x2 relationship
+    matrix with a unit diagonal."""
+    block = re.search(
+        r"## Library in one example\n\n```python\n(.*?)```", README.read_text(), re.S
+    ).group(1)
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c", block],
+        capture_output=True,
+        text=True,
+        cwd=Path(relnet.__file__).resolve().parents[1],
+    )
+    assert proc.returncode == 0, proc.stderr
+    printed = re.findall(r"[-+]?\d+\.\d*(?:e[-+]?\d+)?", proc.stdout)
+    matrix = np.array([float(v) for v in printed]).reshape(2, 2)
+    np.testing.assert_array_equal(np.diag(matrix), 1.0)

@@ -6,27 +6,22 @@ import json
 import numpy as np
 import pytest
 
+from oracles import dense_cov
 from relnet.network import (
     Gradients,
     MultiTaskNet,
     TaskLayerStack,
     accuracy,
-    backward,
     batch_gradients,
-    cross_entropy,
-    cross_entropy_from_logits,
     forward,
     init_network,
     load_checkpoint,
     predict,
-    prior_gradient,
-    prior_gradient_full,
     prior_penalty,
     save_checkpoint,
     task_log_loss,
 )
 from relnet.serialize import InputError, load_json
-from relnet.tensor import kronecker
 from relnet.tensor_normal import KronCovariance
 
 
@@ -43,13 +38,6 @@ def rand_priors(rng, stack):
     return [
         KronCovariance([rand_spd(rng, d) for d in w.shape]) for w in stack.weights
     ]
-
-
-def dense_cov(cov):
-    out = cov.factors[0].matrix
-    for f in cov.factors[1:]:
-        out = kronecker(out, f.matrix)
-    return out
 
 
 def numeric_grad(f, arr, h=1e-5):
@@ -95,7 +83,7 @@ class TestForward:
         p = forward(net, 0, np.array([1.0]))
         assert np.all(np.isfinite(p))
         assert p.sum() == pytest.approx(1.0)
-        assert cross_entropy_from_logits(np.array([1e3, -1e3]), 1) == pytest.approx(
+        assert task_log_loss(net, 0, np.array([1.0]), 1) == pytest.approx(
             2e3, rel=1e-12
         )
 
@@ -114,24 +102,24 @@ class TestForward:
 
 class TestCrossEntropy:
     def test_probability_form(self):
-        assert cross_entropy(np.array([0.25, 0.75]), 1) == pytest.approx(
+        """Logits (0, ln 3) give probabilities (1/4, 3/4)."""
+        net = init_network(1, [], [2], 1, np.random.default_rng(0))
+        net.stack.weights[0][:, :, 0] = [[0.0, np.log(3.0)]]
+        assert task_log_loss(net, 0, np.array([1.0]), 1) == pytest.approx(
             -np.log(0.75), rel=1e-14
         )
 
     def test_forms_agree(self):
+        """The fused log-sum-exp loss is ``-ln`` of the label's softmax
+        probability."""
         rng = np.random.default_rng(5)
-        z = rng.standard_normal(4)
-        probs = np.exp(z) / np.exp(z).sum()
+        net = init_network(3, [], [4], 1, rng)
+        x = rng.standard_normal(3)
+        probs = forward(net, 0, x)
         for c in range(4):
-            assert cross_entropy(probs, c) == pytest.approx(
-                cross_entropy_from_logits(z, c), rel=1e-10
+            assert -np.log(probs[c]) == pytest.approx(
+                task_log_loss(net, 0, x, c), rel=1e-10
             )
-
-    def test_label_bounds(self):
-        with pytest.raises(ValueError):
-            cross_entropy(np.array([1.0, 0.0]), 2)
-        with pytest.raises(ValueError):
-            cross_entropy_from_logits(np.zeros(3), -1)
 
     def test_batch_loss_sums(self):
         rng = np.random.default_rng(6)
@@ -140,7 +128,7 @@ class TestCrossEntropy:
         y = rng.integers(0, 3, size=7)
         total = task_log_loss(net, 1, x, y)
         by_hand = sum(
-            cross_entropy(forward(net, 1, x[i]), y[i]) for i in range(7)
+            -np.log(forward(net, 1, x[i])[y[i]]) for i in range(7)
         )
         assert total == pytest.approx(by_hand, rel=1e-10)
 
@@ -176,11 +164,10 @@ class TestBackward:
         x = rng.standard_normal(5)
         label = 2
         for task in (0, 1):
-            analytic = grads_by_name(net, backward(net, task, x, label))
+            analytic = grads_by_name(net, batch_gradients(net, [task], x, [label]))
 
             def loss():
-                z = forward(net, task, x)
-                return cross_entropy(z, label)
+                return task_log_loss(net, task, x, label)
 
             for name, arr in param_arrays(net):
                 numeric = numeric_grad(loss, arr)
@@ -191,7 +178,7 @@ class TestBackward:
     def test_other_task_slices_zero(self):
         rng = np.random.default_rng(8)
         net = init_network(4, [], [3, 2], 3, rng)
-        g = backward(net, 1, rng.standard_normal(4), 0)
+        g = batch_gradients(net, [1], rng.standard_normal(4), [0])
         for dw, db in zip(g.stack_weights, g.stack_biases):
             assert np.all(dw[:, :, 0] == 0) and np.all(dw[:, :, 2] == 0)
             assert np.all(db[0] == 0) and np.all(db[2] == 0)
@@ -201,7 +188,7 @@ class TestBackward:
         """ReLU of zero pre-activations: trunk weight gradients vanish."""
         rng = np.random.default_rng(9)
         net = init_network(4, [3], [2], 1, rng)
-        g = backward(net, 0, np.zeros(4), 0)
+        g = batch_gradients(net, [0], np.zeros(4), [0])
         assert np.all(g.trunk_weights[0] == 0)
 
 
@@ -272,10 +259,11 @@ class TestBatchGradients:
         np.testing.assert_allclose(got.flat, want.flat, rtol=0, atol=1e-13 * scale)
 
     def test_backward_is_a_batch_of_one(self):
+        """A single feature vector is a batch of one row."""
         rng = np.random.default_rng(21)
         net = init_network(4, [3], [3, 2], 2, rng)
         x = rng.standard_normal(4)
-        single = grads_by_name(net, backward(net, 1, x, 0))
+        single = grads_by_name(net, batch_gradients(net, [1], x, [0]))
         batch = grads_by_name(net, batch_gradients(net, [1], x[None], [0]))
         for name in single:
             np.testing.assert_array_equal(single[name], batch[name])
@@ -304,10 +292,10 @@ class TestPrior:
         ]
         want = 0.5 * sum(float(np.sum(w * w)) for w in net.stack.weights)
         assert prior_penalty(net.stack, priors) == pytest.approx(want, rel=1e-12)
-        for lid, w in zip(net.stack.layer_ids, net.stack.weights):
+        for w, cov in zip(net.stack.weights, priors):
             for t in range(2):
                 np.testing.assert_allclose(
-                    prior_gradient(net.stack, priors, t, lid),
+                    cov.apply_inverse(w)[:, :, t],
                     w[:, :, t],
                     rtol=1e-12,
                 )
@@ -330,28 +318,14 @@ class TestPrior:
         rng = np.random.default_rng(12)
         net = init_network(4, [], [3, 2], 2, rng)
         priors = rand_priors(rng, net.stack)
-        for l, (lid, w) in enumerate(zip(net.stack.layer_ids, net.stack.weights)):
-            dense = dense_cov(priors[l])
+        for w, cov in zip(net.stack.weights, priors):
+            dense = dense_cov(cov)
             full_dense = np.linalg.solve(dense, w.ravel()).reshape(w.shape)
-            full = prior_gradient_full(net.stack, priors, lid)
+            full = cov.apply_inverse(w)
             np.testing.assert_allclose(full, full_dense, rtol=1e-10, atol=1e-12)
 
             numeric = numeric_grad(lambda: prior_penalty(net.stack, priors), w)
             np.testing.assert_allclose(full, numeric, rtol=1e-6, atol=1e-8)
-
-    def test_slices_reassemble_full_tensor(self):
-        """Stacking prior_gradient over tasks reproduces the mode-solve
-        tensor exactly."""
-        rng = np.random.default_rng(13)
-        net = init_network(4, [], [3, 2], 3, rng)
-        priors = rand_priors(rng, net.stack)
-        for lid in net.stack.layer_ids:
-            full = prior_gradient_full(net.stack, priors, lid)
-            stacked = np.stack(
-                [prior_gradient(net.stack, priors, t, lid) for t in range(3)],
-                axis=2,
-            )
-            np.testing.assert_array_equal(full, stacked)
 
     def test_dim_mismatch_rejected(self):
         rng = np.random.default_rng(14)

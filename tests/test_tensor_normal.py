@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import multivariate_normal
 
-from relnet.tensor import _along_mode, kronecker, matricize, vectorize
+from oracles import dense_cov, kronecker, matricize, vectorize
+from relnet.tensor import _along_mode
 from relnet.tensor_normal import (
     EstimationError,
     FlipFlopResult,
@@ -32,13 +33,6 @@ def rand_dist(rng, dims):
     factors = [SpdFactor(rand_spd(rng, d)) for d in dims]
     mean = rng.standard_normal(dims)
     return TensorNormal(mean, KronCovariance(factors))
-
-
-def dense_cov(cov):
-    out = cov.factors[0].matrix
-    for f in cov.factors[1:]:
-        out = kronecker(out, f.matrix)
-    return out
 
 
 def ill_conditioned_spd(rng, n, kind, cond=1e10):

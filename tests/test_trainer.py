@@ -8,9 +8,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from oracles import backward
 from relnet import network, tensor_normal, trainer
 from relnet.data import MultiTaskDataset, SyntheticSpec, generate_synthetic
-from relnet.network import backward, forward, init_network, prior_penalty
+from relnet.network import forward, init_network, prior_penalty
 from relnet.tensor_normal import EstimationError, KronCovariance, SpdFactor
 from relnet.trainer import (
     CovarianceState,

@@ -1,11 +1,12 @@
-"""Count the code lines of each ``src/relnet/*.py`` module.
+"""Count the code lines of Python files, by default ``src/relnet/*.py``.
 
 A code line is a non-blank line that is neither a ``#`` comment nor part
 of a docstring (the string that opens a module, class or function
 body).  Usage, from the repository root::
 
     python tools/code_lines.py            # per-file counts and the total
-    python tools/code_lines.py PATH ...   # the same for the given files
+    python tools/code_lines.py PATH ...   # the same for the given files;
+                                          # a directory counts its *.py files
 """
 
 from __future__ import annotations
@@ -46,7 +47,11 @@ def code_lines(path: Path) -> int:
 
 
 def main(argv: list) -> int:
-    paths = [Path(p) for p in argv] or sorted(PACKAGE.glob("*.py"))
+    paths = [
+        f
+        for p in map(Path, argv or [PACKAGE])
+        for f in (sorted(p.glob("*.py")) if p.is_dir() else [p])
+    ]
     total = 0
     for path in paths:
         n = code_lines(path)
