@@ -35,6 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import (
+    MultiTaskDataset,
     SplitSpec,
     SyntheticSpec,
     generate_synthetic,
@@ -278,8 +279,9 @@ def load_experiment_data(cfg: ExperimentConfig) -> tuple:
     return ds, None
 
 
-def build_network(cfg: ExperimentConfig, feature_dim: int, num_classes: int, num_tasks: int):
-    """Construct the variant's architecture with the config's init seed.
+def build_network(cfg: ExperimentConfig, data: MultiTaskDataset):
+    """Construct the variant's architecture for ``data`` with the
+    config's init seed.
 
     Initialization uses a child generator of the training seed, distinct
     from the data and shuffle streams, so the same data can be trained
@@ -288,13 +290,13 @@ def build_network(cfg: ExperimentConfig, feature_dim: int, num_classes: int, num
     model = cfg.model
     if cfg.variant == "drn8":
         trunk = model.trunk_widths + [model.bottleneck_width]
-        stack = [num_classes]
+        stack = [data.num_classes]
     else:
         trunk = model.trunk_widths
-        stack = [model.bottleneck_width, num_classes]
+        stack = [model.bottleneck_width, data.num_classes]
     rng = np.random.default_rng([cfg.train_cfg.seed, 2])
     return init_network(
-        feature_dim, trunk, stack, num_tasks, rng, tied_tasks=model.tied_init
+        data.feature_dim, trunk, stack, data.num_tasks, rng, tied_tasks=model.tied_init
     )
 
 
@@ -309,9 +311,7 @@ def run_experiment(cfg: ExperimentConfig, output_dir) -> dict:
     output_dir = Path(output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
     train_ds, eval_ds = load_experiment_data(cfg)
-    net = build_network(
-        cfg, train_ds.feature_dim, train_ds.num_classes, train_ds.num_tasks
-    )
+    net = build_network(cfg, train_ds)
     net, cov, report = train(net, train_ds, cfg.train_cfg, eval_data=eval_ds)
 
     paths = {}

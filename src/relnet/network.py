@@ -50,11 +50,10 @@ CHECKPOINT_SCHEMA_VERSION = 1
 
 @dataclass
 class DenseLayer:
-    """One shared dense layer: ``act(x @ weight + bias)``."""
+    """One shared dense layer: ``relu(x @ weight + bias)``."""
 
     weight: np.ndarray
     bias: np.ndarray
-    activation: str = "relu"
 
     def __post_init__(self):
         self.weight = np.asarray(self.weight, dtype=float)
@@ -66,8 +65,6 @@ class DenseLayer:
                 f"bias shape {self.bias.shape} does not match out dim "
                 f"{self.weight.shape[1]}"
             )
-        if self.activation != "relu":
-            raise ValueError(f"unsupported trunk activation {self.activation!r}")
 
 
 def resolve_layer(layer_ids, layer) -> int:
@@ -97,7 +94,6 @@ class TaskLayerStack:
     layer_ids: list
     weights: list
     biases: list
-    activations: list
 
     def __post_init__(self):
         n = len(self.layer_ids)
@@ -105,14 +101,12 @@ class TaskLayerStack:
             raise ValueError("stack needs at least one task-specific layer")
         if len(set(self.layer_ids)) != n:
             raise ValueError("stack layer ids must be unique")
-        if not (len(self.weights) == len(self.biases) == len(self.activations) == n):
+        if not len(self.weights) == len(self.biases) == n:
             raise ValueError("stack fields must have one entry per layer id")
         self.weights = [np.asarray(w, dtype=float) for w in self.weights]
         self.biases = [np.asarray(b, dtype=float) for b in self.biases]
         tasks = None
-        for lid, w, b, act in zip(
-            self.layer_ids, self.weights, self.biases, self.activations
-        ):
+        for lid, w, b in zip(self.layer_ids, self.weights, self.biases):
             if w.ndim != 3:
                 raise ValueError(f"layer {lid!r}: weights must be order-3 tensors")
             din, dout, t = w.shape
@@ -127,11 +121,6 @@ class TaskLayerStack:
         for prev, nxt in zip(self.weights, self.weights[1:]):
             if nxt.shape[0] != prev.shape[1]:
                 raise ValueError("stack layer dims do not chain")
-        for act in self.activations[:-1]:
-            if act != "relu":
-                raise ValueError(f"unsupported hidden activation {act!r}")
-        if self.activations[-1] != "softmax":
-            raise ValueError("the final stack layer must use softmax")
 
     @property
     def num_tasks(self) -> int:
@@ -152,33 +141,30 @@ class MultiTaskNet:
     ``.biases[l]`` a view of it; ``stack_start`` is where the stack
     segment begins.  Write into a layer array to change it: rebinding
     it (``layer.weight = x``) detaches it from ``params``, and training
-    no longer moves it.
+    no longer moves it.  ``input_dim``, ``num_classes`` and
+    ``num_tasks`` are read off the layer arrays.
     """
 
-    input_dim: int
-    num_classes: int
-    num_tasks: int
     trunk: list
     stack: TaskLayerStack
+    input_dim: int = field(init=False)
+    num_classes: int = field(init=False)
+    num_tasks: int = field(init=False)
     params: np.ndarray = field(init=False, repr=False)
     stack_start: int = field(init=False, repr=False)
 
     def __post_init__(self):
-        dim = self.input_dim
-        for layer in self.trunk:
-            if layer.weight.shape[0] != dim:
-                raise ValueError("trunk layer dims do not chain from the input")
-            dim = layer.weight.shape[1]
-        if self.stack.weights[0].shape[0] != dim:
-            raise ValueError(
-                f"stack expects input dim {self.stack.weights[0].shape[0]}, "
-                f"trunk produces {dim}"
-            )
-        if self.stack.weights[-1].shape[1] != self.num_classes:
-            raise ValueError("final stack layer width must equal num_classes")
-        if self.stack.num_tasks != self.num_tasks:
-            raise ValueError("stack task count does not match num_tasks")
         stack = self.stack
+        weights = [layer.weight for layer in self.trunk] + stack.weights[:1]
+        for i, (prev, nxt) in enumerate(zip(weights, weights[1:])):
+            if nxt.shape[0] != prev.shape[1]:
+                raise ValueError(
+                    f"layer {i + 1} takes input dim {nxt.shape[0]}, "
+                    f"layer {i} produces {prev.shape[1]}"
+                )
+        self.input_dim = weights[0].shape[0]
+        self.num_classes = stack.weights[-1].shape[1]
+        self.num_tasks = stack.num_tasks
         named = []
         for i, layer in enumerate(self.trunk):
             named.append((f"trunk layer {i}", layer.weight, layer.bias))
@@ -295,11 +281,11 @@ def init_network(
     dim = int(input_dim)
     for width in trunk_widths:
         w = rng.standard_normal((dim, width)) / np.sqrt(dim)
-        trunk.append(DenseLayer(w, np.zeros(width), "relu"))
+        trunk.append(DenseLayer(w, np.zeros(width)))
         dim = int(width)
 
-    weights, biases, activations = [], [], []
-    for i, width in enumerate(stack_widths):
+    weights, biases = [], []
+    for width in stack_widths:
         if tied_tasks:
             shared = rng.standard_normal((dim, width)) / np.sqrt(dim)
             w = np.repeat(shared[:, :, None], num_tasks, axis=2)
@@ -307,17 +293,9 @@ def init_network(
             w = rng.standard_normal((dim, width, num_tasks)) / np.sqrt(dim)
         weights.append(w)
         biases.append(np.zeros((num_tasks, width)))
-        activations.append("softmax" if i == len(stack_widths) - 1 else "relu")
         dim = int(width)
 
-    stack = TaskLayerStack(stack_ids, weights, biases, activations)
-    return MultiTaskNet(
-        input_dim=int(input_dim),
-        num_classes=int(stack_widths[-1]),
-        num_tasks=int(num_tasks),
-        trunk=trunk,
-        stack=stack,
-    )
+    return MultiTaskNet(trunk, TaskLayerStack(stack_ids, weights, biases))
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
@@ -422,17 +400,30 @@ def predict(net: MultiTaskNet, task: int, x) -> np.ndarray:
 
 
 def accuracy(net: MultiTaskNet, task: int, x, labels) -> float:
-    labels = np.asarray(labels)
-    if labels.size == 0:
-        raise ValueError("cannot score an empty set")
-    return float(np.mean(predict(net, task, x) == labels))
+    """Fraction of a non-empty batch that :func:`predict` gets right."""
+    return _hit_rate(*_batch_logits(net, task, x, labels))
+
+
+def _check_index(values, rows: int, bound: int, what: str) -> np.ndarray:
+    """``values`` (the tasks or labels of a batch) as an int vector of
+    one entry for each of the ``rows`` examples, each in ``[0, bound)``."""
+    values = np.asarray(values, dtype=int).reshape(-1)
+    if values.shape != (rows,):
+        raise ValueError("need one task and one label per example")
+    if np.any((values < 0) | (values >= bound)):
+        raise ValueError(f"{what} out of range [0, {bound})")
+    return values
 
 
 def _batch_logits(net: MultiTaskNet, task: int, x, labels) -> tuple:
-    z = logits(net, task, x)
-    if z.ndim == 1:
-        z = z[None, :]
-    return z, np.asarray(labels, dtype=int).reshape(-1)
+    z = logits(net, task, np.atleast_2d(x))
+    return z, _check_index(labels, z.shape[0], net.num_classes, "label")
+
+
+def _hit_rate(z: np.ndarray, labels: np.ndarray) -> float:
+    if labels.size == 0:
+        raise ValueError("cannot score an empty set")
+    return float(np.mean(np.argmax(z, axis=-1) == labels))
 
 
 def _summed_log_loss(z: np.ndarray, labels: np.ndarray) -> float:
@@ -450,10 +441,7 @@ def task_scores(net: MultiTaskNet, task: int, x, labels) -> tuple:
     """``(task_log_loss, accuracy)`` of a non-empty batch under one task,
     both from one forward pass and equal to what each function gives."""
     z, labels = _batch_logits(net, task, x, labels)
-    if labels.size == 0:
-        raise ValueError("cannot score an empty set")
-    hits = np.argmax(z, axis=-1) == labels
-    return _summed_log_loss(z, labels), float(np.mean(hits))
+    return _summed_log_loss(z, labels), _hit_rate(z, labels)
 
 
 def batch_gradients(net: MultiTaskNet, tasks, x, labels, bases=None) -> Gradients:
@@ -480,15 +468,8 @@ def batch_gradients(net: MultiTaskNet, tasks, x, labels, bases=None) -> Gradient
     the bias gradients, the task mode and the trunk are unchanged.
     """
     arr, _ = _as_batch(net, x)
-    tasks = np.asarray(tasks, dtype=int).reshape(-1)
-    labels = np.asarray(labels, dtype=int).reshape(-1)
-    if not tasks.shape == labels.shape == arr.shape[:1]:
-        raise ValueError("need one task and one label per example")
-    if np.any((tasks < 0) | (tasks >= net.num_tasks)):
-        raise ValueError(f"task out of range [0, {net.num_tasks})")
-    if np.any((labels < 0) | (labels >= net.num_classes)):
-        raise ValueError(f"label out of range [0, {net.num_classes})")
-
+    tasks = _check_index(tasks, arr.shape[0], net.num_tasks, "task")
+    labels = _check_index(labels, arr.shape[0], net.num_classes, "label")
     inputs, pre_acts, out = _forward_cached(net, tasks, arr, bases)
     dz = softmax(out)
     dz[np.arange(dz.shape[0]), labels] -= 1.0
@@ -574,29 +555,23 @@ def save_checkpoint(net: MultiTaskNet, path, task_names=None) -> None:
     """
     if task_names is not None and len(task_names) != net.num_tasks:
         raise ValueError("task_names must have one entry per task")
+    stack = net.stack
     doc = {
         "schema_version": CHECKPOINT_SCHEMA_VERSION,
         "input_dim": net.input_dim,
         "num_classes": net.num_classes,
         "num_tasks": net.num_tasks,
         "task_names": list(task_names) if task_names is not None else None,
-        "trunk": [
-            _layer_doc(layer.weight, layer.bias, layer.activation)
-            for layer in net.trunk
-        ],
+        "trunk": [_layer_doc(layer.weight, layer.bias, "relu") for layer in net.trunk],
         "stack": {
-            "layer_ids": list(net.stack.layer_ids),
+            "layer_ids": list(stack.layer_ids),
             "layers": [
-                {
-                    "id": lid,
-                    "num_tasks": net.num_tasks,
-                    **_layer_doc(w, b, act),
-                }
+                {"id": lid, "num_tasks": net.num_tasks, **_layer_doc(w, b, act)}
                 for lid, w, b, act in zip(
-                    net.stack.layer_ids,
-                    net.stack.weights,
-                    net.stack.biases,
-                    net.stack.activations,
+                    stack.layer_ids,
+                    stack.weights,
+                    stack.biases,
+                    _activation_per_layer(stack.num_layers),
                 )
             ],
         },
@@ -612,11 +587,21 @@ def _dim(value, where: str) -> int:
     return n
 
 
-def _layer_from_doc(entry, where: str, *tasks) -> tuple:
-    """``(weight, bias, activation)`` of a layer written by
-    :func:`_layer_doc`; ``tasks`` is ``(T,)`` for a stack layer, whose
-    weight is ``(in_dim, out_dim, T)`` and bias ``(T, out_dim)``, and
-    whose own ``num_tasks`` must be ``T``."""
+def _activation_per_layer(n: int) -> list:
+    """The activation of each of ``n`` stack layers: ReLU, then softmax."""
+    return ["relu"] * (n - 1) + ["softmax"]
+
+
+def _layer_from_doc(entry, where: str, activation: str, *tasks) -> tuple:
+    """``(weight, bias)`` of a layer written by :func:`_layer_doc`, which
+    must name ``activation``; ``tasks`` is ``(T,)`` for a stack layer,
+    whose weight is ``(in_dim, out_dim, T)`` and bias ``(T, out_dim)``,
+    and whose own ``num_tasks`` must be ``T``."""
+    if entry["activation"] != activation:
+        raise ValueError(
+            f"{where}: unsupported activation {entry['activation']!r}, "
+            f"expected {activation!r}"
+        )
     for t in tasks:
         n = _dim(entry["num_tasks"], f"{where}.num_tasks")
         if n != t:
@@ -625,15 +610,17 @@ def _layer_from_doc(entry, where: str, *tasks) -> tuple:
     dout = _dim(entry["out_dim"], f"{where}.out_dim")
     w = check_type(entry["weight"], "list[float]", f"{where}.weight")
     b = check_type(entry["bias"], "list[float]", f"{where}.bias")
-    return w.reshape(din, dout, *tasks), b.reshape(*tasks, dout), entry["activation"]
+    return w.reshape(din, dout, *tasks), b.reshape(*tasks, dout)
 
 
 def load_checkpoint(path) -> tuple:
     """Read a checkpoint; returns ``(net, task_names)``.
 
     Counts and dims must be JSON integers of at least 1, each stack
-    layer's ``num_tasks`` equal to the top-level one, weights and
-    biases lists of finite JSON numbers
+    layer's ``num_tasks`` equal to the top-level one, ``input_dim`` and
+    ``num_classes`` equal to what the layer shapes give, every
+    ``activation`` ``relu`` but the last stack layer's ``softmax``,
+    weights and biases lists of finite JSON numbers
     (:func:`~relnet.serialize.check_type`), and ``task_names`` null or
     one name per task under :func:`~relnet.serialize.check_task_names`.  A
     file that cannot be read, parsed or built into a network raises
@@ -648,25 +635,26 @@ def load_checkpoint(path) -> tuple:
         )
     try:
         trunk = [
-            DenseLayer(*_layer_from_doc(entry, f"trunk[{i}]"))
+            DenseLayer(*_layer_from_doc(entry, f"trunk[{i}]", "relu"))
             for i, entry in enumerate(doc["trunk"])
         ]
         num_tasks = _dim(doc["num_tasks"], "num_tasks")
+        entries = doc["stack"]["layers"]
         layers = [
-            _layer_from_doc(entry, f"stack.layers[{i}]", num_tasks)
-            for i, entry in enumerate(doc["stack"]["layers"])
+            _layer_from_doc(entry, f"stack.layers[{i}]", act, num_tasks)
+            for i, (entry, act) in enumerate(
+                zip(entries, _activation_per_layer(len(entries)))
+            )
         ]
-        ids = [entry["id"] for entry in doc["stack"]["layers"]]
+        ids = [entry["id"] for entry in entries]
         if ids != doc["stack"]["layer_ids"]:
             raise ValueError("stack ids are inconsistent")
-        columns = ([layer[c] for layer in layers] for c in range(3))
-        net = MultiTaskNet(
-            input_dim=check_type(doc["input_dim"], "int", "input_dim"),
-            num_classes=check_type(doc["num_classes"], "int", "num_classes"),
-            num_tasks=num_tasks,
-            trunk=trunk,
-            stack=TaskLayerStack(ids, *columns),
-        )
+        stack = TaskLayerStack(ids, [w for w, _ in layers], [b for _, b in layers])
+        net = MultiTaskNet(trunk, stack)
+        counts = {"input_dim": net.input_dim, "num_classes": net.num_classes}
+        for key, have in counts.items():
+            if check_type(doc[key], "int", key) != have:
+                raise ValueError(f"{key} is {doc[key]}, but the layers give {have}")
         names = check_type(doc.get("task_names"), "list[str] | None", "task_names")
         if names is not None:
             if len(names) != num_tasks:

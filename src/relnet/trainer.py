@@ -154,13 +154,12 @@ class CovarianceState:
 
     ``priors[l]`` is the :class:`~relnet.tensor_normal.KronCovariance`
     of stack layer ``layer_ids[l]``, its factors in mode order (feature,
-    output, task).  With ``shared_task`` every prior holds the same
-    pooled task factor object.
+    output, task).  With ``shared_task_sigma`` every prior holds the
+    same pooled task factor object.
     """
 
     layer_ids: list
     priors: list[KronCovariance]
-    shared_task: bool = False
 
     @classmethod
     def identity_for(cls, stack: TaskLayerStack, shared_task: bool = False):
@@ -174,7 +173,7 @@ class CovarianceState:
             KronCovariance([unit(din), unit(dout), shared if shared_task else unit(t)])
             for din, dout, t in (w.shape for w in stack.weights)
         ]
-        return cls(list(stack.layer_ids), priors, shared_task)
+        return cls(list(stack.layer_ids), priors)
 
 
 @dataclass
@@ -207,9 +206,6 @@ class OpCounter:
 
     def __getitem__(self, key: str) -> int:
         return self.counts.get(key, 0)
-
-    def total(self, prefix: str = "") -> int:
-        return sum(v for k, v in self.counts.items() if k.startswith(prefix))
 
 
 def _finish_factor(
@@ -284,7 +280,7 @@ def update_covariances(
             factors[2] = shared
 
     priors = [KronCovariance(f) for f in swept]
-    return CovarianceState(list(cov.layer_ids), priors, cfg.shared_task_sigma)
+    return CovarianceState(list(cov.layer_ids), priors)
 
 
 def check_data(net: MultiTaskNet, data: MultiTaskDataset, what: str) -> None:
@@ -431,17 +427,18 @@ def objective(
         task_log_loss(net, t, data.features[t], data.labels[t])
         for t in range(data.num_tasks)
     ]
-    return _objective_of(losses, net, cov, cfg)
+    return sum(_objective_terms(losses, net, cov, cfg))
 
 
-def _objective_of(
+def _objective_terms(
     losses, net: MultiTaskNet, cov: CovarianceState, cfg: TrainConfig
-) -> float:
-    """:func:`objective` given the per-task summed losses, in task order."""
-    risk = sum(losses)
+) -> tuple:
+    """The data loss and the weighted prior term of :func:`objective`,
+    given the per-task summed losses in task order."""
+    prior = 0.0
     if cfg.prior_weight > 0.0:
-        risk += cfg.prior_weight * prior_penalty(net.stack, cov.priors)
-    return float(risk)
+        prior = cfg.prior_weight * prior_penalty(net.stack, cov.priors)
+    return float(sum(losses)), prior
 
 
 @dataclass
@@ -514,6 +511,9 @@ def train(
     When ``cfg.prior_weight == 0`` the covariance refit is skipped: the
     prior has no influence on the parameters, so tasks train
     independently and the factors stay at their identity initialization.
+
+    A non-finite epoch objective raises :class:`TrainingError` giving
+    the epoch, the data loss and the weighted prior term.
     """
     check_data(net, data, "training data")
     if eval_data is not None:
@@ -543,7 +543,13 @@ def train(
                 for t in range(data.num_tasks)
             )
         )
-        obj = _objective_of(losses, net, cov, cfg)
+        data_loss, prior = _objective_terms(losses, net, cov, cfg)
+        obj = data_loss + prior
+        if not math.isfinite(obj):
+            raise TrainingError(
+                f"non-finite objective after epoch {state.epoch - 1}: data loss "
+                f"{data_loss!r}, prior term {prior!r}"
+            )
         test_acc = None
         if eval_data is not None:
             test_acc = tuple(

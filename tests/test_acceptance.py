@@ -218,9 +218,7 @@ def test_06_covariance_update_matches_dense_brute_force():
     rng = np.random.default_rng(66)
     din, dout, tasks = 6, 4, 3
     w = rng.standard_normal((din, dout, tasks))
-    stack = TaskLayerStack(
-        ["classifier"], [w.copy()], [np.zeros((tasks, dout))], ["softmax"]
-    )
+    stack = TaskLayerStack(["classifier"], [w.copy()], [np.zeros((tasks, dout))])
     prior = KronCovariance([unit_trace_spd(rng, d) for d in (din, dout, tasks)])
     cov = CovarianceState(layer_ids=["classifier"], priors=[prior])
     eps = 0.05
@@ -388,9 +386,7 @@ def test_09_epoch_cost_scales_linearly_and_op_counts_match_model():
     def task_mode_ops(din: int, dout: int, tasks: int) -> tuple:
         rng = np.random.default_rng([99, din, dout, tasks])
         w = rng.standard_normal((din, dout, tasks))
-        stack = TaskLayerStack(
-            ["classifier"], [w], [np.zeros((tasks, dout))], ["softmax"]
-        )
+        stack = TaskLayerStack(["classifier"], [w], [np.zeros((tasks, dout))])
         cov = CovarianceState.identity_for(stack)
         counter = OpCounter()
         update_covariances(stack, cov, TrainConfig(), counter)

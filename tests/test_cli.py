@@ -272,6 +272,20 @@ class TestTrain:
         assert main(["train", "--config", str(cfg)]) == 1
         assert "t1.csv:2: non-finite feature value" in capsys.readouterr().err
 
+    def test_non_finite_objective_exits_numeric_before_writing(self, tmp_path, capsys):
+        """The weights stay finite while ``prior_weight * prior_penalty``
+        overflows: exit 3 names the epoch and both terms, and no output
+        is written."""
+        doc = experiment_config(epochs=1)
+        doc["data"]["synthetic"].update(num_tasks=2, task_covariance=np.eye(2).tolist())
+        doc["train"].update(learning_rate=1e-300, prior_weight=1e300)
+        cfg = write_config(tmp_path, doc)
+        assert main(["train", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert "non-finite objective after epoch 0: data loss " in err
+        assert "prior term inf" in err
+        assert not list((tmp_path / "out").iterdir())
+
     def test_out_flag_overrides_config_dir(self, tmp_path):
         cfg = write_config(tmp_path, experiment_config(epochs=1))
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "z")]) == 0
@@ -294,9 +308,8 @@ class TestEval:
             ["classifier"],
             [np.zeros((5, 3, 2))],
             [np.zeros((2, 3))],
-            ["softmax"],
         )
-        net = MultiTaskNet(5, 3, 2, [], stack)
+        net = MultiTaskNet([], stack)
         model = tmp_path / "model.json"
         save_checkpoint(net, model, task_names=["a", "b"])
         code = main(["eval", "--model", str(model), "--data", str(manifest)])
@@ -348,10 +361,8 @@ class TestEval:
 
     def test_feature_dim_mismatch_exits_usage(self, tmp_path, capsys):
         manifest = self.make_balanced_manifest(tmp_path, dim=4)
-        stack = TaskLayerStack(
-            ["classifier"], [np.zeros((5, 3, 2))], [np.zeros((2, 3))], ["softmax"]
-        )
-        net = MultiTaskNet(5, 3, 2, [], stack)
+        stack = TaskLayerStack(["classifier"], [np.zeros((5, 3, 2))], [np.zeros((2, 3))])
+        net = MultiTaskNet([], stack)
         model = tmp_path / "model.json"
         save_checkpoint(net, model, task_names=["a", "b"])
         assert main(["eval", "--model", str(model), "--data", str(manifest)]) == 1
@@ -360,10 +371,8 @@ class TestEval:
     def test_empty_fold_exits_usage(self, tmp_path, capsys):
         """A split that leaves no test rows cannot be scored."""
         manifest = self.make_balanced_manifest(tmp_path)
-        stack = TaskLayerStack(
-            ["classifier"], [np.zeros((5, 3, 2))], [np.zeros((2, 3))], ["softmax"]
-        )
-        net = MultiTaskNet(5, 3, 2, [], stack)
+        stack = TaskLayerStack(["classifier"], [np.zeros((5, 3, 2))], [np.zeros((2, 3))])
+        net = MultiTaskNet([], stack)
         model = tmp_path / "model.json"
         save_checkpoint(net, model, task_names=["a", "b"])
         code = main(
@@ -610,11 +619,9 @@ def with_task_file(content, name="a"):
 
 
 def tiny_checkpoint(tmp_path):
-    stack = TaskLayerStack(
-        ["classifier"], [np.zeros((5, 3, 2))], [np.zeros((2, 3))], ["softmax"]
-    )
+    stack = TaskLayerStack(["classifier"], [np.zeros((5, 3, 2))], [np.zeros((2, 3))])
     path = tmp_path / "model.json"
-    save_checkpoint(MultiTaskNet(5, 3, 2, [], stack), path, task_names=["a", "b"])
+    save_checkpoint(MultiTaskNet([], stack), path, task_names=["a", "b"])
     return path
 
 
@@ -813,6 +820,19 @@ REJECTED = {
         with_checkpoint(("stack", "layers", 0, "num_tasks"), 99),
         "model.json: malformed checkpoint: stack.layers[0].num_tasks is 99, "
         "but num_tasks is 2",
+    ),
+    "eval_checkpoint_input_dim": (
+        with_checkpoint(("input_dim",), 6),
+        "model.json: malformed checkpoint: input_dim is 6, but the layers give 5",
+    ),
+    "eval_checkpoint_num_classes": (
+        with_checkpoint(("num_classes",), 4),
+        "model.json: malformed checkpoint: num_classes is 4, but the layers give 3",
+    ),
+    "eval_checkpoint_final_activation": (
+        with_checkpoint(("stack", "layers", 0, "activation"), "relu"),
+        "model.json: malformed checkpoint: stack.layers[0]: unsupported activation "
+        "'relu', expected 'softmax'",
     ),
     "eval_checkpoint_nan_weight": (
         with_checkpoint(("stack", "layers", 0, "weight", 4), float("nan")),
@@ -1064,11 +1084,16 @@ def valid_task_names(names):
 @example(("stack", "layers", 1, "bias", 0), "2")
 @example(("task_names",), ["a"])
 @example(("trunk", 0, "in_dim"), -1)
+@example(("input_dim",), 3)
+@example(("num_classes",), 1)
+@example(("stack", "layers", 0, "activation"), "softmax")
+@example(("stack", "layers", 1, "activation"), "relu")
 def test_any_json_value_in_any_checkpoint_field_loads_or_names_the_file(
     where, value
 ):
-    """A checkpoint loads into a finite net with the counts, dims and
-    task names it states, or raises an ``InputError`` naming the file."""
+    """A checkpoint loads into a finite net with the counts, dims, task
+    names and position-given activations it states, or raises an
+    ``InputError`` naming the file."""
     doc = with_value(CHECKPOINT, where, value)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "model.json"
@@ -1086,6 +1111,8 @@ def test_any_json_value_in_any_checkpoint_field_loads_or_names_the_file(
         assert layer.weight.shape == (entry["in_dim"], entry["out_dim"])
     for w, entry in zip(net.stack.weights, doc["stack"]["layers"]):
         assert w.shape == (entry["in_dim"], entry["out_dim"], net.num_tasks)
+    acts = [entry["activation"] for entry in [*doc["trunk"], *doc["stack"]["layers"]]]
+    assert acts == ["relu"] * (len(acts) - 1) + ["softmax"]
 
 
 RELATIONSHIP = {

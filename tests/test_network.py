@@ -8,6 +8,7 @@ import pytest
 
 from oracles import dense_cov
 from relnet.network import (
+    DenseLayer,
     Gradients,
     MultiTaskNet,
     TaskLayerStack,
@@ -20,6 +21,7 @@ from relnet.network import (
     prior_penalty,
     save_checkpoint,
     task_log_loss,
+    task_scores,
 )
 from relnet.serialize import InputError, load_json
 from relnet.tensor_normal import KronCovariance
@@ -131,6 +133,19 @@ class TestCrossEntropy:
             -np.log(forward(net, 1, x[i])[y[i]]) for i in range(7)
         )
         assert total == pytest.approx(by_hand, rel=1e-10)
+
+
+@pytest.mark.parametrize("score", [task_log_loss, task_scores, accuracy])
+@pytest.mark.parametrize("labels", [[-1, 0], [0, 3], [7, -1]])
+def test_scoring_rejects_labels_out_of_range(score, labels):
+    """Labels are checked as in ``batch_gradients``: ``-1`` is not class
+    2, and ``3`` is not an ``IndexError``, on a 3-class net."""
+    net = init_network(2, [], [3], 2, np.random.default_rng(7))
+    x = np.ones((2, 2))
+    with pytest.raises(ValueError, match=r"label out of range \[0, 3\)"):
+        score(net, 1, x, labels)
+    with pytest.raises(ValueError, match="one task and one label"):
+        score(net, 1, x, [0])
 
 
 def param_arrays(net):
@@ -357,6 +372,59 @@ class TestCheckpoint:
         save_checkpoint(loaded, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_v1_bytes(self, tmp_path):
+        """The checkpoint text of a fixed net: field order, and ``relu``
+        for trunk and hidden stack layers, ``softmax`` for the last."""
+        stack = TaskLayerStack(
+            ["bottleneck", "classifier"],
+            [np.arange(4.0).reshape(2, 1, 2), np.arange(4.0).reshape(1, 2, 2) - 2],
+            [[[1.0], [2.0]], [[0.0, 1.0], [-1.0, 0.0]]],
+        )
+        net = MultiTaskNet([DenseLayer([[1.0, -2.0]], [0.0, 3.0])], stack)
+        path = tmp_path / "model.json"
+        save_checkpoint(net, path, task_names=["a", "b"])
+        assert path.read_text() == """\
+{
+  "schema_version": 1,
+  "input_dim": 1,
+  "num_classes": 2,
+  "num_tasks": 2,
+  "task_names": ["a", "b"],
+  "trunk": [
+    {
+      "in_dim": 1,
+      "out_dim": 2,
+      "activation": "relu",
+      "weight": [1, -2],
+      "bias": [0, 3]
+    }
+  ],
+  "stack": {
+    "layer_ids": ["bottleneck", "classifier"],
+    "layers": [
+      {
+        "id": "bottleneck",
+        "num_tasks": 2,
+        "in_dim": 2,
+        "out_dim": 1,
+        "activation": "relu",
+        "weight": [0, 1, 2, 3],
+        "bias": [1, 2]
+      },
+      {
+        "id": "classifier",
+        "num_tasks": 2,
+        "in_dim": 1,
+        "out_dim": 2,
+        "activation": "softmax",
+        "weight": [-2, -1, 0, 1],
+        "bias": [0, 1, -1, 0]
+      }
+    ]
+  }
+}
+"""
+
     def test_schema_version_checked(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"schema_version": 99}')
@@ -471,13 +539,6 @@ class TestInit:
         rng = np.random.default_rng(18)
         with pytest.raises(ValueError):
             init_network(4, [], [], 2, rng)
-        with pytest.raises(ValueError):
-            TaskLayerStack(
-                ["only"],
-                [np.zeros((3, 2, 2))],
-                [np.zeros((2, 2))],
-                ["relu"],
-            )
 
     def test_accuracy_counts(self):
         net = init_network(2, [], [2], 1, np.random.default_rng(19))
