@@ -243,6 +243,13 @@ class Gradients:
     stack_biases: list = field(default_factory=list)
     flat: np.ndarray | None = None
 
+    @classmethod
+    def empty_like(cls, net: MultiTaskNet) -> "Gradients":
+        """An unfilled ``flat`` vector laid out like ``net.params``, and
+        the four lists as its views."""
+        flat = np.empty_like(net.params)
+        return cls(*net._split(flat), flat=flat)
+
 
 def init_network(
     input_dim: int,
@@ -313,58 +320,6 @@ def _check_task(net: MultiTaskNet, task: int) -> int:
     return task
 
 
-def _stack_pre_act(h: np.ndarray, w: np.ndarray, b: np.ndarray, tasks, q_out=None):
-    """``h @ W_t + b_t`` per row, with ``t`` the row's task.
-
-    ``tasks`` is one task for all rows or a vector with one task per
-    row.  A vector makes the layer one dense map onto the ``(D_in,
-    D_out*T)`` unfolding of ``w``, of which each row keeps its own
-    task's slice.  With ``q_out`` the product is taken back from the
-    rotated output basis before the bias: ``h @ W_t @ q_out^T + b_t``.
-    """
-    if np.ndim(tasks) == 0:
-        z = h @ w[:, :, tasks]
-    else:
-        din, dout, t = w.shape
-        full = (h @ w.reshape(din, dout * t)).reshape(-1, dout, t)
-        z = full[np.arange(h.shape[0]), :, tasks]
-    if q_out is not None:
-        z = z @ q_out.T
-    return z + b[tasks]
-
-
-def _forward_cached(net: MultiTaskNet, tasks, x: np.ndarray, bases=None):
-    """Run the batched forward pass, keeping per-layer caches.
-
-    ``tasks`` is one task for all rows of ``x`` or one task per row.
-    Returns ``(inputs, pre_acts, logits)`` where ``inputs[l]`` is the
-    activation fed into layer ``l`` and ``pre_acts[l]`` its
-    pre-activation.  The final softmax is left to the caller.  With
-    ``bases`` (see :func:`batch_gradients`) the stack weights are the
-    rotated ones: a stack layer's input is multiplied by its ``Q_in``
-    (and cached so) and its product by ``Q_out^T``, so pre-activations
-    and logits are those of the unrotated network.
-    """
-    inputs, pre_acts = [], []
-    h = x
-    for layer in net.trunk:
-        inputs.append(h)
-        z = h @ layer.weight + layer.bias
-        pre_acts.append(z)
-        h = np.maximum(z, 0.0)
-    stack = net.stack
-    for l in range(stack.num_layers):
-        q_in, q_out = (None, None) if bases is None else bases[l]
-        if q_in is not None:
-            h = h @ q_in
-        inputs.append(h)
-        z = _stack_pre_act(h, stack.weights[l], stack.biases[l], tasks, q_out)
-        pre_acts.append(z)
-        if l < stack.num_layers - 1:
-            h = np.maximum(z, 0.0)
-    return inputs, pre_acts, pre_acts[-1]
-
-
 def _as_batch(net: MultiTaskNet, x) -> tuple:
     arr = np.asarray(x, dtype=float)
     single = arr.ndim == 1
@@ -380,9 +335,15 @@ def _as_batch(net: MultiTaskNet, x) -> tuple:
 def logits(net: MultiTaskNet, task: int, x) -> np.ndarray:
     """Classifier pre-activations for one task."""
     task = _check_task(net, task)
-    arr, single = _as_batch(net, x)
-    _, _, out = _forward_cached(net, task, arr)
-    return out[0] if single else out
+    h, single = _as_batch(net, x)
+    for layer in net.trunk:
+        h = np.maximum(h @ layer.weight + layer.bias, 0.0)
+    stack = net.stack
+    for l, (w, b) in enumerate(zip(stack.weights, stack.biases)):
+        z = h @ w[:, :, task] + b[task]
+        if l < stack.num_layers - 1:
+            h = np.maximum(z, 0.0)
+    return z[0] if single else z
 
 
 def forward(net: MultiTaskNet, task: int, x) -> np.ndarray:
@@ -467,43 +428,85 @@ def batch_gradients(net: MultiTaskNet, tasks, x, labels, bases=None) -> Gradient
     + D_out^2)`` extra multiplies per layer for a batch of ``B`` rows;
     the bias gradients, the task mode and the trunk are unchanged.
     """
-    arr, _ = _as_batch(net, x)
-    tasks = _check_index(tasks, arr.shape[0], net.num_tasks, "task")
-    labels = _check_index(labels, arr.shape[0], net.num_classes, "label")
-    inputs, pre_acts, out = _forward_cached(net, tasks, arr, bases)
-    dz = softmax(out)
-    dz[np.arange(dz.shape[0]), labels] -= 1.0
-    onehot = (tasks[:, None] == np.arange(net.num_tasks)).astype(float)
+    x, tasks, labels = _checked_batch(net, x, tasks, labels)
+    grads = Gradients.empty_like(net)
+    onehot = np.eye(net.num_tasks)[tasks]
+    _gradients_into(grads, net, x, tasks, onehot, labels, bases)
+    return grads
+
+
+def _checked_batch(net: MultiTaskNet, x, tasks, labels) -> tuple:
+    """``(x, tasks, labels)`` of a batch as :func:`_gradients_into` takes
+    them, after the checks :func:`batch_gradients` makes."""
+    x, _ = _as_batch(net, x)
+    rows = x.shape[0]
+    tasks = _check_index(tasks, rows, net.num_tasks, "task")
+    return x, tasks, _check_index(labels, rows, net.num_classes, "label")
+
+
+def _gradients_into(
+    grads: Gradients, net: MultiTaskNet, x, tasks, onehot, labels, bases
+) -> None:
+    """The arithmetic of :func:`batch_gradients`, written into ``grads``.
+
+    Every array of ``grads``, a :meth:`Gradients.empty_like` buffer, is
+    overwritten.  The inputs are taken as :func:`_checked_batch` returns
+    them, with ``onehot`` the ``(B, T)`` float one-hot of ``tasks``.
+    The forward pass keeps each layer's input and ReLU mask, and the
+    softmax and the label step overwrite the logits.
+    """
+    rows = np.arange(x.shape[0])
+    stack = net.stack
+    last = stack.num_layers - 1
+    inputs, masks, unfolded = [], [], []
+    h = x
+    for layer in net.trunk:
+        inputs.append(h)
+        z = h @ layer.weight
+        z += layer.bias
+        masks.append(z > 0)
+        h = np.maximum(z, 0.0, out=z)
+    for s, (w, b) in enumerate(zip(stack.weights, stack.biases)):
+        if bases is not None:
+            h = h @ bases[s][0]
+        inputs.append(h)
+        din, dout, t = w.shape
+        unfolded.append(w.reshape(din, dout * t))
+        z = (h @ unfolded[s]).reshape(-1, dout, t)[rows, :, tasks]
+        if bases is not None:
+            z = z @ bases[s][1].T
+        z += b[tasks]
+        if s < last:
+            masks.append(z > 0)
+            h = np.maximum(z, 0.0, out=z)
+
+    dz = z
+    dz -= dz.max(axis=1, keepdims=True)
+    np.exp(dz, out=dz)
+    dz /= dz.sum(axis=1, keepdims=True)
+    dz[rows, labels] -= 1.0
 
     n_trunk = len(net.trunk)
-    stack = net.stack
-    flat = np.empty_like(net.params)
-    grads = Gradients(*net._split(flat), flat=flat)
-    for l in range(n_trunk + stack.num_layers - 1, -1, -1):
-        a = inputs[l]
-        q_in = q_out = None
-        if l >= n_trunk:
-            s = l - n_trunk
-            if bases is not None:
-                q_in, q_out = bases[s]
-            np.matmul(onehot.T, dz, out=grads.stack_biases[s])
-            if q_out is not None:
-                dz = dz @ q_out
-            w = stack.weights[s]
-            w_flat = w.reshape(w.shape[0], -1)
-            spread = (dz[:, :, None] * onehot[:, None, :]).reshape(dz.shape[0], -1)
-            out = grads.stack_weights[s].reshape(w_flat.shape)
-            np.matmul(a.T, spread, out=out)
-        else:
-            spread, w_flat = dz, net.trunk[l].weight
-            np.matmul(a.T, dz, out=grads.trunk_weights[l])
-            dz.sum(axis=0, out=grads.trunk_biases[l])
-        if l > 0:
+    by_task = onehot[:, None, :]
+    for s in range(last, -1, -1):
+        np.matmul(onehot.T, dz, out=grads.stack_biases[s])
+        if bases is not None:
+            dz = dz @ bases[s][1]
+        w_flat = unfolded[s]
+        spread = (dz[:, :, None] * by_task).reshape(dz.shape[0], -1)
+        a = inputs[n_trunk + s]
+        np.matmul(a.T, spread, out=grads.stack_weights[s].reshape(w_flat.shape))
+        if n_trunk + s > 0:
             dz = spread @ w_flat.T
-            if q_in is not None:
-                dz = dz @ q_in.T
-            dz *= pre_acts[l - 1] > 0
-    return grads
+            if bases is not None:
+                dz = dz @ bases[s][0].T
+            dz *= masks[n_trunk + s - 1]
+    for l in range(n_trunk - 1, -1, -1):
+        np.matmul(inputs[l].T, dz, out=grads.trunk_weights[l])
+        dz.sum(axis=0, out=grads.trunk_biases[l])
+        if l > 0:
+            dz = dz @ net.trunk[l].weight.T
+            dz *= masks[l - 1]
 
 
 def _check_priors(stack: TaskLayerStack, priors: Sequence[KronCovariance]):
@@ -616,6 +619,8 @@ def _layer_from_doc(entry, where: str, activation: str, *tasks) -> tuple:
 def load_checkpoint(path) -> tuple:
     """Read a checkpoint; returns ``(net, task_names)``.
 
+    ``trunk``, ``stack.layers`` and ``stack.layer_ids`` must be JSON
+    lists, of objects, objects and strings, and ``stack`` an object.
     Counts and dims must be JSON integers of at least 1, each stack
     layer's ``num_tasks`` equal to the top-level one, ``input_dim`` and
     ``num_classes`` equal to what the layer shapes give, every
@@ -636,10 +641,11 @@ def load_checkpoint(path) -> tuple:
     try:
         trunk = [
             DenseLayer(*_layer_from_doc(entry, f"trunk[{i}]", "relu"))
-            for i, entry in enumerate(doc["trunk"])
+            for i, entry in enumerate(check_type(doc["trunk"], "list[dict]", "trunk"))
         ]
         num_tasks = _dim(doc["num_tasks"], "num_tasks")
-        entries = doc["stack"]["layers"]
+        stack_doc = check_type(doc["stack"], "dict", "stack")
+        entries = check_type(stack_doc["layers"], "list[dict]", "stack.layers")
         layers = [
             _layer_from_doc(entry, f"stack.layers[{i}]", act, num_tasks)
             for i, (entry, act) in enumerate(
@@ -647,7 +653,7 @@ def load_checkpoint(path) -> tuple:
             )
         ]
         ids = [entry["id"] for entry in entries]
-        if ids != doc["stack"]["layer_ids"]:
+        if ids != check_type(stack_doc["layer_ids"], "list[str]", "stack.layer_ids"):
             raise ValueError("stack ids are inconsistent")
         stack = TaskLayerStack(ids, [w for w, _ in layers], [b for _, b in layers])
         net = MultiTaskNet(trunk, stack)

@@ -80,13 +80,17 @@ _CHUNK = 4096
 
 def _float_pieces(row: np.ndarray, sep: str):
     """Pieces of :func:`format_floats` ``(row, sep)``, at most ``_CHUNK``
-    values each."""
+    values each, each formatted by one ``%`` against a template of one
+    ``%.17g`` per value."""
     finite = np.isfinite(row)
     if not finite.all():
         format_float(row[~finite][0])
+    n = min(row.size, _CHUNK)
+    full = sep.join(["%.17g"] * n)
     for start in range(0, row.size, _CHUNK):
-        chunk = (row[start : start + _CHUNK] + 0.0).tolist()
-        yield ("" if start == 0 else sep) + sep.join(["%.17g" % v for v in chunk])
+        chunk = tuple((row[start : start + _CHUNK] + 0.0).tolist())
+        template = full if len(chunk) == n else sep.join(["%.17g"] * len(chunk))
+        yield ("" if start == 0 else sep) + template % chunk
 
 
 def format_floats(row: np.ndarray, sep: str = ", ") -> str:
@@ -232,13 +236,15 @@ _JSON_TYPES = {
     "float": ("a finite number", lambda v: type(v) in (int, float) and math.isfinite(v)),
     "bool": ("true or false", lambda v: type(v) is bool),
     "str": ("a string", lambda v: type(v) is str),
+    "dict": ("an object", lambda v: type(v) is dict),
 }
 
 
 def check_type(value, kind: str, where: str):
     """Check a JSON value against the field annotation ``kind``.
 
-    ``int``, ``float``, ``bool`` and ``str`` follow ``_JSON_TYPES``;
+    ``int``, ``float``, ``bool``, ``str`` and ``dict`` (a JSON object)
+    follow ``_JSON_TYPES``;
     ``X | None`` also accepts null, and ``list[X]`` a list whose items
     pass ``X``, named ``<where>[i]``.  Any other annotation is left to
     the caller.  Returns the value, with a ``float`` as a float and a

@@ -24,6 +24,17 @@ Each epoch alternates two blocks:
    SGD is equivariant under an orthogonal change of variables, so the
    trajectory is the one of stepping in the network's own basis, up to
    rounding.
+
+   With many tasks and narrow layers a batch's arithmetic is small, so
+   an epoch prepares once what does not depend on the batch: the
+   label and task checks of ``batch_gradients`` over all its rows, the
+   gradient buffer and its views, the non-empty parameter segments with
+   their rate multipliers and every batch's prior scale.  A batch pays
+   for gathering its rows, its task one-hot, the gradient arithmetic
+   written into the buffer, the prior step, two finiteness checks and
+   the update, which scales the checked gradient in place into the
+   step, in the floating-point operations of calling
+   ``batch_gradients`` per batch.
 2. One covariance sweep per stack layer: with the weights fixed, each
    mode factor in turn is replaced by the maximizer of the prior term
    given the other two, then ridged and trace-normalized.  The Gram
@@ -52,10 +63,12 @@ import numpy as np
 
 from .data import DatasetError, MultiTaskDataset
 from .network import (
+    Gradients,
     MultiTaskNet,
     TaskLayerStack,
+    _checked_batch,
+    _gradients_into,
     accuracy,
-    batch_gradients,
     prior_penalty,
     resolve_layer,
     task_log_loss,
@@ -314,7 +327,7 @@ def sgd_epoch(
 
     Examples of all tasks are pooled once per epoch, shuffled together
     (child generator of ``cfg.seed`` and the epoch counter) and walked
-    in batches.  Each batch is one pass of
+    in batches.  Each batch is one pass of the arithmetic of
     :func:`~relnet.network.batch_gradients` over its mixed tasks, with
     data gradients averaged within the batch.  The prior gradient
     ``Sigma^{-1} vec(W)`` of each layer enters with task ``t``'s slice
@@ -338,24 +351,40 @@ def sgd_epoch(
     never see the rotated basis.  The task mode, the biases and the
     trunk are not rotated.  With ``prior_weight == 0`` nothing is.
 
-    A non-finite gradient, or a parameter that turns non-finite in the
+    The batch-independent work is done once, before the first batch
+    (see the module docstring).  A label out of range raises
+    ``batch_gradients``' ``ValueError`` before any parameter moves.  A
+    non-finite gradient, or a parameter that turns non-finite in the
     update, raises :class:`TrainingError` naming the epoch, the batch,
     the layer and the quantity.  Mutates ``net`` and ``state`` in place
     and returns them.
     """
     check_data(net, data, "training data")
-    stack = net.stack
+    num_tasks = net.num_tasks
     sizes = np.asarray(data.task_sizes)
-    task_of = np.repeat(np.arange(net.num_tasks), sizes)
-    features = np.concatenate(data.features)
-    labels = np.concatenate(data.labels)
-    total = task_of.shape[0]
+    features, task_of, labels = _checked_batch(
+        net,
+        np.concatenate(data.features),
+        np.repeat(np.arange(num_tasks), sizes),
+        np.concatenate(data.labels),
+    )
+    total, size = task_of.shape[0], cfg.batch_size
+    perm = np.random.default_rng([cfg.seed, 0, state.epoch]).permutation(total)
+    task_of, labels = task_of[perm], labels[perm]
+    one_hot = np.eye(num_tasks)
 
-    rng = np.random.default_rng([cfg.seed, 0, state.epoch])
-    perm = rng.permutation(total)
-
+    g = Gradients.empty_like(net)
+    finite = np.empty(g.flat.shape, dtype=bool)
     mu = cfg.momentum
-    segments = (slice(None, net.stack_start), slice(net.stack_start, None))
+    updates = [
+        (state.velocity[seg], net.params[seg], g.flat[seg], mult)
+        for seg, mult in (
+            (slice(None, net.stack_start), 1.0),
+            (slice(net.stack_start, None), cfg.new_layer_lr_multiplier),
+        )
+        if net.params[seg].size
+    ]
+
     bases = None
     if cfg.prior_weight > 0.0:
         # Each layer steps in the eigenbasis of its feature and output
@@ -363,49 +392,63 @@ def sgd_epoch(
         # 1/sigma_out.  It is kept repeated along the task mode: a
         # multiply by a full array is several times faster than one
         # broadcast over rows of T entries.
-        weights = [w.reshape(-1, w.shape[2]) for w in stack.weights]
-        bases, inv_sigma, task_precisions = [], [], []
-        for prior, w in zip(cov.priors, weights):
+        bases, priors = [], []
+        for prior, w, grad in zip(cov.priors, net.stack.weights, g.stack_weights):
             (s_in, q_in), (s_out, q_out) = (f.eigh for f in prior.factors[:2])
             bases.append((q_in, q_out))
+            w, grad = w.reshape(-1, num_tasks), grad.reshape(-1, num_tasks)
             diag = np.outer(1.0 / s_in, 1.0 / s_out).reshape(-1, 1)
-            inv_sigma.append(np.repeat(diag, w.shape[1], axis=1))
-            task_precisions.append(prior.factors[2].precision)
+            precision = prior.factors[2].precision
+            priors.append((
+                w, grad, np.repeat(diag, num_tasks, axis=1),
+                precision, np.empty_like(precision), np.empty_like(w),
+            ))
+        # Row k: batch k's task counts c_t, as prior_weight * c_t / N_t.
+        batches = -(-total // size)
+        key = np.arange(total) // size * num_tasks + task_of
+        counts = np.bincount(key, minlength=batches * num_tasks)
+        scales = cfg.prior_weight * counts.reshape(batches, num_tasks) / sizes
         for vec in (net.params, state.velocity):
             net.rotate_stack(vec, bases)
 
     try:
-        for start in range(0, total, cfg.batch_size):
-            where = f"epoch {state.epoch}, batch {start // cfg.batch_size}"
-            batch = perm[start : start + cfg.batch_size]
-            tasks = task_of[batch]
-            g = batch_gradients(net, tasks, features[batch], labels[batch], bases)
-            g.flat *= 1.0 / batch.shape[0]
+        for k, start in enumerate(range(0, total, size)):
+            stop = start + size
+            tasks = task_of[start:stop]
+            _gradients_into(
+                g, net, features[perm[start:stop]], tasks, one_hot[tasks],
+                labels[start:stop], bases,
+            )
+            g.flat *= 1.0 / tasks.shape[0]
 
             if bases is not None:
-                counts = np.bincount(tasks, minlength=net.num_tasks)
-                scale = cfg.prior_weight * counts / sizes
-                for l, w in enumerate(weights):
-                    step = w @ (task_precisions[l] * scale)
-                    step *= inv_sigma[l]
-                    grad = g.stack_weights[l].reshape(w.shape)
+                for w, grad, inv_sigma, precision, scaled, step in priors:
+                    np.multiply(precision, scales[k], out=scaled)
+                    np.matmul(w, scaled, out=step)
+                    step *= inv_sigma
                     grad += step
 
-            if not np.isfinite(g.flat).all():
+            if not np.isfinite(g.flat, out=finite).all():
                 bad = net.first_nonfinite(g.flat)
-                raise TrainingError(f"non-finite gradient of {bad} at {where}")
+                raise TrainingError(
+                    f"non-finite gradient of {bad} at epoch {state.epoch}, batch {k}"
+                )
 
+            # The checked gradient is spent, so it takes the step.
             lr = learning_rate_at(cfg, state.iteration)
-            for seg, rate in zip(segments, (lr, lr * cfg.new_layer_lr_multiplier)):
-                v, p = state.velocity[seg], net.params[seg]
+            for v, p, grad, mult in updates:
                 v *= mu
-                v -= rate * g.flat[seg]
+                grad *= lr * mult
+                v -= grad
                 p += v
             state.iteration += 1
 
-            if not np.isfinite(net.params).all():
+            if not np.isfinite(net.params, out=finite).all():
                 bad = net.first_nonfinite(net.params)
-                raise TrainingError(f"non-finite {bad} after the update at {where}")
+                raise TrainingError(
+                    f"non-finite {bad} after the update at epoch {state.epoch}, "
+                    f"batch {k}"
+                )
     finally:
         if bases is not None:
             for vec in (net.params, state.velocity):

@@ -1,13 +1,14 @@
 """Reference implementations that the tests compare relnet against.
 
 Each is the plainest spelling of a convention or quantity stated in
-:mod:`relnet.tensor` or :mod:`relnet.network`, written for clarity
-rather than speed.
+:mod:`relnet.tensor`, :mod:`relnet.network` or :mod:`relnet.trainer`,
+written for clarity rather than speed.
 """
 
 import numpy as np
 
 from relnet.network import batch_gradients
+from relnet.trainer import TrainingError, check_data, learning_rate_at
 
 kronecker = np.kron
 vectorize = np.ravel
@@ -44,3 +45,81 @@ def prior_gradient_full(stack, priors, l):
     """``Sigma^-1 vec(W)`` of stack layer ``l``, as a ``(D_in, D_out, T)``
     tensor covering every task."""
     return priors[l].apply_inverse(stack.weights[l])
+
+
+def per_batch_sgd_epoch(net, cov, data, cfg, state):
+    """:func:`relnet.trainer.sgd_epoch` spelled batch by batch: each
+    batch calls the public :func:`~relnet.network.batch_gradients`,
+    counts its tasks with ``bincount`` and updates with a temporary
+    ``rate * g``.  It runs the floating-point operations of
+    ``sgd_epoch`` in the same order, so the two give equal results."""
+    check_data(net, data, "training data")
+    stack = net.stack
+    sizes = np.asarray(data.task_sizes)
+    task_of = np.repeat(np.arange(net.num_tasks), sizes)
+    features = np.concatenate(data.features)
+    labels = np.concatenate(data.labels)
+    total = task_of.shape[0]
+
+    rng = np.random.default_rng([cfg.seed, 0, state.epoch])
+    perm = rng.permutation(total)
+
+    mu = cfg.momentum
+    segments = (slice(None, net.stack_start), slice(net.stack_start, None))
+    bases = None
+    if cfg.prior_weight > 0.0:
+        # Each layer steps in the eigenbasis of its feature and output
+        # factors, where their inverse is the diagonal 1/sigma_in kron
+        # 1/sigma_out.  It is kept repeated along the task mode: a
+        # multiply by a full array is several times faster than one
+        # broadcast over rows of T entries.
+        weights = [w.reshape(-1, w.shape[2]) for w in stack.weights]
+        bases, inv_sigma, task_precisions = [], [], []
+        for prior, w in zip(cov.priors, weights):
+            (s_in, q_in), (s_out, q_out) = (f.eigh for f in prior.factors[:2])
+            bases.append((q_in, q_out))
+            diag = np.outer(1.0 / s_in, 1.0 / s_out).reshape(-1, 1)
+            inv_sigma.append(np.repeat(diag, w.shape[1], axis=1))
+            task_precisions.append(prior.factors[2].precision)
+        for vec in (net.params, state.velocity):
+            net.rotate_stack(vec, bases)
+
+    try:
+        for start in range(0, total, cfg.batch_size):
+            where = f"epoch {state.epoch}, batch {start // cfg.batch_size}"
+            batch = perm[start : start + cfg.batch_size]
+            tasks = task_of[batch]
+            g = batch_gradients(net, tasks, features[batch], labels[batch], bases)
+            g.flat *= 1.0 / batch.shape[0]
+
+            if bases is not None:
+                counts = np.bincount(tasks, minlength=net.num_tasks)
+                scale = cfg.prior_weight * counts / sizes
+                for l, w in enumerate(weights):
+                    step = w @ (task_precisions[l] * scale)
+                    step *= inv_sigma[l]
+                    grad = g.stack_weights[l].reshape(w.shape)
+                    grad += step
+
+            if not np.isfinite(g.flat).all():
+                bad = net.first_nonfinite(g.flat)
+                raise TrainingError(f"non-finite gradient of {bad} at {where}")
+
+            lr = learning_rate_at(cfg, state.iteration)
+            for seg, rate in zip(segments, (lr, lr * cfg.new_layer_lr_multiplier)):
+                v, p = state.velocity[seg], net.params[seg]
+                v *= mu
+                v -= rate * g.flat[seg]
+                p += v
+            state.iteration += 1
+
+            if not np.isfinite(net.params).all():
+                bad = net.first_nonfinite(net.params)
+                raise TrainingError(f"non-finite {bad} after the update at {where}")
+    finally:
+        if bases is not None:
+            for vec in (net.params, state.velocity):
+                net.rotate_stack(vec, bases, back=True)
+
+    state.epoch += 1
+    return net, state

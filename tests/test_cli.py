@@ -834,6 +834,10 @@ REJECTED = {
         "model.json: malformed checkpoint: stack.layers[0]: unsupported activation "
         "'relu', expected 'softmax'",
     ),
+    "eval_checkpoint_trunk_object": (
+        with_checkpoint(("trunk",), {}),
+        "model.json: malformed checkpoint: trunk must be a list, got {}",
+    ),
     "eval_checkpoint_nan_weight": (
         with_checkpoint(("stack", "layers", 0, "weight", 4), float("nan")),
         "model.json: malformed checkpoint: stack.layers[0].weight entry 4",
@@ -1088,12 +1092,17 @@ def valid_task_names(names):
 @example(("num_classes",), 1)
 @example(("stack", "layers", 0, "activation"), "softmax")
 @example(("stack", "layers", 1, "activation"), "relu")
+@example(("trunk",), {})
+@example(("stack",), [])
+@example(("stack", "layers"), {"0": {}})
+@example(("stack", "layer_ids"), "bottleneck")
+@example(("trunk", 0), [])
 def test_any_json_value_in_any_checkpoint_field_loads_or_names_the_file(
     where, value
 ):
     """A checkpoint loads into a finite net with the counts, dims, task
-    names and position-given activations it states, or raises an
-    ``InputError`` naming the file."""
+    names and position-given activations it states, from layer lists
+    that are JSON lists, or raises an ``InputError`` naming the file."""
     doc = with_value(CHECKPOINT, where, value)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "model.json"
@@ -1103,6 +1112,8 @@ def test_any_json_value_in_any_checkpoint_field_loads_or_names_the_file(
         except InputError as exc:
             assert str(path) in str(exc)
             return
+    lists = (doc["trunk"], doc["stack"]["layers"], doc["stack"]["layer_ids"])
+    assert all(type(v) is list for v in lists)
     assert np.isfinite(net.params).all()
     counts = (net.input_dim, net.num_classes, net.num_tasks)
     assert counts == (doc["input_dim"], doc["num_classes"], doc["num_tasks"])

@@ -1,0 +1,23 @@
+"""``tools/epoch_cpu.py``: one timed epoch of a benchmark workload."""
+
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "epoch_cpu.py"
+
+
+def test_one_timed_epoch_of_train_manytask():
+    """The tool builds the workload, warms up and prints the best and
+    median CPU microseconds per batch of its timed epochs."""
+    run = subprocess.run(
+        [sys.executable, str(TOOL), "train-manytask", "--repeat", "1"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    assert re.fullmatch(
+        r"train-manytask: 250 batches of 16 rows, 1 timed epoch\(s\): "
+        r"best \d+\.\d us, median \d+\.\d us per batch\n",
+        run.stdout,
+    )

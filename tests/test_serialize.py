@@ -106,11 +106,17 @@ class TestWholeArrayEmission:
     @pytest.mark.parametrize("size", [4095, 4096, 4097, 2 * 4096 + 3])
     def test_rows_longer_than_a_chunk(self, size, tmp_path):
         """Rows are formatted a chunk at a time and ``dump_json`` streams
-        them: the text is the value-by-value join, and the file holds the
-        bytes of ``dumps_json``."""
-        row = np.random.default_rng(size).standard_normal(size)
+        them: the text is the value-by-value join, also for ``-0.0``,
+        subnormals and values near the double range, and the file holds
+        the bytes of ``dumps_json``."""
+        rng = np.random.default_rng(size)
+        row = rng.standard_normal(size)
         row[::7] = -0.0
-        assert format_floats(row, ",") == ",".join(format_float(v) for v in row)
+        row[1::7] = 5e-324 * rng.integers(1, 2**40, row[1::7].size)
+        row[2::7] = 1.7e308
+        row[3::7] = -1.7e308
+        for sep in (",", ", "):
+            assert format_floats(row, sep) == sep.join(format_float(v) for v in row)
         doc = {"w": row, "rows": row.reshape(-1, 1)[:5], "n": size}
         dump_json(doc, tmp_path / "doc.json")
         assert (tmp_path / "doc.json").read_text() == dumps_json(doc)

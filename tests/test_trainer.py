@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from oracles import backward
+from oracles import backward, per_batch_sgd_epoch
 from relnet import network, tensor_normal, trainer
 from relnet.data import MultiTaskDataset, SyntheticSpec, generate_synthetic
 from relnet.network import forward, init_network, prior_penalty
@@ -298,6 +298,25 @@ class TestSgdEpoch:
                 OptimizerState.zeros_like(net),
             )
 
+    def test_label_out_of_range_raises_before_any_update(self):
+        """A label set out of range after the dataset was built raises
+        ``batch_gradients``' error before any parameter or velocity entry
+        moves, also in a rotated eigenbasis."""
+        data = toy_data(sizes=(6, 5), dim=3, num_classes=3, seed=21)
+        net = init_network(3, [4], [3, 3], 2, np.random.default_rng(22))
+        cfg = TrainConfig(batch_size=4, prior_weight=0.05, epsilon_ridge=0.1)
+        cov = CovarianceState.identity_for(net.stack)
+        state = OptimizerState.zeros_like(net)
+        sgd_epoch(net, cov, data, cfg, state)
+        cov = update_covariances(net.stack, cov, cfg)
+        data.labels[1][-1] = 3
+        params, velocity = net.params.copy(), state.velocity.copy()
+        with pytest.raises(ValueError, match=r"^label out of range \[0, 3\)$"):
+            sgd_epoch(net, cov, data, cfg, state)
+        assert np.array_equal(net.params, params)
+        assert np.array_equal(state.velocity, velocity)
+        assert (state.iteration, state.epoch) == (3, 1)
+
 
 class TestBenchmarkHooks:
     """The benchmark times these entry points by wrapping them by name."""
@@ -425,6 +444,51 @@ def test_eigenbasis_sgd_matches_the_inverse_reference(trunk, stack, shared, sche
         # eigenbasis is a real rotation from the second epoch on.
         q_in = cov.priors[0].factors[0].eigh[1]
         assert np.abs(q_in - np.diag(np.diag(q_in))).max() > 0.1
+
+
+@pytest.mark.parametrize(
+    "trunk, stack, prior_weight, shared, schedule, sizes",
+    [
+        ([6], [5, 3], 0.05, False, "constant", (7, 6, 4)),  # drn
+        ([6, 5], [3], 0.05, False, "constant", (7, 6, 4)),  # drn8
+        ([6], [5, 3], 0.0, False, "constant", (7, 6, 4)),  # no prior
+        ([6], [5, 3], 0.05, True, "constant", (7, 6, 4)),  # shared_task_sigma
+        ([6], [5, 3], 0.05, False, "inv", (7, 6, 4)),
+        ([], [5, 3], 0.05, False, "constant", (7, 6, 4)),  # no trunk
+        ([6], [5, 3], 0.05, False, "constant", (5, 6, 4)),  # no ragged batch
+    ],
+)
+def test_sgd_epoch_equals_the_per_batch_loop(
+    trunk, stack, prior_weight, shared, schedule, sizes
+):
+    """Over three epochs with covariance refits between them,
+    ``sgd_epoch`` gives exactly the parameters, velocity and iteration
+    of the per-batch oracle.  Batches of 5 leave a last batch of 2 of 17
+    rows, and divide 15."""
+    data = toy_data(sizes=sizes, dim=4, seed=43)
+    net = init_network(4, trunk, stack, 3, np.random.default_rng(44))
+    ref_net = clone_net(net)
+    cfg = TrainConfig(
+        learning_rate=0.01,
+        momentum=0.9,
+        batch_size=5,
+        prior_weight=prior_weight,
+        epsilon_ridge=0.1,
+        lr_schedule=schedule,
+        lr_gamma=0.1,
+        shared_task_sigma=shared,
+        seed=45,
+    )
+    cov = CovarianceState.identity_for(net.stack, shared)
+    state, ref_state = OptimizerState.zeros_like(net), OptimizerState.zeros_like(net)
+    for _ in range(3):
+        sgd_epoch(net, cov, data, cfg, state)
+        per_batch_sgd_epoch(ref_net, cov, data, cfg, ref_state)
+        assert np.array_equal(net.params, ref_net.params)
+        assert np.array_equal(state.velocity, ref_state.velocity)
+        assert (state.iteration, state.epoch) == (ref_state.iteration, ref_state.epoch)
+        if prior_weight > 0.0:
+            cov = update_covariances(net.stack, cov, cfg)
 
 
 def dense_update_oracle(stack, cov, cfg):
