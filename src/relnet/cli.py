@@ -12,9 +12,9 @@ Subcommands
     ``relationship_<layer>.json`` per task-specific layer (none for the
     independent-training variant).
 ``eval``
-    Score a checkpoint against a dataset manifest, optionally after
-    re-deriving the train/test split, and print per-task accuracies as
-    CSV on standard output.
+    Score a checkpoint on the training or held-out fold of the data a
+    config describes (the folds ``train`` trains and tests on) and
+    print per-task accuracies as CSV on standard output.
 ``export-relationship``
     Re-emit a trained relationship matrix as JSON or CSV.
 
@@ -251,6 +251,13 @@ def parse_experiment_config(doc, base_dir) -> ExperimentConfig:
     )
 
 
+def load_config(path) -> ExperimentConfig:
+    """Read and validate the config file at ``path``; its paths are
+    relative to its directory."""
+    path = Path(path)
+    return parse_experiment_config(load_json(path), path.parent)
+
+
 def load_experiment_data(cfg: ExperimentConfig) -> tuple:
     """Materialize ``(train_ds, eval_ds)`` for a parsed config.
 
@@ -439,8 +446,7 @@ def cmd_tnd_fit(args) -> int:
 
 def cmd_train(args) -> int:
     """Run one experiment from a JSON config file."""
-    config_path = Path(args.config)
-    cfg = parse_experiment_config(load_json(config_path), config_path.parent)
+    cfg = load_config(args.config)
     if args.seed is not None:
         try:
             cfg.train_cfg = replace(cfg.train_cfg, seed=args.seed)
@@ -466,16 +472,22 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    """Score a checkpoint on a manifest dataset; print CSV to stdout."""
-    net, _ = load_checkpoint(args.model)
-    ds = load_manifest(args.data)
-    if args.train_fraction is not None:
-        spec = SplitSpec(args.train_fraction, args.stratified, args.split_seed)
-        train_ds, test_ds = split(ds, spec)
-        ds = train_ds if args.fold == "train" else test_ds
-    elif args.fold == "train":
-        raise ConfigError("--fold requires --train-fraction to define the split")
-    check_data(net, ds, str(args.data))
+    """Score a checkpoint on one fold of a config's data; print CSV to
+    stdout.
+
+    The folds are those :func:`run_experiment` trains and tests on.  A
+    config without a held-out fold scores its whole dataset.
+    """
+    cfg = load_config(args.config)
+    net, task_names = load_checkpoint(args.model)
+    train_ds, test_ds = load_experiment_data(cfg)
+    ds = train_ds if args.fold == "train" or test_ds is None else test_ds
+    check_data(net, ds, str(cfg.manifest or args.config))
+    if task_names is not None and task_names != ds.task_names:
+        raise ConfigError(
+            f"{args.model}: task_names {task_names} differ from the data's "
+            f"{ds.task_names}"
+        )
 
     lines = ["task,accuracy"]
     accs = []
@@ -571,25 +583,15 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--out", default=None, help="override config output_dir")
     tr.set_defaults(func=cmd_train)
 
-    ev = sub.add_parser("eval", help="score a checkpoint on a dataset manifest")
+    ev = sub.add_parser("eval", help="score a checkpoint on a config's data")
+    ev.add_argument("--config", required=True, help="experiment config JSON")
     ev.add_argument("--model", required=True, help="checkpoint JSON path")
-    ev.add_argument("--data", required=True, help="dataset manifest path")
     ev.add_argument(
         "--fold",
         choices=("train", "test"),
         default="test",
-        help="which side of the split to score (with --train-fraction)",
+        help="which fold of the config's data to score",
     )
-    ev.add_argument(
-        "--train-fraction",
-        type=float,
-        default=None,
-        help="re-derive the train/test split with this fraction",
-    )
-    ev.add_argument(
-        "--stratified", action="store_true", help="stratify the split by class"
-    )
-    ev.add_argument("--split-seed", type=int, default=0, help="split seed")
     ev.set_defaults(func=cmd_eval)
 
     ex = sub.add_parser(

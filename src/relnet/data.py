@@ -448,7 +448,8 @@ def sample_task_data(
     ``weights`` has shape ``(D, C, T)``.  Features are standard normal,
     labels categorical with probabilities ``softmax(x @ W_t /
     noise_scale)``; as ``noise_scale`` shrinks the labels approach the
-    argmax rule.  Task ``t`` consumes its features first and label
+    argmax rule, which they follow exactly once the scaled logits
+    overflow.  Task ``t`` consumes its features first and label
     draws second, in task order.
     """
     weights = np.asarray(weights, dtype=float)
@@ -470,7 +471,12 @@ def sample_task_data(
     for t in range(num_tasks):
         n = counts[t]
         x = rng.standard_normal((n, dim))
-        probs = softmax(x @ weights[:, :, t] / noise_scale)
+        logits = x @ weights[:, :, t]
+        logits -= logits.max(axis=1, keepdims=True)
+        # A tiny noise_scale sends the non-max logits to -inf: the
+        # argmax limit, exactly.
+        with np.errstate(over="ignore"):
+            probs = softmax(logits / noise_scale)
         cum = np.cumsum(probs, axis=1)
         cum[:, -1] = 1.0
         u = rng.random((n, 1))

@@ -368,7 +368,10 @@ def sgd_epoch(
         np.repeat(np.arange(num_tasks), sizes),
         np.concatenate(data.labels),
     )
-    total, size = task_of.shape[0], cfg.batch_size
+    # A batch larger than the epoch is the whole epoch; clamping keeps
+    # the batch keys below int64.
+    total = task_of.shape[0]
+    size = min(cfg.batch_size, total)
     perm = np.random.default_rng([cfg.seed, 0, state.epoch]).permutation(total)
     task_of, labels = task_of[perm], labels[perm]
     one_hot = np.eye(num_tasks)

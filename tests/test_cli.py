@@ -5,6 +5,7 @@ codes and outputs can be asserted directly; one smoke test goes through
 ``python -m relnet`` to cover the module entry point.
 """
 
+import argparse
 import contextlib
 import copy
 import importlib
@@ -29,6 +30,7 @@ from relnet.cli import (
     ConfigError,
     ModelSpec,
     _load_tnd_samples,
+    build_parser,
     main,
     parse_experiment_config,
 )
@@ -286,11 +288,35 @@ class TestTrain:
         assert "prior term inf" in err
         assert not list((tmp_path / "out").iterdir())
 
+    def test_batch_size_beyond_int64_trains_as_one_batch(self, tmp_path):
+        """A batch size of 10**30 trains exactly as one batch of the 36
+        training rows."""
+        for name, size in (("huge", 10**30), ("whole", 36)):
+            doc = experiment_config(epochs=2, output_dir=name)
+            doc["train"]["batch_size"] = size
+            assert main(["train", "--config", str(write_config(tmp_path, doc))]) == 0
+        for name in ("report.csv", "model.json"):
+            want = (tmp_path / "whole" / name).read_bytes()
+            assert (tmp_path / "huge" / name).read_bytes() == want
+
     def test_out_flag_overrides_config_dir(self, tmp_path):
         cfg = write_config(tmp_path, experiment_config(epochs=1))
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "z")]) == 0
         assert (tmp_path / "z" / "report.csv").exists()
         assert not (tmp_path / "out").exists()
+
+
+def eval_argv(tmp_path, manifest, model, *flags, **sections):
+    """An ``eval`` command on ``model`` whose config, ``eval.json`` in
+    ``tmp_path``, names only ``manifest`` and the given ``sections``."""
+    doc = {
+        "schema_version": 1,
+        "variant": "drn",
+        "data": {"manifest": str(manifest)},
+        **sections,
+    }
+    cfg = write_config(tmp_path, doc, "eval.json")
+    return ["eval", "--config", str(cfg), "--model", str(model), *flags]
 
 
 class TestEval:
@@ -302,89 +328,67 @@ class TestEval:
         return write_manifest(ds, tmp_path / "data")
 
     def test_constant_predictor_scores_one_third(self, tmp_path, capsys):
-        """All-zero weights predict class 0; balanced data scores 1/3."""
+        """All-zero weights predict class 0; balanced data scores 1/3.
+        A config without a held-out fold scores its whole dataset under
+        either fold."""
         manifest = self.make_balanced_manifest(tmp_path)
-        stack = TaskLayerStack(
-            ["classifier"],
-            [np.zeros((5, 3, 2))],
-            [np.zeros((2, 3))],
-        )
-        net = MultiTaskNet([], stack)
-        model = tmp_path / "model.json"
-        save_checkpoint(net, model, task_names=["a", "b"])
-        code = main(["eval", "--model", str(model), "--data", str(manifest)])
-        assert code == 0
-        lines = capsys.readouterr().out.strip().split("\n")
+        model = tiny_checkpoint(tmp_path)
         third = format_float(1.0 / 3.0)
-        assert lines[0] == "task,accuracy"
-        assert lines[1] == f"a,{third}"
-        assert lines[2] == f"b,{third}"
-        assert lines[3] == f"average,{third}"
+        want = f"task,accuracy\na,{third}\nb,{third}\naverage,{third}\n"
+        for fold in ("test", "train"):
+            assert main(eval_argv(tmp_path, manifest, model, "--fold", fold)) == 0
+            assert capsys.readouterr().out == want
 
     def test_eval_reproduces_final_train_accuracy(self, tmp_path, capsys):
-        """Scoring the training fold matches the report's last epoch."""
+        """Scoring either fold of a run, from the run's own config,
+        prints the last epoch's accuracy cells of ``report.csv``: for a
+        stratified split of a manifest and for a synthetic held-out
+        fold."""
         ds, _ = generate_synthetic(
             SyntheticSpec(2, 6, 3, 24, np.eye(2), seed=5, task_names=("t0", "t1"))
         )
-        manifest = write_manifest(ds, tmp_path / "data")
-        doc = experiment_config(epochs=3)
-        doc["data"] = {"manifest": "data/manifest.json"}
-        doc["split"] = {"train_fraction": 0.5, "stratified": True, "seed": 3}
-        cfg = write_config(tmp_path, doc)
-        assert main(["train", "--config", str(cfg)]) == 0
-        capsys.readouterr()
-
-        report = (tmp_path / "out" / "report.csv").read_text().strip().split("\n")
-        header = report[0].split(",")
-        last = report[-1].split(",")
-        want = {
-            h[len("train_acc_"):]: last[i]
-            for i, h in enumerate(header)
-            if h.startswith("train_acc_")
-        }
-
-        code = main(
-            [
-                "eval",
-                "--model", str(tmp_path / "out" / "model.json"),
-                "--data", str(manifest),
-                "--fold", "train",
-                "--train-fraction", "0.5",
-                "--stratified",
-                "--split-seed", "3",
-            ]
-        )
-        assert code == 0
-        lines = capsys.readouterr().out.strip().split("\n")
-        got = dict(line.split(",") for line in lines[1:-1])
-        assert got == want
+        write_manifest(ds, tmp_path / "data")
+        split_doc = experiment_config(epochs=3, output_dir="split")
+        split_doc["data"] = {"manifest": "data/manifest.json"}
+        split_doc["split"] = {"train_fraction": 0.5, "stratified": True, "seed": 3}
+        configs = [
+            write_config(tmp_path, split_doc, "split.json"),
+            write_config(
+                tmp_path, experiment_config(epochs=3, output_dir="synth"), "synth.json"
+            ),
+        ]
+        for cfg in configs:
+            assert main(["train", "--config", str(cfg)]) == 0
+            out = tmp_path / load_json(cfg)["output_dir"]
+            capsys.readouterr()
+            header, *_, last = (out / "report.csv").read_text().strip().split("\n")
+            model = out / "model.json"
+            for fold in ("train", "test"):
+                prefix = f"{fold}_acc_"
+                want = {
+                    h[len(prefix):]: cell
+                    for h, cell in zip(header.split(","), last.split(","))
+                    if h.startswith(prefix)
+                }
+                argv = ["eval", "--config", str(cfg), "--model", str(model)]
+                assert main([*argv, "--fold", fold]) == 0
+                lines = capsys.readouterr().out.strip().split("\n")[1:-1]
+                assert want and dict(line.split(",") for line in lines) == want
 
     def test_feature_dim_mismatch_exits_usage(self, tmp_path, capsys):
         manifest = self.make_balanced_manifest(tmp_path, dim=4)
-        stack = TaskLayerStack(["classifier"], [np.zeros((5, 3, 2))], [np.zeros((2, 3))])
-        net = MultiTaskNet([], stack)
-        model = tmp_path / "model.json"
-        save_checkpoint(net, model, task_names=["a", "b"])
-        assert main(["eval", "--model", str(model), "--data", str(manifest)]) == 1
-        assert "feature dim" in capsys.readouterr().err
+        argv = eval_argv(tmp_path, manifest, tiny_checkpoint(tmp_path))
+        assert main(argv) == 1
+        assert f"{manifest} feature dim 4 != network input 5" in capsys.readouterr().err
 
     def test_empty_fold_exits_usage(self, tmp_path, capsys):
         """A split that leaves no test rows cannot be scored."""
         manifest = self.make_balanced_manifest(tmp_path)
-        stack = TaskLayerStack(["classifier"], [np.zeros((5, 3, 2))], [np.zeros((2, 3))])
-        net = MultiTaskNet([], stack)
-        model = tmp_path / "model.json"
-        save_checkpoint(net, model, task_names=["a", "b"])
-        code = main(
-            [
-                "eval",
-                "--model", str(model),
-                "--data", str(manifest),
-                "--fold", "test",
-                "--train-fraction", "0.99",
-            ]
+        argv = eval_argv(
+            tmp_path, manifest, tiny_checkpoint(tmp_path),
+            split={"train_fraction": 0.99},
         )
-        assert code == 1
+        assert main(argv) == 1
         assert "test fold is empty" in capsys.readouterr().err
 
 
@@ -585,8 +589,8 @@ def with_field(path, value):
 
 
 def with_manifest(command, text):
-    """A ``train`` or ``eval`` command reading a manifest with the given
-    text (``None``: no manifest file)."""
+    """A ``train`` or ``eval`` command whose config names a manifest
+    with the given text (``None``: no manifest file)."""
 
     def setup(tmp_path):
         manifest = tmp_path / "manifest.json"
@@ -596,7 +600,7 @@ def with_manifest(command, text):
             doc = experiment_config(epochs=1)
             doc["data"] = {"manifest": "manifest.json"}
             return ["train", "--config", str(write_config(tmp_path, doc))]
-        return ["eval", "--model", str(tiny_checkpoint(tmp_path)), "--data", str(manifest)]
+        return eval_argv(tmp_path, "manifest.json", tiny_checkpoint(tmp_path))
 
     return setup
 
@@ -643,18 +647,24 @@ def with_samples(dims, n=20, bad=None, flags=(), value=float("nan")):
     return setup
 
 
-def with_flags(command, *flags):
-    """A valid ``train`` or ``eval`` command with extra ``flags``."""
+def with_flags(*flags):
+    """A valid ``train`` command with extra ``flags``."""
 
     def setup(tmp_path):
-        if command == "train":
-            cfg = write_config(tmp_path, experiment_config(epochs=1))
-            return ["train", "--config", str(cfg), *flags]
-        manifest = TestEval().make_balanced_manifest(tmp_path)
-        return [
-            "eval", "--model", str(tiny_checkpoint(tmp_path)),
-            "--data", str(manifest), *flags,
-        ]
+        cfg = write_config(tmp_path, experiment_config(epochs=1))
+        return ["train", "--config", str(cfg), *flags]
+
+    return setup
+
+
+def with_eval(tasks=("a", "b"), **sections):
+    """An ``eval`` command on a tiny checkpoint of tasks ``a`` and ``b``
+    and a balanced manifest of ``tasks``, its config holding
+    ``sections``."""
+
+    def setup(tmp_path):
+        manifest = TestEval().make_balanced_manifest(tmp_path, tasks=tasks)
+        return eval_argv(tmp_path, manifest, tiny_checkpoint(tmp_path), **sections)
 
     return setup
 
@@ -664,7 +674,7 @@ def with_checkpoint(path, value):
     holding ``value`` at the key path ``path``."""
 
     def setup(tmp_path):
-        argv = with_flags("eval")(tmp_path)
+        argv = with_eval()(tmp_path)
         model = Path(argv[argv.index("--model") + 1])
         model.write_text(json.dumps(with_value(load_json(model), path, value)))
         return argv
@@ -700,7 +710,7 @@ def with_output(command, out):
             argv[argv.index("--out") + 1] = target
             return argv
         if command == "train":
-            return with_flags("train", "--out", target)(tmp_path)
+            return with_flags("--out", target)(tmp_path)
         return with_relationship(np.eye(2).tolist())(tmp_path) + ["--out", target]
 
     return setup
@@ -843,10 +853,14 @@ REJECTED = {
         "model.json: malformed checkpoint: stack.layers[0].weight entry 4",
     ),
     "tnd_too_few_samples": (with_samples([16, 2, 2], n=2), "mode 1 needs"),
-    "train_seed_flag_negative": (with_flags("train", "--seed", "-1"), "--seed"),
+    "train_seed_flag_negative": (with_flags("--seed", "-1"), "--seed"),
     "eval_split_seed_negative": (
-        with_flags("eval", "--train-fraction", "0.5", "--split-seed", "-1"),
-        "seed must be non-negative",
+        with_eval(split={"train_fraction": 0.5, "seed": -1}),
+        "config.split.seed must be non-negative, got -1",
+    ),
+    "eval_task_names_differ": (
+        with_eval(tasks=("b", "a")),
+        "model.json: task_names ['a', 'b'] differ from the data's ['b', 'a']",
     ),
     "tnd_out_missing_dir": (
         with_output("tnd-fit", "missing/fit.json"),
@@ -1221,3 +1235,26 @@ def test_readme_library_example_runs():
     printed = re.findall(r"[-+]?\d+\.\d*(?:e[-+]?\d+)?", proc.stdout)
     matrix = np.array([float(v) for v in printed]).reshape(2, 2)
     np.testing.assert_array_equal(np.diag(matrix), 1.0)
+
+
+def test_readme_synopses_are_the_parsed_flags():
+    """The first ``sh`` block of each ``### relnet <command>`` section of
+    README.md names exactly the options of that subcommand, ``--help``
+    aside."""
+    parser = build_parser()
+    commands = next(
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices
+    sections = re.findall(
+        r"^### `relnet ([a-z-]+)`\n(.*?)(?=^##)", README.read_text(), re.S | re.M
+    )
+    assert sorted(name for name, _ in sections) == sorted(commands)
+    for name, body in sections:
+        synopsis = re.search(r"```sh\n(.*?)```", body, re.S).group(1)
+        flags = {
+            option
+            for action in commands[name]._actions
+            for option in action.option_strings
+            if option.startswith("--")
+        }
+        assert set(re.findall(r"--[a-z][a-z-]*", synopsis)) == flags - {"--help"}, name

@@ -364,11 +364,13 @@ class TestSynthetic:
             assert counts.min() >= 10
 
     def test_tiny_noise_gives_argmax_labels(self):
-        spec = SyntheticSpec(2, 6, 3, 50, np.eye(2), noise_scale=1e-9, seed=12)
-        ds, w = generate_synthetic(spec)
-        for t in range(2):
-            want = np.argmax(ds.features[t] @ w[:, :, t], axis=1)
-            np.testing.assert_array_equal(ds.labels[t], want)
+        """Also at a subnormal scale, where the scaled logits overflow."""
+        for noise_scale in (1e-9, 1e-310):
+            spec = SyntheticSpec(2, 6, 3, 50, np.eye(2), noise_scale=noise_scale, seed=12)
+            ds, w = generate_synthetic(spec)
+            for t in range(2):
+                want = np.argmax(ds.features[t] @ w[:, :, t], axis=1)
+                np.testing.assert_array_equal(ds.labels[t], want)
 
     def test_related_tasks_have_similar_weights(self):
         """corr(A,B)=0.95, corr(.,C)=0: cos(W_A, W_B) beats both

@@ -2,6 +2,7 @@
 
 import importlib.util
 import inspect
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -489,6 +490,24 @@ def test_sgd_epoch_equals_the_per_batch_loop(
         assert (state.iteration, state.epoch) == (ref_state.iteration, ref_state.epoch)
         if prior_weight > 0.0:
             cov = update_covariances(net.stack, cov, cfg)
+
+
+def test_batch_beyond_int64_is_the_whole_epoch():
+    """A batch size of 2**63, beyond int64, steps exactly as a batch of
+    all 17 rows."""
+    data = toy_data(sizes=(7, 6, 4), dim=4, seed=43)
+    net = init_network(4, [6], [5, 3], 3, np.random.default_rng(44))
+    ref_net = clone_net(net)
+    cfg = TrainConfig(learning_rate=0.01, momentum=0.9, prior_weight=0.05, seed=45)
+    cov = CovarianceState.identity_for(net.stack)
+    state, ref_state = OptimizerState.zeros_like(net), OptimizerState.zeros_like(net)
+    for _ in range(2):
+        sgd_epoch(net, cov, data, replace(cfg, batch_size=2**63), state)
+        sgd_epoch(ref_net, cov, data, replace(cfg, batch_size=17), ref_state)
+        assert np.array_equal(net.params, ref_net.params)
+        assert np.array_equal(state.velocity, ref_state.velocity)
+        assert state.iteration == ref_state.iteration
+        cov = update_covariances(net.stack, cov, cfg)
 
 
 def dense_update_oracle(stack, cov, cfg):
