@@ -77,7 +77,7 @@ EXIT_NUMERIC = 3
 
 CONFIG_SCHEMA_VERSION = 1
 RELATIONSHIP_SCHEMA_VERSION = 1
-TND_FIT_SCHEMA_VERSION = 1
+TND_FIT_SCHEMA_VERSION = 2
 
 VARIANTS = ("drn", "drn8", "stl")
 
@@ -355,9 +355,9 @@ def run_experiment(cfg: ExperimentConfig, output_dir) -> dict:
 # tnd-fit
 
 
-def _load_tnd_samples(path: Path) -> list:
+def _load_tnd_samples(path: Path) -> np.ndarray:
     """Read ``{"dims": [d1, d2, d3], "samples": [[...], ...]}`` into one
-    ``(d1, d2, d3)`` array per sample.
+    ``(n, d1, d2, d3)`` array, each sample checked and written in place.
 
     Each sample must be a list of ``d = d1 * d2 * d3`` JSON numbers, all
     finite (:func:`~relnet.serialize.check_type`).  Then the sample count
@@ -380,23 +380,31 @@ def _load_tnd_samples(path: Path) -> list:
     if not isinstance(samples, list) or not samples:
         raise ConfigError(f"{path}: samples must be a non-empty list")
     total = math.prod(dims)
-    out = []
+    n = len(samples)
+    # The loop rejects the first sample that is not a list of ``total``
+    # entries, so the array holds only those ahead of it: it is never
+    # larger than the input, whatever ``dims`` and the count claim.
+    fits = next(
+        (i for i, s in enumerate(samples) if not isinstance(s, list) or len(s) != total),
+        n,
+    )
+    out = np.empty((fits, total)) if fits else None
     for i, flat in enumerate(samples):
         arr = check_type(flat, "list[float]", f"{path}: sample {i}")
         if arr.size != total:
             raise ConfigError(
                 f"{path}: sample {i} has {arr.size} entries, expected {total}"
             )
-        out.append(arr.reshape(dims))
+        out[i] = arr
     for k, dk in enumerate(dims):
         least = -(-dk * dk // total) + 1
-        if len(out) < least:
+        if n < least:
             raise ConfigError(
-                f"{path}: {len(out)} samples are too few for dims {dims}: mode "
+                f"{path}: {n} samples are too few for dims {dims}: mode "
                 f"{k + 1} needs (n - 1) * {total // dk} >= {dk}, so at least "
                 f"{least} samples"
             )
-    return out
+    return out.reshape(n, *dims)
 
 
 def cmd_tnd_fit(args) -> int:
@@ -428,6 +436,7 @@ def cmd_tnd_fit(args) -> int:
         "iterations": result.iterations,
         "log_likelihood": result.log_likelihood,
         "converged": result.converged,
+        "history": list(result.history),
     }
     with output_errors(args.out):
         dump_json(doc, args.out)

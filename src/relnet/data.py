@@ -416,6 +416,15 @@ class SyntheticSpec:
                 raise ValueError(
                     f"{name} must be at least {least}, got {getattr(self, name)}"
                 )
+        # Each task draws a (count, feature_dim) array of features, whose
+        # size numpy must be able to index.
+        most = np.iinfo(np.intp).max // self.feature_dim
+        for name in ("samples_per_task", "test_samples_per_task"):
+            if getattr(self, name) > most:
+                raise ValueError(
+                    f"{name} must be at most {most} with feature_dim "
+                    f"{self.feature_dim}, got {getattr(self, name)}"
+                )
         if not 0.0 < self.noise_scale < np.inf:
             raise ValueError(
                 f"noise_scale must be positive and finite, got {self.noise_scale}"

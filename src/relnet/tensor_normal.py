@@ -18,8 +18,11 @@ factor matrix with the array's unfolding along that mode, made by the
 private kernel ``_along_mode`` of :mod:`relnet.tensor`, which also
 makes :func:`relnet.tensor.mode_product`.  Whitening, all modes or all
 but one, is ``_whiten``; :func:`mode_gram` forms the Gram matrix of one
-mode after whitening the others.  The flip-flop estimator and the
-trainer's covariance refit share that function.
+mode after whitening the others, which is what the trainer's covariance
+refit needs.  The flip-flop estimator keeps its samples whitened by all
+current factors instead and updates them one mode at a time; it shares
+with :func:`mode_gram` only the private ``_unfolded_gram``, the Gram
+matrix of one mode's unfolding.
 
 Each :class:`SpdFactor` forms its inverse Cholesky factor ``L_k^{-1}``,
 its precision ``Sigma_k^{-1} = L_k^{-T} L_k^{-1}`` and its
@@ -302,7 +305,14 @@ def mode_gram(x, factors, k: int) -> np.ndarray:
     gives the flip-flop update of ``Sigma_k``.
     """
     z = _whiten(np.asarray(x, dtype=float), factors, skip=k)
-    moved = np.moveaxis(z, k - len(factors), 0)
+    return _unfolded_gram(z, k - len(factors))
+
+
+def _unfolded_gram(z: np.ndarray, axis: int) -> np.ndarray:
+    """``rows @ rows.T`` of the unfolding of ``z`` along ``axis``: the
+    axis moved to the front, the columns running over every other axis,
+    leading (sample) axes included."""
+    moved = np.moveaxis(z, axis, 0)
     rows = moved.reshape(moved.shape[0], -1)
     return rows @ rows.T
 
@@ -372,12 +382,9 @@ def _stack_samples(samples) -> np.ndarray:
     return stacked
 
 
-def _total_log_likelihood(centered: np.ndarray, factors) -> float:
-    """Sum of log densities for pre-centered stacked samples."""
-    n = centered.shape[0]
-    d = math.prod(centered.shape[1:])
-    z = _whiten(centered, factors)
-    maha = float(np.sum(z * z))
+def _total_log_likelihood(n: int, d: int, factors, maha: float) -> float:
+    """Sum of the log densities of ``n`` samples of ``d`` entries whose
+    squared Mahalanobis distances under ``factors`` sum to ``maha``."""
     logdet = sum((d / f.dim) * f.logdet for f in factors)
     return -0.5 * (n * d * _LOG_2PI + n * logdet + maha)
 
@@ -413,10 +420,21 @@ def flip_flop_mle(
         Sigma_k  <-  (1/(n * d/d_k)) * sum_i  Z_(k) Z_(k)^T
 
     where ``Z`` is the centered sample whitened along the other two
-    modes (:func:`mode_gram`), so the update is symmetric PSD by
-    construction.  Each such step cannot decrease the likelihood, hence
-    the per-sweep log-likelihood history is non-decreasing up to
-    rounding.
+    modes (the Gram of :func:`mode_gram`), so the update is symmetric
+    PSD by construction.  Each such step cannot decrease the
+    likelihood, hence the per-sweep log-likelihood history is
+    non-decreasing up to rounding.
+
+    The sweep keeps one array, the centered samples whitened by all
+    current factors.  Mode ``k``'s Gram is that array's mode-``k`` Gram
+    with the old whitening of mode ``k`` undone, ``C_k G C_k^T`` for the
+    old factor's Cholesky factor ``C_k``; after the update, one product
+    with the ``d_k x d_k`` matrix ``L_k'^{-1} C_k`` re-whitens mode
+    ``k``.  The log-likelihood takes its Mahalanobis term
+    ``tr(Sigma_3^{-1} G_3)`` from the last Gram.  So a sweep costs
+    three mode products and three Gram matrices over the ``n * d``
+    entries, plus ``O(d_k^3)`` work per mode; it makes no full
+    whitening.
 
     Only the Kronecker product of the factors is identifiable; the
     returned factors carry an arbitrary scale split (pass the result to
@@ -464,24 +482,31 @@ def flip_flop_mle(
     dims = stacked.shape[1:]
     n = stacked.shape[0]
     d = math.prod(dims)
-    centered = stacked - mean_arr
 
+    # z is the centred samples whitened by every current factor; the
+    # factors start as identities, so z starts as the centred samples.
     factors = [SpdFactor.identity(dk) for dk in dims]
+    z = stacked - mean_arr
 
-    ll = _total_log_likelihood(centered, factors)
+    ll = _total_log_likelihood(n, d, factors, float(np.sum(z * z)))
     history = [ll]
     converged = False
     sweeps = 0
     for sweep in range(1, max_iter + 1):
         for k in range(3):
-            gram = mode_gram(centered, factors, k)
+            old = factors[k]
+            gram = old.chol @ _unfolded_gram(z, k - 3) @ old.chol.T
             try:
                 factors[k] = SpdFactor(gram / (n * (d / dims[k])))
             except ValueError:
                 raise EstimationError(
                     f"mode {k + 1} covariance update is not positive definite"
                 ) from None
-        new_ll = _total_log_likelihood(centered, factors)
+            z = _along_mode(factors[k].chol_inv @ old.chol, z, k - 3)
+        # ||z||^2 = tr(Sigma_3^{-1} G_3), G_3 being the last Gram formed.
+        new_ll = _total_log_likelihood(
+            n, d, factors, float(np.sum(factors[2].precision * gram))
+        )
         history.append(new_ll)
         sweeps = sweep
         if abs(new_ll - ll) <= tol * max(1.0, abs(ll)):

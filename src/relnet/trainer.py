@@ -38,11 +38,12 @@ Each epoch alternates two blocks:
 2. One covariance sweep per stack layer: with the weights fixed, each
    mode factor in turn is replaced by the maximizer of the prior term
    given the other two, then ridged and trace-normalized.  The Gram
-   matrix of each step comes from the same
-   :func:`~relnet.tensor_normal.mode_gram` that the distribution
-   fitter :func:`~relnet.tensor_normal.flip_flop_mle` calls.  Only the
-   task-mode factor carries the inter-task relationship; feature and
-   output factors absorb within-layer scale.
+   matrix of each step comes from
+   :func:`~relnet.tensor_normal.mode_gram`: the Gram that the
+   distribution fitter :func:`~relnet.tensor_normal.flip_flop_mle`
+   forms from its whitened samples.  Only the task-mode factor carries
+   the inter-task relationship; feature and output factors absorb
+   within-layer scale.
 
 The gradient and the velocity share the layout of the network's one
 parameter vector, whose layer order only :mod:`relnet.network` knows:

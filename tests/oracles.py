@@ -1,13 +1,25 @@
 """Reference implementations that the tests compare relnet against.
 
 Each is the plainest spelling of a convention or quantity stated in
-:mod:`relnet.tensor`, :mod:`relnet.network` or :mod:`relnet.trainer`,
-written for clarity rather than speed.
+:mod:`relnet.tensor`, :mod:`relnet.tensor_normal`, :mod:`relnet.network`
+or :mod:`relnet.trainer`, written for clarity rather than speed.
 """
+
+import math
 
 import numpy as np
 
 from relnet.network import batch_gradients
+from relnet.tensor_normal import (
+    _LOG_2PI,
+    EstimationError,
+    FlipFlopResult,
+    KronCovariance,
+    SpdFactor,
+    _stack_samples,
+    _whiten,
+    mode_gram,
+)
 from relnet.trainer import TrainingError, check_data, learning_rate_at
 
 kronecker = np.kron
@@ -123,3 +135,72 @@ def per_batch_sgd_epoch(net, cov, data, cfg, state):
 
     state.epoch += 1
     return net, state
+
+
+def _total_log_likelihood(centered, factors):
+    """Sum of log densities for pre-centered stacked samples."""
+    n = centered.shape[0]
+    d = math.prod(centered.shape[1:])
+    z = _whiten(centered, factors)
+    maha = float(np.sum(z * z))
+    logdet = sum((d / f.dim) * f.logdet for f in factors)
+    return -0.5 * (n * d * _LOG_2PI + n * logdet + maha)
+
+
+def reference_flip_flop_mle(samples, mean, tol=1e-8, max_iter=200):
+    """:func:`relnet.tensor_normal.flip_flop_mle` spelled from scratch
+    each sweep: every mode's Gram whitens the centred samples along the
+    other two modes (:func:`~relnet.tensor_normal.mode_gram`), and every
+    sweep's log-likelihood whitens all three modes again."""
+    stacked = _stack_samples(samples)
+    if stacked.ndim != 4:
+        raise ValueError(
+            f"expected order-3 samples, got tensors of ndim {stacked.ndim - 1}"
+        )
+    mean_arr = np.asarray(mean, dtype=float)
+    if mean_arr.shape != stacked.shape[1:]:
+        raise ValueError(
+            f"mean shape {mean_arr.shape} does not match samples "
+            f"{stacked.shape[1:]}"
+        )
+    if tol < 0:
+        raise ValueError("tol must be non-negative")
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
+
+    dims = stacked.shape[1:]
+    n = stacked.shape[0]
+    d = math.prod(dims)
+    centered = stacked - mean_arr
+
+    factors = [SpdFactor.identity(dk) for dk in dims]
+
+    ll = _total_log_likelihood(centered, factors)
+    history = [ll]
+    converged = False
+    sweeps = 0
+    for sweep in range(1, max_iter + 1):
+        for k in range(3):
+            gram = mode_gram(centered, factors, k)
+            try:
+                factors[k] = SpdFactor(gram / (n * (d / dims[k])))
+            except ValueError:
+                raise EstimationError(
+                    f"mode {k + 1} covariance update is not positive definite"
+                ) from None
+        new_ll = _total_log_likelihood(centered, factors)
+        history.append(new_ll)
+        sweeps = sweep
+        if abs(new_ll - ll) <= tol * max(1.0, abs(ll)):
+            converged = True
+            ll = new_ll
+            break
+        ll = new_ll
+
+    return FlipFlopResult(
+        cov=KronCovariance(factors),
+        iterations=sweeps,
+        log_likelihood=ll,
+        converged=converged,
+        history=tuple(history),
+    )

@@ -136,6 +136,21 @@ class TestTndFit:
         assert doc["log_likelihood"] == want.log_likelihood
         assert doc["iterations"] == want.iterations
 
+    def test_history_is_the_library_fits_history(self, tmp_path):
+        """Schema 2 records the log-likelihood at the start and after
+        every sweep, exactly as the in-process fit has it; the last entry
+        is the reported log-likelihood."""
+        inp = tmp_path / "samples.json"
+        out = tmp_path / "fit.json"
+        draws = write_tnd_samples(inp)
+        assert main(["tnd-fit", "--input", str(inp), "--out", str(out)]) == 0
+        doc = load_json(out)
+        want = flip_flop_mle(draws, mle_mean(draws))
+        assert doc["schema_version"] == 2
+        assert doc["history"] == list(want.history)
+        assert len(doc["history"]) == doc["iterations"] + 1
+        assert doc["history"][-1] == doc["log_likelihood"]
+
     def test_factor_traces_are_normalized(self, tmp_path):
         """All reported factors carry unit trace; scale holds the rest."""
         inp = tmp_path / "samples.json"
@@ -729,6 +744,14 @@ REJECTED = {
         "config.train.learning_rate",
     ),
     "lr_gamma_nan": (with_field("train.lr_gamma", float("nan")), "config.train.lr_gamma"),
+    "samples_per_task_beyond_intp": (
+        with_field("data.synthetic.samples_per_task", 10**30),
+        "config.data.synthetic.samples_per_task must be at most",
+    ),
+    "test_samples_per_task_beyond_intp": (
+        with_field("data.synthetic.test_samples_per_task", 10**30),
+        "config.data.synthetic.test_samples_per_task must be at most",
+    ),
     "noise_scale_nan": (
         with_field("data.synthetic.noise_scale", float("nan")),
         "config.data.synthetic.noise_scale",

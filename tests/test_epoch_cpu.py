@@ -1,4 +1,4 @@
-"""``tools/epoch_cpu.py``: one timed epoch of a benchmark workload."""
+"""``tools/epoch_cpu.py``: one timed epoch or fit of a benchmark workload."""
 
 import re
 import subprocess
@@ -19,5 +19,20 @@ def test_one_timed_epoch_of_train_manytask():
     assert re.fullmatch(
         r"train-manytask: 250 batches of 16 rows, 1 timed epoch\(s\): "
         r"best \d+\.\d us, median \d+\.\d us per batch\n",
+        run.stdout,
+    )
+
+
+def test_one_timed_fit_of_tnd_fit():
+    """For ``tnd-fit`` the tool warms up with one fit and prints the best
+    and median CPU milliseconds per flip-flop sweep of its timed fits."""
+    run = subprocess.run(
+        [sys.executable, str(TOOL), "tnd-fit", "--repeat", "1"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    assert re.fullmatch(
+        r"tnd-fit: 60 samples of dims \(32, 24, 16\), \d+ sweeps per fit, "
+        r"1 timed fit\(s\): best \d+\.\d\d ms, median \d+\.\d\d ms per sweep\n",
         run.stdout,
     )

@@ -1,12 +1,20 @@
 """Distribution machinery against dense Gaussian oracles and Monte Carlo."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import multivariate_normal
 
-from oracles import dense_cov, kronecker, matricize, vectorize
+from oracles import (
+    dense_cov,
+    kronecker,
+    matricize,
+    reference_flip_flop_mle,
+    vectorize,
+)
 from relnet.tensor import _along_mode
 from relnet.tensor_normal import (
     EstimationError,
@@ -347,6 +355,74 @@ class TestFlipFlop:
             np.testing.assert_allclose(
                 res.cov.factors[k].matrix, factors[k], rtol=1e-10
             )
+
+
+def conditioned_draws(seed, dims, cond, n):
+    """``n`` draws from a tensor normal whose factors each have
+    eigenvalues spread evenly in log scale over ``cond``, in a random
+    basis (the benchmark's ``tnd-fit`` generator)."""
+    rng = np.random.default_rng(seed)
+    factors = [ill_conditioned_spd(rng, d, "rotated", cond) for d in dims]
+    dist = TensorNormal(rng.standard_normal(dims), KronCovariance(factors))
+    return sample(dist, rng, size=n)
+
+
+def assert_same_fit(got, want):
+    """Same sweeps and stopping decision; normalized factors, the
+    log-likelihood and every history entry equal to 1e-10 relative."""
+    assert (got.iterations, got.converged) == (want.iterations, want.converged)
+    np.testing.assert_allclose(got.history, want.history, rtol=1e-10, atol=1e-10)
+    assert got.log_likelihood == got.history[-1]
+    for a, b in zip(
+        normalize_identifiable(got.cov)[0].factors,
+        normalize_identifiable(want.cov)[0].factors,
+    ):
+        np.testing.assert_allclose(
+            a.matrix, b.matrix, rtol=1e-10, atol=1e-10 * np.abs(b.matrix).max()
+        )
+
+
+class TestFlipFlopOracle:
+    """The sweep that keeps one whitened array against the oracle that
+    whitens the centred samples from scratch for every Gram and every
+    log-likelihood."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.tuples(*[st.integers(1, 6)] * 3),
+        st.floats(0.0, 3.0),
+        st.integers(0, 20),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_reference_sweeps(self, dims, log_cond, extra, seed):
+        """Factor condition up to 1e3, and ``n`` at least two above the
+        rank threshold ``(n - 1) * d / d_k >= d_k``.  Closer to the
+        threshold or at higher condition the fit itself amplifies
+        rounding: there the oracle moves as far under a one-ulp change
+        of its input as the two implementations differ."""
+        d = math.prod(dims)
+        n = max(-(-dk * dk // d) + 1 for dk in dims) + 2 + extra
+        draws = conditioned_draws(seed, dims, 10.0**log_cond, n)
+        mean = mle_mean(draws)
+        assert_same_fit(
+            flip_flop_mle(draws, mean), reference_flip_flop_mle(draws, mean)
+        )
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_reference_at_condition_1e6(self, seed):
+        draws = conditioned_draws([seed, 16], (6, 5, 4), 1e6, 40)
+        mean = mle_mean(draws)
+        assert_same_fit(
+            flip_flop_mle(draws, mean), reference_flip_flop_mle(draws, mean)
+        )
+
+    @pytest.mark.parametrize("dims", [(3, 2, 2), (1, 4, 3), (2, 1, 1)])
+    def test_all_equal_samples_raise_as_the_reference(self, dims):
+        draws = np.full((6, *dims), 0.25)
+        with pytest.raises(EstimationError) as want:
+            reference_flip_flop_mle(draws, mle_mean(draws))
+        with pytest.raises(EstimationError, match=f"^{want.value}$"):
+            flip_flop_mle(draws, mle_mean(draws))
 
 
 def moveaxis_along_mode(mat, arr, axis):

@@ -1,20 +1,33 @@
-"""CPU time per SGD batch of one benchmark workload, without the harness.
+"""CPU time per SGD batch or flip-flop sweep of one benchmark workload.
+
+It runs without the benchmark harness, ``perfbench/run.py``.
 
 Usage, from the repository root::
 
     python tools/epoch_cpu.py train-manytask            # best of 10 epochs
     python tools/epoch_cpu.py train-wide --repeat 3
+    python tools/epoch_cpu.py tnd-fit                   # best of 10 fits
 
 The workload's inputs are written by ``perfbench/workloads.py`` (seed 1)
-into a temporary directory and read back as ``relnet train`` reads
-them.  One warm-up :func:`relnet.trainer.sgd_epoch` and one covariance
-refit follow, so the timed epochs step in a real eigenbasis.  Each of
-the ``--repeat`` timed epochs then runs on a fresh copy of the warmed-up
-network and optimizer state, so every one does the same work, and is
-timed by ``time.process_time``: CPU time of this process, which time
-stolen by other processes on a shared machine does not inflate.  The
-output is the best and the median microseconds per batch.  BLAS runs on
-one thread, as in the benchmark.
+into a temporary directory and read back as ``relnet train`` or
+``relnet tnd-fit`` reads them.
+
+For a training workload, one warm-up :func:`relnet.trainer.sgd_epoch`
+and one covariance refit follow, so the timed epochs step in a real
+eigenbasis.  Each of the ``--repeat`` timed epochs then runs on a fresh
+copy of the warmed-up network and optimizer state, so every one does
+the same work.  The output is the best and the median microseconds per
+batch.
+
+For ``tnd-fit``, one warm-up :func:`relnet.tensor_normal.flip_flop_mle`
+fit of the samples runs, then ``--repeat`` timed fits of the same
+samples.  The output is the best and the median milliseconds per sweep:
+a fit's time, its set-up and starting log-likelihood included, over its
+sweep count.
+
+Every timing is ``time.process_time``: CPU time of this process, which
+time stolen by other processes on a shared machine does not inflate.
+BLAS runs on one thread, as in the benchmark.
 """
 
 from __future__ import annotations
@@ -39,11 +52,13 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from relnet import trainer  # noqa: E402
 from relnet.cli import (  # noqa: E402
+    _load_tnd_samples,
     build_network,
     load_experiment_data,
     parse_experiment_config,
 )
 from relnet.serialize import load_json  # noqa: E402
+from relnet.tensor_normal import flip_flop_mle, mle_mean  # noqa: E402
 
 SEED = 1
 
@@ -86,23 +101,53 @@ def epoch_seconds(net, cov, data, cfg, state, repeat: int) -> list:
     return seconds
 
 
+def batch_report(workload, repeat: int) -> str:
+    """CPU microseconds per SGD batch over ``repeat`` timed epochs."""
+    net, cov, data, cfg, state = warmed_up(workload)
+    batches = math.ceil(sum(data.task_sizes) / cfg.batch_size)
+    seconds = epoch_seconds(net, cov, data, cfg, state, repeat)
+    per_batch = [s / batches * 1e6 for s in seconds]
+    return (
+        f"{workload.name}: {batches} batches of {cfg.batch_size} rows, "
+        f"{repeat} timed epoch(s): best {min(per_batch):.1f} us, "
+        f"median {statistics.median(per_batch):.1f} us per batch"
+    )
+
+
+def sweep_report(workload, repeat: int) -> str:
+    """CPU milliseconds per flip-flop sweep over ``repeat`` timed fits,
+    after one warm-up fit."""
+    with tempfile.TemporaryDirectory() as tmp:
+        args = workload.prepare(Path(tmp), SEED)
+        samples = _load_tnd_samples(Path(args[args.index("--input") + 1]))
+    mean = mle_mean(samples)
+    flip_flop_mle(samples, mean)
+    per_sweep = []
+    for _ in range(repeat):
+        start = time.process_time()
+        fit = flip_flop_mle(samples, mean)
+        per_sweep.append((time.process_time() - start) / fit.iterations * 1e3)
+    return (
+        f"{workload.name}: {samples.shape[0]} samples of dims "
+        f"{samples.shape[1:]}, {fit.iterations} sweeps per fit, {repeat} "
+        f"timed fit(s): best {min(per_sweep):.2f} ms, "
+        f"median {statistics.median(per_sweep):.2f} ms per sweep"
+    )
+
+
 def main(argv=None) -> int:
-    workloads = {name: w for name, w in _workloads().items() if w.epochs > 0}
+    workloads = _workloads()
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("workload", choices=sorted(workloads))
-    parser.add_argument("--repeat", type=int, default=10, help="timed epochs")
+    parser.add_argument(
+        "--repeat", type=int, default=10, help="timed epochs, or timed fits"
+    )
     args = parser.parse_args(argv)
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
-    net, cov, data, cfg, state = warmed_up(workloads[args.workload])
-    batches = math.ceil(sum(data.task_sizes) / cfg.batch_size)
-    seconds = epoch_seconds(net, cov, data, cfg, state, args.repeat)
-    per_batch = [s / batches * 1e6 for s in seconds]
-    print(
-        f"{args.workload}: {batches} batches of {cfg.batch_size} rows, "
-        f"{args.repeat} timed epoch(s): best {min(per_batch):.1f} us, "
-        f"median {statistics.median(per_batch):.1f} us per batch"
-    )
+    workload = workloads[args.workload]
+    report = batch_report if workload.epochs > 0 else sweep_report
+    print(report(workload, args.repeat))
     return 0
 
 
