@@ -265,20 +265,30 @@ def load_experiment_data(cfg: ExperimentConfig) -> tuple:
     seed and an
     optional held-out fold (``test_samples_per_task``) from the same
     ground-truth weights with an independent child generator, so train
-    and test share the task structure but no sampling noise.
+    and test share the task structure but no sampling noise.  A draw
+    that does not fit in memory is a :class:`ConfigError` giving the
+    sizes.
     """
     spec = cfg.synthetic
     if spec is not None:
-        train_ds, weights = generate_synthetic(spec)
-        eval_ds = None
-        if spec.test_samples_per_task > 0:
-            eval_ds = sample_task_data(
-                weights,
-                spec.test_samples_per_task,
-                spec.noise_scale,
-                np.random.default_rng([spec.seed, 1]),
-                task_names=train_ds.task_names,
-            )
+        try:
+            train_ds, weights = generate_synthetic(spec)
+            eval_ds = None
+            if spec.test_samples_per_task > 0:
+                eval_ds = sample_task_data(
+                    weights,
+                    spec.test_samples_per_task,
+                    spec.noise_scale,
+                    np.random.default_rng([spec.seed, 1]),
+                    task_names=train_ds.task_names,
+                )
+        except MemoryError:
+            raise ConfigError(
+                f"config.data.synthetic: {spec.num_tasks} tasks of "
+                f"{spec.samples_per_task} training and {spec.test_samples_per_task} "
+                f"test samples with feature_dim {spec.feature_dim} and "
+                f"{spec.num_classes} classes do not fit in memory"
+            ) from None
         return train_ds, eval_ds
     ds = load_manifest(cfg.manifest)
     if cfg.split_spec is not None:
@@ -466,7 +476,9 @@ def cmd_train(args) -> int:
         raise ConfigError("no output directory: set config.output_dir or --out")
 
     try:
-        with output_errors(output_dir):
+        # Training checks every non-finite value and names it in the
+        # numeric-failure line, so numpy's warnings would only repeat it.
+        with output_errors(output_dir), np.errstate(over="ignore", invalid="ignore"):
             paths = run_experiment(cfg, output_dir)
     except (TrainingError, EstimationError) as exc:
         print(f"relnet train: numeric failure: {exc}", file=sys.stderr)

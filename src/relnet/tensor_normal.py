@@ -13,10 +13,10 @@ only, matching the rest of the package.
 
 Modes are always the trailing ``K`` axes of an array; any leading axes
 index samples.  Every per-mode operation (whitening by ``L_k^{-1}``,
-applying ``Sigma_k^{-1}``, coloring by ``L_k``) is one product of a
-factor matrix with the array's unfolding along that mode, made by the
-private kernel ``_along_mode`` of :mod:`relnet.tensor`, which also
-makes :func:`relnet.tensor.mode_product`.  Whitening, all modes or all
+coloring by ``L_k``) is one product of a factor matrix with the
+array's unfolding along that mode, made by the private kernel
+``_along_mode`` of :mod:`relnet.tensor`, which also makes
+:func:`relnet.tensor.mode_product`.  Whitening, all modes or all
 but one, is ``_whiten``; :func:`mode_gram` forms the Gram matrix of one
 mode after whitening the others, which is what the trainer's covariance
 refit needs.  The flip-flop estimator keeps its samples whitened by all
@@ -27,12 +27,10 @@ matrix of one mode's unfolding.
 Each :class:`SpdFactor` forms its inverse Cholesky factor ``L_k^{-1}``,
 its precision ``Sigma_k^{-1} = L_k^{-T} L_k^{-1}`` and its
 eigendecomposition once, on first use, so no per-mode step solves a
-system: applying the full inverse is the Kronecker-factored inverse of
-K-FAC (Martens & Grosse, 2015), and the trainer's SGD works in the
-factors' eigenbasis as EKFAC does (George et al., 2018).  A factor is
-immutable, so the trainer, which builds new factors only in its
-covariance refit, forms each of them once per refit however many
-batches use it.  Only numpy is needed.
+system; the trainer's SGD works in the factors' eigenbasis as EKFAC
+does (George et al., 2018).  A factor is immutable, so the trainer,
+which builds new factors only in its covariance refit, forms each of
+them once per refit however many batches use it.  Only numpy is needed.
 
 Vectorization follows :mod:`relnet.tensor`: row-major flattening, under
 which the factors appear in mode order in the Kronecker product.
@@ -42,6 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -105,8 +104,6 @@ class SpdFactor:
         not per batch.
     """
 
-    __slots__ = ("matrix", "chol", "logdet", "_chol_inv", "_precision", "_eigh")
-
     def __init__(self, matrix):
         m = np.asarray(matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -122,9 +119,6 @@ class SpdFactor:
         self.matrix = m
         self.chol = chol
         self.logdet = float(2.0 * np.sum(np.log(np.diag(chol))))
-        self._chol_inv = None
-        self._precision = None
-        self._eigh = None
 
     @classmethod
     def identity(cls, dim: int, scale: float = 1.0) -> "SpdFactor":
@@ -135,7 +129,7 @@ class SpdFactor:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    @property
+    @cached_property
     def chol_inv(self) -> np.ndarray:
         """``L^{-1}``, formed once and cached.
 
@@ -143,33 +137,27 @@ class SpdFactor:
         the upper triangle is zeroed so that rounding in the general
         inverse leaves no entries there.
         """
-        if self._chol_inv is None:
-            inv = np.tril(np.linalg.inv(self.chol))
-            inv.setflags(write=False)
-            self._chol_inv = inv
-        return self._chol_inv
+        inv = np.tril(np.linalg.inv(self.chol))
+        inv.setflags(write=False)
+        return inv
 
-    @property
+    @cached_property
     def precision(self) -> np.ndarray:
         """``matrix^{-1} = L^{-T} L^{-1}``, formed once and cached."""
-        if self._precision is None:
-            inv = self.chol_inv.T @ self.chol_inv
-            inv = 0.5 * (inv + inv.T)
-            inv.setflags(write=False)
-            self._precision = inv
-        return self._precision
+        inv = self.chol_inv.T @ self.chol_inv
+        inv = 0.5 * (inv + inv.T)
+        inv.setflags(write=False)
+        return inv
 
-    @property
+    @cached_property
     def eigh(self) -> tuple:
         """``(sigma, Q)``, the eigendecomposition of ``matrix``, formed
         once and cached: eigenvalues ascending, eigenvectors in the
         columns of ``Q``."""
-        if self._eigh is None:
-            sigma, q = np.linalg.eigh(self.matrix)
-            sigma.setflags(write=False)
-            q.setflags(write=False)
-            self._eigh = (sigma, q)
-        return self._eigh
+        sigma, q = np.linalg.eigh(self.matrix)
+        sigma.setflags(write=False)
+        q.setflags(write=False)
+        return sigma, q
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"SpdFactor(dim={self.dim})"
@@ -178,9 +166,9 @@ class SpdFactor:
 class KronCovariance:
     """Covariance ``Sigma_1 kron ... kron Sigma_K`` stored by its factors.
 
-    The dense matrix is never formed; every operation that needs it
-    works mode by mode, as one product per mode with a factor's cached
-    ``L_k^{-1}`` or precision.
+    The dense matrix is never formed: :meth:`logdet` sums the factors'
+    log-determinants and :meth:`whiten` makes one product per mode with
+    a factor's cached ``L_k^{-1}``.
 
     Parameters
     ----------
@@ -224,22 +212,6 @@ class KronCovariance:
         if arr.shape != self.dims:
             raise ValueError(f"shape {arr.shape} does not match dims {self.dims}")
         return _whiten(arr, self.factors)
-
-    def apply_inverse(self, arr) -> np.ndarray:
-        """Apply the full inverse mode by mode.
-
-        Returns the tensor reshaping of ``(Sigma_1 kron ... kron
-        Sigma_K)^{-1} vec(arr)`` without materializing the product:
-        each mode is multiplied by its factor's cached
-        :attr:`SpdFactor.precision`, so repeated calls with the same
-        factors cost ``D * sum(d_k)`` multiplies and no solves.
-        """
-        arr = np.asarray(arr, dtype=float)
-        if arr.shape != self.dims:
-            raise ValueError(f"shape {arr.shape} does not match dims {self.dims}")
-        for k, f in enumerate(self.factors):
-            arr = _along_mode(f.precision, arr, k)
-        return arr
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"KronCovariance(dims={self.dims})"
@@ -317,20 +289,15 @@ def _unfolded_gram(z: np.ndarray, axis: int) -> np.ndarray:
     return rows @ rows.T
 
 
-def _check_point(dist: TensorNormal, x) -> np.ndarray:
-    arr = np.asarray(x, dtype=float)
-    if arr.shape != dist.dims:
-        raise ValueError(f"point shape {arr.shape} does not match dims {dist.dims}")
-    return arr
-
-
 def mahalanobis(dist: TensorNormal, x) -> float:
     """Squared Mahalanobis distance of ``x`` under ``dist``.
 
     Computed as ``||z||^2`` where ``z`` whitens ``x - mean`` by one
     product with ``L_k^{-1}`` per mode; no Kronecker product is formed.
     """
-    arr = _check_point(dist, x)
+    arr = np.asarray(x, dtype=float)
+    if arr.shape != dist.dims:
+        raise ValueError(f"point shape {arr.shape} does not match dims {dist.dims}")
     z = _whiten(arr - dist.mean, dist.cov.factors)
     return float(np.sum(z * z))
 
@@ -385,8 +352,7 @@ def _stack_samples(samples) -> np.ndarray:
 def _total_log_likelihood(n: int, d: int, factors, maha: float) -> float:
     """Sum of the log densities of ``n`` samples of ``d`` entries whose
     squared Mahalanobis distances under ``factors`` sum to ``maha``."""
-    logdet = sum((d / f.dim) * f.logdet for f in factors)
-    return -0.5 * (n * d * _LOG_2PI + n * logdet + maha)
+    return -0.5 * (n * d * _LOG_2PI + n * KronCovariance(factors).logdet() + maha)
 
 
 class FlipFlopResult(NamedTuple):

@@ -58,6 +58,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -72,7 +73,6 @@ from .network import (
     accuracy,
     prior_penalty,
     resolve_layer,
-    task_log_loss,
     task_scores,
 )
 from .serialize import write_csv_rows
@@ -90,7 +90,6 @@ __all__ = [
     "learning_rate_at",
     "sgd_epoch",
     "update_covariances",
-    "objective",
     "train",
     "extract_relationship",
 ]
@@ -204,22 +203,14 @@ class OptimizerState:
         return cls(np.zeros_like(net.params))
 
 
-class OpCounter:
+class OpCounter(Counter):
     """Tallies floating-point multiply counts of covariance updates.
 
     Keys are ``mode{k}_solve`` (the whitening products with the other
     modes' cached ``L_j^{-1}``), ``mode{k}_gram`` (Gram products) and
-    ``mode{k}_factor`` (Cholesky), accumulated over layers.
+    ``mode{k}_factor`` (Cholesky), accumulated over layers; a key never
+    counted reads 0.
     """
-
-    def __init__(self):
-        self.counts = {}
-
-    def add(self, key: str, n) -> None:
-        self.counts[key] = self.counts.get(key, 0) + int(n)
-
-    def __getitem__(self, key: str) -> int:
-        return self.counts.get(key, 0)
 
 
 def _finish_factor(
@@ -234,7 +225,7 @@ def _finish_factor(
     s = gram / denom + eps * np.eye(dim)
     s = s / np.trace(s)
     if counter is not None:
-        counter.add(key, dim**3 // 3)
+        counter[key] += dim**3 // 3
     try:
         return SpdFactor(s)
     except ValueError:
@@ -272,8 +263,8 @@ def update_covariances(
             dk = w.shape[k]
             gram = mode_gram(w, factors, k)
             if counter is not None:
-                counter.add(f"mode{k + 1}_solve", (sum(w.shape) - dk) * d)
-                counter.add(f"mode{k + 1}_gram", dk * d)
+                counter[f"mode{k + 1}_solve"] += (sum(w.shape) - dk) * d
+                counter[f"mode{k + 1}_gram"] += dk * d
             if k == 2 and cfg.shared_task_sigma:
                 task_grams.append((gram, d // dk))
                 continue
@@ -462,32 +453,6 @@ def sgd_epoch(
     return net, state
 
 
-def objective(
-    net: MultiTaskNet,
-    cov: CovarianceState,
-    data: MultiTaskDataset,
-    cfg: TrainConfig,
-) -> float:
-    """Total loss: summed cross-entropy plus the weighted prior term."""
-    check_data(net, data, "data")
-    losses = [
-        task_log_loss(net, t, data.features[t], data.labels[t])
-        for t in range(data.num_tasks)
-    ]
-    return sum(_objective_terms(losses, net, cov, cfg))
-
-
-def _objective_terms(
-    losses, net: MultiTaskNet, cov: CovarianceState, cfg: TrainConfig
-) -> tuple:
-    """The data loss and the weighted prior term of :func:`objective`,
-    given the per-task summed losses in task order."""
-    prior = 0.0
-    if cfg.prior_weight > 0.0:
-        prior = cfg.prior_weight * prior_penalty(net.stack, cov.priors)
-    return float(sum(losses)), prior
-
-
 @dataclass
 class EpochRecord:
     epoch: int
@@ -576,10 +541,9 @@ def train(
         t0 = time.perf_counter()
         sgd_epoch(net, cov, data, cfg, state)
         t1 = time.perf_counter()
+        new_cov = cov
         if cfg.prior_weight > 0.0:
             new_cov = update_covariances(net.stack, cov, cfg)
-        else:
-            new_cov = cov
         t2 = time.perf_counter()
 
         residuals = tuple(map(_residual, cov.priors, new_cov.priors))
@@ -590,7 +554,9 @@ def train(
                 for t in range(data.num_tasks)
             )
         )
-        data_loss, prior = _objective_terms(losses, net, cov, cfg)
+        data_loss, prior = float(sum(losses)), 0.0
+        if cfg.prior_weight > 0.0:
+            prior = cfg.prior_weight * prior_penalty(net.stack, cov.priors)
         obj = data_loss + prior
         if not math.isfinite(obj):
             raise TrainingError(

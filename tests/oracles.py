@@ -48,6 +48,13 @@ def dense_cov(cov):
     return out
 
 
+def solve_kron(cov, arr):
+    """``Sigma^-1 vec(arr)`` by a dense solve against :func:`dense_cov`,
+    reshaped like ``arr``."""
+    arr = np.asarray(arr, dtype=float)
+    return np.linalg.solve(dense_cov(cov), arr.ravel()).reshape(arr.shape)
+
+
 def backward(net, task, x, label):
     """Cross-entropy gradient of one labeled example: a batch of one."""
     return batch_gradients(net, [task], x, [label])
@@ -56,7 +63,7 @@ def backward(net, task, x, label):
 def prior_gradient_full(stack, priors, l):
     """``Sigma^-1 vec(W)`` of stack layer ``l``, as a ``(D_in, D_out, T)``
     tensor covering every task."""
-    return priors[l].apply_inverse(stack.weights[l])
+    return solve_kron(priors[l], stack.weights[l])
 
 
 def per_batch_sgd_epoch(net, cov, data, cfg, state):

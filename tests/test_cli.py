@@ -303,6 +303,21 @@ class TestTrain:
         assert "prior term inf" in err
         assert not list((tmp_path / "out").iterdir())
 
+    def test_numeric_failure_prints_one_line(self, tmp_path, capsys):
+        """Weights that overflow exit 3 with the line naming the failure
+        and nothing else on stderr: no numpy warning ahead of it."""
+        doc = experiment_config(variant="stl", epochs=1)
+        doc["data"]["synthetic"].update(
+            num_tasks=4, feature_dim=20, samples_per_task=100,
+            task_covariance=np.eye(4).tolist(),
+        )
+        doc["train"]["learning_rate"] = 1e30
+        assert main(["train", "--config", str(write_config(tmp_path, doc))]) == 3
+        assert capsys.readouterr().err == (
+            "relnet train: numeric failure: non-finite gradient of stack layer "
+            "'bottleneck' weights at epoch 0, batch 7\n"
+        )
+
     def test_batch_size_beyond_int64_trains_as_one_batch(self, tmp_path):
         """A batch size of 10**30 trains exactly as one batch of the 36
         training rows."""
@@ -751,6 +766,17 @@ REJECTED = {
     "test_samples_per_task_beyond_intp": (
         with_field("data.synthetic.test_samples_per_task", 10**30),
         "config.data.synthetic.test_samples_per_task must be at most",
+    ),
+    # Both draws exceed a 47-bit address space, so they fail on any host.
+    "samples_per_task_beyond_memory": (
+        with_field("data.synthetic.samples_per_task", 10**15),
+        "config.data.synthetic: 3 tasks of 1000000000000000 training and 30 "
+        "test samples with feature_dim 6 and 3 classes do not fit in memory",
+    ),
+    "feature_dim_beyond_memory": (
+        with_field("data.synthetic.feature_dim", 10**13),
+        "config.data.synthetic: 3 tasks of 12 training and 30 test samples "
+        "with feature_dim 10000000000000 and 3 classes do not fit in memory",
     ),
     "noise_scale_nan": (
         with_field("data.synthetic.noise_scale", float("nan")),

@@ -139,19 +139,6 @@ class TestKronCovariance:
             np.linalg.slogdet(dense_cov(cov))[1], rel=1e-12
         )
 
-    @pytest.mark.parametrize("dims", [(5,), (4, 3), (4, 3, 2), (3, 2, 4, 2)])
-    def test_apply_inverse_matches_dense_solve(self, dims):
-        """Orders 1 to 4: the per-mode precision products equal a dense
-        solve against the full Kronecker product."""
-        rng = np.random.default_rng(len(dims))
-        cov = KronCovariance([rand_spd(rng, d) for d in dims])
-        arr = rng.standard_normal(dims)
-        # Row-major flattening: the factors appear in mode order.
-        want = np.linalg.solve(dense_cov(cov), arr.ravel())
-        got = cov.apply_inverse(arr)
-        assert got.shape == dims
-        np.testing.assert_allclose(got.ravel(), want, rtol=1e-10)
-
     @pytest.mark.parametrize("kind", ["graded", "rotated"])
     def test_whiten_on_ill_conditioned_factor(self, kind):
         """Whitening by the cached ``L^-1`` against forward substitution,

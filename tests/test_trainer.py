@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from oracles import backward, per_batch_sgd_epoch
+from oracles import backward, per_batch_sgd_epoch, solve_kron
 from relnet import network, tensor_normal, trainer
 from relnet.data import MultiTaskDataset, SyntheticSpec, generate_synthetic
 from relnet.network import forward, init_network, prior_penalty
@@ -22,7 +22,6 @@ from relnet.trainer import (
     TrainingError,
     extract_relationship,
     learning_rate_at,
-    objective,
     sgd_epoch,
     train,
     update_covariances,
@@ -329,7 +328,7 @@ class TestBenchmarkHooks:
 
     def test_span_targets_resolve(self):
         """Every attribute the benchmark's span recorder wraps exists in
-        the program, except one known stale hook."""
+        the program, except the known stale hooks."""
         path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
         spec = importlib.util.spec_from_file_location("perfbench_spans", path)
         spans = importlib.util.module_from_spec(spec)
@@ -343,27 +342,29 @@ class TestBenchmarkHooks:
                 owner = getattr(owner, part, None)
             if owner is None:
                 missing.append((module_name, attr_path))
-        # The one-pass SGD batch replaced this function with
-        # batch_gradients; the benchmark still wraps the old name.
-        assert missing == [("relnet.network", "_batch_task_gradients")]
+        # The one-pass SGD batch replaced _batch_task_gradients with
+        # batch_gradients; train() scores the objective itself, and SGD
+        # applies the prior inverse in the factors' eigenbasis.  The
+        # benchmark still wraps the old names.
+        assert missing == [
+            ("relnet.trainer", "objective"),
+            ("relnet.network", "_batch_task_gradients"),
+            ("relnet.tensor_normal", "KronCovariance.apply_inverse"),
+        ]
 
     def test_no_inverse_and_one_eigendecomposition_per_factor_per_epoch(
         self, monkeypatch
     ):
-        """SGD applies the prior in the factors' eigenbasis: no
-        ``apply_inverse`` call, and each epoch decomposes each stack
-        layer's feature and output factor once, however many batches."""
-        inverse_calls, eigh_shapes = [], []
+        """SGD applies the prior in the factors' eigenbasis, so each
+        epoch decomposes each stack layer's feature and output factor
+        once, however many batches."""
+        eigh_shapes = []
         original_eigh = np.linalg.eigh
-
-        def counted_inverse(self, arr):
-            inverse_calls.append(arr.shape)
 
         def counted_eigh(a):
             eigh_shapes.append(a.shape)
             return original_eigh(a)
 
-        monkeypatch.setattr(KronCovariance, "apply_inverse", counted_inverse)
         monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
         rng = np.random.default_rng(17)
         data = toy_data(sizes=(7, 6), dim=3, seed=18)
@@ -373,15 +374,14 @@ class TestBenchmarkHooks:
             epochs=epochs, batch_size=5, prior_weight=0.01, epsilon_ridge=1.0
         )
         train(net, data, cfg)
-        assert inverse_calls == []
         per_epoch = [(d, d) for w in net.stack.weights for d in w.shape[:2]]
         assert sorted(eigh_shapes) == sorted(per_epoch * epochs)
 
 
 def reference_sgd_epoch(net, cov, data, cfg, state):
     """:func:`sgd_epoch` as written before it stepped in the prior's
-    eigenbasis: each batch adds ``apply_inverse(W) * scale`` to the data
-    gradient in the network's own basis."""
+    eigenbasis: each batch adds ``Sigma^-1 vec(W) * scale``, by a dense
+    solve, to the data gradient in the network's own basis."""
     sizes = np.asarray(data.task_sizes)
     task_of = np.repeat(np.arange(net.num_tasks), sizes)
     features = np.concatenate(data.features)
@@ -394,7 +394,7 @@ def reference_sgd_epoch(net, cov, data, cfg, state):
         g.flat /= batch.size
         scale = cfg.prior_weight * np.bincount(tasks, minlength=net.num_tasks) / sizes
         for l, prior in enumerate(cov.priors):
-            g.stack_weights[l] += prior.apply_inverse(net.stack.weights[l]) * scale
+            g.stack_weights[l] += solve_kron(prior, net.stack.weights[l]) * scale
         rates = np.full(net.params.size, learning_rate_at(cfg, state.iteration))
         rates[net.stack_start :] *= cfg.new_layer_lr_multiplier
         state.velocity[:] = cfg.momentum * state.velocity - rates * g.flat
@@ -616,7 +616,7 @@ class TestUpdateCovariances:
         for f, d in zip(new.priors[0].factors, (4, 3, 2)):
             np.testing.assert_allclose(f.matrix, np.eye(d) / d, atol=1e-6)
         w = net.stack.weights[0]
-        grad = new.priors[0].apply_inverse(w)
+        grad = solve_kron(new.priors[0], w)
         np.testing.assert_allclose(grad, 24.0 * w, rtol=1e-5)
 
     def test_op_counter_populated(self):
@@ -636,30 +636,70 @@ class TestUpdateCovariances:
         assert counter["mode1_solve"] == (dout + t) * din * dout * t
 
 
+def spelled_out_objective(net, cov, data, cfg):
+    """The epoch objective spelled out: the summed cross-entropy of every
+    task plus ``prior_weight`` times the prior penalty."""
+    losses = [
+        network.task_log_loss(net, t, data.features[t], data.labels[t])
+        for t in range(data.num_tasks)
+    ]
+    return float(sum(losses)) + cfg.prior_weight * prior_penalty(
+        net.stack, cov.priors
+    )
+
+
 class TestObjective:
+    """Each report row's ``objective`` is that of the epoch's network and
+    covariances.  A run of ``e`` epochs is the first ``e`` epochs of a
+    longer run, so each row is checked against the state a run of that
+    many epochs returns."""
+
+    @staticmethod
+    def rows_and_states(data, trunk, stack, cfg):
+        """``(records, net, cov)`` of runs of 1 to ``cfg.epochs`` epochs,
+        checking that each run's rows begin with the previous run's."""
+        previous = []
+        for e in range(1, cfg.epochs + 1):
+            net = init_network(
+                data.feature_dim, trunk, stack, data.num_tasks,
+                np.random.default_rng(50),
+            )
+            net, cov, report = train(net, data, replace(cfg, epochs=e))
+            objectives = [r.objective for r in report.records]
+            assert objectives[:-1] == previous
+            previous = objectives
+            yield report.records, net, cov
+
     def test_no_prior_is_summed_cross_entropy(self):
-        rng = np.random.default_rng(22)
         data = toy_data(sizes=(5, 4), dim=4, seed=23)
-        net = init_network(4, [], [3], 2, rng)
-        cfg = TrainConfig(prior_weight=0.0)
-        cov = CovarianceState.identity_for(net.stack)
-        want = 0.0
-        for t in range(2):
-            for i in range(data.task_sizes[t]):
-                p = forward(net, t, data.features[t][i])
-                want += -np.log(p[data.labels[t][i]])
-        assert objective(net, cov, data, cfg) == pytest.approx(want, rel=1e-10)
+        cfg = TrainConfig(epochs=2, batch_size=3, prior_weight=0.0, seed=22)
+        for records, net, cov in self.rows_and_states(data, [], [3], cfg):
+            want = 0.0
+            for t in range(2):
+                for i in range(data.task_sizes[t]):
+                    p = forward(net, t, data.features[t][i])
+                    want += -np.log(p[data.labels[t][i]])
+            assert records[-1].objective == pytest.approx(want, rel=1e-10)
 
     def test_prior_term_added(self):
-        rng = np.random.default_rng(24)
-        data = toy_data(sizes=(5,), dim=4, num_classes=3, seed=25)
-        net = init_network(4, [], [3], 1, rng)
-        cov = CovarianceState.identity_for(net.stack)
-        base = objective(net, cov, data, TrainConfig(prior_weight=0.0))
-        lam = 0.37
-        full = objective(net, cov, data, TrainConfig(prior_weight=lam))
-        pen = prior_penalty(net.stack, cov.priors)
-        assert full == pytest.approx(base + lam * pen, rel=1e-12)
+        """Bit for bit, every epoch, for ``drn``, ``drn8``, ``stl`` and a
+        shared task factor; the prior term is 0 for ``stl``."""
+        data = toy_data(sizes=(6, 5, 4), dim=4, seed=25)
+        cfg = TrainConfig(
+            learning_rate=0.002, epochs=3, batch_size=4, prior_weight=0.37,
+            epsilon_ridge=0.1, seed=24,
+        )
+        variants = {
+            "drn": ([5], [4, 3], {}),
+            "drn8": ([5, 4], [3], {}),
+            "stl": ([5], [4, 3], {"prior_weight": 0.0}),
+            "shared_task_sigma": ([5], [4, 3], {"shared_task_sigma": True}),
+        }
+        for trunk, stack, overrides in variants.values():
+            run_cfg = replace(cfg, **overrides)
+            for records, net, cov in self.rows_and_states(data, trunk, stack, run_cfg):
+                want = spelled_out_objective(net, cov, data, run_cfg)
+                assert records[-1].objective == want
 
 
 class TestTrain:
@@ -740,7 +780,8 @@ class TestTrain:
 
     def test_scores_are_objective_and_accuracy_from_one_pass(self, monkeypatch):
         """Each epoch runs one forward pass per task and fold, and its
-        row equals what ``objective`` and ``accuracy`` give."""
+        row equals the spelled-out objective and what ``accuracy``
+        gives."""
         data = toy_data(sizes=(9, 7, 5), dim=3, seed=37)
         held_out = toy_data(sizes=(4, 6, 3), dim=3, seed=38)
         cfg = TrainConfig(epochs=2, batch_size=4, prior_weight=0.5, seed=39)
@@ -757,7 +798,7 @@ class TestTrain:
         assert calls == [0, 1, 2, 0, 1, 2] * cfg.epochs
         monkeypatch.setattr(network, "logits", original)
         last = report.records[-1]
-        assert last.objective == objective(net, cov, data, cfg)
+        assert last.objective == spelled_out_objective(net, cov, data, cfg)
         for t in range(3):
             x, y = data.features[t], data.labels[t]
             assert last.train_accuracy[t] == network.accuracy(net, t, x, y)
