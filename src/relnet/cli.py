@@ -365,12 +365,38 @@ def run_experiment(cfg: ExperimentConfig, output_dir) -> dict:
 # tnd-fit
 
 
+def _sample_rows(samples: list, total: int, path: Path) -> np.ndarray:
+    """The ``(n, total)`` array of a non-empty list of samples, each a
+    list of ``total`` finite JSON numbers, checked and written in place."""
+    # The first sample that is not a list of ``total`` entries is
+    # rejected after those ahead of it are checked, so the array holds
+    # only those: it is never larger than the input, whatever ``dims``
+    # and the count claim.
+    fits = next(
+        (i for i, s in enumerate(samples) if not isinstance(s, list) or len(s) != total),
+        len(samples),
+    )
+    out = np.empty((fits, total)) if fits else None
+    for i, flat in enumerate(samples[:fits]):
+        out[i] = check_type(flat, "list[float]", f"{path}: sample {i}")
+    if fits < len(samples):
+        bad = samples[fits]
+        if not isinstance(bad, list):
+            raise ConfigError(f"{path}: sample {fits} must be a list, got {bad!r}")
+        raise ConfigError(
+            f"{path}: sample {fits} has {len(bad)} entries, expected {total}"
+        )
+    return out
+
+
 def _load_tnd_samples(path: Path) -> np.ndarray:
     """Read ``{"dims": [d1, d2, d3], "samples": [[...], ...]}`` into one
     ``(n, d1, d2, d3)`` array, each sample checked and written in place.
 
     Each sample must be a list of ``d = d1 * d2 * d3`` JSON numbers, all
-    finite (:func:`~relnet.serialize.check_type`).  Then the sample count
+    finite (:func:`~relnet.serialize.check_type`).  ``samples`` may
+    instead be one array object of shape ``(n, d)``
+    (:class:`~relnet.serialize.BinaryArray`).  Then the sample count
     ``n`` must pass ``(n - 1) * d / d_k >= d_k`` for every mode ``k``.
     With the mean estimated, the centred samples span at most ``n - 1``
     directions, so below this count the mode-``k`` Gram matrix cannot
@@ -386,26 +412,20 @@ def _load_tnd_samples(path: Path) -> np.ndarray:
     dims = check_type(doc["dims"], "list[int]", f"{path}: dims")
     if len(dims) != 3 or min(dims) < 1:
         raise ConfigError(f"{path}: dims must be three positive integers")
-    samples = doc["samples"]
-    if not isinstance(samples, list) or not samples:
-        raise ConfigError(f"{path}: samples must be a non-empty list")
     total = math.prod(dims)
-    n = len(samples)
-    # The loop rejects the first sample that is not a list of ``total``
-    # entries, so the array holds only those ahead of it: it is never
-    # larger than the input, whatever ``dims`` and the count claim.
-    fits = next(
-        (i for i, s in enumerate(samples) if not isinstance(s, list) or len(s) != total),
-        n,
-    )
-    out = np.empty((fits, total)) if fits else None
-    for i, flat in enumerate(samples):
-        arr = check_type(flat, "list[float]", f"{path}: sample {i}")
-        if arr.size != total:
+    samples = doc["samples"]
+    if type(samples) is dict:
+        samples = check_type(samples, "list[float]", f"{path}: samples")
+        if samples.shape[1:] != (total,):
             raise ConfigError(
-                f"{path}: sample {i} has {arr.size} entries, expected {total}"
+                f"{path}: samples must have shape [n, {total}], got "
+                f"{list(samples.shape)}"
             )
-        out[i] = arr
+    if not isinstance(samples, (list, np.ndarray)) or len(samples) == 0:
+        raise ConfigError(f"{path}: samples must be a non-empty list")
+    n = len(samples)
+    if isinstance(samples, list):
+        samples = _sample_rows(samples, total, path)
     for k, dk in enumerate(dims):
         least = -(-dk * dk // total) + 1
         if n < least:
@@ -414,7 +434,7 @@ def _load_tnd_samples(path: Path) -> np.ndarray:
                 f"{k + 1} needs (n - 1) * {total // dk} >= {dk}, so at least "
                 f"{least} samples"
             )
-    return out.reshape(n, *dims)
+    return samples.reshape(n, *dims)
 
 
 def cmd_tnd_fit(args) -> int:

@@ -16,12 +16,20 @@ losses and gradients stay finite for logits of any magnitude.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
-from .serialize import InputError, check_task_names, check_type, dump_json, load_json
+from .serialize import (
+    BinaryArray,
+    InputError,
+    check_task_names,
+    check_type,
+    dump_json,
+    load_json,
+)
 from .tensor import mode_product
 from .tensor_normal import KronCovariance
 
@@ -36,7 +44,6 @@ __all__ = [
     "predict",
     "accuracy",
     "softmax",
-    "task_log_loss",
     "task_scores",
     "batch_gradients",
     "prior_penalty",
@@ -45,7 +52,7 @@ __all__ = [
     "load_checkpoint",
 ]
 
-CHECKPOINT_SCHEMA_VERSION = 1
+CHECKPOINT_SCHEMA_VERSION = 2
 
 
 @dataclass
@@ -393,14 +400,10 @@ def _summed_log_loss(z: np.ndarray, labels: np.ndarray) -> float:
     return float(np.sum(lse - z[np.arange(z.shape[0]), labels]))
 
 
-def task_log_loss(net: MultiTaskNet, task: int, x, labels) -> float:
-    """Summed cross-entropy of a batch under one task."""
-    return _summed_log_loss(*_batch_logits(net, task, x, labels))
-
-
 def task_scores(net: MultiTaskNet, task: int, x, labels) -> tuple:
-    """``(task_log_loss, accuracy)`` of a non-empty batch under one task,
-    both from one forward pass and equal to what each function gives."""
+    """``(log_loss, accuracy)`` of a non-empty batch under one task, both
+    from one forward pass: the summed cross-entropy, and what
+    :func:`accuracy` gives."""
     z, labels = _batch_logits(net, task, x, labels)
     return _summed_log_loss(z, labels), _hit_rate(z, labels)
 
@@ -544,17 +547,21 @@ def _layer_doc(w: np.ndarray, b: np.ndarray, activation: str) -> dict:
         "in_dim": int(w.shape[0]),
         "out_dim": int(w.shape[1]),
         "activation": activation,
-        "weight": w.ravel(),
-        "bias": b.ravel(),
+        "weight": BinaryArray(w),
+        "bias": BinaryArray(b),
     }
 
 
 def save_checkpoint(net: MultiTaskNet, path, task_names=None) -> None:
-    """Write the network to JSON with a fixed field order.
+    """Write the network to JSON (``schema_version`` 2) with a fixed
+    field order.
 
-    Weight tensors are flattened row-major next to their dims, floats
-    carry 17 significant digits, so save/load/save round-trips are
-    byte-stable.
+    Every weight and bias is an array object
+    (:class:`~relnet.serialize.BinaryArray`) of its own shape next to
+    its dims: the exact float64 bits, so a load gives back the same
+    parameters and save/load/save round-trips are byte-stable.  A
+    non-finite parameter raises ``ValueError`` before the file is
+    opened.
     """
     if task_names is not None and len(task_names) != net.num_tasks:
         raise ValueError("task_names must have one entry per task")
@@ -611,13 +618,29 @@ def _layer_from_doc(entry, where: str, activation: str, *tasks) -> tuple:
             raise ValueError(f"{where}.num_tasks is {n}, but num_tasks is {t}")
     din = _dim(entry["in_dim"], f"{where}.in_dim")
     dout = _dim(entry["out_dim"], f"{where}.out_dim")
-    w = check_type(entry["weight"], "list[float]", f"{where}.weight")
-    b = check_type(entry["bias"], "list[float]", f"{where}.bias")
-    return w.reshape(din, dout, *tasks), b.reshape(*tasks, dout)
+    return (
+        _array(entry, "weight", where, (din, dout, *tasks)),
+        _array(entry, "bias", where, (*tasks, dout)),
+    )
+
+
+def _array(entry, key: str, where: str, shape: tuple) -> np.ndarray:
+    """``entry[key]`` as an array of ``shape``: an array object of that
+    shape, or a JSON list of its entries flattened row-major."""
+    value = entry[key]
+    arr = check_type(value, "list[float]", f"{where}.{key}")
+    want = (math.prod(shape),) if type(value) is list else shape
+    if arr.shape != want:
+        raise ValueError(
+            f"{where}.{key} has shape {list(arr.shape)}, but the layer's dims "
+            f"give {list(want)}"
+        )
+    return arr.reshape(shape)
 
 
 def load_checkpoint(path) -> tuple:
-    """Read a checkpoint; returns ``(net, task_names)``.
+    """Read a checkpoint of ``schema_version`` 1 or 2; returns ``(net,
+    task_names)``.
 
     ``trunk``, ``stack.layers`` and ``stack.layer_ids`` must be JSON
     lists, of objects, objects and strings, and ``stack`` an object.
@@ -625,19 +648,22 @@ def load_checkpoint(path) -> tuple:
     layer's ``num_tasks`` equal to the top-level one, ``input_dim`` and
     ``num_classes`` equal to what the layer shapes give, every
     ``activation`` ``relu`` but the last stack layer's ``softmax``,
-    weights and biases lists of finite JSON numbers
-    (:func:`~relnet.serialize.check_type`), and ``task_names`` null or
-    one name per task under :func:`~relnet.serialize.check_task_names`.  A
-    file that cannot be read, parsed or built into a network raises
+    weights and biases ``list[float]`` values
+    (:func:`~relnet.serialize.check_type`) of the shape the layer's dims
+    give: array objects, as version 2 writes them, or lists of finite
+    JSON numbers flattened row-major, as version 1 did.  ``task_names``
+    is null or one name per task under
+    :func:`~relnet.serialize.check_task_names`.  A file that cannot be
+    read, parsed or built into a network raises
     :class:`~relnet.serialize.InputError` naming ``path``.
     """
     doc = load_json(path)
-    if not isinstance(doc, dict) or doc.get("schema_version") != CHECKPOINT_SCHEMA_VERSION:
-        raise InputError(
-            f"{path}: unsupported checkpoint schema: {doc.get('schema_version')!r}"
-            if isinstance(doc, dict)
-            else f"{path}: checkpoint must be a JSON object"
-        )
+    if not isinstance(doc, dict):
+        raise InputError(f"{path}: checkpoint must be a JSON object")
+    version = doc.get("schema_version")
+    # Version 1 differs only in writing each array as a flat JSON list.
+    if type(version) is not int or version not in (1, 2):
+        raise InputError(f"{path}: unsupported checkpoint schema: {version!r}")
     try:
         trunk = [
             DenseLayer(*_layer_from_doc(entry, f"trunk[{i}]", "relu"))

@@ -8,23 +8,26 @@ is used instead: floats are rendered with ``%.17g``, which always gives
 not the shortest such form, which ``repr`` gives), dict insertion order
 is preserved, and the output layout is fixed.
 
-Float arrays are emitted a row at a time: a row is one finiteness
-check and a join over each chunk of at most 4096 values, with no Python
-list built by the caller and no per-element type dispatch, and the
-bytes are exactly those the array's ``tolist()`` would give.
-:func:`dump_json` streams the pieces to the file, so a large checkpoint
-is never held as one string.
+A float array is emitted as text a row at a time: one finiteness check
+and one ``%`` join per row, with no Python list built by the caller and
+no per-element type dispatch, and the bytes are exactly those the
+array's ``tolist()`` would give.  A :class:`BinaryArray` is emitted
+instead as one array object on one line, ``{"dtype": "<f8", "shape":
+[...], "base64": "..."}``: the array's little-endian float64 bytes,
+row-major, in standard base64, exact to the bit and encoded only when
+written, one array at a time.
 
 Every input file is opened by :func:`open_text`, and every JSON document
 read by :func:`load_json`, which raise an :class:`InputError` naming the
 file; :func:`output_errors` does the same for the command line's
 outputs.  :func:`check_type` is the one JSON type rule, for config
-fields and for every number read from a file: a ``list[float]`` comes
-back as one float64 array.
+fields and for every number read from a file: a ``list[float]``, a JSON
+list of numbers or an array object, comes back as one float64 array.
 """
 
 from __future__ import annotations
 
+import base64
 import contextlib
 import json
 import math
@@ -37,6 +40,7 @@ __all__ = [
     "ConfigError",
     "format_float",
     "format_floats",
+    "BinaryArray",
     "dumps_json",
     "dump_json",
     "open_text",
@@ -73,47 +77,59 @@ def format_float(x: float) -> str:
     return format(x, ".17g")
 
 
-# Values per formatted piece of a float row: bounds the Python floats
-# and strings alive at once.
-_CHUNK = 4096
-
-
-def _float_pieces(row: np.ndarray, sep: str):
-    """Pieces of :func:`format_floats` ``(row, sep)``, at most ``_CHUNK``
-    values each, each formatted by one ``%`` against a template of one
-    ``%.17g`` per value."""
-    finite = np.isfinite(row)
+def _check_finite(arr: np.ndarray) -> None:
+    """Raise :func:`format_float`'s error for the first non-finite entry
+    of ``arr``, after one ``np.isfinite`` pass."""
+    finite = np.isfinite(arr)
     if not finite.all():
-        format_float(row[~finite][0])
-    n = min(row.size, _CHUNK)
-    full = sep.join(["%.17g"] * n)
-    for start in range(0, row.size, _CHUNK):
-        chunk = tuple((row[start : start + _CHUNK] + 0.0).tolist())
-        template = full if len(chunk) == n else sep.join(["%.17g"] * len(chunk))
-        yield ("" if start == 0 else sep) + template % chunk
+        format_float(arr[~finite][0])
 
 
 def format_floats(row: np.ndarray, sep: str = ", ") -> str:
     """Render a 1-D float array as :func:`format_float` renders each
-    entry, joined by ``sep``.
+    entry, joined by ``sep``: one ``%`` against a template of one
+    ``%.17g`` per value.
 
     One ``np.isfinite`` pass checks the whole row; a non-finite entry
     raises :func:`format_float`'s error for the first one.  Adding
     ``0.0`` turns ``-0.0`` into ``0.0``, which ``%.17g`` writes as ``0``.
     """
-    return "".join(_float_pieces(row, sep))
+    _check_finite(row)
+    return sep.join(["%.17g"] * row.size) % tuple((row + 0.0).tolist())
+
+
+class BinaryArray:
+    """A finite float array that :func:`dump_json` writes as one array
+    object, exact to the bit (``-0.0`` and subnormals included);
+    :func:`check_type` reads it back as a ``list[float]``.
+
+    A non-finite entry raises :func:`format_float`'s error for the first
+    one, here, before anything is written.
+    """
+
+    __slots__ = ("array",)
+
+    def __init__(self, array):
+        self.array = np.asarray(array, dtype="<f8")
+        _check_finite(self.array)
+
+    def json(self) -> str:
+        """The array object as one line of JSON."""
+        shape = ", ".join(map(str, self.array.shape))
+        data = base64.b64encode(self.array.tobytes()).decode("ascii")
+        return f'{{"dtype": "<f8", "shape": [{shape}], "base64": "{data}"}}'
 
 
 def _emit(obj, write, indent, level):
     """Write the pieces of ``obj``'s JSON text through ``write``."""
+    if isinstance(obj, BinaryArray):
+        write(obj.json())
+        return
     if isinstance(obj, np.ndarray):
         if obj.dtype.kind != "f" or obj.ndim == 0:
             obj = obj.tolist()
         elif obj.ndim == 1:
-            write("[")
-            for piece in _float_pieces(obj, ", "):
-                write(piece)
-            write("]")
+            write("[" + format_floats(obj) + "]")
             return
     pad = indent * level
     child = indent * (level + 1)
@@ -251,7 +267,23 @@ def check_type(value, kind: str, where: str):
     ``list[float]`` as a float64 array, whose items are named
     ``<where> entry J``.  A mismatch raises :class:`ConfigError` reading
     ``<where> must be <type>, got <value>``.
+
+    A ``list[float]`` may also be an array object (:class:`BinaryArray`):
+    ``dtype`` exactly ``"<f8"``, ``shape`` a list of integers of at
+    least 0, and ``base64`` the standard base64 (padding included, no
+    other character) of ``8 * prod(shape)`` bytes.  It comes back as a
+    writable array of that shape with those exact bits, and entry ``J``
+    (row-major) must be finite as in a list.  An array object stands
+    for a whole value, never for an item of a list: the rows of a
+    ``list[list[float]]`` are JSON lists.
     """
+    if kind == "list[float]" and type(value) is dict:
+        return _decode_array(value, where)
+    return _check_json(value, kind, where)
+
+
+def _check_json(value, kind: str, where: str):
+    """:func:`check_type` without array objects."""
     if kind.endswith(" | None"):
         if value is None:
             return None
@@ -261,7 +293,7 @@ def check_type(value, kind: str, where: str):
             raise ConfigError(f"{where} must be a list, got {value!r}")
         if kind == "list[float]":
             return _float_array(value, where)
-        return [check_type(v, kind[5:-1], f"{where}[{i}]") for i, v in enumerate(value)]
+        return [_check_json(v, kind[5:-1], f"{where}[{i}]") for i, v in enumerate(value)]
     if kind not in _JSON_TYPES:
         return value
     what, ok = _JSON_TYPES[kind]
@@ -286,6 +318,49 @@ def _float_array(items: list, where: str) -> np.ndarray:
     return np.array(
         [check_type(v, "float", f"{where} entry {j}") for j, v in enumerate(items)]
     )
+
+
+def _decode_array(obj: dict, where: str) -> np.ndarray:
+    """The float64 array of the array object ``obj`` (see
+    :func:`check_type`); the length check comes before any array is
+    made, so the array is never larger than the text."""
+    if sorted(obj) != ["base64", "dtype", "shape"]:
+        raise ConfigError(
+            f"{where} must be a list or an object with keys dtype, shape and "
+            f"base64, got keys {list(obj)}"
+        )
+    if obj["dtype"] != "<f8":
+        raise ConfigError(f'{where}.dtype must be "<f8", got {obj["dtype"]!r}')
+    shape = check_type(obj["shape"], "list[int]", f"{where}.shape")
+    for i, d in enumerate(shape):
+        if d < 0:
+            raise ConfigError(f"{where}.shape[{i}] must be at least 0, got {d}")
+    text = check_type(obj["base64"], "str", f"{where}.base64")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as exc:
+        raise ConfigError(f"{where}.base64 is not base64: {exc}") from None
+    # ``b64decode`` also takes excess padding after a full quantum and
+    # non-zero unused bits; only the standard spelling of ``raw`` passes.
+    if base64.b64encode(raw) != text.encode("ascii"):
+        raise ConfigError(
+            f"{where}.base64 is not base64: not the standard encoding of its bytes"
+        )
+    size = math.prod(shape)
+    if len(raw) != 8 * size:
+        raise ConfigError(
+            f"{where}.base64 holds {len(raw)} bytes, but shape {shape} needs "
+            f"{8 * size}"
+        )
+    try:
+        arr = np.frombuffer(raw, dtype="<f8").astype(float).reshape(shape)
+    except ValueError as exc:
+        raise ConfigError(f"{where}.shape {shape}: {exc}") from None
+    finite = np.isfinite(arr).ravel()
+    if not finite.all():
+        j = int(np.argmin(finite))
+        check_type(float(arr.flat[j]), "float", f"{where} entry {j}")
+    return arr
 
 
 # A comma splits a CSV cell; a control character (below U+0020, or

@@ -1,15 +1,17 @@
 """Reference implementations that the tests compare relnet against.
 
 Each is the plainest spelling of a convention or quantity stated in
-:mod:`relnet.tensor`, :mod:`relnet.tensor_normal`, :mod:`relnet.network`
-or :mod:`relnet.trainer`, written for clarity rather than speed.
+:mod:`relnet.tensor`, :mod:`relnet.tensor_normal`, :mod:`relnet.network`,
+:mod:`relnet.trainer` or :mod:`relnet.serialize`, written for clarity
+rather than speed.
 """
 
+import base64
 import math
 
 import numpy as np
 
-from relnet.network import batch_gradients
+from relnet.network import _batch_logits, _summed_log_loss, batch_gradients
 from relnet.tensor_normal import (
     _LOG_2PI,
     EstimationError,
@@ -24,6 +26,15 @@ from relnet.trainer import TrainingError, check_data, learning_rate_at
 
 kronecker = np.kron
 vectorize = np.ravel
+
+
+def array_object(arr):
+    """``arr`` as the JSON array object of :class:`relnet.serialize.BinaryArray`,
+    spelled out by hand, so that it may hold NaN: little-endian float64
+    bytes in row-major order, in standard base64."""
+    arr = np.asarray(arr, dtype="<f8")
+    data = base64.b64encode(arr.tobytes()).decode("ascii")
+    return {"dtype": "<f8", "shape": list(arr.shape), "base64": data}
 
 
 def matricize(t, mode):
@@ -58,6 +69,12 @@ def solve_kron(cov, arr):
 def backward(net, task, x, label):
     """Cross-entropy gradient of one labeled example: a batch of one."""
     return batch_gradients(net, [task], x, [label])
+
+
+def task_log_loss(net, task, x, labels):
+    """Summed cross-entropy of a batch under one task: the log loss that
+    :func:`relnet.network.task_scores` returns, by the same operations."""
+    return _summed_log_loss(*_batch_logits(net, task, x, labels))
 
 
 def prior_gradient_full(stack, priors, l):

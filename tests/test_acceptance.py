@@ -14,7 +14,14 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from oracles import backward, kronecker, matricize, prior_gradient_full, vectorize
+from oracles import (
+    backward,
+    kronecker,
+    matricize,
+    prior_gradient_full,
+    task_log_loss,
+    vectorize,
+)
 from relnet.cli import main, parse_experiment_config, run_experiment
 from relnet.data import SyntheticSpec, generate_synthetic
 from relnet.network import (
@@ -23,7 +30,6 @@ from relnet.network import (
     forward,
     init_network,
     prior_penalty,
-    task_log_loss,
 )
 from relnet.serialize import load_json
 from relnet.tensor import mode_product

@@ -26,6 +26,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import relnet
+from oracles import array_object
 from relnet.cli import (
     ConfigError,
     ModelSpec,
@@ -57,6 +58,9 @@ from relnet.tensor_normal import (
     sample,
 )
 from relnet.trainer import TrainConfig
+
+
+V1_MODEL = Path(__file__).parent / "data" / "model_v1.json"
 
 
 def spd(rng, dim):
@@ -162,6 +166,20 @@ class TestTndFit:
             assert np.trace(np.asarray(factor)) == pytest.approx(1.0)
         assert doc["scale"] > 0
 
+    def test_samples_as_one_array_object_fit_alike(self, tmp_path):
+        """``samples`` written as one ``(n, d)`` array object gives the
+        fit of the same samples written as lists, byte for byte."""
+        lists, binary = tmp_path / "lists.json", tmp_path / "binary.json"
+        draws = write_tnd_samples(lists)
+        flat = array_object(np.reshape(draws, (len(draws), -1)))
+        binary.write_text(json.dumps({"dims": [3, 2, 2], "samples": flat}))
+        fits = []
+        for inp in (lists, binary):
+            out = inp.with_suffix(".out")
+            assert main(["tnd-fit", "--input", str(inp), "--out", str(out)]) == 0
+            fits.append(out.read_bytes())
+        assert fits[0] == fits[1]
+
     def test_repeated_sample_exits_numeric_failure(self, tmp_path, capsys):
         """Zero scatter cannot be fit; exit code 3."""
         inp = tmp_path / "samples.json"
@@ -209,7 +227,7 @@ class TestTrain:
         cfg = write_config(tmp_path, experiment_config(epochs=1))
         assert main(["train", "--config", str(cfg)]) == 0
         out = tmp_path / "out"
-        assert load_json(out / "model.json")["schema_version"] == 1
+        assert load_json(out / "model.json")["schema_version"] == 2
         report = (out / "report.csv").read_text().split("\n")
         assert report[0].startswith("epoch,objective,train_acc_")
         assert (out / "timings.csv").read_text().startswith("epoch,sgd_seconds")
@@ -404,6 +422,24 @@ class TestEval:
                 assert main([*argv, "--fold", fold]) == 0
                 lines = capsys.readouterr().out.strip().split("\n")[1:-1]
                 assert want and dict(line.split(",") for line in lines) == want
+
+    def test_v1_checkpoint_and_its_v2_resave_score_alike(self, tmp_path, capsys):
+        """A version-1 checkpoint, weights as flat lists, loads into the
+        parameters its version-2 re-save holds, bit for bit, and
+        ``eval`` prints the same bytes for both."""
+        assert load_json(V1_MODEL)["schema_version"] == 1
+        v2 = tmp_path / "model_v2.json"
+        net, names = load_checkpoint(V1_MODEL)
+        save_checkpoint(net, v2, task_names=names)
+        assert load_json(v2)["schema_version"] == 2
+        assert load_checkpoint(v2)[0].params.tobytes() == net.params.tobytes()
+        manifest = self.make_balanced_manifest(tmp_path, dim=2)
+        printed = []
+        for model in (V1_MODEL, v2):
+            assert main(eval_argv(tmp_path, manifest, model)) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1]
+        assert printed[0].startswith("task,accuracy\na,")
 
     def test_feature_dim_mismatch_exits_usage(self, tmp_path, capsys):
         manifest = self.make_balanced_manifest(tmp_path, dim=4)
@@ -677,6 +713,28 @@ def with_samples(dims, n=20, bad=None, flags=(), value=float("nan")):
     return setup
 
 
+def with_samples_doc(doc):
+    """A ``tnd-fit`` command on the samples document ``doc``."""
+
+    def setup(tmp_path):
+        inp = tmp_path / "samples.json"
+        inp.write_text(json.dumps(doc))
+        return ["tnd-fit", "--input", str(inp), "--out", str(tmp_path / "fit.json")]
+
+    return setup
+
+
+def with_sample_array(dims, n=20, shape=None, bad=None):
+    """A ``tnd-fit`` command on ``n`` samples of ``dims`` written as one
+    array object, of ``shape`` when given, with flat entry ``bad`` NaN."""
+    samples = np.random.default_rng(0).standard_normal((n, int(np.prod(dims))))
+    if bad is not None:
+        samples.flat[bad] = np.nan
+    if shape is not None:
+        samples = samples.reshape(shape)
+    return with_samples_doc({"dims": dims, "samples": array_object(samples)})
+
+
 def with_flags(*flags):
     """A valid ``train`` command with extra ``flags``."""
 
@@ -898,8 +956,59 @@ REJECTED = {
         "model.json: malformed checkpoint: trunk must be a list, got {}",
     ),
     "eval_checkpoint_nan_weight": (
+        with_checkpoint(
+            ("stack", "layers", 0, "weight"),
+            array_object(np.where(np.arange(30) == 4, np.nan, 0.0).reshape(5, 3, 2)),
+        ),
+        "model.json: malformed checkpoint: stack.layers[0].weight entry 4 must be "
+        "a finite number, got nan",
+    ),
+    "eval_checkpoint_weight_extra_key": (
         with_checkpoint(("stack", "layers", 0, "weight", 4), float("nan")),
-        "model.json: malformed checkpoint: stack.layers[0].weight entry 4",
+        "model.json: malformed checkpoint: stack.layers[0].weight must be a list "
+        "or an object with keys dtype, shape and base64",
+    ),
+    "eval_checkpoint_list_nan_weight": (
+        with_checkpoint(
+            ("stack", "layers", 0, "weight"), [0.0] * 4 + [float("nan")] + [0.0] * 25
+        ),
+        "model.json: malformed checkpoint: stack.layers[0].weight entry 4 must be "
+        "a finite number, got nan",
+    ),
+    "eval_checkpoint_weight_shape": (
+        with_checkpoint(("stack", "layers", 0, "weight", "shape"), [3, 5, 2]),
+        "model.json: malformed checkpoint: stack.layers[0].weight has shape "
+        "[3, 5, 2], but the layer's dims give [5, 3, 2]",
+    ),
+    "eval_checkpoint_bias_length": (
+        with_checkpoint(("stack", "layers", 0, "bias"), [0.0] * 5),
+        "model.json: malformed checkpoint: stack.layers[0].bias has shape [5], "
+        "but the layer's dims give [6]",
+    ),
+    "eval_checkpoint_truncated_base64": (
+        with_checkpoint(("stack", "layers", 0, "bias", "base64"), "AAAA"),
+        "model.json: malformed checkpoint: stack.layers[0].bias.base64 holds 3 "
+        "bytes, but shape [2, 3] needs 48",
+    ),
+    "tnd_array_non_finite_entry": (
+        with_sample_array([3, 2, 2], bad=17),
+        "samples.json: samples entry 17 must be a finite number, got nan",
+    ),
+    "tnd_array_flat": (
+        with_sample_array([3, 2, 2], shape=(240,)),
+        "samples.json: samples must have shape [n, 12], got [240]",
+    ),
+    "tnd_array_width": (
+        with_sample_array([3, 2, 2], shape=(24, 10)),
+        "samples.json: samples must have shape [n, 12], got [24, 10]",
+    ),
+    "tnd_array_empty": (
+        with_sample_array([3, 2, 2], n=0),
+        "samples.json: samples must be a non-empty list",
+    ),
+    "tnd_array_too_few_samples": (
+        with_sample_array([16, 2, 2], n=2),
+        "samples.json: 2 samples are too few for dims [16, 2, 2]: mode 1 needs",
     ),
     "tnd_too_few_samples": (with_samples([16, 2, 2], n=2), "mode 1 needs"),
     "train_seed_flag_negative": (with_flags("--seed", "-1"), "--seed"),
@@ -930,6 +1039,16 @@ REJECTED = {
     "relationship_bools_and_strings": (
         with_relationship([[True, "0.5"], ["0.5", True]]),
         "relationship_classifier.json: correlation[0] entry 0",
+    ),
+    "relationship_row_array_object": (
+        with_relationship([array_object([1.0, 0.5]), [0.5, 1.0]]),
+        "relationship_classifier.json: correlation[0] must be a list, got {",
+    ),
+    "tnd_sample_array_object": (
+        with_samples_doc(
+            {"dims": [3, 2, 2], "samples": [[0.0] * 12, array_object(np.ones(12))]}
+        ),
+        "samples.json: sample 1 must be a list, got {",
     ),
     "relationship_name_with_comma": (
         with_relationship(np.eye(2).tolist(), ["a,b", "c"]),
@@ -1092,25 +1211,38 @@ def test_any_json_value_in_any_manifest_field_loads_or_names_the_manifest(
         assert str(manifest) in err.getvalue()
 
 
-SAMPLES = {"dims": [3, 2, 2], "samples": np.eye(12)[:8].tolist()}
+SAMPLE_DOCS = {
+    "lists": {"dims": [3, 2, 2], "samples": np.eye(12)[:8].tolist()},
+    "array": {"dims": [3, 2, 2], "samples": array_object(np.eye(12)[:8])},
+}
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(
     st.sampled_from(
-        [("dims",), ("dims", 0), ("dims", 2), ("samples",), ("samples", 0)]
-        + [("samples", 7), ("samples", 0, 0), ("samples", 5, 11)]
+        [("lists", p) for p in [("dims",), ("dims", 0), ("dims", 2), ("samples",)]]
+        + [("lists", p) for p in [("samples", 0), ("samples", 7), ("samples", 0, 0)]]
+        + [("lists", ("samples", 5, 11)), ("array", ("dims", 1))]
+        + [("array", ("samples", key)) for key in ("dtype", "shape", "base64")]
+        + [("array", ("samples", "shape", 0)), ("array", ("samples", "shape", 1))]
     ),
     JSON_VALUES,
 )
-@example(("samples", 0, 0), 10**400)
-@example(("samples", 0, 0), "2")
-@example(("samples", 0, 0), True)
+@example(("lists", ("samples", 0, 0)), 10**400)
+@example(("lists", ("samples", 0, 0)), "2")
+@example(("lists", ("samples", 0, 0)), True)
+@example(("array", ("samples", "shape")), [96])
+@example(("array", ("samples", "shape")), [4, 24])
+@example(("array", ("samples", "shape")), [0, 12])
+@example(("array", ("samples", "base64")), "")
+@example(("lists", ("samples", 7)), array_object(np.zeros(12)))
 def test_any_json_value_in_dims_or_a_sample_is_loaded_or_a_config_error(
     where, value
 ):
-    """A document loads only if every sample entry is a JSON number."""
-    doc = with_value(SAMPLES, where, value)
+    """A document loads only if every sample entry is a JSON number, or
+    if its samples are one array object of shape ``(n, d1 * d2 * d3)``."""
+    form, where = where
+    doc = with_value(SAMPLE_DOCS[form], where, value)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "samples.json"
         path.write_text(json.dumps(doc))
@@ -1119,20 +1251,27 @@ def test_any_json_value_in_dims_or_a_sample_is_loaded_or_a_config_error(
         except ConfigError as exc:
             assert str(path) in str(exc)
             return
+    if form == "array":
+        assert samples.shape == (doc["samples"]["shape"][0], *doc["dims"])
+        return
     assert [s.shape for s in samples] == [tuple(doc["dims"])] * len(doc["samples"])
     assert all(type(v) in (int, float) for s in doc["samples"] for v in s)
 
 
-def tiny_checkpoint_doc():
-    """A checkpoint with one trunk layer and two stack layers, as JSON."""
-    net = init_network(2, [2], [2, 2], 2, np.random.default_rng(0))
+def resaved_doc(path):
+    """The document of the checkpoint at ``path`` loaded and saved again,
+    so as version 2."""
+    net, names = load_checkpoint(path)
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "model.json"
-        save_checkpoint(net, path, task_names=["a", "b"])
-        return load_json(path)
+        out = Path(tmp) / "model.json"
+        save_checkpoint(net, out, task_names=names)
+        return load_json(out)
 
 
-CHECKPOINT = tiny_checkpoint_doc()
+# A checkpoint with one trunk layer and two stack layers, as JSON: the
+# version-1 file, weights as flat lists, and its version-2 re-save.
+CHECKPOINTS = {"v1": load_json(V1_MODEL), "v2": resaved_doc(V1_MODEL)}
+NAN_BIAS = array_object([[0.5, np.nan, 1.0], [1.0, 2.0, 3.0]])
 
 
 def valid_task_names(names):
@@ -1144,29 +1283,46 @@ def valid_task_names(names):
     )
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.sampled_from(list(json_paths(CHECKPOINT))), JSON_VALUES)
-@example(("num_tasks",), 2.7)
-@example(("trunk", 0, "weight", 1), float("nan"))
-@example(("stack", "layers", 1, "bias", 0), "2")
-@example(("task_names",), ["a"])
-@example(("trunk", 0, "in_dim"), -1)
-@example(("input_dim",), 3)
-@example(("num_classes",), 1)
-@example(("stack", "layers", 0, "activation"), "softmax")
-@example(("stack", "layers", 1, "activation"), "relu")
-@example(("trunk",), {})
-@example(("stack",), [])
-@example(("stack", "layers"), {"0": {}})
-@example(("stack", "layer_ids"), "bottleneck")
-@example(("trunk", 0), [])
+@settings(max_examples=400, deadline=None)
+@given(
+    st.sampled_from(
+        [(v, p) for v, doc in CHECKPOINTS.items() for p in json_paths(doc)]
+    ),
+    JSON_VALUES,
+)
+@example(("v1", ("num_tasks",)), 2.7)
+@example(("v1", ("trunk", 0, "weight", 1)), float("nan"))
+@example(("v1", ("stack", "layers", 1, "bias", 0)), "2")
+@example(("v2", ("task_names",)), ["a"])
+@example(("v2", ("trunk", 0, "in_dim")), -1)
+@example(("v1", ("input_dim",)), 3)
+@example(("v2", ("num_classes",)), 1)
+@example(("v2", ("stack", "layers", 0, "activation")), "softmax")
+@example(("v1", ("stack", "layers", 1, "activation")), "relu")
+@example(("v2", ("trunk",)), {})
+@example(("v2", ("stack",)), [])
+@example(("v1", ("stack", "layers")), {"0": {}})
+@example(("v2", ("stack", "layer_ids")), "bottleneck")
+@example(("v1", ("trunk", 0)), [])
+@example(("v2", ("schema_version",)), 1)
+@example(("v1", ("trunk", 0, "bias")), array_object([0.5, 1.5]))
+@example(("v2", ("trunk", 0, "bias")), [0.5, 1.5])
+@example(("v2", ("trunk", 0, "weight", "dtype")), "<f4")
+@example(("v2", ("trunk", 0, "weight", "shape")), [4])
+@example(("v2", ("trunk", 0, "weight", "shape", 1)), -2)
+@example(("v2", ("stack", "layers", 1, "weight", "shape", 0)), 1)
+@example(("v2", ("stack", "layers", 1, "bias", "base64")), "AAAA")
+@example(("v2", ("stack", "layers", 1, "bias")), NAN_BIAS)
+@example(("v2", ("stack", "layers", 1, "bias", "base64")), NAN_BIAS["base64"] + "=")
 def test_any_json_value_in_any_checkpoint_field_loads_or_names_the_file(
     where, value
 ):
-    """A checkpoint loads into a finite net with the counts, dims, task
-    names and position-given activations it states, from layer lists
-    that are JSON lists, or raises an ``InputError`` naming the file."""
-    doc = with_value(CHECKPOINT, where, value)
+    """A checkpoint, version 1 or 2, loads into a finite net with the
+    counts, dims, task names and position-given activations it states,
+    from layer lists that are JSON lists, or raises an ``InputError``
+    naming the file."""
+    version, where = where
+    doc = with_value(CHECKPOINTS[version], where, value)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "model.json"
         path.write_text(json.dumps(doc))

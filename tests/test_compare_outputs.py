@@ -6,7 +6,11 @@ import io
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from oracles import array_object
+from relnet.network import load_checkpoint, save_checkpoint
 
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "compare_outputs.py"
 _SPEC = importlib.util.spec_from_file_location("compare_outputs", _PATH)
@@ -114,3 +118,112 @@ def test_command_line_exit_codes(tmp_path, capsys):
     assert compare_outputs.main([str(a), str(b)]) == 1
     assert compare_outputs.main([str(a), str(b), "--rtol", "1e-3"]) == 0
     assert "row 1, column 'objective'" in capsys.readouterr().out
+
+
+V1_MODEL = Path(__file__).parent / "data" / "model_v1.json"
+
+
+def checkpoint_dirs(tmp_path, change=None, version=1):
+    """Two output directories of one report: ``a`` holds the checkpoint
+    ``V1_MODEL`` as version 1 or resaved as version 2, ``b`` its
+    version-2 re-save with ``change`` applied to the JSON document."""
+    a = write_outputs(tmp_path / "a")
+    b = write_outputs(tmp_path / "b")
+    net, names = load_checkpoint(V1_MODEL)
+    for root in (a, b):
+        save_checkpoint(net, root / "model.json", task_names=names)
+    if version == 1:
+        (a / "model.json").write_bytes(V1_MODEL.read_bytes())
+    if change is not None:
+        doc = json.loads((b / "model.json").read_text())
+        change(doc)
+        (b / "model.json").write_text(json.dumps(doc))
+    return a, b
+
+
+def compare(a, b, rtol):
+    out = io.StringIO()
+    return compare_outputs.compare_dirs(a, b, rtol, out), out.getvalue()
+
+
+def test_v1_and_v2_checkpoints_of_one_net_agree_exactly(tmp_path):
+    """Flat weight lists against array objects of the same values pass
+    at ``rtol`` 0, and so do two version-2 files of one net."""
+    for version in (1, 2):
+        (tmp_path / str(version)).mkdir()
+        a, b = checkpoint_dirs(tmp_path / str(version), version=version)
+        assert compare(a, b, 0.0) == (
+            0,
+            "2 files agree within rtol 0; largest relative deviation 0\n",
+        )
+
+
+def one_ulp_up(doc):
+    """Move entry 3 of the classifier weights up by one ulp."""
+    entry = doc["stack"]["layers"][1]
+    arr = compare_outputs.check_type(entry["weight"], "list[float]", "w")
+    arr.flat[3] = np.nextafter(arr.flat[3], np.inf)
+    entry["weight"] = array_object(arr)
+
+
+@pytest.mark.parametrize("version", [1, 2])
+def test_one_ulp_in_an_array_object_is_within_rtol(tmp_path, version):
+    """An array object is compared number by number, with a list or
+    another array object: one ulp is a deviation within ``rtol``, and
+    beyond ``rtol`` 0 the entry is named."""
+    a, b = checkpoint_dirs(tmp_path, one_ulp_up, version)
+    code, out = compare(a, b, 1e-10)
+    assert code == 0, out
+    dev = float(out.rsplit(" ", 1)[1])
+    assert 0 < dev < 1e-15
+    code, out = compare(a, b, 0.0)
+    assert code == 1
+    assert out.startswith("model.json: $.stack.layers[1].weight[flat 3]: ")
+
+
+@pytest.mark.parametrize(
+    "version, change, named",
+    [
+        (
+            1,
+            lambda d: d["trunk"][0].update(bias=array_object([0.5])),
+            "$.trunk[0].bias: list of length 2 != array of shape [1]",
+        ),
+        (
+            2,
+            lambda d: d["trunk"][0].update(bias=[0.5, 1.0, 2.0]),
+            "$.trunk[0].bias: array of shape [2] != list of length 3",
+        ),
+        (
+            2,
+            lambda d: d["trunk"][0].update(bias=[[0.5], [1.0]]),
+            "$.trunk[0].bias: array of shape [2] != list of length 2",
+        ),
+        (
+            2,
+            lambda d: d["trunk"][0].update(bias="none"),
+            "$.trunk[0].bias: array of shape [2] != 'none'",
+        ),
+        (
+            2,
+            lambda d: d["trunk"][0]["weight"].update(shape=[4, 1]),
+            "$.trunk[0].weight: shape [2, 2] != [4, 1]",
+        ),
+    ],
+)
+def test_array_object_against_another_shape_or_value(
+    tmp_path, version, change, named
+):
+    a, b = checkpoint_dirs(tmp_path, change, version)
+    code, out = compare(a, b, 1e-10)
+    assert code == 1
+    assert out.startswith(f"model.json: {named}"), out
+
+
+def test_malformed_array_object_is_unreadable(tmp_path):
+    a, b = checkpoint_dirs(
+        tmp_path, lambda d: d["trunk"][0]["weight"].update(base64="AAAA")
+    )
+    code, out = compare(a, b, 1e-10)
+    assert code == 1
+    assert out.startswith("model.json: unreadable: $.trunk[0].weight.base64 holds 3")

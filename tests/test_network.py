@@ -1,12 +1,13 @@
 """Network forward/backward against finite differences and dense priors."""
 
+import base64
 import copy
 import json
 
 import numpy as np
 import pytest
 
-from oracles import dense_cov, solve_kron
+from oracles import dense_cov, solve_kron, task_log_loss
 from relnet.network import (
     DenseLayer,
     Gradients,
@@ -20,7 +21,6 @@ from relnet.network import (
     predict,
     prior_penalty,
     save_checkpoint,
-    task_log_loss,
     task_scores,
 )
 from relnet.serialize import InputError, load_json
@@ -347,40 +347,7 @@ class TestPrior:
             prior_penalty(net.stack, bad)
 
 
-class TestCheckpoint:
-    def test_roundtrip_preserves_behavior(self, tmp_path):
-        rng = np.random.default_rng(15)
-        net = init_network(6, [5], [4, 3], 2, rng)
-        path = tmp_path / "model.json"
-        save_checkpoint(net, path, task_names=["a", "b"])
-        loaded, names = load_checkpoint(path)
-        assert names == ["a", "b"]
-        x = rng.standard_normal((5, 6))
-        for t in range(2):
-            np.testing.assert_array_equal(forward(net, t, x), forward(loaded, t, x))
-
-    def test_bytes_stable(self, tmp_path):
-        rng = np.random.default_rng(16)
-        net = init_network(3, [], [2], 1, rng)
-        p1 = tmp_path / "a.json"
-        p2 = tmp_path / "b.json"
-        save_checkpoint(net, p1)
-        loaded, _ = load_checkpoint(p1)
-        save_checkpoint(loaded, p2)
-        assert p1.read_bytes() == p2.read_bytes()
-
-    def test_v1_bytes(self, tmp_path):
-        """The checkpoint text of a fixed net: field order, and ``relu``
-        for trunk and hidden stack layers, ``softmax`` for the last."""
-        stack = TaskLayerStack(
-            ["bottleneck", "classifier"],
-            [np.arange(4.0).reshape(2, 1, 2), np.arange(4.0).reshape(1, 2, 2) - 2],
-            [[[1.0], [2.0]], [[0.0, 1.0], [-1.0, 0.0]]],
-        )
-        net = MultiTaskNet([DenseLayer([[1.0, -2.0]], [0.0, 3.0])], stack)
-        path = tmp_path / "model.json"
-        save_checkpoint(net, path, task_names=["a", "b"])
-        assert path.read_text() == """\
+V1_TEXT = """\
 {
   "schema_version": 1,
   "input_dim": 1,
@@ -422,10 +389,134 @@ class TestCheckpoint:
 }
 """
 
+V2_TEXT = """\
+{
+  "schema_version": 2,
+  "input_dim": 1,
+  "num_classes": 2,
+  "num_tasks": 2,
+  "task_names": ["a", "b"],
+  "trunk": [
+    {
+      "in_dim": 1,
+      "out_dim": 2,
+      "activation": "relu",
+      "weight": {"dtype": "<f8", "shape": [1, 2], "base64": "AAAAAAAA8D8AAAAAAAAAwA=="},
+      "bias": {"dtype": "<f8", "shape": [2], "base64": "AAAAAAAAAAAAAAAAAAAIQA=="}
+    }
+  ],
+  "stack": {
+    "layer_ids": ["bottleneck", "classifier"],
+    "layers": [
+      {
+        "id": "bottleneck",
+        "num_tasks": 2,
+        "in_dim": 2,
+        "out_dim": 1,
+        "activation": "relu",
+        "weight": {"dtype": "<f8", "shape": [2, 1, 2], "base64": "AAAAAAAAAAAAAAAAAADwPwAAAAAAAABAAAAAAAAACEA="},
+        "bias": {"dtype": "<f8", "shape": [2, 1], "base64": "AAAAAAAA8D8AAAAAAAAAQA=="}
+      },
+      {
+        "id": "classifier",
+        "num_tasks": 2,
+        "in_dim": 1,
+        "out_dim": 2,
+        "activation": "softmax",
+        "weight": {"dtype": "<f8", "shape": [1, 2, 2], "base64": "AAAAAAAAAMAAAAAAAADwvwAAAAAAAAAAAAAAAAAA8D8="},
+        "bias": {"dtype": "<f8", "shape": [2, 2], "base64": "AAAAAAAAAAAAAAAAAADwPwAAAAAAAPC/AAAAAAAAAAA="}
+      }
+    ]
+  }
+}
+"""
+
+
+class TestCheckpoint:
+    def test_roundtrip_preserves_behavior(self, tmp_path):
+        rng = np.random.default_rng(15)
+        net = init_network(6, [5], [4, 3], 2, rng)
+        path = tmp_path / "model.json"
+        save_checkpoint(net, path, task_names=["a", "b"])
+        loaded, names = load_checkpoint(path)
+        assert names == ["a", "b"]
+        x = rng.standard_normal((5, 6))
+        for t in range(2):
+            np.testing.assert_array_equal(forward(net, t, x), forward(loaded, t, x))
+
+    def test_bytes_stable(self, tmp_path):
+        rng = np.random.default_rng(16)
+        net = init_network(3, [], [2], 1, rng)
+        p1 = tmp_path / "a.json"
+        p2 = tmp_path / "b.json"
+        save_checkpoint(net, p1)
+        loaded, _ = load_checkpoint(p1)
+        save_checkpoint(loaded, p2)
+        assert p1.read_bytes() == p2.read_bytes()
+
+    def fixed_net(self):
+        stack = TaskLayerStack(
+            ["bottleneck", "classifier"],
+            [np.arange(4.0).reshape(2, 1, 2), np.arange(4.0).reshape(1, 2, 2) - 2],
+            [[[1.0], [2.0]], [[0.0, 1.0], [-1.0, 0.0]]],
+        )
+        return MultiTaskNet([DenseLayer([[1.0, -2.0]], [0.0, 3.0])], stack)
+
+    def test_v1_bytes(self, tmp_path):
+        """The version-1 text of the fixed net, each array a flat
+        row-major list, loads into that net."""
+        path = tmp_path / "model.json"
+        path.write_text(V1_TEXT)
+        loaded, names = load_checkpoint(path)
+        assert names == ["a", "b"]
+        want = param_arrays(self.fixed_net())
+        for (_, got), (_, arr) in zip(param_arrays(loaded), want):
+            assert got.shape == arr.shape and got.tolist() == arr.tolist()
+
+    def test_v2_bytes(self, tmp_path):
+        """The checkpoint text of the fixed net: field order, ``relu``
+        for trunk and hidden stack layers, ``softmax`` for the last, and
+        each array an object of its own shape holding its little-endian
+        float64 bytes in base64."""
+        path = tmp_path / "model.json"
+        save_checkpoint(self.fixed_net(), path, task_names=["a", "b"])
+        assert path.read_text() == V2_TEXT
+        weight = load_json(path)["trunk"][0]["weight"]
+        want = np.array([1.0, -2.0], dtype="<f8").tobytes()
+        assert base64.b64decode(weight["base64"]) == want
+
+    def test_load_gives_back_the_saved_bits(self, tmp_path):
+        """Every parameter comes back bit for bit, ``-0.0`` and
+        subnormals included."""
+        net = init_network(6, [5], [4, 3], 2, np.random.default_rng(18))
+        net.params[::7] = -0.0
+        net.params[1::7] = 5e-324 * np.arange(1, net.params[1::7].size + 1)
+        path = tmp_path / "model.json"
+        save_checkpoint(net, path)
+        assert load_checkpoint(path)[0].params.tobytes() == net.params.tobytes()
+
+    def test_non_finite_parameter_writes_no_file(self, tmp_path):
+        net = init_network(3, [2], [2, 2], 2, np.random.default_rng(19))
+        net.stack.weights[1][0, 1, 1] = np.inf
+        path = tmp_path / "model.json"
+        with pytest.raises(ValueError, match="non-finite value inf"):
+            save_checkpoint(net, path)
+        assert not path.exists()
+
     def test_schema_version_checked(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"schema_version": 99}')
         with pytest.raises(ValueError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("version", [True, 1.0, 2.0, "2", 3, None])
+    def test_schema_version_is_the_integer_1_or_2(self, tmp_path, version):
+        path = tmp_path / "model.json"
+        save_checkpoint(init_network(3, [], [2], 1, np.random.default_rng(20)), path)
+        doc = load_json(path)
+        doc["schema_version"] = version
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InputError, match="unsupported checkpoint schema"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("section", ["trunk", "stack"])

@@ -1,6 +1,8 @@
 """Whole-array JSON emission against the element-by-element list path,
-and the whole-array ``list[float]`` rule against the per-item rule."""
+the whole-array ``list[float]`` rule against the per-item rule, and the
+binary array object against its bytes."""
 
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -11,8 +13,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
+from oracles import array_object
 from relnet.network import init_network, load_checkpoint, save_checkpoint
 from relnet.serialize import (
+    BinaryArray,
     ConfigError,
     check_task_names,
     check_type,
@@ -105,10 +109,10 @@ class TestWholeArrayEmission:
 
     @pytest.mark.parametrize("size", [4095, 4096, 4097, 2 * 4096 + 3])
     def test_rows_longer_than_a_chunk(self, size, tmp_path):
-        """Rows are formatted a chunk at a time and ``dump_json`` streams
-        them: the text is the value-by-value join, also for ``-0.0``,
-        subnormals and values near the double range, and the file holds
-        the bytes of ``dumps_json``."""
+        """Rows of more than 4096 values, formatted by one join each: the
+        text is the value-by-value join, also for ``-0.0``, subnormals
+        and values near the double range, and the file written by
+        ``dump_json`` holds the bytes of ``dumps_json``."""
         rng = np.random.default_rng(size)
         row = rng.standard_normal(size)
         row[::7] = -0.0
@@ -138,6 +142,107 @@ def test_checkpoint_round_trip_is_byte_stable(data):
         loaded, names = load_checkpoint(first)
         save_checkpoint(loaded, second, task_names=names)
         assert first.read_bytes() == second.read_bytes()
+
+
+def decoded(arr, where="w.weight"):
+    """``arr`` written as a :class:`BinaryArray` and read back."""
+    return check_type(json.loads(dumps_json(BinaryArray(arr))), "list[float]", where)
+
+
+class TestBinaryArray:
+    @settings(max_examples=200, deadline=None)
+    @given(arrays(np.float64, array_shapes(max_dims=3, min_side=0), elements=FINITE))
+    @example(np.array([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308]))
+    @example(np.array([[1.7976931348623157e308, -0.0]]))
+    def test_property_decode_of_encode_is_bit_identical(self, arr):
+        """Any finite float64 array, ``-0.0`` and subnormals included,
+        comes back with its shape and its exact bits, as a writable
+        native float64 array; the object is one line."""
+        got = decoded(arr)
+        assert got.shape == arr.shape and got.dtype == np.float64
+        assert got.tobytes() == arr.tobytes()
+        assert got.flags.writeable
+        assert "\n" not in BinaryArray(arr).json()
+
+    def test_layout(self):
+        """Little-endian float64, row-major, standard base64, one line."""
+        arr = np.array([[1.0, -2.0, 0.5], [-0.0, 3.0, 4.0]])
+        want = array_object(arr)["base64"]
+        assert dumps_json({"w": BinaryArray(arr)}) == (
+            '{\n  "w": {"dtype": "<f8", "shape": [2, 3], "base64": "%s"}\n}\n' % want
+        )
+        assert BinaryArray(arr.T).json() == BinaryArray(arr.T.copy()).json()
+        assert BinaryArray(arr.astype(np.float32)).json() == BinaryArray(arr).json()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_raises_format_float_error(self, bad):
+        with pytest.raises(ValueError) as want:
+            format_float(bad)
+        with pytest.raises(ValueError) as got:
+            BinaryArray(np.array([[0.0, 1.0], [bad, np.nan]]))
+        assert str(got.value) == str(want.value)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        arrays(np.float64, st.integers(1, 12), elements=FINITE),
+        st.sampled_from(["truncate", "padding", "alphabet", "nan"]),
+        st.data(),
+    )
+    def test_property_bad_payload_names_where(self, arr, kind, data):
+        """A truncated, wrongly padded, non-alphabet or NaN-carrying
+        payload raises ``ConfigError`` naming the field."""
+        obj = array_object(arr)
+        text = obj["base64"]
+        if kind == "truncate":
+            obj["base64"] = text[: data.draw(st.integers(0, len(text) - 1))]
+        elif kind == "padding":
+            stripped = text.rstrip("=")
+            pads = [k for k in range(4) if k != len(text) - len(stripped)]
+            obj["base64"] = stripped + "=" * data.draw(st.sampled_from(pads))
+        elif kind == "alphabet":
+            at = data.draw(st.integers(0, len(text)))
+            char = data.draw(st.sampled_from(list("-_.*!~ \n\t\x00é")))
+            obj["base64"] = text[:at] + char + text[at:]
+        else:
+            j = data.draw(st.integers(0, arr.size - 1))
+            bad = data.draw(st.sampled_from([np.nan, np.inf, -np.inf, -np.nan]))
+            arr = arr.copy()
+            arr[j] = bad
+            obj = array_object(arr)
+        with pytest.raises(ConfigError, match=r"^w\.weight[ .]") as exc:
+            check_type(obj, "list[float]", "w.weight")
+        if kind == "nan":
+            assert str(exc.value).startswith(f"w.weight entry {j} must be a finite")
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"dtype": "<f4"}, 'w.dtype must be "<f8", got \'<f4\''),
+            ({"dtype": ">f8"}, 'w.dtype must be "<f8"'),
+            ({"shape": [2, -3]}, "w.shape[1] must be at least 0, got -3"),
+            ({"shape": [2, 3.0]}, "w.shape[1] must be an integer"),
+            ({"shape": [True, 6]}, "w.shape[0] must be an integer"),
+            ({"shape": 6}, "w.shape must be a list"),
+            ({"shape": [7]}, "w.base64 holds 48 bytes, but shape [7] needs 56"),
+            ({"shape": [0, 10**30]}, "w.base64 holds 48 bytes, but shape"),
+            ({"base64": 5}, "w.base64 must be a string"),
+            ({"base64": "AAAAAAAAAAB="}, "w.base64 is not base64: not the standard"),
+            ({"extra": 1}, "w must be a list or an object with keys dtype, shape"),
+        ],
+    )
+    def test_malformed_object_names_the_key(self, change, message):
+        obj = {**array_object(np.arange(6.0).reshape(2, 3)), **change}
+        with pytest.raises(ConfigError) as exc:
+            check_type(obj, "list[float]", "w")
+        assert str(exc.value).startswith(message)
+
+    def test_empty_shapes_and_a_shape_beyond_numpy(self):
+        for shape in [(0, 3), (), (2, 0, 1)]:
+            got = check_type(array_object(np.zeros(shape)), "list[float]", "w")
+            assert got.shape == shape
+        obj = {"dtype": "<f8", "shape": [0, 10**30], "base64": ""}
+        with pytest.raises(ConfigError, match=r"^w\.shape \[0, 10+\]: "):
+            check_type(obj, "list[float]", "w")
 
 
 JSON_SCALARS = (

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from oracles import backward, per_batch_sgd_epoch, solve_kron
+from oracles import backward, per_batch_sgd_epoch, solve_kron, task_log_loss
 from relnet import network, tensor_normal, trainer
 from relnet.data import MultiTaskDataset, SyntheticSpec, generate_synthetic
 from relnet.network import forward, init_network, prior_penalty
@@ -640,7 +640,7 @@ def spelled_out_objective(net, cov, data, cfg):
     """The epoch objective spelled out: the summed cross-entropy of every
     task plus ``prior_weight`` times the prior penalty."""
     losses = [
-        network.task_log_loss(net, t, data.features[t], data.labels[t])
+        task_log_loss(net, t, data.features[t], data.labels[t])
         for t in range(data.num_tasks)
     ]
     return float(sum(losses)) + cfg.prior_weight * prior_penalty(
@@ -803,7 +803,7 @@ class TestTrain:
             x, y = data.features[t], data.labels[t]
             assert last.train_accuracy[t] == network.accuracy(net, t, x, y)
             assert network.task_scores(net, t, x, y) == (
-                network.task_log_loss(net, t, x, y),
+                task_log_loss(net, t, x, y),
                 network.accuracy(net, t, x, y),
             )
 

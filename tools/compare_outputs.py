@@ -16,6 +16,13 @@ file names.
   lists the same length, and strings, booleans and nulls must be
   equal.  Numbers must agree within ``rtol``, except under a
   ``train_acc_*`` or ``test_acc_*`` key, where they must be equal.
+  An array object (``{"dtype": "<f8", "shape": [...], "base64":
+  "..."}``, as checkpoint version 2 writes weights) is decoded by
+  ``relnet.serialize.check_type`` and compared entry by entry, within
+  ``rtol``, with another array object of the same shape or with a flat
+  list of as many numbers (as checkpoint version 1 writes them).  The
+  values of ``schema_version`` keys are not compared: they name how the
+  numbers are written, not what they are.
 * Any other file must be equal byte for byte.
 
 Two numbers agree within ``rtol`` when ``|a - b| <= rtol * scale``.
@@ -26,7 +33,8 @@ judged against the size of its neighbours.
 
 For each file that differs, the first differing cell is printed.
 Exit 0 when every file agrees, printing the largest relative deviation
-seen, and 1 otherwise.  Needs only numpy and the standard library.
+seen, and 1 otherwise.  Needs numpy, the standard library and the
+``relnet`` package of this checkout.
 """
 
 from __future__ import annotations
@@ -39,6 +47,10 @@ import sys
 from pathlib import Path
 
 import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from relnet.serialize import check_type  # noqa: E402
 
 SKIPPED = {"timings.csv"}
 EXACT_PREFIXES = ("train_acc_", "test_acc_")
@@ -88,7 +100,22 @@ class Comparer:
                 f"(relative deviation {dev[i]:.3g} > {self.rtol:g})"
             )
 
+    def array(self, a, b, path: str, exact: bool) -> None:
+        """Compare an array object with another or with a flat list."""
+        x, y = (_flat_array(v, path) for v in (a, b))
+        if x is None or y is None or x.size != y.size:
+            raise Mismatch(f"{path}: {_describe(a)} != {_describe(b)}")
+        if _is_array(a) and _is_array(b) and a["shape"] != b["shape"]:
+            raise Mismatch(f"{path}: shape {a['shape']} != {b['shape']}")
+        if not exact:
+            self.numbers(x, y, lambda i: f"{path}[flat {i}]")
+        elif x.tolist() != y.tolist():
+            raise Mismatch(f"{path}: arrays differ (must be equal)")
+
     def json(self, a, b, path: str, exact: bool = False) -> None:
+        if _is_array(a) or _is_array(b):
+            self.array(a, b, path, exact)
+            return
         if _is_number(a) and _is_number(b):
             if exact:
                 if a != b:
@@ -102,7 +129,8 @@ class Comparer:
             if list(a) != list(b):
                 raise Mismatch(f"{path}: keys {list(a)} != {list(b)}")
             for key in a:
-                self.json(a[key], b[key], f"{path}.{key}", exact or _exact(key))
+                if key != "schema_version":
+                    self.json(a[key], b[key], f"{path}.{key}", exact or _exact(key))
             return
         if isinstance(a, list):
             if len(a) != len(b):
@@ -141,6 +169,30 @@ class Comparer:
                         raise Mismatch(f"{where(i)}: {x!r} != {y!r} (must be equal)")
                 continue
             self.numbers(nums_a, nums_b, where)
+
+
+def _is_array(value) -> bool:
+    return type(value) is dict and set(value) == {"dtype", "shape", "base64"}
+
+
+def _flat_array(value, path: str):
+    """The entries of an array object, or of a flat list of numbers, as
+    one flat float array; None for any other value.  A malformed array
+    object raises ``relnet.serialize.ConfigError``, a ``ValueError``."""
+    if _is_array(value):
+        return check_type(value, "list[float]", path).ravel()
+    if type(value) is list and all(map(_is_number, value)):
+        return np.asarray(value, dtype=float)
+    return None
+
+
+def _describe(value) -> str:
+    """An array object's shape, a list's length, or the value itself."""
+    if _is_array(value):
+        return f"array of shape {value['shape']}"
+    if type(value) is list:
+        return f"list of length {len(value)}"
+    return repr(value)
 
 
 def _numeric_leaves(value):
