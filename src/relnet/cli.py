@@ -28,6 +28,7 @@ import argparse
 import errno
 import math
 import os
+import reprlib
 import sys
 from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
@@ -55,6 +56,7 @@ from .serialize import (
     format_floats,
     load_json,
     output_errors,
+    read_object,
 )
 from .tensor_normal import (
     EstimationError,
@@ -138,41 +140,22 @@ class ExperimentConfig:
     output_dir: Path | None
 
 
-def _require(doc, where: str, required, optional) -> None:
-    """Check that ``doc`` is a JSON object holding every ``required`` key
-    and no key outside ``required`` and ``optional``."""
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{where}: expected a JSON object")
-    unknown = sorted(set(doc) - set(required) - set(optional))
-    if unknown:
-        raise ConfigError(f"{where}: unknown keys {unknown}")
-    missing = sorted(set(required) - set(doc))
-    if missing:
-        raise ConfigError(f"{where}: missing keys {missing}")
-
-
 def _parse_section(cls, doc, where: str):
     """Build the dataclass ``cls`` from the JSON object ``doc`` at
     ``where`` (``config.<section>``).
 
-    The field table is ``dataclasses.fields(cls)``: a field without a
-    default is required, a key that names no field is an error, and each
-    value must pass :func:`~relnet.serialize.check_type` for its field's
-    annotation.  Bounds live only in ``cls.__post_init__``, whose
-    ``ValueError`` message starts with the field's name, so every error
-    reads ``config.<section>.<field> ...``.
+    The field table is ``dataclasses.fields(cls)``, read by
+    :func:`~relnet.serialize.read_object`: a field without a default is
+    required, and each value must pass its field's annotation.  Bounds
+    live only in ``cls.__post_init__``, whose ``ValueError`` message
+    starts with the field's name, so every error reads
+    ``config.<section>.<field> ...``.
     """
-    table = {f.name: f for f in fields(cls)}
-    required = [
-        name
-        for name, f in table.items()
-        if f.default is MISSING and f.default_factory is MISSING
-    ]
-    _require(doc, where, required, table)
-    kwargs = {
-        key: check_type(value, table[key].type, f"{where}.{key}")
-        for key, value in doc.items()
-    }
+    required, optional = {}, {}
+    for f in fields(cls):
+        has_default = f.default is not MISSING or f.default_factory is not MISSING
+        (optional if has_default else required)[f.name] = f.type
+    kwargs = read_object(doc, where, required, optional)
     try:
         return cls(**kwargs)
     except ValueError as exc:
@@ -186,24 +169,13 @@ def parse_experiment_config(doc, base_dir) -> ExperimentConfig:
     ``config.<section>.<field>``.
     """
     base_dir = Path(base_dir)
-    _require(
-        doc,
-        "config",
-        required=("schema_version", "variant", "data"),
-        optional=("split", "model", "train", "output_dir"),
-    )
-    if doc["schema_version"] != CONFIG_SCHEMA_VERSION:
-        raise ConfigError(
-            f"config.schema_version: unsupported value {doc['schema_version']!r}"
-        )
+    required = {"schema_version": (CONFIG_SCHEMA_VERSION,), "variant": VARIANTS}
+    optional = {"split": "dict", "model": "dict", "train": "dict", "output_dir": "str"}
+    doc = read_object(doc, "config", {**required, "data": "dict"}, optional)
     variant = doc["variant"]
-    if variant not in VARIANTS:
-        raise ConfigError(
-            f"config.variant: expected one of {list(VARIANTS)}, got {variant!r}"
-        )
-
-    data = doc["data"]
-    _require(data, "config.data", required=(), optional=("manifest", "synthetic"))
+    data = read_object(
+        doc["data"], "config.data", {}, {"manifest": "str", "synthetic": "dict"}
+    )
     if ("manifest" in data) == ("synthetic" in data):
         raise ConfigError(
             "config.data: exactly one of 'manifest' or 'synthetic' is required"
@@ -211,7 +183,7 @@ def parse_experiment_config(doc, base_dir) -> ExperimentConfig:
     manifest = None
     synthetic = None
     if "manifest" in data:
-        manifest = base_dir / check_type(data["manifest"], "str", "config.data.manifest")
+        manifest = base_dir / data["manifest"]
     else:
         synthetic = _parse_section(
             SyntheticSpec, data["synthetic"], "config.data.synthetic"
@@ -238,7 +210,7 @@ def parse_experiment_config(doc, base_dir) -> ExperimentConfig:
 
     output_dir = None
     if "output_dir" in doc:
-        output_dir = base_dir / check_type(doc["output_dir"], "str", "config.output_dir")
+        output_dir = base_dir / doc["output_dir"]
 
     return ExperimentConfig(
         variant=variant,
@@ -378,13 +350,15 @@ def _sample_rows(samples: list, total: int, path: Path) -> np.ndarray:
     )
     out = np.empty((fits, total)) if fits else None
     for i, flat in enumerate(samples[:fits]):
-        out[i] = check_type(flat, "list[float]", f"{path}: sample {i}")
+        out[i] = check_type(flat, "list[float]", f"{path}: samples[{i}]")
     if fits < len(samples):
         bad = samples[fits]
         if not isinstance(bad, list):
-            raise ConfigError(f"{path}: sample {fits} must be a list, got {bad!r}")
+            raise ConfigError(
+                f"{path}: samples[{fits}] must be a list, got {reprlib.repr(bad)}"
+            )
         raise ConfigError(
-            f"{path}: sample {fits} has {len(bad)} entries, expected {total}"
+            f"{path}: samples[{fits}] has {len(bad)} entries, expected {total}"
         )
     return out
 
@@ -407,10 +381,12 @@ def _load_tnd_samples(path: Path) -> np.ndarray:
     thresholds, and Dutilleul (1999) the matrix case.  Every rejection
     is a :class:`ConfigError` naming ``path``.
     """
-    doc = load_json(path)
-    _require(doc, str(path), required=("dims", "samples"), optional=())
-    dims = check_type(doc["dims"], "list[int]", f"{path}: dims")
-    if len(dims) != 3 or min(dims) < 1:
+    # ``samples`` is checked below, in one pass of either form.
+    doc = read_object(
+        load_json(path), f"{path}:", {"dims": "list[count]", "samples": "any"}
+    )
+    dims = doc["dims"]
+    if len(dims) != 3:
         raise ConfigError(f"{path}: dims must be three positive integers")
     total = math.prod(dims)
     samples = doc["samples"]
@@ -548,14 +524,12 @@ def cmd_eval(args) -> int:
 def cmd_export_relationship(args) -> int:
     """Re-emit a stored relationship matrix as JSON or CSV."""
     path = Path(args.model_dir) / f"relationship_{args.layer}.json"
-    if not path.exists():
-        raise ConfigError(f"no such file: {path}")
     doc = load_json(path)
     # Any other key is allowed: JSON export re-emits the document as read.
-    _require(doc, str(path), ("task_names", "correlation"), optional=doc)
-    names = check_type(doc["task_names"], "list[str]", f"{path}: task_names")
+    known = {"task_names": "list[str]", "correlation": "list[list[float]]"}
+    read = read_object(doc, f"{path}:", known, others="any")
+    names, corr = read["task_names"], read["correlation"]
     check_task_names(names, lambda msg: ConfigError(f"{path}: task_names: {msg}"))
-    corr = check_type(doc["correlation"], "list[list[float]]", f"{path}: correlation")
     if len(corr) != len(names) or any(row.size != len(names) for row in corr):
         raise ConfigError(f"{path}: correlation must have one row and column per task")
 

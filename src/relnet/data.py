@@ -24,11 +24,11 @@ from .network import softmax
 from .serialize import (
     InputError,
     check_task_names,
-    check_type,
     dump_json,
     format_floats,
     load_json,
     open_text,
+    read_object,
 )
 from .tensor_normal import KronCovariance, SpdFactor, TensorNormal, sample
 
@@ -252,32 +252,35 @@ def load_manifest(path) -> MultiTaskDataset:
 
     The manifest lists task names and CSV paths (relative to its own
     directory) plus the class count; the feature dim, when present, is
-    validated against the loaded data.  Both counts must be JSON
-    integers (:func:`~relnet.serialize.check_type`).  Every error names
-    the manifest: one from a task file or from the tasks it lists reads
+    validated against the loaded data.  The manifest and each of its
+    tasks are read by :func:`~relnet.serialize.read_object`, so an
+    unknown or missing key, or a value of the wrong JSON type, raises a
+    :class:`~relnet.serialize.ConfigError` naming the manifest and the
+    key path (``<manifest>: tasks[0].path must be a string, got 5``).
+    An error from a task file or from the tasks it lists reads
     ``<manifest>: <message of load_csv>``.
     """
     path = Path(path)
-    doc = load_json(path)
-    if not isinstance(doc, dict):
-        raise DatasetError(f"{path}: manifest must be a JSON object")
-    if doc.get("schema_version") != MANIFEST_SCHEMA_VERSION:
-        raise DatasetError(
-            f"{path}: unsupported manifest schema {doc.get('schema_version')!r}"
-        )
+    doc = read_object(
+        load_json(path),
+        f"{path}:",
+        {
+            "schema_version": (MANIFEST_SCHEMA_VERSION,),
+            "num_classes": "int",
+            "tasks": "list[dict]",
+        },
+        {"feature_dim": "int"},
+    )
+    tasks = [
+        read_object(entry, f"{path}: tasks[{i}]", {"name": "str", "path": "str"})
+        for i, entry in enumerate(doc["tasks"])
+    ]
+    files = [path.parent / task["path"] for task in tasks]
     try:
-        num_classes = check_type(doc["num_classes"], "int", "num_classes")
-        tasks = doc["tasks"]
-        names = [entry["name"] for entry in tasks]
-        files = [path.parent / entry["path"] for entry in tasks]
-        feature_dim = check_type(doc.get("feature_dim", 0), "int", "feature_dim")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DatasetError(f"{path}: malformed manifest: {exc}") from None
-    try:
-        ds = load_csv(files, num_classes, task_names=names)
+        ds = load_csv(files, doc["num_classes"], [task["name"] for task in tasks])
     except DatasetError as exc:
         raise DatasetError(f"{path}: {exc}") from None
-    if "feature_dim" in doc and feature_dim != ds.feature_dim:
+    if doc.get("feature_dim", ds.feature_dim) != ds.feature_dim:
         raise DatasetError(
             f"{path}: manifest feature_dim {doc['feature_dim']} != data "
             f"{ds.feature_dim}"
@@ -441,8 +444,12 @@ class SyntheticSpec:
                 f"{n} x {n} matrix"
             ) from None
         self.task_covariance = cov
-        if self.task_names is not None and len(self.task_names) != n:
-            raise ValueError("task_names must have one entry per task")
+        if self.task_names is not None:
+            check_task_names(
+                self.task_names, lambda msg: ValueError(f"task_names: {msg}")
+            )
+            if len(self.task_names) != n:
+                raise ValueError("task_names must have one entry per task")
 
 
 def sample_task_data(

@@ -24,11 +24,11 @@ import numpy as np
 
 from .serialize import (
     BinaryArray,
-    InputError,
+    ConfigError,
     check_task_names,
-    check_type,
     dump_json,
     load_json,
+    read_object,
 )
 from .tensor import mode_product
 from .tensor_normal import KronCovariance
@@ -589,109 +589,103 @@ def save_checkpoint(net: MultiTaskNet, path, task_names=None) -> None:
     dump_json(doc, path)
 
 
-def _dim(value, where: str) -> int:
-    """A dim or count read from a checkpoint: a JSON integer of at least 1."""
-    n = check_type(value, "int", where)
-    if n < 1:
-        raise ValueError(f"{where} must be at least 1, got {n}")
-    return n
-
-
 def _activation_per_layer(n: int) -> list:
     """The activation of each of ``n`` stack layers: ReLU, then softmax."""
     return ["relu"] * (n - 1) + ["softmax"]
 
 
 def _layer_from_doc(entry, where: str, activation: str, *tasks) -> tuple:
-    """``(weight, bias)`` of a layer written by :func:`_layer_doc`, which
-    must name ``activation``; ``tasks`` is ``(T,)`` for a stack layer,
-    whose weight is ``(in_dim, out_dim, T)`` and bias ``(T, out_dim)``,
-    and whose own ``num_tasks`` must be ``T``."""
-    if entry["activation"] != activation:
-        raise ValueError(
-            f"{where}: unsupported activation {entry['activation']!r}, "
-            f"expected {activation!r}"
-        )
-    for t in tasks:
-        n = _dim(entry["num_tasks"], f"{where}.num_tasks")
-        if n != t:
-            raise ValueError(f"{where}.num_tasks is {n}, but num_tasks is {t}")
-    din = _dim(entry["in_dim"], f"{where}.in_dim")
-    dout = _dim(entry["out_dim"], f"{where}.out_dim")
-    return (
-        _array(entry, "weight", where, (din, dout, *tasks)),
-        _array(entry, "bias", where, (*tasks, dout)),
-    )
-
-
-def _array(entry, key: str, where: str, shape: tuple) -> np.ndarray:
-    """``entry[key]`` as an array of ``shape``: an array object of that
-    shape, or a JSON list of its entries flattened row-major."""
-    value = entry[key]
-    arr = check_type(value, "list[float]", f"{where}.{key}")
-    want = (math.prod(shape),) if type(value) is list else shape
-    if arr.shape != want:
-        raise ValueError(
-            f"{where}.{key} has shape {list(arr.shape)}, but the layer's dims "
-            f"give {list(want)}"
-        )
-    return arr.reshape(shape)
+    """``(weight, bias)`` of the layer written by :func:`_layer_doc` at
+    ``where``, which must name ``activation``; ``tasks`` is ``(T,)`` for
+    a stack layer, whose own ``num_tasks`` must be ``T``, whose weight
+    is ``(in_dim, out_dim, T)`` and whose bias is ``(T, out_dim)``.
+    Each array is an array object of that shape or a JSON list of its
+    entries flattened row-major."""
+    table = {
+        "in_dim": "count",
+        "out_dim": "count",
+        "activation": (activation,),
+        "weight": "list[float]",
+        "bias": "list[float]",
+    }
+    if tasks:
+        # A tuple annotation takes exactly its values: here ``T``.
+        table.update(id="str", num_tasks=tasks)
+    layer = read_object(entry, where, table)
+    din, dout = layer["in_dim"], layer["out_dim"]
+    arrays = []
+    for key, shape in (("weight", (din, dout, *tasks)), ("bias", (*tasks, dout))):
+        want = (math.prod(shape),) if type(entry[key]) is list else shape
+        if layer[key].shape != want:
+            raise ConfigError(
+                f"{where}.{key} has shape {list(layer[key].shape)}, but the "
+                f"layer's dims give {list(want)}"
+            )
+        arrays.append(layer[key].reshape(shape))
+    return tuple(arrays)
 
 
 def load_checkpoint(path) -> tuple:
     """Read a checkpoint of ``schema_version`` 1 or 2; returns ``(net,
     task_names)``.
 
-    ``trunk``, ``stack.layers`` and ``stack.layer_ids`` must be JSON
-    lists, of objects, objects and strings, and ``stack`` an object.
-    Counts and dims must be JSON integers of at least 1, each stack
-    layer's ``num_tasks`` equal to the top-level one, ``input_dim`` and
-    ``num_classes`` equal to what the layer shapes give, every
-    ``activation`` ``relu`` but the last stack layer's ``softmax``,
-    weights and biases ``list[float]`` values
+    The document, its ``stack`` and each layer are read by
+    :func:`~relnet.serialize.read_object`, so every key is known and
+    ``trunk``, ``stack.layers`` and ``stack.layer_ids`` are JSON lists
+    of objects, objects and strings.  Dims and counts must be JSON
+    integers of at least 1, each stack layer's ``num_tasks`` equal to
+    the top-level one, ``input_dim`` and ``num_classes`` equal to what
+    the layer shapes give, every ``activation`` ``relu`` but the last
+    stack layer's ``softmax``, weights and biases ``list[float]`` values
     (:func:`~relnet.serialize.check_type`) of the shape the layer's dims
     give: array objects, as version 2 writes them, or lists of finite
     JSON numbers flattened row-major, as version 1 did.  ``task_names``
-    is null or one name per task under
+    is optional, and null or one name per task under
     :func:`~relnet.serialize.check_task_names`.  A file that cannot be
     read, parsed or built into a network raises
-    :class:`~relnet.serialize.InputError` naming ``path``.
+    :class:`~relnet.serialize.InputError` naming ``path`` and the key.
     """
-    doc = load_json(path)
-    if not isinstance(doc, dict):
-        raise InputError(f"{path}: checkpoint must be a JSON object")
-    version = doc.get("schema_version")
-    # Version 1 differs only in writing each array as a flat JSON list.
-    if type(version) is not int or version not in (1, 2):
-        raise InputError(f"{path}: unsupported checkpoint schema: {version!r}")
+    top = {
+        # Version 1 differs only in writing each array as a flat list.
+        "schema_version": (1, 2),
+        "input_dim": "int",
+        "num_classes": "int",
+        "num_tasks": "count",
+        "trunk": "list[dict]",
+        "stack": "dict",
+    }
+    doc = read_object(
+        load_json(path), f"{path}:", top, {"task_names": "list[str] | None"}
+    )
+    trunk = [
+        DenseLayer(*_layer_from_doc(entry, f"{path}: trunk[{i}]", "relu"))
+        for i, entry in enumerate(doc["trunk"])
+    ]
+    keys = {"layer_ids": "list[str]", "layers": "list[dict]"}
+    stack = read_object(doc["stack"], f"{path}: stack", keys)
+    entries = stack["layers"]
+    acts = _activation_per_layer(len(entries))
+    layers = [
+        _layer_from_doc(entry, f"{path}: stack.layers[{i}]", act, doc["num_tasks"])
+        for i, (entry, act) in enumerate(zip(entries, acts))
+    ]
+    ids = [entry["id"] for entry in entries]
+    if ids != stack["layer_ids"]:
+        raise ConfigError(f"{path}: stack.layer_ids must be the layers' ids {ids}")
     try:
-        trunk = [
-            DenseLayer(*_layer_from_doc(entry, f"trunk[{i}]", "relu"))
-            for i, entry in enumerate(check_type(doc["trunk"], "list[dict]", "trunk"))
-        ]
-        num_tasks = _dim(doc["num_tasks"], "num_tasks")
-        stack_doc = check_type(doc["stack"], "dict", "stack")
-        entries = check_type(stack_doc["layers"], "list[dict]", "stack.layers")
-        layers = [
-            _layer_from_doc(entry, f"stack.layers[{i}]", act, num_tasks)
-            for i, (entry, act) in enumerate(
-                zip(entries, _activation_per_layer(len(entries)))
+        net = MultiTaskNet(
+            trunk, TaskLayerStack(ids, [w for w, _ in layers], [b for _, b in layers])
+        )
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+    for key in ("input_dim", "num_classes"):
+        if doc[key] != getattr(net, key):
+            raise ConfigError(
+                f"{path}: {key} is {doc[key]}, but the layers give {getattr(net, key)}"
             )
-        ]
-        ids = [entry["id"] for entry in entries]
-        if ids != check_type(stack_doc["layer_ids"], "list[str]", "stack.layer_ids"):
-            raise ValueError("stack ids are inconsistent")
-        stack = TaskLayerStack(ids, [w for w, _ in layers], [b for _, b in layers])
-        net = MultiTaskNet(trunk, stack)
-        counts = {"input_dim": net.input_dim, "num_classes": net.num_classes}
-        for key, have in counts.items():
-            if check_type(doc[key], "int", key) != have:
-                raise ValueError(f"{key} is {doc[key]}, but the layers give {have}")
-        names = check_type(doc.get("task_names"), "list[str] | None", "task_names")
-        if names is not None:
-            if len(names) != num_tasks:
-                raise ValueError("task_names must have one entry per task")
-            check_task_names(names)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise InputError(f"{path}: malformed checkpoint: {exc}") from None
+    names = doc.get("task_names")
+    if names is not None:
+        if len(names) != net.num_tasks:
+            raise ConfigError(f"{path}: task_names must have one entry per task")
+        check_task_names(names, lambda msg: ConfigError(f"{path}: task_names: {msg}"))
     return net, names

@@ -20,9 +20,12 @@ written, one array at a time.
 Every input file is opened by :func:`open_text`, and every JSON document
 read by :func:`load_json`, which raise an :class:`InputError` naming the
 file; :func:`output_errors` does the same for the command line's
-outputs.  :func:`check_type` is the one JSON type rule, for config
-fields and for every number read from a file: a ``list[float]``, a JSON
-list of numbers or an array object, comes back as one float64 array.
+outputs.  :func:`read_object` is the one rule for a JSON object of known
+keys, for the config and each of its sections, the manifest, the
+checkpoint, the ``tnd-fit`` samples and the relationship file; it checks
+each value with :func:`check_type`, the one JSON type rule: a
+``list[float]``, a JSON list of numbers or an array object, comes back
+as one float64 array.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ import contextlib
 import json
 import math
 import re
+from reprlib import repr as _shown  # a long value is cut short
 
 import numpy as np
 
@@ -46,6 +50,7 @@ __all__ = [
     "open_text",
     "output_errors",
     "load_json",
+    "read_object",
     "check_type",
     "check_task_names",
     "write_csv_rows",
@@ -243,30 +248,65 @@ def load_json(path):
         ) from None
 
 
+def read_object(doc, where: str, required: dict, optional=None, others=None) -> dict:
+    """The JSON object ``doc`` named ``where``, its values checked.
+
+    ``required`` and ``optional`` map each key to its :func:`check_type`
+    annotation; a key in neither takes the annotation ``others``, or is
+    unknown when ``others`` is None.  ``where`` is a key path such as
+    ``config.train``, whose keys are named ``<where>.<key>``, or
+    ``<file>:`` for the top of a file, whose keys are named ``<file>:
+    <key>``.  The values of the known keys are checked first, in
+    document order, so a ``schema_version`` of another version is named
+    before its keys; then a missing key and an unknown key raise
+    :class:`ConfigError` naming ``where``.  Returns a new dict of the
+    checked values.
+    """
+    name = where.removesuffix(":")
+    check_type(doc, "dict", name)
+    table = {**(optional or {}), **required}
+    sep = " " if where.endswith(":") else "."
+    read = {
+        key: check_type(value, table.get(key, others), f"{where}{sep}{key}")
+        for key, value in doc.items()
+        if key in table or others is not None
+    }
+    missing, unknown = set(required) - set(doc), set(doc) - set(read)
+    for what, keys in (("missing", missing), ("unknown", unknown)):
+        if keys:
+            raise ConfigError(f"{name}: {what} keys {sorted(keys)}")
+    return read
+
+
 # The JSON type rule of each scalar annotation: its description and its
 # test.  ``type(v)`` keeps out bools, which subclass int; ``isfinite``
 # keeps out NaN, the infinities and, by overflowing, integers too large
 # for a double.
 _JSON_TYPES = {
     "int": ("an integer", lambda v: type(v) is int),
+    "count": ("a positive integer", lambda v: type(v) is int and v > 0),
     "float": ("a finite number", lambda v: type(v) in (int, float) and math.isfinite(v)),
     "bool": ("true or false", lambda v: type(v) is bool),
     "str": ("a string", lambda v: type(v) is str),
     "dict": ("an object", lambda v: type(v) is dict),
+    "any": ("any JSON value", lambda v: True),
 }
 
 
-def check_type(value, kind: str, where: str):
+def check_type(value, kind, where: str):
     """Check a JSON value against the field annotation ``kind``.
 
-    ``int``, ``float``, ``bool``, ``str`` and ``dict`` (a JSON object)
-    follow ``_JSON_TYPES``;
+    ``int``, ``count`` (an integer of at least 1), ``float``, ``bool``,
+    ``str``, ``dict`` (a JSON object) and ``any`` follow
+    ``_JSON_TYPES``; a tuple accepts exactly its values, each of its
+    own JSON type (``(1,)`` takes ``1`` but not ``1.0`` or ``true``),
+    and names them as JSON;
     ``X | None`` also accepts null, and ``list[X]`` a list whose items
-    pass ``X``, named ``<where>[i]``.  Any other annotation is left to
-    the caller.  Returns the value, with a ``float`` as a float and a
-    ``list[float]`` as a float64 array, whose items are named
-    ``<where> entry J``.  A mismatch raises :class:`ConfigError` reading
-    ``<where> must be <type>, got <value>``.
+    pass ``X``, named ``<where>[i]``.  Returns the value, with a
+    ``float`` as a float and a ``list[float]`` as a float64 array, whose
+    items are named ``<where> entry J``.  A mismatch raises
+    :class:`ConfigError` reading ``<where> must be <type>, got
+    <value>``.
 
     A ``list[float]`` may also be an array object (:class:`BinaryArray`):
     ``dtype`` exactly ``"<f8"``, ``shape`` a list of integers of at
@@ -282,25 +322,29 @@ def check_type(value, kind: str, where: str):
     return _check_json(value, kind, where)
 
 
-def _check_json(value, kind: str, where: str):
+def _check_json(value, kind, where: str):
     """:func:`check_type` without array objects."""
+    if type(kind) is tuple:
+        if any(type(value) is type(v) and value == v for v in kind):
+            return value
+        raise ConfigError(
+            f"{where} must be {' or '.join(map(json.dumps, kind))}, got {_shown(value)}"
+        )
     if kind.endswith(" | None"):
         if value is None:
             return None
         kind = kind[: -len(" | None")]
     if kind.startswith("list["):
         if type(value) is not list:
-            raise ConfigError(f"{where} must be a list, got {value!r}")
+            raise ConfigError(f"{where} must be a list, got {_shown(value)}")
         if kind == "list[float]":
             return _float_array(value, where)
         return [_check_json(v, kind[5:-1], f"{where}[{i}]") for i, v in enumerate(value)]
-    if kind not in _JSON_TYPES:
-        return value
     what, ok = _JSON_TYPES[kind]
     with contextlib.suppress(OverflowError):
         if ok(value):
             return float(value) if kind == "float" else value
-    raise ConfigError(f"{where} must be {what}, got {value!r}")
+    raise ConfigError(f"{where} must be {what}, got {_shown(value)}")
 
 
 def _float_array(items: list, where: str) -> np.ndarray:
@@ -324,18 +368,12 @@ def _decode_array(obj: dict, where: str) -> np.ndarray:
     """The float64 array of the array object ``obj`` (see
     :func:`check_type`); the length check comes before any array is
     made, so the array is never larger than the text."""
-    if sorted(obj) != ["base64", "dtype", "shape"]:
-        raise ConfigError(
-            f"{where} must be a list or an object with keys dtype, shape and "
-            f"base64, got keys {list(obj)}"
-        )
-    if obj["dtype"] != "<f8":
-        raise ConfigError(f'{where}.dtype must be "<f8", got {obj["dtype"]!r}')
-    shape = check_type(obj["shape"], "list[int]", f"{where}.shape")
+    keys = {"dtype": ("<f8",), "shape": "list[int]", "base64": "str"}
+    obj = read_object(obj, where, keys)
+    shape, text = obj["shape"], obj["base64"]
     for i, d in enumerate(shape):
         if d < 0:
             raise ConfigError(f"{where}.shape[{i}] must be at least 0, got {d}")
-    text = check_type(obj["base64"], "str", f"{where}.base64")
     try:
         raw = base64.b64decode(text, validate=True)
     except ValueError as exc:

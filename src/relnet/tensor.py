@@ -24,10 +24,10 @@ mode-``n`` product is ``(t x_n M)_(n) == M t_(n)``.
 :func:`mode_product` is made by the private kernel ``_along_mode``,
 which multiplies a matrix into one axis of an array of any order
 without moving axes; :mod:`relnet.tensor_normal` makes every per-mode
-product (whitening, applying an inverse, sampling) with it too.  The
-unfolding, its inverse, ``vec`` and the dense Kronecker product are
-spelled out in ``tests/oracles.py``, the reference that
-:func:`mode_product` is checked against.
+product (whitening, sampling, the flip-flop's update of its whitened
+samples) with it too.  The unfolding, its inverse, ``vec`` and the
+dense Kronecker product are spelled out in ``tests/oracles.py``, the
+reference that :func:`mode_product` is checked against.
 """
 
 from __future__ import annotations

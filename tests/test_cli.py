@@ -560,7 +560,8 @@ class TestExportRelationship:
             ["export-relationship", "--model-dir", str(out), "--layer", "nope"]
         )
         assert code == 1
-        assert "no such file" in capsys.readouterr().err
+        missing = out / "relationship_nope.json"
+        assert f"{missing}: No such file or directory" in capsys.readouterr().err
 
 
 class TestUsageErrors:
@@ -757,14 +758,19 @@ def with_eval(tasks=("a", "b"), **sections):
     return setup
 
 
-def with_checkpoint(path, value):
-    """An ``eval`` command on a valid manifest and a tiny checkpoint
-    holding ``value`` at the key path ``path``."""
+# The value that makes :func:`with_value` delete a key.
+DELETE = object()
+
+
+def with_checkpoint(path, value, doc=None):
+    """An ``eval`` command on a valid manifest and a tiny checkpoint, or
+    the checkpoint document ``doc``, holding ``value`` at the key path
+    ``path`` (:data:`DELETE`: without that key)."""
 
     def setup(tmp_path):
         argv = with_eval()(tmp_path)
         model = Path(argv[argv.index("--model") + 1])
-        model.write_text(json.dumps(with_value(load_json(model), path, value)))
+        model.write_text(json.dumps(with_value(doc or load_json(model), path, value)))
         return argv
 
     return setup
@@ -869,32 +875,76 @@ REJECTED = {
             "train",
             '{"schema_version": 1, "num_classes": "three", "tasks": []}',
         ),
-        "manifest.json: malformed manifest",
+        "manifest.json: num_classes must be an integer, got 'three'",
     ),
     "train_manifest_num_classes_float": (
         with_manifest(
             "train", '{"schema_version": 1, "num_classes": 2.7, "tasks": []}'
         ),
-        "manifest.json: malformed manifest: num_classes must be an integer",
+        "manifest.json: num_classes must be an integer",
     ),
     "train_manifest_num_classes_bool": (
         with_manifest(
             "train", '{"schema_version": 1, "num_classes": true, "tasks": []}'
         ),
-        "manifest.json: malformed manifest: num_classes must be an integer",
+        "manifest.json: num_classes must be an integer",
     ),
     "train_manifest_num_classes_string": (
         with_manifest(
             "train", '{"schema_version": 1, "num_classes": "3", "tasks": []}'
         ),
-        "manifest.json: malformed manifest: num_classes must be an integer",
+        "manifest.json: num_classes must be an integer",
     ),
     "train_manifest_feature_dim_float": (
         with_manifest(
             "train",
             '{"schema_version": 1, "num_classes": 3, "feature_dim": 2.9, "tasks": []}',
         ),
-        "manifest.json: malformed manifest: feature_dim must be an integer",
+        "manifest.json: feature_dim must be an integer, got 2.9",
+    ),
+    "train_manifest_schema_version_bool": (
+        with_manifest(
+            "train", '{"schema_version": true, "num_classes": 2, "tasks": []}'
+        ),
+        "manifest.json: schema_version must be 1, got True",
+    ),
+    "train_manifest_tasks_object": (
+        with_manifest(
+            "train",
+            '{"schema_version": 1, "num_classes": 2, "tasks": {"a": "a.csv"}}',
+        ),
+        "manifest.json: tasks must be a list, got {'a': 'a.csv'}",
+    ),
+    "train_manifest_task_path_int": (
+        with_manifest(
+            "train",
+            '{"schema_version": 1, "num_classes": 2, '
+            '"tasks": [{"name": "a", "path": 5}]}',
+        ),
+        "manifest.json: tasks[0].path must be a string, got 5",
+    ),
+    "train_manifest_unknown_key": (
+        with_manifest(
+            "train",
+            '{"schema_version": 1, "num_classes": 2, "tasks": [], "classes": 2}',
+        ),
+        "manifest.json: unknown keys ['classes']",
+    ),
+    "config_schema_version_float": (
+        with_field("schema_version", 1.0),
+        "config.schema_version must be 1, got 1.0",
+    ),
+    "config_schema_version_bool": (
+        with_field("schema_version", True),
+        "config.schema_version must be 1, got True",
+    ),
+    "synthetic_task_name_with_comma": (
+        with_field("data.synthetic.task_names", ["a,b", "c", "d"]),
+        "config.data.synthetic.task_names: bad task name 'a,b'",
+    ),
+    "synthetic_duplicate_task_names": (
+        with_field("data.synthetic.task_names", ["a", "a", "b"]),
+        "config.data.synthetic.task_names: task names must be unique",
     ),
     "train_task_file_directory": (with_task_file(None), "a.csv: Is a directory"),
     "train_manifest_name_with_newline": (
@@ -914,80 +964,89 @@ REJECTED = {
             "eval",
             '{"schema_version": 1, "num_classes": "three", "tasks": []}',
         ),
-        "manifest.json: malformed manifest",
+        "manifest.json: num_classes must be an integer, got 'three'",
     ),
     "tnd_dims_bool": (with_samples([True, 3, 4]), "dims[0]"),
     "tnd_max_iter_zero": (with_samples([3, 2, 2], flags=("--max-iter", "0")), "--max-iter"),
     "tnd_tol_negative": (with_samples([3, 2, 2], flags=("--tol", "-1")), "--tol"),
     "tnd_tol_nan": (with_samples([3, 2, 2], flags=("--tol", "nan")), "--tol"),
-    "tnd_non_finite_entry": (with_samples([3, 2, 2], bad=(1, 5)), "sample 1 entry 5"),
+    "tnd_non_finite_entry": (with_samples([3, 2, 2], bad=(1, 5)), "samples[1] entry 5"),
     "tnd_string_entry": (
         with_samples([3, 2, 2], bad=(1, 5), value="2"),
-        "sample 1 entry 5 must be a finite number",
+        "samples[1] entry 5 must be a finite number",
     ),
     "tnd_bool_entry": (
         with_samples([3, 2, 2], bad=(1, 5), value=True),
-        "sample 1 entry 5 must be a finite number",
+        "samples[1] entry 5 must be a finite number",
     ),
     "eval_checkpoint_num_tasks_float": (
         with_checkpoint(("num_tasks",), 2.7),
-        "model.json: malformed checkpoint: num_tasks must be an integer",
+        "model.json: num_tasks must be a positive integer, got 2.7",
     ),
     "eval_checkpoint_layer_num_tasks": (
         with_checkpoint(("stack", "layers", 0, "num_tasks"), 99),
-        "model.json: malformed checkpoint: stack.layers[0].num_tasks is 99, "
-        "but num_tasks is 2",
+        "model.json: stack.layers[0].num_tasks must be 2, got 99",
     ),
     "eval_checkpoint_input_dim": (
         with_checkpoint(("input_dim",), 6),
-        "model.json: malformed checkpoint: input_dim is 6, but the layers give 5",
+        "model.json: input_dim is 6, but the layers give 5",
     ),
     "eval_checkpoint_num_classes": (
         with_checkpoint(("num_classes",), 4),
-        "model.json: malformed checkpoint: num_classes is 4, but the layers give 3",
+        "model.json: num_classes is 4, but the layers give 3",
     ),
     "eval_checkpoint_final_activation": (
         with_checkpoint(("stack", "layers", 0, "activation"), "relu"),
-        "model.json: malformed checkpoint: stack.layers[0]: unsupported activation "
-        "'relu', expected 'softmax'",
+        "model.json: stack.layers[0].activation must be \"softmax\", got 'relu'",
+    ),
+    "eval_checkpoint_no_activation": (
+        with_checkpoint(("trunk", 0, "activation"), DELETE, load_json(V1_MODEL)),
+        "model.json: trunk[0]: missing keys ['activation']",
+    ),
+    "eval_checkpoint_trunk_num_tasks": (
+        with_checkpoint(("trunk", 0, "num_tasks"), 2, load_json(V1_MODEL)),
+        "model.json: trunk[0]: unknown keys ['num_tasks']",
+    ),
+    "eval_checkpoint_unknown_key": (
+        with_checkpoint(("epochs",), 3),
+        "model.json: unknown keys ['epochs']",
     ),
     "eval_checkpoint_trunk_object": (
         with_checkpoint(("trunk",), {}),
-        "model.json: malformed checkpoint: trunk must be a list, got {}",
+        "model.json: trunk must be a list, got {}",
     ),
     "eval_checkpoint_nan_weight": (
         with_checkpoint(
             ("stack", "layers", 0, "weight"),
             array_object(np.where(np.arange(30) == 4, np.nan, 0.0).reshape(5, 3, 2)),
         ),
-        "model.json: malformed checkpoint: stack.layers[0].weight entry 4 must be "
+        "model.json: stack.layers[0].weight entry 4 must be "
         "a finite number, got nan",
     ),
     "eval_checkpoint_weight_extra_key": (
         with_checkpoint(("stack", "layers", 0, "weight", 4), float("nan")),
-        "model.json: malformed checkpoint: stack.layers[0].weight must be a list "
-        "or an object with keys dtype, shape and base64",
+        "model.json: stack.layers[0].weight: unknown keys ['4']",
     ),
     "eval_checkpoint_list_nan_weight": (
         with_checkpoint(
             ("stack", "layers", 0, "weight"), [0.0] * 4 + [float("nan")] + [0.0] * 25
         ),
-        "model.json: malformed checkpoint: stack.layers[0].weight entry 4 must be "
+        "model.json: stack.layers[0].weight entry 4 must be "
         "a finite number, got nan",
     ),
     "eval_checkpoint_weight_shape": (
         with_checkpoint(("stack", "layers", 0, "weight", "shape"), [3, 5, 2]),
-        "model.json: malformed checkpoint: stack.layers[0].weight has shape "
+        "model.json: stack.layers[0].weight has shape "
         "[3, 5, 2], but the layer's dims give [5, 3, 2]",
     ),
     "eval_checkpoint_bias_length": (
         with_checkpoint(("stack", "layers", 0, "bias"), [0.0] * 5),
-        "model.json: malformed checkpoint: stack.layers[0].bias has shape [5], "
+        "model.json: stack.layers[0].bias has shape [5], "
         "but the layer's dims give [6]",
     ),
     "eval_checkpoint_truncated_base64": (
         with_checkpoint(("stack", "layers", 0, "bias", "base64"), "AAAA"),
-        "model.json: malformed checkpoint: stack.layers[0].bias.base64 holds 3 "
+        "model.json: stack.layers[0].bias.base64 holds 3 "
         "bytes, but shape [2, 3] needs 48",
     ),
     "tnd_array_non_finite_entry": (
@@ -1048,7 +1107,7 @@ REJECTED = {
         with_samples_doc(
             {"dims": [3, 2, 2], "samples": [[0.0] * 12, array_object(np.ones(12))]}
         ),
-        "samples.json: sample 1 must be a list, got {",
+        "samples.json: samples[1] must be a list, got {",
     ),
     "relationship_name_with_comma": (
         with_relationship(np.eye(2).tolist(), ["a,b", "c"]),
@@ -1172,12 +1231,16 @@ def json_paths(doc, prefix=()):
 
 
 def with_value(doc, path, value):
-    """A copy of ``doc`` holding ``value`` at ``path``."""
+    """A copy of ``doc`` holding ``value`` at ``path``, or without the
+    key at ``path`` when ``value`` is :data:`DELETE`."""
     doc = copy.deepcopy(doc)
     target = doc
     for key in path[:-1]:
         target = target[key]
-    target[path[-1]] = copy.deepcopy(value)
+    if value is DELETE:
+        del target[path[-1]]
+    else:
+        target[path[-1]] = copy.deepcopy(value)
     return doc
 
 
@@ -1389,6 +1452,138 @@ def test_any_json_value_in_any_relationship_field_exports_or_names_the_file(
     corr = doc["correlation"]
     assert all(type(v) in (int, float) and math.isfinite(v) for r in corr for v in r)
     assert valid_task_names(doc["task_names"])
+
+
+# --------------------------------------------------------------------------
+# every document under one keys-and-types rule
+
+# A valid document of each kind, as the command that reads it sees it.
+DOCUMENTS = {
+    "config": experiment_config(epochs=1),
+    "manifest config": manifest_config(),
+    "manifest": MANIFEST,
+    "checkpoint v1": CHECKPOINTS["v1"],
+    "checkpoint v2": CHECKPOINTS["v2"],
+    "samples": SAMPLE_DOCS["lists"],
+    "sample array": SAMPLE_DOCS["array"],
+}
+# One or two values of each JSON type.
+JSON_TYPE_VALUES = [None, True, 0, 2.5, "x", [], [1], {}, {"k": 1}]
+
+
+def json_type(value):
+    return "number" if type(value) in (int, float) else type(value)
+
+
+def value_at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def is_optional(kind, path):
+    """Whether the key at ``path`` of a ``kind`` document may be left out."""
+    if kind.endswith("config"):
+        if path[0] == "split":
+            return path != ("split", "train_fraction")
+        optional = ("noise_scale", "seed", "test_samples_per_task")
+        return path[0] in ("model", "train", "output_dir") or path[-1] in optional
+    # The manifest's feature_dim and the checkpoint's task_names.
+    return path in [("feature_dim",), ("task_names",)]
+
+
+def key_path(top, path):
+    """``path`` spelled as the messages spell it under ``top``, which is
+    ``config`` or ``<file>:``."""
+    text = top
+    for key in path:
+        if type(key) is int:
+            text += f"[{key}]"
+        else:
+            text += f" {key}" if text.endswith(":") else f".{key}"
+    return text.removesuffix(":")
+
+
+def read_as(kind, doc, tmp):
+    """Run the command that reads ``doc`` as a ``kind`` document in the
+    directory ``tmp``, stopped once the document has been read: its exit
+    code (None when it read the document), its stderr, and the name
+    under which its messages spell the document's keys."""
+    if kind.endswith("config"):
+        path, stop = write_config(tmp, doc), "relnet.cli.load_experiment_data"
+        argv = ["train", "--config", str(path), "--out", str(tmp / "out")]
+        top = "config"
+    elif kind == "manifest":
+        for name in ("a", "b"):
+            (tmp / f"{name}.csv").write_text("0.5,1.5,0\n2.5,3.5,1\n")
+        path = tmp / "manifest.json"
+        config = experiment_config(epochs=0)
+        config["data"] = {"manifest": path.name}
+        argv = ["train", "--config", str(write_config(tmp, config))]
+        stop = "relnet.cli.build_network"
+    elif kind.startswith("checkpoint"):
+        path, stop = tmp / "model.json", "relnet.cli.load_experiment_data"
+        argv = eval_argv(tmp, "manifest.json", path)
+    else:
+        path, stop = tmp / "samples.json", "relnet.cli.mle_mean"
+        argv = ["tnd-fit", "--input", str(path), "--out", str(tmp / "fit.json")]
+    if not kind.endswith("config"):
+        path.write_text(json.dumps(doc))
+        top = f"{path}:"
+    err = io.StringIO()
+    with mock.patch(stop, side_effect=Loaded), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except Loaded:
+            code = None
+    return code, err.getvalue(), top
+
+
+CHANGES = [
+    (kind, path, value)
+    for kind, doc in DOCUMENTS.items()
+    for path in json_paths(doc)
+    for value in [DELETE] * (type(path[-1]) is str) + JSON_TYPE_VALUES
+    if value is DELETE or json_type(value) != json_type(value_at(doc, path))
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(CHANGES))
+@example(("manifest", ("tasks", 0, "path"), 5))
+@example(("manifest", ("tasks",), {"k": 1}))
+@example(("checkpoint v2", ("trunk", 0, "activation"), DELETE))
+@example(("checkpoint v1", ("task_names",), None))
+@example(("config", ("schema_version",), True))
+@example(("sample array", ("samples", "shape"), DELETE))
+def test_a_value_of_another_type_or_a_missing_key_names_the_key_path(change):
+    """Each document the program reads (config, manifest, checkpoint,
+    ``tnd-fit`` samples) is rejected with exit 1 and a message naming
+    the file, or ``config``, and the key path, when one of its values
+    is replaced by a value of another JSON type or a required key is
+    deleted; a null ``task_names`` and a left-out optional key are
+    read.  No message is a Python-internal one."""
+    kind, path, value = change
+    doc = DOCUMENTS[kind]
+    with tempfile.TemporaryDirectory() as tmp:
+        code, err, top = read_as(kind, with_value(doc, path, value), Path(tmp))
+    if value is DELETE:
+        accepted = is_optional(kind, path)
+        named = [key_path(top, path[:-1]), repr(path[-1])]
+    else:
+        accepted = value is None and path[-1] == "task_names"
+        # A list of numbers names its items ``<list> entry J``.
+        whole = type(path[-1]) is int and json_type(value_at(doc, path)) == "number"
+        named = [key_path(top, path[:-1] if whole else path)]
+    if accepted:
+        assert code is None, err
+        return
+    assert code == 1, err
+    for name in named:
+        assert name in err
+    for internal in ("string indices", "unsupported operand", "Traceback"):
+        assert internal not in err
+    assert not re.search(r": '[^']*'$", err.strip()), err
 
 
 # --------------------------------------------------------------------------

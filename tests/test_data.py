@@ -23,7 +23,7 @@ from relnet.data import (
     write_manifest,
 )
 from relnet.data import _parse_csv_fast, _parse_csv_lines
-from relnet.serialize import InputError
+from relnet.serialize import ConfigError, InputError
 
 
 def toy_dataset(sizes=(10, 8), dim=3, num_classes=2, seed=0):
@@ -256,7 +256,7 @@ class TestManifest:
     def test_schema_checked(self, tmp_path):
         path = tmp_path / "manifest.json"
         path.write_text('{"schema_version": 99}')
-        with pytest.raises(DatasetError):
+        with pytest.raises(ConfigError, match="schema_version must be 1, got 99"):
             load_manifest(path)
 
 

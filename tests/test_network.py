@@ -516,7 +516,7 @@ class TestCheckpoint:
         doc = load_json(path)
         doc["schema_version"] = version
         path.write_text(json.dumps(doc))
-        with pytest.raises(InputError, match="unsupported checkpoint schema"):
+        with pytest.raises(InputError, match="schema_version must be 1 or 2, got "):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("section", ["trunk", "stack"])
@@ -530,7 +530,7 @@ class TestCheckpoint:
         layers = doc["trunk"] if section == "trunk" else doc["stack"]["layers"]
         layers[0]["activation"] = "identity"
         path.write_text(json.dumps(doc))
-        with pytest.raises(InputError, match="activation 'identity'") as exc:
+        with pytest.raises(InputError, match="activation must be \"relu\", got 'identity'") as exc:
             load_checkpoint(path)
         assert str(path) in str(exc.value)
 

@@ -227,7 +227,7 @@ class TestBinaryArray:
             ({"shape": [0, 10**30]}, "w.base64 holds 48 bytes, but shape"),
             ({"base64": 5}, "w.base64 must be a string"),
             ({"base64": "AAAAAAAAAAB="}, "w.base64 is not base64: not the standard"),
-            ({"extra": 1}, "w must be a list or an object with keys dtype, shape"),
+            ({"extra": 1}, "w: unknown keys ['extra']"),
         ],
     )
     def test_malformed_object_names_the_key(self, change, message):
