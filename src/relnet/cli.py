@@ -28,7 +28,6 @@ import argparse
 import errno
 import math
 import os
-import reprlib
 import sys
 from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
@@ -49,14 +48,13 @@ from .serialize import (
     ConfigError,
     InputError,
     check_task_names,
-    check_type,
+    csv_text,
     dump_json,
     dumps_json,
-    format_float,
-    format_floats,
     load_json,
     output_errors,
     read_object,
+    write_csv_rows,
 )
 from .tensor_normal import (
     EstimationError,
@@ -337,41 +335,17 @@ def run_experiment(cfg: ExperimentConfig, output_dir) -> dict:
 # tnd-fit
 
 
-def _sample_rows(samples: list, total: int, path: Path) -> np.ndarray:
-    """The ``(n, total)`` array of a non-empty list of samples, each a
-    list of ``total`` finite JSON numbers, checked and written in place."""
-    # The first sample that is not a list of ``total`` entries is
-    # rejected after those ahead of it are checked, so the array holds
-    # only those: it is never larger than the input, whatever ``dims``
-    # and the count claim.
-    fits = next(
-        (i for i, s in enumerate(samples) if not isinstance(s, list) or len(s) != total),
-        len(samples),
-    )
-    out = np.empty((fits, total)) if fits else None
-    for i, flat in enumerate(samples[:fits]):
-        out[i] = check_type(flat, "list[float]", f"{path}: samples[{i}]")
-    if fits < len(samples):
-        bad = samples[fits]
-        if not isinstance(bad, list):
-            raise ConfigError(
-                f"{path}: samples[{fits}] must be a list, got {reprlib.repr(bad)}"
-            )
-        raise ConfigError(
-            f"{path}: samples[{fits}] has {len(bad)} entries, expected {total}"
-        )
-    return out
-
-
 def _load_tnd_samples(path: Path) -> np.ndarray:
     """Read ``{"dims": [d1, d2, d3], "samples": [[...], ...]}`` into one
-    ``(n, d1, d2, d3)`` array, each sample checked and written in place.
+    ``(n, d1, d2, d3)`` array.
 
-    Each sample must be a list of ``d = d1 * d2 * d3`` JSON numbers, all
-    finite (:func:`~relnet.serialize.check_type`).  ``samples`` may
-    instead be one array object of shape ``(n, d)``
-    (:class:`~relnet.serialize.BinaryArray`).  Then the sample count
-    ``n`` must pass ``(n - 1) * d / d_k >= d_k`` for every mode ``k``.
+    ``samples`` is read under the matrix rule of
+    :func:`~relnet.serialize.check_type`: a list of samples, each a list
+    of finite JSON numbers, or one array object
+    (:class:`~relnet.serialize.BinaryArray`) of 2 dims.  It must have
+    shape ``(n, d)``, one row of ``d = d1 * d2 * d3`` entries per
+    sample, and the sample count ``n`` must pass ``(n - 1) * d / d_k >=
+    d_k`` for every mode ``k``.
     With the mean estimated, the centred samples span at most ``n - 1``
     directions, so below this count the mode-``k`` Gram matrix cannot
     be definite.  The condition is necessary, not sufficient, for the
@@ -381,27 +355,19 @@ def _load_tnd_samples(path: Path) -> np.ndarray:
     thresholds, and Dutilleul (1999) the matrix case.  Every rejection
     is a :class:`ConfigError` naming ``path``.
     """
-    # ``samples`` is checked below, in one pass of either form.
-    doc = read_object(
-        load_json(path), f"{path}:", {"dims": "list[count]", "samples": "any"}
-    )
-    dims = doc["dims"]
+    keys = {"dims": "list[count]", "samples": "list[list[float]]"}
+    doc = read_object(load_json(path), f"{path}:", keys)
+    dims, samples = doc["dims"], doc["samples"]
     if len(dims) != 3:
         raise ConfigError(f"{path}: dims must be three positive integers")
     total = math.prod(dims)
-    samples = doc["samples"]
-    if type(samples) is dict:
-        samples = check_type(samples, "list[float]", f"{path}: samples")
-        if samples.shape[1:] != (total,):
-            raise ConfigError(
-                f"{path}: samples must have shape [n, {total}], got "
-                f"{list(samples.shape)}"
-            )
-    if not isinstance(samples, (list, np.ndarray)) or len(samples) == 0:
-        raise ConfigError(f"{path}: samples must be a non-empty list")
     n = len(samples)
-    if isinstance(samples, list):
-        samples = _sample_rows(samples, total, path)
+    if n == 0:
+        raise ConfigError(f"{path}: samples must be a non-empty list")
+    if samples.shape[1] != total:
+        raise ConfigError(
+            f"{path}: samples must have shape [n, {total}], got {list(samples.shape)}"
+        )
     for k, dk in enumerate(dims):
         least = -(-dk * dk // total) + 1
         if n < least:
@@ -416,12 +382,14 @@ def _load_tnd_samples(path: Path) -> np.ndarray:
 def cmd_tnd_fit(args) -> int:
     """Fit a tensor normal to JSON samples; write the estimate as JSON.
 
-    The output's directory is checked before the fit, so a bad ``--out``
-    costs no fit."""
-    out_dir = Path(args.out).parent
-    if not out_dir.is_dir():
-        code = errno.ENOTDIR if out_dir.exists() else errno.ENOENT
+    The output's path is checked before the samples are read, so a bad
+    ``--out`` costs no load and no fit."""
+    out = Path(args.out)
+    if not out.parent.is_dir():
+        code = errno.ENOTDIR if out.parent.exists() else errno.ENOENT
         raise InputError(f"{args.out}: {os.strerror(code)}")
+    if out.is_dir():
+        raise InputError(f"{args.out}: {os.strerror(errno.EISDIR)}")
     samples = _load_tnd_samples(args.input)
     mean = mle_mean(samples)
     try:
@@ -506,14 +474,11 @@ def cmd_eval(args) -> int:
             f"{ds.task_names}"
         )
 
-    lines = ["task,accuracy"]
-    accs = []
-    for t, name in enumerate(ds.task_names):
-        acc = accuracy(net, t, ds.features[t], ds.labels[t])
-        accs.append(acc)
-        lines.append(f"{name},{format_float(acc)}")
-    lines.append(f"average,{format_float(float(np.mean(accs)))}")
-    sys.stdout.write("\n".join(lines) + "\n")
+    accs = [
+        accuracy(net, t, ds.features[t], ds.labels[t]) for t in range(ds.num_tasks)
+    ]
+    rows = [["task", "accuracy"], *zip(ds.task_names, accs)]
+    sys.stdout.write(csv_text([*rows, ["average", float(np.mean(accs))]]))
     return EXIT_OK
 
 
@@ -522,33 +487,32 @@ def cmd_eval(args) -> int:
 
 
 def cmd_export_relationship(args) -> int:
-    """Re-emit a stored relationship matrix as JSON or CSV."""
+    """Re-emit a stored relationship matrix as JSON or CSV.
+
+    The JSON form is the document as read, every value of it checked."""
     path = Path(args.model_dir) / f"relationship_{args.layer}.json"
     doc = load_json(path)
-    # Any other key is allowed: JSON export re-emits the document as read.
-    known = {"task_names": "list[str]", "correlation": "list[list[float]]"}
-    read = read_object(doc, f"{path}:", known, others="any")
+    keys = {
+        "schema_version": (RELATIONSHIP_SCHEMA_VERSION,),
+        "layer": "str",
+        "task_names": "list[str]",
+        "correlation": "list[list[float]]",
+    }
+    read = read_object(doc, f"{path}:", keys)
     names, corr = read["task_names"], read["correlation"]
     check_task_names(names, lambda msg: ConfigError(f"{path}: task_names: {msg}"))
-    if len(corr) != len(names) or any(row.size != len(names) for row in corr):
+    if corr.shape != (len(names), len(names)):
         raise ConfigError(f"{path}: correlation must have one row and column per task")
 
-    if args.format == "json":
-        try:
-            text = dumps_json(doc)
-        except ValueError as exc:  # a non-finite value in another field
-            raise ConfigError(f"{path}: {exc}") from None
-    else:
-        lines = ["task," + ",".join(names)]
-        for name, row in zip(names, corr):
-            lines.append(name + "," + format_floats(row, ","))
-        text = "\n".join(lines) + "\n"
-
-    if args.out:
-        with output_errors(args.out):
-            Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    rows = [["task", *names], *zip(names, corr)]
+    if not args.out:
+        sys.stdout.write(dumps_json(doc) if args.format == "json" else csv_text(rows))
+        return EXIT_OK
+    with output_errors(args.out):
+        if args.format == "json":
+            dump_json(doc, args.out)
+        else:
+            write_csv_rows(args.out, rows)
     return EXIT_OK
 
 

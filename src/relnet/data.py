@@ -25,10 +25,10 @@ from .serialize import (
     InputError,
     check_task_names,
     dump_json,
-    format_floats,
     load_json,
     open_text,
     read_object,
+    write_csv_rows,
 )
 from .tensor_normal import KronCovariance, SpdFactor, TensorNormal, sample
 
@@ -240,11 +240,7 @@ def write_csv(ds: MultiTaskDataset, paths) -> None:
     if len(paths) != ds.num_tasks:
         raise ValueError("need one path per task")
     for path, x, y in zip(paths, ds.features, ds.labels):
-        lines = [
-            f"{format_floats(row, ',')},{int(label)}" for row, label in zip(x, y)
-        ]
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_csv_rows(path, zip(x, y))
 
 
 def load_manifest(path) -> MultiTaskDataset:
@@ -389,8 +385,9 @@ class SyntheticSpec:
     ``task_covariance`` is the task-mode factor of the tensor-normal
     prior the ground-truth weights are drawn from: high positive
     entries make tasks' classifiers similar, zeros make them unrelated.
-    From a config it is rows of JSON numbers; any caller's matrix must
-    be symmetric positive definite, and is stored as a float array.
+    From a config it is read under the matrix rule of
+    :func:`~relnet.serialize.check_type`; any caller's matrix must be
+    symmetric positive definite, and is stored as a float array.
     ``test_samples_per_task`` sizes an optional held-out fold drawn from
     the same weights (0 for none).  A bad value raises ``ValueError``
     whose message starts with the field's name.

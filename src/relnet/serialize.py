@@ -17,6 +17,9 @@ instead as one array object on one line, ``{"dtype": "<f8", "shape":
 row-major, in standard base64, exact to the bit and encoded only when
 written, one array at a time.
 
+Every CSV file is written by :func:`write_csv_rows`, as the text
+:func:`csv_text` gives, which is also the text the command line prints.
+
 Every input file is opened by :func:`open_text`, and every JSON document
 read by :func:`load_json`, which raise an :class:`InputError` naming the
 file; :func:`output_errors` does the same for the command line's
@@ -24,8 +27,9 @@ outputs.  :func:`read_object` is the one rule for a JSON object of known
 keys, for the config and each of its sections, the manifest, the
 checkpoint, the ``tnd-fit`` samples and the relationship file; it checks
 each value with :func:`check_type`, the one JSON type rule: a
-``list[float]``, a JSON list of numbers or an array object, comes back
-as one float64 array.
+``list[float]`` comes back as one float64 array, and a
+``list[list[float]]`` as one 2-D float64 array, from a JSON list or an
+array object alike.
 """
 
 from __future__ import annotations
@@ -53,6 +57,7 @@ __all__ = [
     "read_object",
     "check_type",
     "check_task_names",
+    "csv_text",
     "write_csv_rows",
 ]
 
@@ -248,13 +253,12 @@ def load_json(path):
         ) from None
 
 
-def read_object(doc, where: str, required: dict, optional=None, others=None) -> dict:
+def read_object(doc, where: str, required: dict, optional=None) -> dict:
     """The JSON object ``doc`` named ``where``, its values checked.
 
     ``required`` and ``optional`` map each key to its :func:`check_type`
-    annotation; a key in neither takes the annotation ``others``, or is
-    unknown when ``others`` is None.  ``where`` is a key path such as
-    ``config.train``, whose keys are named ``<where>.<key>``, or
+    annotation; a key in neither is unknown.  ``where`` is a key path
+    such as ``config.train``, whose keys are named ``<where>.<key>``, or
     ``<file>:`` for the top of a file, whose keys are named ``<file>:
     <key>``.  The values of the known keys are checked first, in
     document order, so a ``schema_version`` of another version is named
@@ -267,9 +271,9 @@ def read_object(doc, where: str, required: dict, optional=None, others=None) -> 
     table = {**(optional or {}), **required}
     sep = " " if where.endswith(":") else "."
     read = {
-        key: check_type(value, table.get(key, others), f"{where}{sep}{key}")
+        key: check_type(value, table[key], f"{where}{sep}{key}")
         for key, value in doc.items()
-        if key in table or others is not None
+        if key in table
     }
     missing, unknown = set(required) - set(doc), set(doc) - set(read)
     for what, keys in (("missing", missing), ("unknown", unknown)):
@@ -289,7 +293,6 @@ _JSON_TYPES = {
     "bool": ("true or false", lambda v: type(v) is bool),
     "str": ("a string", lambda v: type(v) is str),
     "dict": ("an object", lambda v: type(v) is dict),
-    "any": ("any JSON value", lambda v: True),
 }
 
 
@@ -297,29 +300,41 @@ def check_type(value, kind, where: str):
     """Check a JSON value against the field annotation ``kind``.
 
     ``int``, ``count`` (an integer of at least 1), ``float``, ``bool``,
-    ``str``, ``dict`` (a JSON object) and ``any`` follow
-    ``_JSON_TYPES``; a tuple accepts exactly its values, each of its
-    own JSON type (``(1,)`` takes ``1`` but not ``1.0`` or ``true``),
-    and names them as JSON;
-    ``X | None`` also accepts null, and ``list[X]`` a list whose items
-    pass ``X``, named ``<where>[i]``.  Returns the value, with a
-    ``float`` as a float and a ``list[float]`` as a float64 array, whose
-    items are named ``<where> entry J``.  A mismatch raises
+    ``str`` and ``dict`` (a JSON object) follow ``_JSON_TYPES``; a
+    tuple accepts exactly its values, each of its own JSON type
+    (``(1,)`` takes ``1`` but not ``1.0`` or ``true``), and names them
+    as JSON; ``X | None`` also accepts null, and ``list[X]`` a list
+    whose items pass ``X``, named ``<where>[i]``.  Returns the value,
+    with a ``float`` as a float and a ``list[float]`` as a float64
+    array, whose items are named ``<where> entry J``.  A mismatch raises
     :class:`ConfigError` reading ``<where> must be <type>, got
     <value>``.
 
-    A ``list[float]`` may also be an array object (:class:`BinaryArray`):
-    ``dtype`` exactly ``"<f8"``, ``shape`` a list of integers of at
-    least 0, and ``base64`` the standard base64 (padding included, no
-    other character) of ``8 * prod(shape)`` bytes.  It comes back as a
+    A ``list[list[float]]`` is the matrix rule: a list of equal-length
+    lists of finite numbers, which comes back as one C-contiguous
+    ``(rows, columns)`` float64 array.  A row that is not a list is
+    named ``<where>[i]``, a bad entry ``<where>[i] entry j``, and a
+    ragged row ``<where>[i] has N entries, <where>[0] has M``.  A
+    list without rows reads as shape ``(0, 0)``.
+
+    A ``list[float]`` or a ``list[list[float]]`` may also be one array
+    object (:class:`BinaryArray`): ``dtype`` exactly ``"<f8"``,
+    ``shape`` a list of integers of at least 0 (of two for a matrix),
+    and ``base64`` the standard base64 (padding included, no other
+    character) of ``8 * prod(shape)`` bytes.  It comes back as a
     writable array of that shape with those exact bits, and entry ``J``
     (row-major) must be finite as in a list.  An array object stands
     for a whole value, never for an item of a list: the rows of a
-    ``list[list[float]]`` are JSON lists.
+    matrix in list form are JSON lists.
     """
-    if kind == "list[float]" and type(value) is dict:
-        return _decode_array(value, where)
+    if type(value) is dict and kind in _ARRAY_DIMS:
+        return _decode_array(value, where, _ARRAY_DIMS[kind])
     return _check_json(value, kind, where)
+
+
+# The annotations an array object may stand for, and the number of dims
+# it must then have (None: any).
+_ARRAY_DIMS = {"list[float]": None, "list[list[float]]": 2}
 
 
 def _check_json(value, kind, where: str):
@@ -339,6 +354,8 @@ def _check_json(value, kind, where: str):
             raise ConfigError(f"{where} must be a list, got {_shown(value)}")
         if kind == "list[float]":
             return _float_array(value, where)
+        if kind == "list[list[float]]":
+            return _float_matrix(value, where)
         return [_check_json(v, kind[5:-1], f"{where}[{i}]") for i, v in enumerate(value)]
     what, ok = _JSON_TYPES[kind]
     with contextlib.suppress(OverflowError):
@@ -364,13 +381,46 @@ def _float_array(items: list, where: str) -> np.ndarray:
     )
 
 
-def _decode_array(obj: dict, where: str) -> np.ndarray:
+def _float_matrix(rows: list, where: str) -> np.ndarray:
+    """``rows`` as a ``(rows, columns)`` float64 array under the matrix
+    rule of :func:`check_type`, each row checked by :func:`_float_array`
+    and written in place.
+
+    The rows ahead of the first one that is not a list of row 0's
+    length are checked before it is named, and only those are
+    converted, so the array is never larger than the input.
+    """
+    width = len(rows[0]) if rows and type(rows[0]) is list else 0
+    fits = next(
+        (i for i, row in enumerate(rows) if type(row) is not list or len(row) != width),
+        len(rows),
+    )
+    out = np.empty((fits, width))
+    for i in range(fits):
+        out[i] = _float_array(rows[i], f"{where}[{i}]")
+    if fits < len(rows):
+        bad = rows[fits]
+        if type(bad) is not list:
+            raise ConfigError(f"{where}[{fits}] must be a list, got {_shown(bad)}")
+        # Row 0 is named by its key path alone: ``where`` may start with
+        # a file name, which the message already gives.
+        first = where.rpartition(": ")[2]
+        raise ConfigError(
+            f"{where}[{fits}] has {len(bad)} entries, {first}[0] has {width}"
+        )
+    return out
+
+
+def _decode_array(obj: dict, where: str, ndim=None) -> np.ndarray:
     """The float64 array of the array object ``obj`` (see
-    :func:`check_type`); the length check comes before any array is
-    made, so the array is never larger than the text."""
+    :func:`check_type`), of ``ndim`` dims unless that is None; the
+    length check comes before any array is made, so the array is never
+    larger than the text."""
     keys = {"dtype": ("<f8",), "shape": "list[int]", "base64": "str"}
     obj = read_object(obj, where, keys)
     shape, text = obj["shape"], obj["base64"]
+    if ndim is not None and len(shape) != ndim:
+        raise ConfigError(f"{where} must have {ndim} dims, got shape {shape}")
     for i, d in enumerate(shape):
         if d < 0:
             raise ConfigError(f"{where}.shape[{i}] must be at least 0, got {d}")
@@ -410,7 +460,7 @@ def check_task_names(names, error=ValueError) -> None:
     """Raise ``error(message)`` unless ``names`` is a non-empty list of
     unique, non-empty strings without commas or control characters
     (below U+0020, and U+007F): task names become CSV cells and header
-    fields (:func:`write_csv_rows`)."""
+    fields (:func:`csv_text`)."""
     if not names:
         raise error("need at least one task")
     for name in names:
@@ -420,23 +470,29 @@ def check_task_names(names, error=ValueError) -> None:
         raise error("task names must be unique")
 
 
-def write_csv_rows(path, header, rows) -> None:
-    """Write CSV with ``\\n`` newlines and ``%.17g`` floats.
+def _csv_cell(cell) -> str:
+    if isinstance(cell, np.ndarray):
+        return format_floats(cell, ",")
+    if isinstance(cell, (float, np.floating)):
+        return format_float(cell)
+    text = str(cell)
+    if "," in text:
+        raise ValueError(f"CSV cell may not contain a comma: {text!r}")
+    return text
 
-    Cells that are floats are formatted with :func:`format_float`; other
-    cells are written with ``str``.  Cells must not contain commas.
+
+def csv_text(rows) -> str:
+    """The CSV text of ``rows``, a header among them if there is one:
+    one line per row, each ending in ``\\n``, its cells joined by commas.
+
+    A float cell is written as :func:`format_float` writes it, and a 1-D
+    float array cell as its entries, each so written, joined by commas;
+    any other cell is written with ``str`` and must not hold a comma.
     """
-    lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for cell in row:
-            if isinstance(cell, (float, np.floating)):
-                text = format_float(cell)
-            else:
-                text = str(cell)
-            if "," in text:
-                raise ValueError(f"CSV cell may not contain a comma: {text!r}")
-            cells.append(text)
-        lines.append(",".join(cells))
+    return "".join(",".join(map(_csv_cell, row)) + "\n" for row in rows)
+
+
+def write_csv_rows(path, rows) -> None:
+    """Write :func:`csv_text` ``(rows)`` to ``path`` as UTF-8."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(csv_text(rows))

@@ -471,32 +471,32 @@ class TrainReport:
     ``to_csv`` writes the deterministic part (objective, accuracies,
     covariance-update residuals); wall-clock phase timings go to a
     separate file via ``timings_to_csv`` so the report bytes depend
-    only on the seed and config.
+    only on the seed and config.  The ``test_acc_*`` columns are there
+    when the run was given eval data (``has_test``), however many
+    epochs it ran.
     """
 
     task_names: list
     layer_ids: list
+    has_test: bool = False
     records: list = field(default_factory=list)
 
     def to_csv(self, path) -> None:
         header = ["epoch", "objective"]
         header += [f"train_acc_{name}" for name in self.task_names]
-        has_test = any(r.test_accuracy is not None for r in self.records)
-        if has_test:
+        if self.has_test:
             header += [f"test_acc_{name}" for name in self.task_names]
         header += [f"residual_{lid}" for lid in self.layer_ids]
-        rows = []
+        rows = [header]
         for r in self.records:
             test = r.test_accuracy or ()
             rows.append([r.epoch, r.objective, *r.train_accuracy, *test, *r.residuals])
-        write_csv_rows(path, header, rows)
+        write_csv_rows(path, rows)
 
     def timings_to_csv(self, path) -> None:
-        write_csv_rows(
-            path,
-            ["epoch", "sgd_seconds", "covariance_seconds"],
-            [[r.epoch, r.sgd_seconds, r.cov_seconds] for r in self.records],
-        )
+        header = ["epoch", "sgd_seconds", "covariance_seconds"]
+        rows = [[r.epoch, r.sgd_seconds, r.cov_seconds] for r in self.records]
+        write_csv_rows(path, [header, *rows])
 
 
 def _residual(old: KronCovariance, new: KronCovariance) -> float:
@@ -534,7 +534,9 @@ def train(
     cov = CovarianceState.identity_for(net.stack, cfg.shared_task_sigma)
     state = OptimizerState.zeros_like(net)
     report = TrainReport(
-        task_names=list(data.task_names), layer_ids=list(net.stack.layer_ids)
+        task_names=list(data.task_names),
+        layer_ids=list(net.stack.layer_ids),
+        has_test=eval_data is not None,
     )
 
     for _ in range(cfg.epochs):

@@ -12,6 +12,7 @@ import importlib
 import io
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -204,7 +205,7 @@ class TestTndFit:
         inp.write_text(json.dumps({"dims": [2, 2, 2], "samples": [[1.0, 2.0]]}))
         code = main(["tnd-fit", "--input", str(inp), "--out", str(tmp_path / "o.json")])
         assert code == 1
-        assert "expected 8" in capsys.readouterr().err
+        assert "samples must have shape [n, 8], got [1, 2]" in capsys.readouterr().err
 
     def test_sweep_starved_fit_exits_non_convergence(self, tmp_path, capsys):
         """A one-sweep budget reports the partial fit with exit code 2."""
@@ -254,6 +255,19 @@ class TestTrain:
         assert model["stack"]["layer_ids"] == ["classifier"]
         assert (out / "relationship_classifier.json").exists()
         assert not (out / "relationship_bottleneck.json").exists()
+
+    def test_report_has_test_columns_at_zero_epochs(self, tmp_path):
+        """A config with a held-out fold writes the ``test_acc_*``
+        columns however many epochs it runs, none included."""
+        headers = []
+        for epochs in (0, 1):
+            doc = experiment_config(epochs=epochs, output_dir=f"out{epochs}")
+            cfg = write_config(tmp_path, doc, f"config{epochs}.json")
+            assert main(["train", "--config", str(cfg)]) == 0
+            report = tmp_path / f"out{epochs}" / "report.csv"
+            headers.append(report.read_text().split("\n")[0])
+        assert headers[0] == headers[1]
+        assert "test_acc_task0,test_acc_task1,test_acc_task2" in headers[0]
 
     def test_same_config_and_seed_is_byte_identical(self, tmp_path):
         """Reported CSV and relationship JSON reproduce exactly."""
@@ -554,6 +568,23 @@ class TestExportRelationship:
         assert lines[1] == "a,1,0"
         assert lines[2] == "b,0,1"
 
+    def test_csv_out_is_utf8_under_the_c_locale(self, tmp_path):
+        """``--format csv --out`` writes UTF-8 even where the locale's
+        encoding is ASCII, so a task name such as ``tâche`` is written,
+        not a ``UnicodeEncodeError``."""
+        argv = with_relationship(np.eye(2).tolist(), ["tâche", "b"])(tmp_path)
+        out = tmp_path / "x.csv"
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUTF8"}
+        env.update(LC_ALL="C", PYTHONCOERCECLOCALE="0")
+        proc = subprocess.run(
+            [sys.executable, "-X", "utf8=0", "-m", "relnet", *argv, "--out", str(out)],
+            capture_output=True,
+            env=env,
+            cwd=Path(relnet.__file__).resolve().parents[1],
+        )
+        assert proc.returncode == 0, proc.stderr.decode("utf-8", "replace")
+        assert out.read_bytes() == "task,tâche,b\ntâche,1,0\nb,0,1\n".encode()
+
     def test_missing_layer_exits_usage(self, tmp_path, capsys):
         out = self.trained_dir(tmp_path)
         code = main(
@@ -777,13 +808,17 @@ def with_checkpoint(path, value, doc=None):
 
 
 def with_relationship(correlation, names=("a", "b")):
-    """CSV export of a relationship file holding ``correlation`` and the
-    task ``names``."""
+    """CSV export of a relationship file of layer ``classifier`` holding
+    ``correlation`` and the task ``names``."""
 
     def setup(tmp_path):
-        (tmp_path / "relationship_classifier.json").write_text(
-            json.dumps({"task_names": list(names), "correlation": correlation})
-        )
+        doc = {
+            "schema_version": 1,
+            "layer": "classifier",
+            "task_names": list(names),
+            "correlation": correlation,
+        }
+        (tmp_path / "relationship_classifier.json").write_text(json.dumps(doc))
         return [
             "export-relationship", "--model-dir", str(tmp_path),
             "--layer", "classifier", "--format", "csv",
@@ -794,10 +829,12 @@ def with_relationship(correlation, names=("a", "b")):
 
 def with_output(command, out):
     """A valid ``command`` writing to ``out`` under ``tmp_path``, which
-    holds a file ``a_file`` and no ``missing`` directory."""
+    holds a file ``a_file``, a directory ``a_dir`` and no ``missing``
+    directory."""
 
     def setup(tmp_path):
         (tmp_path / "a_file").write_text("")
+        (tmp_path / "a_dir").mkdir()
         target = str(tmp_path / out)
         if command == "tnd-fit":
             argv = with_samples([3, 2, 2])(tmp_path)
@@ -1055,7 +1092,7 @@ REJECTED = {
     ),
     "tnd_array_flat": (
         with_sample_array([3, 2, 2], shape=(240,)),
-        "samples.json: samples must have shape [n, 12], got [240]",
+        "samples.json: samples must have 2 dims, got shape [240]",
     ),
     "tnd_array_width": (
         with_sample_array([3, 2, 2], shape=(24, 10)),
@@ -1138,15 +1175,21 @@ def test_rejected_input_exits_usage_naming_the_field(case, tmp_path, capsys):
 
 
 def test_tnd_fit_checks_its_output_before_the_fit(tmp_path, capsys, monkeypatch):
-    """An output under a file is rejected without running the fit."""
+    """An output under a file, or one that is a directory, is rejected
+    without reading the samples or running the fit."""
 
-    def no_fit(*args, **kwargs):
-        raise AssertionError("the fit ran")
+    def no_call(*args, **kwargs):
+        raise AssertionError("the samples were read or the fit ran")
 
-    monkeypatch.setattr("relnet.cli.flip_flop_mle", no_fit)
-    argv = with_output("tnd-fit", "a_file/fit.json")(tmp_path)
-    assert main(argv) == 1
-    assert "a_file/fit.json: Not a directory" in capsys.readouterr().err
+    monkeypatch.setattr("relnet.cli._load_tnd_samples", no_call)
+    monkeypatch.setattr("relnet.cli.flip_flop_mle", no_call)
+    cases = [("a_file/fit.json", "Not a directory"), ("a_dir", "Is a directory")]
+    for out, message in cases:
+        work = tmp_path / message.replace(" ", "_")
+        work.mkdir()
+        argv = with_output("tnd-fit", out)(work)
+        assert main(argv) == 1
+        assert f"{out}: {message}" in capsys.readouterr().err
 
 
 def test_too_few_samples_names_the_smallest_count(tmp_path, capsys):
@@ -1466,6 +1509,7 @@ DOCUMENTS = {
     "checkpoint v2": CHECKPOINTS["v2"],
     "samples": SAMPLE_DOCS["lists"],
     "sample array": SAMPLE_DOCS["array"],
+    "relationship": RELATIONSHIP,
 }
 # One or two values of each JSON type.
 JSON_TYPE_VALUES = [None, True, 0, 2.5, "x", [], [1], {}, {"k": 1}]
@@ -1489,7 +1533,9 @@ def is_optional(kind, path):
         optional = ("noise_scale", "seed", "test_samples_per_task")
         return path[0] in ("model", "train", "output_dir") or path[-1] in optional
     # The manifest's feature_dim and the checkpoint's task_names.
-    return path in [("feature_dim",), ("task_names",)]
+    if kind == "manifest":
+        return path == ("feature_dim",)
+    return kind.startswith("checkpoint") and path == ("task_names",)
 
 
 def key_path(top, path):
@@ -1524,6 +1570,12 @@ def read_as(kind, doc, tmp):
     elif kind.startswith("checkpoint"):
         path, stop = tmp / "model.json", "relnet.cli.load_experiment_data"
         argv = eval_argv(tmp, "manifest.json", path)
+    elif kind == "relationship":
+        path, stop = tmp / "relationship_classifier.json", "relnet.cli.write_csv_rows"
+        argv = [
+            "export-relationship", "--model-dir", str(tmp), "--layer", "classifier",
+            "--format", "csv", "--out", str(tmp / "x.csv"),
+        ]
     else:
         path, stop = tmp / "samples.json", "relnet.cli.mle_mean"
         argv = ["tnd-fit", "--input", str(path), "--out", str(tmp / "fit.json")]
@@ -1556,13 +1608,15 @@ CHANGES = [
 @example(("checkpoint v1", ("task_names",), None))
 @example(("config", ("schema_version",), True))
 @example(("sample array", ("samples", "shape"), DELETE))
+@example(("relationship", ("correlation", 1), 2.5))
+@example(("relationship", ("layer",), DELETE))
 def test_a_value_of_another_type_or_a_missing_key_names_the_key_path(change):
     """Each document the program reads (config, manifest, checkpoint,
-    ``tnd-fit`` samples) is rejected with exit 1 and a message naming
-    the file, or ``config``, and the key path, when one of its values
-    is replaced by a value of another JSON type or a required key is
-    deleted; a null ``task_names`` and a left-out optional key are
-    read.  No message is a Python-internal one."""
+    ``tnd-fit`` samples, relationship file) is rejected with exit 1 and
+    a message naming the file, or ``config``, and the key path, when one
+    of its values is replaced by a value of another JSON type or a
+    required key is deleted; a checkpoint's null ``task_names`` and a
+    left-out optional key are read.  No message is a Python-internal one."""
     kind, path, value = change
     doc = DOCUMENTS[kind]
     with tempfile.TemporaryDirectory() as tmp:
@@ -1571,7 +1625,8 @@ def test_a_value_of_another_type_or_a_missing_key_names_the_key_path(change):
         accepted = is_optional(kind, path)
         named = [key_path(top, path[:-1]), repr(path[-1])]
     else:
-        accepted = value is None and path[-1] == "task_names"
+        # Only the checkpoint's task_names may be null.
+        accepted = value is None and path == ("task_names",) and "checkpoint" in kind
         # A list of numbers names its items ``<list> entry J``.
         whole = type(path[-1]) is int and json_type(value_at(doc, path)) == "number"
         named = [key_path(top, path[:-1] if whole else path)]

@@ -1,6 +1,7 @@
 """Whole-array JSON emission against the element-by-element list path,
-the whole-array ``list[float]`` rule against the per-item rule, and the
-binary array object against its bytes."""
+the whole-array ``list[float]`` rule against the per-item rule, the
+matrix rule on lists and array objects, and the binary array object
+against its bytes."""
 
 import json
 import sys
@@ -272,6 +273,64 @@ def test_float_list_follows_the_per_item_float_rule(items):
     got = check_type(items, "list[float]", "x")
     assert got.dtype == np.float64 and got.shape == (len(items),)
     assert got.tolist() == [float(v) for v in items]
+
+
+# A matrix without rows is drawn as (0, 0): its list form, ``[]``, has
+# no width.
+MATRICES = st.tuples(st.integers(0, 5), st.integers(0, 5)).flatmap(
+    lambda shape: arrays(np.float64, shape if shape[0] else (0, 0), elements=FINITE)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(MATRICES)
+@example(np.array([[-0.0, 5e-324], [-5e-324, 2.2250738585072009e-308]]))
+@example(np.zeros((0, 0)))
+@example(np.zeros((3, 0)))
+def test_matrix_reads_alike_from_lists_and_an_array_object(arr):
+    """Any finite matrix, ``-0.0``, subnormals and no rows included, is
+    read bit for bit from its JSON list form and from its array object,
+    as one C-contiguous, writable 2-D float64 array."""
+    lists = json.loads(json.dumps(arr.tolist()))
+    for value in (lists, array_object(arr)):
+        got = check_type(value, "list[list[float]]", "m")
+        assert got.shape == arr.shape and got.dtype == np.float64
+        assert got.flags.c_contiguous and got.flags.writeable
+        assert got.tobytes() == arr.tobytes()
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        ([[1.0, 2.0], [3.0]], "m[1] has 1 entries, m[0] has 2"),
+        ([[1.0], [2.0, 3.0], [4.0]], "m[1] has 2 entries, m[0] has 1"),
+        ([[], [1.0]], "m[1] has 1 entries, m[0] has 0"),
+        ([[1.0, 2.0], {"a": 1}], "m[1] must be a list, got {'a': 1}"),
+        ([[1.0], array_object([2.0])], "m[1] must be a list, got {"),
+        ([5, [1.0]], "m[0] must be a list, got 5"),
+        ([[1.0, 2.0], [3.0, "4"]], "m[1] entry 1 must be a finite number, got '4'"),
+        # A bad entry ahead of a ragged row is named first.
+        ([[1.0, True], [3.0]], "m[0] entry 1 must be a finite number, got True"),
+        ([[0.5, float("nan")]], "m[0] entry 1 must be a finite number, got nan"),
+        ([[0.5, 10**400]], "m[0] entry 1 must be a finite number, got 1000"),
+        ("x", "m must be a list, got 'x'"),
+        (array_object([1.0, 2.0]), "m must have 2 dims, got shape [2]"),
+        (array_object(np.zeros((1, 2, 1))), "m must have 2 dims, got shape [1, 2, 1]"),
+        (array_object([[1.0, np.inf]]), "m entry 1 must be a finite number, got inf"),
+    ],
+)
+def test_matrix_names_the_bad_row_or_entry(value, message):
+    with pytest.raises(ConfigError) as exc:
+        check_type(value, "list[list[float]]", "m")
+    assert str(exc.value).startswith(message)
+
+
+def test_ragged_row_of_a_file_names_the_file_once():
+    """Under a ``<file>: <key>`` name the file is given once, ahead of
+    the ragged row, and row 0 is named by its key path."""
+    with pytest.raises(ConfigError) as exc:
+        check_type([[1.0, 2.0], [3.0]], "list[list[float]]", "a.json: m")
+    assert str(exc.value) == "a.json: m[1] has 1 entries, m[0] has 2"
 
 
 def _rejects(v) -> bool:
