@@ -43,7 +43,7 @@ from .data import (
     sample_task_data,
     split,
 )
-from .network import accuracy, init_network, load_checkpoint, save_checkpoint
+from .network import fold_scores, init_network, load_checkpoint, save_checkpoint
 from .serialize import (
     ConfigError,
     InputError,
@@ -460,8 +460,10 @@ def cmd_eval(args) -> int:
     """Score a checkpoint on one fold of a config's data; print CSV to
     stdout.
 
-    The folds are those :func:`run_experiment` trains and tests on.  A
-    config without a held-out fold scores its whole dataset.
+    The folds are those :func:`run_experiment` trains and tests on, and
+    the accuracies are :func:`~relnet.network.fold_scores`', as in
+    ``report.csv``.  A config without a held-out fold scores its whole
+    dataset.
     """
     cfg = load_config(args.config)
     net, task_names = load_checkpoint(args.model)
@@ -474,12 +476,21 @@ def cmd_eval(args) -> int:
             f"{ds.task_names}"
         )
 
-    accs = [
-        accuracy(net, t, ds.features[t], ds.labels[t]) for t in range(ds.num_tasks)
-    ]
+    accs = fold_scores(net, ds)[1]
     rows = [["task", "accuracy"], *zip(ds.task_names, accs)]
-    sys.stdout.write(csv_text([*rows, ["average", float(np.mean(accs))]]))
+    _write_stdout(csv_text([*rows, ["average", float(np.mean(accs))]]))
     return EXIT_OK
+
+
+def _write_stdout(text: str) -> None:
+    """Write ``text`` to standard output as UTF-8, whatever the locale's
+    encoding; a stream without a byte buffer (``io.StringIO``) takes the
+    text as it is."""
+    stream = sys.stdout
+    if hasattr(stream, "buffer"):
+        stream.flush()
+        stream, text = stream.buffer, text.encode("utf-8")
+    stream.write(text)
 
 
 # --------------------------------------------------------------------------
@@ -489,12 +500,13 @@ def cmd_eval(args) -> int:
 def cmd_export_relationship(args) -> int:
     """Re-emit a stored relationship matrix as JSON or CSV.
 
-    The JSON form is the document as read, every value of it checked."""
+    The JSON form is the document as read, every value of it checked;
+    its ``layer`` must be ``--layer``."""
     path = Path(args.model_dir) / f"relationship_{args.layer}.json"
     doc = load_json(path)
     keys = {
         "schema_version": (RELATIONSHIP_SCHEMA_VERSION,),
-        "layer": "str",
+        "layer": (args.layer,),
         "task_names": "list[str]",
         "correlation": "list[list[float]]",
     }
@@ -506,7 +518,7 @@ def cmd_export_relationship(args) -> int:
 
     rows = [["task", *names], *zip(names, corr)]
     if not args.out:
-        sys.stdout.write(dumps_json(doc) if args.format == "json" else csv_text(rows))
+        _write_stdout(dumps_json(doc) if args.format == "json" else csv_text(rows))
         return EXIT_OK
     with output_errors(args.out):
         if args.format == "json":

@@ -70,10 +70,9 @@ from .network import (
     TaskLayerStack,
     _checked_batch,
     _gradients_into,
-    accuracy,
+    fold_scores,
     prior_penalty,
     resolve_layer,
-    task_scores,
 )
 from .serialize import write_csv_rows
 from .tensor_normal import EstimationError, KronCovariance, SpdFactor, mode_gram
@@ -516,8 +515,11 @@ def train(
 
     Covariances start as unit-trace scaled identities.  Every epoch runs
     :func:`sgd_epoch`, one :func:`update_covariances` sweep, then scores
-    the objective and per-task accuracies, one forward pass per task and
-    fold (:func:`~relnet.network.task_scores`).  With ``epochs == 0`` the
+    each fold with one :func:`~relnet.network.fold_scores` call: the
+    training fold's per-task accuracies and log losses, and the held-out
+    fold's accuracies.  The epoch's objective is the data loss, the sum
+    of the training fold's log losses, plus ``prior_weight`` times
+    :func:`~relnet.network.prior_penalty`.  With ``epochs == 0`` the
     initialization is returned untouched and the report is empty.
 
     When ``cfg.prior_weight == 0`` the covariance refit is skipped: the
@@ -550,12 +552,7 @@ def train(
 
         residuals = tuple(map(_residual, cov.priors, new_cov.priors))
         cov = new_cov
-        losses, train_acc = zip(
-            *(
-                task_scores(net, t, data.features[t], data.labels[t])
-                for t in range(data.num_tasks)
-            )
-        )
+        losses, train_acc = fold_scores(net, data)
         data_loss, prior = float(sum(losses)), 0.0
         if cfg.prior_weight > 0.0:
             prior = cfg.prior_weight * prior_penalty(net.stack, cov.priors)
@@ -565,12 +562,7 @@ def train(
                 f"non-finite objective after epoch {state.epoch - 1}: data loss "
                 f"{data_loss!r}, prior term {prior!r}"
             )
-        test_acc = None
-        if eval_data is not None:
-            test_acc = tuple(
-                accuracy(net, t, eval_data.features[t], eval_data.labels[t])
-                for t in range(eval_data.num_tasks)
-            )
+        test_acc = fold_scores(net, eval_data)[1] if eval_data is not None else None
         report.records.append(
             EpochRecord(
                 epoch=state.epoch,

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from relnet.network import _batch_logits, _summed_log_loss, batch_gradients
+from relnet.network import batch_gradients, logits
 from relnet.tensor_normal import (
     _LOG_2PI,
     EstimationError,
@@ -72,9 +72,21 @@ def backward(net, task, x, label):
 
 
 def task_log_loss(net, task, x, labels):
-    """Summed cross-entropy of a batch under one task: the log loss that
-    :func:`relnet.network.task_scores` returns, by the same operations."""
-    return _summed_log_loss(*_batch_logits(net, task, x, labels))
+    """Summed cross-entropy of a batch under one task, from the logits of
+    :func:`relnet.network.logits`: per row, the log-sum-exp shifted by
+    the row's maximum, less the label's logit.  This is the arithmetic of
+    :func:`relnet.network.fold_scores`, whose row maximum, taken column by
+    column, is exact, so the two agree bit for bit.  Labels are checked
+    as ``batch_gradients`` checks them."""
+    z = logits(net, task, np.atleast_2d(x))
+    labels = np.asarray(labels, dtype=int).reshape(-1)
+    if labels.shape != (z.shape[0],):
+        raise ValueError("need one task and one label per example")
+    if np.any((labels < 0) | (labels >= net.num_classes)):
+        raise ValueError(f"label out of range [0, {net.num_classes})")
+    m = z.max(axis=1)
+    lse = m + np.log(np.exp(z - m[:, None]).sum(axis=1))
+    return float(np.sum(lse - z[np.arange(z.shape[0]), labels]))
 
 
 def prior_gradient_full(stack, priors, l):

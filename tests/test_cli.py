@@ -127,6 +127,19 @@ def write_config(tmp_path, doc, name="config.json"):
     return path
 
 
+def run_in_the_c_locale(argv):
+    """``python -m relnet`` on ``argv`` where the locale's encoding is
+    ASCII: the C locale, not coerced, and no UTF-8 mode."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUTF8"}
+    env.update(LC_ALL="C", PYTHONCOERCECLOCALE="0")
+    return subprocess.run(
+        [sys.executable, "-X", "utf8=0", "-m", "relnet", *argv],
+        capture_output=True,
+        env=env,
+        cwd=Path(relnet.__file__).resolve().parents[1],
+    )
+
+
 class TestTndFit:
     def test_reported_log_likelihood_matches_library(self, tmp_path):
         """The JSON report agrees exactly with an in-process fit."""
@@ -455,6 +468,24 @@ class TestEval:
         assert printed[0] == printed[1]
         assert printed[0].startswith("task,accuracy\na,")
 
+    def test_stdout_is_utf8_under_the_c_locale(self, tmp_path, capsys):
+        """``eval`` prints UTF-8 where the locale's encoding is ASCII: the
+        bytes it prints in process, a task named ``tâche`` included, not a
+        ``UnicodeEncodeError``."""
+        doc = experiment_config(epochs=1)
+        doc["data"]["synthetic"]["task_names"] = ["tâche", "b", "c"]
+        cfg = write_config(tmp_path, doc)
+        assert main(["train", "--config", str(cfg)]) == 0
+        model = tmp_path / "out" / "model.json"
+        argv = ["eval", "--config", str(cfg), "--model", str(model)]
+        capsys.readouterr()
+        assert main(argv) == 0
+        want = capsys.readouterr().out
+        assert want.startswith("task,accuracy\ntâche,")
+        proc = run_in_the_c_locale(argv)
+        assert proc.returncode == 0, proc.stderr.decode("utf-8", "replace")
+        assert proc.stdout == want.encode()
+
     def test_feature_dim_mismatch_exits_usage(self, tmp_path, capsys):
         manifest = self.make_balanced_manifest(tmp_path, dim=4)
         argv = eval_argv(tmp_path, manifest, tiny_checkpoint(tmp_path))
@@ -574,16 +605,17 @@ class TestExportRelationship:
         not a ``UnicodeEncodeError``."""
         argv = with_relationship(np.eye(2).tolist(), ["tâche", "b"])(tmp_path)
         out = tmp_path / "x.csv"
-        env = {k: v for k, v in os.environ.items() if k != "PYTHONUTF8"}
-        env.update(LC_ALL="C", PYTHONCOERCECLOCALE="0")
-        proc = subprocess.run(
-            [sys.executable, "-X", "utf8=0", "-m", "relnet", *argv, "--out", str(out)],
-            capture_output=True,
-            env=env,
-            cwd=Path(relnet.__file__).resolve().parents[1],
-        )
+        proc = run_in_the_c_locale([*argv, "--out", str(out)])
         assert proc.returncode == 0, proc.stderr.decode("utf-8", "replace")
         assert out.read_bytes() == "task,tâche,b\ntâche,1,0\nb,0,1\n".encode()
+
+    def test_csv_stdout_is_utf8_under_the_c_locale(self, tmp_path):
+        """Without ``--out`` the CSV form goes to standard output, also in
+        UTF-8 where the locale's encoding is ASCII."""
+        argv = with_relationship(np.eye(2).tolist(), ["tâche", "b"])(tmp_path)
+        proc = run_in_the_c_locale(argv)
+        assert proc.returncode == 0, proc.stderr.decode("utf-8", "replace")
+        assert proc.stdout == "task,tâche,b\ntâche,1,0\nb,0,1\n".encode()
 
     def test_missing_layer_exits_usage(self, tmp_path, capsys):
         out = self.trained_dir(tmp_path)
@@ -807,8 +839,9 @@ def with_checkpoint(path, value, doc=None):
     return setup
 
 
-def with_relationship(correlation, names=("a", "b")):
-    """CSV export of a relationship file of layer ``classifier`` holding
+def with_relationship(correlation, names=("a", "b"), layer="classifier"):
+    """CSV export, with ``--layer layer``, of the relationship file of
+    ``layer``, which names layer ``classifier`` and holds
     ``correlation`` and the task ``names``."""
 
     def setup(tmp_path):
@@ -818,10 +851,10 @@ def with_relationship(correlation, names=("a", "b")):
             "task_names": list(names),
             "correlation": correlation,
         }
-        (tmp_path / "relationship_classifier.json").write_text(json.dumps(doc))
+        (tmp_path / f"relationship_{layer}.json").write_text(json.dumps(doc))
         return [
             "export-relationship", "--model-dir", str(tmp_path),
-            "--layer", "classifier", "--format", "csv",
+            "--layer", layer, "--format", "csv",
         ]
 
     return setup
@@ -1153,6 +1186,10 @@ REJECTED = {
     "relationship_duplicate_names": (
         with_relationship(np.eye(2).tolist(), ["a", "a"]),
         "relationship_classifier.json: task_names: task names must be unique",
+    ),
+    "relationship_of_another_layer": (
+        with_relationship(np.eye(2).tolist(), layer="bottleneck"),
+        "relationship_bottleneck.json: layer must be \"bottleneck\", got 'classifier'",
     ),
 }
 

@@ -3,6 +3,7 @@
 import base64
 import copy
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,14 +16,15 @@ from relnet.network import (
     TaskLayerStack,
     accuracy,
     batch_gradients,
+    fold_scores,
     forward,
     init_network,
     load_checkpoint,
     predict,
     prior_penalty,
     save_checkpoint,
-    task_scores,
 )
+from relnet.data import MultiTaskDataset
 from relnet.serialize import InputError, load_json
 from relnet.tensor_normal import KronCovariance
 
@@ -135,7 +137,16 @@ class TestCrossEntropy:
         assert total == pytest.approx(by_hand, rel=1e-10)
 
 
-@pytest.mark.parametrize("score", [task_log_loss, task_scores, accuracy])
+def fold_scores_of_task(net, task, x, labels):
+    """:func:`fold_scores` of a fold whose task ``task`` holds ``x`` and
+    ``labels``, and every other task one row of class 0."""
+    features = [np.ones((1, net.input_dim))] * net.num_tasks
+    all_labels = [[0]] * net.num_tasks
+    features[task], all_labels[task] = x, labels
+    return fold_scores(net, SimpleNamespace(features=features, labels=all_labels))
+
+
+@pytest.mark.parametrize("score", [task_log_loss, fold_scores_of_task, accuracy])
 @pytest.mark.parametrize("labels", [[-1, 0], [0, 3], [7, -1]])
 def test_scoring_rejects_labels_out_of_range(score, labels):
     """Labels are checked as in ``batch_gradients``: ``-1`` is not class
@@ -146,6 +157,31 @@ def test_scoring_rejects_labels_out_of_range(score, labels):
         score(net, 1, x, labels)
     with pytest.raises(ValueError, match="one task and one label"):
         score(net, 1, x, [0])
+
+
+def test_fold_scores_are_the_oracle_loss_and_accuracy():
+    """On tasks of unequal sizes, one of them a single row, each task's
+    entry of ``fold_scores`` is the oracle's summed cross-entropy and
+    what ``accuracy`` gives, bit for bit.  A label put out of range
+    after the dataset was built is still rejected."""
+    rng = np.random.default_rng(41)
+    net = init_network(4, [5], [6, 3], 4, rng)
+    sizes = (13, 1, 300, 2)
+    ds = MultiTaskDataset(
+        ["a", "b", "c", "d"],
+        [rng.standard_normal((n, 4)) * 3 for n in sizes],
+        [rng.integers(0, 3, size=n) for n in sizes],
+        num_classes=3,
+    )
+    losses, accs = fold_scores(net, ds)
+    assert len(losses) == len(accs) == 4
+    for t, (x, y) in enumerate(zip(ds.features, ds.labels)):
+        assert losses[t] == task_log_loss(net, t, x, y)
+        assert accs[t] == accuracy(net, t, x, y)
+    ds.labels[2] = ds.labels[2].copy()
+    ds.labels[2][-1] = 3
+    with pytest.raises(ValueError, match=r"label out of range \[0, 3\)"):
+        fold_scores(net, ds)
 
 
 def param_arrays(net):

@@ -799,10 +799,11 @@ class TestTrain:
         monkeypatch.setattr(network, "logits", original)
         last = report.records[-1]
         assert last.objective == spelled_out_objective(net, cov, data, cfg)
+        losses, accs = network.fold_scores(net, data)
         for t in range(3):
             x, y = data.features[t], data.labels[t]
             assert last.train_accuracy[t] == network.accuracy(net, t, x, y)
-            assert network.task_scores(net, t, x, y) == (
+            assert (losses[t], accs[t]) == (
                 task_log_loss(net, t, x, y),
                 network.accuracy(net, t, x, y),
             )

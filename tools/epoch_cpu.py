@@ -1,4 +1,5 @@
-"""CPU time per SGD batch or flip-flop sweep of one benchmark workload.
+"""CPU time per SGD batch, per end-of-epoch scoring or per flip-flop
+sweep of one benchmark workload.
 
 It runs without the benchmark harness, ``perfbench/run.py``.
 
@@ -17,7 +18,11 @@ and one covariance refit follow, so the timed epochs step in a real
 eigenbasis.  Each of the ``--repeat`` timed epochs then runs on a fresh
 copy of the warmed-up network and optimizer state, so every one does
 the same work.  The output is the best and the median microseconds per
-batch.
+batch, then the best and the median milliseconds of ``--repeat`` timed
+end-of-epoch scorings of the warmed-up network: one
+:func:`relnet.network.fold_scores` call per fold, on the training fold
+and on the held-out fold if the workload has one, as
+:func:`relnet.trainer.train` scores them.
 
 For ``tnd-fit``, one warm-up :func:`relnet.tensor_normal.flip_flop_mle`
 fit of the samples runs, then ``--repeat`` timed fits of the same
@@ -57,6 +62,7 @@ from relnet.cli import (  # noqa: E402
     load_experiment_data,
     parse_experiment_config,
 )
+from relnet.network import fold_scores  # noqa: E402
 from relnet.serialize import load_json  # noqa: E402
 from relnet.tensor_normal import flip_flop_mle, mle_mean  # noqa: E402
 
@@ -73,20 +79,21 @@ def _workloads():
 
 
 def warmed_up(workload) -> tuple:
-    """``(net, cov, data, cfg, state)`` of the workload after one epoch
-    and one covariance refit."""
+    """``(net, cov, data, eval_data, cfg, state)`` of the workload after
+    one epoch and one covariance refit; ``eval_data`` is the held-out
+    fold, or None."""
     with tempfile.TemporaryDirectory() as tmp:
         args = workload.prepare(Path(tmp), SEED)
         config = Path(args[args.index("--config") + 1])
         exp = parse_experiment_config(load_json(config), config.parent)
-        data, _ = load_experiment_data(exp)
+        data, eval_data = load_experiment_data(exp)
     net, cfg = build_network(exp, data), exp.train_cfg
     cov = trainer.CovarianceState.identity_for(net.stack, cfg.shared_task_sigma)
     state = trainer.OptimizerState.zeros_like(net)
     trainer.sgd_epoch(net, cov, data, cfg, state)
     if cfg.prior_weight > 0.0:
         cov = trainer.update_covariances(net.stack, cov, cfg)
-    return net, cov, data, cfg, state
+    return net, cov, data, eval_data, cfg, state
 
 
 def epoch_seconds(net, cov, data, cfg, state, repeat: int) -> list:
@@ -101,16 +108,34 @@ def epoch_seconds(net, cov, data, cfg, state, repeat: int) -> list:
     return seconds
 
 
+def scoring_seconds(net, folds, repeat: int) -> list:
+    """CPU seconds of ``repeat`` scorings of every fold in ``folds``."""
+    seconds = []
+    for _ in range(repeat):
+        start = time.process_time()
+        for fold in folds:
+            fold_scores(net, fold)
+        seconds.append(time.process_time() - start)
+    return seconds
+
+
 def batch_report(workload, repeat: int) -> str:
-    """CPU microseconds per SGD batch over ``repeat`` timed epochs."""
-    net, cov, data, cfg, state = warmed_up(workload)
+    """CPU microseconds per SGD batch over ``repeat`` timed epochs, and
+    CPU milliseconds of ``repeat`` timed end-of-epoch scorings."""
+    net, cov, data, eval_data, cfg, state = warmed_up(workload)
     batches = math.ceil(sum(data.task_sizes) / cfg.batch_size)
     seconds = epoch_seconds(net, cov, data, cfg, state, repeat)
     per_batch = [s / batches * 1e6 for s in seconds]
+    folds = [fold for fold in (data, eval_data) if fold is not None]
+    scoring = [s * 1e3 for s in scoring_seconds(net, folds, repeat)]
+    rows = " + ".join(str(sum(fold.task_sizes)) for fold in folds)
     return (
         f"{workload.name}: {batches} batches of {cfg.batch_size} rows, "
         f"{repeat} timed epoch(s): best {min(per_batch):.1f} us, "
-        f"median {statistics.median(per_batch):.1f} us per batch"
+        f"median {statistics.median(per_batch):.1f} us per batch\n"
+        f"{workload.name}: scoring of {len(folds)} fold(s) of {rows} rows, "
+        f"{repeat} timed scoring(s): best {min(scoring):.2f} ms, "
+        f"median {statistics.median(scoring):.2f} ms per epoch"
     )
 
 
