@@ -16,13 +16,14 @@ index samples.  Every per-mode operation (whitening by ``L_k^{-1}``,
 coloring by ``L_k``) is one product of a factor matrix with the
 array's unfolding along that mode, made by the private kernel
 ``_along_mode`` of :mod:`relnet.tensor`, which also makes
-:func:`relnet.tensor.mode_product`.  Whitening, all modes or all
-but one, is ``_whiten``; :func:`mode_gram` forms the Gram matrix of one
-mode after whitening the others, which is what the trainer's covariance
-refit needs.  The flip-flop estimator keeps its samples whitened by all
-current factors instead and updates them one mode at a time; it shares
-with :func:`mode_gram` only the private ``_unfolded_gram``, the Gram
-matrix of one mode's unfolding.
+:func:`relnet.tensor.mode_product`.  Whitening every mode is
+``_whiten``.  A flip-flop step on one mode, the private ``_mode_step``,
+takes tensors whitened by all current factors, forms the mode's Gram
+matrix with its old whitening undone, replaces the mode's factor by a
+caller-given rule of that Gram and re-whitens the mode.  It is the one
+place that forms a mode's Gram matrix: :func:`flip_flop_mle` iterates
+it to convergence and the trainer's covariance refit makes one sweep
+of it per layer.
 
 Each :class:`SpdFactor` forms its inverse Cholesky factor ``L_k^{-1}``,
 its precision ``Sigma_k^{-1} = L_k^{-T} L_k^{-1}`` and its
@@ -57,7 +58,6 @@ __all__ = [
     "log_pdf",
     "sample",
     "mle_mean",
-    "mode_gram",
     "flip_flop_mle",
     "normalize_identifiable",
 ]
@@ -247,46 +247,50 @@ class TensorNormal:
         return self.cov.total_dim
 
 
-def _whiten(centered: np.ndarray, factors, skip: int | None = None) -> np.ndarray:
-    """Multiply every mode (the trailing axes) of ``centered`` but mode
-    ``skip`` by its factor's cached ``L_k^{-1}``.
-
-    With no mode skipped, the result has identity covariance under the
-    model.
-    """
+def _whiten(centered: np.ndarray, factors) -> np.ndarray:
+    """Multiply every mode (the trailing axes) of ``centered`` by its
+    factor's cached ``L_k^{-1}``; under the model the result has
+    identity covariance."""
     z = centered
     for k, f in enumerate(factors):
-        if k != skip:
-            z = _along_mode(f.chol_inv, z, k - len(factors))
+        z = _along_mode(f.chol_inv, z, k - len(factors))
     return z
 
 
-def mode_gram(x, factors, k: int) -> np.ndarray:
-    """Gram matrix of mode ``k`` after whitening every other mode.
+def _mode_step(z: np.ndarray, factors: list, k: int, rule, what: str) -> tuple:
+    """One flip-flop step on mode ``k``; returns ``(z', gram)``.
 
-    ``x`` holds one tensor with dims ``(d_1, ..., d_K)`` matching
-    ``factors`` (one :class:`SpdFactor` per mode), or a batch of them
-    along leading axes.  Each other mode is whitened by one product with
-    its factor's cached ``L_j^{-1}`` (``_whiten`` skipping mode ``k``),
-    mode ``k`` is unfolded to ``(d_k, rest)`` (the columns running over
-    samples too) and the result is ``rows @ rows.T``, i.e.
+    ``z`` holds tensors whitened by every factor of ``factors`` (one
+    :class:`SpdFactor` per trailing axis), any leading axes indexing
+    samples.  With ``G`` the Gram matrix of ``z``'s mode-``k`` unfolding
+    (its columns running over samples too) and ``C_k`` the Cholesky
+    factor of the old ``factors[k]``, undoing the old whitening gives
 
-        sum_i  X_i(k) (kron of the other factors)^{-1} X_i(k)^T.
+        gram = C_k G C_k^T
+             = sum_i  X_i(k) (kron of the other factors)^{-1} X_i(k)^T,
 
-    It is symmetric PSD by construction.  Dividing by ``n * d / d_k``
-    gives the flip-flop update of ``Sigma_k``.
+    symmetric PSD by construction.  ``factors[k]`` is replaced by
+    ``rule(gram, m)``, ``m = z.size / d_k`` being the unfolding's column
+    count, and ``z'`` is ``z`` with mode ``k`` re-whitened by one product
+    with the ``d_k x d_k`` matrix ``L_k'^{-1} C_k``.  So the step costs
+    one mode product and one Gram over ``z`` plus ``O(d_k^3)`` work.  A
+    rule whose value is not positive definite raises
+    :class:`EstimationError` naming ``what``.
     """
-    z = _whiten(np.asarray(x, dtype=float), factors, skip=k)
-    return _unfolded_gram(z, k - len(factors))
-
-
-def _unfolded_gram(z: np.ndarray, axis: int) -> np.ndarray:
-    """``rows @ rows.T`` of the unfolding of ``z`` along ``axis``: the
-    axis moved to the front, the columns running over every other axis,
-    leading (sample) axes included."""
-    moved = np.moveaxis(z, axis, 0)
-    rows = moved.reshape(moved.shape[0], -1)
-    return rows @ rows.T
+    axis = k - len(factors)
+    old = factors[k]
+    rows = np.moveaxis(z, axis, 0).reshape(z.shape[axis], -1)
+    gram = old.chol @ (rows @ rows.T) @ old.chol.T
+    # Unless mode k leads, rows is a copy of z: free it before the
+    # re-whitening allocates another.
+    del rows
+    try:
+        factors[k] = SpdFactor(rule(gram, z.size / z.shape[axis]))
+    except ValueError:
+        raise EstimationError(
+            f"{what} covariance update is not positive definite"
+        ) from None
+    return _along_mode(factors[k].chol_inv @ old.chol, z, axis), gram
 
 
 def mahalanobis(dist: TensorNormal, x) -> float:
@@ -386,21 +390,18 @@ def flip_flop_mle(
         Sigma_k  <-  (1/(n * d/d_k)) * sum_i  Z_(k) Z_(k)^T
 
     where ``Z`` is the centered sample whitened along the other two
-    modes (the Gram of :func:`mode_gram`), so the update is symmetric
-    PSD by construction.  Each such step cannot decrease the
-    likelihood, hence the per-sweep log-likelihood history is
-    non-decreasing up to rounding.
+    modes, so the update is symmetric PSD by construction.  Each such
+    step cannot decrease the likelihood, hence the per-sweep
+    log-likelihood history is non-decreasing up to rounding.
 
     The sweep keeps one array, the centered samples whitened by all
-    current factors.  Mode ``k``'s Gram is that array's mode-``k`` Gram
-    with the old whitening of mode ``k`` undone, ``C_k G C_k^T`` for the
-    old factor's Cholesky factor ``C_k``; after the update, one product
-    with the ``d_k x d_k`` matrix ``L_k'^{-1} C_k`` re-whitens mode
-    ``k``.  The log-likelihood takes its Mahalanobis term
-    ``tr(Sigma_3^{-1} G_3)`` from the last Gram.  So a sweep costs
-    three mode products and three Gram matrices over the ``n * d``
-    entries, plus ``O(d_k^3)`` work per mode; it makes no full
-    whitening.
+    current factors, and updates it one mode at a time with
+    ``_mode_step``, which undoes the old whitening of mode ``k`` in that
+    array's mode-``k`` Gram and re-whitens the mode after the update.
+    The log-likelihood takes its Mahalanobis term ``tr(Sigma_3^{-1}
+    G_3)`` from the last Gram.  So a sweep costs three mode products
+    and three Gram matrices over the ``n * d`` entries, plus
+    ``O(d_k^3)`` work per mode; it makes no full whitening.
 
     Only the Kronecker product of the factors is identifiable; the
     returned factors carry an arbitrary scale split (pass the result to
@@ -460,15 +461,8 @@ def flip_flop_mle(
     sweeps = 0
     for sweep in range(1, max_iter + 1):
         for k in range(3):
-            old = factors[k]
-            gram = old.chol @ _unfolded_gram(z, k - 3) @ old.chol.T
-            try:
-                factors[k] = SpdFactor(gram / (n * (d / dims[k])))
-            except ValueError:
-                raise EstimationError(
-                    f"mode {k + 1} covariance update is not positive definite"
-                ) from None
-            z = _along_mode(factors[k].chol_inv @ old.chol, z, k - 3)
+            # The rule is the maximizer gram / (n * d / d_k).
+            z, gram = _mode_step(z, factors, k, np.divide, f"mode {k + 1}")
         # ||z||^2 = tr(Sigma_3^{-1} G_3), G_3 being the last Gram formed.
         new_ll = _total_log_likelihood(
             n, d, factors, float(np.sum(factors[2].precision * gram))

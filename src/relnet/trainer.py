@@ -37,13 +37,13 @@ Each epoch alternates two blocks:
    ``batch_gradients`` per batch.
 2. One covariance sweep per stack layer: with the weights fixed, each
    mode factor in turn is replaced by the maximizer of the prior term
-   given the other two, then ridged and trace-normalized.  The Gram
-   matrix of each step comes from
-   :func:`~relnet.tensor_normal.mode_gram`: the Gram that the
-   distribution fitter :func:`~relnet.tensor_normal.flip_flop_mle`
-   forms from its whitened samples.  Only the task-mode factor carries
-   the inter-task relationship; feature and output factors absorb
-   within-layer scale.
+   given the other two, then ridged and trace-normalized.  The sweep
+   whitens the layer's weights once and then makes the flip-flop mode
+   step that the distribution fitter
+   :func:`~relnet.tensor_normal.flip_flop_mle` iterates: form the mode's
+   Gram with its old whitening undone, replace the factor, re-whiten
+   the mode.  Only the task-mode factor carries the inter-task
+   relationship; feature and output factors absorb within-layer scale.
 
 The gradient and the velocity share the layout of the network's one
 parameter vector, whose layer order only :mod:`relnet.network` knows:
@@ -75,7 +75,13 @@ from .network import (
     resolve_layer,
 )
 from .serialize import write_csv_rows
-from .tensor_normal import EstimationError, KronCovariance, SpdFactor, mode_gram
+from .tensor_normal import (
+    EstimationError,
+    KronCovariance,
+    SpdFactor,
+    _mode_step,
+    _whiten,
+)
 
 __all__ = [
     "TrainingError",
@@ -205,30 +211,14 @@ class OptimizerState:
 class OpCounter(Counter):
     """Tallies floating-point multiply counts of covariance updates.
 
-    Keys are ``mode{k}_solve`` (the whitening products with the other
-    modes' cached ``L_j^{-1}``), ``mode{k}_gram`` (Gram products) and
-    ``mode{k}_factor`` (Cholesky), accumulated over layers; a key never
-    counted reads 0.
+    Keys are ``mode{k}_solve`` (the products with Cholesky factors and
+    their inverses: mode ``k``'s product in the layer's one full
+    whitening, the ``d_k^3`` products that undo the old whitening in
+    the Gram and form the re-whitening matrix, and the one re-whitening
+    of mode ``k`` after its update), ``mode{k}_gram`` (Gram products)
+    and ``mode{k}_factor`` (Cholesky), accumulated over layers; a key
+    never counted reads 0.
     """
-
-
-def _finish_factor(
-    gram: np.ndarray,
-    denom: float,
-    eps: float,
-    dim: int,
-    counter: OpCounter | None,
-    key: str,
-    context: str,
-):
-    s = gram / denom + eps * np.eye(dim)
-    s = s / np.trace(s)
-    if counter is not None:
-        counter[key] += dim**3 // 3
-    try:
-        return SpdFactor(s)
-    except ValueError:
-        raise EstimationError(f"{context}: covariance update is not positive definite") from None
 
 
 def update_covariances(
@@ -239,49 +229,64 @@ def update_covariances(
 ) -> CovarianceState:
     """One cyclic re-estimation sweep over all prior factors.
 
-    Per layer, the factors of ``cov.priors[l]`` are updated in mode
-    order (feature, output, task), each from the weights whitened by the
-    other modes' most recent factors, then ridged with ``epsilon_ridge``
-    and scaled to unit trace; the layer's new prior is a
-    :class:`~relnet.tensor_normal.KronCovariance` of the swept factors.
-    With ``shared_task_sigma`` the task-mode Gram matrices are pooled
-    across layers (weighted by ``D_in * D_out``) before the ridge and
+    Per layer, the weights are whitened once by the layer's current
+    factors, and the factors of ``cov.priors[l]`` are updated in mode
+    order (feature, output, task) by the flip-flop mode step of
+    :mod:`relnet.tensor_normal`: each from the weights whitened by the
+    other modes' most recent factors, with the rule ``G/(D/d_k) +
+    epsilon_ridge * I`` scaled to unit trace.  The layer's new prior is
+    a :class:`~relnet.tensor_normal.KronCovariance` of the swept
+    factors.  With ``shared_task_sigma`` every prior must hold one task
+    factor object, as :meth:`CovarianceState.identity_for` and this
+    refit make them.  The task-mode step is then one step over every
+    layer's whitened task fibres together, which pools the layers' task
+    Grams (weighted by ``D_in * D_out``) before the ridge and
     normalization, and every new prior holds the one pooled factor.
 
     The mode-3 (task) step costs ``O(T^2 D_in D_out + T^3)`` arithmetic
-    per layer: one Gram product against the pre-whitened weights plus
-    one Cholesky.  Pass an :class:`OpCounter` to audit that.
+    per layer: one Gram product against the whitened weights plus one
+    Cholesky.  Pass an :class:`OpCounter` to audit that.
     """
     if list(stack.layer_ids) != list(cov.layer_ids):
         raise ValueError("covariance state does not match the stack")
-    swept, task_grams = [], []
+    shared = cfg.shared_task_sigma
+    task = [cov.priors[0].factors[2]]
+    if shared and any(p.factors[2] is not task[0] for p in cov.priors):
+        raise ValueError("shared_task_sigma needs one task factor in every prior")
+    eps = cfg.epsilon_ridge
+
+    def ridged(gram, m):
+        s = gram / m + eps * np.eye(len(gram))
+        return s / np.trace(s)
+
+    def step(z, factors, k, mode, what):
+        if counter is not None:
+            dk = z.shape[k - len(factors)]
+            counter[f"mode{mode}_solve"] += dk * z.size + 3 * dk**3
+            counter[f"mode{mode}_gram"] += dk * z.size
+            counter[f"mode{mode}_factor"] += dk**3 // 3
+        return _mode_step(z, factors, k, ridged, what)[0]
+
+    swept, fibres = [], []
     for lid, w, prior in zip(stack.layer_ids, stack.weights, cov.priors):
         factors = list(prior.factors)
-        d = w.size
-        for k, name in enumerate(("feature", "output", "task")):
-            dk = w.shape[k]
-            gram = mode_gram(w, factors, k)
-            if counter is not None:
-                counter[f"mode{k + 1}_solve"] += (sum(w.shape) - dk) * d
-                counter[f"mode{k + 1}_gram"] += dk * d
-            if k == 2 and cfg.shared_task_sigma:
-                task_grams.append((gram, d // dk))
-                continue
-            factors[k] = _finish_factor(
-                gram, d // dk, cfg.epsilon_ridge, dk, counter,
-                f"mode{k + 1}_factor", f"layer {lid!r} {name} mode",
-            )
+        z = _whiten(w, factors)
+        if counter is not None:
+            for k, dk in enumerate(w.shape):
+                counter[f"mode{k + 1}_solve"] += dk * w.size
+        names = ("feature", "output") if shared else ("feature", "output", "task")
+        for k, name in enumerate(names):
+            z = step(z, factors, k, k + 1, f"layer {lid!r} {name} mode")
+        if shared:
+            fibres.append(z.reshape(-1, stack.num_tasks))
         swept.append(factors)
 
-    if cfg.shared_task_sigma:
-        pooled = sum(g for g, _ in task_grams)
-        weight = sum(wt for _, wt in task_grams)
-        shared = _finish_factor(
-            pooled, weight, cfg.epsilon_ridge, stack.num_tasks, counter,
-            "mode3_factor", "shared task mode",
-        )
+    if shared:
+        # Every layer's task fibres, whitened by the one task factor, are
+        # the samples of an order-1 tensor normal with that factor.
+        step(np.concatenate(fibres), task, 0, 3, "shared task mode")
         for factors in swept:
-            factors[2] = shared
+            factors[2] = task[0]
 
     priors = [KronCovariance(f) for f in swept]
     return CovarianceState(list(cov.layer_ids), priors)
@@ -526,8 +531,11 @@ def train(
     prior has no influence on the parameters, so tasks train
     independently and the factors stay at their identity initialization.
 
-    A non-finite epoch objective raises :class:`TrainingError` giving
-    the epoch, the data loss and the weighted prior term.
+    A refit that fails raises its
+    :class:`~relnet.tensor_normal.EstimationError` prefixed with the
+    0-based epoch it followed.  A non-finite epoch objective raises
+    :class:`TrainingError` giving the epoch, the data loss and the
+    weighted prior term.
     """
     check_data(net, data, "training data")
     if eval_data is not None:
@@ -547,7 +555,12 @@ def train(
         t1 = time.perf_counter()
         new_cov = cov
         if cfg.prior_weight > 0.0:
-            new_cov = update_covariances(net.stack, cov, cfg)
+            try:
+                new_cov = update_covariances(net.stack, cov, cfg)
+            except EstimationError as exc:
+                raise EstimationError(
+                    f"covariance refit after epoch {state.epoch - 1}: {exc}"
+                ) from None
         t2 = time.perf_counter()
 
         residuals = tuple(map(_residual, cov.priors, new_cov.priors))

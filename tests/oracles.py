@@ -10,6 +10,7 @@ import base64
 import math
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from relnet.network import batch_gradients, logits
 from relnet.tensor_normal import (
@@ -19,8 +20,6 @@ from relnet.tensor_normal import (
     KronCovariance,
     SpdFactor,
     _stack_samples,
-    _whiten,
-    mode_gram,
 )
 from relnet.trainer import TrainingError, check_data, learning_rate_at
 
@@ -173,11 +172,34 @@ def per_batch_sgd_epoch(net, cov, data, cfg, state):
     return net, state
 
 
+def triangular_whiten(x, factors, skip=None):
+    """Whiten every mode (the trailing axes) of ``x`` but mode ``skip``
+    by a triangular solve against its factor's Cholesky factor ``L_k``,
+    the mode's unfolding taken as the right-hand sides."""
+    z = np.asarray(x, dtype=float)
+    for k, f in enumerate(factors):
+        if k != skip:
+            moved = np.moveaxis(z, k - len(factors), 0)
+            rhs = moved.reshape(moved.shape[0], -1)
+            solved = solve_triangular(f.chol, rhs, lower=True)
+            z = np.moveaxis(solved.reshape(moved.shape), 0, k - len(factors))
+    return z
+
+
+def whitened_gram(x, factors, k):
+    """Gram matrix of mode ``k`` of ``x`` whitened along every other mode
+    by :func:`triangular_whiten`, summed over any leading sample axes:
+    ``sum_i X_i(k) (kron of the other factors)^{-1} X_i(k)^T``."""
+    z = np.moveaxis(triangular_whiten(x, factors, skip=k), k - len(factors), 0)
+    rows = z.reshape(z.shape[0], -1)
+    return rows @ rows.T
+
+
 def _total_log_likelihood(centered, factors):
     """Sum of log densities for pre-centered stacked samples."""
     n = centered.shape[0]
     d = math.prod(centered.shape[1:])
-    z = _whiten(centered, factors)
+    z = triangular_whiten(centered, factors)
     maha = float(np.sum(z * z))
     logdet = sum((d / f.dim) * f.logdet for f in factors)
     return -0.5 * (n * d * _LOG_2PI + n * logdet + maha)
@@ -186,8 +208,9 @@ def _total_log_likelihood(centered, factors):
 def reference_flip_flop_mle(samples, mean, tol=1e-8, max_iter=200):
     """:func:`relnet.tensor_normal.flip_flop_mle` spelled from scratch
     each sweep: every mode's Gram whitens the centred samples along the
-    other two modes (:func:`~relnet.tensor_normal.mode_gram`), and every
-    sweep's log-likelihood whitens all three modes again."""
+    other two modes (:func:`whitened_gram`), and every sweep's
+    log-likelihood whitens all three modes again, each whitening by
+    triangular solves."""
     stacked = _stack_samples(samples)
     if stacked.ndim != 4:
         raise ValueError(
@@ -217,7 +240,7 @@ def reference_flip_flop_mle(samples, mean, tol=1e-8, max_iter=200):
     sweeps = 0
     for sweep in range(1, max_iter + 1):
         for k in range(3):
-            gram = mode_gram(centered, factors, k)
+            gram = whitened_gram(centered, factors, k)
             try:
                 factors[k] = SpdFactor(gram / (n * (d / dims[k])))
             except ValueError:

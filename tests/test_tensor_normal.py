@@ -13,6 +13,7 @@ from oracles import (
     kronecker,
     matricize,
     reference_flip_flop_mle,
+    triangular_whiten,
     vectorize,
 )
 from relnet.tensor import _along_mode
@@ -22,11 +23,12 @@ from relnet.tensor_normal import (
     KronCovariance,
     SpdFactor,
     TensorNormal,
+    _mode_step,
+    _whiten,
     flip_flop_mle,
     log_pdf,
     mahalanobis,
     mle_mean,
-    mode_gram,
     normalize_identifiable,
     sample,
 )
@@ -453,29 +455,90 @@ class TestAlongMode:
             )
 
 
-class TestModeGram:
+def dense_mode_gram(xs, factors, k):
+    """``sum_i X_i(k) (kron of the other factors)^{-1} X_i(k)^T`` with the
+    Kronecker product materialized and inverted."""
+    a, b = [factors[j].matrix for j in range(3) if j != k]
+    kinv = np.linalg.inv(kronecker(a, b))
+    return sum(matricize(x, k + 1) @ kinv @ matricize(x, k + 1).T for x in xs)
+
+
+def ridge_rule(gram, m):
+    """A step rule that is positive definite for any Gram."""
+    return gram / m + np.eye(len(gram))
+
+
+class TestModeStep:
+    """The flip-flop mode step that both the estimator and the trainer's
+    refit make, against dense Kronecker arithmetic."""
+
     def test_matches_dense_oracle(self):
-        """Whitening the other modes equals the dense inverse Kronecker
-        product of their factors, summed over the batch."""
+        """Undoing the old whitening of mode ``k`` in the Gram of the
+        fully whitened batch equals the dense inverse Kronecker product
+        of the other factors, summed over the batch."""
         rng = np.random.default_rng(16)
         xs = rng.standard_normal((3, 4, 3, 2))
         factors = [SpdFactor(rand_spd(rng, d)) for d in (4, 3, 2)]
+        z = _whiten(xs, factors)
         for k in range(3):
-            a, b = [factors[j].matrix for j in range(3) if j != k]
-            kinv = np.linalg.inv(kronecker(a, b))
-            want = sum(
-                matricize(x, k + 1) @ kinv @ matricize(x, k + 1).T for x in xs
+            _, gram = _mode_step(z, list(factors), k, ridge_rule, "mode")
+            np.testing.assert_allclose(
+                gram, dense_mode_gram(xs, factors, k), rtol=1e-10
             )
-            np.testing.assert_allclose(mode_gram(xs, factors, k), want, rtol=1e-10)
 
     def test_single_tensor_equals_batch_of_one(self):
         rng = np.random.default_rng(17)
         x = rng.standard_normal((4, 3, 2))
         factors = [SpdFactor(rand_spd(rng, d)) for d in (4, 3, 2)]
         for k in range(3):
-            np.testing.assert_array_equal(
-                mode_gram(x, factors, k), mode_gram(x[None], factors, k)
+            single, batch = list(factors), list(factors)
+            z, gram = _mode_step(_whiten(x, factors), single, k, ridge_rule, "m")
+            zb, gram_b = _mode_step(
+                _whiten(x[None], factors), batch, k, ridge_rule, "m"
             )
+            np.testing.assert_array_equal(gram, gram_b)
+            np.testing.assert_array_equal(single[k].matrix, batch[k].matrix)
+            np.testing.assert_array_equal(z, zb[0])
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.tuples(*[st.integers(1, 5)] * 3),
+        st.integers(1, 4),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_step_matches_dense_kronecker(self, dims, n, seed):
+        """For every mode: the Gram, the factor the rule makes of it and
+        the re-whitened samples, against the dense Gram and whitening
+        by triangular solves; the other factors stay as they were."""
+        rng = np.random.default_rng(seed)
+        xs = rng.standard_normal((n, *dims))
+        factors = [SpdFactor(rand_spd(rng, d)) for d in dims]
+        z = _whiten(xs, factors)
+        for k, dk in enumerate(dims):
+            new = list(factors)
+            z_new, gram = _mode_step(z, new, k, ridge_rule, f"mode {k + 1}")
+            want = dense_mode_gram(xs, factors, k)
+            np.testing.assert_allclose(
+                gram, want, rtol=1e-10, atol=1e-10 * np.abs(want).max()
+            )
+            np.testing.assert_allclose(
+                new[k].matrix, ridge_rule(want, n * math.prod(dims) / dk),
+                rtol=1e-10,
+            )
+            assert all(new[j] is factors[j] for j in range(3) if j != k)
+            want_z = triangular_whiten(xs, new)
+            np.testing.assert_allclose(
+                z_new, want_z, rtol=1e-10, atol=1e-10 * np.abs(want_z).max()
+            )
+
+    def test_failed_rule_names_the_mode(self):
+        z = np.zeros((2, 3, 2, 2))
+        factors = [SpdFactor.identity(d) for d in (3, 2, 2)]
+        with pytest.raises(
+            EstimationError,
+            match="^layer 'x' output mode covariance update is not positive definite$",
+        ):
+            _mode_step(z, factors, 1, np.divide, "layer 'x' output mode")
 
 
 def brute_unfold(t, mode):

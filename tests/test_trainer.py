@@ -8,11 +8,13 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import backward, per_batch_sgd_epoch, solve_kron, task_log_loss
 from relnet import network, tensor_normal, trainer
 from relnet.data import MultiTaskDataset, SyntheticSpec, generate_synthetic
-from relnet.network import forward, init_network, prior_penalty
+from relnet.network import TaskLayerStack, forward, init_network, prior_penalty
 from relnet.tensor_normal import EstimationError, KronCovariance, SpdFactor
 from relnet.trainer import (
     CovarianceState,
@@ -511,11 +513,16 @@ def test_batch_beyond_int64_is_the_whole_epoch():
 
 
 def dense_update_oracle(stack, cov, cfg):
-    """Brute-force Gauss-Seidel sweep with materialized Kronecker inverses."""
+    """Brute-force Gauss-Seidel sweep with materialized Kronecker inverses.
+
+    With ``shared_task_sigma`` the layers' task Grams are summed and
+    divided by the summed ``D_in * D_out`` before the ridge, and every
+    layer gets the one pooled task factor."""
     feats, outs, tasks = (
         [p.factors[k].matrix.copy() for p in cov.priors] for k in range(3)
     )
     eps = cfg.epsilon_ridge
+    pooled, weight = 0.0, 0
     for l, w in enumerate(stack.weights):
         din, dout, t = w.shape
         m1 = w.reshape(din, dout * t)
@@ -530,9 +537,21 @@ def dense_update_oracle(stack, cov, cfg):
 
         m3 = w.transpose(2, 0, 1).reshape(t, din * dout)
         k = np.kron(feats[l], outs[l])
-        s = m3 @ np.linalg.inv(k) @ m3.T / (din * dout) + eps * np.eye(t)
+        gram = m3 @ np.linalg.inv(k) @ m3.T
+        if cfg.shared_task_sigma:
+            pooled, weight = pooled + gram, weight + din * dout
+            continue
+        s = gram / (din * dout) + eps * np.eye(t)
         tasks[l] = s / np.trace(s)
+    if cfg.shared_task_sigma:
+        s = pooled / weight + eps * np.eye(len(pooled))
+        tasks = [s / np.trace(s)] * len(tasks)
     return feats, outs, tasks
+
+
+def random_spd(rng, d):
+    a = rng.standard_normal((d, d))
+    return a @ a.T + d * np.eye(d)
 
 
 class TestUpdateCovariances:
@@ -569,6 +588,55 @@ class TestUpdateCovariances:
             np.testing.assert_allclose(feature.matrix, feats[l], rtol=1e-10)
             np.testing.assert_allclose(output.matrix, outs[l], rtol=1e-10)
             np.testing.assert_allclose(task.matrix, tasks[l], rtol=1e-10)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.integers(1, 5), min_size=2, max_size=4),
+        st.integers(1, 5),
+        st.booleans(),
+        st.floats(1e-3, 1.0),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_sweep_matches_dense_oracle(self, widths, tasks, shared, eps, seed):
+        """Stacks of 1-3 layers with dims 1-5 per mode, random SPD
+        factors and weights, with and without ``shared_task_sigma``."""
+        rng = np.random.default_rng(seed)
+        weights = [
+            rng.standard_normal((din, dout, tasks))
+            for din, dout in zip(widths, widths[1:])
+        ]
+        ids = [f"layer{l}" for l in range(len(weights))]
+        stack = TaskLayerStack(
+            ids, weights, [np.zeros((tasks, w.shape[1])) for w in weights]
+        )
+        task = SpdFactor(random_spd(rng, tasks))
+        priors = [
+            KronCovariance([
+                random_spd(rng, w.shape[0]),
+                random_spd(rng, w.shape[1]),
+                task if shared else random_spd(rng, tasks),
+            ])
+            for w in weights
+        ]
+        cfg = TrainConfig(epsilon_ridge=eps, shared_task_sigma=shared)
+        new = update_covariances(stack, CovarianceState(ids, priors), cfg)
+        want = dense_update_oracle(stack, CovarianceState(ids, priors), cfg)
+        for l, prior in enumerate(new.priors):
+            for k, f in enumerate(prior.factors):
+                np.testing.assert_allclose(
+                    f.matrix, want[k][l], rtol=1e-10,
+                    atol=1e-10 * np.abs(want[k][l]).max(),
+                )
+        if shared:
+            assert all(p.factors[2] is new.priors[0].factors[2] for p in new.priors)
+
+    def test_shared_task_sigma_needs_one_task_factor(self):
+        """The pooled task step undoes one old task whitening, so priors
+        that hold different task factors are refused."""
+        net = init_network(5, [], [4, 3], 3, np.random.default_rng(22))
+        cov = CovarianceState.identity_for(net.stack)
+        with pytest.raises(ValueError, match="one task factor"):
+            update_covariances(net.stack, cov, TrainConfig(shared_task_sigma=True))
 
     def test_factors_spd_unit_trace(self):
         rng = np.random.default_rng(18)
@@ -633,7 +701,9 @@ class TestUpdateCovariances:
         assert counter["mode3_gram"] == t * t * din * dout
         assert counter["mode3_factor"] == t**3 // 3
         assert counter["mode1_gram"] == din * din * dout * t
-        assert counter["mode1_solve"] == (dout + t) * din * dout * t
+        # One full whitening, one re-whitening and the d^3 undo products.
+        assert counter["mode1_solve"] == 2 * din * din * dout * t + 3 * din**3
+        assert counter["mode3_solve"] == 2 * t * din * dout * t + 3 * t**3
 
 
 def spelled_out_objective(net, cov, data, cfg):
@@ -777,6 +847,30 @@ class TestTrain:
         report.timings_to_csv(timings)
         assert timings.read_text().startswith("epoch,sgd_seconds,covariance_seconds")
 
+    def test_refit_failure_names_its_epoch(self, monkeypatch):
+        """A refit that fails after the second epoch's SGD names epoch 1,
+        counted from 0 as the objective's error counts it, before the
+        layer and mode."""
+        steps = []
+        original = trainer._mode_step
+
+        def negative(gram, m):
+            return -np.eye(len(gram))
+
+        def failing(z, factors, k, rule, what):
+            steps.append(what)
+            # The fifth step is the output mode of the second refit.
+            return original(z, factors, k, negative if len(steps) == 5 else rule, what)
+
+        monkeypatch.setattr(trainer, "_mode_step", failing)
+        data = toy_data(sizes=(6, 5), dim=3, seed=41)
+        net = init_network(3, [], [3], 2, np.random.default_rng(42))
+        with pytest.raises(
+            EstimationError,
+            match="^covariance refit after epoch 1: layer 'classifier' output "
+            "mode covariance update is not positive definite$",
+        ):
+            train(net, data, TrainConfig(epochs=3, batch_size=4, seed=43))
 
     def test_scores_are_objective_and_accuracy_from_one_pass(self, monkeypatch):
         """Each epoch runs one forward pass per task and fold, and its
