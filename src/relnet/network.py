@@ -44,13 +44,10 @@ __all__ = [
     "init_network",
     "logits",
     "forward",
-    "predict",
-    "accuracy",
     "fold_scores",
     "softmax",
     "batch_gradients",
     "prior_penalty",
-    "resolve_layer",
     "save_checkpoint",
     "load_checkpoint",
 ]
@@ -75,21 +72,6 @@ class DenseLayer:
                 f"bias shape {self.bias.shape} does not match out dim "
                 f"{self.weight.shape[1]}"
             )
-
-
-def resolve_layer(layer_ids, layer) -> int:
-    """Position of a stack layer given by id (``str``) or by position."""
-    if isinstance(layer, str):
-        try:
-            return layer_ids.index(layer)
-        except ValueError:
-            raise ValueError(
-                f"unknown stack layer {layer!r}; have {layer_ids}"
-            ) from None
-    idx = int(layer)
-    if not 0 <= idx < len(layer_ids):
-        raise ValueError(f"stack layer index {idx} out of range")
-    return idx
 
 
 @dataclass
@@ -364,32 +346,6 @@ def forward(net: MultiTaskNet, task: int, x) -> np.ndarray:
     return softmax(logits(net, task, x))
 
 
-def predict(net: MultiTaskNet, task: int, x) -> np.ndarray:
-    """Most probable class per example; ties break toward the lower index."""
-    return np.argmax(logits(net, task, x), axis=-1)
-
-
-def accuracy(net: MultiTaskNet, task: int, x, labels) -> float:
-    """Fraction of a non-empty batch that :func:`predict` gets right: the
-    one-task case of :func:`fold_scores`."""
-    return _scores(net, [task], [x], [labels])[1][0]
-
-
-def fold_scores(net: MultiTaskNet, data) -> tuple:
-    """``(log_losses, accuracies)`` of a fold, one entry per task.
-
-    ``data`` holds one ``features`` matrix and one ``labels`` vector per
-    task, as :class:`~relnet.data.MultiTaskDataset` does, and no task may
-    be empty.  Entry ``t`` is task ``t``'s summed cross-entropy and the
-    fraction of its rows that :func:`predict` gets right.  Each task
-    costs one :func:`logits` call; the labels are then checked once, and
-    one log-sum-exp, one label pick and one argmax run over the
-    concatenated logits.  Each task's loss sums its slice of the row
-    losses, in task order.
-    """
-    return _scores(net, range(len(data.features)), data.features, data.labels)
-
-
 def _check_index(values, rows: int, bound: int, what: str) -> np.ndarray:
     """``values`` (the tasks or labels of a batch) as an int vector of
     one entry for each of the ``rows`` examples, each in ``[0, bound)``."""
@@ -401,16 +357,26 @@ def _check_index(values, rows: int, bound: int, what: str) -> np.ndarray:
     return values
 
 
-def _scores(net: MultiTaskNet, tasks, features, labels) -> tuple:
-    """:func:`fold_scores` of ``features[i]`` and ``labels[i]`` under
-    task ``tasks[i]``."""
-    z = [logits(net, t, np.atleast_2d(x)) for t, x in zip(tasks, features)]
+def fold_scores(net: MultiTaskNet, data) -> tuple:
+    """``(log_losses, accuracies)`` of a fold, one entry per task.
+
+    ``data`` holds one ``features`` matrix and one ``labels`` vector per
+    task, as :class:`~relnet.data.MultiTaskDataset` does, and no task may
+    be empty.  Entry ``t`` is task ``t``'s summed cross-entropy and the
+    fraction of its rows whose largest logit is the label's, a tie going
+    to the lower class index.  Each task
+    costs one :func:`logits` call; the labels are then checked once, and
+    one log-sum-exp, one label pick and one argmax run over the
+    concatenated logits.  Each task's loss sums its slice of the row
+    losses, in task order.
+    """
+    z = [logits(net, t, x) for t, x in enumerate(data.features)]
     sizes = [zt.shape[0] for zt in z]
     if 0 in sizes:
         raise ValueError("cannot score an empty set")
-    if [np.size(y) for y in labels] != sizes:
+    if [np.size(y) for y in data.labels] != sizes:
         raise ValueError("need one task and one label per example")
-    z, y = np.concatenate(z), np.concatenate(labels, axis=None)
+    z, y = np.concatenate(z), np.concatenate(data.labels, axis=None)
     y = _check_index(y, len(z), net.num_classes, "label")
     # The row maximum column by column: exact, so it is ``z.max(axis=1)``
     # bit for bit, and many times faster over a few classes.
@@ -472,8 +438,9 @@ def _gradients_into(
     Every array of ``grads``, a :meth:`Gradients.empty_like` buffer, is
     overwritten.  The inputs are taken as :func:`_checked_batch` returns
     them, with ``onehot`` the ``(B, T)`` float one-hot of ``tasks``.
-    The forward pass keeps each layer's input and ReLU mask, and the
-    softmax and the label step overwrite the logits.
+    The forward pass keeps each layer's input and ReLU mask;
+    :func:`softmax` gives the class probabilities, and the label step
+    overwrites them with the output gradient.
     """
     rows = np.arange(x.shape[0])
     stack = net.stack
@@ -500,10 +467,7 @@ def _gradients_into(
             masks.append(z > 0)
             h = np.maximum(z, 0.0, out=z)
 
-    dz = z
-    dz -= dz.max(axis=1, keepdims=True)
-    np.exp(dz, out=dz)
-    dz /= dz.sum(axis=1, keepdims=True)
+    dz = softmax(z)
     dz[rows, labels] -= 1.0
 
     n_trunk = len(net.trunk)

@@ -88,6 +88,15 @@ def task_log_loss(net, task, x, labels):
     return float(np.sum(lse - z[np.arange(z.shape[0]), labels]))
 
 
+def task_accuracy(net, task, x, labels):
+    """Fraction of a batch's rows under one task whose largest logit of
+    :func:`relnet.network.logits` is the label's.  ``np.argmax`` takes
+    the first largest, so a tie goes to the lower class index."""
+    z = logits(net, task, np.atleast_2d(x))
+    hits = np.count_nonzero(np.argmax(z, axis=1) == np.reshape(labels, -1))
+    return hits / z.shape[0]
+
+
 def prior_gradient_full(stack, priors, l):
     """``Sigma^-1 vec(W)`` of stack layer ``l``, as a ``(D_in, D_out, T)``
     tensor covering every task."""

@@ -1211,6 +1211,110 @@ def test_rejected_input_exits_usage_naming_the_field(case, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def with_feature_dim(feature_dim):
+    """A ``train`` command on a manifest that gives ``feature_dim`` for
+    its one task, whose CSV holds 3 features per row."""
+    task = {"name": "a", "path": "a.csv"}
+    manifest = json.dumps(
+        {"schema_version": 1, "num_classes": 2, "feature_dim": feature_dim,
+         "tasks": [task]}
+    )
+
+    def setup(tmp_path):
+        (tmp_path / "a.csv").write_text("0.5,0.25,1,1\n0.1,0.2,0.3,0\n")
+        return with_manifest("train", manifest)(tmp_path)
+
+    return setup
+
+
+def with_stack_ids(ids, layer_ids):
+    """An ``eval`` command on a checkpoint of two stack layers whose
+    ``id`` entries are ``ids`` and whose ``stack.layer_ids`` is
+    ``layer_ids``."""
+
+    def setup(tmp_path):
+        argv = with_eval()(tmp_path)
+        model = Path(argv[argv.index("--model") + 1])
+        net = init_network(5, [], [4, 3], 2, np.random.default_rng(0))
+        save_checkpoint(net, model, task_names=["a", "b"])
+        doc = load_json(model)
+        for entry, lid in zip(doc["stack"]["layers"], ids):
+            entry["id"] = lid
+        doc["stack"]["layer_ids"] = layer_ids
+        model.write_text(json.dumps(doc))
+        return argv
+
+    return setup
+
+
+# Rejections shown with their whole message; ``{tmp}`` is the test's
+# working directory.
+REJECTED_IN_FULL = {
+    "split_of_synthetic_data": (
+        with_field("split", {"train_fraction": 0.5}),
+        "config.split: splits apply to manifest data only; synthetic data "
+        "uses test_samples_per_task",
+    ),
+    "trunk_width_zero": (
+        with_field("model.trunk_widths", [0]),
+        "config.model.trunk_widths must be positive, got [0]",
+    ),
+    "bottleneck_width_zero": (
+        with_field("model.bottleneck_width", 0),
+        "config.model.bottleneck_width must be at least 1, got 0",
+    ),
+    "batch_size_zero": (
+        with_field("train.batch_size", 0),
+        "config.train.batch_size must be at least 1",
+    ),
+    "epochs_negative": (
+        with_field("train.epochs", -1),
+        "config.train.epochs must be non-negative",
+    ),
+    "prior_weight_negative": (
+        with_field("train.prior_weight", -1),
+        "config.train.prior_weight must be non-negative",
+    ),
+    "new_layer_lr_multiplier_zero": (
+        with_field("train.new_layer_lr_multiplier", 0),
+        "config.train.new_layer_lr_multiplier must be positive",
+    ),
+    "lr_gamma_negative": (
+        with_field("train.lr_gamma", -1),
+        "config.train.lr_gamma must be non-negative",
+    ),
+    "lr_power_negative": (
+        with_field("train.lr_power", -0.5),
+        "config.train.lr_power must be non-negative",
+    ),
+    "manifest_feature_dim": (
+        with_feature_dim(4),
+        "{tmp}/manifest.json: manifest feature_dim 4 != data 3",
+    ),
+    "checkpoint_layer_ids_differ": (
+        with_stack_ids(["bottleneck", "classifier"], ["classifier", "bottleneck"]),
+        "{tmp}/model.json: stack.layer_ids must be the layers' ids "
+        "['bottleneck', 'classifier']",
+    ),
+    "checkpoint_layer_ids_repeat": (
+        with_stack_ids(["classifier", "classifier"], ["classifier", "classifier"]),
+        "{tmp}/model.json: stack layer ids must be unique",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REJECTED_IN_FULL))
+def test_rejection_exits_usage_with_its_message(case, tmp_path, capsys):
+    """Each config or checkpoint the CLI must refuse exits 1 with one
+    line: the command and the whole message."""
+    setup, message = REJECTED_IN_FULL[case]
+    argv = setup(tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 1
+    want = f"relnet {argv[0]}: {message.format(tmp=tmp_path)}\n"
+    assert capsys.readouterr().err == want
+
+
 def test_tnd_fit_checks_its_output_before_the_fit(tmp_path, capsys, monkeypatch):
     """An output under a file, or one that is a directory, is rejected
     without reading the samples or running the fit."""

@@ -8,19 +8,17 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from oracles import dense_cov, solve_kron, task_log_loss
+from oracles import dense_cov, solve_kron, task_accuracy, task_log_loss
 from relnet.network import (
     DenseLayer,
     Gradients,
     MultiTaskNet,
     TaskLayerStack,
-    accuracy,
     batch_gradients,
     fold_scores,
     forward,
     init_network,
     load_checkpoint,
-    predict,
     prior_penalty,
     save_checkpoint,
 )
@@ -99,9 +97,12 @@ class TestForward:
             forward(net, 0, np.zeros(5))
 
     def test_predict_breaks_ties_low(self):
+        """A row whose logits all tie is scored as class 0."""
         net = init_network(2, [], [3], 1, np.random.default_rng(4))
         net.stack.weights[0][:] = 0.0
-        assert predict(net, 0, np.array([1.0, 1.0])) == 0
+        x = np.ones((2, 2))
+        accs = [fold_scores_of_task(net, 0, x, [c, c])[1][0] for c in range(3)]
+        assert accs == [1.0, 0.0, 0.0]
 
 
 class TestCrossEntropy:
@@ -146,7 +147,7 @@ def fold_scores_of_task(net, task, x, labels):
     return fold_scores(net, SimpleNamespace(features=features, labels=all_labels))
 
 
-@pytest.mark.parametrize("score", [task_log_loss, fold_scores_of_task, accuracy])
+@pytest.mark.parametrize("score", [task_log_loss, fold_scores_of_task])
 @pytest.mark.parametrize("labels", [[-1, 0], [0, 3], [7, -1]])
 def test_scoring_rejects_labels_out_of_range(score, labels):
     """Labels are checked as in ``batch_gradients``: ``-1`` is not class
@@ -161,8 +162,8 @@ def test_scoring_rejects_labels_out_of_range(score, labels):
 
 def test_fold_scores_are_the_oracle_loss_and_accuracy():
     """On tasks of unequal sizes, one of them a single row, each task's
-    entry of ``fold_scores`` is the oracle's summed cross-entropy and
-    what ``accuracy`` gives, bit for bit.  A label put out of range
+    entry of ``fold_scores`` is the oracles' summed cross-entropy and
+    accuracy, bit for bit.  A label put out of range
     after the dataset was built is still rejected."""
     rng = np.random.default_rng(41)
     net = init_network(4, [5], [6, 3], 4, rng)
@@ -177,7 +178,7 @@ def test_fold_scores_are_the_oracle_loss_and_accuracy():
     assert len(losses) == len(accs) == 4
     for t, (x, y) in enumerate(zip(ds.features, ds.labels)):
         assert losses[t] == task_log_loss(net, t, x, y)
-        assert accs[t] == accuracy(net, t, x, y)
+        assert accs[t] == task_accuracy(net, t, x, y)
     ds.labels[2] = ds.labels[2].copy()
     ds.labels[2][-1] = 3
     with pytest.raises(ValueError, match=r"label out of range \[0, 3\)"):
@@ -668,4 +669,5 @@ class TestInit:
         net = init_network(2, [], [2], 1, np.random.default_rng(19))
         net.stack.weights[0][:, :, 0] = np.array([[1.0, 0.0], [0.0, 1.0]])
         x = np.array([[3.0, 0.0], [0.0, 3.0], [4.0, 0.0]])
-        assert accuracy(net, 0, x, np.array([0, 1, 1])) == pytest.approx(2 / 3)
+        accs = fold_scores_of_task(net, 0, x, np.array([0, 1, 1]))[1]
+        assert accs == (pytest.approx(2 / 3),)

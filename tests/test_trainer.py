@@ -11,7 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import backward, per_batch_sgd_epoch, solve_kron, task_log_loss
+from oracles import (
+    backward,
+    per_batch_sgd_epoch,
+    solve_kron,
+    task_accuracy,
+    task_log_loss,
+)
 from relnet import network, tensor_normal, trainer
 from relnet.data import MultiTaskDataset, SyntheticSpec, generate_synthetic
 from relnet.network import TaskLayerStack, forward, init_network, prior_penalty
@@ -346,11 +352,13 @@ class TestBenchmarkHooks:
                 missing.append((module_name, attr_path))
         # The one-pass SGD batch replaced _batch_task_gradients with
         # batch_gradients; train() scores the objective itself, and SGD
-        # applies the prior inverse in the factors' eigenbasis.  The
-        # benchmark still wraps the old names.
+        # applies the prior inverse in the factors' eigenbasis, and
+        # fold_scores is the one scorer.  The benchmark still wraps the
+        # old names.
         assert missing == [
             ("relnet.trainer", "objective"),
             ("relnet.network", "_batch_task_gradients"),
+            ("relnet.network", "accuracy"),
             ("relnet.tensor_normal", "KronCovariance.apply_inverse"),
         ]
 
@@ -874,8 +882,8 @@ class TestTrain:
 
     def test_scores_are_objective_and_accuracy_from_one_pass(self, monkeypatch):
         """Each epoch runs one forward pass per task and fold, and its
-        row equals the spelled-out objective and what ``accuracy``
-        gives."""
+        row equals the spelled-out objective and the oracle
+        accuracies."""
         data = toy_data(sizes=(9, 7, 5), dim=3, seed=37)
         held_out = toy_data(sizes=(4, 6, 3), dim=3, seed=38)
         cfg = TrainConfig(epochs=2, batch_size=4, prior_weight=0.5, seed=39)
@@ -896,10 +904,10 @@ class TestTrain:
         losses, accs = network.fold_scores(net, data)
         for t in range(3):
             x, y = data.features[t], data.labels[t]
-            assert last.train_accuracy[t] == network.accuracy(net, t, x, y)
+            assert last.train_accuracy[t] == task_accuracy(net, t, x, y)
             assert (losses[t], accs[t]) == (
                 task_log_loss(net, t, x, y),
-                network.accuracy(net, t, x, y),
+                task_accuracy(net, t, x, y),
             )
 
 
