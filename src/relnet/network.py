@@ -400,8 +400,13 @@ def batch_gradients(net: MultiTaskNet, tasks, x, labels, bases=None) -> Gradient
     of its weights, its output gradient ``dz`` spread to the row's task
     by the batch's task one-hot ``M``: the weight gradient is ``a^T (dz
     kron M)``, the input gradient ``(dz kron M) W^T`` and the bias
-    gradient ``M^T dz``.  ReLU uses subgradient 0 at 0.  Each gradient
-    is written into its view of the returned ``flat`` vector.
+    gradient ``M^T dz``.  One flat index per layer, ``(i*D_out + j)*T +
+    tasks[i]`` for row ``i`` and output ``j``, does both halves of the
+    row-to-task work: ``take`` gathers each row's own task block from
+    the all-task product ``h @ W_(D_in, D_out*T)``, and ``put`` writes
+    ``dz`` into a zeroed ``(B, D_out*T)`` buffer, which then is ``dz kron
+    M``.  ReLU uses subgradient 0 at 0.  Each gradient is written into
+    its view of the returned ``flat`` vector.
 
     ``bases``, if given, holds one ``(Q_in, Q_out)`` pair of orthogonal
     matrices per stack layer, and the stack weights are taken to be
@@ -413,11 +418,16 @@ def batch_gradients(net: MultiTaskNet, tasks, x, labels, bases=None) -> Gradient
     those of the rotated weights, ``Q_in^T G_t Q_out``, at ``2B (D_in^2
     + D_out^2)`` extra multiplies per layer for a batch of ``B`` rows;
     the bias gradients, the task mode and the trunk are unchanged.
+
+    The arithmetic is that of the trainer's SGD batches: this function
+    builds the plan of :func:`_stack_plan` for its one batch and runs
+    the same kernel, :func:`_gradients_into`.
     """
     x, tasks, labels = _checked_batch(net, x, tasks, labels)
     grads = Gradients.empty_like(net)
-    onehot = np.eye(net.num_tasks)[tasks]
-    _gradients_into(grads, net, x, tasks, onehot, labels, bases)
+    plan = _stack_plan(net, grads, x.shape[0], bases)
+    onehot, label_rows = np.eye(net.num_tasks)[tasks], np.eye(net.num_classes)[labels]
+    _gradients_into(grads, net, *plan, x, tasks, onehot, label_rows)
     return grads
 
 
@@ -430,22 +440,55 @@ def _checked_batch(net: MultiTaskNet, x, tasks, labels) -> tuple:
     return x, tasks, _check_index(labels, rows, net.num_classes, "label")
 
 
+def _stack_plan(net: MultiTaskNet, grads: Gradients, rows: int, bases) -> tuple:
+    """What :func:`_gradients_into` reads of each stack layer, for batches
+    of at most ``rows`` rows into the buffer ``grads``: ``(forward,
+    backward)``, one tuple per layer in each list.
+
+    A forward tuple holds the ``(D_in, D_out*T)`` unfolded weight view,
+    the bias, the flat index base ``(i*D_out + j)*T`` of row ``i`` and
+    output ``j`` (a ``(rows, D_out)`` array), ``Q_in`` and ``Q_out^T``.
+    A backward tuple holds the unfolded weight view's transpose, a
+    zeroed ``(rows, D_out*T)`` spread buffer, ``Q_in^T``, ``Q_out``, and
+    the unfolded weight gradient and bias gradient views.  Without
+    ``bases`` each ``Q`` is ``None``.  The weights and gradients are
+    views, so the plan stays valid while they change in place.
+    """
+    forward, backward = [], []
+    for s, w in enumerate(net.stack.weights):
+        din, dout, t = w.shape
+        w_flat = w.reshape(din, dout * t)
+        base = (np.arange(rows)[:, None] * dout + np.arange(dout)) * t
+        q_in, q_in_t, q_out, q_out_t = (
+            [None] * 4 if bases is None else [m for q in bases[s] for m in (q, q.T)]
+        )
+        forward.append((w_flat, net.stack.biases[s], base, q_in, q_out_t))
+        grad = (grads.stack_weights[s].reshape(w_flat.shape), grads.stack_biases[s])
+        backward.append((w_flat.T, np.zeros((rows, dout * t)), q_in_t, q_out, *grad))
+    return forward, backward
+
+
 def _gradients_into(
-    grads: Gradients, net: MultiTaskNet, x, tasks, onehot, labels, bases
+    grads: Gradients, net: MultiTaskNet, forward, backward, x, tasks, onehot, label_rows
 ) -> None:
     """The arithmetic of :func:`batch_gradients`, written into ``grads``.
 
-    Every array of ``grads``, a :meth:`Gradients.empty_like` buffer, is
-    overwritten.  The inputs are taken as :func:`_checked_batch` returns
-    them, with ``onehot`` the ``(B, T)`` float one-hot of ``tasks``.
-    The forward pass keeps each layer's input and ReLU mask;
-    :func:`softmax` gives the class probabilities, and the label step
-    overwrites them with the output gradient.
+    Every array of ``grads``, a :meth:`Gradients.empty_like` buffer that
+    the plan ``(forward, backward)`` of :func:`_stack_plan` was built
+    on, is overwritten.  The inputs are taken as :func:`_checked_batch`
+    returns them, with ``onehot`` the ``(B, T)`` float one-hot of
+    ``tasks`` and ``label_rows`` the ``(B, C)`` float one-hot of the
+    labels.  A batch of ``B`` rows uses the first ``B`` rows of each
+    layer's index base and spread buffer.  Per stack layer, the flat
+    index ``base + tasks`` picks each row's task block out of the
+    all-task product with ``take``, and in the backward pass ``put``
+    writes ``dz`` into the spread buffer at the same index, which is
+    zeroed again after use.  The forward pass keeps each layer's input
+    and ReLU mask; :func:`softmax` gives the class probabilities, and
+    subtracting ``label_rows`` turns them into the output gradient.
     """
-    rows = np.arange(x.shape[0])
-    stack = net.stack
-    last = stack.num_layers - 1
-    inputs, masks, unfolded = [], [], []
+    rows, task_col = x.shape[0], tasks[:, None]
+    inputs, masks, index = [], [], []
     h = x
     for layer in net.trunk:
         inputs.append(h)
@@ -453,38 +496,38 @@ def _gradients_into(
         z += layer.bias
         masks.append(z > 0)
         h = np.maximum(z, 0.0, out=z)
-    for s, (w, b) in enumerate(zip(stack.weights, stack.biases)):
-        if bases is not None:
-            h = h @ bases[s][0]
+    last = len(forward) - 1
+    for s, (w_flat, b, base, q_in, q_out_t) in enumerate(forward):
+        if q_in is not None:
+            h = h @ q_in
         inputs.append(h)
-        din, dout, t = w.shape
-        unfolded.append(w.reshape(din, dout * t))
-        z = (h @ unfolded[s]).reshape(-1, dout, t)[rows, :, tasks]
-        if bases is not None:
-            z = z @ bases[s][1].T
+        index.append(base[:rows] + task_col)
+        z = (h @ w_flat).take(index[s])
+        if q_out_t is not None:
+            z = z @ q_out_t
         z += b[tasks]
         if s < last:
             masks.append(z > 0)
             h = np.maximum(z, 0.0, out=z)
 
     dz = softmax(z)
-    dz[rows, labels] -= 1.0
+    dz -= label_rows
 
     n_trunk = len(net.trunk)
-    by_task = onehot[:, None, :]
     for s in range(last, -1, -1):
-        np.matmul(onehot.T, dz, out=grads.stack_biases[s])
-        if bases is not None:
-            dz = dz @ bases[s][1]
-        w_flat = unfolded[s]
-        spread = (dz[:, :, None] * by_task).reshape(dz.shape[0], -1)
-        a = inputs[n_trunk + s]
-        np.matmul(a.T, spread, out=grads.stack_weights[s].reshape(w_flat.shape))
+        w_flat_t, buf, q_in_t, q_out, grad_w, grad_b = backward[s]
+        np.matmul(onehot.T, dz, out=grad_b)
+        if q_out is not None:
+            dz = dz @ q_out
+        spread = buf[:rows]
+        spread.put(index[s], dz)
+        np.matmul(inputs[n_trunk + s].T, spread, out=grad_w)
         if n_trunk + s > 0:
-            dz = spread @ w_flat.T
-            if bases is not None:
-                dz = dz @ bases[s][0].T
+            dz = spread @ w_flat_t
+            if q_in_t is not None:
+                dz = dz @ q_in_t
             dz *= masks[n_trunk + s - 1]
+        spread.put(index[s], 0.0)
     for l in range(n_trunk - 1, -1, -1):
         np.matmul(inputs[l].T, dz, out=grads.trunk_weights[l])
         dz.sum(axis=0, out=grads.trunk_biases[l])

@@ -29,12 +29,21 @@ Each epoch alternates two blocks:
    With many tasks and narrow layers a batch's arithmetic is small, so
    an epoch prepares once what does not depend on the batch: the
    label and task checks of ``batch_gradients`` over all its rows, the
-   gradient buffer and its views, the non-empty parameter segments with
-   their rate multipliers and every batch's prior scale.  A batch pays
-   for gathering its rows, its task one-hot, the gradient arithmetic
-   written into the buffer, the prior step, two finiteness checks and
-   the update, which scales the checked gradient in place into the
-   step, in the floating-point operations of calling
+   check of the covariance state against the stack, the one-hot rows
+   of its labels, the gradient buffer and its views, the non-empty
+   parameter segments with their rate multipliers, every batch's prior
+   scale, and the kernel's plan of each stack layer
+   (:func:`~relnet.network._stack_plan`): the unfolded weight and
+   gradient views, the transposes the passes use, a flat index base
+   and a zeroed spread buffer.  Per batch and stack layer, the flat
+   index ``(i*D_out + j)*T + tasks[i]`` gathers each row's own task
+   block from the all-task product with ``take`` and writes ``dz``
+   into the spread buffer with ``put``, where a broadcast multiply by
+   the task one-hot made the ``B x D_out x T`` spread matrix.  A batch
+   pays for gathering its rows, its task one-hot, the gradient
+   arithmetic written into the buffer, the prior step, two finiteness
+   checks and the update, which scales the checked gradient in place
+   into the step, in the floating-point operations of calling
    ``batch_gradients`` per batch.
 2. One covariance sweep per stack layer: with the weights fixed, each
    mode factor in turn is replaced by the maximizer of the prior term
@@ -69,8 +78,10 @@ from .network import (
     Gradients,
     MultiTaskNet,
     TaskLayerStack,
+    _check_priors,
     _checked_batch,
     _gradients_into,
+    _stack_plan,
     fold_scores,
     prior_penalty,
 )
@@ -226,9 +237,12 @@ def update_covariances(
 ) -> CovarianceState:
     """One cyclic re-estimation sweep over all prior factors.
 
-    Per layer, the weights are whitened once by the layer's current
-    factors, and the factors of ``cov.priors[l]`` are updated in mode
-    order (feature, output, task) by the flip-flop mode step of
+    ``cov`` must have the stack's layer ids, one prior per layer and
+    each prior's dims equal to its layer's weight shape, or
+    ``ValueError`` is raised.  Per layer, the weights are whitened once
+    by the layer's current factors, and the factors of
+    ``cov.priors[l]`` are updated in mode order (feature, output, task)
+    by the flip-flop mode step of
     :mod:`relnet.tensor_normal`: each from the weights whitened by the
     other modes' most recent factors, with the rule ``G/(D/d_k) +
     epsilon_ridge * I`` scaled to unit trace.  The layer's new prior is
@@ -244,8 +258,7 @@ def update_covariances(
     per layer: one Gram product against the whitened weights plus one
     Cholesky.  Pass an :class:`OpCounter` to audit that.
     """
-    if list(stack.layer_ids) != list(cov.layer_ids):
-        raise ValueError("covariance state does not match the stack")
+    _check_covariances(stack, cov)
     shared = cfg.shared_task_sigma
     task = [cov.priors[0].factors[2]]
     if shared and any(p.factors[2] is not task[0] for p in cov.priors):
@@ -287,6 +300,15 @@ def update_covariances(
 
     priors = [KronCovariance(f) for f in swept]
     return CovarianceState(list(cov.layer_ids), priors)
+
+
+def _check_covariances(stack: TaskLayerStack, cov: CovarianceState) -> None:
+    """Raise ``ValueError`` unless ``cov`` has the stack's layer ids, one
+    prior per layer and each prior's dims equal to its layer's weight
+    shape."""
+    if list(stack.layer_ids) != list(cov.layer_ids):
+        raise ValueError("covariance state does not match the stack")
+    _check_priors(stack, cov.priors)
 
 
 def check_data(net: MultiTaskNet, data: MultiTaskDataset, what: str) -> None:
@@ -353,13 +375,16 @@ def sgd_epoch(
 
     The batch-independent work is done once, before the first batch
     (see the module docstring).  A label out of range raises
-    ``batch_gradients``' ``ValueError`` before any parameter moves.  A
+    ``batch_gradients``' ``ValueError`` before any parameter moves, and
+    so does a covariance state whose layer ids, prior count or prior
+    dims do not match the stack, as in :func:`update_covariances`.  A
     non-finite gradient, or a parameter that turns non-finite in the
     update, raises :class:`TrainingError` naming the epoch, the batch,
     the layer and the quantity.  Mutates ``net`` and ``state`` in place
     and returns them.
     """
     check_data(net, data, "training data")
+    _check_covariances(net.stack, cov)
     num_tasks = net.num_tasks
     sizes = np.asarray(data.task_sizes)
     features, task_of, labels = _checked_batch(
@@ -373,7 +398,7 @@ def sgd_epoch(
     total = task_of.shape[0]
     size = min(cfg.batch_size, total)
     perm = np.random.default_rng([cfg.seed, 0, state.epoch]).permutation(total)
-    task_of, labels = task_of[perm], labels[perm]
+    task_of, label_rows = task_of[perm], np.eye(net.num_classes)[labels[perm]]
     one_hot = np.eye(num_tasks)
 
     g = Gradients.empty_like(net)
@@ -413,14 +438,15 @@ def sgd_epoch(
         scales = cfg.prior_weight * counts.reshape(batches, num_tasks) / sizes
         for vec in (net.params, state.velocity):
             net.rotate_stack(vec, bases)
+    plan = _stack_plan(net, g, size, bases)
 
     try:
         for k, start in enumerate(range(0, total, size)):
             stop = start + size
             tasks = task_of[start:stop]
             _gradients_into(
-                g, net, features[perm[start:stop]], tasks, one_hot[tasks],
-                labels[start:stop], bases,
+                g, net, *plan, features[perm[start:stop]], tasks, one_hot[tasks],
+                label_rows[start:stop],
             )
             g.flat *= 1.0 / tasks.shape[0]
 

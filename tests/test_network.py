@@ -7,8 +7,10 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import dense_cov, solve_kron, task_accuracy, task_log_loss
+from oracles import backward, dense_cov, solve_kron, task_accuracy, task_log_loss
 from relnet.network import (
     DenseLayer,
     Gradients,
@@ -309,6 +311,51 @@ class TestBatchGradients:
         got = batch_gradients(net, tasks, x, labels, bases)
         scale = np.abs(want.flat).max()
         np.testing.assert_allclose(got.flat, want.flat, rtol=0, atol=1e-13 * scale)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        trunk=st.lists(st.integers(1, 4), max_size=2),
+        stack=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+        num_tasks=st.integers(1, 5),
+        rows=st.integers(1, 9),
+        one_task=st.booleans(),
+        rotated=st.booleans(),
+        draw=st.data(),
+    )
+    def test_batch_is_the_sum_of_its_rows(
+        self, trunk, stack, num_tasks, rows, one_task, rotated, draw
+    ):
+        """Property: for any trunk depth 0-2, 1-3 stack layers, 1-5 tasks
+        and 1-9 rows, mixed or all of one task, a batch's gradients are
+        the sum of its rows' ``oracles.backward`` gradients to 1e-12, also
+        in random orthogonal ``bases``; the stack weight and bias slices
+        of every task absent from the batch are exactly zero."""
+        task = st.integers(0, num_tasks - 1)
+        if one_task:
+            tasks = np.full(rows, draw.draw(task))
+        else:
+            tasks = np.array(draw.draw(st.lists(task, min_size=rows, max_size=rows)))
+        rng = np.random.default_rng(draw.draw(st.integers(0, 2**32 - 1)))
+        net = init_network(3, trunk, stack, num_tasks, rng)
+        for b in [layer.bias for layer in net.trunk] + net.stack.biases:
+            b[:] = 0.1 * rng.standard_normal(b.shape)
+        x = rng.standard_normal((rows, 3))
+        labels = rng.integers(0, stack[-1], size=rows)
+        want = sum(backward(net, t, xi, y).flat for t, xi, y in zip(tasks, x, labels))
+        bases = None
+        if rotated:
+            bases = [
+                (orthogonal(rng, w.shape[0]), orthogonal(rng, w.shape[1]))
+                for w in net.stack.weights
+            ]
+            net.rotate_stack(want, bases)
+            net.rotate_stack(net.params, bases)
+        got = batch_gradients(net, tasks, x, labels, bases)
+        scale = max(1.0, np.abs(want).max())
+        np.testing.assert_allclose(got.flat, want, rtol=0, atol=1e-12 * scale)
+        absent = np.setdiff1d(np.arange(num_tasks), tasks)
+        for dw, db in zip(got.stack_weights, got.stack_biases):
+            assert np.all(dw[:, :, absent] == 0) and np.all(db[absent] == 0)
 
     def test_backward_is_a_batch_of_one(self):
         """A single feature vector is a batch of one row."""

@@ -325,6 +325,47 @@ class TestSgdEpoch:
         assert np.array_equal(state.velocity, velocity)
         assert (state.iteration, state.epoch) == (3, 1)
 
+    @pytest.mark.parametrize(
+        "broken, message",
+        [
+            (
+                lambda cov, other: other,
+                r"^layer 'bottleneck': covariance dims \(3, 6, 2\) != weights "
+                r"\(3, 5, 2\)$",
+            ),
+            (
+                lambda cov, other: CovarianceState(cov.layer_ids, cov.priors[:1]),
+                r"^need one covariance per stack layer \(2\), got 1$",
+            ),
+            (
+                lambda cov, other: CovarianceState(["x", "y"], cov.priors),
+                r"^covariance state does not match the stack$",
+            ),
+        ],
+        ids=["bottleneck-6-state", "one-prior-for-two-layers", "renamed-ids"],
+    )
+    def test_covariance_state_must_match_the_stack(self, broken, message):
+        """``sgd_epoch`` and ``update_covariances`` make one check of the
+        covariance state against the stack: its layer ids, its prior
+        count and each prior's dims.  A mismatch raises ``ValueError``
+        before any parameter or velocity entry moves."""
+        data = toy_data(sizes=(6, 5), dim=3, num_classes=3, seed=23)
+        net = init_network(3, [], [5, 3], 2, np.random.default_rng(24))
+        other = init_network(3, [], [6, 3], 2, np.random.default_rng(24))
+        cov = broken(
+            CovarianceState.identity_for(net.stack),
+            CovarianceState.identity_for(other.stack),
+        )
+        cfg = TrainConfig(batch_size=4, prior_weight=0.05)
+        state = OptimizerState.zeros_like(net)
+        params = net.params.copy()
+        with pytest.raises(ValueError, match=message):
+            sgd_epoch(net, cov, data, cfg, state)
+        assert np.array_equal(net.params, params)
+        assert not state.velocity.any() and (state.iteration, state.epoch) == (0, 0)
+        with pytest.raises(ValueError, match=message):
+            update_covariances(net.stack, cov, cfg)
+
 
 class TestBenchmarkHooks:
     """The benchmark times these entry points by wrapping them by name."""

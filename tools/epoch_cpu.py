@@ -33,6 +33,18 @@ sweep count.
 Every timing is ``time.process_time``: CPU time of this process, which
 time stolen by other processes on a shared machine does not inflate.
 BLAS runs on one thread, as in the benchmark.
+
+CPU time still varies with the machine's speed of the moment (cache
+and memory traffic of other processes, frequency), so each line gives
+its best and median twice: as measured, and scaled to the reference
+speed as ``perfbench/run.py`` scales the benchmark's timings.  The
+reference computation of ``perfbench/reference.py`` runs before the
+first and after every timed epoch, scoring or fit, and a timing is
+multiplied by ``NOMINAL_S`` over the mean of the reference's CPU
+times just before and after it.  CPU time is used on both sides, so
+time stolen by other processes, which a wall-clock reference would
+count, does not scale the figures.  The process is pinned to one CPU,
+so the reference and the timed work run on the same one.
 """
 
 from __future__ import annotations
@@ -44,6 +56,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse  # noqa: E402
 import copy  # noqa: E402
+import functools  # noqa: E402
 import importlib.util  # noqa: E402
 import math  # noqa: E402
 import statistics  # noqa: E402
@@ -69,13 +82,51 @@ from relnet.tensor_normal import flip_flop_mle, mle_mean  # noqa: E402
 SEED = 1
 
 
-def _workloads():
-    """``perfbench/workloads.py``'s ``WORKLOADS``, loaded from its file."""
-    path = ROOT / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+def _perfbench(name: str):
+    """The module ``perfbench/<name>.py``, loaded from its file."""
+    path = ROOT / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.WORKLOADS
+    return module
+
+
+def timed(calls) -> tuple:
+    """``(results, seconds, scaled)`` of the zero-argument ``calls``, run
+    in turn: their return values, their CPU seconds, and those seconds
+    at the reference speed."""
+    reference = _perfbench("reference")
+    ref = reference.Reference()
+
+    def cpu_seconds(call):
+        start = time.process_time()
+        result = call()
+        return result, time.process_time() - start
+
+    ref_s = [cpu_seconds(ref.seconds)[1]]
+    results, seconds = [], []
+    for call in calls:
+        result, s = cpu_seconds(call)
+        results.append(result)
+        seconds.append(s)
+        ref_s.append(cpu_seconds(ref.seconds)[1])
+    scaled = [
+        s * reference.NOMINAL_S / statistics.mean(ref_s[i : i + 2])
+        for i, s in enumerate(seconds)
+    ]
+    return results, seconds, scaled
+
+
+def best_median(raw, scaled, unit: str, digits: int) -> str:
+    """The best and the median of ``raw`` and of ``scaled``, in ``unit``."""
+
+    def pair(values):
+        return (
+            f"best {min(values):.{digits}f} {unit}, "
+            f"median {statistics.median(values):.{digits}f} {unit}"
+        )
+
+    return f"{pair(raw)}; at reference speed {pair(scaled)}"
 
 
 def warmed_up(workload) -> tuple:
@@ -96,46 +147,35 @@ def warmed_up(workload) -> tuple:
     return net, cov, data, eval_data, cfg, state
 
 
-def epoch_seconds(net, cov, data, cfg, state, repeat: int) -> list:
-    """CPU seconds of ``repeat`` epochs, each on copies of ``net`` and
-    ``state``."""
-    seconds = []
-    for _ in range(repeat):
-        run_net, run_state = copy.deepcopy(net), copy.deepcopy(state)
-        start = time.process_time()
-        trainer.sgd_epoch(run_net, cov, data, cfg, run_state)
-        seconds.append(time.process_time() - start)
-    return seconds
-
-
-def scoring_seconds(net, folds, repeat: int) -> list:
-    """CPU seconds of ``repeat`` scorings of every fold in ``folds``."""
-    seconds = []
-    for _ in range(repeat):
-        start = time.process_time()
-        for fold in folds:
-            fold_scores(net, fold)
-        seconds.append(time.process_time() - start)
-    return seconds
-
-
 def batch_report(workload, repeat: int) -> str:
-    """CPU microseconds per SGD batch over ``repeat`` timed epochs, and
-    CPU milliseconds of ``repeat`` timed end-of-epoch scorings."""
+    """CPU microseconds per SGD batch over ``repeat`` timed epochs, each
+    on copies of the warmed-up network and optimizer state, and CPU
+    milliseconds of ``repeat`` timed end-of-epoch scorings."""
     net, cov, data, eval_data, cfg, state = warmed_up(workload)
     batches = math.ceil(sum(data.task_sizes) / cfg.batch_size)
-    seconds = epoch_seconds(net, cov, data, cfg, state, repeat)
-    per_batch = [s / batches * 1e6 for s in seconds]
+    epochs = [
+        functools.partial(
+            trainer.sgd_epoch, copy.deepcopy(net), cov, data, cfg, copy.deepcopy(state)
+        )
+        for _ in range(repeat)
+    ]
+    _, *epoch_s = timed(epochs)
+    per_batch = [[s / batches * 1e6 for s in series] for series in epoch_s]
     folds = [fold for fold in (data, eval_data) if fold is not None]
-    scoring = [s * 1e3 for s in scoring_seconds(net, folds, repeat)]
+
+    def score():
+        for fold in folds:
+            fold_scores(net, fold)
+
+    _, *score_s = timed([score] * repeat)
+    scoring = [[s * 1e3 for s in series] for series in score_s]
     rows = " + ".join(str(sum(fold.task_sizes)) for fold in folds)
     return (
         f"{workload.name}: {batches} batches of {cfg.batch_size} rows, "
-        f"{repeat} timed epoch(s): best {min(per_batch):.1f} us, "
-        f"median {statistics.median(per_batch):.1f} us per batch\n"
+        f"{repeat} timed epoch(s), per batch: "
+        f"{best_median(*per_batch, 'us', 1)}\n"
         f"{workload.name}: scoring of {len(folds)} fold(s) of {rows} rows, "
-        f"{repeat} timed scoring(s): best {min(scoring):.2f} ms, "
-        f"median {statistics.median(scoring):.2f} ms per epoch"
+        f"{repeat} timed scoring(s), per epoch: {best_median(*scoring, 'ms', 2)}"
     )
 
 
@@ -147,21 +187,19 @@ def sweep_report(workload, repeat: int) -> str:
         samples = _load_tnd_samples(Path(args[args.index("--input") + 1]))
     mean = mle_mean(samples)
     flip_flop_mle(samples, mean)
-    per_sweep = []
-    for _ in range(repeat):
-        start = time.process_time()
-        fit = flip_flop_mle(samples, mean)
-        per_sweep.append((time.process_time() - start) / fit.iterations * 1e3)
+    fits, *fit_s = timed([functools.partial(flip_flop_mle, samples, mean)] * repeat)
+    per_sweep = [
+        [s / fit.iterations * 1e3 for s, fit in zip(series, fits)] for series in fit_s
+    ]
     return (
         f"{workload.name}: {samples.shape[0]} samples of dims "
-        f"{samples.shape[1:]}, {fit.iterations} sweeps per fit, {repeat} "
-        f"timed fit(s): best {min(per_sweep):.2f} ms, "
-        f"median {statistics.median(per_sweep):.2f} ms per sweep"
+        f"{samples.shape[1:]}, {fits[0].iterations} sweeps per fit, {repeat} "
+        f"timed fit(s), per sweep: {best_median(*per_sweep, 'ms', 2)}"
     )
 
 
 def main(argv=None) -> int:
-    workloads = _workloads()
+    workloads = _perfbench("workloads").WORKLOADS
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("workload", choices=sorted(workloads))
     parser.add_argument(
@@ -170,6 +208,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     workload = workloads[args.workload]
     report = batch_report if workload.epochs > 0 else sweep_report
     print(report(workload, args.repeat))
