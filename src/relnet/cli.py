@@ -290,10 +290,10 @@ def build_network(cfg: ExperimentConfig, data: MultiTaskDataset):
 def run_experiment(cfg: ExperimentConfig, output_dir) -> dict:
     """Train per the config and write all artifacts under ``output_dir``.
 
-    Returns a dict of the written paths.  ``report.csv`` and the
-    relationship JSONs depend only on the config and seeds;
-    ``timings.csv`` carries the wall-clock columns and is the only
-    non-reproducible output.
+    Returns a dict of the written paths.  At one BLAS thread count,
+    ``report.csv``, ``model.json`` and the relationship JSONs depend only
+    on the config and seeds; ``timings.csv`` carries the wall-clock
+    columns and is the only non-reproducible output.
     """
     output_dir = Path(output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)

@@ -332,10 +332,12 @@ def _round_count(fraction: float, n: int) -> int:
 def split(ds: MultiTaskDataset, spec: SplitSpec) -> tuple:
     """Split every task into train and test folds.
 
-    Unstratified splits draw ``round(fraction * N_t)`` rows per task and
-    require ``N_t >= 1/fraction``.  Stratified splits sample per class,
-    keeping at least one training example of every class present;
-    every class must be non-empty in every task.  Task ``t`` uses its
+    Each task's rows fall into groups: one group of all ``N_t`` rows, or,
+    for a stratified split, one group per class.  The training fold draws
+    ``max(1, round(fraction * size))`` rows of each group, so a
+    stratified split keeps at least one training example of every
+    class.  Unstratified splits require ``N_t >= 1/fraction``; stratified
+    ones need every class non-empty in every task.  Task ``t`` uses its
     own child generator of ``spec.seed``, so adding a task does not
     reshuffle the others.  Both folds must end up non-empty for every
     task; a fraction that would empty a test fold is an error.
@@ -345,26 +347,24 @@ def split(ds: MultiTaskDataset, spec: SplitSpec) -> tuple:
         n = y.shape[0]
         rng = np.random.default_rng([spec.seed, t])
         if spec.stratified:
-            chosen = []
-            for c in range(ds.num_classes):
-                members = np.flatnonzero(y == c)
-                if members.size == 0:
-                    raise SplitError(
-                        f"task {name!r}: class {c} has no samples to stratify"
-                    )
-                k = max(1, _round_count(spec.train_fraction, members.size))
-                perm = rng.permutation(members.size)
-                chosen.append(members[perm[:k]])
-            tr = np.sort(np.concatenate(chosen))
+            groups = [np.flatnonzero(y == c) for c in range(ds.num_classes)]
         else:
             if n * spec.train_fraction < 1.0:
                 raise SplitError(
                     f"task {name!r}: {n} samples cannot fill a "
                     f"{spec.train_fraction} train fraction"
                 )
-            k = max(1, _round_count(spec.train_fraction, n))
-            perm = rng.permutation(n)
-            tr = np.sort(perm[:k])
+            groups = [np.arange(n)]
+        chosen = []
+        for c, members in enumerate(groups):
+            if members.size == 0:
+                raise SplitError(
+                    f"task {name!r}: class {c} has no samples to stratify"
+                )
+            k = max(1, _round_count(spec.train_fraction, members.size))
+            perm = rng.permutation(members.size)
+            chosen.append(members[perm[:k]])
+        tr = np.sort(np.concatenate(chosen))
         mask = np.zeros(n, dtype=bool)
         mask[tr] = True
         te = np.flatnonzero(~mask)
@@ -451,12 +451,13 @@ class SyntheticSpec:
 
 def sample_task_data(
     weights: np.ndarray,
-    samples_per_task,
+    samples_per_task: int,
     noise_scale: float,
     rng: np.random.Generator,
     task_names=None,
 ) -> MultiTaskDataset:
-    """Draw per-task examples from fixed ground-truth weights.
+    """Draw ``samples_per_task`` examples of every task from fixed
+    ground-truth weights.
 
     ``weights`` has shape ``(D, C, T)``.  Features are standard normal,
     labels categorical with probabilities ``softmax(x @ W_t /
@@ -471,18 +472,12 @@ def sample_task_data(
     if noise_scale <= 0:
         raise ValueError("noise_scale must be positive")
     dim, num_classes, num_tasks = weights.shape
-    if np.isscalar(samples_per_task):
-        counts = [int(samples_per_task)] * num_tasks
-    else:
-        counts = [int(c) for c in samples_per_task]
-        if len(counts) != num_tasks:
-            raise ValueError("need one sample count per task")
+    n = int(samples_per_task)
     if task_names is None:
         task_names = [f"task{t}" for t in range(num_tasks)]
 
     feats, labs = [], []
     for t in range(num_tasks):
-        n = counts[t]
         x = rng.standard_normal((n, dim))
         logits = x @ weights[:, :, t]
         logits -= logits.max(axis=1, keepdims=True)

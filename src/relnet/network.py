@@ -312,22 +312,21 @@ def _check_task(net: MultiTaskNet, task: int) -> int:
     return task
 
 
-def _as_batch(net: MultiTaskNet, x) -> tuple:
+def _as_batch(net: MultiTaskNet, x) -> np.ndarray:
+    """``x`` as a float ``(rows, input_dim)`` matrix, rows as examples."""
     arr = np.asarray(x, dtype=float)
-    single = arr.ndim == 1
-    if single:
-        arr = arr[None, :]
     if arr.ndim != 2 or arr.shape[1] != net.input_dim:
         raise ValueError(
             f"expected features of dim {net.input_dim}, got shape {np.shape(x)}"
         )
-    return arr, single
+    return arr
 
 
 def logits(net: MultiTaskNet, task: int, x) -> np.ndarray:
-    """Classifier pre-activations for one task."""
+    """Classifier pre-activations ``(rows, num_classes)`` of the batch
+    ``x`` for one task."""
     task = _check_task(net, task)
-    h, single = _as_batch(net, x)
+    h = _as_batch(net, x)
     for layer in net.trunk:
         h = np.maximum(h @ layer.weight + layer.bias, 0.0)
     stack = net.stack
@@ -335,14 +334,12 @@ def logits(net: MultiTaskNet, task: int, x) -> np.ndarray:
         z = h @ w[:, :, task] + b[task]
         if l < stack.num_layers - 1:
             h = np.maximum(z, 0.0)
-    return z[0] if single else z
+    return z
 
 
 def forward(net: MultiTaskNet, task: int, x) -> np.ndarray:
-    """Class probabilities for ``x`` under task ``task``.
-
-    Accepts a single feature vector or a batch with rows as examples.
-    """
+    """Class probabilities of the batch ``x``, rows as examples, under
+    task ``task``."""
     return softmax(logits(net, task, x))
 
 
@@ -434,7 +431,7 @@ def batch_gradients(net: MultiTaskNet, tasks, x, labels, bases=None) -> Gradient
 def _checked_batch(net: MultiTaskNet, x, tasks, labels) -> tuple:
     """``(x, tasks, labels)`` of a batch as :func:`_gradients_into` takes
     them, after the checks :func:`batch_gradients` makes."""
-    x, _ = _as_batch(net, x)
+    x = _as_batch(net, x)
     rows = x.shape[0]
     tasks = _check_index(tasks, rows, net.num_tasks, "task")
     return x, tasks, _check_index(labels, rows, net.num_classes, "label")

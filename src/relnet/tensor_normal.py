@@ -308,9 +308,9 @@ def mahalanobis(dist: TensorNormal, x) -> float:
 
 def log_pdf(dist: TensorNormal, x) -> float:
     """Log density of ``x`` under the tensor normal ``dist``."""
-    maha = mahalanobis(dist, x)
-    d = dist.total_dim
-    return -0.5 * (d * _LOG_2PI + dist.cov.logdet() + maha)
+    return _total_log_likelihood(
+        1, dist.total_dim, dist.cov.factors, mahalanobis(dist, x)
+    )
 
 
 def sample(dist: TensorNormal, rng: np.random.Generator, size: int | None = None):
@@ -336,18 +336,10 @@ def mle_mean(samples) -> np.ndarray:
 
 
 def _stack_samples(samples) -> np.ndarray:
-    if isinstance(samples, np.ndarray):
-        stacked = np.asarray(samples, dtype=float)
-        if stacked.ndim < 2:
-            raise ValueError("expected a batch of tensors")
-    else:
-        seq = list(samples)
-        if not seq:
-            raise ValueError("need at least one sample")
-        try:
-            stacked = np.stack([np.asarray(s, dtype=float) for s in seq])
-        except ValueError:
-            raise ValueError("samples do not share a common shape") from None
+    """``samples`` as one float array, its leading axis indexing samples."""
+    stacked = np.asarray(samples, dtype=float)
+    if stacked.ndim < 2:
+        raise ValueError("expected a batch of tensors")
     if stacked.shape[0] == 0:
         raise ValueError("need at least one sample")
     return stacked
@@ -409,9 +401,9 @@ def flip_flop_mle(
 
     Parameters
     ----------
-    samples : sequence of array_like or ndarray
-        Order-3 tensors of a common shape (or one stacked array with a
-        leading sample axis).
+    samples : array_like
+        One ``(n, d1, d2, d3)`` array, its leading axis indexing the
+        order-3 samples.
     mean : array_like
         Fixed mean tensor; typically :func:`mle_mean` of the samples.
     tol : float
@@ -457,8 +449,6 @@ def flip_flop_mle(
 
     ll = _total_log_likelihood(n, d, factors, float(np.sum(z * z)))
     history = [ll]
-    converged = False
-    sweeps = 0
     for sweep in range(1, max_iter + 1):
         for k in range(3):
             # The rule is the maximizer gram / (n * d / d_k).
@@ -468,16 +458,14 @@ def flip_flop_mle(
             n, d, factors, float(np.sum(factors[2].precision * gram))
         )
         history.append(new_ll)
-        sweeps = sweep
-        if abs(new_ll - ll) <= tol * max(1.0, abs(ll)):
-            converged = True
-            ll = new_ll
-            break
+        converged = abs(new_ll - ll) <= tol * max(1.0, abs(ll))
         ll = new_ll
+        if converged:
+            break
 
     return FlipFlopResult(
         cov=KronCovariance(factors),
-        iterations=sweeps,
+        iterations=sweep,
         log_likelihood=ll,
         converged=converged,
         history=tuple(history),

@@ -38,13 +38,11 @@ Each epoch alternates two blocks:
    and a zeroed spread buffer.  Per batch and stack layer, the flat
    index ``(i*D_out + j)*T + tasks[i]`` gathers each row's own task
    block from the all-task product with ``take`` and writes ``dz``
-   into the spread buffer with ``put``, where a broadcast multiply by
-   the task one-hot made the ``B x D_out x T`` spread matrix.  A batch
-   pays for gathering its rows, its task one-hot, the gradient
-   arithmetic written into the buffer, the prior step, two finiteness
-   checks and the update, which scales the checked gradient in place
-   into the step, in the floating-point operations of calling
-   ``batch_gradients`` per batch.
+   into the spread buffer with ``put``.  A batch pays for gathering its
+   rows, its task one-hot, the gradient arithmetic written into the
+   buffer, the prior step, two finiteness checks and the update, which
+   scales the checked gradient in place into the step, in the
+   floating-point operations of calling ``batch_gradients`` per batch.
 2. One covariance sweep per stack layer: with the weights fixed, each
    mode factor in turn is replaced by the maximizer of the prior term
    given the other two, then ridged and trace-normalized.  The sweep
@@ -61,7 +59,8 @@ the SGD step updates its trunk segment and its stack segment whole.
 Task-specific layers train with a learning-rate multiplier since they
 start from scratch while a trunk may be pre-initialized.  Everything is
 driven by one integer seed: shuffles come from per-epoch child
-generators, so a fixed config yields a bit-identical trajectory.
+generators, so a fixed config yields a bit-identical trajectory at one
+BLAS thread count.
 """
 
 from __future__ import annotations
@@ -219,13 +218,8 @@ class OptimizerState:
 class OpCounter(Counter):
     """Tallies floating-point multiply counts of covariance updates.
 
-    Keys are ``mode{k}_solve`` (the products with Cholesky factors and
-    their inverses: mode ``k``'s product in the layer's one full
-    whitening, the ``d_k^3`` products that undo the old whitening in
-    the Gram and form the re-whitening matrix, and the one re-whitening
-    of mode ``k`` after its update), ``mode{k}_gram`` (Gram products)
-    and ``mode{k}_factor`` (Cholesky), accumulated over layers; a key
-    never counted reads 0.
+    Keys are ``mode{k}_gram`` (Gram products) and ``mode{k}_factor``
+    (Cholesky), accumulated over layers; a key never counted reads 0.
     """
 
 
@@ -272,7 +266,6 @@ def update_covariances(
     def step(z, factors, k, mode, what):
         if counter is not None:
             dk = z.shape[k - len(factors)]
-            counter[f"mode{mode}_solve"] += dk * z.size + 3 * dk**3
             counter[f"mode{mode}_gram"] += dk * z.size
             counter[f"mode{mode}_factor"] += dk**3 // 3
         return _mode_step(z, factors, k, ridged, what)[0]
@@ -281,9 +274,6 @@ def update_covariances(
     for lid, w, prior in zip(stack.layer_ids, stack.weights, cov.priors):
         factors = list(prior.factors)
         z = _whiten(w, factors)
-        if counter is not None:
-            for k, dk in enumerate(w.shape):
-                counter[f"mode{k + 1}_solve"] += dk * w.size
         names = ("feature", "output") if shared else ("feature", "output", "task")
         for k, name in enumerate(names):
             z = step(z, factors, k, k + 1, f"layer {lid!r} {name} mode")
@@ -504,10 +494,10 @@ class TrainReport:
 
     ``to_csv`` writes the deterministic part (objective, accuracies,
     covariance-update residuals); wall-clock phase timings go to a
-    separate file via ``timings_to_csv`` so the report bytes depend
-    only on the seed and config.  The ``test_acc_*`` columns are there
-    when the run was given eval data (``has_test``), however many
-    epochs it ran.
+    separate file via ``timings_to_csv`` so, at one BLAS thread count,
+    the report bytes depend only on the seed and config.  The
+    ``test_acc_*`` columns are there when the run was given eval data
+    (``has_test``), however many epochs it ran.
     """
 
     task_names: list

@@ -67,7 +67,7 @@ def solve_kron(cov, arr):
 
 def backward(net, task, x, label):
     """Cross-entropy gradient of one labeled example: a batch of one."""
-    return batch_gradients(net, [task], x, [label])
+    return batch_gradients(net, [task], np.reshape(x, (1, -1)), [label])
 
 
 def task_log_loss(net, task, x, labels):

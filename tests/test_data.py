@@ -313,6 +313,33 @@ class TestSplit:
         for x, y in zip(a_test.labels, b_test.labels):
             np.testing.assert_array_equal(x, y)
 
+    @pytest.mark.parametrize(
+        "stratified, seed, train_rows, test_rows",
+        [
+            (False, 0, [[2, 4, 5, 7, 9, 11], [1, 3, 6, 7, 8]],
+             [[0, 1, 3, 6, 8, 10], [0, 2, 4, 5]]),
+            (False, 11, [[1, 2, 6, 8, 9, 10], [0, 5, 6, 7, 8]],
+             [[0, 3, 4, 5, 7, 11], [1, 2, 3, 4]]),
+            (True, 0, [[1, 5, 6, 7, 8, 9, 11], [1, 3, 4, 5, 6, 7]],
+             [[0, 2, 3, 4, 10], [0, 2, 8]]),
+            (True, 11, [[1, 3, 4, 6, 9, 10, 11], [0, 1, 2, 3, 4, 5]],
+             [[0, 2, 5, 7, 8], [6, 7, 8]]),
+        ],
+    )
+    def test_pinned_draws(self, stratified, seed, train_rows, test_rows):
+        """The rows each fold gets, pinned: a change to how ``split``
+        draws moves them, and with them every split run's results."""
+        labels = [
+            np.array([0, 1, 2, 0, 1, 2, 0, 0, 1, 2, 2, 0]),
+            np.array([1, 0, 0, 1, 2, 2, 1, 0, 2]),
+        ]
+        # Each row's one feature is its index.
+        feats = [np.arange(y.size, dtype=float)[:, None] for y in labels]
+        ds = MultiTaskDataset(["a", "b"], feats, labels, 3)
+        train, test = split(ds, SplitSpec(0.5, stratified=stratified, seed=seed))
+        assert [x[:, 0].tolist() for x in train.features] == train_rows
+        assert [x[:, 0].tolist() for x in test.features] == test_rows
+
     def test_fraction_bounds(self):
         with pytest.raises(SplitError):
             SplitSpec(0.0)
@@ -394,8 +421,8 @@ class TestSynthetic:
         rng = np.random.default_rng(13)
         spec = SyntheticSpec(2, 4, 3, 10, np.eye(2), seed=14)
         _, w = generate_synthetic(spec)
-        extra = sample_task_data(w, [5, 7], 1.0, rng)
-        assert extra.task_sizes == (5, 7)
+        extra = sample_task_data(w, 5, 1.0, rng)
+        assert extra.task_sizes == (5, 5)
         assert extra.num_classes == 3
         assert extra.feature_dim == 4
 

@@ -66,10 +66,10 @@ class TestForward:
         """Logits (z, 0) give class-0 probability 1/(1+exp(-z))."""
         net = init_network(1, [], [2], 1, np.random.default_rng(0))
         net.stack.weights[0][:, :, 0] = [[1.5, 0.0]]
-        x = np.array([2.0])
+        x = np.array([[2.0]])
         p = forward(net, 0, x)
         z = 1.5 * 2.0
-        assert p[0] == pytest.approx(1.0 / (1.0 + np.exp(-z)), rel=1e-12)
+        assert p[0, 0] == pytest.approx(1.0 / (1.0 + np.exp(-z)), rel=1e-12)
 
     def test_probabilities_normalized(self):
         rng = np.random.default_rng(1)
@@ -84,7 +84,7 @@ class TestForward:
         """Magnitude-1e3 logits must not overflow the softmax."""
         net = init_network(1, [], [2], 1, np.random.default_rng(2))
         net.stack.weights[0][:, :, 0] = [[1e3, -1e3]]
-        p = forward(net, 0, np.array([1.0]))
+        p = forward(net, 0, np.array([[1.0]]))
         assert np.all(np.isfinite(p))
         assert p.sum() == pytest.approx(1.0)
         assert task_log_loss(net, 0, np.array([1.0]), 1) == pytest.approx(
@@ -97,6 +97,17 @@ class TestForward:
             forward(net, 2, np.zeros(4))
         with pytest.raises(ValueError):
             forward(net, 0, np.zeros(5))
+
+    def test_a_feature_vector_is_not_a_batch(self):
+        """``forward`` and ``batch_gradients`` take a matrix of rows; a
+        1-D feature vector is rejected, and a one-row batch gives one row
+        of probabilities."""
+        net = init_network(4, [], [3], 2, np.random.default_rng(3))
+        with pytest.raises(ValueError, match=r"got shape \(4,\)"):
+            forward(net, 0, np.zeros(4))
+        with pytest.raises(ValueError, match=r"got shape \(4,\)"):
+            batch_gradients(net, [0], np.zeros(4), [0])
+        assert forward(net, 0, np.zeros((1, 4))).shape == (1, 3)
 
     def test_predict_breaks_ties_low(self):
         """A row whose logits all tie is scored as class 0."""
@@ -121,8 +132,8 @@ class TestCrossEntropy:
         probability."""
         rng = np.random.default_rng(5)
         net = init_network(3, [], [4], 1, rng)
-        x = rng.standard_normal(3)
-        probs = forward(net, 0, x)
+        x = rng.standard_normal((1, 3))
+        probs = forward(net, 0, x)[0]
         for c in range(4):
             assert -np.log(probs[c]) == pytest.approx(
                 task_log_loss(net, 0, x, c), rel=1e-10
@@ -135,7 +146,7 @@ class TestCrossEntropy:
         y = rng.integers(0, 3, size=7)
         total = task_log_loss(net, 1, x, y)
         by_hand = sum(
-            -np.log(forward(net, 1, x[i])[y[i]]) for i in range(7)
+            -np.log(forward(net, 1, x[i : i + 1])[0, y[i]]) for i in range(7)
         )
         assert total == pytest.approx(by_hand, rel=1e-10)
 
@@ -215,7 +226,7 @@ class TestBackward:
         for every trunk and stack parameter."""
         rng = np.random.default_rng(7)
         net = init_network(5, [4], [3, 3], 2, rng)
-        x = rng.standard_normal(5)
+        x = rng.standard_normal((1, 5))
         label = 2
         for task in (0, 1):
             analytic = grads_by_name(net, batch_gradients(net, [task], x, [label]))
@@ -232,7 +243,7 @@ class TestBackward:
     def test_other_task_slices_zero(self):
         rng = np.random.default_rng(8)
         net = init_network(4, [], [3, 2], 3, rng)
-        g = batch_gradients(net, [1], rng.standard_normal(4), [0])
+        g = batch_gradients(net, [1], rng.standard_normal((1, 4)), [0])
         for dw, db in zip(g.stack_weights, g.stack_biases):
             assert np.all(dw[:, :, 0] == 0) and np.all(dw[:, :, 2] == 0)
             assert np.all(db[0] == 0) and np.all(db[2] == 0)
@@ -242,7 +253,7 @@ class TestBackward:
         """ReLU of zero pre-activations: trunk weight gradients vanish."""
         rng = np.random.default_rng(9)
         net = init_network(4, [3], [2], 1, rng)
-        g = batch_gradients(net, [0], np.zeros(4), [0])
+        g = batch_gradients(net, [0], np.zeros((1, 4)), [0])
         assert np.all(g.trunk_weights[0] == 0)
 
 
@@ -356,16 +367,6 @@ class TestBatchGradients:
         absent = np.setdiff1d(np.arange(num_tasks), tasks)
         for dw, db in zip(got.stack_weights, got.stack_biases):
             assert np.all(dw[:, :, absent] == 0) and np.all(db[absent] == 0)
-
-    def test_backward_is_a_batch_of_one(self):
-        """A single feature vector is a batch of one row."""
-        rng = np.random.default_rng(21)
-        net = init_network(4, [3], [3, 2], 2, rng)
-        x = rng.standard_normal(4)
-        single = grads_by_name(net, batch_gradients(net, [1], x, [0]))
-        batch = grads_by_name(net, batch_gradients(net, [1], x[None], [0]))
-        for name in single:
-            np.testing.assert_array_equal(single[name], batch[name])
 
     def test_validation(self):
         rng = np.random.default_rng(22)

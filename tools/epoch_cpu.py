@@ -32,19 +32,8 @@ sweep count.
 
 Every timing is ``time.process_time``: CPU time of this process, which
 time stolen by other processes on a shared machine does not inflate.
-BLAS runs on one thread, as in the benchmark.
-
-CPU time still varies with the machine's speed of the moment (cache
-and memory traffic of other processes, frequency), so each line gives
-its best and median twice: as measured, and scaled to the reference
-speed as ``perfbench/run.py`` scales the benchmark's timings.  The
-reference computation of ``perfbench/reference.py`` runs before the
-first and after every timed epoch, scoring or fit, and a timing is
-multiplied by ``NOMINAL_S`` over the mean of the reference's CPU
-times just before and after it.  CPU time is used on both sides, so
-time stolen by other processes, which a wall-clock reference would
-count, does not scale the figures.  The process is pinned to one CPU,
-so the reference and the timed work run on the same one.
+BLAS runs on one thread, as in the benchmark, and the process is
+pinned to one CPU.
 """
 
 from __future__ import annotations
@@ -72,11 +61,10 @@ from relnet import trainer  # noqa: E402
 from relnet.cli import (  # noqa: E402
     _load_tnd_samples,
     build_network,
+    load_config,
     load_experiment_data,
-    parse_experiment_config,
 )
 from relnet.network import fold_scores  # noqa: E402
-from relnet.serialize import load_json  # noqa: E402
 from relnet.tensor_normal import flip_flop_mle, mle_mean  # noqa: E402
 
 SEED = 1
@@ -92,41 +80,22 @@ def _perfbench(name: str):
 
 
 def timed(calls) -> tuple:
-    """``(results, seconds, scaled)`` of the zero-argument ``calls``, run
-    in turn: their return values, their CPU seconds, and those seconds
-    at the reference speed."""
-    reference = _perfbench("reference")
-    ref = reference.Reference()
-
-    def cpu_seconds(call):
-        start = time.process_time()
-        result = call()
-        return result, time.process_time() - start
-
-    ref_s = [cpu_seconds(ref.seconds)[1]]
+    """``(results, seconds)`` of the zero-argument ``calls``, run in
+    turn: their return values and their CPU seconds."""
     results, seconds = [], []
     for call in calls:
-        result, s = cpu_seconds(call)
-        results.append(result)
-        seconds.append(s)
-        ref_s.append(cpu_seconds(ref.seconds)[1])
-    scaled = [
-        s * reference.NOMINAL_S / statistics.mean(ref_s[i : i + 2])
-        for i, s in enumerate(seconds)
-    ]
-    return results, seconds, scaled
+        start = time.process_time()
+        results.append(call())
+        seconds.append(time.process_time() - start)
+    return results, seconds
 
 
-def best_median(raw, scaled, unit: str, digits: int) -> str:
-    """The best and the median of ``raw`` and of ``scaled``, in ``unit``."""
-
-    def pair(values):
-        return (
-            f"best {min(values):.{digits}f} {unit}, "
-            f"median {statistics.median(values):.{digits}f} {unit}"
-        )
-
-    return f"{pair(raw)}; at reference speed {pair(scaled)}"
+def best_median(values, unit: str, digits: int) -> str:
+    """The best and the median of ``values``, in ``unit``."""
+    return (
+        f"best {min(values):.{digits}f} {unit}, "
+        f"median {statistics.median(values):.{digits}f} {unit}"
+    )
 
 
 def warmed_up(workload) -> tuple:
@@ -135,8 +104,7 @@ def warmed_up(workload) -> tuple:
     fold, or None."""
     with tempfile.TemporaryDirectory() as tmp:
         args = workload.prepare(Path(tmp), SEED)
-        config = Path(args[args.index("--config") + 1])
-        exp = parse_experiment_config(load_json(config), config.parent)
+        exp = load_config(args[args.index("--config") + 1])
         data, eval_data = load_experiment_data(exp)
     net, cfg = build_network(exp, data), exp.train_cfg
     cov = trainer.CovarianceState.identity_for(net.stack, cfg.shared_task_sigma)
@@ -159,23 +127,23 @@ def batch_report(workload, repeat: int) -> str:
         )
         for _ in range(repeat)
     ]
-    _, *epoch_s = timed(epochs)
-    per_batch = [[s / batches * 1e6 for s in series] for series in epoch_s]
+    _, epoch_s = timed(epochs)
+    per_batch = [s / batches * 1e6 for s in epoch_s]
     folds = [fold for fold in (data, eval_data) if fold is not None]
 
     def score():
         for fold in folds:
             fold_scores(net, fold)
 
-    _, *score_s = timed([score] * repeat)
-    scoring = [[s * 1e3 for s in series] for series in score_s]
+    _, score_s = timed([score] * repeat)
+    scoring = [s * 1e3 for s in score_s]
     rows = " + ".join(str(sum(fold.task_sizes)) for fold in folds)
     return (
         f"{workload.name}: {batches} batches of {cfg.batch_size} rows, "
         f"{repeat} timed epoch(s), per batch: "
-        f"{best_median(*per_batch, 'us', 1)}\n"
+        f"{best_median(per_batch, 'us', 1)}\n"
         f"{workload.name}: scoring of {len(folds)} fold(s) of {rows} rows, "
-        f"{repeat} timed scoring(s), per epoch: {best_median(*scoring, 'ms', 2)}"
+        f"{repeat} timed scoring(s), per epoch: {best_median(scoring, 'ms', 2)}"
     )
 
 
@@ -187,14 +155,12 @@ def sweep_report(workload, repeat: int) -> str:
         samples = _load_tnd_samples(Path(args[args.index("--input") + 1]))
     mean = mle_mean(samples)
     flip_flop_mle(samples, mean)
-    fits, *fit_s = timed([functools.partial(flip_flop_mle, samples, mean)] * repeat)
-    per_sweep = [
-        [s / fit.iterations * 1e3 for s, fit in zip(series, fits)] for series in fit_s
-    ]
+    fits, fit_s = timed([functools.partial(flip_flop_mle, samples, mean)] * repeat)
+    per_sweep = [s / fit.iterations * 1e3 for s, fit in zip(fit_s, fits)]
     return (
         f"{workload.name}: {samples.shape[0]} samples of dims "
         f"{samples.shape[1:]}, {fits[0].iterations} sweeps per fit, {repeat} "
-        f"timed fit(s), per sweep: {best_median(*per_sweep, 'ms', 2)}"
+        f"timed fit(s), per sweep: {best_median(per_sweep, 'ms', 2)}"
     )
 
 
