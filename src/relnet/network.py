@@ -391,50 +391,42 @@ def fold_scores(net: MultiTaskNet, data) -> tuple:
 def batch_gradients(net: MultiTaskNet, tasks, x, labels, bases=None) -> Gradients:
     """Gradients of the summed cross-entropy of a mixed-task batch.
 
-    Row ``i`` of ``x`` is an example of task ``tasks[i]`` with label
-    ``labels[i]``.  The trunk runs once on the whole batch.  Each stack
-    layer acts as one dense layer over the ``(D_in, D_out*T)`` unfolding
-    of its weights, its output gradient ``dz`` spread to the row's task
-    by the batch's task one-hot ``M``: the weight gradient is ``a^T (dz
-    kron M)``, the input gradient ``(dz kron M) W^T`` and the bias
-    gradient ``M^T dz``.  One flat index per layer, ``(i*D_out + j)*T +
-    tasks[i]`` for row ``i`` and output ``j``, does both halves of the
-    row-to-task work: ``take`` gathers each row's own task block from
-    the all-task product ``h @ W_(D_in, D_out*T)``, and ``put`` writes
-    ``dz`` into a zeroed ``(B, D_out*T)`` buffer, which then is ``dz kron
-    M``.  ReLU uses subgradient 0 at 0.  Each gradient is written into
-    its view of the returned ``flat`` vector.
+    Row ``i`` of the ``(B, input_dim)`` matrix ``x`` is an example of
+    task ``tasks[i]`` with label ``labels[i]``.  The trunk runs once on
+    the whole batch.  Each stack layer acts as one dense layer over the
+    ``(D_in, D_out*T)`` unfolding of its weights, its output gradient
+    ``dz`` spread to the row's task by the batch's task one-hot ``M``:
+    the weight gradient is ``a^T (dz kron M)``, the input gradient ``(dz
+    kron M) W^T`` and the bias gradient ``M^T dz``.  One flat index per
+    layer and row, from the base of :func:`_stack_plan`, does both
+    halves of the row-to-task work: ``take`` gathers each row's own task
+    block from the all-task product ``h @ W_(D_in, D_out*T)``, and
+    ``put`` writes ``dz`` into a zeroed ``(B, D_out*T)`` buffer, which
+    then is ``dz kron M``.  ReLU uses subgradient 0 at 0.  Each gradient
+    is written into its view of the returned ``flat`` vector.  Features
+    of another dim, or tasks or labels out of range or not one per row,
+    raise ``ValueError``.
 
     ``bases``, if given, holds one ``(Q_in, Q_out)`` pair of orthogonal
     matrices per stack layer, and the stack weights are taken to be
     rotated by :meth:`MultiTaskNet.rotate_stack`: ``W~_t = Q_in^T W_t
-    Q_out``.  The forward pass multiplies each stack layer's input by
-    ``Q_in`` and its product by ``Q_out^T``; the backward pass
-    multiplies ``dz`` by ``Q_out`` before the weight gradient and the
-    input gradient by ``Q_in^T``.  The stack weight gradients are then
-    those of the rotated weights, ``Q_in^T G_t Q_out``, at ``2B (D_in^2
-    + D_out^2)`` extra multiplies per layer for a batch of ``B`` rows;
-    the bias gradients, the task mode and the trunk are unchanged.
+    Q_out``.  The stack weight gradients are then those of the rotated
+    weights, ``Q_in^T G_t Q_out``; the bias gradients, the task mode
+    and the trunk are unchanged.  README "How SGD applies the prior"
+    says why the trainer steps in that basis and what it costs.
 
     The arithmetic is that of the trainer's SGD batches: this function
     builds the plan of :func:`_stack_plan` for its one batch and runs
     the same kernel, :func:`_gradients_into`.
     """
-    x, tasks, labels = _checked_batch(net, x, tasks, labels)
+    x = _as_batch(net, x)
+    tasks = _check_index(tasks, x.shape[0], net.num_tasks, "task")
+    labels = _check_index(labels, x.shape[0], net.num_classes, "label")
     grads = Gradients.empty_like(net)
     plan = _stack_plan(net, grads, x.shape[0], bases)
     onehot, label_rows = np.eye(net.num_tasks)[tasks], np.eye(net.num_classes)[labels]
     _gradients_into(grads, net, *plan, x, tasks, onehot, label_rows)
     return grads
-
-
-def _checked_batch(net: MultiTaskNet, x, tasks, labels) -> tuple:
-    """``(x, tasks, labels)`` of a batch as :func:`_gradients_into` takes
-    them, after the checks :func:`batch_gradients` makes."""
-    x = _as_batch(net, x)
-    rows = x.shape[0]
-    tasks = _check_index(tasks, rows, net.num_tasks, "task")
-    return x, tasks, _check_index(labels, rows, net.num_classes, "label")
 
 
 def _stack_plan(net: MultiTaskNet, grads: Gradients, rows: int, bases) -> tuple:
@@ -472,12 +464,13 @@ def _gradients_into(
 
     Every array of ``grads``, a :meth:`Gradients.empty_like` buffer that
     the plan ``(forward, backward)`` of :func:`_stack_plan` was built
-    on, is overwritten.  The inputs are taken as :func:`_checked_batch`
-    returns them, with ``onehot`` the ``(B, T)`` float one-hot of
-    ``tasks`` and ``label_rows`` the ``(B, C)`` float one-hot of the
-    labels.  A batch of ``B`` rows uses the first ``B`` rows of each
-    layer's index base and spread buffer.  Per stack layer, the flat
-    index ``base + tasks`` picks each row's task block out of the
+    on, is overwritten.  ``x`` and ``tasks`` are taken as
+    :func:`batch_gradients` checks them, a float ``(B, input_dim)``
+    matrix and an int vector, with ``onehot`` the ``(B, T)`` float
+    one-hot of ``tasks`` and ``label_rows`` the ``(B, C)`` float one-hot
+    of the labels.  A batch of ``B`` rows uses the first ``B`` rows of
+    each layer's index base and spread buffer.  Per stack layer, the
+    flat index ``base + tasks`` picks each row's task block out of the
     all-task product with ``take``, and in the backward pass ``put``
     writes ``dz`` into the spread buffer at the same index, which is
     zeroed again after use.  The forward pass keeps each layer's input

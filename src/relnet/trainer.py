@@ -2,56 +2,29 @@
 
 Each epoch alternates two blocks:
 
-1. SGD with momentum over the pooled examples of all tasks.  Batches
-   mix tasks, and each batch is one vectorized pass: the trunk runs once
-   on the whole batch and every stack layer once over all tasks
-   (:func:`~relnet.network.batch_gradients`).  The prior adds
+1. SGD with momentum over the pooled examples of all tasks
+   (:func:`sgd_epoch`).  Batches mix tasks, and each batch is one
+   vectorized pass of the arithmetic of
+   :func:`~relnet.network.batch_gradients`.  The prior adds
    ``Sigma^{-1} vec(W)`` per layer, each task's slice scaled so the
    epoch accumulates the full prior gradient exactly once per task no
-   matter how examples landed in batches.  The epoch steps each stack
-   layer in the eigenbasis of its feature and output factors, ``Sigma_k
-   = Q_k diag(sigma_k) Q_k^T``, decomposed once per covariance refit
-   (EKFAC, George et al., 2018).  There ``Sigma^{-1}`` is the diagonal
-   ``1/sigma_1 kron 1/sigma_2`` times the task precision, so a batch
-   pays ``D*(T + 1)`` multiplies for the prior of a ``(d1, d2, T)``
-   layer of ``D`` weights instead of the ``D*(d1 + d2 + T)`` of
-   applying ``Sigma^{-1}`` mode by mode, and the forward and backward
-   passes pay ``2B*(d1^2 + d2^2)`` for the rotations of a batch of
-   ``B`` rows.  That is the cheaper way when ``2B*(d1^2 + d2^2) < D*(d1
-   + d2)``, which for ``d1 >= d2`` holds when ``2B < d2*T``: for a
-   ``(256, 64, 4)`` layer at ``B = 16``, 2.2M against 21M multiplies;
-   not for a ``(64, 5, 4)`` classifier, 132k against 88k.  The epoch
-   makes no per-layer choice: it rotates every stack layer.  Momentum
-   SGD is equivariant under an orthogonal change of variables, so the
-   trajectory is the one of stepping in the network's own basis, up to
-   rounding.
-
-   With many tasks and narrow layers a batch's arithmetic is small, so
-   an epoch prepares once what does not depend on the batch: the
-   label and task checks of ``batch_gradients`` over all its rows, the
-   check of the covariance state against the stack, the one-hot rows
-   of its labels, the gradient buffer and its views, the non-empty
-   parameter segments with their rate multipliers, every batch's prior
-   scale, and the kernel's plan of each stack layer
-   (:func:`~relnet.network._stack_plan`): the unfolded weight and
-   gradient views, the transposes the passes use, a flat index base
-   and a zeroed spread buffer.  Per batch and stack layer, the flat
-   index ``(i*D_out + j)*T + tasks[i]`` gathers each row's own task
-   block from the all-task product with ``take`` and writes ``dz``
-   into the spread buffer with ``put``.  A batch pays for gathering its
-   rows, its task one-hot, the gradient arithmetic written into the
-   buffer, the prior step, two finiteness checks and the update, which
-   scales the checked gradient in place into the step, in the
-   floating-point operations of calling ``batch_gradients`` per batch.
-2. One covariance sweep per stack layer: with the weights fixed, each
-   mode factor in turn is replaced by the maximizer of the prior term
-   given the other two, then ridged and trace-normalized.  The sweep
-   whitens the layer's weights once and then makes the flip-flop mode
-   step that the distribution fitter
+   matter how examples landed in batches.  With a prior, the epoch
+   steps each stack layer in the eigenbasis of its feature and output
+   factors (EKFAC, George et al., 2018), and it prepares once what
+   does not depend on the batch; README "How SGD applies the prior"
+   says why and at what cost.
+2. One covariance sweep over the stack layers
+   (:func:`update_covariances`): with the weights fixed, each mode
+   factor in turn is replaced by the maximizer of the prior term given
+   the other two, then ridged and trace-normalized.  The sweep whitens
+   each layer's weights once and then makes the flip-flop mode step
+   that the distribution fitter
    :func:`~relnet.tensor_normal.flip_flop_mle` iterates: form the mode's
    Gram with its old whitening undone, replace the factor, re-whiten
    the mode.  Only the task-mode factor carries the inter-task
    relationship; feature and output factors absorb within-layer scale.
+   Layers whose priors hold one task factor object share it, and its
+   step pools their task fibres.
 
 The gradient and the velocity share the layout of the network's one
 parameter vector, whose layer order only :mod:`relnet.network` knows:
@@ -77,8 +50,8 @@ from .network import (
     Gradients,
     MultiTaskNet,
     TaskLayerStack,
+    _check_index,
     _check_priors,
-    _checked_batch,
     _gradients_into,
     _stack_plan,
     fold_scores,
@@ -122,8 +95,10 @@ class TrainConfig:
     the gradients; zero recovers independent per-task training.
     ``lr_schedule`` is ``"constant"`` or ``"inv"``, the latter decaying
     the base rate by ``(1 + lr_gamma * iteration) ** -lr_power``.
-    ``shared_task_sigma`` estimates one task-mode factor pooled over
-    all stack layers instead of one per layer.  Every float must be
+    ``shared_task_sigma`` chooses the sharing of the covariance state
+    a run starts from: one task-mode factor held by every stack layer's
+    prior, which each refit then estimates pooled over the layers,
+    instead of one per layer.  Every float must be
     finite; a bad value raises ``ValueError`` whose message starts with
     the field's name.
     """
@@ -179,8 +154,10 @@ class CovarianceState:
 
     ``priors[l]`` is the :class:`~relnet.tensor_normal.KronCovariance`
     of stack layer ``layer_ids[l]``, its factors in mode order (feature,
-    output, task).  With ``shared_task_sigma`` every prior holds the
-    same pooled task factor object.
+    output, task).  Priors may hold one task factor object between them,
+    as :meth:`identity_for` makes them with ``shared_task``; the refit
+    :func:`update_covariances` then estimates it pooled over their
+    layers and keeps that sharing.
     """
 
     layer_ids: list
@@ -235,28 +212,29 @@ def update_covariances(
     each prior's dims equal to its layer's weight shape, or
     ``ValueError`` is raised.  Per layer, the weights are whitened once
     by the layer's current factors, and the factors of
-    ``cov.priors[l]`` are updated in mode order (feature, output, task)
+    ``cov.priors[l]`` are replaced in mode order (feature, output, task)
     by the flip-flop mode step of
     :mod:`relnet.tensor_normal`: each from the weights whitened by the
     other modes' most recent factors, with the rule ``G/(D/d_k) +
     epsilon_ridge * I`` scaled to unit trace.  The layer's new prior is
     a :class:`~relnet.tensor_normal.KronCovariance` of the swept
-    factors.  With ``shared_task_sigma`` every prior must hold one task
-    factor object, as :meth:`CovarianceState.identity_for` and this
-    refit make them.  The task-mode step is then one step over every
-    layer's whitened task fibres together, which pools the layers' task
-    Grams (weighted by ``D_in * D_out``) before the ridge and
-    normalization, and every new prior holds the one pooled factor.
+    factors.  The task-mode step is made once per task factor object of
+    ``cov``, after every layer's output step, over the whitened task
+    fibres of the layers whose priors hold it.  For one layer that is
+    the layer's own step; for several it pools their task Grams
+    (weighted by ``D_in * D_out``) before the ridge and normalization,
+    and each of their new priors holds the one pooled factor.  So the
+    new state shares its task factors as ``cov`` does, whatever
+    ``cfg.shared_task_sigma`` says.  ``cov`` is not changed.
 
-    The mode-3 (task) step costs ``O(T^2 D_in D_out + T^3)`` arithmetic
-    per layer: one Gram product against the whitened weights plus one
-    Cholesky.  Pass an :class:`OpCounter` to audit that.
+    The mode-3 (task) step costs ``O(T^2 D_in D_out)`` arithmetic per
+    layer, one Gram product against the whitened weights, plus one
+    ``O(T^3)`` Cholesky per task factor.  Pass an :class:`OpCounter` to
+    audit that.  A step whose factor is not positive definite raises
+    :class:`~relnet.tensor_normal.EstimationError` naming the layer and
+    mode, or ``shared task mode``.
     """
     _check_covariances(stack, cov)
-    shared = cfg.shared_task_sigma
-    task = [cov.priors[0].factors[2]]
-    if shared and any(p.factors[2] is not task[0] for p in cov.priors):
-        raise ValueError("shared_task_sigma needs one task factor in every prior")
     eps = cfg.epsilon_ridge
 
     def ridged(gram, m):
@@ -270,23 +248,25 @@ def update_covariances(
             counter[f"mode{mode}_factor"] += dk**3 // 3
         return _mode_step(z, factors, k, ridged, what)[0]
 
-    swept, fibres = [], []
+    # Layer indices grouped by the task factor object their priors hold.
+    swept, fibres, groups = [], [], {}
     for lid, w, prior in zip(stack.layer_ids, stack.weights, cov.priors):
         factors = list(prior.factors)
         z = _whiten(w, factors)
-        names = ("feature", "output") if shared else ("feature", "output", "task")
-        for k, name in enumerate(names):
+        for k, name in enumerate(("feature", "output")):
             z = step(z, factors, k, k + 1, f"layer {lid!r} {name} mode")
-        if shared:
-            fibres.append(z.reshape(-1, stack.num_tasks))
+        groups.setdefault(id(factors[2]), []).append(len(swept))
         swept.append(factors)
+        fibres.append(z.reshape(-1, stack.num_tasks))
 
-    if shared:
-        # Every layer's task fibres, whitened by the one task factor, are
+    for layers in groups.values():
+        # The group's task fibres, whitened by its one task factor, are
         # the samples of an order-1 tensor normal with that factor.
-        step(np.concatenate(fibres), task, 0, 3, "shared task mode")
-        for factors in swept:
-            factors[2] = task[0]
+        task, lid = [swept[layers[0]][2]], stack.layer_ids[layers[0]]
+        what = f"layer {lid!r} task mode" if len(layers) == 1 else "shared task mode"
+        step(np.concatenate([fibres[l] for l in layers]), task, 0, 3, what)
+        for l in layers:
+            swept[l][2] = task[0]
 
     priors = [KronCovariance(f) for f in swept]
     return CovarianceState(list(cov.layer_ids), priors)
@@ -343,29 +323,18 @@ def sgd_epoch(
     vector and then on its stack segment, the latter at ``lr *
     new_layer_lr_multiplier``.
 
-    With a prior (``prior_weight > 0``) the epoch first takes each stack
-    layer's feature and output factors' cached eigendecompositions
-    (:attr:`~relnet.tensor_normal.SpdFactor.eigh`) and rotates the stack
-    weights and their velocity in place
-    (:meth:`~relnet.network.MultiTaskNet.rotate_stack`): ``W~ = W x1
-    Q_1^T x2 Q_2^T``.  Batches then step ``W~``.  The prior gradient of
-    ``W~`` is ``W~_(d1*d2, T) @ (P_3 * scale)`` times the per-epoch
-    ``1/sigma_1 kron 1/sigma_2``, with ``P_3`` the task precision, and
-    no inverse is applied per batch.  The weights and velocity are
-    rotated back when the epoch ends, also when it raises, so callers
-    never see the rotated basis.  Every stack layer is rotated,
-    whatever its shape; the task mode, the biases and the trunk are not.
+    With ``prior_weight > 0`` the batches step every stack layer's
+    weights and velocity rotated in place into the eigenbasis of its
+    feature and output factors
+    (:meth:`~relnet.network.MultiTaskNet.rotate_stack` by the cached
+    :attr:`~relnet.tensor_normal.SpdFactor.eigh`), and both are rotated
+    back when the epoch ends, also when it raises; with ``prior_weight
+    == 0`` nothing is rotated.  README "How SGD applies the prior" says
+    why and what each path costs.
 
-    With ``prior_weight == 0`` nothing is rotated, and that path is
-    kept apart on purpose.  Such a run never refits, so its factors stay
-    the identity and rotating would leave every bit of the parameters
-    as it is, but the decompositions, the rotations and a zero prior
-    step would still cost: on one CPU, an epoch at ``train-manytask``
-    shapes took 24 ms unrotated and 36 ms rotated.
-
-    The batch-independent work is done once, before the first batch
-    (see the module docstring).  A label out of range raises
-    ``batch_gradients``' ``ValueError`` before any parameter moves, and
+    Data that does not fit the network raises :func:`check_data`'s
+    :class:`~relnet.data.DatasetError`.  Before any parameter moves, a
+    label out of range raises ``batch_gradients``' ``ValueError``, and
     so does a covariance state whose layer ids, prior count or prior
     dims do not match the stack, as in :func:`update_covariances`.  A
     non-finite gradient, or a parameter that turns non-finite in the
@@ -377,15 +346,12 @@ def sgd_epoch(
     _check_covariances(net.stack, cov)
     num_tasks = net.num_tasks
     sizes = np.asarray(data.task_sizes)
-    features, task_of, labels = _checked_batch(
-        net,
-        np.concatenate(data.features),
-        np.repeat(np.arange(num_tasks), sizes),
-        np.concatenate(data.labels),
-    )
+    features = np.concatenate(data.features)
+    total = features.shape[0]
+    labels = _check_index(np.concatenate(data.labels), total, net.num_classes, "label")
+    task_of = np.repeat(np.arange(num_tasks), sizes)
     # A batch larger than the epoch is the whole epoch; clamping keeps
     # the batch keys below int64.
-    total = task_of.shape[0]
     size = min(cfg.batch_size, total)
     perm = np.random.default_rng([cfg.seed, 0, state.epoch]).permutation(total)
     task_of, label_rows = task_of[perm], np.eye(net.num_classes)[labels[perm]]
@@ -615,19 +581,12 @@ def extract_relationship(cov: CovarianceState, layer: str) -> np.ndarray:
     layer with id ``layer``.
 
     Normalizes the covariance factor to correlations; the diagonal is
-    exactly 1.  An unknown id raises ``ValueError``, a non-positive
-    diagonal entry :class:`EstimationError`.
+    exactly 1.  An unknown id raises ``ValueError``.
     """
     if layer not in cov.layer_ids:
         raise ValueError(f"unknown stack layer {layer!r}; have {cov.layer_ids}")
-    l = cov.layer_ids.index(layer)
-    m = cov.priors[l].factors[2].matrix
-    diag = np.diag(m)
-    if np.any(diag <= 0):
-        raise EstimationError(
-            f"layer {cov.layer_ids[l]!r}: task variance is not positive"
-        )
-    scale = np.sqrt(diag)
+    m = cov.priors[cov.layer_ids.index(layer)].factors[2].matrix
+    scale = np.sqrt(np.diag(m))
     corr = m / np.outer(scale, scale)
     np.fill_diagonal(corr, 1.0)
     return corr

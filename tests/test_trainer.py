@@ -4,7 +4,6 @@ import importlib.util
 import inspect
 from dataclasses import replace
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -564,14 +563,14 @@ def test_batch_beyond_int64_is_the_whole_epoch():
 def dense_update_oracle(stack, cov, cfg):
     """Brute-force Gauss-Seidel sweep with materialized Kronecker inverses.
 
-    With ``shared_task_sigma`` the layers' task Grams are summed and
-    divided by the summed ``D_in * D_out`` before the ridge, and every
-    layer gets the one pooled task factor."""
+    Layers whose priors hold one task factor object share it: their task
+    Grams are summed and divided by their summed ``D_in * D_out`` before
+    the ridge, and each of them gets the one pooled task factor."""
     feats, outs, tasks = (
         [p.factors[k].matrix.copy() for p in cov.priors] for k in range(3)
     )
     eps = cfg.epsilon_ridge
-    pooled, weight = 0.0, 0
+    pooled = {}
     for l, w in enumerate(stack.weights):
         din, dout, t = w.shape
         m1 = w.reshape(din, dout * t)
@@ -586,15 +585,14 @@ def dense_update_oracle(stack, cov, cfg):
 
         m3 = w.transpose(2, 0, 1).reshape(t, din * dout)
         k = np.kron(feats[l], outs[l])
-        gram = m3 @ np.linalg.inv(k) @ m3.T
-        if cfg.shared_task_sigma:
-            pooled, weight = pooled + gram, weight + din * dout
-            continue
-        s = gram / (din * dout) + eps * np.eye(t)
-        tasks[l] = s / np.trace(s)
-    if cfg.shared_task_sigma:
-        s = pooled / weight + eps * np.eye(len(pooled))
-        tasks = [s / np.trace(s)] * len(tasks)
+        group = pooled.setdefault(id(cov.priors[l].factors[2]), [0.0, 0, []])
+        group[0] = group[0] + m3 @ np.linalg.inv(k) @ m3.T
+        group[1] += din * dout
+        group[2].append(l)
+    for gram, weight, layers in pooled.values():
+        s = gram / weight + eps * np.eye(len(gram))
+        for l in layers:
+            tasks[l] = s / np.trace(s)
     return feats, outs, tasks
 
 
@@ -648,7 +646,7 @@ class TestUpdateCovariances:
     )
     def test_sweep_matches_dense_oracle(self, widths, tasks, shared, eps, seed):
         """Stacks of 1-3 layers with dims 1-5 per mode, random SPD
-        factors and weights, with and without ``shared_task_sigma``."""
+        factors and weights, with and without one shared task factor."""
         rng = np.random.default_rng(seed)
         weights = [
             rng.standard_normal((din, dout, tasks))
@@ -667,7 +665,7 @@ class TestUpdateCovariances:
             ])
             for w in weights
         ]
-        cfg = TrainConfig(epsilon_ridge=eps, shared_task_sigma=shared)
+        cfg = TrainConfig(epsilon_ridge=eps)
         new = update_covariances(stack, CovarianceState(ids, priors), cfg)
         want = dense_update_oracle(stack, CovarianceState(ids, priors), cfg)
         for l, prior in enumerate(new.priors):
@@ -679,13 +677,27 @@ class TestUpdateCovariances:
         if shared:
             assert all(p.factors[2] is new.priors[0].factors[2] for p in new.priors)
 
-    def test_shared_task_sigma_needs_one_task_factor(self):
-        """The pooled task step undoes one old task whitening, so priors
-        that hold different task factors are refused."""
+    def test_sharing_is_read_from_the_state(self):
+        """A refit keeps its input state's task-factor sharing whatever
+        ``shared_task_sigma`` says, and leaves the input state as it was:
+        a pooled state is refit pooled under the default config, and a
+        per-layer state layer by layer under ``shared_task_sigma``."""
         net = init_network(5, [], [4, 3], 3, np.random.default_rng(22))
-        cov = CovarianceState.identity_for(net.stack)
-        with pytest.raises(ValueError, match="one task factor"):
-            update_covariances(net.stack, cov, TrainConfig(shared_task_sigma=True))
+        for shared in (True, False):
+            cov = CovarianceState.identity_for(net.stack, shared_task=shared)
+            objects = [list(p.factors) for p in cov.priors]
+            matrices = [[f.matrix.copy() for f in p.factors] for p in cov.priors]
+            cfg = TrainConfig(shared_task_sigma=not shared)
+            new = update_covariances(net.stack, cov, cfg)
+            tasks = [p.factors[2] for p in new.priors]
+            assert (tasks[0] is tasks[1]) is shared
+            want = dense_update_oracle(net.stack, cov, cfg)
+            for l, prior in enumerate(new.priors):
+                for k, f in enumerate(prior.factors):
+                    np.testing.assert_allclose(f.matrix, want[k][l], rtol=1e-10)
+            for prior, olds, mats in zip(cov.priors, objects, matrices):
+                for f, old, m in zip(prior.factors, olds, mats):
+                    assert f is old and np.array_equal(f.matrix, m)
 
     def test_factors_spd_unit_trace(self):
         rng = np.random.default_rng(18)
@@ -961,16 +973,6 @@ class TestExtractRelationship:
         np.testing.assert_array_equal(np.diag(corr), np.ones(3))
         assert corr[0, 1] == pytest.approx(0.6 / np.sqrt(2.0), rel=1e-12)
         np.testing.assert_allclose(corr, corr.T)
-
-    def test_zero_variance_rejected(self):
-        # KronCovariance refuses a singular factor, so the prior is a fake.
-        task = SimpleNamespace(matrix=np.diag([1.0, 0.0]))
-        prior = SimpleNamespace(
-            factors=(SpdFactor.identity(2), SpdFactor.identity(2), task)
-        )
-        cov = CovarianceState(layer_ids=["classifier"], priors=[prior])
-        with pytest.raises(EstimationError):
-            extract_relationship(cov, "classifier")
 
     def test_unknown_layer_rejected(self):
         rng = np.random.default_rng(38)
