@@ -19,7 +19,8 @@ Subcommands
     Re-emit a trained relationship matrix as JSON or CSV.
 
 Exit codes are a stable scripting contract: 0 success, 1 usage or
-config error, 2 non-convergence, 3 numeric failure.
+config error or sizes that do not fit in memory, 2 non-convergence,
+3 numeric failure.
 """
 
 from __future__ import annotations
@@ -602,6 +603,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except InputError as exc:
         print(f"relnet {args.command}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        print(f"relnet {args.command}: out of memory: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -6,10 +6,12 @@ them.  CSV files hold one task each, one example per row, features
 first and the integer class label last.
 
 The synthetic generator draws ground-truth classifier weights for all
-tasks jointly from a tensor normal whose task-mode factor is the
-designed relationship matrix, then samples Gaussian features and
-softmax labels per task.  It is the controlled setting where learned
-task relationships can be compared against a known one.
+tasks jointly from a tensor normal with identity feature and class
+factors and the designed relationship matrix as its task factor, made
+as one coloring of the task mode by that matrix's Cholesky factor;
+then it samples Gaussian features and softmax labels per task.  It is
+the controlled setting where learned task relationships can be
+compared against a known one.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .serialize import (
     read_object,
     write_csv_rows,
 )
-from .tensor_normal import KronCovariance, SpdFactor, TensorNormal, sample
+from .tensor_normal import SpdFactor
 
 __all__ = [
     "DatasetError",
@@ -383,14 +385,17 @@ class SyntheticSpec:
     """Synthetic multi-task problem with a designed task relationship.
 
     ``task_covariance`` is the task-mode factor of the tensor-normal
-    prior the ground-truth weights are drawn from: high positive
-    entries make tasks' classifiers similar, zeros make them unrelated.
+    prior the ground-truth weights are drawn from, whose feature and
+    class factors are identities, so the draw is one coloring of the
+    task mode by its Cholesky factor: high positive entries make
+    tasks' classifiers similar, zeros make them unrelated.
     From a config it is read under the matrix rule of
     :func:`~relnet.serialize.check_type`; any caller's matrix must be
     symmetric positive definite, and is stored as a float array.
     ``test_samples_per_task`` sizes an optional held-out fold drawn from
     the same weights (0 for none).  A bad value raises ``ValueError``
-    whose message starts with the field's name.
+    whose message starts with the field's name; so does a size whose
+    array numpy could not count in bytes.
     """
 
     num_tasks: int
@@ -416,14 +421,20 @@ class SyntheticSpec:
                 raise ValueError(
                     f"{name} must be at least {least}, got {getattr(self, name)}"
                 )
-        # Each task draws a (count, feature_dim) array of features, whose
-        # size numpy must be able to index.
-        most = np.iinfo(np.intp).max // self.feature_dim
-        for name in ("samples_per_task", "test_samples_per_task"):
-            if getattr(self, name) > most:
+        # numpy counts an array's bytes, 8 an entry, in an intp: the
+        # (feature_dim, num_classes, num_tasks) weights and each task's
+        # (count, feature_dim) features.
+        most = np.iinfo(np.intp).max // 8
+        dim, tasks = self.feature_dim, self.num_tasks
+        for name, per, sizes in (
+            ("num_classes", dim * tasks, f"feature_dim {dim} and {tasks} tasks"),
+            ("samples_per_task", dim, f"feature_dim {dim}"),
+            ("test_samples_per_task", dim, f"feature_dim {dim}"),
+        ):
+            if getattr(self, name) > most // per:
                 raise ValueError(
-                    f"{name} must be at most {most} with feature_dim "
-                    f"{self.feature_dim}, got {getattr(self, name)}"
+                    f"{name} must be at most {most // per} with {sizes}, "
+                    f"got {getattr(self, name)}"
                 )
         if not 0.0 < self.noise_scale < np.inf:
             raise ValueError(
@@ -497,23 +508,20 @@ def sample_task_data(
 def generate_synthetic(spec: SyntheticSpec) -> tuple:
     """Generate a dataset and its ground-truth weights.
 
-    Weights are one tensor-normal draw with identity feature and class
-    factors and ``spec.task_covariance`` along the task mode; the same
-    generator then feeds :func:`sample_task_data`.  Returns
-    ``(dataset, weights)``.
+    The weights are one tensor-normal draw with zero mean, identity
+    feature and class factors and ``spec.task_covariance`` along the
+    task mode.  With both identities, that draw is one coloring of the
+    task mode: a ``(D*C, T)`` standard normal array times ``L^T``, ``L``
+    the Cholesky factor of ``task_covariance``, so no ``(D, D)`` or
+    ``(C, C)`` matrix is formed and generation costs what the returned
+    arrays hold.  The same generator then feeds
+    :func:`sample_task_data`.  Returns ``(dataset, weights)``.
     """
     rng = np.random.default_rng(spec.seed)
-    prior = TensorNormal(
-        np.zeros((spec.feature_dim, spec.num_classes, spec.num_tasks)),
-        KronCovariance(
-            [
-                np.eye(spec.feature_dim),
-                np.eye(spec.num_classes),
-                spec.task_covariance,
-            ]
-        ),
-    )
-    weights = sample(prior, rng)
+    dims = (spec.feature_dim, spec.num_classes, spec.num_tasks)
+    chol = SpdFactor(spec.task_covariance).chol
+    z = rng.standard_normal((dims[0] * dims[1], dims[2]))
+    weights = (z @ chol.T).reshape(dims)
     ds = sample_task_data(
         weights,
         spec.samples_per_task,

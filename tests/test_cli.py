@@ -912,6 +912,16 @@ REJECTED = {
         "config.data.synthetic: 3 tasks of 12 training and 30 test samples "
         "with feature_dim 10000000000000 and 3 classes do not fit in memory",
     ),
+    # The weights' 2**71 entries overflow numpy's byte count.
+    "weights_beyond_intp": (
+        with_field(
+            "data.synthetic",
+            {"num_tasks": 2, "feature_dim": 2**40, "num_classes": 2**30,
+             "samples_per_task": 1, "task_covariance": np.eye(2).tolist()},
+        ),
+        "config.data.synthetic.num_classes must be at most 524287 with "
+        "feature_dim 1099511627776 and 2 tasks, got 1073741824",
+    ),
     "noise_scale_nan": (
         with_field("data.synthetic.noise_scale", float("nan")),
         "config.data.synthetic.noise_scale",
@@ -1209,6 +1219,25 @@ def test_rejected_input_exits_usage_naming_the_field(case, tmp_path, capsys):
     assert code == 1, err
     assert named in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["train", "tnd-fit"])
+def test_out_of_memory_exits_usage_in_one_line(command, tmp_path, capsys, monkeypatch):
+    """A failed allocation anywhere in a command exits 1 with numpy's
+    message on one line.  The allocation is simulated: whether a huge
+    request fails at once depends on the host."""
+    message = "Unable to allocate 298. GiB for an array with shape (200000, 200000)"
+
+    def no_memory(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr("relnet.cli.run_experiment", no_memory)
+    monkeypatch.setattr("relnet.cli.flip_flop_mle", no_memory)
+    setup = with_flags() if command == "train" else with_samples([3, 2, 2])
+    argv = setup(tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"relnet {command}: out of memory: {message}\n"
 
 
 def with_feature_dim(feature_dim):

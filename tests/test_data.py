@@ -1,6 +1,7 @@
 """Dataset ingestion, splitting and the synthetic generator."""
 
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ from relnet.data import (
 )
 from relnet.data import _parse_csv_fast, _parse_csv_lines
 from relnet.serialize import ConfigError, InputError
+from relnet.tensor_normal import KronCovariance, TensorNormal, sample
 
 
 def toy_dataset(sizes=(10, 8), dim=3, num_classes=2, seed=0):
@@ -415,6 +417,47 @@ class TestSynthetic:
             if ab > cos(vecs[0], vecs[2]) and ab > cos(vecs[1], vecs[2]):
                 hits += 1
         assert hits >= 9
+
+    def test_coloring_is_the_three_factor_draw(self):
+        """The weights, features and labels equal, bit for bit, those of
+        a tensor-normal draw with identity feature and class factors
+        fed to ``sample_task_data`` from the same generator; also for a
+        task covariance asymmetric within the 1e-10 tolerance."""
+        asym = block_cov([(0, 1, 0.5)], 2)
+        asym[0, 1] += 1e-12
+        specs = [
+            SyntheticSpec(1, 3, 2, 5, [[2.0]], seed=1),
+            SyntheticSpec(2, 4, 2, 7, asym, seed=2),
+            SyntheticSpec(3, 1, 3, 4, block_cov([(0, 2, -0.3)], 3), seed=3),
+            SyntheticSpec(4, 6, 5, 3, block_cov([(1, 3, 0.9)], 4), noise_scale=0.5),
+        ]
+        assert not np.array_equal(specs[1].task_covariance, asym.T)
+        for spec in specs:
+            dims = (spec.feature_dim, spec.num_classes, spec.num_tasks)
+            rng = np.random.default_rng(spec.seed)
+            factors = [np.eye(dims[0]), np.eye(dims[1]), spec.task_covariance]
+            w = sample(TensorNormal(np.zeros(dims), KronCovariance(factors)), rng)
+            want = sample_task_data(
+                w, spec.samples_per_task, spec.noise_scale, rng,
+                task_names=spec.task_names,
+            )
+            ds, weights = generate_synthetic(spec)
+            assert np.array_equal(weights, w)
+            for got, ref in zip(ds.features + ds.labels, want.features + want.labels):
+                assert np.array_equal(got, ref)
+
+    def test_generation_memory_follows_its_content(self):
+        """At feature_dim 2048 the returned features and weights take
+        0.98 MB; the allocation peak stays below 8 MB, so no (D, D)
+        matrix is formed."""
+        spec = SyntheticSpec(4, 2048, 5, 10, np.eye(4), seed=5)
+        tracemalloc.start()
+        try:
+            generate_synthetic(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
     def test_sample_task_data_reuses_weights(self):
         """Fresh draws from the same weights share the generating rule."""
