@@ -189,7 +189,14 @@ class MultiTaskNet:
         return [(name, vec[a:b].reshape(shape)) for name, shape, a, b in self._layout]
 
     def first_nonfinite(self, vec) -> str | None:
-        """Name of the first segment of ``vec`` that is not all finite."""
+        """Name of the first segment of ``vec`` that is not all finite.
+
+        A finite squared norm proves every entry finite, so only a norm
+        that is not, a bad entry's or an overflow's, leads to the scan.
+        ``np.vdot`` forms it without the overflow warning of ``@``.
+        """
+        if math.isfinite(np.vdot(vec, vec)):
+            return None
         bad = (name for name, v in self.segments(vec) if not np.isfinite(v).all())
         return next(bad, None)
 
@@ -298,11 +305,16 @@ def init_network(
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
-    """Row-wise softmax with max subtraction; finite for any logits."""
+    """Row-wise softmax with max subtraction; finite for any logits.
+
+    The reductions are the ufuncs' own, ``np.maximum.reduce`` and
+    ``np.add.reduce``, and the division is in place: the bits of
+    ``z.max``, ``e.sum`` and ``e / s`` without their per-call wrappers.
+    """
     z = np.asarray(z, dtype=float)
-    shifted = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = np.exp(z - np.maximum.reduce(z, axis=-1, keepdims=True))
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
+    return e
 
 
 def _check_task(net: MultiTaskNet, task: int) -> int:
@@ -398,11 +410,11 @@ def batch_gradients(net: MultiTaskNet, tasks, x, labels, bases=None) -> Gradient
     ``dz`` spread to the row's task by the batch's task one-hot ``M``:
     the weight gradient is ``a^T (dz kron M)``, the input gradient ``(dz
     kron M) W^T`` and the bias gradient ``M^T dz``.  One flat index per
-    layer and row, from the base of :func:`_stack_plan`, does both
-    halves of the row-to-task work: ``take`` gathers each row's own task
-    block from the all-task product ``h @ W_(D_in, D_out*T)``, and
-    ``put`` writes ``dz`` into a zeroed ``(B, D_out*T)`` buffer, which
-    then is ``dz kron M``.  ReLU uses subgradient 0 at 0.  Each gradient
+    layer and row, from :func:`_stack_plan`, does both halves of the
+    row-to-task work: ``take`` gathers each row's own task block from
+    the all-task product ``h @ W_(D_in, D_out*T)``, and ``put`` writes
+    ``dz`` into a zeroed ``(B, D_out*T)`` buffer, which then is ``dz
+    kron M``.  ReLU uses subgradient 0 at 0.  Each gradient
     is written into its view of the returned ``flat`` vector.  Features
     of another dim, or tasks or labels out of range or not one per row,
     raise ``ValueError``.
@@ -417,67 +429,75 @@ def batch_gradients(net: MultiTaskNet, tasks, x, labels, bases=None) -> Gradient
 
     The arithmetic is that of the trainer's SGD batches: this function
     builds the plan of :func:`_stack_plan` for its one batch and runs
-    the same kernel, :func:`_gradients_into`.
+    the same kernel, :func:`_gradients_into`, unscaled.
     """
     x = _as_batch(net, x)
     tasks = _check_index(tasks, x.shape[0], net.num_tasks, "task")
     labels = _check_index(labels, x.shape[0], net.num_classes, "label")
     grads = Gradients.empty_like(net)
-    plan = _stack_plan(net, grads, x.shape[0], bases)
+    plan = _stack_plan(net, grads, tasks, x.shape[0], bases)
     onehot, label_rows = np.eye(net.num_tasks)[tasks], np.eye(net.num_classes)[labels]
-    _gradients_into(grads, net, *plan, x, tasks, onehot, label_rows)
+    _gradients_into(grads, net, *plan, slice(None), x, tasks, onehot, label_rows, 1.0)
     return grads
 
 
-def _stack_plan(net: MultiTaskNet, grads: Gradients, rows: int, bases) -> tuple:
-    """What :func:`_gradients_into` reads of each stack layer, for batches
-    of at most ``rows`` rows into the buffer ``grads``: ``(forward,
+def _stack_plan(net: MultiTaskNet, grads: Gradients, tasks, size: int, bases) -> tuple:
+    """What :func:`_gradients_into` reads of each stack layer, for the
+    batches of ``size`` consecutive rows of an epoch whose row ``i`` is
+    of task ``tasks[i]``, into the buffer ``grads``: ``(forward,
     backward)``, one tuple per layer in each list.
 
     A forward tuple holds the ``(D_in, D_out*T)`` unfolded weight view,
-    the bias, the flat index base ``(i*D_out + j)*T`` of row ``i`` and
-    output ``j`` (a ``(rows, D_out)`` array), ``Q_in`` and ``Q_out^T``.
-    A backward tuple holds the unfolded weight view's transpose, a
-    zeroed ``(rows, D_out*T)`` spread buffer, ``Q_in^T``, ``Q_out``, and
-    the unfolded weight gradient and bias gradient views.  Without
-    ``bases`` each ``Q`` is ``None``.  The weights and gradients are
-    views, so the plan stays valid while they change in place.
+    the bias, the flat index ``((i mod size)*D_out + j)*T + tasks[i]``
+    of row ``i`` and output ``j`` (an ``(N, D_out)`` array over the
+    epoch's ``N`` rows, so a batch slices its rows' indices), ``Q_in``
+    and ``Q_out^T``.  A backward tuple holds the unfolded weight view's
+    transpose, a zeroed ``(size, D_out*T)`` spread buffer, ``Q_in^T``,
+    ``Q_out``, and the unfolded weight gradient and bias gradient views.
+    Without ``bases`` each ``Q`` is ``None``.  The weights and gradients
+    are views, so the plan stays valid while they change in place.
     """
     forward, backward = [], []
+    local, task_col = np.arange(len(tasks))[:, None] % size, tasks[:, None]
     for s, w in enumerate(net.stack.weights):
         din, dout, t = w.shape
         w_flat = w.reshape(din, dout * t)
-        base = (np.arange(rows)[:, None] * dout + np.arange(dout)) * t
+        index = (local * dout + np.arange(dout)) * t + task_col
         q_in, q_in_t, q_out, q_out_t = (
             [None] * 4 if bases is None else [m for q in bases[s] for m in (q, q.T)]
         )
-        forward.append((w_flat, net.stack.biases[s], base, q_in, q_out_t))
+        forward.append((w_flat, net.stack.biases[s], index, q_in, q_out_t))
         grad = (grads.stack_weights[s].reshape(w_flat.shape), grads.stack_biases[s])
-        backward.append((w_flat.T, np.zeros((rows, dout * t)), q_in_t, q_out, *grad))
+        backward.append((w_flat.T, np.zeros((size, dout * t)), q_in_t, q_out, *grad))
     return forward, backward
 
 
 def _gradients_into(
-    grads: Gradients, net: MultiTaskNet, forward, backward, x, tasks, onehot, label_rows
+    grads, net, forward, backward, batch, x, tasks, onehot, label_rows, scale
 ) -> None:
-    """The arithmetic of :func:`batch_gradients`, written into ``grads``.
+    """The arithmetic of :func:`batch_gradients`, written into ``grads``
+    and multiplied by ``scale``.
 
     Every array of ``grads``, a :meth:`Gradients.empty_like` buffer that
     the plan ``(forward, backward)`` of :func:`_stack_plan` was built
-    on, is overwritten.  ``x`` and ``tasks`` are taken as
-    :func:`batch_gradients` checks them, a float ``(B, input_dim)``
-    matrix and an int vector, with ``onehot`` the ``(B, T)`` float
-    one-hot of ``tasks`` and ``label_rows`` the ``(B, C)`` float one-hot
-    of the labels.  A batch of ``B`` rows uses the first ``B`` rows of
-    each layer's index base and spread buffer.  Per stack layer, the
-    flat index ``base + tasks`` picks each row's task block out of the
-    all-task product with ``take``, and in the backward pass ``put``
-    writes ``dz`` into the spread buffer at the same index, which is
-    zeroed again after use.  The forward pass keeps each layer's input
-    and ReLU mask; :func:`softmax` gives the class probabilities, and
-    subtracting ``label_rows`` turns them into the output gradient.
+    on, is overwritten.  The batch is the rows ``batch`` of the plan's
+    epoch, ``tasks`` the plan's tasks of those rows.  ``x`` and
+    ``tasks`` are taken as :func:`batch_gradients` checks them, a float
+    ``(B, input_dim)`` matrix and an int vector, with ``onehot`` the ``(B, T)`` float one-hot of ``tasks`` and
+    ``label_rows`` the ``(B, C)`` float one-hot of the labels.  Per
+    stack layer, the batch's slice of the flat index picks each row's
+    task block out of the all-task product with ``take``, and in the
+    backward pass ``put`` writes ``dz`` into the first ``B`` rows of the
+    spread buffer at the same index, which are zeroed again after use.
+    The forward pass keeps each layer's input and ReLU mask;
+    :func:`softmax` gives the class probabilities, and subtracting
+    ``label_rows`` and multiplying by ``scale`` turns them into the
+    output gradient.  Every gradient is linear in it, so each comes out
+    multiplied by ``scale``; for a power of two that is exact, the bits
+    of scaling the gradients afterwards, as rounding commutes with it
+    outside the subnormal range.
     """
-    rows, task_col = x.shape[0], tasks[:, None]
+    rows = x.shape[0]
     inputs, masks, index = [], [], []
     h = x
     for layer in net.trunk:
@@ -487,21 +507,22 @@ def _gradients_into(
         masks.append(z > 0)
         h = np.maximum(z, 0.0, out=z)
     last = len(forward) - 1
-    for s, (w_flat, b, base, q_in, q_out_t) in enumerate(forward):
+    for s, (w_flat, b, flat_index, q_in, q_out_t) in enumerate(forward):
         if q_in is not None:
             h = h @ q_in
         inputs.append(h)
-        index.append(base[:rows] + task_col)
+        index.append(flat_index[batch])
         z = (h @ w_flat).take(index[s])
         if q_out_t is not None:
             z = z @ q_out_t
-        z += b[tasks]
+        z += b.take(tasks, axis=0)
         if s < last:
             masks.append(z > 0)
             h = np.maximum(z, 0.0, out=z)
 
     dz = softmax(z)
     dz -= label_rows
+    dz *= scale
 
     n_trunk = len(net.trunk)
     for s in range(last, -1, -1):
@@ -520,7 +541,7 @@ def _gradients_into(
         spread.put(index[s], 0.0)
     for l in range(n_trunk - 1, -1, -1):
         np.matmul(inputs[l].T, dz, out=grads.trunk_weights[l])
-        dz.sum(axis=0, out=grads.trunk_biases[l])
+        np.add.reduce(dz, axis=0, out=grads.trunk_biases[l])
         if l > 0:
             dz = dz @ net.trunk[l].weight.T
             dz *= masks[l - 1]

@@ -314,7 +314,12 @@ def sgd_epoch(
     (child generator of ``cfg.seed`` and the epoch counter) and walked
     in batches.  Each batch is one pass of the arithmetic of
     :func:`~relnet.network.batch_gradients` over its mixed tasks, with
-    data gradients averaged within the batch.  The prior gradient
+    data gradients averaged within the batch: a full batch whose
+    size is a power of two has the kernel scale its output gradient by
+    one over that size, which rounds as scaling the summed gradients
+    would; any other batch scales them after the kernel.  Each stack
+    layer's flat task index is built once for the epoch's rows, and a
+    batch takes its slice.  The prior gradient
     ``Sigma^{-1} vec(W)`` of each layer enters with task ``t``'s slice
     scaled by ``prior_weight * c_t / N_t``, ``c_t`` being the task's
     example count in the batch, so over the epoch each task accumulates
@@ -339,7 +344,10 @@ def sgd_epoch(
     dims do not match the stack, as in :func:`update_covariances`.  A
     non-finite gradient, or a parameter that turns non-finite in the
     update, raises :class:`TrainingError` naming the epoch, the batch,
-    the layer and the quantity.  Mutates ``net`` and ``state`` in place
+    the layer and the quantity; each check is one squared norm, and
+    only one that is not finite leads to
+    :meth:`~relnet.network.MultiTaskNet.first_nonfinite`'s scan, so a
+    finite vector whose squared norm overflows steps on.  Mutates ``net`` and ``state`` in place
     and returns them.
     """
     check_data(net, data, "training data")
@@ -358,7 +366,6 @@ def sgd_epoch(
     one_hot = np.eye(num_tasks)
 
     g = Gradients.empty_like(net)
-    finite = np.empty(g.flat.shape, dtype=bool)
     mu = cfg.momentum
     updates = [
         (state.velocity[seg], net.params[seg], g.flat[seg], mult)
@@ -394,17 +401,24 @@ def sgd_epoch(
         scales = cfg.prior_weight * counts.reshape(batches, num_tasks) / sizes
         for vec in (net.params, state.velocity):
             net.rotate_stack(vec, bases)
-    plan = _stack_plan(net, g, size, bases)
+    plan = _stack_plan(net, g, task_of, size, bases)
+    # A power-of-two scale commutes with rounding, so a full batch of a
+    # power-of-two size has the kernel scale dz by 1/size: the bits of
+    # scaling the summed gradient after it.
+    exact = size & (size - 1) == 0
 
     try:
         for k, start in enumerate(range(0, total, size)):
-            stop = start + size
-            tasks = task_of[start:stop]
+            batch = slice(start, start + size)
+            tasks = task_of[batch]
+            fold = exact and tasks.shape[0] == size
             _gradients_into(
-                g, net, *plan, features[perm[start:stop]], tasks, one_hot[tasks],
-                label_rows[start:stop],
+                g, net, *plan, batch, features.take(perm[batch], axis=0), tasks,
+                one_hot.take(tasks, axis=0), label_rows[batch],
+                1.0 / size if fold else 1.0,
             )
-            g.flat *= 1.0 / tasks.shape[0]
+            if not fold:
+                g.flat *= 1.0 / tasks.shape[0]
 
             if bases is not None:
                 for w, grad, inv_sigma, precision, scaled, step in priors:
@@ -413,8 +427,7 @@ def sgd_epoch(
                     step *= inv_sigma
                     grad += step
 
-            if not np.isfinite(g.flat, out=finite).all():
-                bad = net.first_nonfinite(g.flat)
+            if (bad := net.first_nonfinite(g.flat)) is not None:
                 raise TrainingError(
                     f"non-finite gradient of {bad} at epoch {state.epoch}, batch {k}"
                 )
@@ -428,8 +441,7 @@ def sgd_epoch(
                 p += v
             state.iteration += 1
 
-            if not np.isfinite(net.params, out=finite).all():
-                bad = net.first_nonfinite(net.params)
+            if (bad := net.first_nonfinite(net.params)) is not None:
                 raise TrainingError(
                     f"non-finite {bad} after the update at epoch {state.epoch}, "
                     f"batch {k}"

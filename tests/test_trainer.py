@@ -2,6 +2,7 @@
 
 import importlib.util
 import inspect
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -305,6 +306,27 @@ class TestSgdEpoch:
                 OptimizerState.zeros_like(net),
             )
 
+    def test_finite_gradient_whose_squared_norm_overflows_steps(self):
+        """A gradient of entries near 1e160 is finite, but its squared
+        norm overflows: the finiteness filter then scans, finds nothing,
+        and the batch steps as the per-batch oracle steps, without a
+        ``TrainingError`` and without an overflow warning."""
+        data = toy_data(sizes=(4,), dim=3, num_classes=2, seed=14)
+        data.features[0] *= 1e160
+        net = init_network(3, [], [2], 1, np.random.default_rng(13))
+        ref_net = clone_net(net)
+        cfg = TrainConfig(epochs=1, batch_size=4, prior_weight=0.0)
+        cov = CovarianceState.identity_for(net.stack)
+        state, ref_state = OptimizerState.zeros_like(net), OptimizerState.zeros_like(net)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sgd_epoch(net, cov, data, cfg, state)
+            per_batch_sgd_epoch(ref_net, cov, data, cfg, ref_state)
+        # Entries beyond 1e155 square past the largest float.
+        assert np.abs(net.params).max() > 1e155
+        assert np.array_equal(net.params, ref_net.params)
+        assert np.array_equal(state.velocity, ref_state.velocity)
+
     def test_label_out_of_range_raises_before_any_update(self):
         """A label set out of range after the dataset was built raises
         ``batch_gradients``' error before any parameter or velocity entry
@@ -497,32 +519,75 @@ def test_eigenbasis_sgd_matches_the_inverse_reference(trunk, stack, shared, sche
         assert np.abs(q_in - np.diag(np.diag(q_in))).max() > 0.1
 
 
+def _batch_of_5(*case, id):
+    """A case at batch size 5, under the id it had before the table had
+    a batch size column."""
+    return pytest.param(*case, 5, id=id)
+
+
 @pytest.mark.parametrize(
-    "trunk, stack, prior_weight, shared, schedule, sizes",
+    "trunk, stack, prior_weight, shared, schedule, sizes, batch_size",
     [
-        ([6], [5, 3], 0.05, False, "constant", (7, 6, 4)),  # drn
-        ([6, 5], [3], 0.05, False, "constant", (7, 6, 4)),  # drn8
-        ([6], [5, 3], 0.0, False, "constant", (7, 6, 4)),  # no prior
-        ([6], [5, 3], 0.05, True, "constant", (7, 6, 4)),  # shared_task_sigma
-        ([6], [5, 3], 0.05, False, "inv", (7, 6, 4)),
-        ([], [5, 3], 0.05, False, "constant", (7, 6, 4)),  # no trunk
-        ([6], [5, 3], 0.05, False, "constant", (5, 6, 4)),  # no ragged batch
+        _batch_of_5(  # drn
+            [6], [5, 3], 0.05, False, "constant", (7, 6, 4),
+            id="trunk0-stack0-0.05-False-constant-sizes0",
+        ),
+        _batch_of_5(  # drn8
+            [6, 5], [3], 0.05, False, "constant", (7, 6, 4),
+            id="trunk1-stack1-0.05-False-constant-sizes1",
+        ),
+        _batch_of_5(  # no prior
+            [6], [5, 3], 0.0, False, "constant", (7, 6, 4),
+            id="trunk2-stack2-0.0-False-constant-sizes2",
+        ),
+        _batch_of_5(  # shared_task_sigma
+            [6], [5, 3], 0.05, True, "constant", (7, 6, 4),
+            id="trunk3-stack3-0.05-True-constant-sizes3",
+        ),
+        _batch_of_5(
+            [6], [5, 3], 0.05, False, "inv", (7, 6, 4),
+            id="trunk4-stack4-0.05-False-inv-sizes4",
+        ),
+        _batch_of_5(  # no trunk
+            [], [5, 3], 0.05, False, "constant", (7, 6, 4),
+            id="trunk5-stack5-0.05-False-constant-sizes5",
+        ),
+        _batch_of_5(  # no ragged batch
+            [6], [5, 3], 0.05, False, "constant", (5, 6, 4),
+            id="trunk6-stack6-0.05-False-constant-sizes6",
+        ),
+        # Power-of-two batches: the kernel folds 1/B into dz.
+        pytest.param(
+            [6], [5, 3], 0.05, False, "constant", (7, 6, 4), 4, id="batch4-ragged1"
+        ),
+        pytest.param(
+            [6], [5, 3], 0.05, False, "constant", (5, 6, 4), 8, id="batch8-trunk"
+        ),
+        pytest.param(
+            [], [5, 3], 0.05, False, "constant", (5, 6, 4), 8, id="batch8-no-trunk"
+        ),
+        pytest.param(
+            [6], [5, 3], 0.0, False, "constant", (5, 6, 4), 8, id="batch8-no-prior"
+        ),
     ],
 )
 def test_sgd_epoch_equals_the_per_batch_loop(
-    trunk, stack, prior_weight, shared, schedule, sizes
+    trunk, stack, prior_weight, shared, schedule, sizes, batch_size
 ):
     """Over three epochs with covariance refits between them,
     ``sgd_epoch`` gives exactly the parameters, velocity and iteration
     of the per-batch oracle.  Batches of 5 leave a last batch of 2 of 17
-    rows, and divide 15."""
+    rows, and divide 15.  Batches of 4 over 17 rows and of 8 over 15
+    rows are full batches of a power-of-two size, whose ``1/B`` scale
+    ``sgd_epoch`` folds into the kernel's ``dz``, then a ragged batch of
+    1 or 7 rows, scaled after the kernel as the oracle scales each one."""
     data = toy_data(sizes=sizes, dim=4, seed=43)
     net = init_network(4, trunk, stack, 3, np.random.default_rng(44))
     ref_net = clone_net(net)
     cfg = TrainConfig(
         learning_rate=0.01,
         momentum=0.9,
-        batch_size=5,
+        batch_size=batch_size,
         prior_weight=prior_weight,
         epsilon_ridge=0.1,
         lr_schedule=schedule,

@@ -18,8 +18,11 @@ and one covariance refit follow, so the timed epochs step in a real
 eigenbasis.  Each of the ``--repeat`` timed epochs then runs on a fresh
 copy of the warmed-up network and optimizer state, so every one does
 the same work.  The output is the best and the median microseconds per
-batch, then the best and the median milliseconds of ``--repeat`` timed
-end-of-epoch scorings of the warmed-up network: one
+batch; then those of the gradient kernel alone, the calls of
+:func:`relnet.network._gradients_into` within ``--repeat`` more such
+epochs, each call timed on its own, so the rest of a batch's time is
+the epoch's own bookkeeping; then the best and the median milliseconds of
+``--repeat`` timed end-of-epoch scorings of the warmed-up network: one
 :func:`relnet.network.fold_scores` call per fold, on the training fold
 and on the held-out fold if the workload has one, as
 :func:`relnet.trainer.train` scores them.
@@ -64,7 +67,7 @@ from relnet.cli import (  # noqa: E402
     load_config,
     load_experiment_data,
 )
-from relnet.network import fold_scores  # noqa: E402
+from relnet.network import _gradients_into, fold_scores  # noqa: E402
 from relnet.tensor_normal import flip_flop_mle, mle_mean  # noqa: E402
 
 SEED = 1
@@ -115,6 +118,25 @@ def warmed_up(workload) -> tuple:
     return net, cov, data, eval_data, cfg, state
 
 
+def kernel_seconds(net, cov, data, cfg, state) -> float:
+    """CPU seconds that :func:`relnet.network._gradients_into` takes in
+    one ``sgd_epoch`` on copies of ``net`` and ``state``, timed call by
+    call: the epoch's own batches on its own plan."""
+    spent = []
+
+    def kernel(*args):
+        start = time.process_time()
+        _gradients_into(*args)
+        spent.append(time.process_time() - start)
+
+    trainer._gradients_into = kernel
+    try:
+        trainer.sgd_epoch(copy.deepcopy(net), cov, data, cfg, copy.deepcopy(state))
+    finally:
+        trainer._gradients_into = _gradients_into
+    return sum(spent)
+
+
 def batch_report(workload, repeat: int) -> str:
     """CPU microseconds per SGD batch over ``repeat`` timed epochs, each
     on copies of the warmed-up network and optimizer state, and CPU
@@ -129,6 +151,8 @@ def batch_report(workload, repeat: int) -> str:
     ]
     _, epoch_s = timed(epochs)
     per_batch = [s / batches * 1e6 for s in epoch_s]
+    kernel = functools.partial(kernel_seconds, net, cov, data, cfg, state)
+    per_kernel = [kernel() / batches * 1e6 for _ in range(repeat)]
     folds = [fold for fold in (data, eval_data) if fold is not None]
 
     def score():
@@ -142,6 +166,8 @@ def batch_report(workload, repeat: int) -> str:
         f"{workload.name}: {batches} batches of {cfg.batch_size} rows, "
         f"{repeat} timed epoch(s), per batch: "
         f"{best_median(per_batch, 'us', 1)}\n"
+        f"{workload.name}: gradient kernel alone, {repeat} timed epoch(s), per "
+        f"batch: {best_median(per_kernel, 'us', 1)}\n"
         f"{workload.name}: scoring of {len(folds)} fold(s) of {rows} rows, "
         f"{repeat} timed scoring(s), per epoch: {best_median(scoring, 'ms', 2)}"
     )
