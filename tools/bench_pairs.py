@@ -105,6 +105,8 @@ def document(parent_ref: str, commits: dict, seed: int, seconds: float, runs: li
 
 
 def format_report(summary: dict) -> str:
+    """The printed form of :func:`report`: one line per workload and
+    metric, then one line of its pairs."""
     lines = []
     for workload, table in summary.items():
         for name, s in table.items():
@@ -156,6 +158,7 @@ def export(commit: str, dest: Path) -> None:
 
 
 def commit_of(ref: str) -> str:
+    """The full id of the commit ``ref`` names."""
     return subprocess.run(
         ["git", "-C", str(ROOT), "rev-parse", "--verify", f"{ref}^{{commit}}"],
         capture_output=True, text=True, check=True,
