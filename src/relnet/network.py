@@ -33,7 +33,6 @@ from .serialize import (
     load_json,
     read_object,
 )
-from .tensor import mode_product
 from .tensor_normal import KronCovariance
 
 __all__ = [
@@ -200,21 +199,6 @@ class MultiTaskNet:
         bad = (name for name, v in self.segments(vec) if not np.isfinite(v).all())
         return next(bad, None)
 
-    def rotate_stack(self, vec, bases, back: bool = False) -> None:
-        """Rotate each stack layer's weight segment of ``vec`` in place.
-
-        ``vec`` is laid out like :attr:`params`; ``bases[l]`` is the
-        ``(Q_in, Q_out)`` pair of orthogonal matrices of stack layer
-        ``l``.  Each weight tensor ``W`` becomes ``W x1 Q_in^T x2
-        Q_out^T``, so task ``t``'s matrix becomes ``Q_in^T W_t Q_out``;
-        ``back`` applies the inverse rotation.  Biases and the task mode
-        are left as they are.
-        """
-        for w, (q_in, q_out) in zip(self._split(vec)[2], bases):
-            if not back:
-                q_in, q_out = q_in.T, q_out.T
-            w[...] = mode_product(mode_product(w, q_in, 1), q_out, 2)
-
     def _split(self, vec) -> tuple:
         """Views of ``vec`` as the four lists of :class:`Gradients`."""
         views = [view for _, view in self.segments(vec)]
@@ -230,10 +214,8 @@ class Gradients:
     D_out)`` bias tensors; the slices of tasks without an example in
     the batch are zero.  From :func:`batch_gradients`, the four lists
     are views of ``flat``, a vector with the layout of
-    :attr:`MultiTaskNet.params`.  Given rotation ``bases``, that
-    function returns the stack weight gradients in the rotated basis,
-    ``Q_in^T G_t Q_out`` per task, the basis the trainer's SGD steps
-    in; every other array is in the network's own basis.
+    :attr:`MultiTaskNet.params`, and every array is in the network's
+    own basis.
     """
 
     trunk_weights: list = field(default_factory=list)
@@ -400,7 +382,7 @@ def fold_scores(net: MultiTaskNet, data) -> tuple:
     return losses, tuple((hits / sizes).tolist())
 
 
-def batch_gradients(net: MultiTaskNet, tasks, x, labels, bases=None) -> Gradients:
+def batch_gradients(net: MultiTaskNet, tasks, x, labels) -> Gradients:
     """Gradients of the summed cross-entropy of a mixed-task batch.
 
     Row ``i`` of the ``(B, input_dim)`` matrix ``x`` is an example of
@@ -419,14 +401,6 @@ def batch_gradients(net: MultiTaskNet, tasks, x, labels, bases=None) -> Gradient
     of another dim, or tasks or labels out of range or not one per row,
     raise ``ValueError``.
 
-    ``bases``, if given, holds one ``(Q_in, Q_out)`` pair of orthogonal
-    matrices per stack layer, and the stack weights are taken to be
-    rotated by :meth:`MultiTaskNet.rotate_stack`: ``W~_t = Q_in^T W_t
-    Q_out``.  The stack weight gradients are then those of the rotated
-    weights, ``Q_in^T G_t Q_out``; the bias gradients, the task mode
-    and the trunk are unchanged.  README "How SGD applies the prior"
-    says why the trainer steps in that basis and what it costs.
-
     The arithmetic is that of the trainer's SGD batches: this function
     builds the plan of :func:`_stack_plan` for its one batch and runs
     the same kernel, :func:`_gradients_into`, unscaled.
@@ -435,27 +409,26 @@ def batch_gradients(net: MultiTaskNet, tasks, x, labels, bases=None) -> Gradient
     tasks = _check_index(tasks, x.shape[0], net.num_tasks, "task")
     labels = _check_index(labels, x.shape[0], net.num_classes, "label")
     grads = Gradients.empty_like(net)
-    plan = _stack_plan(net, grads, tasks, x.shape[0], bases)
+    plan = _stack_plan(net, grads, tasks, x.shape[0])
     onehot, label_rows = np.eye(net.num_tasks)[tasks], np.eye(net.num_classes)[labels]
     _gradients_into(grads, net, *plan, slice(None), x, tasks, onehot, label_rows, 1.0)
     return grads
 
 
-def _stack_plan(net: MultiTaskNet, grads: Gradients, tasks, size: int, bases) -> tuple:
+def _stack_plan(net: MultiTaskNet, grads: Gradients, tasks, size: int) -> tuple:
     """What :func:`_gradients_into` reads of each stack layer, for the
     batches of ``size`` consecutive rows of an epoch whose row ``i`` is
     of task ``tasks[i]``, into the buffer ``grads``: ``(forward,
     backward)``, one tuple per layer in each list.
 
     A forward tuple holds the ``(D_in, D_out*T)`` unfolded weight view,
-    the bias, the flat index ``((i mod size)*D_out + j)*T + tasks[i]``
-    of row ``i`` and output ``j`` (an ``(N, D_out)`` array over the
-    epoch's ``N`` rows, so a batch slices its rows' indices), ``Q_in``
-    and ``Q_out^T``.  A backward tuple holds the unfolded weight view's
-    transpose, a zeroed ``(size, D_out*T)`` spread buffer, ``Q_in^T``,
-    ``Q_out``, and the unfolded weight gradient and bias gradient views.
-    Without ``bases`` each ``Q`` is ``None``.  The weights and gradients
-    are views, so the plan stays valid while they change in place.
+    the bias and the flat index ``((i mod size)*D_out + j)*T +
+    tasks[i]`` of row ``i`` and output ``j`` (an ``(N, D_out)`` array
+    over the epoch's ``N`` rows, so a batch slices its rows' indices).
+    A backward tuple holds the unfolded weight view's transpose, a
+    zeroed ``(size, D_out*T)`` spread buffer, and the unfolded weight
+    gradient and bias gradient views.  The weights and gradients are
+    views, so the plan stays valid while they change in place.
     """
     forward, backward = [], []
     local, task_col = np.arange(len(tasks))[:, None] % size, tasks[:, None]
@@ -463,12 +436,9 @@ def _stack_plan(net: MultiTaskNet, grads: Gradients, tasks, size: int, bases) ->
         din, dout, t = w.shape
         w_flat = w.reshape(din, dout * t)
         index = (local * dout + np.arange(dout)) * t + task_col
-        q_in, q_in_t, q_out, q_out_t = (
-            [None] * 4 if bases is None else [m for q in bases[s] for m in (q, q.T)]
-        )
-        forward.append((w_flat, net.stack.biases[s], index, q_in, q_out_t))
+        forward.append((w_flat, net.stack.biases[s], index))
         grad = (grads.stack_weights[s].reshape(w_flat.shape), grads.stack_biases[s])
-        backward.append((w_flat.T, np.zeros((size, dout * t)), q_in_t, q_out, *grad))
+        backward.append((w_flat.T, np.zeros((size, dout * t)), *grad))
     return forward, backward
 
 
@@ -507,14 +477,10 @@ def _gradients_into(
         masks.append(z > 0)
         h = np.maximum(z, 0.0, out=z)
     last = len(forward) - 1
-    for s, (w_flat, b, flat_index, q_in, q_out_t) in enumerate(forward):
-        if q_in is not None:
-            h = h @ q_in
+    for s, (w_flat, b, flat_index) in enumerate(forward):
         inputs.append(h)
         index.append(flat_index[batch])
         z = (h @ w_flat).take(index[s])
-        if q_out_t is not None:
-            z = z @ q_out_t
         z += b.take(tasks, axis=0)
         if s < last:
             masks.append(z > 0)
@@ -526,17 +492,13 @@ def _gradients_into(
 
     n_trunk = len(net.trunk)
     for s in range(last, -1, -1):
-        w_flat_t, buf, q_in_t, q_out, grad_w, grad_b = backward[s]
+        w_flat_t, buf, grad_w, grad_b = backward[s]
         np.matmul(onehot.T, dz, out=grad_b)
-        if q_out is not None:
-            dz = dz @ q_out
         spread = buf[:rows]
         spread.put(index[s], dz)
         np.matmul(inputs[n_trunk + s].T, spread, out=grad_w)
         if n_trunk + s > 0:
             dz = spread @ w_flat_t
-            if q_in_t is not None:
-                dz = dz @ q_in_t
             dz *= masks[n_trunk + s - 1]
         spread.put(index[s], 0.0)
     for l in range(n_trunk - 1, -1, -1):

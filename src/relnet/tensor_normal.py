@@ -28,8 +28,9 @@ of it per layer.
 Each :class:`SpdFactor` forms its inverse Cholesky factor ``L_k^{-1}``,
 its precision ``Sigma_k^{-1} = L_k^{-T} L_k^{-1}`` and its
 eigendecomposition once, on first use, so no per-mode step solves a
-system; the trainer's SGD works in the factors' eigenbasis as EKFAC
-does (George et al., 2018).  A factor is immutable, so the trainer,
+system; the trainer's proximal prior step works in the factors'
+eigenbasis, the basis of EKFAC (George et al., 2018).  A factor is
+immutable, so the trainer,
 which builds new factors only in its covariance refit, forms each of
 them once per refit however many batches use it.  Only numpy is needed.
 
@@ -99,9 +100,9 @@ class SpdFactor:
     eigh : tuple of numpy.ndarray
         ``(sigma, Q)`` with ``matrix == Q diag(sigma) Q^T`` and ``Q``
         orthogonal, formed on first access and read-only.  The trainer
-        runs SGD in the basis of these eigenvectors, so each factor pays
-        for the ``O(dim^3)`` decomposition once per covariance refit,
-        not per batch.
+        makes its proximal prior step in the basis of these
+        eigenvectors, so each factor pays for the ``O(dim^3)``
+        decomposition once per covariance refit, not per step.
     """
 
     def __init__(self, matrix):

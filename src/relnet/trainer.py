@@ -5,14 +5,15 @@ Each epoch alternates two blocks:
 1. SGD with momentum over the pooled examples of all tasks
    (:func:`sgd_epoch`).  Batches mix tasks, and each batch is one
    vectorized pass of the arithmetic of
-   :func:`~relnet.network.batch_gradients`.  The prior adds
-   ``Sigma^{-1} vec(W)`` per layer, each task's slice scaled so the
-   epoch accumulates the full prior gradient exactly once per task no
-   matter how examples landed in batches.  With a prior, the epoch
-   steps each stack layer in the eigenbasis of its feature and output
-   factors (EKFAC, George et al., 2018), and it prepares once what
-   does not depend on the batch; README "How SGD applies the prior"
-   says why and at what cost.
+   :func:`~relnet.network.batch_gradients`: the data gradient only, in
+   the network's own basis.  The prior enters as a proximal step on the
+   stack weights once every :data:`PROX_EVERY` batches and after the
+   epoch's last, ``W <- (I + c * prior_weight * Sigma^{-1})^{-1} W``,
+   made in the joint eigenbasis of each layer's three factors, where it
+   is one elementwise division.  It never grows the weights' norm,
+   whatever the factors, and its step size ``c`` gives it the fixed points of
+   the explicit prior gradient; README "How SGD applies the prior" says
+   why and at what cost.
 2. One covariance sweep over the stack layers
    (:func:`update_covariances`): with the weights fixed, each mode
    factor in turn is replaced by the maximizer of the prior term given
@@ -58,6 +59,7 @@ from .network import (
     prior_penalty,
 )
 from .serialize import write_csv_rows
+from .tensor import _along_mode
 from .tensor_normal import (
     EstimationError,
     KronCovariance,
@@ -92,7 +94,8 @@ class TrainConfig:
     """Hyper-parameters of the joint training loop.
 
     ``prior_weight`` scales the whole prior term in the objective and
-    the gradients; zero recovers independent per-task training.
+    the proximal step that SGD makes of it; zero recovers independent
+    per-task training.
     ``lr_schedule`` is ``"constant"`` or ``"inv"``, the latter decaying
     the base rate by ``(1 + lr_gamma * iteration) ** -lr_power``.
     ``shared_task_sigma`` chooses the sharing of the covariance state
@@ -301,6 +304,60 @@ def check_data(net: MultiTaskNet, data: MultiTaskDataset, what: str) -> None:
         )
 
 
+# The prior's proximal step runs once per PROX_EVERY batches, and after
+# an epoch's last batch.  Applying it once per block rather than once
+# per batch errs by a share of the step that grows with PROX_EVERY * c *
+# prior_weight * max(1/sigma), c being one batch's step size: 0.08 on
+# train-manytask and 0.05 on train-wide at the benchmark's settings and
+# identity factors.  Blocks of 4, 8 and 16 batches kept test accuracy
+# and the learned relationship of a prox per batch there, while one prox
+# per epoch lost 30-50% of train-manytask's relationship gap.
+PROX_EVERY = 16
+
+
+def _prox_plan(cov: CovarianceState, cfg: TrainConfig, total: int) -> tuple:
+    """What :func:`_prox_step` reads: ``(rate, prior_weight, layers)``.
+
+    ``rate`` is ``new_layer_lr_multiplier / (total * (1 - momentum))``,
+    ``layers[l]`` the eigenvectors ``(Q_in, Q_out, Q_task)`` of stack
+    layer ``l``'s three factors, from their cached
+    :attr:`~relnet.tensor_normal.SpdFactor.eigh`, and the diagonal of
+    the layer's ``Sigma^-1`` in that joint eigenbasis, ``1 / (sigma_in
+    kron sigma_out kron sigma_task)`` as a ``(D_in, D_out, T)`` array.
+    """
+    layers = []
+    for prior in cov.priors:
+        (s_in, q_in), (s_out, q_out), (s_task, q_task) = (f.eigh for f in prior.factors)
+        sigma = np.multiply.outer(np.multiply.outer(s_in, s_out), s_task)
+        layers.append(((q_in, q_out, q_task), 1.0 / sigma))
+    rate = cfg.new_layer_lr_multiplier / (total * (1.0 - cfg.momentum))
+    return rate, cfg.prior_weight, layers
+
+
+def _prox_step(weights: list, prox: tuple, block: float) -> None:
+    """One proximal step of the prior on every stack layer's weights, in
+    place: ``W <- (I + c * prior_weight * Sigma^-1)^-1 W`` with ``c =
+    block * rate``, for the ``prox`` of :func:`_prox_plan` and ``block``
+    the summed ``lr * rows`` of the batches it follows.
+
+    Each layer's weights are rotated into the joint eigenbasis of its
+    three factors by one mode product per mode, divided elementwise by
+    ``1 + c * prior_weight / (sigma_in kron sigma_out kron sigma_task)``
+    and rotated back.  The divisor is at least 1, so the step never
+    grows the weights' norm, whatever the factors.
+    """
+    rate, prior_weight, layers = prox
+    c = block * rate * prior_weight
+    for w, (bases, inv_sigma) in zip(weights, layers):
+        z = w
+        for axis, q in enumerate(bases):
+            z = _along_mode(q.T, z, axis)
+        z /= 1.0 + c * inv_sigma
+        for axis, q in enumerate(bases):
+            z = _along_mode(q, z, axis)
+        w[...] = z
+
+
 def sgd_epoch(
     net: MultiTaskNet,
     cov: CovarianceState,
@@ -319,23 +376,22 @@ def sgd_epoch(
     one over that size, which rounds as scaling the summed gradients
     would; any other batch scales them after the kernel.  Each stack
     layer's flat task index is built once for the epoch's rows, and a
-    batch takes its slice.  The prior gradient
-    ``Sigma^{-1} vec(W)`` of each layer enters with task ``t``'s slice
-    scaled by ``prior_weight * c_t / N_t``, ``c_t`` being the task's
-    example count in the batch, so over the epoch each task accumulates
-    its full prior gradient exactly once.  The velocity update ``v =
-    momentum * v - lr * g`` runs on the trunk segment of the parameter
-    vector and then on its stack segment, the latter at ``lr *
-    new_layer_lr_multiplier``.
+    batch takes its slice.  The velocity update ``v = momentum * v - lr
+    * g`` runs on the trunk segment of the parameter vector and then on
+    its stack segment, the latter at ``lr * new_layer_lr_multiplier``.
 
-    With ``prior_weight > 0`` the batches step every stack layer's
-    weights and velocity rotated in place into the eigenbasis of its
-    feature and output factors
-    (:meth:`~relnet.network.MultiTaskNet.rotate_stack` by the cached
-    :attr:`~relnet.tensor_normal.SpdFactor.eigh`), and both are rotated
-    back when the epoch ends, also when it raises; with ``prior_weight
-    == 0`` nothing is rotated.  README "How SGD applies the prior" says
-    why and what each path costs.
+    The batches take the data gradient only.  With ``prior_weight > 0``
+    the prior enters as a proximal step on the stack weights after every
+    :data:`PROX_EVERY` batches and after the epoch's last batch, ``W <-
+    (I + c * prior_weight * Sigma^-1)^-1 W`` with ``c`` the sum over the
+    block's batches of ``lr * new_layer_lr_multiplier * B / (N * (1 -
+    momentum))``, ``B`` the batch's rows and ``N`` the epoch's.  It is
+    made in the joint eigenbasis of each layer's three factors, from
+    their cached :attr:`~relnet.tensor_normal.SpdFactor.eigh`, and it
+    leaves the velocity alone.  Its fixed points are those of the
+    explicit step ``g + prior_weight * (B / N) * Sigma^-1 vec(W)``:
+    README "How SGD applies the prior" says why and what it costs.
+    With ``prior_weight == 0`` no factor is read.
 
     Data that does not fit the network raises :func:`check_data`'s
     :class:`~relnet.data.DatasetError`.  Before any parameter moves, a
@@ -352,18 +408,16 @@ def sgd_epoch(
     """
     check_data(net, data, "training data")
     _check_covariances(net.stack, cov)
-    num_tasks = net.num_tasks
-    sizes = np.asarray(data.task_sizes)
     features = np.concatenate(data.features)
     total = features.shape[0]
     labels = _check_index(np.concatenate(data.labels), total, net.num_classes, "label")
-    task_of = np.repeat(np.arange(num_tasks), sizes)
+    task_of = np.repeat(np.arange(net.num_tasks), data.task_sizes)
     # A batch larger than the epoch is the whole epoch; clamping keeps
-    # the batch keys below int64.
+    # the spread buffers of the plan one epoch long at most.
     size = min(cfg.batch_size, total)
     perm = np.random.default_rng([cfg.seed, 0, state.epoch]).permutation(total)
     task_of, label_rows = task_of[perm], np.eye(net.num_classes)[labels[perm]]
-    one_hot = np.eye(num_tasks)
+    one_hot = np.eye(net.num_tasks)
 
     g = Gradients.empty_like(net)
     mu = cfg.momentum
@@ -375,81 +429,53 @@ def sgd_epoch(
         )
         if net.params[seg].size
     ]
-
-    bases = None
-    if cfg.prior_weight > 0.0:
-        # Each layer steps in the eigenbasis of its feature and output
-        # factors, where their inverse is the diagonal 1/sigma_in kron
-        # 1/sigma_out.  It is kept repeated along the task mode: a
-        # multiply by a full array is several times faster than one
-        # broadcast over rows of T entries.
-        bases, priors = [], []
-        for prior, w, grad in zip(cov.priors, net.stack.weights, g.stack_weights):
-            (s_in, q_in), (s_out, q_out) = (f.eigh for f in prior.factors[:2])
-            bases.append((q_in, q_out))
-            w, grad = w.reshape(-1, num_tasks), grad.reshape(-1, num_tasks)
-            diag = np.outer(1.0 / s_in, 1.0 / s_out).reshape(-1, 1)
-            precision = prior.factors[2].precision
-            priors.append((
-                w, grad, np.repeat(diag, num_tasks, axis=1),
-                precision, np.empty_like(precision), np.empty_like(w),
-            ))
-        # Row k: batch k's task counts c_t, as prior_weight * c_t / N_t.
-        batches = -(-total // size)
-        key = np.arange(total) // size * num_tasks + task_of
-        counts = np.bincount(key, minlength=batches * num_tasks)
-        scales = cfg.prior_weight * counts.reshape(batches, num_tasks) / sizes
-        for vec in (net.params, state.velocity):
-            net.rotate_stack(vec, bases)
-    plan = _stack_plan(net, g, task_of, size, bases)
+    plan = _stack_plan(net, g, task_of, size)
     # A power-of-two scale commutes with rounding, so a full batch of a
     # power-of-two size has the kernel scale dz by 1/size: the bits of
     # scaling the summed gradient after it.
     exact = size & (size - 1) == 0
+    prox = _prox_plan(cov, cfg, total) if cfg.prior_weight > 0.0 else None
+    batches = -(-total // size)
+    # The summed lr * rows of the batches since the last prox.
+    block = 0.0
 
-    try:
-        for k, start in enumerate(range(0, total, size)):
-            batch = slice(start, start + size)
-            tasks = task_of[batch]
-            fold = exact and tasks.shape[0] == size
-            _gradients_into(
-                g, net, *plan, batch, features.take(perm[batch], axis=0), tasks,
-                one_hot.take(tasks, axis=0), label_rows[batch],
-                1.0 / size if fold else 1.0,
+    for k, start in enumerate(range(0, total, size)):
+        batch = slice(start, start + size)
+        tasks = task_of[batch]
+        fold = exact and tasks.shape[0] == size
+        _gradients_into(
+            g, net, *plan, batch, features.take(perm[batch], axis=0), tasks,
+            one_hot.take(tasks, axis=0), label_rows[batch],
+            1.0 / size if fold else 1.0,
+        )
+        if not fold:
+            g.flat *= 1.0 / tasks.shape[0]
+
+        if (bad := net.first_nonfinite(g.flat)) is not None:
+            raise TrainingError(
+                f"non-finite gradient of {bad} at epoch {state.epoch}, batch {k}"
             )
-            if not fold:
-                g.flat *= 1.0 / tasks.shape[0]
 
-            if bases is not None:
-                for w, grad, inv_sigma, precision, scaled, step in priors:
-                    np.multiply(precision, scales[k], out=scaled)
-                    np.matmul(w, scaled, out=step)
-                    step *= inv_sigma
-                    grad += step
+        # The checked gradient is spent, so it takes the step.
+        lr = learning_rate_at(cfg, state.iteration)
+        for v, p, grad, mult in updates:
+            v *= mu
+            grad *= lr * mult
+            v -= grad
+            p += v
+        state.iteration += 1
 
-            if (bad := net.first_nonfinite(g.flat)) is not None:
-                raise TrainingError(
-                    f"non-finite gradient of {bad} at epoch {state.epoch}, batch {k}"
-                )
+        if (bad := net.first_nonfinite(net.params)) is not None:
+            raise TrainingError(
+                f"non-finite {bad} after the update at epoch {state.epoch}, "
+                f"batch {k}"
+            )
 
-            # The checked gradient is spent, so it takes the step.
-            lr = learning_rate_at(cfg, state.iteration)
-            for v, p, grad, mult in updates:
-                v *= mu
-                grad *= lr * mult
-                v -= grad
-                p += v
-            state.iteration += 1
-
-            if (bad := net.first_nonfinite(net.params)) is not None:
-                raise TrainingError(
-                    f"non-finite {bad} after the update at epoch {state.epoch}, "
-                    f"batch {k}"
-                )
-    finally:
-        if bases is not None:
-            for vec in (net.params, state.velocity):
-                net.rotate_stack(vec, bases, back=True)
+        if prox is not None:
+            block += lr * tasks.shape[0]
+            if (k + 1) % PROX_EVERY == 0 or k + 1 == batches:
+                _prox_step(net.stack.weights, prox, block)
+                block = 0.0
 
     state.epoch += 1
     return net, state

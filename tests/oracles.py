@@ -21,7 +21,8 @@ from relnet.tensor_normal import (
     SpdFactor,
     _stack_samples,
 )
-from relnet.trainer import TrainingError, check_data, learning_rate_at
+from relnet.tensor import mode_product
+from relnet.trainer import PROX_EVERY, TrainingError, check_data, learning_rate_at
 
 kronecker = np.kron
 vectorize = np.ravel
@@ -105,14 +106,16 @@ def prior_gradient_full(stack, priors, l):
 
 def per_batch_sgd_epoch(net, cov, data, cfg, state):
     """:func:`relnet.trainer.sgd_epoch` spelled batch by batch: each
-    batch calls the public :func:`~relnet.network.batch_gradients`,
-    counts its tasks with ``bincount`` and updates with a temporary
-    ``rate * g``.  It runs the floating-point operations of
+    batch calls the public :func:`~relnet.network.batch_gradients` and
+    updates with a temporary ``rate * g``; after every
+    ``trainer.PROX_EVERY`` batches and after the last, each stack
+    layer's weights are rotated into the eigenbasis of its three factors
+    by :func:`~relnet.tensor.mode_product`, divided by ``1 + c * lambda
+    / sigma`` and rotated back.  It runs the floating-point operations of
     ``sgd_epoch`` in the same order, so the two give equal results."""
     check_data(net, data, "training data")
     stack = net.stack
-    sizes = np.asarray(data.task_sizes)
-    task_of = np.repeat(np.arange(net.num_tasks), sizes)
+    task_of = np.repeat(np.arange(net.num_tasks), data.task_sizes)
     features = np.concatenate(data.features)
     labels = np.concatenate(data.labels)
     total = task_of.shape[0]
@@ -121,61 +124,46 @@ def per_batch_sgd_epoch(net, cov, data, cfg, state):
     perm = rng.permutation(total)
 
     mu = cfg.momentum
+    mult = cfg.new_layer_lr_multiplier
     segments = (slice(None, net.stack_start), slice(net.stack_start, None))
-    bases = None
-    if cfg.prior_weight > 0.0:
-        # Each layer steps in the eigenbasis of its feature and output
-        # factors, where their inverse is the diagonal 1/sigma_in kron
-        # 1/sigma_out.  It is kept repeated along the task mode: a
-        # multiply by a full array is several times faster than one
-        # broadcast over rows of T entries.
-        weights = [w.reshape(-1, w.shape[2]) for w in stack.weights]
-        bases, inv_sigma, task_precisions = [], [], []
-        for prior, w in zip(cov.priors, weights):
-            (s_in, q_in), (s_out, q_out) = (f.eigh for f in prior.factors[:2])
-            bases.append((q_in, q_out))
-            diag = np.outer(1.0 / s_in, 1.0 / s_out).reshape(-1, 1)
-            inv_sigma.append(np.repeat(diag, w.shape[1], axis=1))
-            task_precisions.append(prior.factors[2].precision)
-        for vec in (net.params, state.velocity):
-            net.rotate_stack(vec, bases)
+    starts = range(0, total, cfg.batch_size)
+    block = 0.0
+    for k, start in enumerate(starts):
+        where = f"epoch {state.epoch}, batch {k}"
+        batch = perm[start : start + cfg.batch_size]
+        tasks = task_of[batch]
+        g = batch_gradients(net, tasks, features[batch], labels[batch])
+        g.flat *= 1.0 / batch.shape[0]
 
-    try:
-        for start in range(0, total, cfg.batch_size):
-            where = f"epoch {state.epoch}, batch {start // cfg.batch_size}"
-            batch = perm[start : start + cfg.batch_size]
-            tasks = task_of[batch]
-            g = batch_gradients(net, tasks, features[batch], labels[batch], bases)
-            g.flat *= 1.0 / batch.shape[0]
+        if not np.isfinite(g.flat).all():
+            bad = net.first_nonfinite(g.flat)
+            raise TrainingError(f"non-finite gradient of {bad} at {where}")
 
-            if bases is not None:
-                counts = np.bincount(tasks, minlength=net.num_tasks)
-                scale = cfg.prior_weight * counts / sizes
-                for l, w in enumerate(weights):
-                    step = w @ (task_precisions[l] * scale)
-                    step *= inv_sigma[l]
-                    grad = g.stack_weights[l].reshape(w.shape)
-                    grad += step
+        lr = learning_rate_at(cfg, state.iteration)
+        for seg, rate in zip(segments, (lr, lr * mult)):
+            v, p = state.velocity[seg], net.params[seg]
+            v *= mu
+            v -= rate * g.flat[seg]
+            p += v
+        state.iteration += 1
 
-            if not np.isfinite(g.flat).all():
-                bad = net.first_nonfinite(g.flat)
-                raise TrainingError(f"non-finite gradient of {bad} at {where}")
+        if not np.isfinite(net.params).all():
+            bad = net.first_nonfinite(net.params)
+            raise TrainingError(f"non-finite {bad} after the update at {where}")
 
-            lr = learning_rate_at(cfg, state.iteration)
-            for seg, rate in zip(segments, (lr, lr * cfg.new_layer_lr_multiplier)):
-                v, p = state.velocity[seg], net.params[seg]
-                v *= mu
-                v -= rate * g.flat[seg]
-                p += v
-            state.iteration += 1
-
-            if not np.isfinite(net.params).all():
-                bad = net.first_nonfinite(net.params)
-                raise TrainingError(f"non-finite {bad} after the update at {where}")
-    finally:
-        if bases is not None:
-            for vec in (net.params, state.velocity):
-                net.rotate_stack(vec, bases, back=True)
+        if cfg.prior_weight > 0.0:
+            block += lr * batch.shape[0]
+            if (k + 1) % PROX_EVERY == 0 or k + 1 == len(starts):
+                c = block * (mult / (total * (1.0 - mu))) * cfg.prior_weight
+                for w, prior in zip(stack.weights, cov.priors):
+                    (s1, q1), (s2, q2), (s3, q3) = (f.eigh for f in prior.factors)
+                    sigma = np.multiply.outer(np.multiply.outer(s1, s2), s3)
+                    z = mode_product(w, q1.T, 1)
+                    z = mode_product(mode_product(z, q2.T, 2), q3.T, 3)
+                    z = z / (1.0 + c * (1.0 / sigma))
+                    z = mode_product(mode_product(mode_product(z, q1, 1), q2, 2), q3, 3)
+                    w[...] = z
+                block = 0.0
 
     state.epoch += 1
     return net, state

@@ -337,16 +337,40 @@ class TestTrain:
     def test_non_finite_objective_exits_numeric_before_writing(self, tmp_path, capsys):
         """The weights stay finite while ``prior_weight * prior_penalty``
         overflows: exit 3 names the epoch and both terms, and no output
-        is written."""
+        is written.  The prox shrinks the weights, but the penalty's
+        log-determinant term alone exceeds 1, so a ``prior_weight`` of
+        1e308 takes the product past the largest float."""
         doc = experiment_config(epochs=1)
         doc["data"]["synthetic"].update(num_tasks=2, task_covariance=np.eye(2).tolist())
-        doc["train"].update(learning_rate=1e-300, prior_weight=1e300)
+        doc["train"].update(learning_rate=1e-300, prior_weight=1e308)
         cfg = write_config(tmp_path, doc)
         assert main(["train", "--config", str(cfg)]) == 3
         err = capsys.readouterr().err
         assert "non-finite objective after epoch 0: data loss " in err
         assert "prior term inf" in err
         assert not list((tmp_path / "out").iterdir())
+
+    @pytest.mark.parametrize("prior_weight", [1e-6, 1e-4, 3e-4, 0.1])
+    def test_every_prior_weight_trains_without_numeric_failure(
+        self, tmp_path, capsys, prior_weight
+    ):
+        """The prior step cannot run away: 8 tasks in related pairs, 20
+        features, a bottleneck of 8 and 40 epochs train to exit 0 at
+        every ``prior_weight``.  An explicit per-batch prior step exited
+        3 here at 1e-4 and 3e-4: the weights grew until a refit's factor
+        was not positive definite."""
+        pairs = np.arange(8) // 2
+        omega = np.where(pairs[:, None] == pairs[None, :], 0.8, 0.0)
+        np.fill_diagonal(omega, 1.0)
+        doc = experiment_config(seed=1, epochs=40)
+        doc["data"]["synthetic"].update(
+            num_tasks=8, feature_dim=20, samples_per_task=50, seed=101,
+            task_covariance=omega.tolist(), test_samples_per_task=20,
+        )
+        doc["model"]["bottleneck_width"] = 8
+        doc["train"].update(batch_size=16, prior_weight=prior_weight)
+        assert main(["train", "--config", str(write_config(tmp_path, doc))]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_numeric_failure_prints_one_line(self, tmp_path, capsys):
         """Weights that overflow exit 3 with the line naming the failure

@@ -34,10 +34,6 @@ def rand_spd(rng, n):
     return a @ a.T + n * np.eye(n)
 
 
-def orthogonal(rng, n):
-    return np.linalg.qr(rng.standard_normal((n, n)))[0]
-
-
 def rand_priors(rng, stack):
     return [
         KronCovariance([rand_spd(rng, d) for d in w.shape]) for w in stack.weights
@@ -297,32 +293,6 @@ class TestBatchGradients:
             assert np.all(analytic[f"{lid}.weight"][:, :, absent] == 0)
             assert np.all(analytic[f"{lid}.bias"][absent] == 0)
 
-    @pytest.mark.parametrize(
-        "trunk, stack", [([4], [3, 2]), ([], [3, 2]), ([4, 3], [2])]
-    )
-    def test_rotated_basis_gives_rotated_gradients(self, trunk, stack):
-        """On a net whose stack weights are rotated by ``rotate_stack``,
-        ``batch_gradients`` given the same bases returns each stack
-        weight gradient rotated, ``Q_in^T G_t Q_out``, and every bias and
-        trunk gradient as in the unrotated net."""
-        rng = np.random.default_rng(30 + len(trunk))
-        net = init_network(5, trunk, stack, 3, rng)
-        for b in net.stack.biases:
-            b[:] = 0.1 * rng.standard_normal(b.shape)
-        tasks = np.array([2, 0, 2, 1, 0])
-        x = rng.standard_normal((tasks.size, 5))
-        labels = rng.integers(0, stack[-1], size=tasks.size)
-        bases = [
-            (orthogonal(rng, w.shape[0]), orthogonal(rng, w.shape[1]))
-            for w in net.stack.weights
-        ]
-        want = batch_gradients(net, tasks, x, labels)
-        net.rotate_stack(want.flat, bases)
-        net.rotate_stack(net.params, bases)
-        got = batch_gradients(net, tasks, x, labels, bases)
-        scale = np.abs(want.flat).max()
-        np.testing.assert_allclose(got.flat, want.flat, rtol=0, atol=1e-13 * scale)
-
     @settings(max_examples=60, deadline=None)
     @given(
         trunk=st.lists(st.integers(1, 4), max_size=2),
@@ -330,17 +300,16 @@ class TestBatchGradients:
         num_tasks=st.integers(1, 5),
         rows=st.integers(1, 9),
         one_task=st.booleans(),
-        rotated=st.booleans(),
         draw=st.data(),
     )
     def test_batch_is_the_sum_of_its_rows(
-        self, trunk, stack, num_tasks, rows, one_task, rotated, draw
+        self, trunk, stack, num_tasks, rows, one_task, draw
     ):
         """Property: for any trunk depth 0-2, 1-3 stack layers, 1-5 tasks
         and 1-9 rows, mixed or all of one task, a batch's gradients are
-        the sum of its rows' ``oracles.backward`` gradients to 1e-12, also
-        in random orthogonal ``bases``; the stack weight and bias slices
-        of every task absent from the batch are exactly zero."""
+        the sum of its rows' ``oracles.backward`` gradients to 1e-12; the
+        stack weight and bias slices of every task absent from the batch
+        are exactly zero."""
         task = st.integers(0, num_tasks - 1)
         if one_task:
             tasks = np.full(rows, draw.draw(task))
@@ -353,15 +322,7 @@ class TestBatchGradients:
         x = rng.standard_normal((rows, 3))
         labels = rng.integers(0, stack[-1], size=rows)
         want = sum(backward(net, t, xi, y).flat for t, xi, y in zip(tasks, x, labels))
-        bases = None
-        if rotated:
-            bases = [
-                (orthogonal(rng, w.shape[0]), orthogonal(rng, w.shape[1]))
-                for w in net.stack.weights
-            ]
-            net.rotate_stack(want, bases)
-            net.rotate_stack(net.params, bases)
-        got = batch_gradients(net, tasks, x, labels, bases)
+        got = batch_gradients(net, tasks, x, labels)
         scale = max(1.0, np.abs(want).max())
         np.testing.assert_allclose(got.flat, want, rtol=0, atol=1e-12 * scale)
         absent = np.setdiff1d(np.arange(num_tasks), tasks)
@@ -667,29 +628,6 @@ class TestParameterBuffer:
         arrays = g.trunk_weights + g.trunk_biases + g.stack_weights + g.stack_biases
         assert all(np.shares_memory(arr, g.flat) for arr in arrays)
         assert sum(arr.size for arr in arrays) == g.flat.size
-
-    def test_rotate_stack_rotates_each_task_matrix_and_back(self):
-        net = self.make_net()
-        rng = np.random.default_rng(25)
-        before = net.params.copy()
-        old_w = [w.copy() for w in net.stack.weights]
-        bases = [
-            (orthogonal(rng, w.shape[0]), orthogonal(rng, w.shape[1]))
-            for w in net.stack.weights
-        ]
-        net.rotate_stack(net.params, bases)
-        self.assert_bound(net)
-        for w, w0, (q_in, q_out) in zip(net.stack.weights, old_w, bases):
-            for t in range(w.shape[2]):
-                np.testing.assert_allclose(
-                    w[:, :, t], q_in.T @ w0[:, :, t] @ q_out, rtol=0, atol=1e-14
-                )
-        untouched = np.ones(net.params.size, dtype=bool)
-        for _, view in net.segments(untouched)[2 * len(net.trunk) :: 2]:
-            view[...] = False
-        np.testing.assert_array_equal(net.params[untouched], before[untouched])
-        net.rotate_stack(net.params, bases, back=True)
-        np.testing.assert_allclose(net.params, before, rtol=0, atol=1e-14)
 
     def test_first_nonfinite_names_the_segment(self):
         net = self.make_net()

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     backward,
+    dense_cov,
     per_batch_sgd_epoch,
     solve_kron,
     task_accuracy,
@@ -138,8 +139,10 @@ class TestSgdEpoch:
             )
 
     def test_identity_prior_is_weight_decay(self):
-        """Unit identity covariances and lambda=1: the update matches SGD
-        with L2 decay on the task-specific weights (atol 1e-10)."""
+        """Unit identity covariances, lambda=1 and momentum 0: the prox
+        after the one full batch is decoupled weight decay of the
+        task-specific weights, ``(W - lr * mean_g) / (1 + lr)`` (atol
+        1e-10); the biases take the plain step."""
         rng = np.random.default_rng(4)
         data = toy_data(sizes=(6, 10), dim=5, seed=5)
         net = init_network(5, [], [4, 3], 2, rng)
@@ -166,8 +169,8 @@ class TestSgdEpoch:
         lr_stack = 0.02 * 10.0
         for l in range(2):
             mean_w = np.sum([g.stack_weights[l] for g in grads], axis=0) / total
-            decayed = reference.stack.weights[l]
-            want = decayed - lr_stack * (mean_w + decayed)
+            stepped = reference.stack.weights[l] - lr_stack * mean_w
+            want = stepped / (1.0 + lr_stack)
             np.testing.assert_allclose(net.stack.weights[l], want, atol=1e-10)
             mean_b = np.sum([g.stack_biases[l] for g in grads], axis=0) / total
             np.testing.assert_allclose(
@@ -427,9 +430,9 @@ class TestBenchmarkHooks:
     def test_no_inverse_and_one_eigendecomposition_per_factor_per_epoch(
         self, monkeypatch
     ):
-        """SGD applies the prior in the factors' eigenbasis, so each
-        epoch decomposes each stack layer's feature and output factor
-        once, however many batches."""
+        """SGD's prox works in the joint eigenbasis of each layer's
+        factors, so each epoch decomposes each stack layer's feature,
+        output and task factor once, however many batches and proxes."""
         eigh_shapes = []
         original_eigh = np.linalg.eigh
 
@@ -439,62 +442,83 @@ class TestBenchmarkHooks:
 
         monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
         rng = np.random.default_rng(17)
-        data = toy_data(sizes=(7, 6), dim=3, seed=18)
+        # 19 batches of one row: two proxes per epoch.
+        data = toy_data(sizes=(10, 9), dim=3, seed=18)
         net = init_network(3, [4], [5, 3], 2, rng)
         epochs = 3
         cfg = TrainConfig(
-            epochs=epochs, batch_size=5, prior_weight=0.01, epsilon_ridge=1.0
+            epochs=epochs, batch_size=1, prior_weight=0.01, epsilon_ridge=1.0
         )
         train(net, data, cfg)
-        per_epoch = [(d, d) for w in net.stack.weights for d in w.shape[:2]]
+        per_epoch = [(d, d) for w in net.stack.weights for d in w.shape]
         assert sorted(eigh_shapes) == sorted(per_epoch * epochs)
 
 
 def reference_sgd_epoch(net, cov, data, cfg, state):
-    """:func:`sgd_epoch` as written before it stepped in the prior's
-    eigenbasis: each batch adds ``Sigma^-1 vec(W) * scale``, by a dense
-    solve, to the data gradient in the network's own basis."""
-    sizes = np.asarray(data.task_sizes)
-    task_of = np.repeat(np.arange(net.num_tasks), sizes)
+    """:func:`sgd_epoch` by the formulas of its docstring: each batch
+    steps on the data gradient alone, and after every
+    ``trainer.PROX_EVERY`` batches and after the last, each stack
+    layer's ``vec(W)`` is solved against the dense ``I + c * lambda *
+    Sigma^-1``, with ``c`` the block's summed ``lr * mult * B / (N * (1 -
+    momentum))``."""
+    task_of = np.repeat(np.arange(net.num_tasks), data.task_sizes)
     features = np.concatenate(data.features)
     labels = np.concatenate(data.labels)
     perm = np.random.default_rng([cfg.seed, 0, state.epoch]).permutation(task_of.size)
-    for start in range(0, perm.size, cfg.batch_size):
+    starts = list(range(0, perm.size, cfg.batch_size))
+    mult, c = cfg.new_layer_lr_multiplier, 0.0
+    for k, start in enumerate(starts):
         batch = perm[start : start + cfg.batch_size]
         tasks = task_of[batch]
         g = network.batch_gradients(net, tasks, features[batch], labels[batch])
         g.flat /= batch.size
-        scale = cfg.prior_weight * np.bincount(tasks, minlength=net.num_tasks) / sizes
-        for l, prior in enumerate(cov.priors):
-            g.stack_weights[l] += solve_kron(prior, net.stack.weights[l]) * scale
-        rates = np.full(net.params.size, learning_rate_at(cfg, state.iteration))
-        rates[net.stack_start :] *= cfg.new_layer_lr_multiplier
+        lr = learning_rate_at(cfg, state.iteration)
+        rates = np.full(net.params.size, lr)
+        rates[net.stack_start :] *= mult
         state.velocity[:] = cfg.momentum * state.velocity - rates * g.flat
         net.params += state.velocity
         state.iteration += 1
+        c += lr * mult * batch.size / (perm.size * (1.0 - cfg.momentum))
+        if (k + 1) % trainer.PROX_EVERY == 0 or k + 1 == len(starts):
+            for w, prior in zip(net.stack.weights, cov.priors):
+                precision = np.linalg.inv(dense_cov(prior))
+                step = np.eye(w.size) + c * cfg.prior_weight * precision
+                w[...] = np.linalg.solve(step, w.ravel()).reshape(w.shape)
+            c = 0.0
     state.epoch += 1
 
 
 @pytest.mark.parametrize(
-    "trunk, stack, shared, schedule",
+    "trunk, stack, shared, schedule, batch_size",
     [
-        ([6], [5, 3], False, "constant"),  # drn with a trunk
-        ([6, 5], [3], False, "constant"),  # drn8: the classifier only
-        ([6], [5, 3], True, "constant"),  # shared_task_sigma
-        ([6], [5, 3], False, "inv"),
+        pytest.param(  # drn with a trunk
+            [6], [5, 3], False, "constant", 5, id="trunk0-stack0-False-constant"
+        ),
+        pytest.param(  # drn8: the classifier only
+            [6, 5], [3], False, "constant", 5, id="trunk1-stack1-False-constant"
+        ),
+        pytest.param(  # shared_task_sigma
+            [6], [5, 3], True, "constant", 5, id="trunk2-stack2-True-constant"
+        ),
+        pytest.param([6], [5, 3], False, "inv", 5, id="trunk3-stack3-False-inv"),
+        pytest.param([6], [5, 3], False, "inv", 1, id="batch1-two-proxes"),
     ],
 )
-def test_eigenbasis_sgd_matches_the_inverse_reference(trunk, stack, shared, schedule):
-    """Over three epochs with covariance refits between them, the
-    eigenbasis SGD gives the parameters and velocity of the reference
-    loop to 1e-12 relative.  Batches of 5 do not divide the 17 rows."""
+def test_eigenbasis_sgd_matches_the_inverse_reference(
+    trunk, stack, shared, schedule, batch_size
+):
+    """Over three epochs with covariance refits between them, the prox
+    made in the factors' joint eigenbasis gives the parameters and
+    velocity of the reference loop's dense solve to 1e-12 relative.
+    Batches of 1 make one prox after 16 batches and one after the 17th;
+    batches of 5, which do not divide the 17 rows, make one per epoch."""
     data = toy_data(sizes=(7, 6, 4), dim=4, seed=40)
     net = init_network(4, trunk, stack, 3, np.random.default_rng(41))
     ref_net = clone_net(net)
     cfg = TrainConfig(
         learning_rate=0.01,
         momentum=0.9,
-        batch_size=5,
+        batch_size=batch_size,
         prior_weight=0.05,
         epsilon_ridge=0.1,
         lr_schedule=schedule,
@@ -569,6 +593,10 @@ def _batch_of_5(*case, id):
         pytest.param(
             [6], [5, 3], 0.0, False, "constant", (5, 6, 4), 8, id="batch8-no-prior"
         ),
+        # 17 batches of one row: a prox after the 16th and after the 17th.
+        pytest.param(
+            [6], [5, 3], 0.05, False, "constant", (7, 6, 4), 1, id="batch1-two-proxes"
+        ),
     ],
 )
 def test_sgd_epoch_equals_the_per_batch_loop(
@@ -580,7 +608,9 @@ def test_sgd_epoch_equals_the_per_batch_loop(
     rows, and divide 15.  Batches of 4 over 17 rows and of 8 over 15
     rows are full batches of a power-of-two size, whose ``1/B`` scale
     ``sgd_epoch`` folds into the kernel's ``dz``, then a ragged batch of
-    1 or 7 rows, scaled after the kernel as the oracle scales each one."""
+    1 or 7 rows, scaled after the kernel as the oracle scales each one.
+    With a prior, every case but batches of 1 makes one prox per epoch,
+    after its last batch."""
     data = toy_data(sizes=sizes, dim=4, seed=43)
     net = init_network(4, trunk, stack, 3, np.random.default_rng(44))
     ref_net = clone_net(net)
