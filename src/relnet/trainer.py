@@ -315,44 +315,37 @@ def check_data(net: MultiTaskNet, data: MultiTaskDataset, what: str) -> None:
 PROX_EVERY = 16
 
 
-def _prox_plan(cov: CovarianceState, cfg: TrainConfig, total: int) -> tuple:
-    """What :func:`_prox_step` reads: ``(rate, prior_weight, layers)``.
-
-    ``rate`` is ``new_layer_lr_multiplier / (total * (1 - momentum))``,
-    ``layers[l]`` the eigenvectors ``(Q_in, Q_out, Q_task)`` of stack
-    layer ``l``'s three factors, from their cached
-    :attr:`~relnet.tensor_normal.SpdFactor.eigh`, and the diagonal of
-    the layer's ``Sigma^-1`` in that joint eigenbasis, ``1 / (sigma_in
-    kron sigma_out kron sigma_task)`` as a ``(D_in, D_out, T)`` array.
-    """
+def _prox_bases(cov: CovarianceState) -> list:
+    """Per stack layer, what :func:`_prox_step` reads: the eigenvectors
+    ``(Q_in, Q_out, Q_task)`` of the layer's three factors, from their
+    cached :attr:`~relnet.tensor_normal.SpdFactor.eigh`, and the
+    diagonal of the layer's ``Sigma^-1`` in that joint eigenbasis, ``1 /
+    (sigma_in kron sigma_out kron sigma_task)`` as a ``(D_in, D_out,
+    T)`` array."""
     layers = []
     for prior in cov.priors:
         (s_in, q_in), (s_out, q_out), (s_task, q_task) = (f.eigh for f in prior.factors)
         sigma = np.multiply.outer(np.multiply.outer(s_in, s_out), s_task)
         layers.append(((q_in, q_out, q_task), 1.0 / sigma))
-    rate = cfg.new_layer_lr_multiplier / (total * (1.0 - cfg.momentum))
-    return rate, cfg.prior_weight, layers
+    return layers
 
 
-def _prox_step(weights: list, prox: tuple, block: float) -> None:
+def _prox_step(weights: list, layers: list, strength: float) -> None:
     """One proximal step of the prior on every stack layer's weights, in
-    place: ``W <- (I + c * prior_weight * Sigma^-1)^-1 W`` with ``c =
-    block * rate``, for the ``prox`` of :func:`_prox_plan` and ``block``
-    the summed ``lr * rows`` of the batches it follows.
+    place: ``W <- (I + strength * Sigma^-1)^-1 W``, ``strength`` being
+    ``c * prior_weight`` and ``layers`` the :func:`_prox_bases`.
 
     Each layer's weights are rotated into the joint eigenbasis of its
     three factors by one mode product per mode, divided elementwise by
-    ``1 + c * prior_weight / (sigma_in kron sigma_out kron sigma_task)``
-    and rotated back.  The divisor is at least 1, so the step never
-    grows the weights' norm, whatever the factors.
+    ``1 + strength / (sigma_in kron sigma_out kron sigma_task)`` and
+    rotated back.  The divisor is at least 1, so the step never grows
+    the weights' norm, whatever the factors.
     """
-    rate, prior_weight, layers = prox
-    c = block * rate * prior_weight
     for w, (bases, inv_sigma) in zip(weights, layers):
         z = w
         for axis, q in enumerate(bases):
             z = _along_mode(q.T, z, axis)
-        z /= 1.0 + c * inv_sigma
+        z /= 1.0 + strength * inv_sigma
         for axis, q in enumerate(bases):
             z = _along_mode(q, z, axis)
         w[...] = z
@@ -434,7 +427,8 @@ def sgd_epoch(
     # power-of-two size has the kernel scale dz by 1/size: the bits of
     # scaling the summed gradient after it.
     exact = size & (size - 1) == 0
-    prox = _prox_plan(cov, cfg, total) if cfg.prior_weight > 0.0 else None
+    prox = _prox_bases(cov) if cfg.prior_weight > 0.0 else None
+    rate = cfg.new_layer_lr_multiplier / (total * (1.0 - mu))
     batches = -(-total // size)
     # The summed lr * rows of the batches since the last prox.
     block = 0.0
@@ -474,7 +468,7 @@ def sgd_epoch(
         if prox is not None:
             block += lr * tasks.shape[0]
             if (k + 1) % PROX_EVERY == 0 or k + 1 == batches:
-                _prox_step(net.stack.weights, prox, block)
+                _prox_step(net.stack.weights, prox, block * rate * cfg.prior_weight)
                 block = 0.0
 
     state.epoch += 1

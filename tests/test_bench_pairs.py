@@ -64,12 +64,33 @@ def test_medians_iqr_and_wins_of_each_metric():
     assert (run_s["parent_median"], run_s["change_median"]) == (1.0, 0.95)
     assert (run_s["parent_iqr"], run_s["wins"]) == (0.0, 2)
     assert summary["test_acc"]["wins"] == 0
-    text = bench_pairs.format_report({"train-manytask": summary})
+    defined = {"train-manytask": ("run_s", "sgd_rows_per_s")}
+    text = bench_pairs.format_report({"train-manytask": summary}, defined)
     assert (
         "train-manytask sgd_rows_per_s (higher is better): parent median 101, "
         "change median 106, parent IQR 3, change better in 2 of 4 pairs\n"
-        "  pairs (parent/change): 100/110, 104/103, 102/102, 98/109\n"
+        "  pairs (parent/change): 100/110, 104/103, 102/102, 98/109"
     ) in text
+    assert "test_acc" not in text
+
+
+def test_prints_only_the_metrics_a_workload_defines():
+    """The printed report takes each workload's metrics from
+    ``perfbench/workloads.py``: ``tnd-fit`` defines no SGD rate and no
+    accuracy, so its constant rows of ``run.py`` are not printed, while
+    the summary keeps them."""
+    defined = bench_pairs.workload_metrics()
+    assert "sgd_rows_per_s" in defined["train-manytask"]
+    assert "rel_gap" not in defined["train-wide"]
+    runs = bench_pairs.compare(
+        ["tnd-fit"], 2, lambda side, workload: (0, run_output(side, 0, 1.0, 1.0)),
+        DIRECTIONS,
+    )
+    summary = bench_pairs.report(runs, DIRECTIONS)
+    assert set(summary["tnd-fit"]) == set(DIRECTIONS)
+    text = bench_pairs.format_report(summary, defined)
+    assert text.startswith("tnd-fit run_s (lower is better)")
+    assert "sgd_rows_per_s" not in text and "test_acc" not in text
 
 
 def test_json_holds_commits_env_lines_and_every_pair():

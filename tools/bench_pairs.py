@@ -13,10 +13,13 @@ each pair runs every workload in turn, so drift of the machine reaches
 both sides alike.  By default the pairs cover every workload of
 ``BENCHMARK.json``; ``--workload`` may be given more than once.
 
-For every workload and end-to-end metric of ``BENCHMARK.json`` the tool
-prints the median of each side, the parent's interquartile range, the
-number of pairs whose change run is better (ties count for neither
-side), and every pair's values.  It writes the same, with both commit
+For every workload and each end-to-end metric of ``BENCHMARK.json``
+that the workload defines (its ``metrics`` in ``perfbench/workloads.py``,
+loaded read-only) the tool prints the median of each side, the parent's
+interquartile range, the number of pairs whose change run is better
+(ties count for neither side), and every pair's values.  It writes the
+same for every end-to-end metric, also those ``run.py`` reports as a
+constant for a workload that does not define them, with both commit
 ids, each run's ``env`` line and every run's metrics, to ``--out`` as
 JSON (by default ``BENCH.json`` at the repository root; a change that
 claims a speed-up commits its file as ``BENCH_<n>.json``).
@@ -28,6 +31,7 @@ true``, and 1 otherwise.  It needs git and numpy only.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import subprocess
 import sys
@@ -104,12 +108,25 @@ def document(parent_ref: str, commits: dict, seed: int, seconds: float, runs: li
     }
 
 
-def format_report(summary: dict) -> str:
+def workload_metrics() -> dict:
+    """Each workload's ``metrics``, from ``perfbench/workloads.py``
+    loaded from its file."""
+    path = ROOT / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return {name: w.metrics for name, w in module.WORKLOADS.items()}
+
+
+def format_report(summary: dict, defined: dict) -> str:
     """The printed form of :func:`report`: one line per workload and
-    metric, then one line of its pairs."""
+    metric that ``defined[workload]`` names, then one line of its
+    pairs."""
     lines = []
     for workload, table in summary.items():
         for name, s in table.items():
+            if name not in defined[workload]:
+                continue
             n = len(s["pairs"])
             lines.append(
                 f"{workload} {name} ({s['better']} is better): parent median "
@@ -199,7 +216,7 @@ def main(argv=None) -> int:
         runs = compare(args.workload or names, args.pairs, run_side, directions)
 
     doc = document(args.parent, commits, args.seed, args.seconds, runs, directions)
-    print(format_report(doc["summary"]))
+    print(format_report(doc["summary"], workload_metrics()))
     args.out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     ok = all(run["exit_code"] == 0 and run["correct"] is True for run in runs)
     return 0 if ok else 1

@@ -14,14 +14,17 @@ into a temporary directory and read back as ``relnet train`` or
 ``relnet tnd-fit`` reads them.
 
 For a training workload, one warm-up :func:`relnet.trainer.sgd_epoch`
-and one covariance refit follow, so the timed epochs step in a real
-eigenbasis.  Each of the ``--repeat`` timed epochs then runs on a fresh
-copy of the warmed-up network and optimizer state, so every one does
-the same work.  The output is the best and the median microseconds per
-batch; then those of the gradient kernel alone, the calls of
-:func:`relnet.network._gradients_into` within ``--repeat`` more such
-epochs, each call timed on its own, so the rest of a batch's time is
-the epoch's own bookkeeping; then the best and the median milliseconds of
+and one covariance refit follow, so the timed epochs' proximal prior
+steps work in a real eigenbasis.  Each of the ``--repeat`` timed epochs
+then runs on a fresh copy of the warmed-up network and optimizer state,
+so every one does the same work.  The output is the best and the median
+microseconds per batch; then those of the gradient kernel alone, the
+calls of :func:`relnet.network._gradients_into` within ``--repeat``
+more such epochs, each call timed on its own; then the best and the
+median microseconds per epoch of the prior's proximal steps, the calls
+of ``relnet.trainer._prox_step`` within ``--repeat`` more epochs, timed
+alike.  The rest of an epoch's time is its own bookkeeping.  Then the
+best and the median milliseconds of
 ``--repeat`` timed end-of-epoch scorings of the warmed-up network: one
 :func:`relnet.network.fold_scores` call per fold, on the training fold
 and on the held-out fold if the workload has one, as
@@ -67,7 +70,7 @@ from relnet.cli import (  # noqa: E402
     load_config,
     load_experiment_data,
 )
-from relnet.network import _gradients_into, fold_scores  # noqa: E402
+from relnet.network import fold_scores  # noqa: E402
 from relnet.tensor_normal import flip_flop_mle, mle_mean  # noqa: E402
 
 SEED = 1
@@ -118,22 +121,23 @@ def warmed_up(workload) -> tuple:
     return net, cov, data, eval_data, cfg, state
 
 
-def kernel_seconds(net, cov, data, cfg, state) -> float:
-    """CPU seconds that :func:`relnet.network._gradients_into` takes in
-    one ``sgd_epoch`` on copies of ``net`` and ``state``, timed call by
-    call: the epoch's own batches on its own plan."""
-    spent = []
+def seconds_in(name: str, net, cov, data, cfg, state) -> float:
+    """CPU seconds that ``relnet.trainer.<name>`` takes in one
+    ``sgd_epoch`` on copies of ``net`` and ``state``, timed call by
+    call: the epoch's gradient kernel, ``_gradients_into``, or its
+    proximal prior steps, ``_prox_step``."""
+    original, spent = getattr(trainer, name), []
 
-    def kernel(*args):
+    def timed_call(*args):
         start = time.process_time()
-        _gradients_into(*args)
+        original(*args)
         spent.append(time.process_time() - start)
 
-    trainer._gradients_into = kernel
+    setattr(trainer, name, timed_call)
     try:
         trainer.sgd_epoch(copy.deepcopy(net), cov, data, cfg, copy.deepcopy(state))
     finally:
-        trainer._gradients_into = _gradients_into
+        setattr(trainer, name, original)
     return sum(spent)
 
 
@@ -151,8 +155,11 @@ def batch_report(workload, repeat: int) -> str:
     ]
     _, epoch_s = timed(epochs)
     per_batch = [s / batches * 1e6 for s in epoch_s]
-    kernel = functools.partial(kernel_seconds, net, cov, data, cfg, state)
-    per_kernel = [kernel() / batches * 1e6 for _ in range(repeat)]
+    spent = functools.partial(seconds_in, net=net, cov=cov, data=data, cfg=cfg,
+                              state=state)
+    per_kernel = [spent("_gradients_into") / batches * 1e6 for _ in range(repeat)]
+    per_prox = [spent("_prox_step") * 1e6 for _ in range(repeat)]
+    proxes = -(-batches // trainer.PROX_EVERY) if cfg.prior_weight > 0.0 else 0
     folds = [fold for fold in (data, eval_data) if fold is not None]
 
     def score():
@@ -168,6 +175,8 @@ def batch_report(workload, repeat: int) -> str:
         f"{best_median(per_batch, 'us', 1)}\n"
         f"{workload.name}: gradient kernel alone, {repeat} timed epoch(s), per "
         f"batch: {best_median(per_kernel, 'us', 1)}\n"
+        f"{workload.name}: prior prox, {proxes} per epoch, {repeat} timed "
+        f"epoch(s), per epoch: {best_median(per_prox, 'us', 1)}\n"
         f"{workload.name}: scoring of {len(folds)} fold(s) of {rows} rows, "
         f"{repeat} timed scoring(s), per epoch: {best_median(scoring, 'ms', 2)}"
     )

@@ -1,0 +1,167 @@
+"""A grid of ``relnet train`` runs on a benchmark workload's config, as
+one deterministic table.
+
+Usage, from the repository root::
+
+    python tools/sweep.py CONFIG --set train.prior_weight=0,1e-6,1e-4
+        [--set KEY=V1,V2,...] [--seeds 1,4,7] [--data-seeds 101,102]
+
+``CONFIG`` names a train workload of ``perfbench/workloads.py``
+(``train-wide`` or ``train-manytask``), which is loaded read-only: for
+each data seed the workload writes its inputs and its config into a
+temporary directory, as the benchmark does.  Each ``--set`` takes a
+dotted config key and a comma-separated list of JSON values; the grid
+is every combination of them, at every data seed (default 101) and
+training seed (``train.seed``, default 0).  Seeds are lists like
+``1,4,7`` or ranges like ``1-12``.
+
+Every grid point is one ``relnet train`` in a fresh interpreter with 1
+BLAS thread.  Its row gives the exit code, the final mean held-out
+``test_acc`` and ``rel_gap`` as the workload's own check computes them
+(``-`` where the workload does not define one), the same two figures
+of the point's ``train.prior_weight`` 0 baseline, and the last line
+the run wrote to stderr, or the check's complaint, if any.  The table
+holds no times, so at a fixed BLAS thread count two runs print the
+same bytes.
+"""
+
+from __future__ import annotations
+
+import argparse
+import copy
+import importlib.util
+import itertools
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def workloads() -> dict:
+    """``WORKLOADS`` of ``perfbench/workloads.py``, loaded from its file."""
+    path = ROOT / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+def seed_list(text: str) -> list:
+    """``1,4,7`` or ``1-12`` (or a mix) as a list of ints."""
+    seeds = []
+    for part in text.split(","):
+        first, _, last = part.partition("-")
+        seeds += range(int(first), int(last or first) + 1)
+    return seeds
+
+
+def setting(text: str) -> tuple:
+    """``KEY=V1,V2`` as ``(KEY, [V1, V2])``, each value as written."""
+    key, sep, values = text.partition("=")
+    if not sep or not key or not values:
+        raise argparse.ArgumentTypeError(f"expected KEY=V1,V2,..., got {text!r}")
+    return key, values.split(",")
+
+
+def configured(doc: dict, assignments) -> dict:
+    """A copy of the config ``doc`` with each ``(dotted key, JSON value
+    text)`` of ``assignments`` set."""
+    doc = copy.deepcopy(doc)
+    for key, value in assignments:
+        *path, last = key.split(".")
+        node = doc
+        for part in path:
+            node = node.setdefault(part, {})
+        node[last] = json.loads(value)
+    return doc
+
+
+class Runner:
+    """Runs ``relnet train`` on configs in one workload's prepared
+    directory and keeps each result, so a point and its baseline that
+    are the same config run once."""
+
+    def __init__(self, workload, work: Path):
+        self.workload, self.work, self.results = workload, work, {}
+        self.env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            self.env[var] = "1"
+
+    def __call__(self, doc: dict) -> tuple:
+        """``(exit code, test_acc, rel_gap, message)`` of training on
+        ``doc``."""
+        text = json.dumps(doc, sort_keys=True)
+        if text not in self.results:
+            run = self.work / f"run{len(self.results)}"
+            cfg = self.work / f"{run.name}.json"
+            cfg.write_text(text, encoding="utf-8")
+            proc = subprocess.run(
+                [sys.executable, "-m", "relnet", "train", "--config", str(cfg),
+                 *self.workload.output_args(run)],
+                env=self.env, capture_output=True, text=True,
+            )
+            lines = proc.stderr.strip().splitlines()
+            message = lines[-1] if lines else ""
+            acc = gap = None
+            if proc.returncode == 0:
+                # The workload checks the epochs its own config asks for.
+                check = copy.copy(self.workload)
+                check.epochs = doc["train"]["epochs"]
+                errors, metrics, _ = check.check(run)
+                acc, gap = metrics.get("test_acc"), metrics.get("rel_gap")
+                message = message or "; ".join(errors)
+            self.results[text] = (proc.returncode, acc, gap, message)
+        return self.results[text]
+
+
+def figure(value) -> str:
+    return "-" if value is None else f"{value:.4f}"
+
+
+def sweep(name: str, settings: list, seeds: list, data_seeds: list) -> str:
+    """The Markdown table of the grid."""
+    workload = workloads()[name]
+    keys = [key for key, _ in settings]
+    header = [*keys, "data seed", "seed", "exit", "test_acc", "rel_gap",
+              "λ0 test_acc", "λ0 rel_gap", "error"]
+    rows = [header, ["---"] * len(header)]
+    for data_seed in data_seeds:
+        with tempfile.TemporaryDirectory(prefix="sweep-") as tmp:
+            work = Path(tmp)
+            args = workload.prepare(work, data_seed)
+            config = Path(args[args.index("--config") + 1])
+            base = json.loads(config.read_text(encoding="utf-8"))
+            run = Runner(workload, work)
+            for values in itertools.product(*(v for _, v in settings)):
+                for seed in seeds:
+                    fixed = [*zip(keys, values), ("train.seed", str(seed))]
+                    code, acc, gap, message = run(configured(base, fixed))
+                    _, acc0, gap0, _ = run(
+                        configured(base, [*fixed, ("train.prior_weight", "0")])
+                    )
+                    rows.append([
+                        *values, str(data_seed), str(seed), str(code), figure(acc),
+                        figure(gap), figure(acc0), figure(gap0), message,
+                    ])
+    return "\n".join("| " + " | ".join(row) + " |" for row in rows) + "\n"
+
+
+def main(argv=None) -> int:
+    names = sorted(n for n, w in workloads().items() if w.epochs > 0)
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("config", metavar="CONFIG", choices=names)
+    parser.add_argument("--set", dest="settings", type=setting, action="append",
+                        default=[], metavar="KEY=V1,V2,...")
+    parser.add_argument("--seeds", type=seed_list, default=[0])
+    parser.add_argument("--data-seeds", type=seed_list, default=[101])
+    args = parser.parse_args(argv)
+    sys.stdout.write(sweep(args.config, args.settings, args.seeds, args.data_seeds))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
