@@ -11,9 +11,9 @@ Each epoch alternates two blocks:
    epoch's last, ``W <- (I + c * prior_weight * Sigma^{-1})^{-1} W``,
    made in the joint eigenbasis of each layer's three factors, where it
    is one elementwise division.  It never grows the weights' norm,
-   whatever the factors, and its step size ``c`` gives it the fixed points of
-   the explicit prior gradient; README "How SGD applies the prior" says
-   why and at what cost.
+   whatever the factors, and its step size ``c`` gives it the fixed
+   points of the explicit prior gradient; README "How SGD applies the
+   prior" says why and at what cost.
 2. One covariance sweep over the stack layers
    (:func:`update_covariances`): with the weights fixed, each mode
    factor in turn is replaced by the maximizer of the prior term given
@@ -429,7 +429,6 @@ def sgd_epoch(
     exact = size & (size - 1) == 0
     prox = _prox_bases(cov) if cfg.prior_weight > 0.0 else None
     rate = cfg.new_layer_lr_multiplier / (total * (1.0 - mu))
-    batches = -(-total // size)
     # The summed lr * rows of the batches since the last prox.
     block = 0.0
 
@@ -467,7 +466,7 @@ def sgd_epoch(
 
         if prox is not None:
             block += lr * tasks.shape[0]
-            if (k + 1) % PROX_EVERY == 0 or k + 1 == batches:
+            if (k + 1) % PROX_EVERY == 0 or start + size >= total:
                 _prox_step(net.stack.weights, prox, block * rate * cfg.prior_weight)
                 block = 0.0
 
