@@ -200,8 +200,8 @@ class TestSgdEpoch:
             )
 
     def test_epoch_accumulates_full_prior_once_per_task(self):
-        """Summed over an epoch's batches, the prior contribution of each
-        task is lambda times its gradient slice, regardless of batching."""
+        """Over an epoch, the prior's contribution to each task's weights
+        is lambda times its gradient slice, regardless of batching."""
         rng = np.random.default_rng(10)
         data = toy_data(sizes=(7, 5), dim=3, seed=11)
         net = init_network(3, [], [3], 2, rng)
@@ -234,8 +234,9 @@ class TestSgdEpoch:
         net_b = clone_net(net)
         sgd_epoch(net_a, cov, data, cfg_prior, OptimizerState.zeros_like(net_a))
         sgd_epoch(net_b, cov, data, cfg_plain, OptimizerState.zeros_like(net_b))
-        # Difference of the two trajectories isolates the prior term:
-        # sum_b lr * lam * (c_t/N_t) * W = lr * lam * W per task.
+        # Difference of the two trajectories isolates the prior term: the
+        # epoch's one prox divides W by 1 + lr * lam, to first order a
+        # step of lr * lam * W for every task.
         diff = (net_b.stack.weights[0] - net_a.stack.weights[0]) / 1e-12
         np.testing.assert_allclose(diff, lam * w0, rtol=1e-3)
 
@@ -333,7 +334,7 @@ class TestSgdEpoch:
     def test_label_out_of_range_raises_before_any_update(self):
         """A label set out of range after the dataset was built raises
         ``batch_gradients``' error before any parameter or velocity entry
-        moves, also in a rotated eigenbasis."""
+        moves, also after a covariance refit."""
         data = toy_data(sizes=(6, 5), dim=3, num_classes=3, seed=21)
         net = init_network(3, [4], [3, 3], 2, np.random.default_rng(22))
         cfg = TrainConfig(batch_size=4, prior_weight=0.05, epsilon_ridge=0.1)
@@ -416,9 +417,9 @@ class TestBenchmarkHooks:
             if owner is None:
                 missing.append((module_name, attr_path))
         # The one-pass SGD batch replaced _batch_task_gradients with
-        # batch_gradients; train() scores the objective itself, and SGD
-        # applies the prior inverse in the factors' eigenbasis, and
-        # fold_scores is the one scorer.  The benchmark still wraps the
+        # batch_gradients; train() scores the objective itself, SGD
+        # applies the prior as a proximal step in the factors'
+        # eigenbasis, and fold_scores is the one scorer.  The benchmark still wraps the
         # old names.
         assert missing == [
             ("relnet.trainer", "objective"),
