@@ -8,9 +8,11 @@ Subcommands
     scale as JSON.
 ``train``
     Run a training experiment described by a JSON config file; writes
-    ``model.json``, ``report.csv``, ``timings.csv`` and one
-    ``relationship_<layer>.json`` per task-specific layer (none for the
-    independent-training variant).
+    ``model.json``, ``report.csv`` (the per-epoch objective, accuracies,
+    held-out loss and refit residuals), ``timings.csv`` (each epoch's
+    wall-clock seconds of SGD, refit, gradient kernel, prox and scoring)
+    and one ``relationship_<layer>.json`` per task-specific layer (none
+    for the independent-training variant).
 ``eval``
     Score a checkpoint on the training or held-out fold of the data a
     config describes (the folds ``train`` trains and tests on) and

@@ -396,8 +396,13 @@ def sgd_epoch(
     the layer and the quantity; each check is one squared norm, and
     only one that is not finite leads to
     :meth:`~relnet.network.MultiTaskNet.first_nonfinite`'s scan, so a
-    finite vector whose squared norm overflows steps on.  Mutates ``net`` and ``state`` in place
-    and returns them.
+    finite vector whose squared norm overflows steps on.
+
+    Mutates ``net`` and ``state`` in place and returns ``(kernel_seconds,
+    prox_seconds)``: the wall time summed over the epoch's calls of the
+    gradient kernel and of the proximal step, each call timed by one
+    ``time.perf_counter`` pair; ``prox_seconds`` is ``0.0`` with
+    ``prior_weight == 0``.
     """
     check_data(net, data, "training data")
     _check_covariances(net.stack, cov)
@@ -423,6 +428,7 @@ def sgd_epoch(
         if net.params[seg].size
     ]
     plan = _stack_plan(net, g, task_of, size)
+    clock, kernel_s, prox_s = time.perf_counter, 0.0, 0.0
     # A power-of-two scale commutes with rounding, so a full batch of a
     # power-of-two size has the kernel scale dz by 1/size: the bits of
     # scaling the summed gradient after it.
@@ -436,11 +442,13 @@ def sgd_epoch(
         batch = slice(start, start + size)
         tasks = task_of[batch]
         fold = exact and tasks.shape[0] == size
+        t0 = clock()
         _gradients_into(
             g, net, *plan, batch, features.take(perm[batch], axis=0), tasks,
             one_hot.take(tasks, axis=0), label_rows[batch],
             1.0 / size if fold else 1.0,
         )
+        kernel_s += clock() - t0
         if not fold:
             g.flat *= 1.0 / tasks.shape[0]
 
@@ -467,22 +475,39 @@ def sgd_epoch(
         if prox is not None:
             block += lr * tasks.shape[0]
             if (k + 1) % PROX_EVERY == 0 or start + size >= total:
+                t0 = clock()
                 _prox_step(net.stack.weights, prox, block * rate * cfg.prior_weight)
+                prox_s += clock() - t0
                 block = 0.0
 
     state.epoch += 1
-    return net, state
+    return kernel_s, prox_s
 
 
 @dataclass
 class EpochRecord:
+    """One epoch's row of ``report.csv`` and of ``timings.csv``.
+
+    ``test_accuracy`` and ``test_loss``, the held-out fold's summed
+    cross-entropy, are None without eval data.  The wall-clock seconds
+    are those :func:`train` measures: ``sgd_seconds`` of
+    :func:`sgd_epoch`, within it ``kernel_seconds`` of the gradient
+    kernel and ``prox_seconds`` of the proximal steps, ``cov_seconds``
+    of the refit, and ``scoring_seconds`` from the refit's end to the
+    record.
+    """
+
     epoch: int
     objective: float
     train_accuracy: tuple
     test_accuracy: tuple | None
+    test_loss: float | None
     residuals: tuple
     sgd_seconds: float
     cov_seconds: float
+    kernel_seconds: float
+    prox_seconds: float
+    scoring_seconds: float
 
 
 @dataclass
@@ -490,11 +515,14 @@ class TrainReport:
     """Per-epoch training curve plus factored timing columns.
 
     ``to_csv`` writes the deterministic part (objective, accuracies,
-    covariance-update residuals); wall-clock phase timings go to a
-    separate file via ``timings_to_csv`` so, at one BLAS thread count,
-    the report bytes depend only on the seed and config.  The
-    ``test_acc_*`` columns are there when the run was given eval data
-    (``has_test``), however many epochs it ran.
+    held-out loss, covariance-update residuals); wall-clock phase
+    timings go to a separate file via ``timings_to_csv`` so, at one BLAS
+    thread count, the report bytes depend only on the seed and config.
+    The ``test_acc_*`` columns and ``test_loss`` after them are there
+    when the run was given eval data (``has_test``), however many epochs
+    it ran.  ``timings_to_csv`` writes ``epoch``, ``sgd_seconds``,
+    ``covariance_seconds``, ``kernel_seconds``, ``prox_seconds`` and
+    ``scoring_seconds``, as :class:`EpochRecord` describes them.
     """
 
     task_names: list
@@ -506,17 +534,19 @@ class TrainReport:
         header = ["epoch", "objective"]
         header += [f"train_acc_{name}" for name in self.task_names]
         if self.has_test:
-            header += [f"test_acc_{name}" for name in self.task_names]
+            header += [f"test_acc_{name}" for name in self.task_names] + ["test_loss"]
         header += [f"residual_{lid}" for lid in self.layer_ids]
         rows = [header]
         for r in self.records:
-            test = r.test_accuracy or ()
+            test = (*r.test_accuracy, r.test_loss) if self.has_test else ()
             rows.append([r.epoch, r.objective, *r.train_accuracy, *test, *r.residuals])
         write_csv_rows(path, rows)
 
     def timings_to_csv(self, path) -> None:
-        header = ["epoch", "sgd_seconds", "covariance_seconds"]
-        rows = [[r.epoch, r.sgd_seconds, r.cov_seconds] for r in self.records]
+        header = ["epoch", "sgd_seconds", "covariance_seconds", "kernel_seconds",
+                  "prox_seconds", "scoring_seconds"]
+        rows = [[r.epoch, r.sgd_seconds, r.cov_seconds, r.kernel_seconds,
+                 r.prox_seconds, r.scoring_seconds] for r in self.records]
         write_csv_rows(path, [header, *rows])
 
 
@@ -539,10 +569,17 @@ def train(
     :func:`sgd_epoch`, one :func:`update_covariances` sweep, then scores
     each fold with one :func:`~relnet.network.fold_scores` call: the
     training fold's per-task accuracies and log losses, and the held-out
-    fold's accuracies.  The epoch's objective is the data loss, the sum
-    of the training fold's log losses, plus ``prior_weight`` times
+    fold's accuracies and ``test_loss``, the sum of its log losses.  The
+    epoch's objective is the data loss, the sum of the training fold's
+    log losses, plus ``prior_weight`` times
     :func:`~relnet.network.prior_penalty`.  With ``epochs == 0`` the
     initialization is returned untouched and the report is empty.
+
+    Each epoch's record holds its wall-clock phases, which tile the
+    epoch: ``sgd_seconds`` around :func:`sgd_epoch`, with the kernel and
+    prox seconds it returns; ``cov_seconds`` around the refit; and
+    ``scoring_seconds`` from the refit's end to the record, the
+    residuals, both folds' scoring and the prior term.
 
     When ``cfg.prior_weight == 0`` the covariance refit is skipped: the
     prior has no influence on the parameters, so tasks train
@@ -568,7 +605,7 @@ def train(
 
     for _ in range(cfg.epochs):
         t0 = time.perf_counter()
-        sgd_epoch(net, cov, data, cfg, state)
+        kernel_s, prox_s = sgd_epoch(net, cov, data, cfg, state)
         t1 = time.perf_counter()
         new_cov = cov
         if cfg.prior_weight > 0.0:
@@ -592,16 +629,23 @@ def train(
                 f"non-finite objective after epoch {state.epoch - 1}: data loss "
                 f"{data_loss!r}, prior term {prior!r}"
             )
-        test_acc = fold_scores(net, eval_data)[1] if eval_data is not None else None
+        test_acc = test_loss = None
+        if eval_data is not None:
+            held_out, test_acc = fold_scores(net, eval_data)
+            test_loss = float(sum(held_out))
         report.records.append(
             EpochRecord(
                 epoch=state.epoch,
                 objective=obj,
                 train_accuracy=train_acc,
                 test_accuracy=test_acc,
+                test_loss=test_loss,
                 residuals=residuals,
                 sgd_seconds=t1 - t0,
                 cov_seconds=t2 - t1,
+                kernel_seconds=kernel_s,
+                prox_seconds=prox_s,
+                scoring_seconds=time.perf_counter() - t2,
             )
         )
     return net, cov, report

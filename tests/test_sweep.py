@@ -31,3 +31,17 @@ def test_two_point_grid_is_one_deterministic_table():
     assert zero[5:9] == [zero[5], "0.0000", zero[5], "0.0000"]
     assert prior[7:9] == zero[5:7]
     assert 0.0 < float(prior[5]) <= 1.0
+
+
+def test_failed_run_reads_its_exit_code_and_error():
+    """A run that fails prints its exit code, ``-`` for every figure and
+    its last stderr line, which names the epoch it failed after."""
+    argv = [sys.executable, str(TOOL), "train-manytask",
+            "--set", "train.learning_rate=1e6", "--set", "train.epochs=1",
+            "--seeds", "3", "--data-seeds", "7"]
+    run = subprocess.run(argv, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    _, _, row = [line.split(" | ") for line in run.stdout.splitlines()]
+    assert row[:9] == ["| 1e6", "1", "7", "3", "3", "-", "-", "-", "-"]
+    assert row[9].startswith("relnet train: numeric failure: ")
+    assert "after epoch 0:" in row[9]

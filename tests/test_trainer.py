@@ -2,6 +2,7 @@
 
 import importlib.util
 import inspect
+import time
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -994,12 +995,56 @@ class TestTrain:
         lines = path.read_text().strip().split("\n")
         assert lines[0] == (
             "epoch,objective,train_acc_task0,train_acc_task1,"
-            "test_acc_task0,test_acc_task1,residual_classifier"
+            "test_acc_task0,test_acc_task1,test_loss,residual_classifier"
         )
         assert len(lines) == 3
         timings = tmp_path / "timings.csv"
         report.timings_to_csv(timings)
-        assert timings.read_text().startswith("epoch,sgd_seconds,covariance_seconds")
+        assert timings.read_text().split("\n")[0] == (
+            "epoch,sgd_seconds,covariance_seconds,kernel_seconds,prox_seconds,"
+            "scoring_seconds"
+        )
+
+    def test_timings_tile_the_epoch(self, tmp_path):
+        """Every phase is a non-negative wall time; the kernel and the
+        proxes lie within the SGD epoch, the proxes take no time without
+        a prior, and SGD, refit and scoring together take no longer than
+        the run."""
+        data = toy_data(sizes=(20, 16), dim=3, seed=44)
+        for prior_weight in (0.0, 0.5):
+            net = init_network(3, [4], [3], 2, np.random.default_rng(45))
+            cfg = TrainConfig(epochs=3, batch_size=4, prior_weight=prior_weight)
+            start = time.perf_counter()
+            _, _, report = train(net, data, cfg, eval_data=data)
+            wall = time.perf_counter() - start
+            path = tmp_path / "timings.csv"
+            report.timings_to_csv(path)
+            header, *lines = path.read_text().split()
+            assert header == (
+                "epoch,sgd_seconds,covariance_seconds,kernel_seconds,prox_seconds,"
+                "scoring_seconds"
+            )
+            rows = [[float(cell) for cell in line.split(",")] for line in lines]
+            assert [row[0] for row in rows] == [1, 2, 3]
+            for _, sgd, cov, kernel, prox, scoring in rows:
+                assert min(sgd, cov, kernel, prox, scoring) >= 0.0
+                assert kernel + prox <= sgd
+                assert prox == 0.0 if prior_weight == 0.0 else prox > 0.0
+            assert sum(row[1] + row[2] + row[5] for row in rows) <= wall
+
+    def test_test_loss_is_held_out_summed_cross_entropy(self, tmp_path):
+        """``test_loss`` is the held-out fold's log losses summed as the
+        objective sums the training fold's."""
+        data = toy_data(sizes=(9, 7), dim=3, seed=46)
+        held_out = toy_data(sizes=(5, 6), dim=3, seed=47)
+        net = init_network(3, [], [3], 2, np.random.default_rng(48))
+        cfg = TrainConfig(epochs=2, batch_size=4, seed=49)
+        net, _, report = train(net, data, cfg, eval_data=held_out)
+        path = tmp_path / "report.csv"
+        report.to_csv(path)
+        header, *rows = [line.split(",") for line in path.read_text().split()]
+        cell = rows[-1][header.index("test_loss")]
+        assert float(cell) == sum(network.fold_scores(net, held_out)[0])
 
     def test_refit_failure_names_its_epoch(self, monkeypatch):
         """A refit that fails after the second epoch's SGD names epoch 1,
