@@ -25,14 +25,13 @@ place that forms a mode's Gram matrix: :func:`flip_flop_mle` iterates
 it to convergence and the trainer's covariance refit makes one sweep
 of it per layer.
 
-Each :class:`SpdFactor` forms its inverse Cholesky factor ``L_k^{-1}``,
-its precision ``Sigma_k^{-1} = L_k^{-T} L_k^{-1}`` and its
-eigendecomposition once, on first use, so no per-mode step solves a
-system; the trainer's proximal prior step works in the factors'
-eigenbasis, the basis of EKFAC (George et al., 2018).  A factor is
-immutable, so the trainer,
-which builds new factors only in its covariance refit, forms each of
-them once per refit however many batches use it.  Only numpy is needed.
+Each :class:`SpdFactor` forms its inverse Cholesky factor ``L_k^{-1}``
+and its eigendecomposition once, on first use, so no per-mode step
+solves a system; the trainer's proximal prior step works in the
+factors' eigenbasis, the basis of EKFAC (George et al., 2018).  A
+factor is immutable, so the trainer, which builds new factors only in
+its covariance refit, forms each of them once per refit however many
+batches use it.  Only numpy is needed.
 
 Vectorization follows :mod:`relnet.tensor`: row-major flattening, under
 which the factors appear in mode order in the Kronecker product.
@@ -94,9 +93,6 @@ class SpdFactor:
     chol_inv : numpy.ndarray
         ``L^{-1}``, the inverse of ``chol``, formed on first access;
         exactly lower triangular and read-only.
-    precision : numpy.ndarray
-        ``matrix^{-1} = L^{-T} L^{-1}``, formed from ``chol_inv`` on
-        first access, exactly symmetric and read-only.
     eigh : tuple of numpy.ndarray
         ``(sigma, Q)`` with ``matrix == Q diag(sigma) Q^T`` and ``Q``
         orthogonal, formed on first access and read-only.  The trainer
@@ -139,14 +135,6 @@ class SpdFactor:
         inverse leaves no entries there.
         """
         inv = np.tril(np.linalg.inv(self.chol))
-        inv.setflags(write=False)
-        return inv
-
-    @cached_property
-    def precision(self) -> np.ndarray:
-        """``matrix^{-1} = L^{-T} L^{-1}``, formed once and cached."""
-        inv = self.chol_inv.T @ self.chol_inv
-        inv = 0.5 * (inv + inv.T)
         inv.setflags(write=False)
         return inv
 
@@ -258,8 +246,8 @@ def _whiten(centered: np.ndarray, factors) -> np.ndarray:
     return z
 
 
-def _mode_step(z: np.ndarray, factors: list, k: int, rule, what: str) -> tuple:
-    """One flip-flop step on mode ``k``; returns ``(z', gram)``.
+def _mode_step(z: np.ndarray, factors: list, k: int, rule, what: str) -> np.ndarray:
+    """One flip-flop step on mode ``k``; returns the re-whitened ``z'``.
 
     ``z`` holds tensors whitened by every factor of ``factors`` (one
     :class:`SpdFactor` per trailing axis), any leading axes indexing
@@ -291,7 +279,7 @@ def _mode_step(z: np.ndarray, factors: list, k: int, rule, what: str) -> tuple:
         raise EstimationError(
             f"{what} covariance update is not positive definite"
         ) from None
-    return _along_mode(factors[k].chol_inv @ old.chol, z, axis), gram
+    return _along_mode(factors[k].chol_inv @ old.chol, z, axis)
 
 
 def mahalanobis(dist: TensorNormal, x) -> float:
@@ -391,9 +379,11 @@ def flip_flop_mle(
     current factors, and updates it one mode at a time with
     ``_mode_step``, which undoes the old whitening of mode ``k`` in that
     array's mode-``k`` Gram and re-whitens the mode after the update.
-    The log-likelihood takes its Mahalanobis term ``tr(Sigma_3^{-1}
-    G_3)`` from the last Gram.  So a sweep costs three mode products
-    and three Gram matrices over the ``n * d`` entries, plus
+    The sweep's log-likelihood needs no Mahalanobis product: after the
+    mode-3 step ``Sigma_3`` is ``sym(G_3) / m_3``, so ``tr(Sigma_3^{-1}
+    G_3) = m_3 * d_3 = n * d`` and the log-likelihood is ``-n/2 * (d
+    log 2 pi + d + log det Sigma)``.  So a sweep costs three mode
+    products and three Gram matrices over the ``n * d`` entries, plus
     ``O(d_k^3)`` work per mode; it makes no full whitening.
 
     Only the Kronecker product of the factors is identifiable; the
@@ -453,11 +443,12 @@ def flip_flop_mle(
     for sweep in range(1, max_iter + 1):
         for k in range(3):
             # The rule is the maximizer gram / (n * d / d_k).
-            z, gram = _mode_step(z, factors, k, np.divide, f"mode {k + 1}")
-        # ||z||^2 = tr(Sigma_3^{-1} G_3), G_3 being the last Gram formed.
-        new_ll = _total_log_likelihood(
-            n, d, factors, float(np.sum(factors[2].precision * gram))
-        )
+            z = _mode_step(z, factors, k, np.divide, f"mode {k + 1}")
+        # ||z||^2 = tr(Sigma_3^{-1} G_3) with Sigma_3 = sym(G_3) / m_3,
+        # and tr(sym(G)^{-1} G) = d_3 for any G: the antisymmetric part
+        # has zero trace against a symmetric matrix.  So ||z||^2 is
+        # m_3 * d_3 = n * d, an integer and exact as a double.
+        new_ll = _total_log_likelihood(n, d, factors, n * d)
         history.append(new_ll)
         converged = abs(new_ll - ll) <= tol * max(1.0, abs(ll))
         ll = new_ll

@@ -249,7 +249,7 @@ def update_covariances(
             dk = z.shape[k - len(factors)]
             counter[f"mode{mode}_gram"] += dk * z.size
             counter[f"mode{mode}_factor"] += dk**3 // 3
-        return _mode_step(z, factors, k, ridged, what)[0]
+        return _mode_step(z, factors, k, ridged, what)
 
     # Layer indices grouped by the task factor object their priors hold.
     swept, fibres, groups = [], [], {}
@@ -400,9 +400,10 @@ def sgd_epoch(
 
     Mutates ``net`` and ``state`` in place and returns ``(kernel_seconds,
     prox_seconds)``: the wall time summed over the epoch's calls of the
-    gradient kernel and of the proximal step, each call timed by one
-    ``time.perf_counter`` pair; ``prox_seconds`` is ``0.0`` with
-    ``prior_weight == 0``.
+    gradient kernel and of the prox, each call timed by one
+    ``time.perf_counter`` pair.  The prox's calls are its set-up, the
+    factors' eigendecompositions of :func:`_prox_bases`, and its steps;
+    ``prox_seconds`` is ``0.0`` with ``prior_weight == 0``.
     """
     check_data(net, data, "training data")
     _check_covariances(net.stack, cov)
@@ -428,12 +429,14 @@ def sgd_epoch(
         if net.params[seg].size
     ]
     plan = _stack_plan(net, g, task_of, size)
-    clock, kernel_s, prox_s = time.perf_counter, 0.0, 0.0
+    clock, kernel_s = time.perf_counter, 0.0
     # A power-of-two scale commutes with rounding, so a full batch of a
     # power-of-two size has the kernel scale dz by 1/size: the bits of
     # scaling the summed gradient after it.
     exact = size & (size - 1) == 0
+    t0 = clock()
     prox = _prox_bases(cov) if cfg.prior_weight > 0.0 else None
+    prox_s = 0.0 if prox is None else clock() - t0
     rate = cfg.new_layer_lr_multiplier / (total * (1.0 - mu))
     # The summed lr * rows of the batches since the last prox.
     block = 0.0
@@ -492,9 +495,9 @@ class EpochRecord:
     cross-entropy, are None without eval data.  The wall-clock seconds
     are those :func:`train` measures: ``sgd_seconds`` of
     :func:`sgd_epoch`, within it ``kernel_seconds`` of the gradient
-    kernel and ``prox_seconds`` of the proximal steps, ``cov_seconds``
-    of the refit, and ``scoring_seconds`` from the refit's end to the
-    record.
+    kernel and ``prox_seconds`` of the prox (its eigenbases and its
+    steps), ``cov_seconds`` of the refit, and ``scoring_seconds`` from
+    the refit's end to the record.
     """
 
     epoch: int

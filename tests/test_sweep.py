@@ -1,10 +1,58 @@
-"""``tools/sweep.py``: a two-point grid of ``relnet train`` runs."""
+"""``tools/sweep.py``: its argument parsing, and grids of ``relnet
+train`` runs."""
 
+import argparse
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "sweep.py"
+_spec = importlib.util.spec_from_file_location("sweep", TOOL)
+sweep = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(sweep)
+
+
+@pytest.mark.parametrize(
+    "text, values",
+    [
+        ("model.trunk_widths=[],[64,32]", ["[]", "[64,32]"]),
+        ("m=[[1, 0.5], [0.5, 1]]", ["[[1, 0.5], [0.5, 1]]"]),
+        ('train.lr_schedule="inv","constant"', ['"inv"', '"constant"']),
+        ("train.prior_weight=0,1e-6", ["0", "1e-6"]),
+        ("train.prior_weight= 0 , 1e-6 ", ["0", "1e-6"]),
+    ],
+)
+def test_setting_splits_json_values_as_written(text, values):
+    """Commas inside a list or matrix do not split it; each value keeps
+    its text, without the whitespace around it."""
+    assert sweep.setting(text) == (text.partition("=")[0], values)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--set", "model.trunk_widths=[64,32"],
+        ["--set", "train.prior_weight=0,,1"],
+        ["--set", "train.prior_weight=0 1"],
+        ["--seeds", "12-1"],
+    ],
+)
+def test_malformed_values_and_empty_ranges_are_argument_errors(argv, capsys):
+    """A malformed list, an empty value, values not split by a comma and
+    a reversed seed range exit 2 before any run."""
+    with pytest.raises(SystemExit) as exit_:
+        sweep.main(["train-manytask", *argv])
+    assert exit_.value.code == 2
+    assert "error: argument" in capsys.readouterr().err
+
+
+def test_seed_list_rejects_an_empty_range():
+    assert sweep.seed_list("1,4-6,9") == [1, 4, 5, 6, 9]
+    with pytest.raises(argparse.ArgumentTypeError, match="'12-1'"):
+        sweep.seed_list("12-1")
 
 
 def test_two_point_grid_is_one_deterministic_table():

@@ -241,6 +241,36 @@ class TestSgdEpoch:
         diff = (net_b.stack.weights[0] - net_a.stack.weights[0]) / 1e-12
         np.testing.assert_allclose(diff, lam * w0, rtol=1e-3)
 
+    @pytest.mark.parametrize("rows", [8, 32])
+    def test_full_batch_fixed_point_weights_the_prior_by_the_rows(self, rows):
+        """With the factors held fixed and one batch of all ``N`` rows,
+        SGD and its prox come to rest where the summed data gradient of
+        the stack weights is ``-N * lambda * Sigma^-1 vec(W)``.  The
+        ``objective`` column is stationary at ``-lambda * Sigma^-1
+        vec(W)``, so the loop applies ``N`` times the prior it reports
+        (ROADMAP item 13, whose fix makes the factor 1)."""
+        data = toy_data(sizes=(rows, rows), dim=3, num_classes=2, seed=52)
+        net = init_network(3, [], [2], 2, np.random.default_rng(53))
+        cov = CovarianceState.identity_for(net.stack)
+        total, lam = 2 * rows, 0.05
+        cfg = TrainConfig(
+            learning_rate=0.05, momentum=0.5, batch_size=total, prior_weight=lam
+        )
+        state = OptimizerState.zeros_like(net)
+        for _ in range(3000):
+            sgd_epoch(net, cov, data, cfg, state)
+        g = network.batch_gradients(
+            net,
+            np.repeat(np.arange(2), data.task_sizes),
+            np.concatenate(data.features),
+            np.concatenate(data.labels),
+        )
+        w = net.stack.weights[0]
+        prior = np.linalg.solve(dense_cov(cov.priors[0]), w.ravel())
+        np.testing.assert_allclose(
+            g.stack_weights[0].ravel(), -total * lam * prior, rtol=1e-10
+        )
+
     def test_epoch_on_a_copy_leaves_the_original(self):
         rng = np.random.default_rng(19)
         data = toy_data(sizes=(6, 5), dim=3, seed=20)
@@ -1031,6 +1061,29 @@ class TestTrain:
                 assert kernel + prox <= sgd
                 assert prox == 0.0 if prior_weight == 0.0 else prox > 0.0
             assert sum(row[1] + row[2] + row[5] for row in rows) <= wall
+
+    @pytest.mark.parametrize("prior_weight", [0.0, 0.5])
+    def test_prox_seconds_count_the_eigenbases(self, monkeypatch, prior_weight):
+        """``prox_seconds`` counts the prox's set-up, the eigenbases of
+        ``_prox_bases``: set-up slowed by 0.05 s shows in every epoch's
+        cell.  Without a prior no set-up runs and the cell stays 0."""
+        original = trainer._prox_bases
+
+        def slow(cov):
+            time.sleep(0.05)
+            return original(cov)
+
+        monkeypatch.setattr(trainer, "_prox_bases", slow)
+        data = toy_data(sizes=(10, 6), dim=3, seed=50)
+        net = init_network(3, [], [3], 2, np.random.default_rng(51))
+        cfg = TrainConfig(epochs=2, batch_size=4, prior_weight=prior_weight)
+        _, _, report = train(net, data, cfg)
+        for record in report.records:
+            if prior_weight == 0.0:
+                assert record.prox_seconds == 0.0
+            else:
+                assert record.prox_seconds >= 0.05
+            assert record.kernel_seconds + record.prox_seconds <= record.sgd_seconds
 
     def test_test_loss_is_held_out_summed_cross_entropy(self, tmp_path):
         """``test_loss`` is the held-out fold's log losses summed as the

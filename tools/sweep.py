@@ -12,8 +12,13 @@ each data seed the workload writes its inputs and its config into a
 temporary directory, as the benchmark does.  Each ``--set`` takes a
 dotted config key and a comma-separated list of JSON values; the grid
 is every combination of them, at every data seed (default 101) and
-training seed (``train.seed``, default 0).  Seeds are lists like
-``1,4,7`` or ranges like ``1-12``.
+training seed (``train.seed``, default 0).  The values are JSON texts
+split at the commas between them, so a list or a matrix is one value:
+``--set 'model.trunk_widths=[],[64,32]'`` is two, and strings are
+quoted, ``--set 'train.lr_schedule="inv","constant"'``.  The table shows
+each value as written; whitespace around a value is dropped.  Seeds are
+lists like ``1,4,7`` or ascending ranges like ``1-12``.  Malformed
+values and empty ranges are argument errors (exit 2).
 
 Every grid point is one ``relnet train`` in a fresh interpreter with 1
 BLAS thread.  Its row gives the exit code, the final mean held-out
@@ -33,6 +38,7 @@ import importlib.util
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -51,20 +57,47 @@ def workloads() -> dict:
 
 
 def seed_list(text: str) -> list:
-    """``1,4,7`` or ``1-12`` (or a mix) as a list of ints."""
+    """``1,4,7`` or ``1-12`` (or a mix) as a list of ints; an empty
+    range such as ``12-1`` is an error."""
     seeds = []
     for part in text.split(","):
         first, _, last = part.partition("-")
-        seeds += range(int(first), int(last or first) + 1)
+        span = range(int(first), int(last or first) + 1)
+        if not span:
+            raise argparse.ArgumentTypeError(f"empty seed range {part!r}")
+        seeds += span
     return seeds
 
 
+# What JSON counts as whitespace.
+_SPACE = re.compile(r"[ \t\n\r]*")
+
+
 def setting(text: str) -> tuple:
-    """``KEY=V1,V2`` as ``(KEY, [V1, V2])``, each value as written."""
+    """``KEY=V1,V2`` as ``(KEY, [V1, V2])``: the values are JSON texts
+    separated by commas, each kept as written without the whitespace
+    around it."""
     key, sep, values = text.partition("=")
     if not sep or not key or not values:
         raise argparse.ArgumentTypeError(f"expected KEY=V1,V2,..., got {text!r}")
-    return key, values.split(",")
+    decoder, items, pos = json.JSONDecoder(), [], 0
+    while True:
+        pos = _SPACE.match(values, pos).end()
+        try:
+            _, end = decoder.raw_decode(values, pos)
+        except json.JSONDecodeError as err:
+            raise argparse.ArgumentTypeError(
+                f"{text!r}: {err.msg} at character {err.pos} of the values"
+            ) from None
+        items.append(values[pos:end])
+        pos = _SPACE.match(values, end).end()
+        if pos == len(values):
+            return key, items
+        if values[pos] != ",":
+            raise argparse.ArgumentTypeError(
+                f"{text!r}: expected ',' at character {pos} of the values"
+            )
+        pos += 1
 
 
 def configured(doc: dict, assignments) -> dict:
