@@ -56,6 +56,7 @@ from .serialize import (
     dumps_json,
     load_json,
     output_errors,
+    read_json_object,
     read_object,
     write_csv_rows,
 )
@@ -345,10 +346,11 @@ def _load_tnd_samples(path: Path) -> np.ndarray:
     ``samples`` is read under the matrix rule of
     :func:`~relnet.serialize.check_type`: a list of samples, each a list
     of finite JSON numbers, or one array object
-    (:class:`~relnet.serialize.BinaryArray`) of 2 dims.  It must have
-    shape ``(n, d)``, one row of ``d = d1 * d2 * d3`` entries per
-    sample, and the sample count ``n`` must pass ``(n - 1) * d / d_k >=
-    d_k`` for every mode ``k``.
+    (:class:`~relnet.serialize.BinaryArray`) of 2 dims; the list form
+    is read a row at a time (:func:`~relnet.serialize.read_json_object`).
+    It must have shape ``(n, d)``, one row of ``d = d1 * d2 * d3``
+    entries per sample, and the sample count ``n`` must pass ``(n - 1) *
+    d / d_k >= d_k`` for every mode ``k``.
     With the mean estimated, the centred samples span at most ``n - 1``
     directions, so below this count the mode-``k`` Gram matrix cannot
     be definite.  The condition is necessary, not sufficient, for the
@@ -359,7 +361,7 @@ def _load_tnd_samples(path: Path) -> np.ndarray:
     is a :class:`ConfigError` naming ``path``.
     """
     keys = {"dims": "list[count]", "samples": "list[list[float]]"}
-    doc = read_object(load_json(path), f"{path}:", keys)
+    doc = read_json_object(path, keys)
     dims, samples = doc["dims"], doc["samples"]
     if len(dims) != 3:
         raise ConfigError(f"{path}: dims must be three positive integers")
@@ -503,17 +505,17 @@ def _write_stdout(text: str) -> None:
 def cmd_export_relationship(args) -> int:
     """Re-emit a stored relationship matrix as JSON or CSV.
 
-    The JSON form is the document as read, every value of it checked;
-    its ``layer`` must be ``--layer``."""
+    The JSON form is the checked values of the document, in its order,
+    the matrix written a row at a time; its ``layer`` must be
+    ``--layer``."""
     path = Path(args.model_dir) / f"relationship_{args.layer}.json"
-    doc = load_json(path)
     keys = {
         "schema_version": (RELATIONSHIP_SCHEMA_VERSION,),
         "layer": (args.layer,),
         "task_names": "list[str]",
         "correlation": "list[list[float]]",
     }
-    read = read_object(doc, f"{path}:", keys)
+    read = read_json_object(path, keys)
     names, corr = read["task_names"], read["correlation"]
     check_task_names(names, lambda msg: ConfigError(f"{path}: task_names: {msg}"))
     if corr.shape != (len(names), len(names)):
@@ -521,11 +523,11 @@ def cmd_export_relationship(args) -> int:
 
     rows = [["task", *names], *zip(names, corr)]
     if not args.out:
-        _write_stdout(dumps_json(doc) if args.format == "json" else csv_text(rows))
+        _write_stdout(dumps_json(read) if args.format == "json" else csv_text(rows))
         return EXIT_OK
     with output_errors(args.out):
         if args.format == "json":
-            dump_json(doc, args.out)
+            dump_json(read, args.out)
         else:
             write_csv_rows(args.out, rows)
     return EXIT_OK

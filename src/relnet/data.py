@@ -27,8 +27,8 @@ from .serialize import (
     InputError,
     check_task_names,
     dump_json,
-    load_json,
     open_text,
+    read_json_object,
     read_object,
     write_csv_rows,
 )
@@ -250,8 +250,9 @@ def load_manifest(path) -> MultiTaskDataset:
 
     The manifest lists task names and CSV paths (relative to its own
     directory) plus the class count; the feature dim, when present, is
-    validated against the loaded data.  The manifest and each of its
-    tasks are read by :func:`~relnet.serialize.read_object`, so an
+    validated against the loaded data.  The manifest is read by
+    :func:`~relnet.serialize.read_json_object` and each of its tasks by
+    :func:`~relnet.serialize.read_object`, so an
     unknown or missing key, or a value of the wrong JSON type, raises a
     :class:`~relnet.serialize.ConfigError` naming the manifest and the
     key path (``<manifest>: tasks[0].path must be a string, got 5``).
@@ -259,9 +260,8 @@ def load_manifest(path) -> MultiTaskDataset:
     ``<manifest>: <message of load_csv>``.
     """
     path = Path(path)
-    doc = read_object(
-        load_json(path),
-        f"{path}:",
+    doc = read_json_object(
+        path,
         {
             "schema_version": (MANIFEST_SCHEMA_VERSION,),
             "num_classes": "int",

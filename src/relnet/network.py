@@ -30,7 +30,7 @@ from .serialize import (
     ConfigError,
     check_task_names,
     dump_json,
-    load_json,
+    read_json_object,
     read_object,
 )
 from .tensor_normal import KronCovariance
@@ -626,7 +626,8 @@ def load_checkpoint(path) -> tuple:
     """Read a checkpoint of ``schema_version`` 1 or 2; returns ``(net,
     task_names)``.
 
-    The document, its ``stack`` and each layer are read by
+    The document is read by :func:`~relnet.serialize.read_json_object`,
+    and its ``stack`` and each layer by
     :func:`~relnet.serialize.read_object`, so every key is known and
     ``trunk``, ``stack.layers`` and ``stack.layer_ids`` are JSON lists
     of objects, objects and strings.  Dims and counts must be JSON
@@ -651,9 +652,7 @@ def load_checkpoint(path) -> tuple:
         "trunk": "list[dict]",
         "stack": "dict",
     }
-    doc = read_object(
-        load_json(path), f"{path}:", top, {"task_names": "list[str] | None"}
-    )
+    doc = read_json_object(path, top, {"task_names": "list[str] | None"})
     trunk = [
         DenseLayer(*_layer_from_doc(entry, f"{path}: trunk[{i}]", "relu"))
         for i, entry in enumerate(doc["trunk"])

@@ -21,15 +21,18 @@ Every CSV file is written by :func:`write_csv_rows`, as the text
 :func:`csv_text` gives, which is also the text the command line prints.
 
 Every input file is opened by :func:`open_text`, and every JSON document
-read by :func:`load_json`, which raise an :class:`InputError` naming the
-file; :func:`output_errors` does the same for the command line's
-outputs.  :func:`read_object` is the one rule for a JSON object of known
-keys, for the config and each of its sections, the manifest, the
-checkpoint, the ``tnd-fit`` samples and the relationship file; it checks
-each value with :func:`check_type`, the one JSON type rule: a
-``list[float]`` comes back as one float64 array, and a
+read by :func:`load_json` or :func:`read_json_object`, which raise an
+:class:`InputError` naming the file; :func:`output_errors` does the same
+for the command line's outputs.  :func:`read_object` is the one rule for
+a JSON object of known keys, for the config and each of its sections,
+the manifest, the checkpoint, the ``tnd-fit`` samples and the
+relationship file; it checks each value with :func:`check_type`, the one
+JSON type rule: a ``list[float]`` comes back as one float64 array, and a
 ``list[list[float]]`` as one 2-D float64 array, from a JSON list or an
-array object alike.
+array object alike.  :func:`read_json_object` applies it to a file's
+top-level object as it decodes the text, one value at a time, and a
+matrix one row at a time, so the file costs its text and the arrays,
+not a Python float per number.
 """
 
 from __future__ import annotations
@@ -54,6 +57,7 @@ __all__ = [
     "open_text",
     "output_errors",
     "load_json",
+    "read_json_object",
     "read_object",
     "check_type",
     "check_task_names",
@@ -239,18 +243,154 @@ def output_errors(path):
         raise InputError(f"{exc.filename or path}: {exc.strerror or exc}") from None
 
 
-def load_json(path):
-    """Parse the JSON file at ``path``; besides :func:`open_text`'s errors,
-    raises :class:`InputError` reading ``<path>: invalid JSON at line L
-    column C: <msg>`` when it does not parse."""
+@contextlib.contextmanager
+def _json_errors(path):
+    """Raise a parse failure of the enclosed decoding of ``path``'s text
+    as :class:`InputError`: ``<path>: invalid JSON at line L column C:
+    <msg>``, or ``<path>: invalid JSON: nested too deeply`` where the
+    decoder runs out of stack."""
     try:
-        with open_text(path) as fh:
-            return json.load(fh)
+        yield
     except json.JSONDecodeError as exc:
         raise InputError(
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: "
             f"{exc.msg}"
         ) from None
+    except RecursionError:
+        raise InputError(f"{path}: invalid JSON: nested too deeply") from None
+
+
+def load_json(path):
+    """Parse the JSON file at ``path``; besides :func:`open_text`'s errors,
+    a text that does not parse raises the :class:`InputError` of
+    :func:`_json_errors`."""
+    with open_text(path) as fh, _json_errors(path):
+        return json.load(fh)
+
+
+def read_json_object(path, required: dict, optional=None) -> dict:
+    """The JSON object of the file at ``path``, read as :func:`load_json`
+    and :func:`read_object` with ``where`` ``<path>:`` read it, with the
+    same values and the same first error, but value by value.
+
+    The text is decoded one top-level value at a time, and a
+    ``list[list[float]]`` value in list form one row at a time into one
+    float64 array (:func:`_float_matrix`), so the whole matrix never
+    exists as Python floats.  Invalid JSON anywhere in the text comes
+    ahead of any type error: a row's :class:`ConfigError` is held until
+    the text has parsed, and raised at its key's turn.
+    """
+    with open_text(path) as fh:
+        text = fh.read()
+    where = f"{path}:"
+    table = {**(optional or {}), **required}
+    with _json_errors(path):
+        try:
+            doc = _scan_document(text, where, table)
+        except json.JSONDecodeError:
+            # The scan stops at the first fault; ``json.loads`` names it
+            # with the message and position ``json.load`` gives.
+            json.loads(text)
+            raise
+    # An array object is decoded by the checks below: free the text first.
+    del text
+    return _read_object(doc, where, required, optional, _checked)
+
+
+_DECODER = json.JSONDecoder()
+_BLANKS = json.decoder.WHITESPACE.match
+# A key's colon, and the comma or bracket after a value, with the
+# blanks around them.
+_COLON = re.compile(r"[ \t\n\r]*:[ \t\n\r]*").match
+_AFTER = re.compile(r"[ \t\n\r]*([,\]}])[ \t\n\r]*").match
+
+
+def _scan_document(text: str, where: str, table: dict):
+    """The JSON document ``text``, parsed as ``json.loads`` parses it,
+    except that at the top level the value of each key whose annotation
+    in ``table`` is ``list[list[float]]`` and which is a JSON list comes
+    as :func:`_scan_matrix` gives it.  A fault raises a
+    ``json.JSONDecodeError`` at or before it."""
+    at = _BLANKS(text).end()
+    if text[at : at + 1] != "{":
+        doc, at = _DECODER.raw_decode(text, at)
+    else:
+        doc, at = {}, _BLANKS(text, at + 1).end()
+        closed = text[at : at + 1] == "}"
+        at += closed
+        while not closed:
+            if text[at : at + 1] != '"':
+                raise json.JSONDecodeError("Expecting property name", text, at)
+            key, at = json.decoder.scanstring(text, at + 1)
+            colon = _COLON(text, at)
+            if colon is None:
+                raise json.JSONDecodeError("Expecting ':' delimiter", text, at)
+            at = colon.end()
+            if table.get(key) == "list[list[float]]" and text[at : at + 1] == "[":
+                doc[key], at = _scan_matrix(text, at, f"{where} {key}")
+            else:
+                doc[key], at = _DECODER.raw_decode(text, at)
+            after = _AFTER(text, at)
+            if after is None or after[1] == "]":
+                raise json.JSONDecodeError("Expecting ',' delimiter", text, at)
+            at, closed = after.end(), after[1] == "}"
+    if _BLANKS(text, at).end() != len(text):
+        raise json.JSONDecodeError("Extra data", text, at)
+    return doc
+
+
+class _Rows:
+    """The items of the JSON list at ``text[at]``, decoded one at a time
+    by one iterator, which a second loop resumes; once they are all read,
+    ``end`` is the index after the list."""
+
+    def __init__(self, text: str, at: int):
+        self.end = None
+        self.items = self._scan(text, at)
+
+    def __iter__(self):
+        return self.items
+
+    def _scan(self, text: str, at: int):
+        decode = _DECODER.raw_decode
+        at = _BLANKS(text, at + 1).end()
+        if text[at : at + 1] == "]":
+            self.end = at + 1
+            return
+        while True:
+            row, at = decode(text, at)
+            yield row
+            after = _AFTER(text, at)
+            if after is None or after[1] == "}":
+                raise json.JSONDecodeError("Expecting ',' delimiter", text, at)
+            at = after.end()
+            if after[1] == "]":
+                self.end = at
+                return
+
+
+def _scan_matrix(text: str, at: int, where: str) -> tuple:
+    """``(value, end)`` of the JSON list at ``text[at]`` under the matrix
+    rule: the value is the array, or the :class:`ConfigError` of the
+    first bad row, after which the rest of the list is still parsed."""
+    rows = _Rows(text, at)
+    try:
+        value = _float_matrix(rows, where)
+    except ConfigError as exc:
+        value = exc
+        for _ in rows:
+            pass
+    return value, rows.end
+
+
+def _checked(value, kind, where: str):
+    """:func:`check_type`, except that a matrix :func:`_scan_document`
+    read row by row is its array already, or its held-back error."""
+    if isinstance(value, ConfigError):
+        raise value
+    if type(value) is np.ndarray:
+        return value
+    return check_type(value, kind, where)
 
 
 def read_object(doc, where: str, required: dict, optional=None) -> dict:
@@ -266,12 +406,17 @@ def read_object(doc, where: str, required: dict, optional=None) -> dict:
     :class:`ConfigError` naming ``where``.  Returns a new dict of the
     checked values.
     """
+    return _read_object(doc, where, required, optional, check_type)
+
+
+def _read_object(doc, where, required, optional, check) -> dict:
+    """:func:`read_object`, each value checked by ``check``."""
     name = where.removesuffix(":")
     check_type(doc, "dict", name)
     table = {**(optional or {}), **required}
     sep = " " if where.endswith(":") else "."
     read = {
-        key: check_type(value, table[key], f"{where}{sep}{key}")
+        key: check(value, table[key], f"{where}{sep}{key}")
         for key, value in doc.items()
         if key in table
     }
@@ -381,34 +526,65 @@ def _float_array(items: list, where: str) -> np.ndarray:
     )
 
 
-def _float_matrix(rows: list, where: str) -> np.ndarray:
-    """``rows`` as a ``(rows, columns)`` float64 array under the matrix
-    rule of :func:`check_type`, each row checked by :func:`_float_array`
-    and written in place.
+def _float_matrix(rows, where: str) -> np.ndarray:
+    """The iterable ``rows`` as a ``(rows, columns)`` float64 array under
+    the matrix rule of :func:`check_type`, read one row at a time.
 
-    The rows ahead of the first one that is not a list of row 0's
-    length are checked before it is named, and only those are
-    converted, so the array is never larger than the input.
+    A list of row 0's length whose items are all ``int`` or ``float`` is
+    written straight into one array, which doubles its rows as it fills
+    and is trimmed at the end; one finiteness check then covers them
+    all.  The first other row, or one that overflows, ends the read:
+    :func:`_bad_row` names the first bad entry of the rows ahead of it,
+    or else the row itself, so no row after it is read.
     """
-    width = len(rows[0]) if rows and type(rows[0]) is list else 0
-    fits = next(
-        (i for i, row in enumerate(rows) if type(row) is not list or len(row) != width),
-        len(rows),
-    )
-    out = np.empty((fits, width))
-    for i in range(fits):
-        out[i] = _float_array(rows[i], f"{where}[{i}]")
-    if fits < len(rows):
-        bad = rows[fits]
-        if type(bad) is not list:
-            raise ConfigError(f"{where}[{fits}] must be a list, got {_shown(bad)}")
+    out, n = np.empty((0, 0)), 0
+    for row in rows:
+        if (
+            type(row) is not list
+            or (n and len(row) != out.shape[1])
+            or not set(map(type, row)) <= {int, float}
+        ):
+            _bad_row(out[:n], row, where)
+        if n == 0:
+            out = np.empty((1, len(row)))
+        elif n == len(out):
+            out.resize((2 * n, out.shape[1]), refcheck=False)
+        try:
+            out[n] = row
+        except OverflowError:
+            _bad_row(out[:n], row, where)
+        n += 1
+    _check_finite_rows(out[:n], where)
+    out.resize((n, out.shape[1]), refcheck=False)
+    return out
+
+
+def _bad_row(head: np.ndarray, row, where: str):
+    """Raise the :class:`ConfigError` of the matrix whose rows so far are
+    ``head`` and whose next row ``row`` does not fit: the first
+    non-finite entry of ``head``, or else ``row``'s own fault."""
+    _check_finite_rows(head, where)
+    i = len(head)
+    if type(row) is not list:
+        raise ConfigError(f"{where}[{i}] must be a list, got {_shown(row)}")
+    if i and len(row) != head.shape[1]:
         # Row 0 is named by its key path alone: ``where`` may start with
         # a file name, which the message already gives.
         first = where.rpartition(": ")[2]
         raise ConfigError(
-            f"{where}[{fits}] has {len(bad)} entries, {first}[0] has {width}"
+            f"{where}[{i}] has {len(row)} entries, {first}[0] has {head.shape[1]}"
         )
-    return out
+    _float_array(row, f"{where}[{i}]")
+    raise AssertionError(f"{where}[{i}] passes the float rule")
+
+
+def _check_finite_rows(rows: np.ndarray, where: str) -> None:
+    """Name the first non-finite entry of the 2-D array ``rows``, row
+    by row, as the ``float`` rule does."""
+    finite = np.isfinite(rows)
+    if not finite.all():
+        i, j = divmod(int(np.argmin(finite)), rows.shape[1])
+        check_type(float(rows[i, j]), "float", f"{where}[{i}] entry {j}")
 
 
 def _decode_array(obj: dict, where: str, ndim=None) -> np.ndarray:

@@ -17,6 +17,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 from unittest import mock
@@ -622,6 +623,15 @@ class TestExportRelationship:
         lines = capsys.readouterr().out.strip().split("\n")
         assert lines[1] == "a,1,0"
         assert lines[2] == "b,0,1"
+
+    def test_json_export_writes_an_array_object_matrix_as_lists(self, tmp_path, capsys):
+        """The JSON form is the checked document: a ``correlation`` read
+        from an array object is written as the rows a trained model's
+        file holds."""
+        argv = with_relationship(array_object(np.eye(2)))(tmp_path)
+        assert main([*argv[:-1], "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["correlation"] == [[1, 0], [0, 1]]
 
     def test_csv_out_is_utf8_under_the_c_locale(self, tmp_path):
         """``--format csv --out`` writes UTF-8 even where the locale's
@@ -1300,9 +1310,38 @@ def with_stack_ids(ids, layer_ids):
     return setup
 
 
+def with_text(name, text):
+    """A ``train`` command on a config, or a ``tnd-fit`` command on a
+    samples file, whose file ``name`` holds ``text``."""
+
+    def setup(tmp_path):
+        path = tmp_path / name
+        path.write_text(text)
+        if name == "samples.json":
+            return ["tnd-fit", "--input", str(path), "--out", str(tmp_path / "o.json")]
+        return ["train", "--config", str(path)]
+
+    return setup
+
+
+# JSON nested deeper than the decoder's stack allows.
+DEEP = "[" * 100_000 + "]" * 100_000
+
 # Rejections shown with their whole message; ``{tmp}`` is the test's
 # working directory.
 REJECTED_IN_FULL = {
+    "config_nested_too_deeply": (
+        with_text("config.json", '{"schema_version": 1, "variant": ' + DEEP + "}"),
+        "{tmp}/config.json: invalid JSON: nested too deeply",
+    ),
+    "manifest_nested_too_deeply": (
+        with_manifest("train", '{"schema_version": 1, "tasks": ' + DEEP + "}"),
+        "{tmp}/manifest.json: invalid JSON: nested too deeply",
+    ),
+    "samples_nested_too_deeply": (
+        with_text("samples.json", '{"dims": [1, 1, 1], "samples": ' + DEEP + "}"),
+        "{tmp}/samples.json: invalid JSON: nested too deeply",
+    ),
     "split_of_synthetic_data": (
         with_field("split", {"train_fraction": 0.5}),
         "config.split: splits apply to manifest data only; synthetic data "
@@ -1366,6 +1405,36 @@ def test_rejection_exits_usage_with_its_message(case, tmp_path, capsys):
     assert main(argv) == 1
     want = f"relnet {argv[0]}: {message.format(tmp=tmp_path)}\n"
     assert capsys.readouterr().err == want
+
+
+def traced_peak(read, path):
+    """``(read(path), peak traced allocation in bytes while it ran)``."""
+    tracemalloc.start()
+    try:
+        got = read(path)
+        return got, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_reading_samples_holds_their_text_and_one_array(tmp_path):
+    """Reading a samples file of at least 4 MB peaks at no more than twice
+    its size plus 1 MB of traced allocations: the file's bytes and its
+    text, not one Python float per number.  The same samples as an array
+    object peak below four times that file's size: its base64 text, its
+    bytes and their re-encoding, once the file's text is let go."""
+    samples = np.random.default_rng(3).standard_normal((440, 512))
+    lists, binary = tmp_path / "lists.json", tmp_path / "binary.json"
+    lists.write_text(json.dumps({"dims": [8, 8, 8], "samples": samples.tolist()}))
+    binary.write_text(json.dumps({"dims": [8, 8, 8], "samples": array_object(samples)}))
+    size = lists.stat().st_size
+    assert size >= 4 * 2**20
+    got, peak = traced_peak(_load_tnd_samples, lists)
+    assert got.tobytes() == samples.tobytes()
+    assert peak <= 2 * size + 2**20, f"peak {peak} B for a file of {size} B"
+    got, peak = traced_peak(_load_tnd_samples, binary)
+    assert got.tobytes() == samples.tobytes()
+    assert peak <= 4 * binary.stat().st_size, f"peak {peak} B"
 
 
 def test_tnd_fit_checks_its_output_before_the_fit(tmp_path, capsys, monkeypatch):

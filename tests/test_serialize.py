@@ -4,6 +4,7 @@ matrix rule on lists and array objects, and the binary array object
 against its bytes."""
 
 import json
+import math
 import sys
 import tempfile
 from pathlib import Path
@@ -19,12 +20,16 @@ from relnet.network import init_network, load_checkpoint, save_checkpoint
 from relnet.serialize import (
     BinaryArray,
     ConfigError,
+    InputError,
     check_task_names,
     check_type,
     dump_json,
     dumps_json,
     format_float,
     format_floats,
+    load_json,
+    read_json_object,
+    read_object,
 )
 
 EDGE_VALUES = [
@@ -362,3 +367,208 @@ def test_task_name_rule_rejects_commas_and_control_characters(name):
     else:
         with pytest.raises(ValueError, match="^bad task name"):
             check_task_names([name])
+
+
+# --------------------------------------------------------------------------
+# read_json_object against json.loads followed by read_object
+
+
+class Raw(str):
+    """A JSON token written as it is, such as ``1e400``."""
+
+
+class Pairs(list):
+    """A JSON object as its ``(key, value)`` pairs, so a key may repeat."""
+
+
+NUMBERS = st.one_of(
+    FINITE,
+    st.integers(-(10**20), 10**20),
+    st.sampled_from([Raw("-0"), Raw("1E2"), Raw("1e400"), Raw("-1e400"), 10**400]),
+)
+# Items that break the float rule inside a row.
+NOT_FLOATS = st.sampled_from(
+    ["4", True, None, float("nan"), float("inf"), [1.0], Pairs([("a", 1)])]
+)
+ROW_ITEMS = st.one_of(NUMBERS, NUMBERS, NUMBERS, NOT_FLOATS)
+# What stands where a row should: rarely not a list at all.
+ROW_ERRORS = st.sampled_from([5, "x", None, Pairs([("a", 1)])])
+
+
+@st.composite
+def matrix_values(draw):
+    """A ``list[list[float]]`` value: a list of rows, mostly of one width,
+    or an array object, or another JSON value."""
+    kind = draw(st.sampled_from(["rows", "rows", "rows", "object", "other"]))
+    if kind == "object":
+        shape = draw(st.sampled_from([(2, 3), (0, 0), (3,), (1, 1)]))
+        value = array_object(np.arange(math.prod(shape), dtype=float).reshape(shape))
+        if draw(st.booleans()):
+            value["base64"] = draw(st.sampled_from(["", "AAAA", "x"]))
+        return Pairs(value.items())
+    if kind == "other":
+        return draw(st.sampled_from(["x", 1.5, None, Pairs([])]))
+    return draw(row_lists())
+
+
+@st.composite
+def row_lists(draw):
+    """A list of rows of numbers, mostly of one width, some of them
+    holding an item that is not a finite number, or not a list."""
+    width = draw(st.integers(0, 4))
+    rows = []
+    for _ in range(draw(st.integers(0, 5))):
+        if draw(st.integers(0, 15)) == 0:
+            rows.append(draw(ROW_ERRORS))
+            continue
+        size = width + draw(st.sampled_from([0] * 8 + [-1, 1]))
+        items = NUMBERS if draw(st.integers(0, 3)) else ROW_ITEMS
+        rows.append(draw(st.lists(items, min_size=max(size, 0), max_size=max(size, 0))))
+    return rows
+
+
+def first_fault(rows) -> str | None:
+    """The matrix rule spelled out: the first row that is not a list or
+    not of row 0's length, or the first entry that breaks the float
+    rule, whichever comes first in row order."""
+    for i, row in enumerate(rows):
+        if type(row) is not list:
+            return f"m[{i}] must be a list, got "
+        if len(row) != len(rows[0]):
+            return f"m[{i}] has {len(row)} entries, m[0] has {len(rows[0])}"
+        for j, v in enumerate(row):
+            if _rejects(v):
+                return f"m[{i}] entry {j} must be a finite number, got "
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_matrix_rule_reads_rows_in_order(data):
+    """Read one row at a time, a list of rows gives the array of its
+    numbers, or names its first fault in row order."""
+    rows = json.loads(render(data.draw, data.draw(row_lists())))
+    fault = first_fault(rows)
+    if fault is None:
+        got = check_type(rows, "list[list[float]]", "m")
+        want = np.array(rows, dtype=float).reshape(len(rows), -1 if rows else 0)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        return
+    with pytest.raises(ConfigError) as exc:
+        check_type(rows, "list[list[float]]", "m")
+    assert str(exc.value).startswith(fault)
+
+
+# Field annotations of the documents drawn below, and values for each
+# key: mostly of the key's type.
+REQUIRED = {"dims": "list[count]", "samples": "list[list[float]]"}
+OPTIONAL = {"w": "list[float]", "note": "str | None", "mode": ("a", 1)}
+OTHER_VALUES = st.one_of(
+    st.lists(st.integers(-1, 4), max_size=3),
+    st.sampled_from(["a", 1, None, True, 2.5, "é "]),
+    st.lists(NUMBERS, max_size=3),
+)
+FIELD_VALUES = {
+    "dims": st.lists(st.integers(1, 4), max_size=3),
+    "samples": matrix_values(),
+    "w": st.lists(NUMBERS, max_size=3),
+    "note": st.one_of(st.text(max_size=3), st.none()),
+    "mode": st.sampled_from(["a", 1]),
+    "other": OTHER_VALUES,
+}
+
+
+@st.composite
+def documents(draw):
+    """A top-level object: mostly the required keys and some others, in
+    any order, some repeated or unknown, rarely with a value of another
+    type; or, rarely, another JSON value."""
+    if draw(st.integers(0, 20)) == 0:
+        return draw(st.sampled_from([[1, 2], "x", 3, None, [[1.0]]]))
+    keys = draw(st.sampled_from([["dims", "samples"]] * 4 + [[]]))
+    keys += draw(st.lists(st.sampled_from(sorted(FIELD_VALUES)), max_size=3))
+    return Pairs(
+        (key, draw(OTHER_VALUES if draw(st.integers(0, 9)) == 0 else FIELD_VALUES[key]))
+        for key in draw(st.permutations(keys))
+    )
+
+
+BLANKS = st.sampled_from(["", "", "", " ", "\n", "\t", "\r\n ", " \t"])
+
+
+def render(draw, value) -> str:
+    """``value`` as JSON text with blanks drawn between its tokens."""
+    def gap(text):
+        return draw(BLANKS) + text + draw(BLANKS)
+
+    if isinstance(value, Raw):
+        return value
+    if isinstance(value, Pairs):
+        items = [gap(json.dumps(k)) + ":" + gap(render(draw, v)) for k, v in value]
+        return "{" + (",".join(items) if items else draw(BLANKS)) + "}"
+    if isinstance(value, list):
+        items = [gap(render(draw, v)) for v in value]
+        return "[" + (",".join(items) if items else draw(BLANKS)) + "]"
+    return json.dumps(value, ensure_ascii=draw(st.booleans()))
+
+
+@st.composite
+def document_texts(draw):
+    """The text of a drawn document, valid or with one fault: a character
+    inserted, dropped or cut off anywhere, or a fault after the last
+    value, behind any bad row of the matrix."""
+    text = draw(BLANKS) + render(draw, draw(documents())) + draw(BLANKS)
+    fault = draw(st.sampled_from(["none", "none", "insert", "drop", "cut", "tail"]))
+    at = draw(st.integers(0, len(text)))
+    if fault == "insert":
+        text = text[:at] + draw(st.sampled_from(list(',:[]{}"x1 \n\x01'))) + text[at:]
+    elif fault == "drop":
+        text = text[:at] + text[at + 1 :]
+    elif fault == "cut":
+        text = text[:at]
+    elif fault == "tail":
+        text = text.rstrip(" \t\n\r")[:-1] + draw(st.sampled_from(["", "x", ",", "}}"]))
+    return draw(st.sampled_from(["", "", "", "\ufeff"])) + text
+
+
+def outcome(read, path):
+    """``read(path)``'s values, arrays as their dtype, shape and bytes, or
+    its exception's type and message."""
+    try:
+        got = read(path)
+    except InputError as exc:
+        return type(exc), str(exc)
+    return [
+        (k, (v.dtype, v.shape, v.tobytes()) if isinstance(v, np.ndarray) else v)
+        for k, v in got.items()
+    ]
+
+
+@pytest.fixture(scope="module")
+def doc_path(tmp_path_factory):
+    """One file for every example: a directory per example is slow to
+    remove on some file systems."""
+    return tmp_path_factory.mktemp("read") / "doc.json"
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=document_texts())
+@example('{"dims": [2], "samples": [[1, 2], [3], "x"], "w": [1.0]}')
+@example('{"samples": [[1, "2"]], "dims": [1, 1, 1], "samples": [[1, 2]]}')
+@example('{"samples": [[1, 2], [3, "4"]], "dims": [1]')
+@example('{"samples": [[1, NaN], 5], "dims": [1]} x')
+@example('{"samples": [[1], [2]],}')
+@example('{"samples": [[1], [2],], "dims": [1]}')
+@example('{"samples": [[1]], "dims": [1] ')
+@example('{"samples" [[1]]}')
+@example('\ufeff{"dims": [1]}')
+def test_read_json_object_reads_as_json_loads_and_read_object(doc_path, text):
+    """The value-by-value reader gives the arrays and values that parsing
+    the whole text and then checking it give, or the same error: a
+    syntax error anywhere ahead of a bad row, and a bad row at its key's
+    turn."""
+    doc_path.write_text(text, encoding="utf-8")
+    want = outcome(
+        lambda p: read_object(load_json(p), f"{p}:", REQUIRED, OPTIONAL), doc_path
+    )
+    assert outcome(lambda p: read_json_object(p, REQUIRED, OPTIONAL), doc_path) == want

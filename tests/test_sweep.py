@@ -2,11 +2,14 @@
 train`` runs."""
 
 import argparse
+import hashlib
 import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "sweep.py"
@@ -93,3 +96,25 @@ def test_failed_run_reads_its_exit_code_and_error():
     assert row[:9] == ["| 1e6", "1", "7", "3", "3", "-", "-", "-", "-"]
     assert row[9].startswith("relnet train: numeric failure: ")
     assert "after epoch 0:" in row[9]
+
+
+def test_long_value_prints_as_a_short_label():
+    """A null run on ``train-manytask`` sets its 40×40
+    ``task_covariance`` to the identity: the table cell is the value's
+    first 16 characters, ``…`` and 8 hex digits of its SHA-256, the same
+    in every sweep, and another matrix gets another label."""
+    identity = json.dumps(np.eye(40).tolist())
+    _, [value] = sweep.setting("data.synthetic.task_covariance=" + identity)
+    digest = hashlib.sha256(value.encode()).hexdigest()[:8]
+    assert sweep.label(value) == "[[1.0, 0.0, 0.0,…" + digest
+    scaled = json.dumps((2 * np.eye(40)).tolist())
+    assert sweep.label(scaled) != sweep.label(value)
+    assert sweep.label(scaled[:32]) == scaled[:32]
+    assert len(sweep.label(scaled[:33])) == 25
+    argv = [sys.executable, str(TOOL), "train-manytask",
+            "--set", "data.synthetic.task_covariance=" + identity,
+            "--set", "train.epochs=1", "--seeds", "3", "--data-seeds", "7"]
+    run = subprocess.run(argv, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    _, _, row = [line.split(" | ") for line in run.stdout.splitlines()]
+    assert row[:5] == ["| " + sweep.label(value), "1", "7", "3", "0"]

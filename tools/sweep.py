@@ -16,7 +16,10 @@ training seed (``train.seed``, default 0).  The values are JSON texts
 split at the commas between them, so a list or a matrix is one value:
 ``--set 'model.trunk_widths=[],[64,32]'`` is two, and strings are
 quoted, ``--set 'train.lr_schedule="inv","constant"'``.  The table shows
-each value as written; whitespace around a value is dropped.  Seeds are
+each value as written, without the whitespace around it, up to 32
+characters; a longer one, such as a matrix, as its first 16 characters,
+``…`` and the first 8 hex digits of the SHA-256 of its whole text, so
+distinct values keep distinct labels.  Seeds are
 lists like ``1,4,7`` or ascending ranges like ``1-12``.  Malformed
 values and empty ranges are argument errors (exit 2).
 
@@ -34,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import hashlib
 import importlib.util
 import itertools
 import json
@@ -151,6 +155,13 @@ class Runner:
         return self.results[text]
 
 
+def label(value: str) -> str:
+    """The JSON value text ``value`` as the table shows it."""
+    if len(value) <= 32:
+        return value
+    return value[:16] + "…" + hashlib.sha256(value.encode()).hexdigest()[:8]
+
+
 def figure(value) -> str:
     return "-" if value is None else f"{value:.4f}"
 
@@ -177,8 +188,8 @@ def sweep(name: str, settings: list, seeds: list, data_seeds: list) -> str:
                         configured(base, [*fixed, ("train.prior_weight", "0")])
                     )
                     rows.append([
-                        *values, str(data_seed), str(seed), str(code), figure(acc),
-                        figure(gap), figure(acc0), figure(gap0), message,
+                        *map(label, values), str(data_seed), str(seed), str(code),
+                        figure(acc), figure(gap), figure(acc0), figure(gap0), message,
                     ])
     return "\n".join("| " + " | ".join(row) + " |" for row in rows) + "\n"
 
