@@ -358,7 +358,8 @@ def fold_scores(net: MultiTaskNet, data) -> tuple:
     to the lower class index.  Each task
     costs one :func:`logits` call; the labels are then checked once, and
     one log-sum-exp, one label pick and one argmax run over the
-    concatenated logits.  Each task's loss sums its slice of the row
+    concatenated logits, the row maximum and the argmax column by column
+    (:func:`_row_argmax`).  Each task's loss sums its slice of the row
     losses, in task order.
     """
     z = [logits(net, t, x) for t, x in enumerate(data.features)]
@@ -378,8 +379,22 @@ def fold_scores(net: MultiTaskNet, data) -> tuple:
     starts = ends - sizes
     # np.add.reduce is np.sum without its per-call wrapper: the same sum.
     losses = tuple(float(np.add.reduce(row_losses[a:b])) for a, b in zip(starts, ends))
-    hits = np.add.reduceat(np.argmax(z, axis=1) == y, starts, dtype=int)
+    hits = np.add.reduceat(_row_argmax(z, m) == y, starts, dtype=int)
     return losses, tuple((hits / sizes).tolist())
+
+
+def _row_argmax(z: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """``np.argmax(z, axis=1)`` of the 2-D ``z`` whose row maxima are
+    ``m`` (NaN in a row that holds one), column by column: the lowest
+    column that equals ``m``, and ``np.argmax``'s first NaN in a row
+    that holds one."""
+    arg = np.zeros(len(z), dtype=np.intp)
+    for j in range(z.shape[1] - 1, -1, -1):
+        np.putmask(arg, z[:, j] == m, j)
+    nan = np.isnan(m)
+    if nan.any():
+        arg[nan] = np.argmax(z[nan], axis=1)
+    return arg
 
 
 def batch_gradients(net: MultiTaskNet, tasks, x, labels) -> Gradients:

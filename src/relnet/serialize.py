@@ -30,9 +30,10 @@ relationship file; it checks each value with :func:`check_type`, the one
 JSON type rule: a ``list[float]`` comes back as one float64 array, and a
 ``list[list[float]]`` as one 2-D float64 array, from a JSON list or an
 array object alike.  :func:`read_json_object` applies it to a file's
-top-level object as it decodes the text, one value at a time, and a
-matrix one row at a time, so the file costs its text and the arrays,
-not a Python float per number.
+top-level object as it reads the file through a bounded window of its
+text, one value at a time, and a matrix one row at a time, so the file
+costs the window and the arrays, not its whole text or a Python float
+per number.
 """
 
 from __future__ import annotations
@@ -271,109 +272,216 @@ def load_json(path):
 def read_json_object(path, required: dict, optional=None) -> dict:
     """The JSON object of the file at ``path``, read as :func:`load_json`
     and :func:`read_object` with ``where`` ``<path>:`` read it, with the
-    same values and the same first error, but value by value.
+    same values and the same first error, but value by value through a
+    bounded window of the text.
 
-    The text is decoded one top-level value at a time, and a
-    ``list[list[float]]`` value in list form one row at a time into one
-    float64 array (:func:`_float_matrix`), so the whole matrix never
-    exists as Python floats.  Invalid JSON anywhere in the text comes
+    The file is read ``_CHUNK`` characters at a time into a window
+    (:class:`_Window`) that drops the text the scan has passed, and is
+    decoded one top-level value at a time; a ``list[list[float]]`` value
+    in list form is decoded one row at a time into one float64 array
+    (:func:`_float_matrix`), so neither the whole text nor the matrix as
+    Python floats ever exists.  Invalid JSON anywhere in the text comes
     ahead of any type error: a row's :class:`ConfigError` is held until
-    the text has parsed, and raised at its key's turn.
+    the text has parsed, and raised at its key's turn.  On a fault the
+    file is read again whole by :func:`load_json`, which names it as
+    before: a byte that is not UTF-8 first, wherever it is, then the
+    JSON error with ``json.load``'s message and position.
     """
-    with open_text(path) as fh:
-        text = fh.read()
     where = f"{path}:"
     table = {**(optional or {}), **required}
     with _json_errors(path):
         try:
-            doc = _scan_document(text, where, table)
-        except json.JSONDecodeError:
-            # The scan stops at the first fault; ``json.loads`` names it
-            # with the message and position ``json.load`` gives.
-            json.loads(text)
+            with open_text(path) as fh:
+                doc = _scan_document(_Window(fh), where, table)
+        except (json.JSONDecodeError, RecursionError):
+            # The scan stops at the first fault, and its positions count
+            # from the window: ``load_json`` names the fault instead.
+            load_json(path)
             raise
-    # An array object is decoded by the checks below: free the text first.
-    del text
     return _read_object(doc, where, required, optional, _checked)
 
 
 _DECODER = json.JSONDecoder()
 _BLANKS = json.decoder.WHITESPACE.match
-# A key's colon, and the comma or bracket after a value, with the
-# blanks around them.
-_COLON = re.compile(r"[ \t\n\r]*:[ \t\n\r]*").match
+# The comma or bracket after a row, with the blanks around it.
 _AFTER = re.compile(r"[ \t\n\r]*([,\]}])[ \t\n\r]*").match
+# Characters read into the window at a time.  A large chunk costs peak
+# memory, since the C heap keeps what it freed, and a small one costs
+# refills.
+_CHUNK = 1 << 17
+# The character that may end a JSON value, by the value's first one:
+# the window must hold one after the value's start before it is decoded.
+_CLOSERS = {
+    '"': re.compile('"').search,
+    "[": re.compile(r"\]").search,
+    "{": re.compile("}").search,
+}
+_SCALAR_END = re.compile(r"[,\]}]").search
 
 
-def _scan_document(text: str, where: str, table: dict):
-    """The JSON document ``text``, parsed as ``json.loads`` parses it,
-    except that at the top level the value of each key whose annotation
-    in ``table`` is ``list[list[float]]`` and which is a JSON list comes
-    as :func:`_scan_matrix` gives it.  A fault raises a
+class _Window:
+    """The text of the open file ``fh``, read through a window.
+
+    ``text`` holds the part of the file the scan is in, and the scan's
+    positions index it.  Each refill drops the text before the scan's
+    position and appends the next characters of the file, so a refill
+    copies only the unread tail, and ``eof`` is true once ``text`` runs
+    to the end of the file.  The methods that read ahead return the new
+    index of the position they were given.
+    """
+
+    def __init__(self, fh):
+        self.fh, self.text, self.eof = fh, "", False
+
+    def extend(self, at: int, least: int = 0) -> int:
+        """Drop ``text`` before ``at`` and append at least ``least``
+        characters, and at least ``_CHUNK``, unless the file ends."""
+        piece = self.fh.read(max(_CHUNK, least))
+        self.eof = not piece
+        self.text = self.text[at:] + piece
+        return 0
+
+    def hold(self, at: int, search) -> int:
+        """Read ahead until ``search`` finds a match in ``text`` after
+        ``at``, or the file ends."""
+        if self.eof or search(self.text, at + 1):
+            return at
+        pieces = [self.text[at:]]
+        while not self.eof:
+            pieces.append(self.fh.read(_CHUNK))
+            self.eof = not pieces[-1]
+            if search(pieces[-1]):
+                break
+        self.text = "".join(pieces)
+        return 0
+
+    def skip(self, at: int) -> int:
+        """The index of the first non-blank character at or after
+        ``at``, or of the end of the file."""
+        at = _BLANKS(self.text, at).end()
+        while at == len(self.text) and not self.eof:
+            at = self.extend(at)
+            at = _BLANKS(self.text, at).end()
+        return at
+
+    def token(self, at: int) -> tuple:
+        """``(c, end)``: the first non-blank character at or after
+        ``at`` (``""`` at the end of the file), and the index of the
+        first non-blank character after it."""
+        at = self.skip(at)
+        c = self.text[at : at + 1]
+        return c, self.skip(at + len(c))
+
+    def parse(self, parse, at: int, search=None) -> tuple:
+        """``parse(text, at)`` once the window holds a match of
+        ``search`` after ``at`` (by default the closer of the value that
+        starts there).  A parse that fails before the end of the file is
+        run again on a window of twice the unread text, so a value is
+        never cut short: a cut one fails, except for a number, which the
+        closer keeps whole."""
+        if search is None:
+            search = _CLOSERS.get(self.text[at : at + 1], _SCALAR_END)
+        at = self.hold(at, search)
+        while True:
+            try:
+                return parse(self.text, at)
+            except json.JSONDecodeError:
+                if self.eof:
+                    raise
+            at = self.extend(at, len(self.text) - at)
+
+
+def _key(text: str, at: int) -> tuple:
+    """``(key, end)`` of the JSON string at ``text[at]``."""
+    return json.decoder.scanstring(text, at + 1)
+
+
+def _scan_document(window: _Window, where: str, table: dict):
+    """The JSON document in ``window``, parsed as ``json.loads`` parses
+    it, except that at the top level the value of each key whose
+    annotation in ``table`` is ``list[list[float]]`` and which is a JSON
+    list comes as :func:`_scan_matrix` gives it.  A fault raises a
     ``json.JSONDecodeError`` at or before it."""
-    at = _BLANKS(text).end()
-    if text[at : at + 1] != "{":
-        doc, at = _DECODER.raw_decode(text, at)
+    at = window.skip(0)
+    if window.text[at : at + 1] != "{":
+        doc, at = window.parse(_DECODER.raw_decode, at)
+        at = window.skip(at)
     else:
-        doc, at = {}, _BLANKS(text, at + 1).end()
-        closed = text[at : at + 1] == "}"
-        at += closed
+        at = window.skip(at + 1)
+        doc, closed = {}, window.text[at : at + 1] == "}"
+        at = window.skip(at + closed)
         while not closed:
-            if text[at : at + 1] != '"':
-                raise json.JSONDecodeError("Expecting property name", text, at)
-            key, at = json.decoder.scanstring(text, at + 1)
-            colon = _COLON(text, at)
-            if colon is None:
-                raise json.JSONDecodeError("Expecting ':' delimiter", text, at)
-            at = colon.end()
-            if table.get(key) == "list[list[float]]" and text[at : at + 1] == "[":
-                doc[key], at = _scan_matrix(text, at, f"{where} {key}")
+            if window.text[at : at + 1] != '"':
+                raise json.JSONDecodeError("Expecting property name", window.text, at)
+            key, at = window.parse(_key, at)
+            c, at = window.token(at)
+            if c != ":":
+                raise json.JSONDecodeError("Expecting ':' delimiter", window.text, at)
+            if table.get(key) == "list[list[float]]" and window.text[at : at + 1] == "[":
+                doc[key], at = _scan_matrix(window, at, f"{where} {key}")
             else:
-                doc[key], at = _DECODER.raw_decode(text, at)
-            after = _AFTER(text, at)
-            if after is None or after[1] == "]":
-                raise json.JSONDecodeError("Expecting ',' delimiter", text, at)
-            at, closed = after.end(), after[1] == "}"
-    if _BLANKS(text, at).end() != len(text):
-        raise json.JSONDecodeError("Extra data", text, at)
+                doc[key], at = window.parse(_DECODER.raw_decode, at)
+            c, at = window.token(at)
+            if c not in (",", "}"):
+                raise json.JSONDecodeError("Expecting ',' delimiter", window.text, at)
+            closed = c == "}"
+    if at != len(window.text):
+        raise json.JSONDecodeError("Extra data", window.text, at)
     return doc
 
 
 class _Rows:
-    """The items of the JSON list at ``text[at]``, decoded one at a time
-    by one iterator, which a second loop resumes; once they are all read,
-    ``end`` is the index after the list."""
+    """The items of the JSON list at ``window.text[at]``, decoded one at
+    a time by one iterator, which a second loop resumes; once they are
+    all read, ``end`` is the index of the first non-blank character
+    after the list.
 
-    def __init__(self, text: str, at: int):
+    Before a row is decoded the window holds a ``]`` after its start, so
+    a list row, and any number, is whole and decoded once."""
+
+    def __init__(self, window: _Window, at: int):
         self.end = None
-        self.items = self._scan(text, at)
+        self.items = self._scan(window, at)
 
     def __iter__(self):
         return self.items
 
-    def _scan(self, text: str, at: int):
+    def _scan(self, window: _Window, at: int):
         decode = _DECODER.raw_decode
-        at = _BLANKS(text, at + 1).end()
-        if text[at : at + 1] == "]":
-            self.end = at + 1
+        at = window.skip(at + 1)
+        if window.text[at : at + 1] == "]":
+            self.end = window.skip(at + 1)
             return
+        text = window.text
         while True:
-            row, at = decode(text, at)
+            if text.find("]", at) < 0:
+                at = window.hold(at, _CLOSERS["["])
+                text = window.text
+            try:
+                row, at = decode(text, at)
+            except json.JSONDecodeError:
+                row, at = window.parse(decode, at, _CLOSERS["["])
+                text = window.text
             yield row
             after = _AFTER(text, at)
-            if after is None or after[1] == "}":
+            if after is None or after.end() == len(text):
+                c, at = window.token(at)
+                text = window.text
+            else:
+                c, at = after[1], after.end()
+            if c not in (",", "]"):
                 raise json.JSONDecodeError("Expecting ',' delimiter", text, at)
-            at = after.end()
-            if after[1] == "]":
+            if c == "]":
                 self.end = at
                 return
 
 
-def _scan_matrix(text: str, at: int, where: str) -> tuple:
-    """``(value, end)`` of the JSON list at ``text[at]`` under the matrix
-    rule: the value is the array, or the :class:`ConfigError` of the
-    first bad row, after which the rest of the list is still parsed."""
-    rows = _Rows(text, at)
+def _scan_matrix(window: _Window, at: int, where: str) -> tuple:
+    """``(value, end)`` of the JSON list at ``window.text[at]`` under
+    the matrix rule: the value is the array, or the :class:`ConfigError`
+    of the first bad row, after which the rest of the list is still
+    parsed."""
+    rows = _Rows(window, at)
     try:
         value = _float_matrix(rows, where)
     except ConfigError as exc:
@@ -604,9 +712,7 @@ def _decode_array(obj: dict, where: str, ndim=None) -> np.ndarray:
         raw = base64.b64decode(text, validate=True)
     except ValueError as exc:
         raise ConfigError(f"{where}.base64 is not base64: {exc}") from None
-    # ``b64decode`` also takes excess padding after a full quantum and
-    # non-zero unused bits; only the standard spelling of ``raw`` passes.
-    if base64.b64encode(raw) != text.encode("ascii"):
+    if not _standard_base64(text, raw):
         raise ConfigError(
             f"{where}.base64 is not base64: not the standard encoding of its bytes"
         )
@@ -625,6 +731,22 @@ def _decode_array(obj: dict, where: str, ndim=None) -> np.ndarray:
         j = int(np.argmin(finite))
         check_type(float(arr.flat[j]), "float", f"{where} entry {j}")
     return arr
+
+
+def _standard_base64(text: str, raw: bytes) -> bool:
+    """Whether ``text``, which ``b64decode(..., validate=True)`` took for
+    ``raw``, is the standard base64 of ``raw``, as ``b64encode(raw)``
+    spells it, without encoding ``raw`` again.
+
+    The strict decoder takes only the alphabet and trailing padding, and
+    every full quantum before the last is then standard; it also takes
+    excess padding after a full quantum and non-zero unused bits in the
+    last one.  So the length and the last quantum decide.
+    """
+    if len(text) != 4 * -(-len(raw) // 3):
+        return False
+    last = raw[-(len(raw) % 3 or 3) :]
+    return text[-4:] == base64.b64encode(last).decode("ascii")
 
 
 # A comma splits a CSV cell; a control character (below U+0020, or

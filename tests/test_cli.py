@@ -1437,6 +1437,26 @@ def test_reading_samples_holds_their_text_and_one_array(tmp_path):
     assert peak <= 4 * binary.stat().st_size, f"peak {peak} B"
 
 
+def test_reading_samples_holds_a_window_and_one_array(tmp_path):
+    """Reading the list form of a samples file of at least 4 MB peaks at
+    no more than twice its array's bytes plus 1 MB of traced
+    allocations: the array as it grows and a window of the text, never
+    the whole text.  The same samples as an array object peak at no
+    more than three times that file's size: its base64 text, its bytes
+    and the array."""
+    samples = np.random.default_rng(3).standard_normal((440, 512))
+    lists, binary = tmp_path / "lists.json", tmp_path / "binary.json"
+    lists.write_text(json.dumps({"dims": [8, 8, 8], "samples": samples.tolist()}))
+    binary.write_text(json.dumps({"dims": [8, 8, 8], "samples": array_object(samples)}))
+    assert lists.stat().st_size >= 4 * 2**20
+    got, peak = traced_peak(_load_tnd_samples, lists)
+    assert got.tobytes() == samples.tobytes()
+    assert peak <= 2 * samples.nbytes + 2**20, f"peak {peak} B"
+    got, peak = traced_peak(_load_tnd_samples, binary)
+    assert got.tobytes() == samples.tobytes()
+    assert peak <= 3 * binary.stat().st_size, f"peak {peak} B"
+
+
 def test_tnd_fit_checks_its_output_before_the_fit(tmp_path, capsys, monkeypatch):
     """An output under a file, or one that is a directory, is rejected
     without reading the samples or running the fit."""

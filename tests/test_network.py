@@ -2,6 +2,7 @@
 
 import base64
 import copy
+import functools
 import json
 from types import SimpleNamespace
 
@@ -16,6 +17,7 @@ from relnet.network import (
     Gradients,
     MultiTaskNet,
     TaskLayerStack,
+    _row_argmax,
     batch_gradients,
     fold_scores,
     forward,
@@ -193,6 +195,33 @@ def test_fold_scores_are_the_oracle_loss_and_accuracy():
     with pytest.raises(ValueError, match=r"label out of range \[0, 3\)"):
         fold_scores(net, ds)
 
+
+
+# Logits drawn mostly from a few values, so that rows tie, and from the
+# infinities and NaN.
+TIED_LOGITS = st.one_of(
+    st.sampled_from([-np.inf, -1.0, -0.0, 0.0, 2.0, np.inf, np.nan]),
+    st.floats(-3, 3),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(2, 12).flatmap(
+        lambda k: st.lists(
+            st.lists(TIED_LOGITS, min_size=k, max_size=k), min_size=1, max_size=20
+        )
+    )
+)
+def test_row_argmax_is_numpy_argmax(rows):
+    """The column-by-column argmax of ``fold_scores`` is
+    ``np.argmax(z, axis=1)``: the lowest of tied columns, and the first
+    NaN of a row that holds one."""
+    z = np.array(rows)
+    m = functools.reduce(np.maximum, z.T)
+    got = _row_argmax(z, m)
+    assert got.dtype == np.intp
+    assert got.tolist() == np.argmax(z, axis=1).tolist()
 
 def param_arrays(net):
     arrs = []

@@ -3,11 +3,13 @@ the whole-array ``list[float]`` rule against the per-item rule, the
 matrix rule on lists and array objects, and the binary array object
 against its bytes."""
 
+import base64
 import json
 import math
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from oracles import array_object
+from relnet import serialize
 from relnet.network import init_network, load_checkpoint, save_checkpoint
 from relnet.serialize import (
     BinaryArray,
@@ -31,6 +34,7 @@ from relnet.serialize import (
     read_json_object,
     read_object,
 )
+from relnet.serialize import _standard_base64
 
 EDGE_VALUES = [
     -0.0,
@@ -250,6 +254,36 @@ class TestBinaryArray:
         with pytest.raises(ConfigError, match=r"^w\.shape \[0, 10+\]: "):
             check_type(obj, "list[float]", "w")
 
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.binary(max_size=10),
+        st.sampled_from(["none", "pad", "unpad", "bits", "middle"]),
+        st.data(),
+    )
+    def test_property_spelling_check_is_the_full_re_encode(self, raw, kind, data):
+        """The tail-only spelling check takes exactly the payloads that
+        the strict decoder takes and that re-encoding all their bytes
+        gives back: excess or missing padding, unused bits set in the
+        last quantum and padding inside the text included."""
+        text = base64.b64encode(raw).decode("ascii")
+        draw = data.draw
+        if kind == "pad":
+            text += "=" * draw(st.integers(1, 4))
+        elif kind == "unpad":
+            text = text[: len(text) - draw(st.integers(1, 2))] if text else text
+        elif kind == "bits" and text:
+            last = text.rstrip("=")
+            digit = BASE64_DIGITS.index(last[-1]) ^ draw(st.integers(1, 63))
+            text = last[:-1] + BASE64_DIGITS[digit] + text[len(last) :]
+        elif kind == "middle":
+            at = draw(st.integers(0, len(text)))
+            text = text[:at] + "=" * draw(st.integers(1, 2)) + text[at:]
+        try:
+            got = base64.b64decode(text, validate=True)
+        except ValueError:
+            return
+        assert _standard_base64(text, got) == (base64.b64encode(got) == text.encode())
+
 
 JSON_SCALARS = (
     st.none()
@@ -259,6 +293,7 @@ JSON_SCALARS = (
     | st.text(max_size=3)
 )
 BEYOND_DOUBLE = int(sys.float_info.max) * 2
+BASE64_DIGITS = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
 
 
 @settings(max_examples=300, deadline=None)
@@ -572,3 +607,69 @@ def test_read_json_object_reads_as_json_loads_and_read_object(doc_path, text):
         lambda p: read_object(load_json(p), f"{p}:", REQUIRED, OPTIONAL), doc_path
     )
     assert outcome(lambda p: read_json_object(p, REQUIRED, OPTIONAL), doc_path) == want
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 7])
+@settings(max_examples=100, deadline=None)
+@given(text=document_texts())
+@example('{"samples": [[1, 2], [3, 4]], "dims": [1234567, 2]}')
+@example('{"samples": [[1e5, -2.5E-3], {"a": [1]}, [[1]], "x]"], "dims": [1]}')
+@example('{"note": "a long note with \\"quotes\\" and ]}, inside", "dims": []}')
+@example('{"samples": [[1,2] \n ,\n [3,4] \n ] \n , "dims" \n : [1] \n } \n x')
+@example('{"samples": [[1, 2], [3, "4"]], "dims": [1]} ')
+@example('\ufeff{"dims": [1]}')
+def test_read_json_object_reads_alike_across_window_boundaries(doc_path, chunk, text):
+    """With a window of a few characters, so that every key, separator,
+    row and value straddles a refill, the reader still gives the values
+    and the first error of parsing the whole text and then checking it."""
+    doc_path.write_text(text, encoding="utf-8")
+    want = outcome(
+        lambda p: read_object(load_json(p), f"{p}:", REQUIRED, OPTIONAL), doc_path
+    )
+    with mock.patch.object(serialize, "_CHUNK", chunk):
+        got = outcome(lambda p: read_json_object(p, REQUIRED, OPTIONAL), doc_path)
+    assert got == want
+
+
+def samples_text(rows: int) -> str:
+    """A samples document of ``rows`` rows of 64 numbers, after a first
+    row that is not a list and some non-ASCII text."""
+    x = np.random.default_rng(4).standard_normal((rows, 64))
+    body = ",".join(json.dumps(row) for row in x.tolist())
+    return '{"note": "é€😀", "samples": ["bad row", %s], "dims": [1]}' % body
+
+
+@pytest.mark.parametrize(
+    "where, fault",
+    [
+        (0.1, "none"),
+        (0.5, "none"),
+        (0.98, "none"),
+        (0.5, "syntax"),
+        (0.9, "cut"),
+    ],
+)
+def test_a_byte_not_utf8_is_named_at_its_offset_in_the_file(tmp_path, where, fault):
+    """A byte that is not UTF-8, several windows into a samples file, is
+    named at the byte offset that decoding the whole file names, ahead
+    of a bad row before it, and ahead of invalid JSON before or after
+    it."""
+    text = samples_text(1500)
+    assert len(text) > 8 * serialize._CHUNK
+    cut = int(where * len(text))
+    if fault == "syntax":
+        text = text[: cut // 2] + "]" + text[cut // 2 :]
+    data = text[:cut].encode("utf-8") + b"\xff" + text[cut:].encode("utf-8")
+    if fault == "cut":
+        data = data[:-100]
+    path = tmp_path / "samples.json"
+    path.write_bytes(data)
+    with pytest.raises(UnicodeDecodeError) as whole:
+        data.decode("utf-8")
+    want = f"{path}: not UTF-8 text at byte {whole.value.start}"
+    with pytest.raises(InputError) as exc:
+        read_json_object(path, REQUIRED, OPTIONAL)
+    assert str(exc.value) == want
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ConfigError if fault == "none" else InputError):
+        read_json_object(path, REQUIRED, OPTIONAL)
