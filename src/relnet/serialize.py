@@ -452,21 +452,23 @@ class _Rows:
         if window.text[at : at + 1] == "]":
             self.end = window.skip(at + 1)
             return
-        text = window.text
+        # ``last`` is the window's last ``]``: a row of numbers that starts
+        # before it is held whole.
+        text, last = window.text, window.text.rfind("]")
         while True:
-            if text.find("]", at) < 0:
+            if last <= at:
                 at = window.hold(at, _CLOSERS["["])
-                text = window.text
+                text, last = window.text, window.text.rfind("]")
             try:
                 row, at = decode(text, at)
             except json.JSONDecodeError:
                 row, at = window.parse(decode, at, _CLOSERS["["])
-                text = window.text
+                text, last = window.text, window.text.rfind("]")
             yield row
             after = _AFTER(text, at)
             if after is None or after.end() == len(text):
                 c, at = window.token(at)
-                text = window.text
+                text, last = window.text, window.text.rfind("]")
             else:
                 c, at = after[1], after.end()
             if c not in (",", "]"):
