@@ -358,8 +358,8 @@ def fold_scores(net: MultiTaskNet, data) -> tuple:
     to the lower class index.  Each task
     costs one :func:`logits` call; the labels are then checked once, and
     one log-sum-exp, one label pick and one argmax run over the
-    concatenated logits, the row maximum and the argmax column by column
-    (:func:`_row_argmax`).  Each task's loss sums its slice of the row
+    concatenated logits; the row maximum and the argmax go column by
+    column (:func:`_row_argmax`).  Each task's loss sums its slice of the row
     losses, in task order.
     """
     z = [logits(net, t, x) for t, x in enumerate(data.features)]

@@ -196,7 +196,6 @@ def test_fold_scores_are_the_oracle_loss_and_accuracy():
         fold_scores(net, ds)
 
 
-
 # Logits drawn mostly from a few values, so that rows tie, and from the
 # infinities and NaN.
 TIED_LOGITS = st.one_of(
@@ -205,7 +204,7 @@ TIED_LOGITS = st.one_of(
 )
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(
     st.integers(2, 12).flatmap(
         lambda k: st.lists(
@@ -222,6 +221,7 @@ def test_row_argmax_is_numpy_argmax(rows):
     got = _row_argmax(z, m)
     assert got.dtype == np.intp
     assert got.tolist() == np.argmax(z, axis=1).tolist()
+
 
 def param_arrays(net):
     arrs = []

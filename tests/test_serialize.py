@@ -24,6 +24,7 @@ from relnet.serialize import (
     BinaryArray,
     ConfigError,
     InputError,
+    _standard_base64,
     check_task_names,
     check_type,
     dump_json,
@@ -34,7 +35,6 @@ from relnet.serialize import (
     read_json_object,
     read_object,
 )
-from relnet.serialize import _standard_base64
 
 EDGE_VALUES = [
     -0.0,
@@ -265,8 +265,7 @@ class TestBinaryArray:
         the strict decoder takes and that re-encoding all their bytes
         gives back: excess or missing padding, unused bits set in the
         last quantum and padding inside the text included."""
-        text = base64.b64encode(raw).decode("ascii")
-        draw = data.draw
+        text, draw = base64.b64encode(raw).decode("ascii"), data.draw
         if kind == "pad":
             text += "=" * draw(st.integers(1, 4))
         elif kind == "unpad":
@@ -653,7 +652,7 @@ def test_a_byte_not_utf8_is_named_at_its_offset_in_the_file(tmp_path, where, fau
     """A byte that is not UTF-8, several windows into a samples file, is
     named at the byte offset that decoding the whole file names, ahead
     of a bad row before it, and ahead of invalid JSON before or after
-    it."""
+    it, which the file without that byte names."""
     text = samples_text(1500)
     assert len(text) > 8 * serialize._CHUNK
     cut = int(where * len(text))
@@ -670,6 +669,7 @@ def test_a_byte_not_utf8_is_named_at_its_offset_in_the_file(tmp_path, where, fau
     with pytest.raises(InputError) as exc:
         read_json_object(path, REQUIRED, OPTIONAL)
     assert str(exc.value) == want
-    path.write_text(text, encoding="utf-8")
-    with pytest.raises(ConfigError if fault == "none" else InputError):
+    path.write_bytes(data.replace(b"\xff", b""))
+    hidden = r"samples\[0\] must be a list" if fault == "none" else "invalid JSON at"
+    with pytest.raises(InputError, match=hidden):
         read_json_object(path, REQUIRED, OPTIONAL)
