@@ -699,9 +699,10 @@ def _check_finite_rows(rows: np.ndarray, where: str) -> None:
 
 def _decode_array(obj: dict, where: str, ndim=None) -> np.ndarray:
     """The float64 array of the array object ``obj`` (see
-    :func:`check_type`), of ``ndim`` dims unless that is None; the
-    length check comes before any array is made, so the array is never
-    larger than the text."""
+    :func:`check_type`), of ``ndim`` dims unless that is None.  The
+    base64 is decoded block by block into the array, whose length is
+    checked against the text's before it is made, so the decode holds
+    the text, the array and one block."""
     keys = {"dtype": ("<f8",), "shape": "list[int]", "base64": "str"}
     obj = read_object(obj, where, keys)
     shape, text = obj["shape"], obj["base64"]
@@ -710,22 +711,25 @@ def _decode_array(obj: dict, where: str, ndim=None) -> np.ndarray:
     for i, d in enumerate(shape):
         if d < 0:
             raise ConfigError(f"{where}.shape[{i}] must be at least 0, got {d}")
-    try:
-        raw = base64.b64decode(text, validate=True)
-    except ValueError as exc:
-        raise ConfigError(f"{where}.base64 is not base64: {exc}") from None
-    if not _standard_base64(text, raw):
-        raise ConfigError(
-            f"{where}.base64 is not base64: not the standard encoding of its bytes"
-        )
     size = math.prod(shape)
-    if len(raw) != 8 * size:
+    arr = _decode_floats(text, size)
+    if arr is None:
+        # The text is not the standard base64 of 8 * size bytes: decode
+        # it whole, as before, only to word the error.
+        try:
+            raw = base64.b64decode(text, validate=True)
+        except ValueError as exc:
+            raise ConfigError(f"{where}.base64 is not base64: {exc}") from None
+        if not _standard_base64(text, raw):
+            raise ConfigError(
+                f"{where}.base64 is not base64: not the standard encoding of its bytes"
+            )
         raise ConfigError(
             f"{where}.base64 holds {len(raw)} bytes, but shape {shape} needs "
             f"{8 * size}"
         )
     try:
-        arr = np.frombuffer(raw, dtype="<f8").astype(float).reshape(shape)
+        arr = arr.astype(float, copy=False).reshape(shape)
     except ValueError as exc:
         raise ConfigError(f"{where}.shape {shape}: {exc}") from None
     finite = np.isfinite(arr).ravel()
@@ -733,6 +737,31 @@ def _decode_array(obj: dict, where: str, ndim=None) -> np.ndarray:
         j = int(np.argmin(finite))
         check_type(float(arr.flat[j]), "float", f"{where} entry {j}")
     return arr
+
+
+# Characters of base64 decoded at a time: whole quanta of 4.
+_QUANTA = 1 << 17
+
+
+def _decode_floats(text: str, size: int):
+    """The ``size`` little-endian doubles whose standard base64 is
+    ``text``, as one flat array decoded ``_QUANTA`` characters at a time,
+    or None if ``text`` is not that.  Each block is a whole number of
+    quanta, so only padding inside the text can split the bytes
+    differently from a whole decode, and then the lengths or the last
+    quantum disagree."""
+    if len(text) != 4 * -(-8 * size // 3):
+        return None
+    arr = np.empty(size, dtype="<f8")
+    out, at = memoryview(arr).cast("B"), 0
+    for i in range(0, len(text), _QUANTA):
+        try:
+            piece = base64.b64decode(text[i : i + _QUANTA], validate=True)
+            out[at : at + len(piece)] = piece
+        except ValueError:
+            return None
+        at += len(piece)
+    return arr if at == len(out) and _standard_base64(text, out) else None
 
 
 def _standard_base64(text: str, raw: bytes) -> bool:

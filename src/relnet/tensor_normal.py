@@ -20,10 +20,11 @@ array's unfolding along that mode, made by the private kernel
 ``_whiten``.  A flip-flop step on one mode, the private ``_mode_step``,
 takes tensors whitened by all current factors, forms the mode's Gram
 matrix with its old whitening undone, replaces the mode's factor by a
-caller-given rule of that Gram and re-whitens the mode.  It is the one
-place that forms a mode's Gram matrix: :func:`flip_flop_mle` iterates
-it to convergence and the trainer's covariance refit makes one sweep
-of it per layer.
+caller-given rule of that Gram and re-whitens the mode in place, block
+by block of samples.  It is the one place that forms a mode's Gram
+matrix: :func:`flip_flop_mle` iterates it to convergence, holding the
+samples, one working tensor and a block of scratch, and the trainer's
+covariance refit makes one sweep of it per layer.
 
 Each :class:`SpdFactor` forms its inverse Cholesky factor ``L_k^{-1}``
 and its eigendecomposition once, on first use, so no per-mode step
@@ -66,6 +67,11 @@ _LOG_2PI = float(np.log(2.0 * np.pi))
 
 # Symmetry check tolerance, relative to the largest entry.
 _SYMMETRY_TOL = 1e-10
+
+# Entries per block of the in-place flip-flop step (at least one whole
+# tensor): its scratch, and few enough blocks that each is a large
+# product.
+_BLOCK = 1 << 15
 
 
 class EstimationError(RuntimeError):
@@ -247,39 +253,56 @@ def _whiten(centered: np.ndarray, factors) -> np.ndarray:
 
 
 def _mode_step(z: np.ndarray, factors: list, k: int, rule, what: str) -> np.ndarray:
-    """One flip-flop step on mode ``k``; returns the re-whitened ``z'``.
+    """One flip-flop step on mode ``k``, in place: re-whitens ``z`` and
+    returns it.
 
-    ``z`` holds tensors whitened by every factor of ``factors`` (one
-    :class:`SpdFactor` per trailing axis), any leading axes indexing
-    samples.  With ``G`` the Gram matrix of ``z``'s mode-``k`` unfolding
-    (its columns running over samples too) and ``C_k`` the Cholesky
-    factor of the old ``factors[k]``, undoing the old whitening gives
+    ``z`` is a C-contiguous array of tensors whitened by every factor of
+    ``factors`` (one :class:`SpdFactor` per trailing axis), any leading
+    axes indexing samples.  With ``G`` the Gram matrix of ``z``'s
+    mode-``k`` unfolding (its columns running over samples too) and
+    ``C_k`` the Cholesky factor of the old ``factors[k]``, undoing the
+    old whitening gives
 
         gram = C_k G C_k^T
              = sum_i  X_i(k) (kron of the other factors)^{-1} X_i(k)^T,
 
     symmetric PSD by construction.  ``factors[k]`` is replaced by
     ``rule(gram, m)``, ``m = z.size / d_k`` being the unfolding's column
-    count, and ``z'`` is ``z`` with mode ``k`` re-whitened by one product
-    with the ``d_k x d_k`` matrix ``L_k'^{-1} C_k``.  So the step costs
-    one mode product and one Gram over ``z`` plus ``O(d_k^3)`` work.  A
-    rule whose value is not positive definite raises
-    :class:`EstimationError` naming ``what``.
+    count, and mode ``k`` of ``z`` is re-whitened by one product with the
+    ``d_k x d_k`` matrix ``L_k'^{-1} C_k``.  So the step costs one mode
+    product and one Gram over ``z`` plus ``O(d_k^3)`` work.  A rule whose
+    value is not positive definite raises :class:`EstimationError`
+    naming ``what``, and ``z`` is left as it was.
+
+    Both passes run over blocks of the leading indices, each of about
+    ``_BLOCK`` entries and at least one whole tensor, so the scratch is
+    one block, never a copy of ``z``.  The last mode's Gram is one
+    product over all of ``z``, whose unfolding along it is a view.  A
+    tensor without leading axes is one block: one Gram product and one
+    re-whitening product, as over the whole unfolding.
     """
     axis = k - len(factors)
-    old = factors[k]
-    rows = np.moveaxis(z, axis, 0).reshape(z.shape[axis], -1)
-    gram = old.chol @ (rows @ rows.T) @ old.chol.T
-    # Unless mode k leads, rows is a copy of z: free it before the
-    # re-whitening allocates another.
-    del rows
+    old, dk = factors[k], z.shape[axis]
+    lead = z.reshape((-1,) + z.shape[-len(factors) :])
+    # A power of two of leading indices per block: a product's rows then
+    # fall in the same kernel tiles, and its bits, as over the whole.
+    per = _BLOCK // (math.prod(lead.shape[1:]) or 1)
+    step = 1 << max(per.bit_length() - 1, 0)
+    blocks = [lead[i : i + step] for i in range(0, len(lead), step)]
+    unfold = (np.moveaxis(b, axis, 0).reshape(dk, -1) for b in blocks)
+    if axis == -1:
+        unfold = [z.reshape(-1, dk).T]
+    gram = old.chol @ sum(r @ r.T for r in unfold) @ old.chol.T
     try:
-        factors[k] = SpdFactor(rule(gram, z.size / z.shape[axis]))
+        factors[k] = SpdFactor(rule(gram, z.size / dk))
     except ValueError:
         raise EstimationError(
             f"{what} covariance update is not positive definite"
         ) from None
-    return _along_mode(factors[k].chol_inv @ old.chol, z, axis)
+    mat = factors[k].chol_inv @ old.chol
+    for b in blocks:
+        b[...] = _along_mode(mat, b, axis)
+    return z
 
 
 def mahalanobis(dist: TensorNormal, x) -> float:
@@ -376,9 +399,12 @@ def flip_flop_mle(
     log-likelihood history is non-decreasing up to rounding.
 
     The sweep keeps one array, the centered samples whitened by all
-    current factors, and updates it one mode at a time with
+    current factors, and updates it in place one mode at a time with
     ``_mode_step``, which undoes the old whitening of mode ``k`` in that
-    array's mode-``k`` Gram and re-whitens the mode after the update.
+    array's mode-``k`` Gram and re-whitens the mode after the update,
+    both by blocks of samples.  So the fit holds the caller's
+    ``samples``, which it never writes, that one working array and a
+    block of scratch.
     The sweep's log-likelihood needs no Mahalanobis product: after the
     mode-3 step ``Sigma_3`` is ``sym(G_3) / m_3``, so ``tr(Sigma_3^{-1}
     G_3) = m_3 * d_3 = n * d`` and the log-likelihood is ``-n/2 * (d
@@ -438,12 +464,12 @@ def flip_flop_mle(
     factors = [SpdFactor.identity(dk) for dk in dims]
     z = stacked - mean_arr
 
-    ll = _total_log_likelihood(n, d, factors, float(np.sum(z * z)))
+    ll = _total_log_likelihood(n, d, factors, float(np.vdot(z, z)))
     history = [ll]
     for sweep in range(1, max_iter + 1):
         for k in range(3):
             # The rule is the maximizer gram / (n * d / d_k).
-            z = _mode_step(z, factors, k, np.divide, f"mode {k + 1}")
+            _mode_step(z, factors, k, np.divide, f"mode {k + 1}")
         # ||z||^2 = tr(Sigma_3^{-1} G_3) with Sigma_3 = sym(G_3) / m_3,
         # and tr(sym(G)^{-1} G) = d_3 for any G: the antisymmetric part
         # has zero trace against a symmetric matrix.  So ||z||^2 is

@@ -1457,6 +1457,37 @@ def test_reading_samples_holds_a_window_and_one_array(tmp_path):
     assert peak <= 3 * binary.stat().st_size, f"peak {peak} B"
 
 
+def test_reading_an_array_object_holds_its_text_and_the_array(tmp_path):
+    """The array-object form of a samples file peaks at no more than
+    twice the file's size plus 1 MiB of traced allocations: the reader's
+    window, the base64 text and the array, into which the text is
+    decoded a block at a time."""
+    samples = np.random.default_rng(3).standard_normal((440, 512))
+    binary = tmp_path / "binary.json"
+    binary.write_text(json.dumps({"dims": [8, 8, 8], "samples": array_object(samples)}))
+    got, peak = traced_peak(_load_tnd_samples, binary)
+    assert got.tobytes() == samples.tobytes()
+    assert peak <= 2 * binary.stat().st_size + 2**20, f"peak {peak} B"
+
+
+def test_fit_holds_the_samples_and_one_working_tensor():
+    """``mle_mean`` and ``flip_flop_mle`` on at least 4 MB of samples peak
+    at no more than twice the samples' bytes plus 1 MiB of traced
+    allocations, the samples made inside the trace: the samples, the
+    fit's one working tensor and a block of scratch.  A small fit first
+    makes the lazy imports of numpy's submodules outside the trace."""
+
+    def fit(shape):
+        samples = np.random.default_rng(5).standard_normal(shape)
+        return samples, flip_flop_mle(samples, mle_mean(samples))
+
+    fit((4, 2, 2, 2))
+    (samples, result), peak = traced_peak(fit, (60, 32, 24, 16))
+    assert samples.nbytes >= 4 * 2**20
+    assert result.converged
+    assert peak <= 2 * samples.nbytes + 2**20, f"peak {peak} B"
+
+
 def test_tnd_fit_checks_its_output_before_the_fit(tmp_path, capsys, monkeypatch):
     """An output under a file, or one that is a directory, is rejected
     without reading the samples or running the fit."""

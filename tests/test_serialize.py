@@ -254,6 +254,40 @@ class TestBinaryArray:
         with pytest.raises(ConfigError, match=r"^w\.shape \[0, 10+\]: "):
             check_type(obj, "list[float]", "w")
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        arrays(np.float64, st.integers(0, 12), elements=FINITE),
+        st.sampled_from(["none", "truncate", "pad", "middle", "alphabet"]),
+        st.sampled_from([4, 8, 12]),
+        st.data(),
+    )
+    def test_property_blocks_decode_as_the_whole_text(self, arr, kind, chunk, data):
+        """Decoded a few quanta at a time, a payload gives the bits or the
+        error message that one block over the whole text gives, padding
+        at a block's end included."""
+        text, draw = array_object(arr)["base64"], data.draw
+        if kind == "truncate":
+            text = text[: draw(st.integers(0, len(text)))]
+        elif kind == "pad":
+            text = text.rstrip("=") + "=" * draw(st.integers(0, 3))
+        elif kind == "middle":
+            at = draw(st.integers(0, len(text) // 4)) * 4
+            text = text[: at - 1] + "=" + text[at:] if at else "=" + text[1:]
+        elif kind == "alphabet":
+            at = draw(st.integers(0, len(text)))
+            text = text[:at] + draw(st.sampled_from(list("-_ \né"))) + text[at:]
+        obj = {"dtype": "<f8", "shape": [arr.size], "base64": text}
+
+        def outcome():
+            try:
+                return check_type(obj, "list[float]", "w").tobytes()
+            except ConfigError as exc:
+                return str(exc)
+
+        whole = outcome()
+        with mock.patch.object(serialize, "_QUANTA", chunk):
+            assert outcome() == whole
+
     @settings(max_examples=500, deadline=None)
     @given(
         st.binary(max_size=10),

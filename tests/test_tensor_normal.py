@@ -519,7 +519,7 @@ class TestModeStep:
         factors = [SpdFactor(rand_spd(rng, d)) for d in (4, 3, 2)]
         z = _whiten(xs, factors)
         for k in range(3):
-            _, gram = mode_step_with_gram(z, list(factors), k, "mode")
+            _, gram = mode_step_with_gram(z.copy(), list(factors), k, "mode")
             np.testing.assert_allclose(
                 gram, dense_mode_gram(xs, factors, k), rtol=1e-10
             )
@@ -552,7 +552,7 @@ class TestModeStep:
         z = _whiten(xs, factors)
         for k, dk in enumerate(dims):
             new = list(factors)
-            z_new, gram = mode_step_with_gram(z, new, k, f"mode {k + 1}")
+            z_new, gram = mode_step_with_gram(z.copy(), new, k, f"mode {k + 1}")
             want = dense_mode_gram(xs, factors, k)
             np.testing.assert_allclose(
                 gram, want, rtol=1e-10, atol=1e-10 * np.abs(want).max()
@@ -566,6 +566,65 @@ class TestModeStep:
             np.testing.assert_allclose(
                 z_new, want_z, rtol=1e-10, atol=1e-10 * np.abs(want_z).max()
             )
+
+    def test_step_works_in_place(self):
+        """The step re-whitens the array it is given and returns it."""
+        rng = np.random.default_rng(18)
+        factors = [SpdFactor(rand_spd(rng, d)) for d in (4, 3, 2)]
+        for k in range(3):
+            z = _whiten(rng.standard_normal((5, 4, 3, 2)), factors)
+            assert mode_step_with_gram(z, list(factors), k, "m")[0] is z
+
+    @pytest.mark.parametrize(
+        "shape, modes",
+        [((20, 8, 40), 3), ((256, 64, 4), 3), ((16384, 4), 1), ((320, 4), 1),
+         ((16384, 40), 1), ((160, 40), 1)],
+    )
+    def test_trainer_tensors_step_as_over_the_whole_unfolding(self, shape, modes):
+        """For a tensor without leading axes and for an ``(m, T)`` fibre
+        matrix with one factor, the Gram and the re-whitened tensor are
+        the products over the whole unfolding bit for bit, so the
+        trainer's refit is unchanged by the blocks."""
+        rng = np.random.default_rng(19)
+        factors = [SpdFactor(rand_spd(rng, d)) for d in shape[-modes:]]
+        z = _whiten(rng.standard_normal(shape), factors)
+        for k in range(modes):
+            axis = k - modes
+            rows = np.moveaxis(z, axis, 0).reshape(z.shape[axis], -1)
+            old = factors[k].chol
+            want_gram = old @ (rows @ rows.T) @ old.T
+            new = list(factors)
+            got, gram = mode_step_with_gram(z.copy(), new, k, "m")
+            want = _along_mode(new[k].chol_inv @ old, z, axis)
+            assert gram.tobytes() == want_gram.tobytes()
+            assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.tuples(*[st.integers(1, 5)] * 3),
+        st.integers(1, 9),
+        st.integers(0, 6),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_blocks_match_the_whole_unfolding(self, dims, n, log_block, seed):
+        """With blocks of any size, down to one tensor each, the step
+        agrees with the products over the whole unfolding."""
+        rng = np.random.default_rng(seed)
+        factors = [SpdFactor(rand_spd(rng, d)) for d in dims]
+        z = _whiten(rng.standard_normal((n, *dims)), factors)
+        for k in range(3):
+            axis = k - 3
+            rows = np.moveaxis(z, axis, 0).reshape(dims[k], -1)
+            want_gram = factors[k].chol @ (rows @ rows.T) @ factors[k].chol.T
+            new = list(factors)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr("relnet.tensor_normal._BLOCK", 1 << log_block)
+                got, gram = mode_step_with_gram(z.copy(), new, k, "m")
+            want = _along_mode(new[k].chol_inv @ factors[k].chol, z, axis)
+            for a, b in ((gram, want_gram), (got, want)):
+                np.testing.assert_allclose(
+                    a, b, rtol=1e-12, atol=1e-12 * np.abs(b).max()
+                )
 
     def test_failed_rule_names_the_mode(self):
         z = np.zeros((2, 3, 2, 2))
