@@ -715,7 +715,8 @@ def _decode_array(obj: dict, where: str, ndim=None) -> np.ndarray:
     arr = _decode_floats(text, size)
     if arr is None:
         # The text is not the standard base64 of 8 * size bytes: decode
-        # it whole, as before, only to word the error.
+        # it whole only to word the error.  A standard text that gets
+        # here has the wrong length.
         try:
             raw = base64.b64decode(text, validate=True)
         except ValueError as exc:

@@ -68,9 +68,9 @@ _LOG_2PI = float(np.log(2.0 * np.pi))
 # Symmetry check tolerance, relative to the largest entry.
 _SYMMETRY_TOL = 1e-10
 
-# Entries per block of the in-place flip-flop step (at least one whole
-# tensor): its scratch, and few enough blocks that each is a large
-# product.
+# Entries per block of the in-place flip-flop step, which bound its
+# scratch.  A block holds at least one whole tensor, so each is one
+# large product, never a loop over single fibres.
 _BLOCK = 1 << 15
 
 
@@ -284,14 +284,17 @@ def _mode_step(z: np.ndarray, factors: list, k: int, rule, what: str) -> np.ndar
     axis = k - len(factors)
     old, dk = factors[k], z.shape[axis]
     lead = z.reshape((-1,) + z.shape[-len(factors) :])
-    # A power of two of leading indices per block: a product's rows then
-    # fall in the same kernel tiles, and its bits, as over the whole.
+    # A power of two of leading indices per block: the rows of each
+    # block's product then fill the same kernel tiles as in one product
+    # over all of z, which keeps its bits on OpenBLAS.
     per = _BLOCK // (math.prod(lead.shape[1:]) or 1)
     step = 1 << max(per.bit_length() - 1, 0)
     blocks = [lead[i : i + step] for i in range(0, len(lead), step)]
-    unfold = (np.moveaxis(b, axis, 0).reshape(dk, -1) for b in blocks)
-    if axis == -1:
-        unfold = [z.reshape(-1, dk).T]
+    # The last mode's unfolding of z is a view: its Gram is one product.
+    unfold = (
+        np.moveaxis(b, axis, 0).reshape(dk, -1)
+        for b in ([z] if axis == -1 else blocks)
+    )
     gram = old.chol @ sum(r @ r.T for r in unfold) @ old.chol.T
     try:
         factors[k] = SpdFactor(rule(gram, z.size / dk))

@@ -401,6 +401,19 @@ class TestFlipFlopOracle:
             flip_flop_mle(draws, mean), reference_flip_flop_mle(draws, mean)
         )
 
+    @pytest.mark.parametrize("block", [1, 1 << 6, 1 << 9])
+    def test_blocks_match_reference_and_keep_the_samples(self, block, monkeypatch):
+        """With blocks down to one sample each, the in-place sweep matches
+        the oracle and never writes to the caller's samples."""
+        draws = conditioned_draws(5, (4, 3, 5), 10.0, 30)
+        before = draws.copy()
+        monkeypatch.setattr("relnet.tensor_normal._BLOCK", block)
+        mean = mle_mean(draws)
+        assert_same_fit(
+            flip_flop_mle(draws, mean), reference_flip_flop_mle(draws, mean)
+        )
+        assert draws.tobytes() == before.tobytes()
+
     @settings(max_examples=100, deadline=None)
     @given(
         st.tuples(*[st.integers(1, 6)] * 3),
