@@ -5,6 +5,13 @@ space and class set.  Tasks never share rows; only the model couples
 them.  CSV files hold one task each, one example per row, features
 first and the integer class label last.
 
+A fold is held pooled: one ``(N, D)`` feature matrix and one label
+vector over all of its tasks' rows, tasks in order, of which each
+task's ``features[t]`` and ``labels[t]`` are views.  SGD walks the
+pooled arrays, so the views are written in place, never rebound.
+Loading, splitting and sampling each build a fold's pooled arrays
+directly.
+
 The synthetic generator draws ground-truth classifier weights for all
 tasks jointly from a tensor normal with identity feature and class
 factors and the designed relationship matrix as its task factor, made
@@ -17,7 +24,7 @@ compared against a known one.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -62,41 +69,75 @@ class SplitError(InputError):
 
 @dataclass
 class MultiTaskDataset:
-    """Per-task feature matrices and label vectors.
+    """Per-task feature matrices and label vectors, held pooled.
 
     ``features[t]`` has shape ``(N_t, D)`` with one shared ``D``;
-    ``labels[t]`` holds ints in ``[0, num_classes)``.
+    ``labels[t]`` holds ints in ``[0, num_classes)``.  The fold is held
+    as one C-contiguous ``(N, D)`` float64 matrix ``pooled_features``
+    and one int64 vector ``pooled_labels``, tasks in order, and
+    ``features[t]`` and ``labels[t]`` are views of their row blocks.
+    Built from per-task arrays, the dataset copies them into the pooled
+    arrays once.  Write into the views, in place, and the pooled arrays
+    see it; do not rebind ``features[t]`` or ``labels[t]``, since the
+    pooled arrays, which training and scoring read, would not.
     """
 
     task_names: list
     features: list
     labels: list
     num_classes: int
+    pooled_features: np.ndarray = field(init=False, repr=False, compare=False)
+    pooled_labels: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_task_names(self.task_names, DatasetError)
         if not (len(self.features) == len(self.labels) == len(self.task_names)):
             raise DatasetError("need features and labels for every task")
-        if self.num_classes < 2:
-            raise DatasetError("need at least two classes")
-        self.features = [np.asarray(x, dtype=float) for x in self.features]
-        self.labels = [np.asarray(y, dtype=int) for y in self.labels]
-        dim = None
-        for name, x, y in zip(self.task_names, self.features, self.labels):
-            if x.ndim != 2 or x.shape[0] == 0:
+        feats = [np.asarray(x, dtype=float) for x in self.features]
+        labs = [np.asarray(y, dtype=int) for y in self.labels]
+        for name, x, y in zip(self.task_names, feats, labs):
+            if x.ndim != 2:
                 raise DatasetError(f"task {name!r}: features must be a non-empty matrix")
-            if dim is None:
-                dim = x.shape[1]
-            elif x.shape[1] != dim:
+            if x.shape[1] != feats[0].shape[1]:
                 raise DatasetError(
-                    f"task {name!r}: feature dim {x.shape[1]} != {dim}"
+                    f"task {name!r}: feature dim {x.shape[1]} != {feats[0].shape[1]}"
                 )
             if y.shape != (x.shape[0],):
                 raise DatasetError(f"task {name!r}: one label per row required")
-            if y.size and (y.min() < 0 or y.max() >= self.num_classes):
-                raise DatasetError(
-                    f"task {name!r}: labels must lie in [0, {self.num_classes})"
-                )
+        self._hold(np.concatenate(feats), np.concatenate(labs), [len(y) for y in labs])
+
+    @classmethod
+    def _of_pool(cls, task_names, x, y, sizes, num_classes) -> "MultiTaskDataset":
+        """The dataset whose pooled arrays are ``x`` and ``y`` themselves,
+        task ``t`` holding the next ``sizes[t]`` rows; for producers
+        that build the pooled arrays, which are then not copied."""
+        ds = cls.__new__(cls)
+        ds.task_names, ds.num_classes = task_names, num_classes
+        check_task_names(task_names, DatasetError)
+        if len(sizes) != len(task_names):
+            raise DatasetError("need features and labels for every task")
+        ds._hold(x, y, sizes)
+        return ds
+
+    def _hold(self, x, y, sizes) -> None:
+        """Keep ``x`` and ``y`` as the pooled arrays and their row blocks
+        of ``sizes`` as the per-task views, after the checks that need
+        every task at once."""
+        if self.num_classes < 2:
+            raise DatasetError("need at least two classes")
+        for name, n in zip(self.task_names, sizes):
+            if n == 0:
+                raise DatasetError(f"task {name!r}: features must be a non-empty matrix")
+        ends = np.cumsum(sizes)
+        if y.min() < 0 or y.max() >= self.num_classes:
+            bad = np.flatnonzero((y < 0) | (y >= self.num_classes))[0]
+            raise DatasetError(
+                f"task {self.task_names[np.searchsorted(ends, bad, 'right')]!r}: "
+                f"labels must lie in [0, {self.num_classes})"
+            )
+        self.pooled_features, self.pooled_labels = x, y
+        self.features = np.split(x, ends[:-1])
+        self.labels = np.split(y, ends[:-1])
 
     @property
     def num_tasks(self) -> int:
@@ -104,20 +145,33 @@ class MultiTaskDataset:
 
     @property
     def feature_dim(self) -> int:
-        return self.features[0].shape[1]
+        return self.pooled_features.shape[1]
 
     @property
     def task_sizes(self) -> tuple:
         return tuple(x.shape[0] for x in self.features)
 
     def subset(self, indices_per_task) -> "MultiTaskDataset":
-        """New dataset keeping the given row indices of every task."""
-        feats, labs = [], []
-        for x, y, idx in zip(self.features, self.labels, indices_per_task):
-            idx = np.asarray(idx, dtype=int)
-            feats.append(x[idx])
-            labs.append(y[idx])
-        return MultiTaskDataset(list(self.task_names), feats, labs, self.num_classes)
+        """New dataset keeping the given row indices of every task.
+
+        Each task's indices select as numpy indexing of its rows does;
+        the kept rows of all tasks are then gathered by one ``take`` of
+        the pooled arrays.
+        """
+        rows = [
+            np.arange(start, start + x.shape[0])[np.asarray(idx, dtype=int)]
+            for start, x, idx in zip(
+                np.cumsum((0,) + self.task_sizes), self.features, indices_per_task
+            )
+        ]
+        rows_all = np.concatenate(rows)
+        return MultiTaskDataset._of_pool(
+            list(self.task_names),
+            self.pooled_features.take(rows_all, axis=0),
+            self.pooled_labels.take(rows_all),
+            [r.size for r in rows],
+            self.num_classes,
+        )
 
 
 def _parse_csv_lines(path, num_classes: int):
@@ -184,7 +238,9 @@ def _parse_csv_fast(path, num_classes: int):
     an integer in the same pass.  ``None`` means the file failed the
     parse (a numpy error or warning, a decode error) or a whole-array
     check (label range, finite features); the line parser then decides,
-    so this path accepts only what that parser accepts.
+    so this path accepts only what that parser accepts.  The returned
+    arrays are the two field views of the parsed rows, not copies:
+    :func:`load_csv` copies them once, into the pooled arrays.
     """
     try:
         with open_text(path) as fh:
@@ -203,10 +259,10 @@ def _parse_csv_fast(path, num_classes: int):
                 )
     except (ValueError, Warning):
         return None
-    y = rows["y"]
-    if y.min() < 0 or y.max() >= num_classes or not np.isfinite(rows["x"]).all():
+    x, y = rows["x"], rows["y"]
+    if y.min() < 0 or y.max() >= num_classes or not np.isfinite(x).all():
         return None
-    return np.ascontiguousarray(rows["x"]), np.ascontiguousarray(y)
+    return x, y
 
 
 def load_csv(paths, num_classes: int, task_names=None) -> MultiTaskDataset:
@@ -216,9 +272,10 @@ def load_csv(paths, num_classes: int, task_names=None) -> MultiTaskDataset:
     stripped, features are finite floats, the label is a base-10 integer
     in ``[0, num_classes)`` and ``#`` starts no comment.  A file is read
     in one vectorized pass; only a file that pass rejects is read again
-    line by line, to name the bad line.  An unreadable or non-UTF-8
-    file, or malformed content, raises :class:`DatasetError` naming the
-    file (and line).  Task names default to the file stems.
+    line by line, to name the bad line.  The parsed rows of all files
+    are copied once, into the dataset's pooled arrays.  An unreadable or
+    non-UTF-8 file, or malformed content, raises :class:`DatasetError`
+    naming the file (and line).  Task names default to the file stems.
     """
     paths = [Path(p) for p in paths]
     if task_names is None:
@@ -475,7 +532,8 @@ def sample_task_data(
     noise_scale)``; as ``noise_scale`` shrinks the labels approach the
     argmax rule, which they follow exactly once the scaled logits
     overflow.  Task ``t`` consumes its features first and label
-    draws second, in task order.
+    draws second, in task order; its features are drawn straight into
+    its rows of the dataset's pooled matrix.
     """
     weights = np.asarray(weights, dtype=float)
     if weights.ndim != 3:
@@ -487,9 +545,11 @@ def sample_task_data(
     if task_names is None:
         task_names = [f"task{t}" for t in range(num_tasks)]
 
-    feats, labs = [], []
+    feats = np.empty((num_tasks * n, dim))
+    labs = np.empty(num_tasks * n, dtype=int)
     for t in range(num_tasks):
-        x = rng.standard_normal((n, dim))
+        rows = slice(t * n, (t + 1) * n)
+        x = rng.standard_normal(out=feats[rows])
         logits = x @ weights[:, :, t]
         logits -= logits.max(axis=1, keepdims=True)
         # A tiny noise_scale sends the non-max logits to -inf: the
@@ -499,10 +559,10 @@ def sample_task_data(
         cum = np.cumsum(probs, axis=1)
         cum[:, -1] = 1.0
         u = rng.random((n, 1))
-        y = (cum > u).argmax(axis=1)
-        feats.append(x)
-        labs.append(y.astype(int))
-    return MultiTaskDataset(list(task_names), feats, labs, num_classes)
+        labs[rows] = (cum > u).argmax(axis=1)
+    return MultiTaskDataset._of_pool(
+        list(task_names), feats, labs, [n] * num_tasks, num_classes
+    )
 
 
 def generate_synthetic(spec: SyntheticSpec) -> tuple:

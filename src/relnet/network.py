@@ -352,15 +352,16 @@ def fold_scores(net: MultiTaskNet, data) -> tuple:
     """``(log_losses, accuracies)`` of a fold, one entry per task.
 
     ``data`` holds one ``features`` matrix and one ``labels`` vector per
-    task, as :class:`~relnet.data.MultiTaskDataset` does, and no task may
-    be empty.  Entry ``t`` is task ``t``'s summed cross-entropy and the
+    task and all tasks' labels in order as ``pooled_labels``, as
+    :class:`~relnet.data.MultiTaskDataset` does, and no task may be
+    empty.  Entry ``t`` is task ``t``'s summed cross-entropy and the
     fraction of its rows whose largest logit is the label's, a tie going
     to the lower class index.  Each task
-    costs one :func:`logits` call; the labels are then checked once, and
-    one log-sum-exp, one label pick and one argmax run over the
-    concatenated logits; the row maximum and the argmax go column by
-    column (:func:`_row_argmax`).  Each task's loss sums its slice of the row
-    losses, in task order.
+    costs one :func:`logits` call; the pooled labels are then checked
+    once, and one log-sum-exp, one label pick and one argmax run over
+    the concatenated logits; the row maximum goes column by column, and
+    the argmax is the lowest column equal to it (:func:`_row_argmax`).
+    Each task's loss sums its slice of the row losses, in task order.
     """
     z = [logits(net, t, x) for t, x in enumerate(data.features)]
     sizes = [zt.shape[0] for zt in z]
@@ -368,8 +369,8 @@ def fold_scores(net: MultiTaskNet, data) -> tuple:
         raise ValueError("cannot score an empty set")
     if [np.size(y) for y in data.labels] != sizes:
         raise ValueError("need one task and one label per example")
-    z, y = np.concatenate(z), np.concatenate(data.labels, axis=None)
-    y = _check_index(y, len(z), net.num_classes, "label")
+    z = np.concatenate(z)
+    y = _check_index(data.pooled_labels, len(z), net.num_classes, "label")
     # The row maximum column by column: exact, so it is ``z.max(axis=1)``
     # bit for bit, and many times faster over a few classes.
     m = functools.reduce(np.maximum, z.T)
@@ -385,12 +386,10 @@ def fold_scores(net: MultiTaskNet, data) -> tuple:
 
 def _row_argmax(z: np.ndarray, m: np.ndarray) -> np.ndarray:
     """``np.argmax(z, axis=1)`` of the 2-D ``z`` whose row maxima are
-    ``m`` (NaN in a row that holds one), column by column: the lowest
-    column that equals ``m``, and ``np.argmax``'s first NaN in a row
-    that holds one."""
-    arg = np.zeros(len(z), dtype=np.intp)
-    for j in range(z.shape[1] - 1, -1, -1):
-        np.putmask(arg, z[:, j] == m, j)
+    ``m`` (NaN in a row that holds one): the lowest column that equals
+    ``m``, by one argmax over the comparison ``z == m[:, None]``, and
+    ``np.argmax``'s first NaN in a row that holds one."""
+    arg = np.argmax(z == m[:, None], axis=1)
     nan = np.isnan(m)
     if nan.any():
         arg[nan] = np.argmax(z[nan], axis=1)

@@ -338,17 +338,21 @@ def _prox_step(weights: list, layers: list, strength: float) -> None:
     Each layer's weights are rotated into the joint eigenbasis of its
     three factors by one mode product per mode, divided elementwise by
     ``1 + strength / (sigma_in kron sigma_out kron sigma_task)`` and
-    rotated back.  The divisor is at least 1, so the step never grows
-    the weights' norm, whatever the factors.
+    rotated back, the last mode product written into the weights, which
+    must be C-contiguous, as the parameter vector's views are.  The
+    divisor is at least 1, so the step never grows the weights' norm,
+    whatever the factors.
     """
     for w, (bases, inv_sigma) in zip(weights, layers):
         z = w
         for axis, q in enumerate(bases):
             z = _along_mode(q.T, z, axis)
         z /= 1.0 + strength * inv_sigma
-        for axis, q in enumerate(bases):
+        for axis, q in enumerate(bases[:2]):
             z = _along_mode(q, z, axis)
-        w[...] = z
+        # The task mode is last, so its product is written into ``w``.
+        t = bases[2].shape[0]
+        np.matmul(z.reshape(-1, t), bases[2].T, out=w.reshape(-1, t))
 
 
 def sgd_epoch(
@@ -360,9 +364,10 @@ def sgd_epoch(
 ) -> tuple:
     """One epoch of momentum SGD over the pooled examples.
 
-    Examples of all tasks are pooled once per epoch, shuffled together
-    (child generator of ``cfg.seed`` and the epoch counter) and walked
-    in batches.  Each batch is one pass of the arithmetic of
+    The examples of all tasks, the dataset's pooled arrays, are shuffled
+    together (child generator of ``cfg.seed`` and the epoch counter) and
+    walked in batches, each gathering its rows of the pooled matrix.
+    Each batch is one pass of the arithmetic of
     :func:`~relnet.network.batch_gradients` over its mixed tasks, with
     data gradients averaged within the batch: a full batch whose
     size is a power of two has the kernel scale its output gradient by
@@ -407,9 +412,9 @@ def sgd_epoch(
     """
     check_data(net, data, "training data")
     _check_covariances(net.stack, cov)
-    features = np.concatenate(data.features)
+    features = data.pooled_features
     total = features.shape[0]
-    labels = _check_index(np.concatenate(data.labels), total, net.num_classes, "label")
+    labels = _check_index(data.pooled_labels, total, net.num_classes, "label")
     task_of = np.repeat(np.arange(net.num_tasks), data.task_sizes)
     # A batch larger than the epoch is the whole epoch; clamping keeps
     # the spread buffers of the plan one epoch long at most.

@@ -24,6 +24,7 @@ from relnet.data import (
     write_manifest,
 )
 from relnet.data import _parse_csv_fast, _parse_csv_lines
+from relnet.network import softmax
 from relnet.serialize import ConfigError, InputError
 from relnet.tensor_normal import KronCovariance, TensorNormal, sample
 
@@ -193,7 +194,6 @@ def bits(parsed):
     comparison (NaN == NaN, -0.0 != 0.0)."""
     x, y = parsed
     assert x.dtype == np.float64 and y.dtype == np.int64
-    assert x.flags.c_contiguous and y.flags.c_contiguous
     return x.view(np.int64).tolist(), y.tolist()
 
 
@@ -229,6 +229,8 @@ def test_vectorized_pass_accepts_only_what_the_line_parser_accepts(raw, classes)
             assert bits(fast) == bits(want)
         ds = load_csv([path], classes)
         assert bits((ds.features[0], ds.labels[0])) == bits(want)
+        assert ds.pooled_features.flags.c_contiguous
+        assert ds.pooled_labels.flags.c_contiguous
 
 
 def test_vectorized_pass_parses_written_rows(tmp_path):
@@ -361,6 +363,80 @@ class TestSplitEmptyFold:
         )
         with pytest.raises(SplitError, match="test fold is empty"):
             split(ds, SplitSpec(train_fraction=0.99, seed=0))
+
+
+def assert_pooled(ds, features, labels):
+    """``ds`` holds one C-contiguous float64 matrix and one int64 label
+    vector, tasks in order; every task's arrays are views of their row
+    blocks and hold ``features[t]`` and ``labels[t]``, bit for bit."""
+    x, y = ds.pooled_features, ds.pooled_labels
+    assert x.dtype == np.float64 and y.dtype == np.int64
+    assert x.flags.c_contiguous and y.flags.c_contiguous
+    assert len(ds.features) == len(ds.labels) == len(features) == len(labels)
+    start = 0
+    for xt, yt, want_x, want_y in zip(ds.features, ds.labels, features, labels):
+        rows = slice(start, start + len(want_y))
+        assert np.shares_memory(xt, x) and np.shares_memory(yt, y)
+        assert np.array_equal(xt.view(np.int64), x[rows].view(np.int64))
+        assert np.array_equal(yt, y[rows])
+        assert np.array_equal(xt.view(np.int64), np.asarray(want_x).view(np.int64))
+        assert np.array_equal(yt, want_y)
+        start = rows.stop
+    assert start == len(x) == len(y)
+
+
+class TestPooled:
+    def test_load_csv_pools_the_files(self, tmp_path):
+        """Each loaded task is a view of the fold's pooled arrays and
+        holds what the line parser reads from its file."""
+        ds = toy_dataset(sizes=(7, 1, 5), dim=3, num_classes=3, seed=9)
+        paths = [tmp_path / f"{name}.csv" for name in ds.task_names]
+        write_csv(ds, paths)
+        want = [_parse_csv_lines(path, 3) for path in paths]
+        loaded = load_csv(paths, 3)
+        assert_pooled(loaded, *zip(*want))
+
+    def test_subset_and_split_take_the_rows_of_each_task(self):
+        """``subset`` selects as numpy indexing of each task's rows does,
+        repeated and negative indices included; ``split``'s folds hold
+        the rows of the indices they kept."""
+        ds = toy_dataset(sizes=(12, 9, 5), dim=2, num_classes=2, seed=10)
+        # Each row's first feature is its index within its task.
+        for x in ds.features:
+            x[:, 0] = np.arange(len(x))
+        idx = [[3, -1, 0, 3], [8, -9], [4]]
+        sub = ds.subset(idx)
+        assert_pooled(
+            sub,
+            [x[i] for x, i in zip(ds.features, idx)],
+            [y[i] for y, i in zip(ds.labels, idx)],
+        )
+        for fold in split(ds, SplitSpec(0.5, seed=3)):
+            kept = [x[:, 0].astype(int) for x in fold.features]
+            assert_pooled(
+                fold,
+                [x[i] for x, i in zip(ds.features, kept)],
+                [y[i] for y, i in zip(ds.labels, kept)],
+            )
+
+    def test_synthetic_draws_each_task_as_before(self):
+        """The generator's pooled draws are the per-task draws of one
+        stream: the weights, then each task's features and label
+        uniforms, in task order."""
+        spec = SyntheticSpec(3, 4, 3, 6, np.eye(3), noise_scale=0.5, seed=12)
+        ds, w = generate_synthetic(spec)
+        rng = np.random.default_rng(spec.seed)
+        rng.standard_normal((4 * 3, 3))
+        feats, labs = [], []
+        for t in range(3):
+            x = rng.standard_normal((6, 4))
+            logits = x @ w[:, :, t]
+            logits -= logits.max(axis=1, keepdims=True)
+            cum = np.cumsum(softmax(logits / 0.5), axis=1)
+            cum[:, -1] = 1.0
+            feats.append(x)
+            labs.append((cum > rng.random((6, 1))).argmax(axis=1))
+        assert_pooled(ds, feats, labs)
 
 
 def block_cov(pairs, size):

@@ -155,7 +155,10 @@ def fold_scores_of_task(net, task, x, labels):
     features = [np.ones((1, net.input_dim))] * net.num_tasks
     all_labels = [[0]] * net.num_tasks
     features[task], all_labels[task] = x, labels
-    return fold_scores(net, SimpleNamespace(features=features, labels=all_labels))
+    pooled = np.concatenate(all_labels, axis=None)
+    return fold_scores(
+        net, SimpleNamespace(features=features, labels=all_labels, pooled_labels=pooled)
+    )
 
 
 @pytest.mark.parametrize("score", [task_log_loss, fold_scores_of_task])
@@ -190,7 +193,6 @@ def test_fold_scores_are_the_oracle_loss_and_accuracy():
     for t, (x, y) in enumerate(zip(ds.features, ds.labels)):
         assert losses[t] == task_log_loss(net, t, x, y)
         assert accs[t] == task_accuracy(net, t, x, y)
-    ds.labels[2] = ds.labels[2].copy()
     ds.labels[2][-1] = 3
     with pytest.raises(ValueError, match=r"label out of range \[0, 3\)"):
         fold_scores(net, ds)

@@ -58,10 +58,31 @@ def test_seed_list_rejects_an_empty_range():
         sweep.seed_list("12-1")
 
 
+def tables(stdout: str) -> list:
+    """The runs table and the summary table of a sweep's output, each as
+    its lines split at the cell separators."""
+    return [[line.split(" | ") for line in table.splitlines()]
+            for table in stdout.split("\n\n")]
+
+
+def test_summary_gives_the_figures_over_the_runs_that_have_them():
+    """A point's summary counts its runs and non-zero exits, and takes
+    the median, minimum and interquartile range of each figure over the
+    runs that report it; a figure no run reports reads ``-``."""
+    runs = [(0, 0.5, 0.1), (3, None, None), (0, 0.7, 0.3), (0, 0.6, 0.2),
+            (0, 0.9, 0.25)]
+    assert sweep.summary(runs) == [
+        "5", "1", "0.6500", "0.5000", "0.1750", "0.2250", "0.1000", "0.0875"
+    ]
+    assert sweep.summary([(0, 0.5, None), (2, None, None)]) == [
+        "2", "1", "0.5000", "0.5000", "0.0000", "-", "-", "-"
+    ]
+
+
 def test_two_point_grid_is_one_deterministic_table():
     """Two short ``train-manytask`` runs, at ``prior_weight`` 0 and 1e-3,
-    print one row each with the λ 0 run as both rows' baseline, and two
-    sweeps print the same bytes."""
+    print one row each with the λ 0 run as both rows' baseline, then one
+    summary row per point, and two sweeps print the same bytes."""
     argv = [sys.executable, str(TOOL), "train-manytask",
             "--set", "train.prior_weight=0,1e-3", "--set", "train.epochs=1",
             "--seeds", "3", "--data-seeds", "7"]
@@ -70,7 +91,7 @@ def test_two_point_grid_is_one_deterministic_table():
     for run in runs:
         assert run.returncode == 0, run.stderr
     assert runs[0].stdout == runs[1].stdout
-    header, rule, *rows = [line.split(" | ") for line in runs[0].stdout.splitlines()]
+    [header, rule, *rows], [summary_header, _, *summaries] = tables(runs[0].stdout)
     assert header == ["| train.prior_weight", "train.epochs", "data seed", "seed",
                       "exit", "test_acc", "rel_gap", "λ0 test_acc", "λ0 rel_gap",
                       "error |"]
@@ -82,6 +103,16 @@ def test_two_point_grid_is_one_deterministic_table():
     assert zero[5:9] == [zero[5], "0.0000", zero[5], "0.0000"]
     assert prior[7:9] == zero[5:7]
     assert 0.0 < float(prior[5]) <= 1.0
+    assert summary_header == [
+        "| train.prior_weight", "train.epochs", "runs", "non-zero exits",
+        "test_acc median", "test_acc min", "test_acc IQR", "rel_gap median",
+        "rel_gap min", "rel_gap IQR |",
+    ]
+    # One run per point: its figures are the median and the minimum.
+    assert summaries == [
+        [row[0], "1", "1", "0", row[5], row[5], "0.0000", row[6], row[6], "0.0000 |"]
+        for row in rows
+    ]
 
 
 def test_failed_run_reads_its_exit_code_and_error():
@@ -92,8 +123,9 @@ def test_failed_run_reads_its_exit_code_and_error():
             "--seeds", "3", "--data-seeds", "7"]
     run = subprocess.run(argv, capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
-    _, _, row = [line.split(" | ") for line in run.stdout.splitlines()]
+    [_, _, row], [_, _, summary] = tables(run.stdout)
     assert row[:9] == ["| 1e6", "1", "7", "3", "3", "-", "-", "-", "-"]
+    assert summary == ["| 1e6", "1", "1", "1", "-", "-", "-", "-", "-", "- |"]
     assert row[9].startswith("relnet train: numeric failure: ")
     assert "after epoch 0:" in row[9]
 
@@ -116,5 +148,6 @@ def test_long_value_prints_as_a_short_label():
             "--set", "train.epochs=1", "--seeds", "3", "--data-seeds", "7"]
     run = subprocess.run(argv, capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
-    _, _, row = [line.split(" | ") for line in run.stdout.splitlines()]
+    [_, _, row], [_, _, summary] = tables(run.stdout)
     assert row[:5] == ["| " + sweep.label(value), "1", "7", "3", "0"]
+    assert summary[0] == row[0]

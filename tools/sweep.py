@@ -28,9 +28,15 @@ BLAS thread.  Its row gives the exit code, the final mean held-out
 ``test_acc`` and ``rel_gap`` as the workload's own check computes them
 (``-`` where the workload does not define one), the same two figures
 of the point's ``train.prior_weight`` 0 baseline, and the last line
-the run wrote to stderr, or the check's complaint, if any.  The table
-holds no times, so at a fixed BLAS thread count two runs print the
-same bytes.
+the run wrote to stderr, or the check's complaint, if any.
+
+A second table follows, after a blank line: one row per grid point
+(one combination of the ``--set`` values), over all of its data seeds
+and training seeds.  It gives the point's run count and count of
+non-zero exits, and the median, minimum and interquartile range (numpy's
+linear percentiles) of ``test_acc`` and of ``rel_gap`` over the runs
+that report them.  Neither table holds times, so at a fixed BLAS thread
+count two sweeps print the same bytes.
 """
 
 from __future__ import annotations
@@ -47,6 +53,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -166,13 +174,36 @@ def figure(value) -> str:
     return "-" if value is None else f"{value:.4f}"
 
 
+def markdown(header: list, rows: list) -> str:
+    """One Markdown table."""
+    lines = [header, ["---"] * len(header), *rows]
+    return "".join("| " + " | ".join(line) + " |\n" for line in lines)
+
+
+def summary(runs: list) -> list:
+    """The cells of one grid point's summary row over its ``runs``, each
+    ``(exit code, test_acc, rel_gap)``: the run count, the count of
+    non-zero exits, then the median, minimum and interquartile range of
+    each figure over the runs that have it (``-`` where none has)."""
+    cells = [str(len(runs)), str(sum(code != 0 for code, _, _ in runs))]
+    for values in zip(*(run[1:] for run in runs)):
+        values = [v for v in values if v is not None]
+        if not values:
+            cells += ["-"] * 3
+            continue
+        q1, median, q3 = np.percentile(values, [25, 50, 75])
+        cells += [figure(median), figure(min(values)), figure(q3 - q1)]
+    return cells
+
+
 def sweep(name: str, settings: list, seeds: list, data_seeds: list) -> str:
-    """The Markdown table of the grid."""
+    """The Markdown table of the grid's runs, then the table of its
+    points' summaries."""
     workload = workloads()[name]
     keys = [key for key, _ in settings]
     header = [*keys, "data seed", "seed", "exit", "test_acc", "rel_gap",
               "λ0 test_acc", "λ0 rel_gap", "error"]
-    rows = [header, ["---"] * len(header)]
+    rows, points = [], {}
     for data_seed in data_seeds:
         with tempfile.TemporaryDirectory(prefix="sweep-") as tmp:
             work = Path(tmp)
@@ -184,6 +215,7 @@ def sweep(name: str, settings: list, seeds: list, data_seeds: list) -> str:
                 for seed in seeds:
                     fixed = [*zip(keys, values), ("train.seed", str(seed))]
                     code, acc, gap, message = run(configured(base, fixed))
+                    points.setdefault(values, []).append((code, acc, gap))
                     _, acc0, gap0, _ = run(
                         configured(base, [*fixed, ("train.prior_weight", "0")])
                     )
@@ -191,7 +223,12 @@ def sweep(name: str, settings: list, seeds: list, data_seeds: list) -> str:
                         *map(label, values), str(data_seed), str(seed), str(code),
                         figure(acc), figure(gap), figure(acc0), figure(gap0), message,
                     ])
-    return "\n".join("| " + " | ".join(row) + " |" for row in rows) + "\n"
+    stats = [f"{fig} {stat}" for fig in ("test_acc", "rel_gap")
+             for stat in ("median", "min", "IQR")]
+    return markdown(header, rows) + "\n" + markdown(
+        [*keys, "runs", "non-zero exits", *stats],
+        [[*map(label, values), *summary(runs)] for values, runs in points.items()],
+    )
 
 
 def main(argv=None) -> int:
