@@ -535,17 +535,26 @@ def cmd_export_relationship(args) -> int:
 
 # --------------------------------------------------------------------------
 # argument wiring
+#
+# A flag value that does not parse is rejected as one out of range:
+# argparse would word a ``ValueError`` by the parsing function's name.
 
 
 def _tolerance(text: str) -> float:
-    value = float(text)
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
     if not 0.0 <= value < math.inf:
         raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
     return value
 
 
 def _sweep_limit(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
     return value

@@ -31,9 +31,11 @@ JSON type rule: a ``list[float]`` comes back as one float64 array, and a
 ``list[list[float]]`` as one 2-D float64 array, from a JSON list or an
 array object alike.  :func:`read_json_object` applies it to a file's
 top-level object as it reads the file through a bounded window of its
-text, one value at a time, and a matrix one row at a time, so the file
+text: one loop over an object's members and a list's items reads the
+object a value at a time, and a matrix a row at a time, so the file
 costs the window and the arrays, not its whole text or a Python float
-per number.
+per number.  Any other text, invalid JSON or a document that is not one
+object, is read again whole, and rejected as the whole read words it.
 """
 
 from __future__ import annotations
@@ -244,14 +246,14 @@ def output_errors(path):
         raise InputError(f"{exc.filename or path}: {exc.strerror or exc}") from None
 
 
-@contextlib.contextmanager
-def _json_errors(path):
-    """Raise a parse failure of the enclosed decoding of ``path``'s text
-    as :class:`InputError`: ``<path>: invalid JSON at line L column C:
-    <msg>``, or ``<path>: invalid JSON: nested too deeply`` where the
-    decoder runs out of stack."""
+def load_json(path):
+    """Parse the JSON file at ``path``; besides :func:`open_text`'s errors,
+    a text that does not parse raises :class:`InputError`: ``<path>:
+    invalid JSON at line L column C: <msg>``, or ``<path>: invalid JSON:
+    nested too deeply`` where the decoder runs out of stack."""
     try:
-        yield
+        with open_text(path) as fh:
+            return json.load(fh)
     except json.JSONDecodeError as exc:
         raise InputError(
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: "
@@ -261,14 +263,6 @@ def _json_errors(path):
         raise InputError(f"{path}: invalid JSON: nested too deeply") from None
 
 
-def load_json(path):
-    """Parse the JSON file at ``path``; besides :func:`open_text`'s errors,
-    a text that does not parse raises the :class:`InputError` of
-    :func:`_json_errors`."""
-    with open_text(path) as fh, _json_errors(path):
-        return json.load(fh)
-
-
 def read_json_object(path, required: dict, optional=None) -> dict:
     """The JSON object of the file at ``path``, read as :func:`load_json`
     and :func:`read_object` with ``where`` ``<path>:`` read it, with the
@@ -276,34 +270,31 @@ def read_json_object(path, required: dict, optional=None) -> dict:
     bounded window of the text.
 
     The file is read ``_CHUNK`` characters at a time into a window
-    (:class:`_Window`) that drops the text the scan has passed, and is
-    decoded one top-level value at a time; a ``list[list[float]]`` value
-    in list form is decoded one row at a time into one float64 array
-    (:func:`_float_matrix`), so neither the whole text nor the matrix as
-    Python floats ever exists.  Invalid JSON anywhere in the text comes
-    ahead of any type error: a row's :class:`ConfigError` is held until
-    the text has parsed, and raised at its key's turn.  On a fault the
-    file is read again whole by :func:`load_json`, which names it as
+    (:class:`_Window`) that drops the text the scan has passed.  One
+    loop, :func:`_items`, walks the top-level object key by key, and a
+    ``list[list[float]]`` value in list form row by row into one float64
+    array (:func:`_float_matrix`), so neither the whole text nor the
+    matrix as Python floats ever exists.  Invalid JSON anywhere in the
+    text comes ahead of any type error: a row's :class:`ConfigError` is
+    held until the text has parsed, and raised at its key's turn.  Any
+    other text, a fault or a document that is not one JSON object, is
+    read again whole by :func:`load_json`, which names a fault as
     before: a byte that is not UTF-8 first, wherever it is, then the
     JSON error with ``json.load``'s message and position.
     """
     where = f"{path}:"
     table = {**(optional or {}), **required}
-    with _json_errors(path):
-        try:
-            with open_text(path) as fh:
-                doc = _scan_document(_Window(fh), where, table)
-        except (json.JSONDecodeError, RecursionError):
-            # The scan stops at the first fault, and its positions count
-            # from the window: ``load_json`` names the fault instead.
-            load_json(path)
-            raise
+    try:
+        with open_text(path) as fh:
+            doc = _scan_document(_Window(fh), where, table)
+    except (json.JSONDecodeError, RecursionError):
+        doc = load_json(path)
     return _read_object(doc, where, required, optional, _checked)
 
 
 _DECODER = json.JSONDecoder()
 _BLANKS = json.decoder.WHITESPACE.match
-# The comma or bracket after a row, with the blanks around it.
+# The comma or bracket after an item, with the blanks around it.
 _AFTER = re.compile(r"[ \t\n\r]*([,\]}])[ \t\n\r]*").match
 # Characters read into the window at a time.  A large chunk costs peak
 # memory, since the C heap keeps what it freed, and a small one costs
@@ -322,175 +313,126 @@ _SCALAR_END = re.compile(r"[,\]}]").search
 class _Window:
     """The text of the open file ``fh``, read through a window.
 
-    ``text`` holds the part of the file the scan is in, and the scan's
-    positions index it.  Each refill drops the text before the scan's
-    position and appends the next characters of the file, so a refill
-    copies only the unread tail, and ``eof`` is true once ``text`` runs
-    to the end of the file.  The methods that read ahead return the new
-    index of the position they were given.
+    ``text`` holds the part of the file the scan is in, and ``at`` is
+    the scan's position in it.  Each read ahead drops the text before
+    ``at`` and appends the next characters of the file, so it copies
+    only the unread tail; ``eof`` is true once ``text`` runs to the end
+    of the file, and ``last`` is the index of its last ``]``.
     """
 
     def __init__(self, fh):
-        self.fh, self.text, self.eof = fh, "", False
+        self.fh, self.text, self.at, self.eof, self.last = fh, "", 0, False, -1
 
-    def extend(self, at: int, least: int = 0) -> int:
-        """Drop ``text`` before ``at`` and append at least ``least``
-        characters, and at least ``_CHUNK``, unless the file ends."""
-        piece = self.fh.read(max(_CHUNK, least))
-        self.eof = not piece
-        self.text = self.text[at:] + piece
-        return 0
-
-    def hold(self, at: int, search) -> int:
-        """Read ahead until ``search`` finds a match in ``text`` after
-        ``at``, or the file ends."""
-        if self.eof or search(self.text, at + 1):
-            return at
-        pieces = [self.text[at:]]
+    def hold(self, search=None, least: int = 0) -> None:
+        """Drop ``text`` before ``at`` and read ahead pieces of at least
+        ``least`` characters, and at least ``_CHUNK``, until ``search``
+        finds a match in one (one piece if ``search`` is None), or the
+        file ends."""
+        pieces = [self.text[self.at :]]
         while not self.eof:
-            pieces.append(self.fh.read(_CHUNK))
+            pieces.append(self.fh.read(max(_CHUNK, least)))
             self.eof = not pieces[-1]
-            if search(pieces[-1]):
+            if search is None or search(pieces[-1]):
                 break
-        self.text = "".join(pieces)
-        return 0
+        self.text, self.at = "".join(pieces), 0
+        self.last = self.text.rfind("]")
 
-    def skip(self, at: int) -> int:
-        """The index of the first non-blank character at or after
-        ``at``, or of the end of the file."""
-        at = _BLANKS(self.text, at).end()
-        while at == len(self.text) and not self.eof:
-            at = self.extend(at)
-            at = _BLANKS(self.text, at).end()
-        return at
+    def peek(self) -> str:
+        """The first non-blank character at or after ``at``, to which
+        ``at`` moves, or ``""`` at the end of the file."""
+        self.at = _BLANKS(self.text, self.at).end()
+        while self.at == len(self.text) and not self.eof:
+            self.hold()
+            self.at = _BLANKS(self.text, self.at).end()
+        return self.text[self.at : self.at + 1]
 
-    def token(self, at: int) -> tuple:
-        """``(c, end)``: the first non-blank character at or after
-        ``at`` (``""`` at the end of the file), and the index of the
-        first non-blank character after it."""
-        at = self.skip(at)
-        c = self.text[at : at + 1]
-        return c, self.skip(at + len(c))
+    def token(self) -> str:
+        """:meth:`peek`'s character; ``at`` then passes it and the blanks
+        after it."""
+        c = self.peek()
+        self.at += len(c)
+        self.peek()
+        return c
 
-    def parse(self, parse, at: int, search=None) -> tuple:
-        """``parse(text, at)`` once the window holds a match of
-        ``search`` after ``at`` (by default the closer of the value that
-        starts there).  A parse that fails before the end of the file is
-        run again on a window of twice the unread text, so a value is
-        never cut short: a cut one fails, except for a number, which the
-        closer keeps whole."""
-        if search is None:
-            search = _CLOSERS.get(self.text[at : at + 1], _SCALAR_END)
-        at = self.hold(at, search)
+    def value(self):
+        """The JSON value that starts at ``at``, where :meth:`peek` and
+        :meth:`token` leave it, decoded once the window holds its closer
+        (``_CLOSERS``) after its start; ``at`` then passes it.  A list
+        that starts before ``last`` holds one without a search, so a
+        matrix row costs no scan ahead.  A decode that fails before the
+        end of the file is run again on a window of twice the unread
+        text, so a value is never cut short: a cut one fails, except for
+        a number, which the closer keeps whole."""
+        c = self.text[self.at : self.at + 1]
+        if not (self.eof or (c == "[" and self.at < self.last)):
+            search = _CLOSERS.get(c, _SCALAR_END)
+            if not search(self.text, self.at + 1):
+                self.hold(search)
         while True:
             try:
-                return parse(self.text, at)
+                value, self.at = _DECODER.raw_decode(self.text, self.at)
+                return value
             except json.JSONDecodeError:
                 if self.eof:
                     raise
-            at = self.extend(at, len(self.text) - at)
+            self.hold(least=len(self.text) - self.at)
 
 
-def _key(text: str, at: int) -> tuple:
-    """``(key, end)`` of the JSON string at ``text[at]``."""
-    return json.decoder.scanstring(text, at + 1)
-
-
-def _scan_document(window: _Window, where: str, table: dict):
-    """The JSON document in ``window``, parsed as ``json.loads`` parses
-    it, except that at the top level the value of each key whose
-    annotation in ``table`` is ``list[list[float]]`` and which is a JSON
-    list comes as :func:`_scan_matrix` gives it.  A fault raises a
-    ``json.JSONDecodeError`` at or before it."""
-    at = window.skip(0)
-    if window.text[at : at + 1] != "{":
-        doc, at = window.parse(_DECODER.raw_decode, at)
-        at = window.skip(at)
-    else:
-        at = window.skip(at + 1)
-        doc, closed = {}, window.text[at : at + 1] == "}"
-        at = window.skip(at + closed)
-        while not closed:
-            if window.text[at : at + 1] != '"':
-                raise json.JSONDecodeError("Expecting property name", window.text, at)
-            key, at = window.parse(_key, at)
-            c, at = window.token(at)
-            if c != ":":
-                raise json.JSONDecodeError("Expecting ':' delimiter", window.text, at)
-            if table.get(key) == "list[list[float]]" and window.text[at : at + 1] == "[":
-                doc[key], at = _scan_matrix(window, at, f"{where} {key}")
-            else:
-                doc[key], at = window.parse(_DECODER.raw_decode, at)
-            c, at = window.token(at)
-            if c not in (",", "}"):
-                raise json.JSONDecodeError("Expecting ',' delimiter", window.text, at)
-            closed = c == "}"
-    if at != len(window.text):
-        raise json.JSONDecodeError("Extra data", window.text, at)
-    return doc
-
-
-class _Rows:
-    """The items of the JSON list at ``window.text[at]``, decoded one at
-    a time by one iterator, which a second loop resumes; once they are
-    all read, ``end`` is the index of the first non-blank character
-    after the list.
-
-    Before a row is decoded the window holds a ``]`` after its start, so
-    a list row, and any number, is whole and decoded once."""
-
-    def __init__(self, window: _Window, at: int):
-        self.end = None
-        self.items = self._scan(window, at)
-
-    def __iter__(self):
-        return self.items
-
-    def _scan(self, window: _Window, at: int):
-        decode = _DECODER.raw_decode
-        at = window.skip(at + 1)
-        if window.text[at : at + 1] == "]":
-            self.end = window.skip(at + 1)
+def _items(window: _Window, close: str):
+    """Yield the items of the JSON list (``close`` ``]``), or the keys of
+    the JSON object (``close`` ``}``), whose opening bracket is at
+    ``window.at``.  After a key the window is at its value, which the
+    caller reads before the next item; after the last, it is past the
+    closing bracket.  A fault raises a ``json.JSONDecodeError``."""
+    window.at += 1
+    if window.peek() == close:
+        window.at += 1
+        return
+    while True:
+        item = window.value()
+        if close == "}" and (type(item) is not str or window.token() != ":"):
+            raise json.JSONDecodeError("Expecting property name", window.text, window.at)
+        yield item
+        # One match finds the separator, unless the window ends in it.  The
+        # match is dropped before the next item is read, so that reading
+        # ahead frees the text it points into.
+        after = _AFTER(window.text, window.at)
+        if after is None or after.end() == len(window.text):
+            c = window.token()
+        else:
+            c, window.at = after[1], after.end()
+        del after
+        if c != ",":
+            if c != close:
+                raise json.JSONDecodeError("Expecting ',' delimiter", window.text, window.at)
             return
-        # ``last`` is the window's last ``]``: a row of numbers that starts
-        # before it is held whole.
-        text, last = window.text, window.text.rfind("]")
-        while True:
-            if last <= at:
-                at = window.hold(at, _CLOSERS["["])
-                text, last = window.text, window.text.rfind("]")
-            try:
-                row, at = decode(text, at)
-            except json.JSONDecodeError:
-                row, at = window.parse(decode, at, _CLOSERS["["])
-                text, last = window.text, window.text.rfind("]")
-            yield row
-            after = _AFTER(text, at)
-            if after is None or after.end() == len(text):
-                c, at = window.token(at)
-                text, last = window.text, window.text.rfind("]")
-            else:
-                c, at = after[1], after.end()
-            if c not in (",", "]"):
-                raise json.JSONDecodeError("Expecting ',' delimiter", text, at)
-            if c == "]":
-                self.end = at
-                return
 
 
-def _scan_matrix(window: _Window, at: int, where: str) -> tuple:
-    """``(value, end)`` of the JSON list at ``window.text[at]`` under
-    the matrix rule: the value is the array, or the :class:`ConfigError`
-    of the first bad row, after which the rest of the list is still
-    parsed."""
-    rows = _Rows(window, at)
-    try:
-        value = _float_matrix(rows, where)
-    except ConfigError as exc:
-        value = exc
-        for _ in rows:
-            pass
-    return value, rows.end
+def _scan_document(window: _Window, where: str, table: dict) -> dict:
+    """The JSON object in ``window``, parsed as ``json.loads`` parses it,
+    except that the value of each key whose annotation in ``table`` is
+    ``list[list[float]]`` and which is a JSON list is the array of
+    :func:`_float_matrix`, or the :class:`ConfigError` of its first bad
+    row, after which the rest of the list is still parsed.  A fault, or
+    a document that is not an object, raises a
+    ``json.JSONDecodeError``."""
+    if window.peek() != "{":
+        raise json.JSONDecodeError("Expecting '{'", window.text, window.at)
+    doc = {}
+    for key in _items(window, "}"):
+        if table.get(key) != "list[list[float]]" or window.peek() != "[":
+            doc[key] = window.value()
+            continue
+        rows = _items(window, "]")
+        try:
+            doc[key] = _float_matrix(rows, f"{where} {key}")
+        except ConfigError as exc:
+            doc[key] = exc
+            for _ in rows:
+                pass
+    if window.peek():
+        raise json.JSONDecodeError("Extra data", window.text, window.at)
+    return doc
 
 
 def _checked(value, kind, where: str):

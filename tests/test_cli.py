@@ -1084,6 +1084,16 @@ REJECTED = {
     "tnd_max_iter_zero": (with_samples([3, 2, 2], flags=("--max-iter", "0")), "--max-iter"),
     "tnd_tol_negative": (with_samples([3, 2, 2], flags=("--tol", "-1")), "--tol"),
     "tnd_tol_nan": (with_samples([3, 2, 2], flags=("--tol", "nan")), "--tol"),
+    # A flag value that does not parse is worded as one out of range, not
+    # by the name of the function that parses it.
+    "tnd_tol_not_a_number": (
+        with_samples([3, 2, 2], flags=("--tol", "abc")),
+        "argument --tol: must be finite and >= 0, got abc",
+    ),
+    "tnd_max_iter_not_an_integer": (
+        with_samples([3, 2, 2], flags=("--max-iter", "1.5")),
+        "argument --max-iter: must be at least 1, got 1.5",
+    ),
     "tnd_non_finite_entry": (with_samples([3, 2, 2], bad=(1, 5)), "samples[1] entry 5"),
     "tnd_string_entry": (
         with_samples([3, 2, 2], bad=(1, 5), value="2"),
